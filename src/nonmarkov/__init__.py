@@ -7,7 +7,10 @@ compares the derivative of the response matrix against the composition
 law it would satisfy under divisibility, the other compares the exact
 stationary two-time spectrum against the regression-theorem prediction.
 Both reduce to normalized L2 distances, so every value lies in [0, 1]
-and vanishes identically for strict Ohmic damping.
+and vanishes identically when the oscillator is decoupled from the bath.
+Strict Ohmic damping keeps a nonzero divisibility residual,
+D/(ω₀²−ω²−iDω)²·[[1, iω], [−iω, ω²]], so n1 is small at weak coupling
+and grows with D.
 
 Layers, bottom up:
 
@@ -19,10 +22,12 @@ Layers, bottom up:
     Ohmic, peaked and tabulated spectral densities J(ω) with their
     memory kernels γ̃(ω) and derivatives.
 ``response``
-    the susceptibility matrix χ̃(ω), its time-domain form, and mean
-    evolution after a kick.
+    the susceptibility matrix χ̃(ω), its derivative and the divisibility
+    residual, each an array of shape (2, 2) + ω.shape; the time-domain
+    form and mean evolution after a kick.
 ``correlations``
-    stationary covariances and the exact / regression two-time spectra.
+    stationary covariances and the exact / regression two-time spectra,
+    in the same (2, 2) + ω.shape layout.
 ``quantifiers``
     the normalized distances built from the layers above.
 ``oracle``
@@ -62,23 +67,17 @@ from .quadrature import (
     sine_transform,
 )
 from .spectral import (
-    MemoryKernelValue,
     OhmicSD,
     PeakedSD,
     SpectralDensity,
     TabulatedSD,
-    gamma_tilde,
-    gamma_tilde_prime,
-    j_omega,
 )
 from .response import (
     CHI_PLUS,
     CHI_PLUS_INV,
-    ComplexMatrix2,
     ModelParams,
     chi_matrix,
     chi_prime_matrix,
-    chi_qq,
     chi_qq_prime_vec,
     chi_qq_vec,
     chi_time,
@@ -91,11 +90,8 @@ from .correlations import (
     CovarianceMatrix,
     covariance0,
     covariance0_drift,
-    exact_cqq_vec,
     exact_entries_vec,
-    exact_spectrum,
     rt_entries_vec,
-    rt_spectrum,
     rt_spectrum_general,
 )
 from .quantifiers import (
@@ -120,7 +116,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CHI_PLUS",
     "CHI_PLUS_INV",
-    "ComplexMatrix2",
     "CovarianceMatrix",
     "CutoffSensitive",
     "DerivativeUnstable",
@@ -130,7 +125,6 @@ __all__ = [
     "LangevinConfig",
     "LangevinResult",
     "LineIntegral",
-    "MemoryKernelValue",
     "ModelParams",
     "NonConvergence",
     "NonFinite",
@@ -148,7 +142,6 @@ __all__ = [
     "ZeroNorm",
     "chi_matrix",
     "chi_prime_matrix",
-    "chi_qq",
     "chi_qq_prime_vec",
     "chi_qq_vec",
     "chi_time",
@@ -160,19 +153,14 @@ __all__ = [
     "divisibility_residual",
     "embedding_response",
     "embedding_static_sum",
-    "exact_cqq_vec",
     "exact_entries_vec",
-    "exact_spectrum",
     "feature_frequencies",
-    "gamma_tilde",
-    "gamma_tilde_prime",
     "inner_product_info",
     "inner_product_l2",
     "integrate",
     "integrate_line",
     "integrate_line_info",
     "is_decoupled",
-    "j_omega",
     "langevin_means",
     "norm_l2",
     "ou_coefficients",
@@ -181,7 +169,6 @@ __all__ = [
     "quantify",
     "regression_quantifier",
     "rt_entries_vec",
-    "rt_spectrum",
     "rt_spectrum_general",
     "sine_transform",
     "__version__",

@@ -13,11 +13,8 @@ from __future__ import annotations
 
 import argparse
 import csv
-import math
-import os
 import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -192,7 +189,7 @@ def _quantifier_columns(which: str):
     return cols
 
 
-def _report_cells(report, which, p, sd, cfg=None):
+def _report_cells(report, which, p, sd):
     cells = []
     if which in ("n1", "both"):
         cells += [report.n1[0, 0], report.n1[0, 1], report.n1[1, 1]]
@@ -306,26 +303,22 @@ def _mode_sweep(settings) -> int:
                                "error"]
     failures = []
 
-    workers = min(8, os.cpu_count() or 1)
     with open(out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         fh.flush()
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_sweep_point, settings, param,
-                                   float(v)) for v in grid]
-            for value, future in zip(grid, futures):
-                try:
-                    cells, tail, flagged, drift = future.result()
-                    row = ([_fmt(value)] + [_fmt(c) for c in cells]
-                           + [_fmt(tail), str(int(flagged)), _fmt(drift),
-                              ""])
-                except NumericsError as exc:
-                    failures.append((float(value), str(exc)))
-                    row = ([_fmt(value)] + [""] * len(cols)
-                           + ["", "", "", str(exc)])
-                writer.writerow(row)
-                fh.flush()
+        for value in grid:
+            try:
+                cells, tail, flagged, drift = _sweep_point(settings, param,
+                                                           float(value))
+                row = ([_fmt(value)] + [_fmt(c) for c in cells]
+                       + [_fmt(tail), str(int(flagged)), _fmt(drift), ""])
+            except NumericsError as exc:
+                failures.append((float(value), str(exc)))
+                row = ([_fmt(value)] + [""] * len(cols)
+                       + ["", "", "", str(exc)])
+            writer.writerow(row)
+            fh.flush()
     _write_plot_script(out, cols, is_log, param)
     if failures:
         value, msg = failures[0]

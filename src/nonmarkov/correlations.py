@@ -2,11 +2,15 @@
 
 Three pieces of the stationary state:
 
-* ``covariance0``     the diagonal equal-time covariance matrix, from
-                      thermally weighted integrals of Im χ̃_qq
-* ``exact_spectrum``  the fluctuation-dissipation form of C̃(ω)
-* ``rt_spectrum``     what the quantum regression theorem would predict
-                      for C̃(ω), given the correct equal-time covariance
+* ``covariance0``        the diagonal equal-time covariance matrix, from
+                         thermally weighted integrals of Im χ̃_qq
+* ``exact_entries_vec``  the fluctuation-dissipation form of C̃(ω)
+* ``rt_entries_vec``     what the quantum regression theorem would
+                         predict for C̃(ω), given the correct equal-time
+                         covariance
+
+Both spectra are ndarrays of shape (2, 2) + ω.shape, entries first, like
+every 2×2 function of ω in ``response``.
 
 Thermal weights use the detailed-balance factor 2ħω/(1−e^{−βħω}); the
 classical branch (ħ = 0 exactly) replaces it by 2/β.  The removable
@@ -34,8 +38,8 @@ from .errors import CutoffSensitive
 from .quadrature import QuadratureConfig, integrate
 from .response import (
     CHI_PLUS_INV,
-    ComplexMatrix2,
     ModelParams,
+    _matmul2,
     chi_matrix,
     chi_qq_vec,
     feature_frequencies,
@@ -46,16 +50,12 @@ from .spectral import SpectralDensity
 __all__ = [
     "CovarianceMatrix",
     "covariance0",
-    "exact_spectrum",
-    "exact_cqq_vec",
     "exact_entries_vec",
-    "rt_spectrum",
     "rt_spectrum_general",
     "rt_entries_vec",
 ]
 
 _SERIES_THRESHOLD = 1e-4
-_ENTRIES = ("qq", "qp", "pq", "pp")
 
 
 @dataclass(frozen=True)
@@ -92,7 +92,6 @@ def _thermal_weight_times_omega(omega: np.ndarray, beta: float,
     x = beta * hbar * omega
     out = np.empty(omega.shape)
     small = np.abs(x) < _SERIES_THRESHOLD
-    xs = x[small]
     out[small] = 2.0 / beta + beta * (hbar * omega[small]) ** 2 / 6.0 \
         - beta ** 3 * (hbar * omega[small]) ** 4 / 360.0
     xb = x[~small]
@@ -206,54 +205,33 @@ def covariance0_drift(p: ModelParams, sd: SpectralDensity,
     return drift
 
 
-def exact_cqq_vec(p: ModelParams, sd: SpectralDensity, omega) -> np.ndarray:
-    """Equilibrium C̃_qq(ω) from the fluctuation-dissipation relation."""
+def exact_entries_vec(p: ModelParams, sd: SpectralDensity,
+                      omega) -> np.ndarray:
+    """Exact equilibrium spectrum C̃(ω) from the fluctuation-dissipation
+    relation, shape (2, 2) + ω.shape."""
     omega = np.asarray(omega, dtype=float)
-    return _bose_weight(omega, p.beta, p.hbar) * _im_chi_over_omega(p, sd, omega)
-
-
-def exact_entries_vec(p: ModelParams, sd: SpectralDensity, omega) -> dict[str, np.ndarray]:
-    """All four entries of the exact spectrum on an ω array."""
-    omega = np.asarray(omega, dtype=float)
-    s = exact_cqq_vec(p, sd, omega)
-    return {"qq": s + 0.0j, "qp": 1j * omega * s, "pq": -1j * omega * s,
-            "pp": omega ** 2 * s + 0.0j}
-
-
-def exact_spectrum(p: ModelParams, sd: SpectralDensity,
-                   omega: float) -> ComplexMatrix2:
-    """Exact equilibrium correlation spectrum C̃(ω) as a 2×2 matrix."""
-    e = exact_entries_vec(p, sd, np.array([float(omega)]))
-    return ComplexMatrix2(*(complex(e[k][0]) for k in _ENTRIES))
+    s = _bose_weight(omega, p.beta, p.hbar) * _im_chi_over_omega(p, sd, omega)
+    return np.array([[s + 0.0j, 1j * omega * s],
+                     [-1j * omega * s, omega ** 2 * s + 0.0j]])
 
 
 def rt_entries_vec(p: ModelParams, sd: SpectralDensity, omega,
-                   c0: CovarianceMatrix) -> dict[str, np.ndarray]:
-    """Regression-theorem spectrum entries on an ω array."""
+                   c0: CovarianceMatrix) -> np.ndarray:
+    """Regression-theorem prediction for C̃(ω) given the covariances c0,
+    shape (2, 2) + ω.shape."""
     omega = np.asarray(omega, dtype=float)
     c = chi_qq_vec(p, sd, omega)
     im_c = np.imag(c)
     qp = c0.c_pp * c - c0.c_qq * (omega ** 2 * np.conj(c) + 1.0)
-    return {
-        "qq": 2.0 * omega * c0.c_qq * im_c + 0.0j,
-        "qp": qp,
-        "pq": np.conj(qp),
-        "pp": 2.0 * omega * c0.c_pp * im_c + 0.0j,
-    }
+    return np.array([[2.0 * omega * c0.c_qq * im_c + 0.0j, qp],
+                     [np.conj(qp), 2.0 * omega * c0.c_pp * im_c + 0.0j]])
 
 
-def rt_spectrum(p: ModelParams, sd: SpectralDensity, omega: float,
-                c0: CovarianceMatrix) -> ComplexMatrix2:
-    """Regression-theorem prediction for C̃(ω), given covariances c0."""
-    e = rt_entries_vec(p, sd, np.array([float(omega)]), c0)
-    return ComplexMatrix2(*(complex(e[k][0]) for k in _ENTRIES))
-
-
-def rt_spectrum_general(p: ModelParams, sd: SpectralDensity, omega: float,
-                        c0: CovarianceMatrix) -> ComplexMatrix2:
+def rt_spectrum_general(p: ModelParams, sd: SpectralDensity, omega,
+                        c0: CovarianceMatrix) -> np.ndarray:
     """Matrix form χ̃ χ₊⁻¹ C(0) − C(0) χ₊⁻¹ χ̃† of the same prediction,
     kept separate as an algebraic cross-check of the explicit entries."""
-    chi = chi_matrix(p, sd, omega).as_array()
+    chi = chi_matrix(p, sd, omega)
     c = c0.as_array()
-    m = chi @ CHI_PLUS_INV @ c - c @ CHI_PLUS_INV @ chi.conj().T
-    return ComplexMatrix2.from_array(m)
+    return (_matmul2(_matmul2(chi, CHI_PLUS_INV), c)
+            - _matmul2(_matmul2(c, CHI_PLUS_INV), chi.conj().swapaxes(0, 1)))

@@ -144,13 +144,6 @@ class Integrand:
             raise ParityViolation(
                 f"declared parity {self.parity!r} fails at x = {x[bad][0]:.6g}")
 
-    @classmethod
-    def from_scalar(cls, fn: Callable[[float], complex],
-                    parity: str = "none") -> "Integrand":
-        """Wrap a scalar-valued function (convenience, slower)."""
-        vec = np.vectorize(fn, otypes=[complex])
-        return cls(lambda x: vec(x), parity)
-
 
 def _eval_panels(fn, lo: np.ndarray, hi: np.ndarray):
     """G7/K15 on each [lo_i, hi_i]; one batched evaluator call."""
@@ -280,7 +273,8 @@ def _power_law_tail(f, W: float) -> float:
     p, logA = np.polyfit(logx, logy, 1)
     if p >= -1.0000001:
         return math.inf
-    return math.exp(logA) * W ** (p + 1.0) / (-(p + 1.0))
+    # one exponent: exp(logA) alone overflows for fast-decaying |f|
+    return math.exp(logA + (p + 1.0) * math.log(W)) / (-(p + 1.0))
 
 
 def _decade_edges(W: float, breakpoints=()) -> np.ndarray:

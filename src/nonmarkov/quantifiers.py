@@ -19,8 +19,8 @@ from .correlations import covariance0, exact_entries_vec, rt_entries_vec
 from .errors import TailDominates, ZeroNorm
 from .quadrature import Integrand, QuadratureConfig, inner_product_info
 from .response import (
-    chi_qq_prime_vec,
-    chi_qq_vec,
+    _composed_response,
+    chi_prime_matrix,
     feature_frequencies,
     is_decoupled,
 )
@@ -34,7 +34,8 @@ _DEFAULT_CFG = QuadratureConfig()
 _TAIL_FLAG = 1e-3
 _TAIL_RAISE = 0.1
 
-_ENTRY_KEYS = ("qq", "qp", "pp")
+# (name, row, column) of the entries computed; pq mirrors qp
+_SLOTS = (("qq", 0, 0), ("qp", 0, 1), ("pp", 1, 1))
 
 
 @dataclass(frozen=True)
@@ -113,47 +114,21 @@ def distance(f: Integrand, g: Integrand,
     return val
 
 
-def _n1_pair(p, sd, key):
-    """Integrand pair (−iχ̃′ entry, (χ̃χ₊⁻¹χ̃) entry) for one matrix slot."""
-
-    def deriv_side(w):
-        c = chi_qq_vec(p, sd, w)
-        cp = chi_qq_prime_vec(p, sd, w)
-        if key == "qq":
-            return -1j * cp
-        if key == "qp":
-            return c + w * cp
-        return -1j * (2.0 * w * c + w * w * cp)
-
-    def quadratic_side(w):
-        c = chi_qq_vec(p, sd, w)
-        if key == "qq":
-            return -2j * w * c * c
-        if key == "qp":
-            return c + 2.0 * w * w * c * c
-        return -2j * w * c - 2j * w ** 3 * c * c
-
-    return (Integrand(deriv_side, "hermitian"),
-            Integrand(quadratic_side, "hermitian"))
+def _n1_pair(p, sd, i, j):
+    """Integrand pair (−i dχ̃/dω, χ̃ χ₊⁻¹ χ̃) at entry (i, j): the two
+    sides whose difference is ``divisibility_residual``."""
+    return (Integrand(lambda w: -1j * chi_prime_matrix(p, sd, w)[i, j],
+                      "hermitian"),
+            Integrand(lambda w: _composed_response(p, sd, w)[i, j],
+                      "hermitian"))
 
 
-def _n2_pair(p, sd, key, cov0):
-    """Integrand pair (exact spectrum entry, regression prediction)."""
-
-    def exact_side(w):
-        return exact_entries_vec(p, sd, np.asarray(w, dtype=float))[key]
-
-    def rt_side(w):
-        return rt_entries_vec(p, sd, np.asarray(w, dtype=float), cov0)[key]
-
+def _n2_pair(p, sd, i, j, cov0):
+    """Integrand pair (exact spectrum, regression prediction) at (i, j)."""
     # ħ > 0 breaks the ω ↦ −ω symmetry of the exact spectrum
-    return (Integrand(exact_side, "none", skip_check=True),
-            Integrand(rt_side, "none", skip_check=True))
-
-
-def _assemble(entries: dict[str, float]) -> np.ndarray:
-    return np.array([[entries["qq"], entries["qp"]],
-                     [entries["qp"], entries["pp"]]], dtype=float)
+    return (Integrand(lambda w: exact_entries_vec(p, sd, w)[i, j], "none"),
+            Integrand(lambda w: rt_entries_vec(p, sd, w, cov0)[i, j],
+                      "none"))
 
 
 def _quantifier_matrix(p, sd, cfg, prefix, pair_factory):
@@ -161,24 +136,24 @@ def _quantifier_matrix(p, sd, cfg, prefix, pair_factory):
     (the two off-diagonal functions differ only by an overall sign or a
     complex conjugation, neither of which moves the distance)."""
     diagnostics: dict[str, EntryDiagnostics] = {}
+    matrix = np.zeros((2, 2))
     if is_decoupled(sd):
         zero = EntryDiagnostics(0.0, 0, False)
         for key in ("qq", "qp", "pq", "pp"):
             diagnostics[f"{prefix}_{key}"] = zero
-        return np.zeros((2, 2)), diagnostics
+        return matrix, diagnostics
 
     bps = feature_frequencies(p, sd)
-    entries: dict[str, float] = {}
-    for key in _ENTRY_KEYS:
-        f, g = pair_factory(key)
+    for key, i, j in _SLOTS:
+        f, g = pair_factory(i, j)
         try:
-            entries[key], diag = _distance_info(f, g, cfg, bps)
+            value, diag = _distance_info(f, g, cfg, bps)
         except ZeroNorm:
-            entries[key] = 0.0
-            diag = EntryDiagnostics(0.0, 0, False)
+            value, diag = 0.0, EntryDiagnostics(0.0, 0, False)
+        matrix[i, j] = matrix[j, i] = value
         diagnostics[f"{prefix}_{key}"] = diag
     diagnostics[f"{prefix}_pq"] = diagnostics[f"{prefix}_qp"]
-    return _assemble(entries), diagnostics
+    return matrix, diagnostics
 
 
 def divisibility_quantifier(p, sd: SpectralDensity,
@@ -192,7 +167,7 @@ def divisibility_quantifier(p, sd: SpectralDensity,
     """
     cfg = cfg or _DEFAULT_CFG
     return _quantifier_matrix(p, sd, cfg, "n1",
-                              lambda key: _n1_pair(p, sd, key))
+                              lambda i, j: _n1_pair(p, sd, i, j))
 
 
 def regression_quantifier(p, sd: SpectralDensity,
@@ -210,7 +185,7 @@ def regression_quantifier(p, sd: SpectralDensity,
         return _quantifier_matrix(p, sd, cfg, "n2", None)
     cov0 = covariance0(p, sd, cfg)
     return _quantifier_matrix(p, sd, cfg, "n2",
-                              lambda key: _n2_pair(p, sd, key, cov0))
+                              lambda i, j: _n2_pair(p, sd, i, j, cov0))
 
 
 def quantify(p, sd: SpectralDensity, cfg: QuadratureConfig | None = None,

@@ -10,6 +10,10 @@ follow.  Conventions: observables are ordered (q, p), transforms use the
 kernel e^{iωt}, so d/dt corresponds to −iω, and the off-diagonal entries
 are χ̃_qp = iω χ̃_qq and χ̃_pq = −iω χ̃_qq, with χ̃_pp = 1 + ω² χ̃_qq.
 
+Every 2×2 function of ω is one ndarray of shape (2, 2) + ω.shape, entries
+first, for a scalar or an array ω alike; products of such matrices go
+through ``_matmul2``.
+
 The time-domain propagator is reconstructed from Im χ̃_qq through sine
 and cosine transforms (causality plus reality make that sufficient):
 
@@ -39,8 +43,6 @@ __all__ = [
     "CHI_PLUS",
     "CHI_PLUS_INV",
     "ModelParams",
-    "ComplexMatrix2",
-    "chi_qq",
     "chi_qq_vec",
     "chi_qq_prime_vec",
     "chi_matrix",
@@ -84,31 +86,23 @@ class ModelParams:
                           "integrals will be crude", CutoffSensitive)
 
 
-@dataclass(frozen=True)
-class ComplexMatrix2:
-    """2×2 complex matrix indexed by the observables (q, p)."""
+def _matmul2(a, b) -> np.ndarray:
+    """2×2 matrix product over entries-first arrays of shape (2, 2, ...).
 
-    qq: complex
-    qp: complex
-    pq: complex
-    pp: complex
-
-    def as_array(self) -> np.ndarray:
-        return np.array([[self.qq, self.qp], [self.pq, self.pp]])
-
-    @classmethod
-    def from_array(cls, m: np.ndarray) -> "ComplexMatrix2":
-        return cls(complex(m[0, 0]), complex(m[0, 1]),
-                   complex(m[1, 0]), complex(m[1, 1]))
-
-    def entry(self, name: str) -> complex:
-        return getattr(self, name)
+    (ab)[i, j] = Σ_k a[i, k]·b[k, j], with the trailing (frequency) axes
+    broadcast, so a constant 2×2 matrix combines with a whole batch.  On
+    (2, 2, N) batches this broadcast sum is about ten times faster than
+    ``@`` on the (N, 2, 2) transpose.
+    """
+    a, b = np.asarray(a), np.asarray(b)
+    nd = max(a.ndim, b.ndim)
+    a = a.reshape(a.shape + (1,) * (nd - a.ndim))
+    b = b.reshape(b.shape + (1,) * (nd - b.ndim))
+    return (a[:, :, None] * b[None]).sum(axis=1)
 
 
-def chi_qq_vec(p: ModelParams, sd: SpectralDensity, omega) -> np.ndarray:
-    """χ̃_qq at an array of frequencies."""
-    omega = np.asarray(omega, dtype=float)
-    den = p.omega0 ** 2 - omega ** 2 - 1j * omega * sd.gamma_tilde_vec(omega)
+def _chi_qq(p: ModelParams, omega: np.ndarray, gam: np.ndarray) -> np.ndarray:
+    den = p.omega0 ** 2 - omega ** 2 - 1j * omega * gam
     bad = np.abs(den) < 1e-14 * p.omega0 ** 2
     if bad.any():
         w = omega[bad].ravel()[0]
@@ -118,46 +112,55 @@ def chi_qq_vec(p: ModelParams, sd: SpectralDensity, omega) -> np.ndarray:
     return 1.0 / den
 
 
-def chi_qq(p: ModelParams, sd: SpectralDensity, omega: float) -> complex:
-    """Position-position susceptibility at one frequency."""
-    return complex(chi_qq_vec(p, sd, np.array([float(omega)]))[0])
+def chi_qq_vec(p: ModelParams, sd: SpectralDensity, omega) -> np.ndarray:
+    """χ̃_qq at a scalar or an array of frequencies."""
+    omega = np.asarray(omega, dtype=float)
+    return _chi_qq(p, omega, sd.gamma_tilde_vec(omega))
+
+
+def _chi_qq_and_prime(p: ModelParams, sd: SpectralDensity,
+                      omega: np.ndarray):
+    """χ̃_qq and dχ̃_qq/dω = χ̃_qq²·(2ω + iγ̃ + iω dγ̃/dω) from one γ̃
+    batch and one γ̃′ batch."""
+    gam = sd.gamma_tilde_vec(omega)
+    c = _chi_qq(p, omega, gam)
+    gam_p = sd.gamma_tilde_prime_vec(omega)
+    return c, c ** 2 * (2.0 * omega + 1j * gam + 1j * omega * gam_p)
 
 
 def chi_qq_prime_vec(p: ModelParams, sd: SpectralDensity, omega) -> np.ndarray:
-    """dχ̃_qq/dω = χ̃_qq²·(2ω + iγ̃ + iω dγ̃/dω)."""
-    omega = np.asarray(omega, dtype=float)
-    c = chi_qq_vec(p, sd, omega)
-    gam = sd.gamma_tilde_vec(omega)
-    gam_p = sd.gamma_tilde_prime_vec(omega)
-    return c ** 2 * (2.0 * omega + 1j * gam + 1j * omega * gam_p)
+    """dχ̃_qq/dω at a scalar or an array of frequencies."""
+    return _chi_qq_and_prime(p, sd, np.asarray(omega, dtype=float))[1]
 
 
-def chi_matrix(p: ModelParams, sd: SpectralDensity, omega: float) -> ComplexMatrix2:
-    """Full response matrix χ̃(ω) over the (q, p) pair."""
-    w = float(omega)
-    c = chi_qq(p, sd, w)
-    return ComplexMatrix2(qq=c, qp=1j * w * c, pq=-1j * w * c,
-                          pp=1.0 + w ** 2 * c)
+def chi_matrix(p: ModelParams, sd: SpectralDensity, omega) -> np.ndarray:
+    """Response matrix χ̃(ω) over the (q, p) pair, shape (2, 2) + ω.shape."""
+    w = np.asarray(omega, dtype=float)
+    c = chi_qq_vec(p, sd, w)
+    return np.array([[c, 1j * w * c], [-1j * w * c, 1.0 + w ** 2 * c]])
 
 
-def chi_prime_matrix(p: ModelParams, sd: SpectralDensity, omega: float) -> ComplexMatrix2:
-    """Entrywise frequency derivative dχ̃/dω."""
-    w = float(omega)
-    c = chi_qq(p, sd, w)
-    cp = complex(chi_qq_prime_vec(p, sd, np.array([w]))[0])
-    return ComplexMatrix2(qq=cp,
-                          qp=1j * c + 1j * w * cp,
-                          pq=-1j * c - 1j * w * cp,
-                          pp=2.0 * w * c + w ** 2 * cp)
+def chi_prime_matrix(p: ModelParams, sd: SpectralDensity, omega) -> np.ndarray:
+    """Entrywise frequency derivative dχ̃/dω, shape (2, 2) + ω.shape."""
+    w = np.asarray(omega, dtype=float)
+    c, cp = _chi_qq_and_prime(p, sd, w)
+    return np.array([[cp, 1j * c + 1j * w * cp],
+                     [-1j * c - 1j * w * cp, 2.0 * w * c + w ** 2 * cp]])
+
+
+def _composed_response(p: ModelParams, sd: SpectralDensity,
+                       omega) -> np.ndarray:
+    """χ̃ χ₊⁻¹ χ̃, which −i dχ̃/dω equals for a divisible propagator."""
+    chi = chi_matrix(p, sd, omega)
+    return _matmul2(_matmul2(chi, CHI_PLUS_INV), chi)
 
 
 def divisibility_residual(p: ModelParams, sd: SpectralDensity,
-                          omega: float) -> ComplexMatrix2:
-    """R(ω) = −i dχ̃/dω − χ̃ χ₊⁻¹ χ̃; identically zero for a divisible
-    (time-homogeneous) mean propagator."""
-    chi = chi_matrix(p, sd, omega).as_array()
-    chi_p = chi_prime_matrix(p, sd, omega).as_array()
-    return ComplexMatrix2.from_array(-1j * chi_p - chi @ CHI_PLUS_INV @ chi)
+                          omega) -> np.ndarray:
+    """R(ω) = −i dχ̃/dω − χ̃ χ₊⁻¹ χ̃, shape (2, 2) + ω.shape; identically
+    zero for a divisible (time-homogeneous) mean propagator."""
+    return (-1j * chi_prime_matrix(p, sd, omega)
+            - _composed_response(p, sd, omega))
 
 
 def is_decoupled(sd: SpectralDensity) -> bool:

@@ -7,12 +7,13 @@ Three coupling-spectrum families are supported:
                   resonance of strength D², width Γ, center Ω
 * ``TabulatedSD`` J given on a grid, monotone-cubic interpolated
 
-Every family exposes the same trio:
+Every family exposes the same trio, each taking a scalar or an array ω
+and returning an array of the same shape:
 
-* ``j(ω)``                  the spectral density, odd-extended to ω < 0
-* ``gamma_tilde(ω)``        the one-sided Fourier transform of the memory
-                            kernel, returned as (re, im)
-* ``gamma_tilde_prime(ω)``  its frequency derivative d γ̃/dω
+* ``j(ω)``                      the spectral density, odd-extended to ω < 0
+* ``gamma_tilde_vec(ω)``        the one-sided Fourier transform of the
+                                memory kernel, as complex values
+* ``gamma_tilde_prime_vec(ω)``  its frequency derivative d γ̃/dω
 
 For Ohmic and Peaked these are closed forms.  For tabulated data the real
 part is J(ω)/ω and the imaginary part is recovered from the dispersion
@@ -32,26 +33,11 @@ from .errors import DerivativeUnstable, NonConvergence, PVFailure
 from .quadrature import QuadratureConfig, principal_value
 
 __all__ = [
-    "MemoryKernelValue",
     "SpectralDensity",
     "OhmicSD",
     "PeakedSD",
     "TabulatedSD",
-    "j_omega",
-    "gamma_tilde",
-    "gamma_tilde_prime",
 ]
-
-
-@dataclass(frozen=True)
-class MemoryKernelValue:
-    """Real and imaginary part of γ̃ at one frequency."""
-
-    re: float
-    im: float
-
-    def as_complex(self) -> complex:
-        return complex(self.re, self.im)
 
 
 class SpectralDensity:
@@ -69,19 +55,9 @@ class SpectralDensity:
         """γ̃ at an array of frequencies, as complex values."""
         raise NotImplementedError
 
-    def gamma_tilde(self, omega: float) -> MemoryKernelValue:
-        val = complex(self.gamma_tilde_vec(np.array([float(omega)]))[0])
-        return MemoryKernelValue(val.real, val.imag)
-
-    def gamma_tilde_prime(self, omega: float) -> complex:
-        raise NotImplementedError
-
     def gamma_tilde_prime_vec(self, omega) -> np.ndarray:
-        """dγ̃/dω at an array of frequencies (loop fallback)."""
-        omega = np.asarray(omega, dtype=float)
-        flat = omega.ravel()
-        out = np.array([self.gamma_tilde_prime(w) for w in flat], dtype=complex)
-        return out.reshape(omega.shape)
+        """dγ̃/dω at an array of frequencies, as complex values."""
+        raise NotImplementedError
 
     def feature_frequencies(self) -> list[float]:
         """Positive frequencies where the kernel has structure; used to
@@ -109,9 +85,6 @@ class OhmicSD(SpectralDensity):
     def gamma_tilde_vec(self, omega) -> np.ndarray:
         return np.full(np.asarray(omega, dtype=float).shape, self.damping,
                        dtype=complex)
-
-    def gamma_tilde_prime(self, omega: float) -> complex:
-        return 0.0 + 0.0j
 
     def gamma_tilde_prime_vec(self, omega) -> np.ndarray:
         return np.zeros(np.asarray(omega, dtype=float).shape, dtype=complex)
@@ -153,9 +126,6 @@ class PeakedSD(SpectralDensity):
         re = d2 * g / den
         im = d2 * omega * (g ** 2 + omega ** 2 - big ** 2) / (big ** 2 * den)
         return re + 1j * im
-
-    def gamma_tilde_prime(self, omega: float) -> complex:
-        return complex(self.gamma_tilde_prime_vec(np.array([float(omega)]))[0])
 
     def gamma_tilde_prime_vec(self, omega) -> np.ndarray:
         w = np.asarray(omega, dtype=float)
@@ -285,37 +255,30 @@ class TabulatedSD(SpectralDensity):
                 im_flat[i] = math.copysign(1.0, w) * self._im_dispersion(abs(w))
         return re + 1j * im.reshape(omega.shape)
 
-    def gamma_tilde_prime(self, omega: float) -> complex:
-        w = float(omega)
-        h = 0.02 * max(1.0, abs(w))
+    def gamma_tilde_prime_vec(self, omega) -> np.ndarray:
+        """dγ̃/dω by two Richardson stages of central differences.
 
-        def g(x: float) -> complex:
-            return self.gamma_tilde(x).as_complex()
-
-        d = [(g(w + s) - g(w - s)) / (2.0 * s) for s in (h, h / 2.0, h / 4.0)]
-        k1 = (4.0 * d[1] - d[0]) / 3.0
-        k2 = (4.0 * d[2] - d[1]) / 3.0
-        if abs(k2 - k1) > max(1e-6, 1e-4 * abs(k2)):
-            raise DerivativeUnstable(
-                f"Richardson difference stages disagree at ω = {w:.6g} "
-                f"(|Δ| = {abs(k2 - k1):.3g}); table too coarse or noisy")
-        return k2
+        The frequencies are taken one at a time, in order, so a table too
+        coarse or noisy for the stencil fails at its first unstable ω
+        without paying for the dispersion integrals of the others.
+        """
+        omega = np.asarray(omega, dtype=float)
+        out = np.empty(omega.size, dtype=complex)
+        for i, w in enumerate(omega.ravel()):
+            h = 0.02 * max(1.0, abs(w))
+            steps = np.array([h, h / 2.0, h / 4.0])
+            g = self.gamma_tilde_vec(np.stack((w + steps, w - steps), axis=1))
+            d = (g[:, 0] - g[:, 1]) / (2.0 * steps)
+            k1 = (4.0 * d[1] - d[0]) / 3.0
+            k2 = (4.0 * d[2] - d[1]) / 3.0
+            if abs(k2 - k1) > max(1e-6, 1e-4 * abs(k2)):
+                raise DerivativeUnstable(
+                    f"Richardson difference stages disagree at ω = {w:.6g} "
+                    f"(|Δ| = {abs(k2 - k1):.3g}); table too coarse or noisy")
+            out[i] = k2
+        return out.reshape(omega.shape)
 
     def feature_frequencies(self) -> list[float]:
         peak = float(self.frequencies[int(np.argmax(self.values))])
         return [f for f in (peak, float(self.frequencies[-1])) if f > 0.0]
 
-
-def j_omega(sd: SpectralDensity, omega: float) -> float:
-    """Spectral density J at a single frequency (odd in ω)."""
-    return float(sd.j(np.array([float(omega)]))[0])
-
-
-def gamma_tilde(sd: SpectralDensity, omega: float) -> MemoryKernelValue:
-    """Fourier-transformed memory kernel γ̃ at one frequency."""
-    return sd.gamma_tilde(float(omega))
-
-
-def gamma_tilde_prime(sd: SpectralDensity, omega: float) -> complex:
-    """Frequency derivative dγ̃/dω at one frequency."""
-    return sd.gamma_tilde_prime(float(omega))

@@ -126,6 +126,23 @@ class TestSweepMode:
         capsys.readouterr()
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_cold_quantum_n2_sweep_has_no_failed_rows(self, tmp_path,
+                                                       capsys):
+        # at βħ ≳ 2 the n2 integrands decay so fast that the tail fit
+        # used to overflow and abort the sweep
+        out = tmp_path / "cold.csv"
+        rc = cli.main(["--mode", "sweep", "--sd", "peaked", "--param",
+                       "beta", "--range", "1:2.614:8", "--hbar", "1",
+                       "--quantifier", "n2", "--out", str(out)])
+        capsys.readouterr()
+        assert rc == 0
+        rows = read_csv(out)
+        assert len(rows) == 8
+        for row in rows:
+            assert row["error"] == ""
+            for key in ("n2_qq", "n2_qp", "n2_pp"):
+                assert 0.0 <= float(row[key]) <= 1.0
+
     def test_log_sweep_writes_plot_script(self, tmp_path, capsys):
         out = tmp_path / "plotme.csv"
         rc = cli.main(["--mode", "sweep", "--sd", "ohmic", "--param", "d",

@@ -8,14 +8,12 @@ import pytest
 from nonmarkov.correlations import (
     CovarianceMatrix,
     covariance0,
-    exact_cqq_vec,
-    exact_spectrum,
+    exact_entries_vec,
     rt_entries_vec,
-    rt_spectrum,
     rt_spectrum_general,
 )
 from nonmarkov.errors import CutoffSensitive
-from nonmarkov.response import ModelParams
+from nonmarkov.response import ModelParams, chi_qq_vec
 from nonmarkov.spectral import OhmicSD, PeakedSD
 
 PEAKED = PeakedSD(coupling=1.0, width=0.5, resonance=2.0)
@@ -80,22 +78,22 @@ class TestCovariance0:
 class TestExactSpectrum:
     def test_classical_point_value(self):
         p = ModelParams(omega0=1.0, beta=1.0)
-        m = exact_spectrum(p, OhmicSD(1.0), 1.0)
-        assert m.qq == pytest.approx(2.0, abs=1e-14)
+        m = exact_entries_vec(p, OhmicSD(1.0), 1.0)
+        assert m[0, 0] == pytest.approx(2.0, abs=1e-14)
 
     def test_matrix_structure(self):
         p = ModelParams(omega0=1.0, beta=1.3, hbar=0.8)
         for w in (-2.1, 0.4, 1.0, 3.3):
-            m = exact_spectrum(p, PEAKED, w)
-            assert abs(m.qp - 1j * w * m.qq) < 1e-12
-            assert abs(m.pq + 1j * w * m.qq) < 1e-12
-            assert abs(m.pp - w ** 2 * m.qq) < 1e-12
+            m = exact_entries_vec(p, PEAKED, w)
+            assert abs(m[0, 1] - 1j * w * m[0, 0]) < 1e-12
+            assert abs(m[1, 0] + 1j * w * m[0, 0]) < 1e-12
+            assert abs(m[1, 1] - w ** 2 * m[0, 0]) < 1e-12
 
     def test_detailed_balance(self):
         p = ModelParams(omega0=1.0, beta=1.3, hbar=0.8)
         for w in (0.7, 2.2, 1e-5):
-            plus = complex(exact_cqq_vec(p, PEAKED, np.array([w]))[0])
-            minus = complex(exact_cqq_vec(p, PEAKED, np.array([-w]))[0])
+            plus = exact_entries_vec(p, PEAKED, w)[0, 0]
+            minus = exact_entries_vec(p, PEAKED, -w)[0, 0]
             assert abs(minus - math.exp(-p.beta * p.hbar * w) * plus) < 1e-12
 
     def test_classical_limit_pointwise(self):
@@ -105,8 +103,8 @@ class TestExactSpectrum:
         sd = OhmicSD(0.7)
         for w in (0.5, 1.0, 2.0):
             assert beta * quantum.hbar * w < 1e-6
-            a = float(exact_cqq_vec(quantum, sd, np.array([w]))[0].real)
-            b = float(exact_cqq_vec(classical, sd, np.array([w]))[0].real)
+            a = exact_entries_vec(quantum, sd, w)[0, 0].real
+            b = exact_entries_vec(classical, sd, w)[0, 0].real
             assert a == pytest.approx(b, rel=1e-8)
 
     def test_bose_series_joins_smoothly(self):
@@ -114,11 +112,10 @@ class TestExactSpectrum:
         p = ModelParams(omega0=1.0, beta=1.0, hbar=1.0)
         sd = OhmicSD(0.5)
         for w in (0.2e-4, 0.99e-4, 1.01e-4):
-            got = float(exact_cqq_vec(p, sd, np.array([w]))[0].real)
+            got = exact_entries_vec(p, sd, w)[0, 0].real
             bose = 2.0 * p.hbar * w / (-math.expm1(-p.beta * p.hbar * w))
-            g = sd.gamma_tilde(w)
-            from nonmarkov.response import chi_qq
-            want = bose * g.re * abs(chi_qq(p, sd, w)) ** 2
+            g = sd.gamma_tilde_vec(w)
+            want = bose * g.real * abs(chi_qq_vec(p, sd, w)) ** 2
             assert got == pytest.approx(want, rel=1e-10)
 
 
@@ -134,22 +131,22 @@ class TestRTSpectrum:
                 warnings.simplefilter("ignore", CutoffSensitive)
                 c0 = covariance0(p, sd)
             w = rng.uniform(-5.0, 5.0)
-            e = rt_spectrum(p, sd, w, c0).as_array()
-            g = rt_spectrum_general(p, sd, w, c0).as_array()
+            e = rt_entries_vec(p, sd, w, c0)
+            g = rt_spectrum_general(p, sd, w, c0)
             assert np.abs(e - g).max() < 1e-12
 
     def test_conjugate_pair_symmetry(self):
         p = ModelParams(omega0=1.0, beta=2.0)
         c0 = covariance0(p, PEAKED)
         for w in (0.3, 1.7, 4.0):
-            m = rt_spectrum(p, PEAKED, w, c0)
-            assert m.qp == pytest.approx(np.conj(m.pq), abs=1e-15)
+            m = rt_entries_vec(p, PEAKED, w, c0)
+            assert m[0, 1] == pytest.approx(np.conj(m[1, 0]), abs=1e-15)
 
     def test_diagonal_vanishes_at_zero_frequency(self):
         p = ModelParams(omega0=1.0, beta=2.0)
         c0 = covariance0(p, OhmicSD(0.4))
-        m = rt_spectrum(p, OhmicSD(0.4), 0.0, c0)
-        assert m.qq == 0.0 and m.pp == 0.0
+        m = rt_entries_vec(p, OhmicSD(0.4), 0.0, c0)
+        assert m[0, 0] == 0.0 and m[1, 1] == 0.0
 
     def test_entries_vec_matches_scalar(self):
         p = ModelParams(omega0=1.0, beta=2.0)
@@ -157,5 +154,5 @@ class TestRTSpectrum:
         ws = np.array([0.5, 1.5, 3.0])
         e = rt_entries_vec(p, PEAKED, ws, c0)
         for i, w in enumerate(ws):
-            m = rt_spectrum(p, PEAKED, float(w), c0)
-            assert e["qp"][i] == pytest.approx(m.qp, abs=1e-15)
+            m = rt_entries_vec(p, PEAKED, float(w), c0)
+            assert e[0, 1, i] == pytest.approx(m[0, 1], abs=1e-15)

@@ -117,6 +117,14 @@ class TestIntegrateLine:
         assert res.value.real == pytest.approx(2.0 * math.atan(CFG.half_width), abs=1e-9)
         assert res.tail == pytest.approx(2.0 / CFG.half_width, rel=0.1)
 
+    def test_steep_exponential_tail_is_finite(self):
+        # the power-law fit on [W/10, W] has a slope near −300 here, so
+        # its amplitude alone is far beyond the float range
+        f = Integrand(lambda x: np.exp(-4.0 * np.abs(x)), "even")
+        res = integrate_line_info(f, CFG)
+        assert res.value.real == pytest.approx(0.5, rel=1e-9)
+        assert 0.0 <= res.tail < 1e-60
+
     def test_hermitian_integrand_gives_real_value(self):
         f = Integrand(lambda x: np.exp(-(x ** 2)) * (1.0 + 1j * x), "hermitian")
         val = integrate_line(f, CFG)
@@ -262,7 +270,8 @@ class TestIntegrandHandle:
         Integrand(lambda x: np.exp(1j * x) / (1.0 + x ** 2), "hermitian")
 
     def test_scalar_wrapper(self):
-        f = Integrand.from_scalar(lambda x: math.exp(-x * x), "even")
+        scalar = np.vectorize(lambda x: math.exp(-x * x), otypes=[complex])
+        f = Integrand(scalar, "even")
         assert integrate_line(f, CFG).real == pytest.approx(SQRT_PI, abs=1e-10)
 
 

@@ -17,11 +17,9 @@ from nonmarkov.quadrature import QuadratureConfig, integrate
 from nonmarkov.response import (
     CHI_PLUS,
     CHI_PLUS_INV,
-    ComplexMatrix2,
     ModelParams,
     chi_matrix,
     chi_prime_matrix,
-    chi_qq,
     chi_qq_vec,
     chi_time,
     divisibility_residual,
@@ -57,18 +55,20 @@ def damped_means_closed(damping, omega0, a_q, a_p, t):
 class TestChiQQ:
     def test_static_susceptibility(self):
         p = ModelParams(omega0=2.0, beta=1.0)
-        assert chi_qq(p, OhmicSD(0.4), 0.0) == pytest.approx(0.25, abs=1e-15)
+        assert chi_qq_vec(p, OhmicSD(0.4), 0.0) == pytest.approx(0.25,
+                                                              abs=1e-15)
 
     def test_ohmic_on_resonance(self):
-        assert chi_qq(P1, OhmicSD(1.0), 1.0) == pytest.approx(1j, abs=1e-15)
+        assert chi_qq_vec(P1, OhmicSD(1.0), 1.0) == pytest.approx(1j,
+                                                              abs=1e-15)
 
     def test_high_frequency_falloff(self):
-        val = chi_qq(P1, OhmicSD(1.0), 1e3)
+        val = chi_qq_vec(P1, OhmicSD(1.0), 1e3)
         assert abs(val) < 1.1 / 1e6
 
     def test_undamped_resonance_rejected(self):
         with pytest.raises(DivisionNearZero):
-            chi_qq(P1, OhmicSD(0.0), 1.0)
+            chi_qq_vec(P1, OhmicSD(0.0), 1.0)
 
 
 class TestChiMatrix:
@@ -76,20 +76,20 @@ class TestChiMatrix:
         for sd in (OhmicSD(0.7), PEAKED):
             for w in (-3.2, 0.4, 1.0, 7.7):
                 m = chi_matrix(P1, sd, w)
-                assert abs(m.qp - 1j * w * m.qq) < 1e-12
-                assert abs(m.pq + 1j * w * m.qq) < 1e-12
-                assert abs(m.pp - (1.0 + w ** 2 * m.qq)) < 1e-12
+                assert abs(m[0, 1] - 1j * w * m[0, 0]) < 1e-12
+                assert abs(m[1, 0] + 1j * w * m[0, 0]) < 1e-12
+                assert abs(m[1, 1] - (1.0 + w ** 2 * m[0, 0])) < 1e-12
 
     def test_hermitian_frequency_symmetry(self):
         for sd in (OhmicSD(0.7), PEAKED):
             for w in (0.3, 1.1, 4.5):
-                plus = chi_matrix(P1, sd, w).as_array()
-                minus = chi_matrix(P1, sd, -w).as_array()
+                plus = chi_matrix(P1, sd, w)
+                minus = chi_matrix(P1, sd, -w)
                 assert np.abs(minus - plus.conj()).max() < 1e-12
 
     def test_decoupled_pp_is_free_oscillator(self):
         m = chi_matrix(P1, OhmicSD(0.0), 0.5)
-        assert m.pp == pytest.approx(1.0 + 0.25 / 0.75, abs=1e-14)
+        assert m[1, 1] == pytest.approx(1.0 + 0.25 / 0.75, abs=1e-14)
 
 
 class TestChiPrime:
@@ -98,31 +98,31 @@ class TestChiPrime:
             for w in (0.37, 1.0, 2.2):
                 m = chi_prime_matrix(P1, sd, w)
                 h = 1e-5 * max(1.0, abs(w))
-                for name in ("qq", "qp", "pq", "pp"):
-                    vals = [getattr(chi_matrix(P1, sd, w + s), name)
+                for i, j in np.ndindex(2, 2):
+                    vals = [chi_matrix(P1, sd, w + s)[i, j]
                             for s in (h, -h, h / 2, -h / 2)]
                     d1 = (vals[0] - vals[1]) / (2.0 * h)
                     d2 = (vals[2] - vals[3]) / h
                     oracle = (4.0 * d2 - d1) / 3.0
-                    assert getattr(m, name) == pytest.approx(oracle, rel=1e-7)
+                    assert m[i, j] == pytest.approx(oracle, rel=1e-7)
 
     def test_ohmic_derivative_at_zero(self):
         # χ̃_qq'(0) = χ̃_qq(0)²·(i·damping) = i·damping/ω₀⁴
-        assert chi_prime_matrix(P1, OhmicSD(0.7), 0.0).qq == pytest.approx(
+        assert chi_prime_matrix(P1, OhmicSD(0.7), 0.0)[0, 0] == pytest.approx(
             0.7j, abs=1e-15)
         p2 = ModelParams(omega0=1.3, beta=1.0)
-        assert chi_prime_matrix(p2, OhmicSD(0.4), 0.0).qq == pytest.approx(
+        assert chi_prime_matrix(p2, OhmicSD(0.4), 0.0)[0, 0] == pytest.approx(
             0.4j / 1.3 ** 4, abs=1e-15)
 
 
 class TestDivisibilityResidual:
     def test_decoupled_is_zero(self):
         for sd in (OhmicSD(0.0), PeakedSD(0.0, 0.5, 2.0)):
-            r = divisibility_residual(P1, sd, 0.7).as_array()
+            r = divisibility_residual(P1, sd, 0.7)
             assert np.abs(r).max() < 1e-14
 
     def test_ohmic_point_value(self):
-        r = divisibility_residual(P1, OhmicSD(1.0), 1.0).as_array()
+        r = divisibility_residual(P1, OhmicSD(1.0), 1.0)
         expect = -np.array([[1.0, 1j], [-1j, 1.0]])
         assert np.abs(r - expect).max() < 1e-12
 
@@ -130,8 +130,8 @@ class TestDivisibilityResidual:
         for damping in (0.1, 1.0):
             sd = OhmicSD(damping)
             for w in np.linspace(-10.0, 10.0, 100):
-                r = divisibility_residual(P1, sd, w).as_array()
-                c = chi_qq(P1, sd, w)
+                r = divisibility_residual(P1, sd, w)
+                c = chi_qq_vec(P1, sd, w)
                 expect = damping * c * c * np.array([[1.0, 1j * w],
                                                      [-1j * w, w * w]])
                 assert np.abs(r - expect).max() < 1e-10

@@ -9,15 +9,7 @@ import numpy as np
 import pytest
 
 from nonmarkov.errors import DerivativeUnstable, ParityViolation
-from nonmarkov.spectral import (
-    MemoryKernelValue,
-    OhmicSD,
-    PeakedSD,
-    TabulatedSD,
-    gamma_tilde,
-    gamma_tilde_prime,
-    j_omega,
-)
+from nonmarkov.spectral import OhmicSD, PeakedSD, TabulatedSD
 
 # Richardson oracle at ω=1.3 for coupling=1, width=0.5, resonance=2
 PRIME_13 = 0.17131325365256356 - 0.17208285153084515j
@@ -36,22 +28,22 @@ def make_peaked_table(step=0.0025, top=30.0, sd=PEAKED):
 
 class TestOhmic:
     def test_j_linear(self):
-        assert j_omega(OhmicSD(0.3), 2.0) == pytest.approx(0.6, abs=1e-15)
+        assert OhmicSD(0.3).j(2.0) == pytest.approx(0.6, abs=1e-15)
 
     def test_j_odd(self):
         sd = OhmicSD(0.3)
-        assert j_omega(sd, -2.0) == -j_omega(sd, 2.0)
+        assert sd.j(-2.0) == -sd.j(2.0)
 
     def test_kernel_constant(self):
-        val = gamma_tilde(OhmicSD(0.3), 5.0)
-        assert val == MemoryKernelValue(0.3, 0.0)
-        assert gamma_tilde(OhmicSD(0.3), -7.1) == MemoryKernelValue(0.3, 0.0)
+        sd = OhmicSD(0.3)
+        assert sd.gamma_tilde_vec(5.0) == 0.3 + 0.0j
+        assert sd.gamma_tilde_vec(-7.1) == 0.3 + 0.0j
 
     def test_prime_zero(self):
-        assert gamma_tilde_prime(OhmicSD(1.7), 0.9) == 0.0
+        assert OhmicSD(1.7).gamma_tilde_prime_vec(0.9) == 0.0
 
     def test_decoupled_allowed(self):
-        assert gamma_tilde(OhmicSD(0.0), 1.0).re == 0.0
+        assert OhmicSD(0.0).gamma_tilde_vec(1.0).real == 0.0
 
     def test_negative_damping_rejected(self):
         with pytest.raises(ValueError):
@@ -61,37 +53,38 @@ class TestOhmic:
 class TestPeaked:
     def test_j_at_resonance(self):
         # J(Ω) = coupling²/(width·resonance)
-        assert j_omega(PEAKED, 2.0) == pytest.approx(1.0, abs=1e-15)
+        assert PEAKED.j(2.0) == pytest.approx(1.0, abs=1e-15)
 
     def test_j_at_zero(self):
-        assert j_omega(PEAKED, 0.0) == 0.0
+        assert PEAKED.j(0.0) == 0.0
 
     def test_kernel_at_resonance(self):
-        val = gamma_tilde(PEAKED, 2.0)
-        assert val.re == pytest.approx(0.5, abs=1e-15)
-        assert val.im == pytest.approx(0.125, abs=1e-15)
+        val = PEAKED.gamma_tilde_vec(2.0)
+        assert val.real == pytest.approx(0.5, abs=1e-15)
+        assert val.imag == pytest.approx(0.125, abs=1e-15)
 
     def test_im_vanishes_at_zero(self):
-        assert gamma_tilde(PEAKED, 0.0).im == 0.0
+        assert PEAKED.gamma_tilde_vec(0.0).imag == 0.0
 
     def test_re_is_j_over_omega(self):
         for w in np.linspace(0.1, 8.0, 23):
-            assert gamma_tilde(PEAKED, w).re == pytest.approx(
-                j_omega(PEAKED, w) / w, rel=1e-14)
+            assert PEAKED.gamma_tilde_vec(w).real == pytest.approx(
+                PEAKED.j(w) / w, rel=1e-14)
 
     def test_im_closed_form(self):
         d, g, big = PEAKED.coupling, PEAKED.width, PEAKED.resonance
         for w in np.linspace(0.05, 9.0, 40):
             expect = d ** 2 * w * (g ** 2 + w ** 2 - big ** 2) / (
                 big ** 2 * (g ** 2 * w ** 2 + (w ** 2 - big ** 2) ** 2))
-            assert gamma_tilde(PEAKED, w).im == pytest.approx(expect, rel=1e-14)
+            assert PEAKED.gamma_tilde_vec(w).imag == pytest.approx(
+                expect, rel=1e-14)
 
     def test_parity_pairs(self):
         for w in (0.3, 1.1, 2.0, 5.5):
-            plus = gamma_tilde(PEAKED, w)
-            minus = gamma_tilde(PEAKED, -w)
-            assert abs(minus.re - plus.re) < 1e-12
-            assert abs(minus.im + plus.im) < 1e-12
+            plus = PEAKED.gamma_tilde_vec(w)
+            minus = PEAKED.gamma_tilde_vec(-w)
+            assert abs(minus.real - plus.real) < 1e-12
+            assert abs(minus.imag + plus.imag) < 1e-12
 
     def test_overdamped_kernel_still_dispersion_consistent(self):
         # closed form remains the transform of J when the peak is gone
@@ -99,8 +92,8 @@ class TestPeaked:
         freqs = np.concatenate([[0.0], np.geomspace(1e-4, 400.0, 12000)])
         tab = TabulatedSD(freqs, over.j(freqs))
         for w in (0.3, 1.0, 2.5, 6.0):
-            assert tab.gamma_tilde(w).im == pytest.approx(
-                over.gamma_tilde(w).im, rel=1e-6)
+            assert tab.gamma_tilde_vec(w).imag == pytest.approx(
+                over.gamma_tilde_vec(w).imag, rel=1e-6)
 
     def test_nonpositive_shape_rejected(self):
         with pytest.raises(ValueError):
@@ -112,15 +105,15 @@ class TestPeaked:
 class TestKernelDerivative:
     def test_ohmic_zero_everywhere(self):
         for w in (0.0, 0.5, 3.0):
-            assert gamma_tilde_prime(OhmicSD(0.8), w) == 0.0
+            assert OhmicSD(0.8).gamma_tilde_prime_vec(w) == 0.0
 
     def test_peaked_at_origin(self):
-        val = gamma_tilde_prime(PEAKED, 0.0)
+        val = PEAKED.gamma_tilde_prime_vec(0.0)
         assert val.real == 0.0
         assert val.imag == pytest.approx(IM_PRIME_0, abs=1e-15)
 
     def test_peaked_matches_difference_oracle(self):
-        val = gamma_tilde_prime(PEAKED, 1.3)
+        val = PEAKED.gamma_tilde_prime_vec(1.3)
         assert abs(val - PRIME_13) < 1e-7
 
     def test_peaked_against_inline_richardson(self):
@@ -130,29 +123,30 @@ class TestKernelDerivative:
                   - PEAKED.gamma_tilde_vec(np.array([w - s]))[0]) / (2 * s)
                  for s in (h, h / 2, h / 4)]
             oracle = (4.0 * d[2] - d[1]) / 3.0
-            assert abs(gamma_tilde_prime(PEAKED, w) - oracle) < 1e-7
+            assert abs(PEAKED.gamma_tilde_prime_vec(w) - oracle) < 1e-7
 
 
 class TestTabulated:
     def test_roundtrip_interpolation(self):
         tab = make_peaked_table(step=0.01)
         for w in (0.37, 1.5, 2.0, 6.283):
-            assert j_omega(tab, w) == pytest.approx(j_omega(PEAKED, w), rel=1e-5)
+            assert tab.j(w) == pytest.approx(PEAKED.j(w), rel=1e-5)
 
     def test_zero_outside_range(self):
         tab = make_peaked_table()
-        assert j_omega(tab, 31.0) == 0.0
-        assert j_omega(tab, -31.0) == 0.0
+        assert tab.j(31.0) == 0.0
+        assert tab.j(-31.0) == 0.0
 
     def test_odd_extension(self):
         tab = make_peaked_table(step=0.01)
-        assert j_omega(tab, -1.4) == -j_omega(tab, 1.4)
+        assert tab.j(-1.4) == -tab.j(1.4)
 
     def test_re_limit_at_zero(self):
         # lim J(ω)/ω = coupling²·width/resonance⁴ = 0.03125
         tab = make_peaked_table()
-        assert gamma_tilde(tab, 0.0).re == pytest.approx(0.03125, abs=1e-5)
-        assert gamma_tilde(tab, 0.0).im == 0.0
+        assert tab.gamma_tilde_vec(0.0).real == pytest.approx(0.03125,
+                                                              abs=1e-5)
+        assert tab.gamma_tilde_vec(0.0).imag == 0.0
 
     def test_dispersion_matches_analytic_kernel(self):
         # Im γ̃ by principal-value quadrature on a tabulated copy must
@@ -162,22 +156,22 @@ class TestTabulated:
                                np.linspace(2.3, 7.0, 15)])
         assert np.all(np.abs(grid - PEAKED.resonance) >= 0.05 * PEAKED.width)
         for w in grid:
-            im_pv = gamma_tilde(tab, w).im
-            im_an = gamma_tilde(PEAKED, w).im
+            im_pv = tab.gamma_tilde_vec(w).imag
+            im_an = PEAKED.gamma_tilde_vec(w).imag
             assert im_pv == pytest.approx(im_an, rel=1e-5)
 
     def test_parity_pairs(self):
         tab = make_peaked_table()
         for w in (0.9, 2.4):
-            plus = gamma_tilde(tab, w)
-            minus = gamma_tilde(tab, -w)
-            assert abs(minus.re - plus.re) < 1e-12
-            assert abs(minus.im + plus.im) < 1e-12
+            plus = tab.gamma_tilde_vec(w)
+            minus = tab.gamma_tilde_vec(-w)
+            assert abs(minus.real - plus.real) < 1e-12
+            assert abs(minus.imag + plus.imag) < 1e-12
 
     def test_derivative_matches_analytic(self):
         tab = make_peaked_table()
-        assert abs(gamma_tilde_prime(tab, 1.0)
-                   - gamma_tilde_prime(PEAKED, 1.0)) < 1e-6
+        assert abs(tab.gamma_tilde_prime_vec(1.0)
+                   - PEAKED.gamma_tilde_prime_vec(1.0)) < 1e-6
 
     def test_derivative_unstable_on_jagged_table(self):
         w = np.arange(0.0, 12.0 + 1e-9, 0.1)
@@ -185,7 +179,7 @@ class TestTabulated:
         vals[0] = vals[-1] = 0.0
         tab = TabulatedSD(w, vals)
         with pytest.raises(DerivativeUnstable):
-            tab.gamma_tilde_prime(1.0)
+            tab.gamma_tilde_prime_vec(1.0)
 
 
 class TestTabulatedValidation:
@@ -229,7 +223,7 @@ class TestFileLoader:
             "4.0  0.0\n")
         tab = TabulatedSD.from_file(path)
         assert tab.frequencies.size == 5
-        assert j_omega(tab, 1.0) == pytest.approx(1.0, abs=1e-12)
+        assert tab.j(1.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_wrong_shape_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
