@@ -248,7 +248,10 @@ def _mode_quantify(settings) -> int:
     return 0
 
 
-def _sweep_point(settings, param, value):
+def _sweep_point(settings, param, value, sd):
+    """Quantify one grid point.  `sd` serves every point of a β or ħ
+    sweep, so a table is read once and its kernel memo is kept; a swept
+    spectral parameter builds a new spectral density."""
     overrides = {}
     sd_over = {}
     if param == "beta":
@@ -262,7 +265,8 @@ def _sweep_point(settings, param, value):
     else:
         sd_over["omega_big"] = value
     p = _model(settings, **overrides)
-    sd = _build_sd(settings, **sd_over)
+    if sd_over:
+        sd = _build_sd(settings, **sd_over)
     which = settings["quantifier"]
     report = quantify(p, sd, which=which)
     return _report_cells(report, which, p, sd)
@@ -293,7 +297,7 @@ def _validate_sweep(settings):
 
 def _mode_sweep(settings) -> int:
     param, grid, is_log = _validate_sweep(settings)
-    _build_sd(settings)  # validate the fixed parameters up front
+    sd = _build_sd(settings)  # validates the fixed parameters up front
     _model(settings)
     which = settings["quantifier"]
     out = Path(settings["out"] or "nonmarkov_sweep.csv")
@@ -309,8 +313,8 @@ def _mode_sweep(settings) -> int:
         fh.flush()
         for value in grid:
             try:
-                cells, tail, flagged, drift = _sweep_point(settings, param,
-                                                           float(value))
+                cells, tail, flagged, drift = _sweep_point(
+                    settings, param, float(value), sd)
                 row = ([_fmt(value)] + [_fmt(c) for c in cells]
                        + [_fmt(tail), str(int(flagged)), _fmt(drift), ""])
             except NumericsError as exc:

@@ -39,6 +39,7 @@ from .quadrature import QuadratureConfig, integrate
 from .response import (
     CHI_PLUS_INV,
     ModelParams,
+    _chi_qq,
     _matmul2,
     chi_matrix,
     chi_qq_vec,
@@ -121,10 +122,10 @@ def _bose_weight(omega: np.ndarray, beta: float, hbar: float) -> np.ndarray:
 
 def _im_chi_over_omega(p: ModelParams, sd: SpectralDensity,
                        omega: np.ndarray) -> np.ndarray:
-    """Im χ̃_qq(ω)/ω = Re γ̃(ω)·|χ̃_qq(ω)|², finite at ω = 0."""
-    c = chi_qq_vec(p, sd, omega)
-    re_gamma = np.real(sd.gamma_tilde_vec(omega))
-    return re_gamma * np.abs(c) ** 2
+    """Im χ̃_qq(ω)/ω = Re γ̃(ω)·|χ̃_qq(ω)|², finite at ω = 0; one γ̃
+    batch serves both factors."""
+    gam = sd.gamma_tilde_vec(omega)
+    return gam.real * np.abs(_chi_qq(p, omega, gam)) ** 2
 
 
 def _free_covariance(p: ModelParams) -> CovarianceMatrix:

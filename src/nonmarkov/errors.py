@@ -53,8 +53,9 @@ class PVFailure(NumericsError):
 
 
 class DerivativeUnstable(NumericsError):
-    """Finite-difference derivative estimates failed to agree under
-    step refinement."""
+    """A frequency derivative cannot be trusted: the kernel derivative
+    of a tabulated spectral density disagrees with that of its
+    every-other-knot subtable, so the table is too coarse or noisy."""
 
 
 class DivisionNearZero(NumericsError):

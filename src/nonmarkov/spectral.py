@@ -16,21 +16,25 @@ and returning an array of the same shape:
 * ``gamma_tilde_prime_vec(ω)``  its frequency derivative d γ̃/dω
 
 For Ohmic and Peaked these are closed forms.  For tabulated data the real
-part is J(ω)/ω and the imaginary part is recovered from the dispersion
-integral  Im γ̃(ω) = −(1/π) 𝒫∫ dν [J(ν)/ν] / (ν−ω),  evaluated by
-principal-value quadrature; the derivative falls back to Richardson
-central differences.
+part is J(ω)/ω and the imaginary part is the dispersion integral
+Im γ̃(ω) = −(1/π) 𝒫∫ dν [J(ν)/ν] / (ν−ω).  The table is interpolated
+by a piecewise cubic, whose Hilbert transform is itself closed form
+(F. W. King, *Hilbert Transforms*, CUP 2009), so Im γ̃ and dγ̃/dω come
+from the cubic coefficients without quadrature; ``principal_value``
+stays in ``quadrature`` as an independent check.  A table too rough
+for its derivative is caught by comparison with its every-other-knot
+subtable and raises ``DerivativeUnstable``.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 from scipy.interpolate import PchipInterpolator
 
-from .errors import DerivativeUnstable, NonConvergence, PVFailure
-from .quadrature import QuadratureConfig, principal_value
+from .errors import DerivativeUnstable
 
 __all__ = [
     "SpectralDensity",
@@ -38,6 +42,18 @@ __all__ = [
     "PeakedSD",
     "TabulatedSD",
 ]
+
+# (ω × knot) elements per block of the tabulated kernel evaluation
+_BLOCK = 4096
+# distinct |ω| a tabulated kernel memo holds before it is cleared
+_MEMO_CAP = 2 ** 14
+# median relative gap of dγ̃/dω between a table and its every-other-knot
+# subtable above which the table is too rough to differentiate
+_ROUGHNESS_LIMIT = 0.25
+_ROUGHNESS_PROBES = 64
+# odd moments in the far-field series of the tabulated kernel; at
+# ω ≥ 2·top the series converges by a factor 4 per term
+_MOMENTS = 30
 
 
 class SpectralDensity:
@@ -152,11 +168,19 @@ class TabulatedSD(SpectralDensity):
     taken to vanish outside the tabulated range.  The table must start
     at (0, 0), be strictly increasing in ω, and decay at the far end
     (last value within 1e-3 of zero relative to the table maximum).
+
+    Re γ̃ = J(ω)/ω comes from the interpolant.  Im γ̃ and dγ̃/dω are the
+    exact dispersion transform of the interpolant, in closed form from
+    its cubic coefficients (``_kernel``), memoized per instance on |ω|.
+    The first derivative request compares the table with its
+    every-other-knot subtable; when their dγ̃/dω differ by a median
+    relative gap above ``_ROUGHNESS_LIMIT`` the table is too coarse or
+    noisy to differentiate and every derivative request raises
+    ``DerivativeUnstable``.
     """
 
     frequencies: np.ndarray
     values: np.ndarray
-    pv_config: QuadratureConfig = field(default_factory=QuadratureConfig)
 
     def __post_init__(self) -> None:
         freq = np.asarray(self.frequencies, dtype=float)
@@ -179,19 +203,63 @@ class TabulatedSD(SpectralDensity):
                              "relative to the table maximum (truncate later)")
         object.__setattr__(self, "frequencies", freq)
         object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "_interp", PchipInterpolator(freq, vals))
-        object.__setattr__(self, "_slope0",
-                           float(self._interp.derivative()(0.0)))
-        object.__setattr__(self, "_im_cache", {})
+        interp = PchipInterpolator(freq, vals)
+        object.__setattr__(self, "_interp", interp)
+        object.__setattr__(self, "_slope0", float(interp.derivative()(0.0)))
+
+        # Jumps α, β of the t², t³ Taylor coefficients of the segment
+        # cubics at knots 1 … n−1, t = c − x_j; the last knot borders
+        # the J = 0 continuation, whose value and slope jumps are p0, p1.
+        a3, a2, a1, _ = interp.c
+        h = np.diff(freq)
+        alpha = 3.0 * a3 * h + a2 - np.append(a2[1:], 0.0)
+        beta = a3 - np.append(a3[1:], 0.0)
+        x = freq[1:]
+        c2 = 2.0 * alpha - 6.0 * beta * x
+        knots = np.array([x, alpha, beta, c2,
+                          2.0 * x * x * (alpha - beta * x),
+                          4.0 * alpha * x - 6.0 * beta * x * x,
+                          2.0 * beta * x])
+        cubic = float(np.sum(a3 * h))
+        p0 = float(vals[-1])
+        p1 = float(3.0 * a3[-1] * h[-1] ** 2 + 2.0 * a2[-1] * h[-1] + a1[-1])
+        object.__setattr__(self, "_knots", knots)
+        object.__setattr__(self, "_ends", (cubic, p0, p1))
+        # finite part of Im γ̃′ at ω = 0, where it diverges like
+        # (J″(0)/π)·log|ω| unless J″(0) = 0; callers multiply it by ω
+        top = freq[-1]
+        reg = (2.0 * cubic - p0 / top ** 2 - p1 / top
+               + np.sum(c2 * np.log(x) + 3.0 * alpha - 5.0 * beta * x - c2))
+        object.__setattr__(self, "_im_prime0", -float(reg) / math.pi)
+        # far field ω ≥ 2·top: E = −2∫J/ν − 2·Σ_{m odd} M_m/ω^{m+1} with
+        # the moments M_m = μ·top^m of J, by 32-point Gauss–Legendre per
+        # segment (exact for these polynomials of degree ≤ 62, and for the
+        # quadratic J/ν on the first segment)
+        xi, wt = np.polynomial.legendre.leggauss(32)
+        g0, mu = 0.0, np.zeros(_MOMENTS)
+        step = _BLOCK // xi.size
+        for lo in range(0, h.size, step):
+            half = 0.5 * h[lo:lo + step, None]
+            nodes = x[lo:lo + step, None] - half * (1.0 - xi)
+            jw = interp(nodes) * half * wt
+            g0 += float(np.sum(jw / nodes))
+            r = nodes / top
+            term, r2 = jw * r, r * r
+            for i in range(_MOMENTS):
+                mu[i] += term.sum()
+                term *= r2
+        object.__setattr__(self, "_far", (g0, mu, 2.0 * np.arange(
+            1, _MOMENTS + 1) * mu))
+        object.__setattr__(self, "_memo", (np.empty(0), np.empty((2, 0))))
+        object.__setattr__(self, "_roughness", None)
 
     @classmethod
-    def from_file(cls, path, pv_config: QuadratureConfig | None = None) -> "TabulatedSD":
+    def from_file(cls, path) -> "TabulatedSD":
         """Load a two-column "ω J" plain-text table; '#' starts a comment."""
         data = np.loadtxt(path, comments="#", ndmin=2)
         if data.ndim != 2 or data.shape[1] != 2:
             raise ValueError(f"{path}: expected two columns 'omega J'")
-        return cls(data[:, 0], data[:, 1],
-                   pv_config=pv_config or QuadratureConfig())
+        return cls(data[:, 0], data[:, 1])
 
     def j(self, omega) -> np.ndarray:
         omega = np.asarray(omega, dtype=float)
@@ -213,72 +281,201 @@ class TabulatedSD(SpectralDensity):
         out[big] = vals[big] / mag[big]
         return out
 
-    def _im_dispersion(self, w: float) -> float:
-        """Im γ̃ at w > 0 from the principal-value dispersion integral.
-
-        The even symmetry of J(ν)/ν folds the whole-line integral onto
-        [0, ∞): ∫ r(ν)/(ν−ω) dν = ∫₀ r(ν)·2ω/(ν²−ω²) dν.  Folding also
-        keeps the |ν| kink of the extended ratio at the interval edge,
-        where tables with J″(0) ≠ 0 would otherwise spoil the shrinking
-        exclusion sequence around nearby poles.
-
-        Each value costs an adaptive quadrature, and the quantifier
-        integrals revisit frequencies across their panels, so results
-        are memoized per instance.
-        """
-        hit = self._im_cache.get(w)
-        if hit is not None:
-            return hit
-        top = self.frequencies[-1]
-        half = 1.25 * max(top, w) + 1.0
-        try:
-            val = principal_value(
-                lambda nu: self._ratio(nu) * 2.0 * w / (nu * nu - w * w)
-                + 0.0j,
-                pole=w, a=0.0, b=half, cfg=self.pv_config)
-        except NonConvergence as exc:
-            raise PVFailure(
-                f"dispersion integral for Im γ̃ did not converge at "
-                f"ω = {w:.6g}: {exc}") from exc
-        out = -val.real / math.pi
-        self._im_cache[w] = out
+    def _ratio_prime(self, w: np.ndarray) -> np.ndarray:
+        """d(J(ν)/ν)/dν at ν = w ≥ 0; on the first segment J/ν is the
+        exact quadratic a3·ν² + a2·ν + a1."""
+        x1, top = self.frequencies[1], self.frequencies[-1]
+        a3, a2 = self._interp.c[:2, 0]
+        out = np.zeros(w.shape)
+        first = w <= x1
+        out[first] = 2.0 * a3 * w[first] + a2
+        mid = (w > x1) & (w <= top)
+        wm = w[mid]
+        out[mid] = (self._interp(wm, 1) * wm - self._interp(wm)) / wm ** 2
         return out
+
+    def _kernel(self, w: np.ndarray) -> np.ndarray:
+        """E(ω) and dE/dω at the frequencies w > 0, shape (2, w.size):
+        the moment series at w ≥ 2·top, the knot sums below."""
+        top = self.frequencies[-1]
+        series = w >= 2.0 * top
+        out = np.empty((2, w.size))
+        g0, mu, dmu = self._far
+        r = top / w[series]
+        r2 = r * r
+        out[0, series] = -2.0 * g0 - (2.0 / top) * r2 * polyval(r2, mu)
+        out[1, series] = (2.0 / top ** 2) * r * r2 * polyval(r2, dmu)
+        out[:, ~series] = self._knot_sums(w[~series])
+        return out
+
+    def _knot_sums(self, w: np.ndarray) -> np.ndarray:
+        """E(ω) and dE/dω at the frequencies w > 0, shape (2, w.size).
+
+        With G(c) = 𝒫∫₀^top J(ν)/(ν−c) dν the dispersion integral is
+        𝒫∫ [J(ν)/ν]/(ν−ω) dν = E(ω)/ω, E = G(ω) + G(−ω) − 2G(0).  On a
+        segment J = (ν−c)·q(ν) + J(c), so G(c) = Σ∫q + Σ_j log|x_j−c|·Δ_j(c)
+        with Δ_j the jump of the segment cubics at knot x_j.  PCHIP is C¹,
+        so Δ_j = α t² + β t³ (t = c − x_j) except for p0 + p1·t at the
+        last knot.  Σ∫q contributes 2ω²·Σ a3·h to E.  Knot 0 gives
+        −J″(0)·ω²·log ω, spread over the other knots by Σ_j Δ_j ≡ 0, which
+        leaves each knot x_j = a the term (x = ω/a, u = min(x, 1/x))
+
+            E_j = −c2·ω²·log x + ½·log1p(−x²)·S + atanh(x)·D      x ≤ ½
+            E_j = c0·log x + ½·log1p(−u²)·S + atanh(u)·D          x ≥ 3/2
+
+        with c2 = 2α − 6βa, c0 = 2a²(α − βa), S = c2·ω² + c0 and
+        D = ω·(d1 − 2βω²), d1 = 4αa − 6βa²; no O(1) terms cancel as
+        ω → 0.  For |x − 1| < ½ the direct form in t = ω − a is used.
+        The (ω × knot) block is taken in row chunks of at most ``_BLOCK``
+        elements, each row summed on its own, so a value does not depend
+        on the batch it arrives in.
+        """
+        a, alpha, beta, c2, c0, d1, b2 = (k[None, :] for k in self._knots)
+        rows = max(1, _BLOCK // a.size)
+        out = np.empty((2, w.size))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for lo in range(0, w.size, rows):
+                wb = w[lo:lo + rows, None]
+                w2 = wb * wb
+                x = wb / a
+                lx = np.log(x)
+                far = x >= 1.5
+                near = ~far & (x > 0.5)
+                q = -c2 * w2 * lx
+                u = np.minimum(x, 1.0 / x)
+                l1 = np.log1p(-u * u)
+                at = np.arctanh(u)
+                e = (np.where(far, c0 * lx, q) + 0.5 * l1 * (c2 * w2 + c0)
+                     + at * wb * (d1 - 2.0 * beta * w2))
+                de = (c2 * wb * np.where(far, l1, l1 - 2.0 * lx) + b2 * wb
+                      + at * (d1 - 6.0 * beta * w2))
+                t = wb - a
+                v = wb + a
+                lt = np.log(np.abs(t) / a + (t == 0.0))     # 0 at t = 0
+                lp = np.log1p(x)
+                e = np.where(near, q + t * t * (alpha + beta * t) * lt
+                             + v * v * (alpha - beta * v) * lp, e)
+                de = np.where(near, b2 * wb + 2.0 * q / wb
+                              + t * (2.0 * alpha + 3.0 * beta * t) * lt
+                              + v * (2.0 * alpha - 3.0 * beta * v) * lp, de)
+                out[0, lo:lo + rows] = e.sum(axis=1)
+                out[1, lo:lo + rows] = de.sum(axis=1)
+        cubic, p0, p1 = self._ends
+        out[0] += 2.0 * cubic * w * w
+        out[1] += 4.0 * cubic * w
+        if p0 or p1:
+            out += self._end_terms(w, p0, p1)
+        return out
+
+    def _end_terms(self, w: np.ndarray, p0: float, p1: float) -> np.ndarray:
+        """E and dE/dω of the value and slope jumps p0, p1 at the last
+        knot, w < 2·top.  Both are log-singular at ω = top, where the
+        finite part is returned."""
+        top = self.frequencies[-1]
+        x = w / top
+        small = x < 0.5
+        xs = x[small]
+        edge = w == top
+        lm = np.log(np.abs(w - top) / top + edge)      # log|1 − x|, 0 at top
+        lp = np.log1p(x)
+        ls = lm + lp                                   # log|1 − x²|
+        ls[small] = np.log1p(-xs * xs)
+        at = 0.5 * (lp - lm)                           # atanh x or atanh 1/x
+        at[small] = np.arctanh(xs)
+        out = np.zeros((2, w.size))
+        if p0:
+            pole = np.where(edge, 0.0, 1.0 / np.where(edge, 1.0, top - w))
+            out += p0 * np.array([ls, 1.0 / (top + w) - pole])
+        if p1:
+            slope = (w - top) * lm - (w + top) * lp
+            slope[small] = -(2.0 * w[small] * at[small] + top * ls[small])
+            out += p1 * np.array([slope, -2.0 * at])
+        return out
+
+    def _dispersion(self, w: np.ndarray):
+        """E and dE/dω at |ω| values w ≥ 0 (both 0 at w = 0), from the
+        memo; the distinct misses are evaluated and added to it.
+
+        The memo is a pair of sorted arrays that is replaced, never
+        changed in place, and it is cleared when it would outgrow
+        ``_MEMO_CAP``; a value does not depend on what the memo holds.
+        """
+        flat = w.ravel()
+        nz = flat > 0.0
+        q = flat[nz]
+        keys, vals = self._memo
+        pos = np.searchsorted(keys, q)
+        known = pos < keys.size
+        known[known] = keys[pos[known]] == q[known]
+        if not known.all():
+            new = np.unique(q[~known])
+            got = self._kernel(new)
+            if keys.size + new.size > _MEMO_CAP:
+                keys, vals = new, got
+            else:
+                at = np.searchsorted(keys, new)
+                keys = np.insert(keys, at, new)
+                vals = np.insert(vals, at, got, axis=1)
+            object.__setattr__(self, "_memo", (keys, vals))
+            pos = np.searchsorted(keys, q)
+        out = np.zeros((2, flat.size))
+        out[:, nz] = vals[:, pos]
+        return out.reshape((2,) + w.shape)
 
     def gamma_tilde_vec(self, omega) -> np.ndarray:
         omega = np.asarray(omega, dtype=float)
-        re = self._ratio(omega)
-        im = np.zeros(omega.shape)
-        flat = omega.ravel()
-        im_flat = im.ravel()
-        for i, w in enumerate(flat):
-            if w != 0.0:
-                im_flat[i] = math.copysign(1.0, w) * self._im_dispersion(abs(w))
-        return re + 1j * im.reshape(omega.shape)
+        w = np.abs(omega)
+        e = self._dispersion(w)[0]
+        im = np.zeros(w.shape)
+        nz = w > 0.0
+        im[nz] = -e[nz] / (math.pi * w[nz])
+        return self._ratio(omega) + 1j * np.sign(omega) * im
+
+    def _roughness_gap(self) -> float:
+        """Median relative gap between dγ̃/dω of this table and of its
+        every-other-knot subtable, over probes in [x₁, top/2]; 0 for
+        tables of fewer than six samples, which have no such subtable."""
+        n = self.frequencies.size
+        idx = np.unique(np.append(np.arange(0, n, 2), n - 1))
+        if idx.size < 4:
+            return 0.0
+        try:
+            coarse = TabulatedSD(self.frequencies[idx], self.values[idx])
+        except ValueError:      # the even samples alone are no valid table
+            return math.inf
+        probes = np.linspace(self.frequencies[1], 0.5 * self.frequencies[-1],
+                             _ROUGHNESS_PROBES)
+        fine = self._prime(probes)
+        gap = np.abs(fine - coarse._prime(probes)) / np.abs(fine)
+        return float(np.median(gap))
+
+    def _prime(self, omega: np.ndarray) -> np.ndarray:
+        w = np.abs(omega)
+        e, de = self._dispersion(w)
+        im = np.full(w.shape, self._im_prime0)
+        nz = w > 0.0
+        wn = w[nz]
+        im[nz] = -(de[nz] * wn - e[nz]) / (math.pi * wn * wn)
+        return np.sign(omega) * self._ratio_prime(w) + 1j * im
 
     def gamma_tilde_prime_vec(self, omega) -> np.ndarray:
-        """dγ̃/dω by two Richardson stages of central differences.
+        """dγ̃/dω from the same closed form as γ̃.
 
-        The frequencies are taken one at a time, in order, so a table too
-        coarse or noisy for the stencil fails at its first unstable ω
-        without paying for the dispersion integrals of the others.
+        Raises ``DerivativeUnstable``, naming the first requested ω, when
+        the table fails the roughness check (computed once per instance,
+        on the first call).
         """
         omega = np.asarray(omega, dtype=float)
-        out = np.empty(omega.size, dtype=complex)
-        for i, w in enumerate(omega.ravel()):
-            h = 0.02 * max(1.0, abs(w))
-            steps = np.array([h, h / 2.0, h / 4.0])
-            g = self.gamma_tilde_vec(np.stack((w + steps, w - steps), axis=1))
-            d = (g[:, 0] - g[:, 1]) / (2.0 * steps)
-            k1 = (4.0 * d[1] - d[0]) / 3.0
-            k2 = (4.0 * d[2] - d[1]) / 3.0
-            if abs(k2 - k1) > max(1e-6, 1e-4 * abs(k2)):
-                raise DerivativeUnstable(
-                    f"Richardson difference stages disagree at ω = {w:.6g} "
-                    f"(|Δ| = {abs(k2 - k1):.3g}); table too coarse or noisy")
-            out[i] = k2
-        return out.reshape(omega.shape)
+        if self._roughness is None:
+            object.__setattr__(self, "_roughness", self._roughness_gap())
+        if self._roughness > _ROUGHNESS_LIMIT and omega.size:
+            raise DerivativeUnstable(
+                f"dγ̃/dω of the table is unstable at "
+                f"ω = {omega.flat[0]:.6g} (every-other-knot subtable "
+                f"differs by a median {self._roughness:.3g} > "
+                f"{_ROUGHNESS_LIMIT}); table too coarse or noisy")
+        return self._prime(omega)
 
     def feature_frequencies(self) -> list[float]:
         peak = float(self.frequencies[int(np.argmax(self.values))])
         return [f for f in (peak, float(self.frequencies[-1])) if f > 0.0]
-

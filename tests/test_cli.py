@@ -12,7 +12,7 @@ import pytest
 from nonmarkov import cli
 from nonmarkov.quantifiers import quantify
 from nonmarkov.response import ModelParams, propagate_means
-from nonmarkov.spectral import OhmicSD, PeakedSD
+from nonmarkov.spectral import OhmicSD, PeakedSD, TabulatedSD
 
 
 @pytest.fixture(scope="session")
@@ -179,6 +179,47 @@ class TestSweepMode:
         for row in rows:
             assert row["n1_qq"] == ""
             assert row["error"] != ""
+
+
+class TestTabulatedSweepReuse:
+    """A β or ħ sweep reads its table once and reuses the kernel."""
+
+    def _sweep(self, table, out):
+        return cli.main(["--mode", "sweep", "--sd", f"tabulated:{table}",
+                         "--param", "beta", "--range", "0.5:2:3",
+                         "--hbar", "1", "--quantifier", "both",
+                         "--out", str(out)])
+
+    def test_table_is_read_once_and_rows_match_fresh_builds(
+            self, tmp_path, monkeypatch, capsys):
+        w = np.linspace(0.0, 40.0, 201)
+        j = PeakedSD(coupling=1.0, width=0.5, resonance=2.0).j(w)
+        j[0] = 0.0
+        table = tmp_path / "peaked.txt"
+        np.savetxt(table, np.column_stack([w, j]))
+
+        loads = []
+        load = TabulatedSD.from_file.__func__
+
+        def counting(cls, path):
+            loads.append(path)
+            return load(cls, path)
+
+        monkeypatch.setattr(TabulatedSD, "from_file", classmethod(counting))
+        reused = tmp_path / "reused.csv"
+        assert self._sweep(table, reused) == 0
+        assert len(loads) == 1
+
+        point = cli._sweep_point
+        monkeypatch.setattr(
+            cli, "_sweep_point",
+            lambda settings, param, value, sd: point(
+                settings, param, value, cli._build_sd(settings)))
+        fresh = tmp_path / "fresh.csv"
+        assert self._sweep(table, fresh) == 0
+        assert len(loads) == 1 + 1 + 3
+        capsys.readouterr()
+        assert reused.read_bytes() == fresh.read_bytes()
 
 
 class TestMeansMode:
