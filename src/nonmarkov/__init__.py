@@ -15,9 +15,11 @@ and grows with D.
 Layers, bottom up:
 
 ``quadrature``
-    adaptive Gauss–Kronrod integration of complex integrands, Cauchy
-    principal values, oscillatory sine/cosine transforms, L2 inner
-    products with tail accounting.
+    one adaptive Gauss–Kronrod engine for complex integrands of one or
+    many rows on shared panels: finite and half-line integrals, Cauchy
+    principal values, oscillatory sine/cosine transforms, and the
+    whole-line pass that gives ⟨f,g⟩, ‖f‖² and ‖g‖² together with tail
+    accounting.
 ``spectral``
     Ohmic, peaked and tabulated spectral densities J(ω) with their
     memory kernels γ̃(ω) and derivatives.
@@ -29,7 +31,8 @@ Layers, bottom up:
     stationary covariances and the exact / regression two-time spectra,
     in the same (2, 2) + ω.shape layout.
 ``quantifiers``
-    the normalized distances built from the layers above.
+    the normalized distances built from the layers above; the three
+    entries of one quantifier come from a single whole-line pass.
 ``oracle``
     two independent cross-checks: a Langevin Monte Carlo propagator and
     a Hamiltonian embedding of the peaked bath.
@@ -58,11 +61,7 @@ from .quadrature import (
     QuadratureConfig,
     cosine_transform,
     inner_product_info,
-    inner_product_l2,
     integrate,
-    integrate_line,
-    integrate_line_info,
-    norm_l2,
     principal_value,
     sine_transform,
 )
@@ -156,13 +155,9 @@ __all__ = [
     "exact_entries_vec",
     "feature_frequencies",
     "inner_product_info",
-    "inner_product_l2",
     "integrate",
-    "integrate_line",
-    "integrate_line_info",
     "is_decoupled",
     "langevin_means",
-    "norm_l2",
     "ou_coefficients",
     "principal_value",
     "propagate_means",

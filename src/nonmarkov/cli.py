@@ -148,7 +148,8 @@ def _model(settings, *, beta=None, hbar=None) -> ModelParams:
         return ModelParams(omega0=1.0, beta=beta, hbar=hbar,
                            cutoff=settings["cutoff"])
     except ValueError as exc:
-        raise ConfigError("beta", str(exc)) from exc
+        # ModelParams names the parameter at fault first: beta, hbar or cutoff
+        raise ConfigError(str(exc).split()[0], str(exc)) from exc
 
 
 def _settings_from(args) -> dict:

@@ -1,51 +1,44 @@
 """Adaptive quadrature for complex-valued integrands.
 
 The engine is a Gauss-Kronrod (G7, K15) panel scheme with embedded error
-estimation and deterministic bisection refinement.  On top of it sit the
-operations the rest of the package needs:
+estimation and deterministic bisection refinement.  An integrand may
+return k rows of values; all rows then share one panel set, and the pass
+converges only when every row meets its own tolerance.  On top of the
+engine sit the operations the rest of the package needs:
 
-* ``integrate``        adaptive integral on [a, b], b may be +inf
-* ``integrate_line``   truncated whole-line integral on [-W, W] with a
-                       power-law tail estimate and parity shortcuts
-* ``principal_value``  Cauchy principal value by symmetric exclusion and
-                       Richardson extrapolation over ε, ε/2, ε/4
-* ``sine_transform``   (2/π)∫₀^∞ f(ω) sin(ωt) dω with period-locked panels
-* ``cosine_transform`` same with cos(ωt)
-* ``inner_product_l2`` ⟨f,g⟩ = ∫ f(ω) g*(ω) dω over [-W, W]; ``norm_l2``
+* ``integrate``          adaptive integral on [a, b], b may be +inf
+* ``inner_product_info`` ⟨f,g⟩ = ∫ f(ω) g*(ω) dω, ‖f‖² and ‖g‖² over
+                         [-W, W] in one pass, for every row of f and g,
+                         with power-law tail estimates and parity shortcuts
+* ``principal_value``    Cauchy principal value by symmetric exclusion and
+                         Richardson extrapolation over ε, ε/2, ε/4
+* ``sine_transform``     (2/π)∫₀^∞ f(ω) sin(ωt) dω with period-locked panels
+* ``cosine_transform``   same with cos(ωt)
 
-Integrand evaluators must be vectorized: they receive a float ndarray and
-return an ndarray of values (real or complex).  Every operation is pure,
-and repeated evaluation with identical inputs is bit-identical.
+Integrand evaluators must be vectorized: they receive a float ndarray of
+N points and return N values (real or complex), or an array of shape
+rows + (N,).  Every operation is pure, and repeated evaluation with
+identical inputs is bit-identical.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, InitVar
+from dataclasses import InitVar, dataclass, replace
 from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    NonConvergence,
-    NonFinite,
-    ParityViolation,
-    PVFailure,
-    TailDominates,
-)
+from .errors import NonConvergence, NonFinite, ParityViolation, PVFailure
 
 __all__ = [
     "QuadratureConfig",
     "Integrand",
     "LineIntegral",
     "integrate",
-    "integrate_line",
-    "integrate_line_info",
+    "inner_product_info",
     "principal_value",
     "sine_transform",
     "cosine_transform",
-    "inner_product_l2",
-    "inner_product_info",
-    "norm_l2",
 ]
 
 # 15-point Kronrod extension of 7-point Gauss, abscissae/weights on [-1, 1].
@@ -114,9 +107,10 @@ class Integrand:
     """A vectorized evaluator plus an optional symmetry declaration.
 
     parity describes f on the whole real line: "even" f(-x) = f(x),
-    "odd" f(-x) = -f(x), "hermitian" f(-x) = f(x)*.  Declared parities
-    are spot-checked at three fixed pseudo-random points in |x| ∈ [0.1, 10];
-    a failed check rejects the handle.
+    "odd" f(-x) = -f(x), "hermitian" f(-x) = f(x)*; for a k-row f it
+    holds for every row.  Declared parities are spot-checked at three
+    fixed pseudo-random points in |x| ∈ [0.1, 10]; a failed check rejects
+    the handle.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
@@ -140,21 +134,24 @@ class Integrand:
         expect = {"even": fp, "odd": -fp, "hermitian": np.conj(fp)}[self.parity]
         scale = np.maximum(np.abs(fp), np.abs(fm))
         bad = np.abs(fm - expect) > 1e-10 * np.maximum(scale, _TINY)
+        bad = bad.reshape(-1, x.size).any(axis=0)
         if bad.any():
             raise ParityViolation(
                 f"declared parity {self.parity!r} fails at x = {x[bad][0]:.6g}")
 
 
 def _eval_panels(fn, lo: np.ndarray, hi: np.ndarray):
-    """G7/K15 on each [lo_i, hi_i]; one batched evaluator call."""
+    """G7/K15 on each [lo_i, hi_i] for every row of fn; one batched
+    evaluator call.  Values and errors have shape rows + (panels,)."""
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     x = mid[:, None] + half[:, None] * _NODES
     y = np.asarray(fn(x.ravel()), dtype=complex)
-    if y.shape != (x.size,):
-        raise TypeError("integrand evaluator must return one value per input point")
-    y = y.reshape(x.shape)
-    finite = np.isfinite(y)
+    if y.ndim == 0 or y.shape[-1] != x.size:
+        raise TypeError("integrand evaluator must return one value per "
+                        "input point in each row")
+    y = y.reshape(y.shape[:-1] + x.shape)
+    finite = np.isfinite(y).reshape((-1,) + x.shape).all(axis=0)
     if not finite.all():
         where = x[~finite][0]
         raise NonFinite(f"integrand returned a non-finite value at x = {where:.6g}",
@@ -164,18 +161,21 @@ def _eval_panels(fn, lo: np.ndarray, hi: np.ndarray):
     return vals, errs
 
 
-def _adaptive(fn, edges: np.ndarray, cfg: QuadratureConfig,
-              max_panels: int | None = None):
+def _adaptive(fn, edges: np.ndarray, cfg: QuadratureConfig):
     """Globally adaptive bisection over an initial sorted edge set.
 
-    Each round splits the set of panels carrying the top 90% of the total
-    error estimate, batching all child evaluations into one call.  Panel
+    All rows of fn share one panel set.  The pass converges when every
+    row's error bound is within max(abs_tol, rel_tol·|row value|).  A
+    panel's weight is the sum of its rows' errors in units of their own
+    tolerances (scaled by the tightest, so one row weighs its plain
+    error); each round splits the panels carrying the top 90% of the
+    total weight, batching all child evaluations into one call.  Panel
     bookkeeping is kept sorted by left edge, so the refinement sequence
     (and the floating-point sum) is deterministic.
 
-    Returns (value, error_bound, panel_count).
+    Returns (value, error_bound, panel_count); value and error_bound have
+    the row shape of fn, () for a scalar integrand.
     """
-    max_panels = max_panels or cfg.max_subdivisions
     edges = np.asarray(edges, dtype=float)
     if edges.size < 2 or np.any(np.diff(edges) <= 0):
         raise ValueError("integration edges must be strictly increasing")
@@ -183,24 +183,27 @@ def _adaptive(fn, edges: np.ndarray, cfg: QuadratureConfig,
     vals, errs = _eval_panels(fn, lo, hi)
 
     for _ in range(_MAX_ROUNDS):
-        total = vals.sum()
-        err_total = float(errs.sum())
-        tol = max(cfg.abs_tol, cfg.rel_tol * abs(total))
-        if err_total <= tol:
+        total = vals.sum(axis=-1)
+        err_total = errs.sum(axis=-1)
+        tol = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(total))
+        if np.all(err_total <= tol):
             return total, err_total, lo.size
-        budget = max_panels - lo.size
+        weight = (errs * (tol.min() / tol)[..., None]).reshape(-1, lo.size)
+        weight = weight.sum(axis=0)
+        budget = cfg.max_subdivisions - lo.size
         span = np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
         splittable = (hi - lo) > 1e-14 * span
         if budget < 1 or not splittable.any():
+            worst = np.unravel_index(np.argmax(err_total / tol), tol.shape)
             raise NonConvergence(
-                f"adaptive quadrature did not reach tolerance {tol:.3g} "
-                f"(error bound {err_total:.3g} with {lo.size} panels)",
+                f"adaptive quadrature did not reach tolerance {tol[worst]:.3g} "
+                f"(error bound {err_total[worst]:.3g} with {lo.size} panels)",
                 estimate=total, error_bound=err_total)
 
         cand = np.nonzero(splittable)[0]
-        order = cand[np.lexsort((lo[cand], -errs[cand]))]
-        cum = np.cumsum(errs[order])
-        k = int(np.searchsorted(cum, 0.9 * err_total) + 1)
+        order = cand[np.lexsort((lo[cand], -weight[cand]))]
+        cum = np.cumsum(weight[order])
+        k = int(np.searchsorted(cum, 0.9 * weight.sum()) + 1)
         k = min(k, order.size, budget)
         sel = order[:k]
 
@@ -213,14 +216,14 @@ def _adaptive(fn, edges: np.ndarray, cfg: QuadratureConfig,
         keep[sel] = False
         lo = np.concatenate((lo[keep], child_lo))
         hi = np.concatenate((hi[keep], child_hi))
-        vals = np.concatenate((vals[keep], cvals))
-        errs = np.concatenate((errs[keep], cerrs))
+        vals = np.concatenate((vals[..., keep], cvals), axis=-1)
+        errs = np.concatenate((errs[..., keep], cerrs), axis=-1)
         idx = np.argsort(lo, kind="stable")
-        lo, hi, vals, errs = lo[idx], hi[idx], vals[idx], errs[idx]
+        lo, hi, vals, errs = lo[idx], hi[idx], vals[..., idx], errs[..., idx]
 
     raise NonConvergence(
         "adaptive quadrature exceeded the refinement round limit",
-        estimate=vals.sum(), error_bound=float(errs.sum()))
+        estimate=vals.sum(axis=-1), error_bound=errs.sum(axis=-1))
 
 
 def _with_breakpoints(a: float, b: float, breakpoints=()) -> np.ndarray:
@@ -238,7 +241,7 @@ def integrate(f, a: float, b: float, cfg: QuadratureConfig | None = None,
     cfg = cfg or _DEFAULT_CFG
     if math.isinf(b):
         if math.isinf(a):
-            raise ValueError("use integrate_line for the whole real line")
+            raise ValueError("at least one integration bound must be finite")
         # x = a + u/(1-u) maps [0,1) to [a, inf); GK nodes never touch u=1.
         def mapped(u):
             om = 1.0 - u
@@ -257,24 +260,27 @@ def integrate(f, a: float, b: float, cfg: QuadratureConfig | None = None,
     return complex(val)
 
 
-def _power_law_tail(f, W: float) -> float:
-    """Estimate ∫_W^∞ |f| from a power-law fit of |f| on [W/10, W].
+def _power_law_tail(xs: np.ndarray, ys: np.ndarray, W: float) -> np.ndarray:
+    """Estimate ∫_W^∞ |f| for every row of ys = |f(xs)|, xs on [W/10, W],
+    from a least-squares power-law fit of each row.
 
-    Returns inf when the fitted decay is slower than 1/ω (not integrable),
-    0.0 when the samples already underflowed to zero.
+    A row's estimate is inf when its fitted decay is slower than 1/ω (not
+    integrable) and 0.0 when fewer than three of its samples are above
+    underflow.
     """
-    xs = np.geomspace(W / 10.0, W, 9)
-    ys = np.abs(f(xs))
-    mask = ys > _TINY
-    if mask.sum() < 3:
-        return 0.0
-    logx = np.log(xs[mask])
-    logy = np.log(ys[mask])
-    p, logA = np.polyfit(logx, logy, 1)
-    if p >= -1.0000001:
-        return math.inf
-    # one exponent: exp(logA) alone overflows for fast-decaying |f|
-    return math.exp(logA + (p + 1.0) * math.log(W)) / (-(p + 1.0))
+    use = ys > _TINY
+    n = np.maximum(use.sum(axis=-1), 1)
+    lx = np.where(use, np.log(xs), 0.0)
+    ly = np.log(np.where(use, ys, 1.0))
+    mx = lx.sum(axis=-1) / n
+    my = ly.sum(axis=-1) / n
+    dx = np.where(use, lx - mx[..., None], 0.0)
+    p = (dx * ly).sum(axis=-1) / np.maximum((dx ** 2).sum(axis=-1), _TINY)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        # one exponent: the amplitude alone overflows for fast-decaying |f|
+        tail = np.exp(my + p * (math.log(W) - mx) + math.log(W)) / -(p + 1.0)
+    tail = np.where(p >= -1.0000001, math.inf, tail)
+    return np.where(use.sum(axis=-1) < 3, 0.0, tail)
 
 
 def _decade_edges(W: float, breakpoints=()) -> np.ndarray:
@@ -286,54 +292,62 @@ def _decade_edges(W: float, breakpoints=()) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LineIntegral:
-    """Whole-line integral value plus its truncation diagnostics."""
+    """⟨f,g⟩, ‖f‖² and ‖g‖² over [-W, W] from one shared adaptive pass.
 
-    value: complex
-    error: float
-    tail: float
+    value, error and tail have shape (3,) + rows, in the order ⟨f,g⟩,
+    ‖f‖², ‖g‖²; rows is the row shape of the integrands, () for scalar
+    ones.  tail estimates the magnitude of each integral beyond ±W, and
+    panels counts the panels of the shared pass.
+    """
+
+    value: np.ndarray
+    error: np.ndarray
+    tail: np.ndarray
     panels: int
 
 
-def integrate_line_info(f: Integrand, cfg: QuadratureConfig | None = None,
-                        *, breakpoints=()) -> LineIntegral:
-    """∫_{-W}^{W} f dω with a tail estimate; does not police the tail."""
+def inner_product_info(f: Integrand, g: Integrand,
+                       cfg: QuadratureConfig | None = None,
+                       *, breakpoints=()) -> LineIntegral:
+    """⟨f,g⟩ = ∫ f(ω) g*(ω) dω, ‖f‖² and ‖g‖² over [-W, W] in one pass,
+    with tail estimates and no tail policing.
+
+    f and g may return k rows each; row r of f pairs with row r of g,
+    and each of the 3k integrals keeps its own tolerance.  Declared
+    parities are used exactly: an even×odd pair gives ⟨f,g⟩ = 0.0, and
+    when f·g* is even (both factors even or both odd) or hermitian (both
+    hermitian) the pass runs over [0, W] and doubles, taking 2·Re in the
+    hermitian case.  |f|² and |g|² are even whenever their factor has
+    any declared parity.
+    """
     cfg = cfg or _DEFAULT_CFG
     W = cfg.half_width
-    parity = getattr(f, "parity", "none")
+    parities = {getattr(f, "parity", "none"), getattr(g, "parity", "none")}
+    orthogonal = parities == {"even", "odd"}
+    hermitian = parities == {"hermitian"}
+    half_line = hermitian or parities <= {"even", "odd"}
 
-    if parity == "odd":
-        return LineIntegral(0.0 + 0.0j, 0.0, 0.0, 0)
+    def products(x):
+        fx, gx = f(x), g(x)
+        fg = np.zeros_like(fx) if orthogonal else fx * np.conj(gx)
+        return np.stack((fg, (fx * np.conj(fx)).real, (gx * np.conj(gx)).real))
 
-    if parity == "even":
-        val, err, n = _adaptive(lambda x: 2.0 * f(x),
-                                _decade_edges(W, breakpoints), cfg)
-        tail = 2.0 * _power_law_tail(f, W)
-    elif parity == "hermitian":
-        # f(-ω) + f(ω) = 2 Re f(ω), so the line integral is real.
-        val, err, n = _adaptive(lambda x: 2.0 * np.real(f(x)) + 0.0j,
-                                _decade_edges(W, breakpoints), cfg)
-        tail = 2.0 * _power_law_tail(f, W)
+    xs = np.geomspace(W / 10.0, W, 9)
+    tail = _power_law_tail(xs, np.abs(products(xs)), W)
+    if half_line:
+        edges = _decade_edges(W, breakpoints)
+        if hermitian:
+            # f g*(−ω) + f g*(ω) = 2 Re f g*(ω), so every integral is real
+            val, err, n = _adaptive(lambda x: 2.0 * products(x).real, edges, cfg)
+        else:
+            val, err, n = _adaptive(lambda x: 2.0 * products(x), edges, cfg)
+        tail = 2.0 * tail
     else:
         pos = _decade_edges(W, breakpoints)
-        neg = -pos[::-1]
-        edges = np.concatenate((neg[:-1], pos))
-        val, err, n = _adaptive(f, edges, cfg)
-        tail = _power_law_tail(f, W) + _power_law_tail(lambda x: f(-x), W)
-
-    return LineIntegral(complex(val), float(err), float(tail), int(n))
-
-
-def integrate_line(f: Integrand, cfg: QuadratureConfig | None = None,
-                   *, breakpoints=()) -> complex:
-    """Truncated whole-line integral; raises TailDominates when the
-    estimated tail exceeds 10·rel_tol·|value| (half-width too small)."""
-    cfg = cfg or _DEFAULT_CFG
-    res = integrate_line_info(f, cfg, breakpoints=breakpoints)
-    if res.tail > 10.0 * cfg.rel_tol * abs(res.value):
-        raise TailDominates(
-            f"tail estimate {res.tail:.3g} dominates result {res.value:.6g}; "
-            f"increase half_width", value=res.value, tail=res.tail)
-    return res.value
+        edges = np.concatenate((-pos[:0:-1], pos))
+        val, err, n = _adaptive(products, edges, cfg)
+        tail = tail + _power_law_tail(xs, np.abs(products(-xs)), W)
+    return LineIntegral(val + 0.0j, err, tail, int(n))
 
 
 def principal_value(f, pole: float, a: float, b: float,
@@ -351,11 +365,8 @@ def principal_value(f, pole: float, a: float, b: float,
     if eps0 <= 1e-13 * max(1.0, abs(pole)):
         raise PVFailure("pole too close to an endpoint for symmetric exclusion")
 
-    inner_cfg = QuadratureConfig(
-        half_width=cfg.half_width, rel_tol=cfg.rel_tol / 10.0,
-        abs_tol=cfg.abs_tol / 10.0, pv_radius=cfg.pv_radius,
-        max_subdivisions=cfg.max_subdivisions,
-        oscillatory_panel_per_period=cfg.oscillatory_panel_per_period)
+    inner_cfg = replace(cfg, rel_tol=cfg.rel_tol / 10.0,
+                        abs_tol=cfg.abs_tol / 10.0)
 
     def excluded(eps: float) -> complex:
         # geometric edges walking away from the pole keep the 1/(x-pole)
@@ -397,35 +408,46 @@ def principal_value(f, pole: float, a: float, b: float,
         estimate=complex(rows[-1][-1]), error_bound=resid)
 
 
-def _oscillatory_tail(f, W: float, t: float, kind: str) -> complex:
-    """∫_W^∞ f(ω)·{sin,cos}(ωt) dω by integration by parts (3 terms).
+def _oscillatory_tail(f, W: float, t: float, kinds) -> np.ndarray:
+    """∫_W^∞ f(ω)·{sin,cos}(ωt) dω for every row of f by integration by
+    parts (3 terms); kinds gives each row's kernel, as in
+    ``_oscillatory_transform``.
 
     Valid for smooth decaying f and Wt ≳ 20; the remainder is
     O(|f″(W)|/(W t³)).  Derivatives are central differences at W.
     """
     h = max(W * 1e-4, 1e-8)
-    fw = complex(f(np.array([W]))[0])
-    fp_ = f(np.array([W + h, W - h]))
-    fp = (fp_[0] - fp_[1]) / (2.0 * h)
-    fpp = (fp_[0] - 2.0 * fw + fp_[1]) / h**2
+    at_w = np.asarray(f(np.array([W, W + h, W - h])))
+    fw, fph, fmh = np.moveaxis(at_w, -1, 0)
+    fp = (fph - fmh) / (2.0 * h)
+    fpp = (fph - 2.0 * fw + fmh) / h**2
     s, c = math.sin(W * t), math.cos(W * t)
-    if kind == "sin":
-        return fw * c / t - fp * s / t**2 - fpp * c / t**3
-    return -fw * s / t - fp * c / t**2 + fpp * s / t**3
+    sin_tail = fw * c / t - fp * s / t**2 - fpp * c / t**3
+    cos_tail = -fw * s / t - fp * c / t**2 + fpp * s / t**3
+    return np.where(np.asarray(kinds) == "sin", sin_tail, cos_tail)
 
 
-def _oscillatory_transform(f, t: float, cfg: QuadratureConfig, kind: str,
-                           breakpoints=()) -> float:
-    cfg = cfg or _DEFAULT_CFG
+def _oscillatory_transform(f, t: float, cfg: QuadratureConfig, kinds,
+                           breakpoints=()):
+    """(2/π)∫₀^∞ f(ω)·k(ωt) dω, real part, with k = sin or cos.
+
+    kinds is "sin" or "cos" for a scalar f, or a tuple naming the kernel
+    of each row of a k-row f; all rows share one adaptive pass over
+    period-locked panels, each with its own by-parts tail beyond W.
+    """
     if t < 0:
         raise ValueError("transform requires t >= 0")
-    kernel = np.sin if kind == "sin" else np.cos
+    sin_rows = np.asarray(kinds) == "sin"
+
+    def integrand(x):
+        xt = x * t
+        return f(x) * np.where(sin_rows[..., None], np.sin(xt), np.cos(xt))
 
     if t == 0.0:
-        if kind == "sin":
-            return 0.0
-        val, _, _ = _adaptive(f, _decade_edges(cfg.half_width, breakpoints), cfg)
-        return float(np.real(val)) * (2.0 / math.pi)
+        # sin(0) = 0 and cos(0) = 1: nothing oscillates and no tail is added
+        val, _, _ = _adaptive(integrand,
+                              _decade_edges(cfg.half_width, breakpoints), cfg)
+        return np.real(val) * (2.0 / math.pi)
 
     # Push the truncation out until at least ~3 periods fit beyond the
     # features, so the integration-by-parts tail correction applies.
@@ -440,61 +462,21 @@ def _oscillatory_transform(f, t: float, cfg: QuadratureConfig, kind: str,
         pieces.append(np.linspace(lo, hi, n + 1)[1:])
     edges = np.concatenate(pieces)
 
-    val, _, _ = _adaptive(lambda x: f(x) * kernel(x * t), edges, cfg)
-    val = val + _oscillatory_tail(f, W, t, kind)
-    return float(np.real(val)) * (2.0 / math.pi)
+    val, _, _ = _adaptive(integrand, edges, cfg)
+    val = val + _oscillatory_tail(f, W, t, kinds)
+    return np.real(val) * (2.0 / math.pi)
 
 
 def sine_transform(f, t: float, cfg: QuadratureConfig | None = None,
                    *, breakpoints=()) -> float:
     """(2/π)∫₀^∞ f(ω) sin(ωt) dω with ≥ oscillatory_panel_per_period
     panels per period 2π/t.  Returns the real part of the transform."""
-    return _oscillatory_transform(f, t, cfg or _DEFAULT_CFG, "sin", breakpoints)
+    return float(_oscillatory_transform(f, t, cfg or _DEFAULT_CFG, "sin",
+                                        breakpoints))
 
 
 def cosine_transform(f, t: float, cfg: QuadratureConfig | None = None,
                      *, breakpoints=()) -> float:
     """(2/π)∫₀^∞ f(ω) cos(ωt) dω, same panelling policy as sine_transform."""
-    return _oscillatory_transform(f, t, cfg or _DEFAULT_CFG, "cos", breakpoints)
-
-
-def _product_parity(pf: str, pg: str) -> str:
-    """Parity of ω ↦ f(ω)·g*(ω) given the factor parities."""
-    if pf == "hermitian" and pg == "hermitian":
-        return "hermitian"
-    if {pf, pg} == {"even"} or {pf, pg} == {"odd"}:
-        return "even"
-    if {pf, pg} == {"even", "odd"}:
-        return "odd"
-    return "none"
-
-
-def inner_product_info(f: Integrand, g: Integrand,
-                       cfg: QuadratureConfig | None = None,
-                       *, breakpoints=()) -> LineIntegral:
-    """⟨f,g⟩ over [-W, W] with tail diagnostics, no tail policing."""
-    prod = Integrand(lambda x: f(x) * np.conj(g(x)),
-                     _product_parity(getattr(f, "parity", "none"),
-                                     getattr(g, "parity", "none")),
-                     skip_check=True)
-    return integrate_line_info(prod, cfg, breakpoints=breakpoints)
-
-
-def inner_product_l2(f: Integrand, g: Integrand,
-                     cfg: QuadratureConfig | None = None,
-                     *, breakpoints=()) -> complex:
-    """L2 inner product ⟨f,g⟩ = ∫_{-W}^{W} f(ω) g*(ω) dω."""
-    cfg = cfg or _DEFAULT_CFG
-    res = inner_product_info(f, g, cfg, breakpoints=breakpoints)
-    if res.tail > 10.0 * cfg.rel_tol * abs(res.value):
-        raise TailDominates(
-            f"tail estimate {res.tail:.3g} dominates inner product "
-            f"{res.value:.6g}", value=res.value, tail=res.tail)
-    return res.value
-
-
-def norm_l2(f: Integrand, cfg: QuadratureConfig | None = None,
-            *, breakpoints=()) -> float:
-    """√⟨f,f⟩ ≥ 0 over [-W, W]."""
-    val = inner_product_l2(f, f, cfg, breakpoints=breakpoints)
-    return math.sqrt(max(val.real, 0.0))
+    return float(_oscillatory_transform(f, t, cfg or _DEFAULT_CFG, "cos",
+                                        breakpoints))

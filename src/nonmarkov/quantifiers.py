@@ -10,7 +10,6 @@ the underlying functions.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,8 +33,9 @@ _DEFAULT_CFG = QuadratureConfig()
 _TAIL_FLAG = 1e-3
 _TAIL_RAISE = 0.1
 
-# (name, row, column) of the entries computed; pq mirrors qp
-_SLOTS = (("qq", 0, 0), ("qp", 0, 1), ("pp", 1, 1))
+# the entries computed, and their (row, column) indices; pq mirrors qp
+_KEYS = ("qq", "qp", "pp")
+_ENTRY = ((0, 0, 1), (0, 1, 1))
 
 
 @dataclass(frozen=True)
@@ -44,7 +44,9 @@ class EntryDiagnostics:
 
     tail_ratio is the largest estimated out-of-window contribution of
     the three underlying integrals, each normalized by its own scale,
-    so it is invariant under rescaling of either function.
+    so it is invariant under rescaling of either function.  panels is
+    the panel count of the one whole-line pass that gives all entries
+    of a quantifier, so it is the same for each of them.
     """
 
     tail_ratio: float
@@ -68,31 +70,35 @@ class QuantifierReport:
 
 def _distance_info(f: Integrand, g: Integrand,
                    cfg: QuadratureConfig, breakpoints=()):
-    """Normalized distance plus diagnostics; raises ZeroNorm on a
-    degenerate argument and TailDominates when the window is too small."""
-    ip = inner_product_info(f, g, cfg, breakpoints=breakpoints)
-    ff = inner_product_info(f, f, cfg, breakpoints=breakpoints)
-    gg = inner_product_info(g, g, cfg, breakpoints=breakpoints)
+    """Normalized distances of the row pairs of f and g from one
+    ``inner_product_info`` pass, with their tail ratios and the panel
+    count of the pass.
 
-    nf2 = max(ff.value.real, 0.0)
-    ng2 = max(gg.value.real, 0.0)
-    if math.sqrt(nf2) < 1e-14 or math.sqrt(ng2) < 1e-14:
-        raise ZeroNorm("degenerate argument: norm below 1e-14")
+    A row with a norm below 1e-14 is degenerate: its distance and tail
+    ratio are NaN.  Raises TailDominates when the window is too small
+    for any other row.
+    """
+    res = inner_product_info(f, g, cfg, breakpoints=breakpoints)
+    ip, ff, gg = res.value
+    t_ip, t_ff, t_gg = res.tail
+    nf2 = np.maximum(ff.real, 0.0)
+    ng2 = np.maximum(gg.real, 0.0)
+    degenerate = (np.sqrt(nf2) < 1e-14) | (np.sqrt(ng2) < 1e-14)
+    nf2 = np.where(degenerate, np.nan, nf2)
+    ng2 = np.where(degenerate, np.nan, ng2)
 
-    scale = math.sqrt(nf2 * ng2)
-    tail_ratio = max(ff.tail / nf2, gg.tail / ng2, abs(ip.tail) / scale)
-    panels = ip.panels + ff.panels + gg.panels
-    if tail_ratio > _TAIL_RAISE:
+    scale = np.sqrt(nf2 * ng2)
+    tail_ratio = np.maximum.reduce([t_ff / nf2, t_gg / ng2, np.abs(t_ip) / scale])
+    worst = float(np.fmax(tail_ratio, 0.0).max())  # fmax skips the NaN rows
+    if worst > _TAIL_RAISE:
         raise TailDominates(
-            f"estimated out-of-window contribution ({tail_ratio:.2g} of the "
+            f"estimated out-of-window contribution ({worst:.2g} of the "
             "norm scale) dominates the distance; increase half_width",
-            tail=tail_ratio)
+            tail=worst)
 
-    ratio = abs(ip.value) ** 2 / (nf2 * ng2)
-    r = min(max(1.0 - ratio, 0.0), 1.0)  # clamp window 1e-12 vs rounding
-    diag = EntryDiagnostics(tail_ratio=float(tail_ratio), panels=panels,
-                            flagged=bool(tail_ratio > _TAIL_FLAG))
-    return math.sqrt(r), diag
+    ratio = np.abs(ip) ** 2 / (nf2 * ng2)
+    r = np.clip(1.0 - ratio, 0.0, 1.0)  # clamp window 1e-12 vs rounding
+    return np.sqrt(r), tail_ratio, res.panels
 
 
 def distance(f: Integrand, g: Integrand,
@@ -110,48 +116,51 @@ def distance(f: Integrand, g: Integrand,
         If the estimated out-of-window contribution is comparable to
         the norms themselves.
     """
-    val, _ = _distance_info(f, g, cfg or _DEFAULT_CFG, breakpoints)
-    return val
+    val, _, _ = _distance_info(f, g, cfg or _DEFAULT_CFG, breakpoints)
+    if np.isnan(val):
+        raise ZeroNorm("degenerate argument: norm below 1e-14")
+    return float(val)
 
 
-def _n1_pair(p, sd, i, j):
-    """Integrand pair (−i dχ̃/dω, χ̃ χ₊⁻¹ χ̃) at entry (i, j): the two
+def _n1_sides(p, sd):
+    """Three-row integrands (−i dχ̃/dω, χ̃ χ₊⁻¹ χ̃) at qq, qp, pp: the two
     sides whose difference is ``divisibility_residual``."""
-    return (Integrand(lambda w: -1j * chi_prime_matrix(p, sd, w)[i, j],
+    return (Integrand(lambda w: -1j * chi_prime_matrix(p, sd, w)[_ENTRY],
                       "hermitian"),
-            Integrand(lambda w: _composed_response(p, sd, w)[i, j],
+            Integrand(lambda w: _composed_response(p, sd, w)[_ENTRY],
                       "hermitian"))
 
 
-def _n2_pair(p, sd, i, j, cov0):
-    """Integrand pair (exact spectrum, regression prediction) at (i, j)."""
+def _n2_sides(p, sd, cov0):
+    """Three-row integrands (exact spectrum, regression prediction) at
+    qq, qp, pp."""
     # ħ > 0 breaks the ω ↦ −ω symmetry of the exact spectrum
-    return (Integrand(lambda w: exact_entries_vec(p, sd, w)[i, j], "none"),
-            Integrand(lambda w: rt_entries_vec(p, sd, w, cov0)[i, j],
+    return (Integrand(lambda w: exact_entries_vec(p, sd, w)[_ENTRY], "none"),
+            Integrand(lambda w: rt_entries_vec(p, sd, w, cov0)[_ENTRY],
                       "none"))
 
 
-def _quantifier_matrix(p, sd, cfg, prefix, pair_factory):
-    """Entrywise distances; qp and pq coincide by the entry structure
-    (the two off-diagonal functions differ only by an overall sign or a
-    complex conjugation, neither of which moves the distance)."""
-    diagnostics: dict[str, EntryDiagnostics] = {}
+def _quantifier_matrix(p, sd, cfg, prefix, sides):
+    """Entrywise distances from one pass over the three-row integrands
+    that sides() builds; qp and pq coincide by the entry structure (the
+    two off-diagonal functions differ only by an overall sign or a
+    complex conjugation, neither of which moves the distance).  A
+    degenerate entry reads 0."""
     matrix = np.zeros((2, 2))
     if is_decoupled(sd):
         zero = EntryDiagnostics(0.0, 0, False)
-        for key in ("qq", "qp", "pq", "pp"):
-            diagnostics[f"{prefix}_{key}"] = zero
-        return matrix, diagnostics
+        return matrix, {f"{prefix}_{key}": zero
+                        for key in ("qq", "qp", "pq", "pp")}
 
-    bps = feature_frequencies(p, sd)
-    for key, i, j in _SLOTS:
-        f, g = pair_factory(i, j)
-        try:
-            value, diag = _distance_info(f, g, cfg, bps)
-        except ZeroNorm:
-            value, diag = 0.0, EntryDiagnostics(0.0, 0, False)
-        matrix[i, j] = matrix[j, i] = value
-        diagnostics[f"{prefix}_{key}"] = diag
+    values, tails, panels = _distance_info(*sides(), cfg,
+                                           feature_frequencies(p, sd))
+    values, tails = np.nan_to_num(values), np.nan_to_num(tails)
+    matrix[_ENTRY] = values
+    matrix[_ENTRY[::-1]] = values
+    diagnostics = {f"{prefix}_{key}": EntryDiagnostics(
+        tail_ratio=float(tail), panels=panels,
+        flagged=bool(tail > _TAIL_FLAG))
+        for key, tail in zip(_KEYS, tails)}
     diagnostics[f"{prefix}_pq"] = diagnostics[f"{prefix}_qp"]
     return matrix, diagnostics
 
@@ -165,9 +174,8 @@ def divisibility_quantifier(p, sd: SpectralDensity,
 
     Returns (2×2 real array, diagnostics dict).
     """
-    cfg = cfg or _DEFAULT_CFG
-    return _quantifier_matrix(p, sd, cfg, "n1",
-                              lambda i, j: _n1_pair(p, sd, i, j))
+    return _quantifier_matrix(p, sd, cfg or _DEFAULT_CFG, "n1",
+                              lambda: _n1_sides(p, sd))
 
 
 def regression_quantifier(p, sd: SpectralDensity,
@@ -181,11 +189,9 @@ def regression_quantifier(p, sd: SpectralDensity,
     Returns (2×2 real array, diagnostics dict).
     """
     cfg = cfg or _DEFAULT_CFG
-    if is_decoupled(sd):
-        return _quantifier_matrix(p, sd, cfg, "n2", None)
-    cov0 = covariance0(p, sd, cfg)
-    return _quantifier_matrix(p, sd, cfg, "n2",
-                              lambda i, j: _n2_pair(p, sd, i, j, cov0))
+    return _quantifier_matrix(
+        p, sd, cfg, "n2",
+        lambda: _n2_sides(p, sd, covariance0(p, sd, cfg)))
 
 
 def quantify(p, sd: SpectralDensity, cfg: QuadratureConfig | None = None,

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CutoffSensitive, DivisionNearZero
-from .quadrature import QuadratureConfig, cosine_transform, sine_transform
+from .quadrature import QuadratureConfig, _oscillatory_transform
 from .spectral import OhmicSD, PeakedSD, SpectralDensity
 
 __all__ = [
@@ -75,8 +75,13 @@ class ModelParams:
     cutoff: float | None = None
 
     def __post_init__(self) -> None:
-        if not (self.omega0 > 0.0 and self.beta > 0.0 and self.hbar >= 0.0):
-            raise ValueError("require omega0 > 0, beta > 0, hbar >= 0")
+        # each message starts with the name of the parameter at fault
+        if not self.omega0 > 0.0:
+            raise ValueError("omega0 must be > 0")
+        if not self.beta > 0.0:
+            raise ValueError("beta must be > 0")
+        if not self.hbar >= 0.0:
+            raise ValueError("hbar must be >= 0")
         if self.cutoff is None:
             object.__setattr__(self, "cutoff", 1000.0 * self.omega0)
         if not self.cutoff > self.omega0:
@@ -231,12 +236,13 @@ def chi_time(p: ModelParams, sd: SpectralDensity, t: float,
     cfg = cfg or QuadratureConfig()
     bp = feature_frequencies(p, sd)
 
-    def im_c(w: np.ndarray) -> np.ndarray:
-        return np.imag(chi_qq_vec(p, sd, w)) + 0.0j
+    def rows(w: np.ndarray) -> np.ndarray:
+        im_c = np.imag(chi_qq_vec(p, sd, w))
+        return np.array([im_c, w * im_c, w ** 2 * im_c])
 
-    qq = sine_transform(im_c, t, cfg, breakpoints=bp)
-    dot = cosine_transform(lambda w: w * im_c(w), t, cfg, breakpoints=bp)
-    pp = sine_transform(lambda w: w ** 2 * im_c(w), t, cfg, breakpoints=bp)
+    # χ_qq, dχ_qq/dt and χ_pp from one pass over shared panels
+    qq, dot, pp = _oscillatory_transform(rows, t, cfg, ("sin", "cos", "sin"),
+                                         bp)
     return np.array([[qq, -dot], [dot, pp]])
 
 

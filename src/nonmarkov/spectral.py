@@ -409,13 +409,14 @@ class TabulatedSD(SpectralDensity):
         known[known] = keys[pos[known]] == q[known]
         if not known.all():
             new = np.unique(q[~known])
-            got = self._kernel(new)
             if keys.size + new.size > _MEMO_CAP:
-                keys, vals = new, got
+                # start afresh from this batch, hits included
+                keys = np.unique(q)
+                vals = self._kernel(keys)
             else:
                 at = np.searchsorted(keys, new)
                 keys = np.insert(keys, at, new)
-                vals = np.insert(vals, at, got, axis=1)
+                vals = np.insert(vals, at, self._kernel(new), axis=1)
             object.__setattr__(self, "_memo", (keys, vals))
             pos = np.searchsorted(keys, q)
         out = np.zeros((2, flat.size))

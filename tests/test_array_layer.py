@@ -20,7 +20,7 @@ from nonmarkov.correlations import (
     rt_spectrum_general,
 )
 from nonmarkov.errors import DerivativeUnstable
-from nonmarkov.quantifiers import _n1_pair
+from nonmarkov.quantifiers import _n1_sides
 from nonmarkov.response import (
     CHI_PLUS_INV,
     ModelParams,
@@ -108,9 +108,8 @@ def test_residual_matches_plain_matmul(p, sd, omega):
                   elements=st.floats(-20.0, 20.0)))
 def test_n1_pair_differs_by_the_residual(p, sd, omega):
     res = divisibility_residual(p, sd, omega)
-    for i, j in ((0, 0), (0, 1), (1, 1)):
-        f, g = _n1_pair(p, sd, i, j)
-        assert np.array_equal(f(omega) - g(omega), res[i, j])
+    f, g = _n1_sides(p, sd)
+    assert np.array_equal(f(omega) - g(omega), res[(0, 0, 1), (0, 1, 1)])
 
 
 @SETTINGS
@@ -151,9 +150,8 @@ PUBLIC_NAMES = {
     "chi_time", "cosine_transform", "covariance0", "covariance0_drift",
     "distance", "divisibility_quantifier", "divisibility_residual",
     "embedding_response", "embedding_static_sum", "exact_entries_vec",
-    "feature_frequencies", "inner_product_info", "inner_product_l2",
-    "integrate", "integrate_line", "integrate_line_info", "is_decoupled",
-    "langevin_means", "norm_l2", "ou_coefficients", "principal_value",
+    "feature_frequencies", "inner_product_info", "integrate",
+    "is_decoupled", "langevin_means", "ou_coefficients", "principal_value",
     "propagate_means", "quantify", "regression_quantifier",
     "rt_entries_vec", "rt_spectrum_general", "sine_transform",
     "__version__",

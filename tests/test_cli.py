@@ -294,6 +294,16 @@ class TestConfiguration:
         assert rc == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("flags, key", [
+        (["--beta", "-1"], "beta"),
+        (["--hbar", "-1"], "hbar"),
+        (["--cutoff", "0.5"], "cutoff"),
+    ])
+    def test_bad_model_parameter_names_its_key(self, flags, key, capsys):
+        rc = cli.main(["--mode", "quantify"] + flags)
+        assert rc == 2
+        assert f"config error: key '{key}': {key} " in capsys.readouterr().err
+
     def test_unknown_sd_exits_2(self, capsys):
         rc = cli.main(["--mode", "quantify", "--sd", "mystery"])
         assert rc == 2

@@ -8,6 +8,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nonmarkov.errors import (
     NonConvergence,
@@ -20,14 +22,12 @@ from nonmarkov.quadrature import (
     Integrand,
     QuadratureConfig,
     cosine_transform,
-    inner_product_l2,
+    inner_product_info,
     integrate,
-    integrate_line,
-    integrate_line_info,
-    norm_l2,
     principal_value,
     sine_transform,
 )
+from nonmarkov.quantifiers import distance
 
 # Frozen oracle values.
 SQRT_PI_HALF = 0.8862269254527576   # trapezoid oracle, 4e6 pts on [0, 40]
@@ -43,6 +43,16 @@ CFG = QuadratureConfig()
 
 def gauss(x):
     return np.exp(-(x ** 2))
+
+
+def half_gauss(x):
+    # |half_gauss|² = gauss, so ‖half_gauss‖² is the line integral of gauss
+    return np.exp(-(x ** 2) / 2.0)
+
+
+def root_lorentz(x):
+    # |root_lorentz|² = 1/(1 + x²)
+    return 1.0 / np.sqrt(1.0 + x ** 2)
 
 
 class TestIntegrate:
@@ -91,51 +101,66 @@ class TestIntegrate:
 
 
 class TestIntegrateLine:
+    """Whole-line integrals, as the norms and inner products of the one
+    ``inner_product_info`` pass."""
+
     def test_gaussian(self):
-        f = Integrand(gauss, "even")
-        assert integrate_line(f, CFG).real == pytest.approx(SQRT_PI, abs=1e-10)
+        f = Integrand(half_gauss, "even")
+        res = inner_product_info(f, f, CFG)
+        for val in res.value:
+            assert val.real == pytest.approx(SQRT_PI, abs=1e-10)
 
     def test_odd_integrand_is_zero(self):
-        f = Integrand(lambda x: x * np.exp(-(x ** 2)), "odd")
-        assert integrate_line(f, CFG) == 0.0
+        f = Integrand(half_gauss, "even")
+        g = Integrand(lambda x: x * half_gauss(x), "odd")
+        res = inner_product_info(f, g, CFG)
+        assert res.value[0] == 0.0
+        assert res.tail[0] == 0.0
 
     def test_lorentzian_needs_wide_window(self):
-        f = Integrand(lambda x: 1.0 / (1.0 + x ** 2), "even")
+        f = Integrand(root_lorentz, "even")
         wide = QuadratureConfig(half_width=1e7, rel_tol=1e-6)
-        assert integrate_line(f, wide).real == pytest.approx(math.pi, abs=1e-6)
+        res = inner_product_info(f, f, wide)
+        assert res.value[1].real == pytest.approx(math.pi, abs=1e-6)
+        assert res.tail[1] <= 10.0 * wide.rel_tol * abs(res.value[1])
 
     def test_slow_tail_raises(self):
-        f = Integrand(lambda x: 1.0 / (1.0 + x ** 2), "even")
+        # |f|² ~ 1/|x| is not integrable: the tail estimate is infinite
+        f = Integrand(lambda x: (1.0 + x ** 2) ** -0.25, "even")
+        assert inner_product_info(f, f, CFG).tail[1] == math.inf
         with pytest.raises(TailDominates) as exc:
-            integrate_line(f, CFG)
+            distance(f, f, CFG)
         assert exc.value.tail > 0
 
     def test_info_reports_tail_without_raising(self):
-        f = Integrand(lambda x: 1.0 / (1.0 + x ** 2), "even")
-        res = integrate_line_info(f, CFG)
+        f = Integrand(root_lorentz, "even")
+        res = inner_product_info(f, f, CFG)
         # truncated value is 2·atan(W)
-        assert res.value.real == pytest.approx(2.0 * math.atan(CFG.half_width), abs=1e-9)
-        assert res.tail == pytest.approx(2.0 / CFG.half_width, rel=0.1)
+        assert res.value[1].real == pytest.approx(2.0 * math.atan(CFG.half_width), abs=1e-9)
+        assert res.tail[1] == pytest.approx(2.0 / CFG.half_width, rel=0.1)
 
     def test_steep_exponential_tail_is_finite(self):
         # the power-law fit on [W/10, W] has a slope near −300 here, so
         # its amplitude alone is far beyond the float range
-        f = Integrand(lambda x: np.exp(-4.0 * np.abs(x)), "even")
-        res = integrate_line_info(f, CFG)
-        assert res.value.real == pytest.approx(0.5, rel=1e-9)
-        assert 0.0 <= res.tail < 1e-60
+        f = Integrand(lambda x: np.exp(-2.0 * np.abs(x)), "even")
+        res = inner_product_info(f, f, CFG)
+        assert res.value[1].real == pytest.approx(0.5, rel=1e-9)
+        assert 0.0 <= res.tail[1] < 1e-60
 
     def test_hermitian_integrand_gives_real_value(self):
-        f = Integrand(lambda x: np.exp(-(x ** 2)) * (1.0 + 1j * x), "hermitian")
-        val = integrate_line(f, CFG)
+        f = Integrand(lambda x: half_gauss(x) * (1.0 + 1j * x), "hermitian")
+        g = Integrand(half_gauss, "hermitian")
+        val = inner_product_info(f, g, CFG).value[0]
         assert val.imag == 0.0
         assert val.real == pytest.approx(SQRT_PI, abs=1e-10)
 
     def test_deterministic_bit_identical(self):
         f = Integrand(lambda x: np.exp(-np.abs(x)) * np.cos(3.0 * x), "even")
-        a = integrate_line(f, CFG)
-        b = integrate_line(f, CFG)
-        assert a == b
+        a = inner_product_info(f, f, CFG)
+        b = inner_product_info(f, f, CFG)
+        assert np.array_equal(a.value, b.value)
+        assert np.array_equal(a.tail, b.tail)
+        assert a.panels == b.panels
 
 
 class TestPrincipalValue:
@@ -204,29 +229,71 @@ class TestOscillatoryTransforms:
 class TestInnerProduct:
     def test_gaussian_norm(self):
         f = Integrand(lambda x: np.exp(-(x ** 2) / 2.0), "even")
-        val = inner_product_l2(f, f, CFG)
-        assert val.real == pytest.approx(SQRT_PI, abs=1e-10)
-        assert norm_l2(f, CFG) == pytest.approx(math.sqrt(SQRT_PI), abs=1e-10)
+        fg, ff, gg = inner_product_info(f, f, CFG).value
+        assert fg.real == pytest.approx(SQRT_PI, abs=1e-10)
+        assert math.sqrt(ff.real) == pytest.approx(math.sqrt(SQRT_PI), abs=1e-10)
+        assert math.sqrt(gg.real) == pytest.approx(math.sqrt(SQRT_PI), abs=1e-10)
 
     def test_even_odd_orthogonality(self):
         f = Integrand(lambda x: np.exp(-(x ** 2) / 2.0), "even")
         g = Integrand(lambda x: x * np.exp(-(x ** 2) / 2.0), "odd")
-        assert inner_product_l2(f, g, CFG) == 0.0
+        assert inner_product_info(f, g, CFG).value[0] == 0.0
 
     def test_conjugate_symmetry(self):
         f = Integrand(lambda x: np.exp(-(x ** 2)) * (1.0 + 1j * x), "hermitian")
         g = Integrand(lambda x: np.exp(-(x ** 2) / 2.0) * (x + 2j), "none")
-        fg = inner_product_l2(f, g, CFG)
-        gf = inner_product_l2(g, f, CFG)
-        assert fg == pytest.approx(np.conj(gf), abs=1e-12)
+        fg = inner_product_info(f, g, CFG)
+        gf = inner_product_info(g, f, CFG)
+        assert fg.value[0] == pytest.approx(np.conj(gf.value[0]), abs=1e-12)
+        # the norms trade places
+        assert fg.value[1:] == pytest.approx(gf.value[[2, 1]], abs=1e-12)
+
+
+ROWS = settings(max_examples=40, deadline=None, database=None)
+# abs_tol far below every row, so each row is held to rel_tol of itself
+TIGHT = QuadratureConfig(abs_tol=1e-300)
+
+
+class TestVectorPass:
+    """k-row integrands share one panel set, each row on its own tolerance."""
+
+    @ROWS
+    @given(st.lists(st.tuples(st.floats(-12.0, 6.0), st.floats(0.05, 50.0)),
+                    min_size=1, max_size=6))
+    def test_rows_meet_their_own_tolerance(self, rows):
+        s = np.array([10.0 ** e for e, _ in rows])
+        a = np.array([a for _, a in rows])
+        f = Integrand(lambda x: s[:, None] * np.exp(-a[:, None] * x ** 2), "even")
+        ones = Integrand(lambda x: np.ones((s.size, x.size)), "even")
+        fg = inner_product_info(f, ones, TIGHT).value[0]
+        exact = s * np.sqrt(np.pi / a)
+        assert fg.shape == s.shape
+        assert np.all(np.abs(fg - exact) <= TIGHT.rel_tol * exact)
+
+    def test_even_odd_rows_are_exactly_zero(self):
+        c = np.array([1.0, 1e-8, 3e5])
+        f = Integrand(lambda x: c[:, None] * np.exp(-(x ** 2)), "even")
+        g = Integrand(lambda x: x * np.exp(-np.abs(x)) * c[::-1, None], "odd")
+        res = inner_product_info(f, g, CFG)
+        assert res.value.shape == (3, 3)
+        assert np.all(res.value[0] == 0.0)
+        assert np.all(res.value[1:] != 0.0)
+
+    def test_nonfinite_row_is_named(self):
+        def rows(x):
+            bad = np.where(x > 3.0, np.nan, np.exp(-(x ** 2)))
+            return np.array([np.exp(-(x ** 2)), bad])
+
+        with pytest.raises(NonFinite, match="x = ") as exc:
+            inner_product_info(rows, rows, CFG)
+        assert exc.value.where > 3.0
 
 
 def _distance(f, g, cfg):
     # 𝒟 = sqrt(1 - |<f,g>|²/(||f||²||g||²)) computed straight from the
     # quadrature primitives; mirrors the quantifier-module definition.
-    num = abs(inner_product_l2(f, g, cfg)) ** 2
-    den = inner_product_l2(f, f, cfg).real * inner_product_l2(g, g, cfg).real
-    return math.sqrt(max(0.0, 1.0 - num / den))
+    fg, ff, gg = inner_product_info(f, g, cfg).value
+    return math.sqrt(max(0.0, 1.0 - abs(fg) ** 2 / (ff.real * gg.real)))
 
 
 class TestParsevalInvariance:
@@ -270,9 +337,10 @@ class TestIntegrandHandle:
         Integrand(lambda x: np.exp(1j * x) / (1.0 + x ** 2), "hermitian")
 
     def test_scalar_wrapper(self):
-        scalar = np.vectorize(lambda x: math.exp(-x * x), otypes=[complex])
+        scalar = np.vectorize(lambda x: math.exp(-x * x / 2.0), otypes=[complex])
         f = Integrand(scalar, "even")
-        assert integrate_line(f, CFG).real == pytest.approx(SQRT_PI, abs=1e-10)
+        res = inner_product_info(f, f, CFG)
+        assert res.value[1].real == pytest.approx(SQRT_PI, abs=1e-10)
 
 
 class TestConfigValidation:

@@ -2,9 +2,11 @@
 import math
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 
+from nonmarkov import quadrature, quantifiers
 from nonmarkov.errors import CutoffSensitive, TailDominates, ZeroNorm
 from nonmarkov.quadrature import Integrand, QuadratureConfig
 from nonmarkov.quantifiers import (
@@ -165,3 +167,78 @@ class TestQuantify:
         assert rep.n1.shape == (2, 2) and rep.n2.shape == (2, 2)
         assert len(rep.diagnostics) == 8
         assert not any(d.flagged for d in rep.diagnostics.values())
+
+
+class TestOnePass:
+    """Each quantifier is one whole-line pass over all of its entries."""
+
+    @pytest.mark.parametrize("sd", [OhmicSD(1.0), PeakedSD(0.75, 0.63, 1.0)])
+    def test_one_inner_product_pass_per_quantifier(self, sd, monkeypatch):
+        passes = []
+        inner = quantifiers.inner_product_info
+        monkeypatch.setattr(quantifiers, "inner_product_info",
+                            lambda *a, **k: passes.append(1) or inner(*a, **k))
+        adaptive = quadrature._adaptive
+        monkeypatch.setattr(quadrature, "_adaptive",
+                            lambda *a: passes.append(2) or adaptive(*a))
+        rep = quantify(ModelParams(1.0, 1.0, 1.0), sd, which="n1")
+        assert passes == [1, 2]
+        panels = {d.panels for d in rep.diagnostics.values()}
+        assert len(panels) == 1 and panels.pop() > 0
+
+        passes.clear()
+        distance(GAUSS, GAUSS)
+        assert passes == [1, 2]
+
+
+def _mp_n1(p, sd):
+    """n1 qq, qp, pp from 30-digit mpmath quadrature of the windowed
+    integrals ⟨f,g⟩, ‖f‖², ‖g‖² on [−W, W], split at ±feature_frequencies
+    and 0, with f = −i dχ̃/dω and g = χ̃ χ₊⁻¹ χ̃ written out in mpmath."""
+    with mp.workdps(30):
+        w0 = mp.mpf(p.omega0)
+        if isinstance(sd, OhmicSD):
+            def gam(w):
+                return mp.mpf(sd.damping)
+        else:
+            d2 = mp.mpf(sd.coupling) ** 2
+            g, big = mp.mpf(sd.width), mp.mpf(sd.resonance)
+
+            def gam(w):
+                den = (w ** 2 - big ** 2) ** 2 + g ** 2 * w ** 2
+                return d2 * (g + 1j * w * (g ** 2 + w ** 2 - big ** 2) / big ** 2) / den
+
+        entries = ((0, 0), (0, 1), (1, 1))
+        memo = {}
+
+        def sides(w):
+            if w not in memo:
+                c = 1 / (w0 ** 2 - w ** 2 - 1j * w * gam(w))
+                x = [[c, 1j * w * c], [-1j * w * c, 1 + w ** 2 * c]]
+                cp = c ** 2 * (2 * w + 1j * gam(w) + 1j * w * mp.diff(gam, w))
+                xp = [[cp, 1j * c + 1j * w * cp],
+                      [-1j * c - 1j * w * cp, 2 * w * c + w ** 2 * cp]]
+                memo[w] = ([-1j * xp[i][j] for i, j in entries],
+                           [x[i][0] * x[1][j] - x[i][1] * x[0][j]
+                            for i, j in entries])
+            return memo[w]
+
+        W = mp.mpf(QuadratureConfig().half_width)
+        bps = [mp.mpf(b) for b in feature_frequencies(p, sd)]
+        pts = [-W] + [-b for b in reversed(bps)] + [0] + bps + [W]
+        out = []
+        for e in range(3):
+            fg = mp.quad(lambda w: sides(w)[0][e] * mp.conj(sides(w)[1][e]), pts)
+            ff = mp.quad(lambda w: abs(sides(w)[0][e]) ** 2, pts)
+            gg = mp.quad(lambda w: abs(sides(w)[1][e]) ** 2, pts)
+            out.append(float(mp.sqrt(1 - abs(fg) ** 2 / (ff * gg))))
+        return out
+
+
+class TestIndependentReference:
+    @pytest.mark.parametrize("sd", [OhmicSD(1.0), PeakedSD(0.75, 0.63, 1.0)])
+    def test_n1_matches_mpmath_quadrature(self, sd):
+        p = ModelParams(omega0=1.0, beta=1.0, hbar=1.0)
+        m = quantify(p, sd, which="n1").n1
+        ref = _mp_n1(p, sd)
+        assert [m[0, 0], m[0, 1], m[1, 1]] == pytest.approx(ref, abs=1e-9)

@@ -12,8 +12,14 @@ import math
 import numpy as np
 import pytest
 
+from nonmarkov import quadrature
 from nonmarkov.errors import CutoffSensitive, DivisionNearZero
-from nonmarkov.quadrature import QuadratureConfig, integrate
+from nonmarkov.quadrature import (
+    QuadratureConfig,
+    cosine_transform,
+    integrate,
+    sine_transform,
+)
 from nonmarkov.response import (
     CHI_PLUS,
     CHI_PLUS_INV,
@@ -178,6 +184,26 @@ class TestChiTime:
         a = chi_time(P1, PEAKED, 2.5)
         b = chi_time(P1, PEAKED, 2.5)
         assert np.array_equal(a, b)
+
+    def test_one_pass_matches_separate_transforms(self, monkeypatch):
+        passes = []
+        adaptive = quadrature._adaptive
+        monkeypatch.setattr(quadrature, "_adaptive",
+                            lambda *a: passes.append(1) or adaptive(*a))
+        bp = feature_frequencies(P1, PEAKED)
+
+        def im_c(w):
+            return np.imag(chi_qq_vec(P1, PEAKED, w)) + 0.0j
+
+        for t in (0.4, 2.5, 11.0):
+            passes.clear()
+            got = chi_time(P1, PEAKED, t)
+            assert len(passes) == 1
+            qq = sine_transform(im_c, t, breakpoints=bp)
+            dot = cosine_transform(lambda w: w * im_c(w), t, breakpoints=bp)
+            pp = sine_transform(lambda w: w ** 2 * im_c(w), t, breakpoints=bp)
+            want = np.array([[qq, -dot], [dot, pp]])
+            assert np.abs(got - want).max() < 1e-9
 
 
 class TestPropagateMeans:

@@ -215,6 +215,17 @@ def test_memo_is_capped_and_refills_identically():
                           _bits(first))
 
 
+def test_memo_overflow_keeps_the_hits_of_its_batch():
+    # a batch that overflows the memo mixes points the memo held with
+    # new ones; every value must still be the one a fresh table gives
+    sd = exp_table(41, 48.0)
+    sd.gamma_tilde_vec(np.linspace(0.01, 40.0, spectral._MEMO_CAP - 5))
+    batch = np.array([0.01, 7.5, 41.0, 45.0, 46.0, 47.0, 48.5, 49.5, 50.5,
+                      51.5])
+    assert np.array_equal(_bits(sd.gamma_tilde_vec(batch)),
+                          _bits(exp_table(41, 48.0).gamma_tilde_vec(batch)))
+
+
 def test_roughness_check_separates_smooth_from_noisy_tables():
     smooth = [peaked_table(201), peaked_table(241), exp_table(301, 48.0),
               exp_table(3001, 70.0)]
