@@ -13,7 +13,10 @@ engine sit the operations the rest of the package needs:
 * ``principal_value``    Cauchy principal value by symmetric exclusion and
                          Richardson extrapolation over ε, ε/2, ε/4
 * ``sine_transform``     (2/π)∫₀^∞ f(ω) sin(ωt) dω with period-locked panels
-* ``cosine_transform``   same with cos(ωt)
+                         on [0, W] and a by-parts tail beyond W; W doubles
+                         until the tail's remainder bound is within abs_tol
+* ``cosine_transform``   same with cos(ωt); at t = 0 the half-line
+                         integral of f, which must converge
 
 Integrand evaluators must be vectorized: they receive a float ndarray of
 N points and return N values (real or complex), or an array of shape
@@ -73,7 +76,8 @@ class QuadratureConfig:
     """Knobs for all quadrature operations.
 
     half_width
-        Truncation W of whole-line integrals to [-W, W].
+        Truncation W of the whole-line integrals of ``inner_product_info``
+        to [-W, W].  The transforms size their own window.
     rel_tol, abs_tol
         Success means estimated error ≤ max(abs_tol, rel_tol·|result|).
     pv_radius
@@ -231,25 +235,46 @@ def _with_breakpoints(a: float, b: float, breakpoints=()) -> np.ndarray:
     return np.array(sorted({a, b, *pts}))
 
 
+def _half_line(f, a: float, cfg: QuadratureConfig, breakpoints=()):
+    """One adaptive pass of f over [a, ∞); returns what ``_adaptive`` does.
+
+    A divergent integral reaches u = 1 of the map below, where the mapped
+    integrand is infinite; that raises NonConvergence, and a non-finite
+    f elsewhere raises NonFinite at its own x.
+    """
+    # x = a + u/(1-u) maps [0,1) to [a, inf); GK nodes never touch u=1.
+    def mapped(u):
+        om = 1.0 - u
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return f(a + u / om) / om**2
+    edges = np.concatenate(([0.0], 1.0 - 0.5 ** np.arange(1, 14), [1.0]))
+    mapped_bp = [(x - a) / (1.0 + x - a) for x in breakpoints if x > a]
+    edges = np.array(sorted({*edges, *mapped_bp}))
+    try:
+        return _adaptive(mapped, edges, cfg)
+    except NonFinite as exc:
+        if exc.where == 1.0:
+            raise NonConvergence(
+                f"integral over [{a:.6g}, inf) diverges: the panels reached "
+                "infinity without meeting the tolerance") from exc
+        x = a + exc.where / (1.0 - exc.where)
+        raise NonFinite(f"integrand returned a non-finite value at "
+                        f"x = {x:.6g}", where=x) from exc
+
+
 def integrate(f, a: float, b: float, cfg: QuadratureConfig | None = None,
               *, breakpoints=()) -> complex:
     """Adaptive integral of f over [a, b]; b may be +inf (half-line map).
 
     Raises NonConvergence (with best estimate attached) when the panel
-    budget is exhausted, NonFinite if the integrand returns NaN/inf.
+    budget is exhausted or a half-line integral diverges, NonFinite if
+    the integrand returns NaN/inf.
     """
     cfg = cfg or _DEFAULT_CFG
     if math.isinf(b):
         if math.isinf(a):
             raise ValueError("at least one integration bound must be finite")
-        # x = a + u/(1-u) maps [0,1) to [a, inf); GK nodes never touch u=1.
-        def mapped(u):
-            om = 1.0 - u
-            return f(a + u / om) / om**2
-        edges = np.concatenate(([0.0], 1.0 - 0.5 ** np.arange(1, 14), [1.0]))
-        mapped_bp = [(x - a) / (1.0 + x - a) for x in breakpoints if x > a]
-        edges = np.array(sorted({*edges, *mapped_bp}))
-        val, _, _ = _adaptive(mapped, edges, cfg)
+        val, _, _ = _half_line(f, a, cfg, breakpoints)
         return complex(val)
     if math.isinf(a):
         return integrate(lambda x: f(-x), -b, -a, cfg,
@@ -408,23 +433,55 @@ def principal_value(f, pole: float, a: float, b: float,
         estimate=complex(rows[-1][-1]), error_bound=resid)
 
 
-def _oscillatory_tail(f, W: float, t: float, kinds) -> np.ndarray:
-    """∫_W^∞ f(ω)·{sin,cos}(ωt) dω for every row of f by integration by
-    parts (3 terms); kinds gives each row's kernel, as in
-    ``_oscillatory_transform``.
+# Central stencils on the offsets -3..3 (in steps h) for f, f′, …, f⁽⁵⁾
+# at the middle point; row k is in units of h⁻ᵏ.
+_STENCIL_OFFSETS = np.arange(-3.0, 4.0)
+_STENCILS = np.array([
+    [0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0],
+    np.array([-1.0, 9.0, -45.0, 0.0, 45.0, -9.0, 1.0]) / 60.0,
+    np.array([2.0, -27.0, 270.0, -490.0, 270.0, -27.0, 2.0]) / 180.0,
+    np.array([1.0, -8.0, 13.0, 0.0, -13.0, 8.0, -1.0]) / 8.0,
+    np.array([-1.0, 12.0, -39.0, 56.0, -39.0, 12.0, -1.0]) / 6.0,
+    np.array([-1.0, 4.0, -5.0, 0.0, 5.0, -4.0, 1.0]) / 2.0,
+])
 
-    Valid for smooth decaying f and Wt ≳ 20; the remainder is
-    O(|f″(W)|/(W t³)).  Derivatives are central differences at W.
+
+def _oscillatory_tail(f, W: float, t: float, sin_rows):
+    """∫_W^∞ f(ω)·{sin,cos}(ωt) dω for every row of f by integration by
+    parts, and a bound on what the expansion leaves out.
+
+    sin_rows marks the rows with a sine kernel.  The tail keeps 5 terms,
+    Σ_k f⁽ᵏ⁾(W)·kernel(Wt + (k+1)π/2)/t^(k+1) for k = 0…4; the first
+    neglected term is |f⁽⁵⁾(W)|/t⁶.  Derivatives come from a 7-point
+    central stencil of step h = W/500, and again of step h/2, so that an
+    f which is not smooth on the scale h (or whose oscillation aliases
+    one stencil) shows as disagreement.  The bound per row is the larger
+    neglected term of the two steps plus the difference of their tails.
     """
-    h = max(W * 1e-4, 1e-8)
-    at_w = np.asarray(f(np.array([W, W + h, W - h])))
-    fw, fph, fmh = np.moveaxis(at_w, -1, 0)
-    fp = (fph - fmh) / (2.0 * h)
-    fpp = (fph - 2.0 * fw + fmh) / h**2
-    s, c = math.sin(W * t), math.cos(W * t)
-    sin_tail = fw * c / t - fp * s / t**2 - fpp * c / t**3
-    cos_tail = -fw * s / t - fp * c / t**2 + fpp * s / t**3
-    return np.where(np.asarray(kinds) == "sin", sin_tail, cos_tail)
+    h = W / 500.0
+    x = W + np.concatenate((_STENCIL_OFFSETS * h, _STENCIL_OFFSETS * h / 2.0))
+    y = np.asarray(f(x))
+    y = y.reshape(y.shape[:-1] + (2, _STENCIL_OFFSETS.size))
+    steps = np.array([h, h / 2.0])
+    deriv = (y @ _STENCILS.T) / steps[:, None] ** np.arange(6)  # rows+(2, 6)
+    k = np.arange(5)
+    phase = W * t + (k + 1) * (math.pi / 2.0)
+    kernel = np.where(sin_rows[..., None], np.sin(phase),
+                      np.cos(phase)) / t ** (k + 1)
+    tails = (deriv[..., :5] * kernel[..., None, :]).sum(axis=-1)
+    neglected = np.abs(deriv[..., 5]).max(axis=-1) / t ** 6
+    bound = neglected + np.abs(tails[..., 0] - tails[..., 1])
+    return tails[..., 0], bound
+
+
+def _period_locked_edges(W: float, max_width: float, breakpoints=()):
+    """Decade edges of [0, W], each gap cut evenly into panels ≤ max_width."""
+    base = _decade_edges(W, breakpoints)
+    step = np.diff(base)
+    n = np.maximum(1, np.ceil(step / max_width)).astype(int)
+    gap = np.repeat(np.arange(n.size), n)
+    j = np.arange(gap.size) - np.repeat(np.cumsum(n) - n, n)
+    return np.append(base[gap] + j * (step / n)[gap], W)
 
 
 def _oscillatory_transform(f, t: float, cfg: QuadratureConfig, kinds,
@@ -433,7 +490,13 @@ def _oscillatory_transform(f, t: float, cfg: QuadratureConfig, kinds,
 
     kinds is "sin" or "cos" for a scalar f, or a tuple naming the kernel
     of each row of a k-row f; all rows share one adaptive pass over
-    period-locked panels, each with its own by-parts tail beyond W.
+    period-locked panels on [0, W], each with its own by-parts tail
+    beyond W.  W starts at max(4·largest breakpoint, 20/t), with 1 in
+    place of the breakpoint when there is none, and doubles until every
+    row's tail bound (see ``_oscillatory_tail``) is within abs_tol.  A
+    window whose panels would exceed max_subdivisions raises
+    NonConvergence naming t and the row.  At t = 0 the cosine rows are
+    the half-line integral of f, which must converge.
     """
     if t < 0:
         raise ValueError("transform requires t >= 0")
@@ -444,33 +507,41 @@ def _oscillatory_transform(f, t: float, cfg: QuadratureConfig, kinds,
         return f(x) * np.where(sin_rows[..., None], np.sin(xt), np.cos(xt))
 
     if t == 0.0:
-        # sin(0) = 0 and cos(0) = 1: nothing oscillates and no tail is added
-        val, _, _ = _adaptive(integrand,
-                              _decade_edges(cfg.half_width, breakpoints), cfg)
+        # sin(0) = 0 and cos(0) = 1: nothing oscillates
+        try:
+            val, _, _ = _half_line(integrand, 0.0, cfg, breakpoints)
+        except NonConvergence as exc:
+            raise NonConvergence(
+                f"transform at t = 0 does not converge: {exc}",
+                estimate=exc.estimate, error_bound=exc.error_bound) from exc
         return np.real(val) * (2.0 / math.pi)
 
-    # Push the truncation out until at least ~3 periods fit beyond the
-    # features, so the integration-by-parts tail correction applies.
-    W = max(cfg.half_width, 20.0 / t)
-    period = 2.0 * math.pi / t
-    max_width = period / cfg.oscillatory_panel_per_period
-
-    base = _decade_edges(W, breakpoints)
-    pieces = [np.array([base[0]])]
-    for lo, hi in zip(base[:-1], base[1:]):
-        n = max(1, int(math.ceil((hi - lo) / max_width)))
-        pieces.append(np.linspace(lo, hi, n + 1)[1:])
-    edges = np.concatenate(pieces)
+    max_width = 2.0 * math.pi / t / cfg.oscillatory_panel_per_period
+    W = max(4.0 * max(breakpoints, default=1.0), 20.0 / t)
+    bound = np.full(sin_rows.shape, math.inf)
+    while True:
+        edges = _period_locked_edges(W, max_width, breakpoints)
+        if edges.size - 1 > cfg.max_subdivisions:
+            row = int(np.argmax(bound))
+            raise NonConvergence(
+                f"no window within {cfg.max_subdivisions} panels bounds the "
+                f"oscillatory tail at t = {t:.6g}: row {row} keeps a tail "
+                f"bound of {bound.flat[row]:.3g} (abs_tol {cfg.abs_tol:.3g})",
+                error_bound=bound)
+        tail, bound = _oscillatory_tail(f, W, t, sin_rows)
+        if np.all(bound <= cfg.abs_tol):
+            break
+        W *= 2.0
 
     val, _, _ = _adaptive(integrand, edges, cfg)
-    val = val + _oscillatory_tail(f, W, t, kinds)
-    return np.real(val) * (2.0 / math.pi)
+    return np.real(val + tail) * (2.0 / math.pi)
 
 
 def sine_transform(f, t: float, cfg: QuadratureConfig | None = None,
                    *, breakpoints=()) -> float:
     """(2/π)∫₀^∞ f(ω) sin(ωt) dω with ≥ oscillatory_panel_per_period
-    panels per period 2π/t.  Returns the real part of the transform."""
+    panels per period 2π/t on a window sized from f's by-parts tail.
+    Returns the real part of the transform."""
     return float(_oscillatory_transform(f, t, cfg or _DEFAULT_CFG, "sin",
                                         breakpoints))
 

@@ -99,6 +99,14 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             integrate(gauss, 1.0, 1.0, CFG)
 
+    def test_half_line_failures_name_the_frequency(self):
+        with pytest.raises(NonFinite) as exc:
+            integrate(lambda x: np.where(x > 3.0, np.nan, 1.0 / (1.0 + x ** 2)),
+                      0.0, math.inf, CFG)
+        assert exc.value.where > 3.0
+        with pytest.raises(NonConvergence, match="diverges"):
+            integrate(lambda x: 1.0 / (1.0 + x), 0.0, math.inf, CFG)
+
 
 class TestIntegrateLine:
     """Whole-line integrals, as the norms and inner products of the one
@@ -224,6 +232,41 @@ class TestOscillatoryTransforms:
         f = Integrand(gauss, "even")
         with pytest.raises(ValueError):
             sine_transform(f, -1.0, CFG)
+
+    def test_cosine_at_zero_time_keeps_the_tail(self):
+        # (2/π)∫₀^∞ cos(ωt)/(1+ω²) dω = e^{-t}, continuous at t = 0
+        f = Integrand(lambda x: 1.0 / (1.0 + x ** 2), "even")
+        at_zero = cosine_transform(f, 0.0, CFG)
+        assert at_zero == pytest.approx(1.0, abs=1e-9)
+        for t in (1e-9, 1e-6, 1e-3):
+            assert cosine_transform(f, t, CFG) == pytest.approx(
+                math.exp(-t), abs=1e-9)
+
+    def test_cosine_at_zero_time_of_divergent_integral_raises(self):
+        with pytest.raises(NonConvergence, match="t = 0"):
+            cosine_transform(lambda x: 1.0 / (1.0 + x), 0.0, CFG)
+
+
+class TestTransformWindow:
+    """The transform window is sized from the integrand's by-parts tail."""
+
+    def test_slow_tail_meets_tolerance(self):
+        f = Integrand(lambda x: 1.0 / x, "odd", skip_check=True)
+        for t in (0.5, 2.0, 11.0):
+            assert sine_transform(f, t, CFG) == pytest.approx(1.0, abs=1e-9)
+
+    def test_tail_that_never_settles_raises(self):
+        # the 1e-3·sin 3ω ripple never decays, so no window bounds the tail
+        def f(x):
+            return 1.0 / (1.0 + x ** 2) + 1e-3 * np.sin(3.0 * x)
+
+        with pytest.raises(NonConvergence, match=r"t = 1\b.*row 0"):
+            sine_transform(f, 1.0, CFG)
+
+    def test_half_width_is_not_read(self):
+        f = Integrand(lambda x: x / (1.0 + x ** 2) ** 2, "odd")
+        narrow = QuadratureConfig(half_width=1.0)
+        assert sine_transform(f, 0.7, narrow) == sine_transform(f, 0.7, CFG)
 
 
 class TestInnerProduct:

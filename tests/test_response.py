@@ -11,8 +11,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import expm
 
-from nonmarkov import quadrature
+from nonmarkov import oracle, quadrature
 from nonmarkov.errors import CutoffSensitive, DivisionNearZero
 from nonmarkov.quadrature import (
     QuadratureConfig,
@@ -46,6 +49,14 @@ def ohmic_chi_closed(damping: float, omega0: float, t: float) -> np.ndarray:
     dot = e * (c - damping / (2.0 * w1) * s)
     pp = e * ((omega0 ** 2 - damping ** 2 / 2.0) / w1 * s + damping * c)
     return np.array([[qq, -dot], [dot, pp]])
+
+
+def peaked_chi_expm(sd: PeakedSD, omega0: float, t: float) -> np.ndarray:
+    """χ(t) of the peaked model from the pseudo-mode embedding matrix A:
+    s = e^{At}·(0, 1, 0, 0) gives χ_qq = s₀, χ̇_qq = s₁, χ_pp = −(A·s)₁."""
+    a = oracle._embedding_matrix(sd.coupling, sd.width, sd.resonance, omega0)
+    s = expm(a * t) @ np.array([0.0, 1.0, 0.0, 0.0])
+    return np.array([[s[0], -s[1]], [s[1], -(a @ s)[1]]])
 
 
 def damped_means_closed(damping, omega0, a_q, a_p, t):
@@ -204,6 +215,37 @@ class TestChiTime:
             pp = sine_transform(lambda w: w ** 2 * im_c(w), t, breakpoints=bp)
             want = np.array([[qq, -dot], [dot, pp]])
             assert np.abs(got - want).max() < 1e-9
+
+
+REF_TIMES = (0.1, 0.3, 0.6, 1.0, 3.0, 10.0, 20.0, 50.0)
+
+
+class TestChiTimeReferences:
+    """Every χ(t) entry within 1e-9 of an exact reference."""
+
+    @pytest.mark.parametrize("damping", [0.05, 0.2, 0.5, 1.5])
+    def test_ohmic_closed_form(self, damping):
+        for t in REF_TIMES:
+            got = chi_time(P1, OhmicSD(damping), t)
+            assert np.abs(got - ohmic_chi_closed(damping, 1.0, t)).max() < 1e-9
+
+    @pytest.mark.parametrize("peak", [(0.75, 0.63, 1.0), (1.0, 0.5, 2.0),
+                                      (0.05, 0.05, 1.0)])
+    def test_peaked_embedding(self, peak):
+        sd = PeakedSD(*peak)
+        for t in REF_TIMES:
+            got = chi_time(P1, sd, t)
+            assert np.abs(got - peaked_chi_expm(sd, 1.0, t)).max() < 1e-9
+
+    @settings(max_examples=15, deadline=None, database=None)
+    @given(st.floats(0.05, 1.5), st.floats(0.5, 3.0), st.floats(0.05, 0.95))
+    def test_peaked_embedding_drawn(self, coupling, resonance, frac):
+        # width = frac·√2·Ω keeps the auxiliary mode oscillatory, 2Ω² > Γ²
+        sd = PeakedSD(coupling, max(0.05, frac * math.sqrt(2.0) * resonance),
+                      resonance)
+        for t in REF_TIMES:
+            got = chi_time(P1, sd, t)
+            assert np.abs(got - peaked_chi_expm(sd, 1.0, t)).max() < 1e-9
 
 
 class TestPropagateMeans:
