@@ -144,7 +144,10 @@ def _tail_slope(fn, top: float) -> float:
     return float(slope)
 
 
-@functools.lru_cache(maxsize=128)
+# Keyed on the spectral density, so the cache keeps its entries' tables
+# (and their γ̃ memos) alive; its only hit is the cutoff-drift re-read of
+# the covariance just computed, which a few entries serve.
+@functools.lru_cache(maxsize=4)
 def _covariance0_cached(p: ModelParams, sd: SpectralDensity,
                         cfg: QuadratureConfig):
     bp = feature_frequencies(p, sd)

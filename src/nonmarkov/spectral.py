@@ -54,6 +54,49 @@ _ROUGHNESS_PROBES = 64
 # odd moments in the far-field series of the tabulated kernel; at
 # ω ≥ 2·top the series converges by a factor 4 per term
 _MOMENTS = 30
+# powers in the series of the knots outside the near band ½ < ω/x_j < 2;
+# there u = min(ω/x_j, x_j/ω) ≤ ½, so the last term is below 4⁻²⁶ ≈ 2e-16
+_TERMS = 26
+# largest ratio of knot frequencies within which the series tables take
+# powers relative to one knot; _SPAN**(2·_TERMS) stays far from overflow
+_SPAN = 1e3
+
+
+def _scaled_suffix(x: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """S[m−1, J] = Σ_{j≥J} (x_J/x_j)^{2m}·coef[m−1, j] for increasing x > 0,
+    with a zero column appended at J = x.size.
+
+    The powers are taken within runs of knots spanning at most ``_SPAN``,
+    relative to each run's first knot, and carried from run to run, so
+    no power of a table frequency overflows or underflows."""
+    def powers(r):              # r^{2m}, m = 1 … len(coef), as rows
+        return np.cumprod(np.broadcast_to(r * r, coef.shape[:1] + r.shape),
+                          axis=0)
+
+    xs = np.append(x, np.inf)
+    out = np.zeros((coef.shape[0], xs.size))
+    end = x.size
+    while end:
+        start = int(np.searchsorted(x, x[end - 1] / _SPAN))
+        run = xs[start:end]
+        tail = np.cumsum((coef[:, start:end] * powers(run[0] / run))[:, ::-1],
+                         axis=1)[:, ::-1]
+        out[:, start:end] = (powers(run / run[0]) * tail
+                             + powers(run / xs[end]) * out[:, end:end + 1])
+        end = start
+    return out
+
+
+def _horner(coef: np.ndarray, idx: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Σ_m coef[m−1, idx]·y^m over m = 1 … len(coef), by Horner: one
+    elementwise pass per power, so each value depends on its own y only."""
+    acc = np.zeros(idx.size)
+    c = np.empty(idx.size)
+    for row in coef[::-1]:
+        row.take(idx, out=c)
+        acc += c
+        acc *= y
+    return acc
 
 
 class SpectralDensity:
@@ -172,6 +215,12 @@ class TabulatedSD(SpectralDensity):
     Re γ̃ = J(ω)/ω comes from the interpolant.  Im γ̃ and dγ̃/dω are the
     exact dispersion transform of the interpolant, in closed form from
     its cubic coefficients (``_kernel``), memoized per instance on |ω|.
+    The transform is a sum over knots x_j, taken in three regions of
+    ω/x_j: knots with x_j ≤ ω/2 and x_j ≥ 2ω enter through power series
+    in min(ω/x_j, x_j/ω) ≤ ½ of 26 terms, whose coefficients are summed
+    over knot prefixes and suffixes once per table (O(26·n) to build),
+    and only the knots of the near band ω/2 < x_j < 2ω are summed one by
+    one; beyond 2·top a moment series replaces the knot sums.
     The first derivative request compares the table with its
     every-other-knot subtable; when their dγ̃/dω differ by a median
     relative gap above ``_ROUGHNESS_LIMIT`` the table is too coarse or
@@ -207,6 +256,7 @@ class TabulatedSD(SpectralDensity):
         object.__setattr__(self, "_interp", interp)
         object.__setattr__(self, "_slope0", float(interp.derivative()(0.0)))
 
+        top = freq[-1]
         # Jumps α, β of the t², t³ Taylor coefficients of the segment
         # cubics at knots 1 … n−1, t = c − x_j; the last knot borders
         # the J = 0 continuation, whose value and slope jumps are p0, p1.
@@ -216,18 +266,42 @@ class TabulatedSD(SpectralDensity):
         beta = a3 - np.append(a3[1:], 0.0)
         x = freq[1:]
         c2 = 2.0 * alpha - 6.0 * beta * x
-        knots = np.array([x, alpha, beta, c2,
-                          2.0 * x * x * (alpha - beta * x),
-                          4.0 * alpha * x - 6.0 * beta * x * x,
-                          2.0 * beta * x])
+        c0 = 2.0 * x * x * (alpha - beta * x)
+        d1 = 4.0 * alpha * x - 6.0 * beta * x * x
         cubic = float(np.sum(a3 * h))
         p0 = float(vals[-1])
         p1 = float(3.0 * a3[-1] * h[-1] ** 2 + 2.0 * a2[-1] * h[-1] + a1[-1])
-        object.__setattr__(self, "_knots", knots)
+        object.__setattr__(self, "_knots",
+                           (x, alpha, beta, c2, 2.0 * beta * x))
         object.__setattr__(self, "_ends", (cubic, p0, p1))
+        # Series of the knots outside the near band (``_knot_sums``):
+        # coefficients A_m of the knots above 2ω and B_n of those below
+        # ω/2, with the log and constant terms summed over suffixes
+        # (index: first knot above) and prefixes (index: knots below).
+        n = x.size
+        lx = np.log(x / top)
+        k = 2.0 * np.arange(1, _TERMS + 1)[:, None]
+        above = -c0 / k + d1 * x / (k - 1.0)
+        above[1:] -= c2 * x * x / (k[1:] - 2.0) + 2.0 * beta * x ** 3 / (
+            k[1:] - 3.0)
+        below = (-c0 / k + d1 * x / (k + 1.0) - c2 * x * x / (k + 2.0)
+                 - 2.0 * beta * x ** 3 / (k + 3.0))
+        b0 = x * d1 - 0.5 * x * x * c2 - 2.0 * beta * x ** 3 / 3.0
+        sums = np.zeros((6, n + 1))
+        sums[:2, :n] = np.cumsum(np.array([c2, c2 * lx])[:, ::-1],
+                                 axis=1)[:, ::-1]
+        sums[2:, 1:] = np.cumsum(np.array([c0, c0 * lx, beta * x, b0]),
+                                 axis=1)
+        series = np.concatenate([
+            _scaled_suffix(x, above),
+            _scaled_suffix(1.0 / x[::-1], below[:, ::-1])[:, ::-1]], axis=1)
+        slope = 0.5 * k * series
+        slope[:, n + 1:] *= -1.0
+        object.__setattr__(self, "_series", (
+            np.append(x, np.inf), np.append(0.0, x), sums,
+            np.concatenate([series, slope], axis=1)))
         # finite part of Im γ̃′ at ω = 0, where it diverges like
         # (J″(0)/π)·log|ω| unless J″(0) = 0; callers multiply it by ω
-        top = freq[-1]
         reg = (2.0 * cubic - p0 / top ** 2 - p1 / top
                + np.sum(c2 * np.log(x) + 3.0 * alpha - 5.0 * beta * x - c2))
         object.__setattr__(self, "_im_prime0", -float(reg) / math.pi)
@@ -309,7 +383,8 @@ class TabulatedSD(SpectralDensity):
         return out
 
     def _knot_sums(self, w: np.ndarray) -> np.ndarray:
-        """E(ω) and dE/dω at the frequencies w > 0, shape (2, w.size).
+        """E(ω) and dE/dω at the frequencies 0 < w < 2·top, shape
+        (2, w.size).
 
         With G(c) = 𝒫∫₀^top J(ν)/(ν−c) dν the dispersion integral is
         𝒫∫ [J(ν)/ν]/(ν−ω) dν = E(ω)/ω, E = G(ω) + G(−ω) − 2G(0).  On a
@@ -320,51 +395,91 @@ class TabulatedSD(SpectralDensity):
         −J″(0)·ω²·log ω, spread over the other knots by Σ_j Δ_j ≡ 0, which
         leaves each knot x_j = a the term (x = ω/a, u = min(x, 1/x))
 
-            E_j = −c2·ω²·log x + ½·log1p(−x²)·S + atanh(x)·D      x ≤ ½
-            E_j = c0·log x + ½·log1p(−u²)·S + atanh(u)·D          x ≥ 3/2
+            E_j = −c2·ω²·log x + ½·log1p(−x²)·S + atanh(x)·D      x < 1
+            E_j = c0·log x + ½·log1p(−u²)·S + atanh(u)·D          x > 1
 
         with c2 = 2α − 6βa, c0 = 2a²(α − βa), S = c2·ω² + c0 and
         D = ω·(d1 − 2βω²), d1 = 4αa − 6βa²; no O(1) terms cancel as
-        ω → 0.  For |x − 1| < ½ the direct form in t = ω − a is used.
-        The (ω × knot) block is taken in row chunks of at most ``_BLOCK``
-        elements, each row summed on its own, so a value does not depend
-        on the batch it arrives in.
+        ω → 0.  Expanded in u ≤ ½ these are power series (``_TERMS``
+        powers, 4⁻²⁶ ≈ 2e-16), whose coefficients are summed once per
+        table over the knots above (x ≤ ½, suffix sums) and below
+        (x ≥ 2, prefix sums):
+
+            E_j = −c2·ω²·log x + Σ_{m≥1} A_m·ω^{2m}                  x ≤ ½
+            E_j = c0·log x − 2βa·ω² + B₀ + Σ_{n≥1} B_n·ω^{−2n}      x ≥ 2
+
+        A_m = [−c0/(2m) + d1·a/(2m−1) − (c2·a²/(2m−2) + 2β·a³/(2m−3))·[m≥2]]
+        / a^{2m}, B_n = a^{2n}·[−c0/(2n) + d1·a/(2n+1) − c2·a²/(2n+2) −
+        2β·a³/(2n+3)], B₀ = a·d1 − a²c2/2 − 2βa³/3; the logarithms split
+        into log(ω/top) times a sum and a sum of log(a/top), and dE/dω is
+        the term-by-term derivative.  The series are summed with powers
+        relative to the nearest knot of the range (``_scaled_suffix``), so
+        no power of a frequency overflows on stretched tables.  Each ω
+        then costs two table lookups and one Horner pass over the
+        ``_TERMS`` powers, plus the direct form in t = ω − a for the knots
+        of the near band ½ < x < 2 only (``_near_band``), where neither
+        series converges fast.
         """
-        a, alpha, beta, c2, c0, d1, b2 = (k[None, :] for k in self._knots)
-        rows = max(1, _BLOCK // a.size)
-        out = np.empty((2, w.size))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for lo in range(0, w.size, rows):
-                wb = w[lo:lo + rows, None]
-                w2 = wb * wb
-                x = wb / a
-                lx = np.log(x)
-                far = x >= 1.5
-                near = ~far & (x > 0.5)
-                q = -c2 * w2 * lx
-                u = np.minimum(x, 1.0 / x)
-                l1 = np.log1p(-u * u)
-                at = np.arctanh(u)
-                e = (np.where(far, c0 * lx, q) + 0.5 * l1 * (c2 * w2 + c0)
-                     + at * wb * (d1 - 2.0 * beta * w2))
-                de = (c2 * wb * np.where(far, l1, l1 - 2.0 * lx) + b2 * wb
-                      + at * (d1 - 6.0 * beta * w2))
-                t = wb - a
-                v = wb + a
-                lt = np.log(np.abs(t) / a + (t == 0.0))     # 0 at t = 0
-                lp = np.log1p(x)
-                e = np.where(near, q + t * t * (alpha + beta * t) * lt
-                             + v * v * (alpha - beta * v) * lp, e)
-                de = np.where(near, b2 * wb + 2.0 * q / wb
-                              + t * (2.0 * alpha + 3.0 * beta * t) * lt
-                              + v * (2.0 * alpha - 3.0 * beta * v) * lp, de)
-                out[0, lo:lo + rows] = e.sum(axis=1)
-                out[1, lo:lo + rows] = de.sum(axis=1)
+        x_hi, x_lo, sums, series = self._series
+        hi = np.searchsorted(x_hi, 2.0 * w)           # first x_j ≥ 2ω
+        lo = np.searchsorted(x_hi, 0.5 * w, "right")  # first x_j > ω/2
+        out = self._near_band(w, lo, hi)
+        # columns of ``series``: E coefficients above, below, then the
+        # dE/dω ones in the same order
+        idx = np.concatenate([hi, lo + x_hi.size])
+        y = np.concatenate([(w / x_hi[hi]) ** 2, (x_lo[lo] / w) ** 2])
+        acc = _horner(series, np.concatenate([idx, idx + 2 * x_hi.size]),
+                      np.concatenate([y, y])).reshape(4, w.size)
+        v, d = acc[0::2] + acc[1::2]
+        sc2, sl2 = sums[:2, hi]
+        pc0, pl0, pba, pb0 = sums[2:, lo]
+        lw = np.log(w / self.frequencies[-1])
+        w2 = w * w
+        log_hi = lw * sc2 - sl2
+        out[0] += lw * pc0 - pl0 + pb0 - w2 * (log_hi + 2.0 * pba) + v
+        out[1] += (pc0 / w - w * (2.0 * log_hi + sc2 + 4.0 * pba)
+                   + 2.0 * d / w)
         cubic, p0, p1 = self._ends
-        out[0] += 2.0 * cubic * w * w
+        out[0] += 2.0 * cubic * w2
         out[1] += 4.0 * cubic * w
         if p0 or p1:
             out += self._end_terms(w, p0, p1)
+        return out
+
+    def _near_band(self, w: np.ndarray, lo: np.ndarray,
+                   hi: np.ndarray) -> np.ndarray:
+        """Σ_j E_j and Σ_j dE_j/dω over the knots lo ≤ j < hi of each ω, in
+        the direct form in t = ω − a, shape (2, w.size).
+
+        The ragged band is evaluated in chunks of whole rows, of at most
+        ``_BLOCK`` elements plus one row, and every row is summed on its
+        own in knot order, so a value does not depend on the batch it
+        arrives in.
+        """
+        count = hi - lo
+        first = np.cumsum(count) - count
+        cut = np.flatnonzero(np.diff(first // _BLOCK)) + 1
+        out = np.empty((2, w.size))
+        for r0, r1 in zip(np.append(0, cut), np.append(cut, w.size)):
+            n = count[r0:r1]
+            row = np.repeat(np.arange(r1 - r0), n)
+            j = np.arange(n.sum()) + np.repeat(lo[r0:r1] - np.cumsum(n) + n,
+                                               n)
+            a, alpha, beta, c2, b2 = (k.take(j) for k in self._knots)
+            wb = w[r0:r1].take(row)
+            x = wb / a
+            q = -c2 * wb * wb * np.log(x)
+            t = wb - a
+            v = wb + a
+            lt = np.log(np.abs(t) / a + (t == 0.0))     # 0 at t = 0
+            lp = np.log1p(x)
+            e = (q + t * t * (alpha + beta * t) * lt
+                 + v * v * (alpha - beta * v) * lp)
+            de = (b2 * wb + 2.0 * q / wb
+                  + t * (2.0 * alpha + 3.0 * beta * t) * lt
+                  + v * (2.0 * alpha - 3.0 * beta * v) * lp)
+            out[0, r0:r1] = np.bincount(row, e, r1 - r0)
+            out[1, r0:r1] = np.bincount(row, de, r1 - r0)
         return out
 
     def _end_terms(self, w: np.ndarray, p0: float, p1: float) -> np.ndarray:

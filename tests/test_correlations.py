@@ -1,20 +1,24 @@
 """Tests for equilibrium covariances and correlation spectra."""
+import gc
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 
 from nonmarkov.correlations import (
     CovarianceMatrix,
+    _covariance0_cached,
     covariance0,
     exact_entries_vec,
     rt_entries_vec,
     rt_spectrum_general,
 )
 from nonmarkov.errors import CutoffSensitive
+from nonmarkov.quantifiers import quantify
 from nonmarkov.response import ModelParams, chi_qq_vec
-from nonmarkov.spectral import OhmicSD, PeakedSD
+from nonmarkov.spectral import OhmicSD, PeakedSD, TabulatedSD
 
 PEAKED = PeakedSD(coupling=1.0, width=0.5, resonance=2.0)
 FREE_QUANTUM_CQQ = 0.6565176427496657  # (ħ/2ω₀)·coth(βħω₀/2) at ħ=1, β=2, ω₀=1
@@ -156,3 +160,20 @@ class TestRTSpectrum:
         for i, w in enumerate(ws):
             m = rt_entries_vec(p, PEAKED, float(w), c0)
             assert e[0, 1, i] == pytest.approx(m[0, 1], abs=1e-15)
+
+
+class TestCovarianceCache:
+    def test_cache_does_not_keep_every_table_alive(self):
+        # n2 caches the covariance of each table it sees; the cache must
+        # not hold on to every table and its γ̃ memo
+        p = ModelParams(omega0=1.0, beta=1.0, hbar=0.0)
+        w = np.linspace(0.0, 48.0, 41)
+        refs = []
+        for i in range(20):
+            sd = TabulatedSD(w, (0.4 + 0.01 * i) * w * np.exp(-w / 4.0))
+            quantify(p, sd, which="n2")
+            refs.append(weakref.ref(sd))
+            del sd
+        gc.collect()
+        alive = sum(r() is not None for r in refs)
+        assert alive <= _covariance0_cached.cache_info().maxsize <= 4
