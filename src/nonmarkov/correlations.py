@@ -12,18 +12,20 @@ Three pieces of the stationary state:
 Both spectra are ndarrays of shape (2, 2) + ω.shape, entries first, like
 every 2×2 function of ω in ``response``.
 
-Thermal weights use the detailed-balance factor 2ħω/(1−e^{−βħω}); the
-classical branch (ħ = 0 exactly) replaces it by 2/β.  The removable
-singularity at ω = 0 is handled by a series expansion of the Bose
-factor, and Im χ̃_qq/ω is evaluated as Re γ̃·|χ̃_qq|², which is finite
-everywhere by construction.
+One thermal weight serves both: the detailed-balance factor
+2ħω/(1−e^{−βħω}), evaluated through ``expm1`` and equal to 2/β at ω = 0
+and in the classical branch (ħ = 0 exactly).  The covariance weight
+ħω·coth(βħω/2) is that factor minus ħω.  Im χ̃_qq/ω is evaluated as
+Re γ̃·|χ̃_qq|², which is finite everywhere by construction.
 
-The momentum variance of a strict Ohmic bath with ħ > 0 grows
-logarithmically with frequency, so that integral is truncated at the
-model cutoff Λ; a wider-than-1% shift between Λ and 2Λ triggers a
-``CutoffSensitive`` warning.  Integrands that decay faster than ω^{-3/2}
-are instead integrated to infinity through a compactifying map, keeping
-the covariances cutoff-independent whenever they converge.
+c_qq and c_pp are the two rows of one integrand, so each range is one
+pass on shared panels: [0, Λ] for both rows, then [Λ, ∞) through a
+compactifying map for the rows that decay faster than ω^{-3/2}, keeping
+the covariances cutoff-independent whenever they converge.  The
+momentum variance of a strict Ohmic bath with ħ > 0 grows
+logarithmically with frequency instead, so that row stops at the model
+cutoff Λ, and a pass over [Λ, 2Λ] measures its drift; a shift wider
+than 1% triggers a ``CutoffSensitive`` warning.
 """
 from __future__ import annotations
 
@@ -56,9 +58,6 @@ __all__ = [
     "rt_entries_vec",
 ]
 
-_SERIES_THRESHOLD = 1e-4
-
-
 @dataclass(frozen=True)
 class CovarianceMatrix:
     """Equal-time equilibrium covariances; off-diagonals vanish."""
@@ -82,42 +81,13 @@ class CovarianceMatrix:
         return np.diag([self.c_qq, self.c_pp])
 
 
-def _thermal_weight_times_omega(omega: np.ndarray, beta: float,
-                                hbar: float) -> np.ndarray:
-    """ω·(thermal weight) = ħω·coth(βħω/2), even and finite at ω = 0.
-
-    Classical branch returns the constant 2/β.
-    """
-    if hbar == 0.0:
-        return np.full(omega.shape, 2.0 / beta)
-    x = beta * hbar * omega
-    out = np.empty(omega.shape)
-    small = np.abs(x) < _SERIES_THRESHOLD
-    out[small] = 2.0 / beta + beta * (hbar * omega[small]) ** 2 / 6.0 \
-        - beta ** 3 * (hbar * omega[small]) ** 4 / 360.0
-    xb = x[~small]
-    out[~small] = hbar * omega[~small] / np.tanh(xb / 2.0)
-    return out
-
-
-def _bose_weight(omega: np.ndarray, beta: float, hbar: float) -> np.ndarray:
-    """2ħω/(1−e^{−βħω}), the detailed-balance weight; 2/β when ħ = 0.
-
-    Near ω = 0 the removable singularity is replaced by the series
-    x/(1−e^{−x}) = 1 + x/2 + x²/12 − x⁴/720 + …
-    """
-    if hbar == 0.0:
-        return np.full(omega.shape, 2.0 / beta)
-    x = beta * hbar * omega
-    out = np.empty(omega.shape)
-    small = np.abs(x) < _SERIES_THRESHOLD
-    xs = x[small]
-    out[small] = (2.0 / beta) * (1.0 + xs / 2.0 + xs ** 2 / 12.0
-                                 - xs ** 4 / 720.0)
-    with np.errstate(over="ignore"):
-        xb = x[~small]
-        out[~small] = 2.0 * hbar * omega[~small] / (1.0 - np.exp(-xb))
-    return out
+def _bose_weight(omega, beta: float, hbar: float) -> np.ndarray:
+    """2ħω/(1−e^{−βħω}), the detailed-balance weight; 2/β at ω = 0 and
+    when ħ = 0.  ``expm1`` keeps it accurate for small βħω."""
+    omega = np.asarray(omega, dtype=float)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        weight = 2.0 * hbar * omega / -np.expm1(-beta * hbar * omega)
+    return np.where(hbar * omega == 0.0, 2.0 / beta, weight)
 
 
 def _im_chi_over_omega(p: ModelParams, sd: SpectralDensity,
@@ -135,15 +105,6 @@ def _free_covariance(p: ModelParams) -> CovarianceMatrix:
     return CovarianceMatrix(half / p.omega0, half * p.omega0)
 
 
-def _tail_slope(fn, top: float) -> float:
-    xs = np.geomspace(top / 10.0, top, 9)
-    ys = np.abs(fn(xs))
-    if np.any(ys <= 0.0):
-        return -math.inf
-    slope, _ = np.polyfit(np.log(xs), np.log(ys), 1)
-    return float(slope)
-
-
 # Keyed on the spectral density, so the cache keeps its entries' tables
 # (and their γ̃ memos) alive; its only hit is the cutoff-drift re-read of
 # the covariance just computed, which a few entries serve.
@@ -154,25 +115,30 @@ def _covariance0_cached(p: ModelParams, sd: SpectralDensity,
     bp += [10.0 * p.omega0, 100.0 * p.omega0]
     top = p.cutoff
 
-    def component(power: int):
-        def integrand(w: np.ndarray):
-            w = np.asarray(w, dtype=float)
-            val = _thermal_weight_times_omega(w, p.beta, p.hbar) \
-                * _im_chi_over_omega(p, sd, w) * w ** power
-            return val + 0.0j
+    def rows(w: np.ndarray) -> np.ndarray:
+        # ħω·coth(βħω/2)·Im χ̃_qq/ω, then ω² times it
+        s = ((_bose_weight(w, p.beta, p.hbar) - p.hbar * w)
+             * _im_chi_over_omega(p, sd, w))
+        return np.array([s, w * w * s])
 
-        main = integrate(integrand, 0.0, top, cfg, breakpoints=bp).real
-        if _tail_slope(integrand, top) < -1.5:
-            tail = integrate(integrand, top, math.inf, cfg).real
-            return (main + tail) / math.pi, 0.0
-        extra = integrate(integrand, top, 2.0 * top, cfg).real
-        return main / math.pi, abs(extra / math.pi)
-
-    c_qq, drift_qq = component(0)
-    c_pp, drift_pp = component(2)
-    drift = max(drift_qq / c_qq if c_qq else 0.0,
-                drift_pp / c_pp if c_pp else 0.0)
-    return CovarianceMatrix(c_qq, c_pp), drift
+    main = integrate(rows, 0.0, top, cfg, breakpoints=bp).real
+    # a row decays when its log-log slope over [Λ/10, Λ] is below −3/2
+    # (or it has a non-positive sample there); it is then integrated to
+    # infinity, and every other row to 2Λ to measure the drift
+    xs = np.geomspace(top / 10.0, top, 9)
+    ys = np.abs(rows(xs))
+    positive = (ys > 0.0).all(axis=1)
+    ly = np.log(np.where(ys > 0.0, ys, 1.0))
+    decays = ~positive | (np.polyfit(np.log(xs), ly.T, 1)[0] < -1.5)
+    total = main.copy()
+    if decays.any():
+        total[decays] += integrate(lambda w: rows(w)[decays], top, math.inf,
+                                   cfg).real
+    cov = CovarianceMatrix(*(total / math.pi).tolist())
+    if decays.all():
+        return cov, 0.0
+    extra = integrate(lambda w: rows(w)[~decays], top, 2.0 * top, cfg).real
+    return cov, float(np.max(np.abs(extra) / main[~decays]))
 
 
 def covariance0(p: ModelParams, sd: SpectralDensity,

@@ -69,6 +69,8 @@ _PARITIES = ("none", "even", "odd", "hermitian")
 _PARITY_PROBE_SEED = 180451
 _MAX_ROUNDS = 400
 _TINY = 1e-300
+# minimum panels per oscillation period 2π/t in the transforms
+_PANELS_PER_PERIOD = 8
 
 
 @dataclass(frozen=True)
@@ -84,8 +86,6 @@ class QuadratureConfig:
         Starting symmetric exclusion radius ε for principal values.
     max_subdivisions
         Cap on the total number of panels of one adaptive integral.
-    oscillatory_panel_per_period
-        Minimum panels per oscillation period 2π/t in the transforms.
     """
 
     half_width: float = 200.0
@@ -93,14 +93,13 @@ class QuadratureConfig:
     abs_tol: float = 1e-12
     pv_radius: float = 1e-3
     max_subdivisions: int = 20000
-    oscillatory_panel_per_period: int = 8
 
     def __post_init__(self) -> None:
         if not (self.half_width > 0 and self.rel_tol > 0 and self.abs_tol > 0
                 and self.pv_radius > 0):
             raise ValueError("half_width, rel_tol, abs_tol, pv_radius must be > 0")
-        if self.max_subdivisions < 1 or self.oscillatory_panel_per_period < 1:
-            raise ValueError("subdivision and panel counts must be >= 1")
+        if self.max_subdivisions < 1:
+            raise ValueError("max_subdivisions must be >= 1")
 
 
 _DEFAULT_CFG = QuadratureConfig()
@@ -263,26 +262,28 @@ def _half_line(f, a: float, cfg: QuadratureConfig, breakpoints=()):
 
 
 def integrate(f, a: float, b: float, cfg: QuadratureConfig | None = None,
-              *, breakpoints=()) -> complex:
+              *, breakpoints=()) -> complex | np.ndarray:
     """Adaptive integral of f over [a, b]; b may be +inf (half-line map).
 
-    Raises NonConvergence (with best estimate attached) when the panel
-    budget is exhausted or a half-line integral diverges, NonFinite if
-    the integrand returns NaN/inf.
+    A scalar f gives a complex; a k-row f gives the complex array of its
+    k integrals, all rows on one shared panel set, each row with its own
+    tolerance.  Raises NonConvergence (with best estimate attached) when
+    the panel budget is exhausted or a half-line integral diverges,
+    NonFinite if the integrand returns NaN/inf.
     """
     cfg = cfg or _DEFAULT_CFG
     if math.isinf(b):
         if math.isinf(a):
             raise ValueError("at least one integration bound must be finite")
         val, _, _ = _half_line(f, a, cfg, breakpoints)
-        return complex(val)
-    if math.isinf(a):
+    elif math.isinf(a):
         return integrate(lambda x: f(-x), -b, -a, cfg,
                          breakpoints=[-p for p in breakpoints])
-    if not a < b:
+    elif not a < b:
         raise ValueError("integration bounds must satisfy a < b")
-    val, _, _ = _adaptive(f, _with_breakpoints(a, b, breakpoints), cfg)
-    return complex(val)
+    else:
+        val, _, _ = _adaptive(f, _with_breakpoints(a, b, breakpoints), cfg)
+    return complex(val) if np.ndim(val) == 0 else val
 
 
 def _power_law_tail(xs: np.ndarray, ys: np.ndarray, W: float) -> np.ndarray:
@@ -516,7 +517,7 @@ def _oscillatory_transform(f, t: float, cfg: QuadratureConfig, kinds,
                 estimate=exc.estimate, error_bound=exc.error_bound) from exc
         return np.real(val) * (2.0 / math.pi)
 
-    max_width = 2.0 * math.pi / t / cfg.oscillatory_panel_per_period
+    max_width = 2.0 * math.pi / t / _PANELS_PER_PERIOD
     W = max(4.0 * max(breakpoints, default=1.0), 20.0 / t)
     bound = np.full(sin_rows.shape, math.inf)
     while True:
@@ -539,9 +540,9 @@ def _oscillatory_transform(f, t: float, cfg: QuadratureConfig, kinds,
 
 def sine_transform(f, t: float, cfg: QuadratureConfig | None = None,
                    *, breakpoints=()) -> float:
-    """(2/π)∫₀^∞ f(ω) sin(ωt) dω with ≥ oscillatory_panel_per_period
-    panels per period 2π/t on a window sized from f's by-parts tail.
-    Returns the real part of the transform."""
+    """(2/π)∫₀^∞ f(ω) sin(ωt) dω with at least 8 panels per period 2π/t
+    on a window sized from f's by-parts tail.  Returns the real part of
+    the transform."""
     return float(_oscillatory_transform(f, t, cfg or _DEFAULT_CFG, "sin",
                                         breakpoints))
 

@@ -29,6 +29,7 @@ physics automatically.
 """
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -63,10 +64,13 @@ CHI_PLUS_INV = np.array([[0.0, 1.0], [-1.0, 0.0]])
 class ModelParams:
     """Oscillator and bath-state parameters.
 
-    omega0  system frequency ω₀ > 0 (the natural unit of the problem)
-    beta    inverse temperature β > 0
+    omega0  system frequency ω₀, finite and > 0 (the natural unit of the
+            problem)
+    beta    inverse temperature β > 0; β = ∞ (the ground state) only
+            when ħ > 0
     hbar    quantum of action; exactly 0 selects the classical branch
-    cutoff  UV cutoff Λ for the covariance integrals that need one
+    cutoff  finite UV cutoff Λ > ω₀ for the covariance integrals that
+            need one
     """
 
     omega0: float
@@ -76,16 +80,19 @@ class ModelParams:
 
     def __post_init__(self) -> None:
         # each message starts with the name of the parameter at fault
-        if not self.omega0 > 0.0:
-            raise ValueError("omega0 must be > 0")
+        if not 0.0 < self.omega0 < math.inf:
+            raise ValueError("omega0 must be finite and > 0")
         if not self.beta > 0.0:
             raise ValueError("beta must be > 0")
         if not self.hbar >= 0.0:
             raise ValueError("hbar must be >= 0")
+        if self.hbar == 0.0 and math.isinf(self.beta):
+            raise ValueError("beta must be finite when hbar = 0 (the "
+                             "classical covariances vanish at T = 0)")
         if self.cutoff is None:
             object.__setattr__(self, "cutoff", 1000.0 * self.omega0)
-        if not self.cutoff > self.omega0:
-            raise ValueError("cutoff must exceed omega0")
+        if not self.omega0 < self.cutoff < math.inf:
+            raise ValueError("cutoff must be finite and exceed omega0")
         if self.cutoff <= 10.0 * self.omega0:
             warnings.warn("cutoff within a decade of omega0; covariance "
                           "integrals will be crude", CutoffSensitive)
@@ -181,6 +188,14 @@ def feature_frequencies(p: ModelParams, sd: SpectralDensity) -> list[float]:
     """Positive frequencies where χ̃ has structure (resonance cluster,
     coupled-mode frequencies, kernel features).  Used as quadrature
     breakpoints so that narrow resonances are never missed."""
+    return list(_feature_frequencies(p, sd))
+
+
+# One model at a time: a χ(t) series asks again for every t, and a
+# quantifier for every pass.
+@functools.lru_cache(maxsize=1)
+def _feature_frequencies(p: ModelParams,
+                         sd: SpectralDensity) -> tuple[float, ...]:
     pts: list[float] = [p.omega0]
     if not is_decoupled(sd):
         # damped/shifted resonance: two fixed-point refinements of
@@ -209,7 +224,7 @@ def feature_frequencies(p: ModelParams, sd: SpectralDensity) -> list[float]:
             if nu > 1e-12:
                 pts.extend([nu, nu - sig, nu + sig, nu - 3 * sig, nu + 3 * sig])
     pts.extend(sd.feature_frequencies())
-    return sorted({x for x in pts if x > 0.0})
+    return tuple(sorted({x for x in pts if x > 0.0}))
 
 
 def _free_propagator(p: ModelParams, t: float) -> np.ndarray:

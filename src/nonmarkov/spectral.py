@@ -60,6 +60,8 @@ _TERMS = 26
 # largest ratio of knot frequencies within which the series tables take
 # powers relative to one knot; _SPAN**(2·_TERMS) stays far from overflow
 _SPAN = 1e3
+# 32-point Gauss–Legendre nodes and weights on [−1, 1] for the moments
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 
 
 def _scaled_suffix(x: np.ndarray, coef: np.ndarray) -> np.ndarray:
@@ -309,13 +311,12 @@ class TabulatedSD(SpectralDensity):
         # the moments M_m = μ·top^m of J, by 32-point Gauss–Legendre per
         # segment (exact for these polynomials of degree ≤ 62, and for the
         # quadratic J/ν on the first segment)
-        xi, wt = np.polynomial.legendre.leggauss(32)
         g0, mu = 0.0, np.zeros(_MOMENTS)
-        step = _BLOCK // xi.size
+        step = _BLOCK // _GL_NODES.size
         for lo in range(0, h.size, step):
             half = 0.5 * h[lo:lo + step, None]
-            nodes = x[lo:lo + step, None] - half * (1.0 - xi)
-            jw = interp(nodes) * half * wt
+            nodes = x[lo:lo + step, None] - half * (1.0 - _GL_NODES)
+            jw = interp(nodes) * half * _GL_WEIGHTS
             g0 += float(np.sum(jw / nodes))
             r = nodes / top
             term, r2 = jw * r, r * r

@@ -298,6 +298,9 @@ class TestConfiguration:
         (["--beta", "-1"], "beta"),
         (["--hbar", "-1"], "hbar"),
         (["--cutoff", "0.5"], "cutoff"),
+        (["--sd", "peaked", "--quantifier", "n2", "--cutoff", "inf"],
+         "cutoff"),
+        (["--beta", "inf", "--hbar", "0"], "beta"),
     ])
     def test_bad_model_parameter_names_its_key(self, flags, key, capsys):
         rc = cli.main(["--mode", "quantify"] + flags)

@@ -4,11 +4,13 @@ import math
 import warnings
 import weakref
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from nonmarkov.correlations import (
     CovarianceMatrix,
+    _bose_weight,
     _covariance0_cached,
     covariance0,
     exact_entries_vec,
@@ -66,6 +68,13 @@ class TestCovariance0:
             c = covariance0(p, PEAKED)
         assert c.c_qq > 0.5  # zero-point motion on top of thermal
 
+    def test_quantum_ground_state_is_the_cold_limit(self):
+        cold = covariance0(ModelParams(omega0=1.0, beta=1e4, hbar=1.0), PEAKED)
+        ground = covariance0(ModelParams(omega0=1.0, beta=math.inf, hbar=1.0),
+                             PEAKED)
+        assert ground.c_qq == pytest.approx(cold.c_qq, rel=1e-6)
+        assert ground.c_pp == pytest.approx(cold.c_pp, rel=1e-6)
+
     def test_deterministic(self):
         p = ModelParams(omega0=1.0, beta=2.0)
         a = covariance0(p, OhmicSD(0.3))
@@ -77,6 +86,70 @@ class TestCovariance0:
             CovarianceMatrix(0.0, 1.0)
         with pytest.raises(ValueError):
             CovarianceMatrix(1.0, -0.2)
+
+
+class TestBoseWeight:
+    @pytest.mark.parametrize("beta, hbar", [(1.0, 1.0), (2.5, 0.7)])
+    def test_matches_extended_precision(self, beta, hbar):
+        # small βħω is where a plain 1 − e^{−x} loses digits
+        x = np.geomspace(1e-9, 60.0, 400)
+        omega = np.concatenate((x, -x)) / (beta * hbar)
+        got = _bose_weight(omega, beta, hbar)
+        with mp.workdps(40):
+            bh = mp.mpf(beta) * mp.mpf(hbar)
+            for w, g in zip(omega, got):
+                want = 2 * mp.mpf(hbar) * w / -mp.expm1(-bh * w)
+                assert abs(g - want) <= 2e-14 * abs(want), w
+
+    def test_zero_frequency_and_classical_branch(self):
+        assert _bose_weight(0.0, 2.5, 0.7) == 2.0 / 2.5
+        assert np.all(_bose_weight(np.array([-3.0, 0.0, 4.0]), 2.5, 0.0)
+                      == 2.0 / 2.5)
+
+
+def _matsubara(p, kernel, n_terms=200_000):
+    """c_qq = (1/β)Σ_n χ̃_qq(i|ν_n|) and
+    c_pp = (1/β)Σ_n [1 − ν_n²·χ̃_qq(i|ν_n|)] over ν_n = 2πn/(βħ), n ∈ ℤ,
+    with χ̃_qq(iν) = 1/(ω₀² + ν² + ν·γ̃(iν)) and kernel(ν) = γ̃(iν).
+    The n = 0 term plus twice the sum over n = 1 … N, whose terms fall
+    like c/n², plus the tail c/(N + ½); the c_pp terms are summed as
+    (ω₀² + ν·γ̃)·χ̃_qq, which does not cancel."""
+    n = np.arange(1, n_terms + 1, dtype=float)
+    nu = 2.0 * np.pi * n / (p.beta * p.hbar)
+    restoring = p.omega0 ** 2 + nu * kernel(nu)
+    chi = 1.0 / (restoring + nu ** 2)
+    out = []
+    for zero, terms in ((1.0 / p.omega0 ** 2, chi), (1.0, restoring * chi)):
+        tail = terms[-1] * n_terms ** 2 / (n_terms + 0.5)
+        out.append((zero + 2.0 * (terms.sum() + tail)) / p.beta)
+    return out
+
+
+class TestMatsubaraReference:
+    """covariance0 against the Matsubara sums of the imaginary-frequency
+    susceptibility (Grabert, Schramm & Ingold, Phys. Rep. 168, 115)."""
+
+    @pytest.mark.parametrize("beta", [0.3, 1.0, 5.0])
+    @pytest.mark.parametrize("d, gamma, big", [
+        (0.75, 0.63, 1.0), (1.0, 0.5, 2.0), (1.2, 0.3, 2.5)])
+    def test_peaked(self, d, gamma, big, beta):
+        p = ModelParams(omega0=1.0, beta=beta, hbar=1.0)
+        c_qq, c_pp = _matsubara(p, lambda nu: (d / big) ** 2 * (gamma + nu)
+                                / (big ** 2 + nu ** 2 + gamma * nu))
+        c = covariance0(p, PeakedSD(d, gamma, big))
+        assert c.c_qq == pytest.approx(c_qq, rel=1e-10)
+        assert c.c_pp == pytest.approx(c_pp, rel=1e-10)
+
+    @pytest.mark.parametrize("beta", [0.3, 1.0, 5.0])
+    @pytest.mark.parametrize("d", [0.05, 0.5, 1.0, 2.5])
+    def test_ohmic_position(self, d, beta):
+        # γ̃(iν) = D; c_pp diverges with the cutoff, c_qq does not
+        p = ModelParams(omega0=1.0, beta=beta, hbar=1.0)
+        c_qq, _ = _matsubara(p, lambda nu: d)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CutoffSensitive)
+            c = covariance0(p, OhmicSD(d))
+        assert c.c_qq == pytest.approx(c_qq, rel=1e-9)
 
 
 class TestExactSpectrum:

@@ -301,6 +301,15 @@ class TestModelParams:
         with pytest.raises(ValueError):
             ModelParams(omega0=1.0, beta=1.0, cutoff=0.5)
 
+    @pytest.mark.parametrize("kwargs, key", [
+        (dict(omega0=math.inf, beta=1.0), "omega0"),
+        (dict(omega0=1.0, beta=1.0, cutoff=math.inf), "cutoff"),
+        (dict(omega0=1.0, beta=math.inf), "beta"),
+    ])
+    def test_rejects_non_finite(self, kwargs, key):
+        with pytest.raises(ValueError, match=f"^{key} must be finite"):
+            ModelParams(**kwargs)
+
     def test_low_cutoff_warns(self):
         with pytest.warns(CutoffSensitive):
             ModelParams(omega0=1.0, beta=1.0, cutoff=5.0)
