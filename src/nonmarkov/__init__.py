@@ -15,11 +15,11 @@ and grows with D.
 Layers, bottom up:
 
 ``quadrature``
-    one adaptive Gauss–Kronrod engine for complex integrands of one or
+    one adaptive Gauss–Kronrod engine for vectorized callables of one or
     many rows on shared panels: finite and half-line integrals, Cauchy
     principal values, oscillatory sine/cosine transforms, and the
     whole-line pass that gives ⟨f,g⟩, ‖f‖² and ‖g‖² together with tail
-    accounting.
+    accounting, folded onto [0, W] for the hermitian sides of n1.
 ``spectral``
     Ohmic, peaked and tabulated spectral densities J(ω) with their
     memory kernels γ̃(ω) and derivatives.
@@ -49,18 +49,15 @@ from .errors import (
     NonConvergence,
     NonFinite,
     NumericsError,
-    ParityViolation,
     PVFailure,
     TailDominates,
     UnstableStep,
     ZeroNorm,
 )
 from .quadrature import (
-    Integrand,
     LineIntegral,
     QuadratureConfig,
     cosine_transform,
-    inner_product_info,
     integrate,
     principal_value,
     sine_transform,
@@ -91,7 +88,6 @@ from .correlations import (
     covariance0_drift,
     exact_entries_vec,
     rt_entries_vec,
-    rt_spectrum_general,
 )
 from .quantifiers import (
     EntryDiagnostics,
@@ -120,7 +116,6 @@ __all__ = [
     "DerivativeUnstable",
     "DivisionNearZero",
     "EntryDiagnostics",
-    "Integrand",
     "LangevinConfig",
     "LangevinResult",
     "LineIntegral",
@@ -129,7 +124,6 @@ __all__ = [
     "NonFinite",
     "NumericsError",
     "OhmicSD",
-    "ParityViolation",
     "PVFailure",
     "PeakedSD",
     "QuadratureConfig",
@@ -154,7 +148,6 @@ __all__ = [
     "embedding_static_sum",
     "exact_entries_vec",
     "feature_frequencies",
-    "inner_product_info",
     "integrate",
     "is_decoupled",
     "langevin_means",
@@ -164,7 +157,6 @@ __all__ = [
     "quantify",
     "regression_quantifier",
     "rt_entries_vec",
-    "rt_spectrum_general",
     "sine_transform",
     "__version__",
 ]

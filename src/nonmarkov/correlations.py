@@ -39,11 +39,8 @@ import numpy as np
 from .errors import CutoffSensitive
 from .quadrature import QuadratureConfig, integrate
 from .response import (
-    CHI_PLUS_INV,
     ModelParams,
     _chi_qq,
-    _matmul2,
-    chi_matrix,
     chi_qq_vec,
     feature_frequencies,
     is_decoupled,
@@ -54,7 +51,6 @@ __all__ = [
     "CovarianceMatrix",
     "covariance0",
     "exact_entries_vec",
-    "rt_spectrum_general",
     "rt_entries_vec",
 ]
 
@@ -195,13 +191,3 @@ def rt_entries_vec(p: ModelParams, sd: SpectralDensity, omega,
     qp = c0.c_pp * c - c0.c_qq * (omega ** 2 * np.conj(c) + 1.0)
     return np.array([[2.0 * omega * c0.c_qq * im_c + 0.0j, qp],
                      [np.conj(qp), 2.0 * omega * c0.c_pp * im_c + 0.0j]])
-
-
-def rt_spectrum_general(p: ModelParams, sd: SpectralDensity, omega,
-                        c0: CovarianceMatrix) -> np.ndarray:
-    """Matrix form χ̃ χ₊⁻¹ C(0) − C(0) χ₊⁻¹ χ̃† of the same prediction,
-    kept separate as an algebraic cross-check of the explicit entries."""
-    chi = chi_matrix(p, sd, omega)
-    c = c0.as_array()
-    return (_matmul2(_matmul2(chi, CHI_PLUS_INV), c)
-            - _matmul2(_matmul2(c, CHI_PLUS_INV), chi.conj().swapaxes(0, 1)))

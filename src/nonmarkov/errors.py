@@ -73,10 +73,6 @@ class UnstableStep(NumericsError):
     unstable discretization (time step too large)."""
 
 
-class ParityViolation(ValueError):
-    """A declared integrand symmetry failed its spot check."""
-
-
 class CutoffSensitive(UserWarning):
     """A covariance integral changes materially when the UV cutoff is
     doubled; the returned value is cutoff-regularized, not converged."""

@@ -9,7 +9,8 @@ engine sit the operations the rest of the package needs:
 * ``integrate``          adaptive integral on [a, b], b may be +inf
 * ``inner_product_info`` ⟨f,g⟩ = ∫ f(ω) g*(ω) dω, ‖f‖² and ‖g‖² over
                          [-W, W] in one pass, for every row of f and g,
-                         with power-law tail estimates and parity shortcuts
+                         with power-law tail estimates; a hermitian pair
+                         is folded onto [0, W]
 * ``principal_value``    Cauchy principal value by symmetric exclusion and
                          Richardson extrapolation over ε, ε/2, ε/4
 * ``sine_transform``     (2/π)∫₀^∞ f(ω) sin(ωt) dω with period-locked panels
@@ -18,27 +19,24 @@ engine sit the operations the rest of the package needs:
 * ``cosine_transform``   same with cos(ωt); at t = 0 the half-line
                          integral of f, which must converge
 
-Integrand evaluators must be vectorized: they receive a float ndarray of
-N points and return N values (real or complex), or an array of shape
+An integrand is a plain vectorized callable: it receives a float ndarray
+of N points and returns N values (real or complex), or an array of shape
 rows + (N,).  Every operation is pure, and repeated evaluation with
 identical inputs is bit-identical.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass, replace
-from typing import Callable
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import NonConvergence, NonFinite, ParityViolation, PVFailure
+from .errors import NonConvergence, NonFinite, PVFailure
 
 __all__ = [
     "QuadratureConfig",
-    "Integrand",
     "LineIntegral",
     "integrate",
-    "inner_product_info",
     "principal_value",
     "sine_transform",
     "cosine_transform",
@@ -65,8 +63,6 @@ _KWEIGHTS = np.concatenate((_WGK[:7], _WGK[::-1]))
 _GWEIGHTS = np.zeros(15)
 _GWEIGHTS[[1, 3, 5, 7, 9, 11, 13]] = np.concatenate((_WG[:3], _WG[::-1]))
 
-_PARITIES = ("none", "even", "odd", "hermitian")
-_PARITY_PROBE_SEED = 180451
 _MAX_ROUNDS = 400
 _TINY = 1e-300
 # minimum panels per oscillation period 2π/t in the transforms
@@ -103,44 +99,6 @@ class QuadratureConfig:
 
 
 _DEFAULT_CFG = QuadratureConfig()
-
-
-@dataclass(frozen=True)
-class Integrand:
-    """A vectorized evaluator plus an optional symmetry declaration.
-
-    parity describes f on the whole real line: "even" f(-x) = f(x),
-    "odd" f(-x) = -f(x), "hermitian" f(-x) = f(x)*; for a k-row f it
-    holds for every row.  Declared parities are spot-checked at three
-    fixed pseudo-random points in |x| ∈ [0.1, 10]; a failed check rejects
-    the handle.
-    """
-
-    fn: Callable[[np.ndarray], np.ndarray]
-    parity: str = "none"
-    skip_check: InitVar[bool] = False
-
-    def __post_init__(self, skip_check: bool) -> None:
-        if self.parity not in _PARITIES:
-            raise ValueError(f"unknown parity {self.parity!r}, use one of {_PARITIES}")
-        if self.parity != "none" and not skip_check:
-            self._verify_parity()
-
-    def __call__(self, x) -> np.ndarray:
-        return np.asarray(self.fn(np.asarray(x, dtype=float)), dtype=complex)
-
-    def _verify_parity(self) -> None:
-        rng = np.random.default_rng(_PARITY_PROBE_SEED)
-        x = 10.0 ** rng.uniform(-1.0, 1.0, size=3)
-        fp = self(x)
-        fm = self(-x)
-        expect = {"even": fp, "odd": -fp, "hermitian": np.conj(fp)}[self.parity]
-        scale = np.maximum(np.abs(fp), np.abs(fm))
-        bad = np.abs(fm - expect) > 1e-10 * np.maximum(scale, _TINY)
-        bad = bad.reshape(-1, x.size).any(axis=0)
-        if bad.any():
-            raise ParityViolation(
-                f"declared parity {self.parity!r} fails at x = {x[bad][0]:.6g}")
 
 
 def _eval_panels(fn, lo: np.ndarray, hi: np.ndarray):
@@ -332,44 +290,34 @@ class LineIntegral:
     panels: int
 
 
-def inner_product_info(f: Integrand, g: Integrand,
-                       cfg: QuadratureConfig | None = None,
-                       *, breakpoints=()) -> LineIntegral:
+def inner_product_info(f, g, cfg: QuadratureConfig | None = None,
+                       *, breakpoints=(), hermitian: bool = False
+                       ) -> LineIntegral:
     """⟨f,g⟩ = ∫ f(ω) g*(ω) dω, ‖f‖² and ‖g‖² over [-W, W] in one pass,
     with tail estimates and no tail policing.
 
     f and g may return k rows each; row r of f pairs with row r of g,
-    and each of the 3k integrals keeps its own tolerance.  Declared
-    parities are used exactly: an even×odd pair gives ⟨f,g⟩ = 0.0, and
-    when f·g* is even (both factors even or both odd) or hermitian (both
-    hermitian) the pass runs over [0, W] and doubles, taking 2·Re in the
-    hermitian case.  |f|² and |g|² are even whenever their factor has
-    any declared parity.
+    and each of the 3k integrals keeps its own tolerance.  With
+    hermitian=True the caller asserts f(−ω) = f(ω)* and g(−ω) = g(ω)*
+    for every row, unchecked; then f g*(−ω) + f g*(ω) = 2 Re f g*(ω), so
+    the pass runs over [0, W] and takes 2·Re, and every integral is real.
     """
     cfg = cfg or _DEFAULT_CFG
     W = cfg.half_width
-    parities = {getattr(f, "parity", "none"), getattr(g, "parity", "none")}
-    orthogonal = parities == {"even", "odd"}
-    hermitian = parities == {"hermitian"}
-    half_line = hermitian or parities <= {"even", "odd"}
 
     def products(x):
-        fx, gx = f(x), g(x)
-        fg = np.zeros_like(fx) if orthogonal else fx * np.conj(gx)
-        return np.stack((fg, (fx * np.conj(fx)).real, (gx * np.conj(gx)).real))
+        fx = np.asarray(f(x), dtype=complex)
+        gx = np.asarray(g(x), dtype=complex)
+        return np.stack((fx * np.conj(gx), (fx * np.conj(fx)).real,
+                         (gx * np.conj(gx)).real))
 
     xs = np.geomspace(W / 10.0, W, 9)
     tail = _power_law_tail(xs, np.abs(products(xs)), W)
-    if half_line:
-        edges = _decade_edges(W, breakpoints)
-        if hermitian:
-            # f g*(−ω) + f g*(ω) = 2 Re f g*(ω), so every integral is real
-            val, err, n = _adaptive(lambda x: 2.0 * products(x).real, edges, cfg)
-        else:
-            val, err, n = _adaptive(lambda x: 2.0 * products(x), edges, cfg)
+    pos = _decade_edges(W, breakpoints)
+    if hermitian:
+        val, err, n = _adaptive(lambda x: 2.0 * products(x).real, pos, cfg)
         tail = 2.0 * tail
     else:
-        pos = _decade_edges(W, breakpoints)
         edges = np.concatenate((-pos[:0:-1], pos))
         val, err, n = _adaptive(products, edges, cfg)
         tail = tail + _power_law_tail(xs, np.abs(products(-xs)), W)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .correlations import covariance0, exact_entries_vec, rt_entries_vec
 from .errors import TailDominates, ZeroNorm
-from .quadrature import Integrand, QuadratureConfig, inner_product_info
+from .quadrature import QuadratureConfig, inner_product_info
 from .response import (
     _composed_response,
     chi_prime_matrix,
@@ -68,17 +68,19 @@ class QuantifierReport:
     diagnostics: dict[str, EntryDiagnostics]
 
 
-def _distance_info(f: Integrand, g: Integrand,
-                   cfg: QuadratureConfig, breakpoints=()):
+def _distance_info(f, g, cfg: QuadratureConfig, breakpoints=(),
+                   hermitian: bool = False):
     """Normalized distances of the row pairs of f and g from one
     ``inner_product_info`` pass, with their tail ratios and the panel
-    count of the pass.
+    count of the pass; hermitian=True folds the pass onto [0, W] and is
+    only for pairs with f(−ω) = f(ω)* and g(−ω) = g(ω)*.
 
     A row with a norm below 1e-14 is degenerate: its distance and tail
     ratio are NaN.  Raises TailDominates when the window is too small
     for any other row.
     """
-    res = inner_product_info(f, g, cfg, breakpoints=breakpoints)
+    res = inner_product_info(f, g, cfg, breakpoints=breakpoints,
+                             hermitian=hermitian)
     ip, ff, gg = res.value
     t_ip, t_ff, t_gg = res.tail
     nf2 = np.maximum(ff.real, 0.0)
@@ -101,12 +103,13 @@ def _distance_info(f: Integrand, g: Integrand,
     return np.sqrt(r), tail_ratio, res.panels
 
 
-def distance(f: Integrand, g: Integrand,
-             cfg: QuadratureConfig | None = None, *, breakpoints=()) -> float:
+def distance(f, g, cfg: QuadratureConfig | None = None,
+             *, breakpoints=()) -> float:
     """Normalized L2 distance 𝒟 = √(1 − |⟨f,g⟩|²/(‖f‖²‖g‖²)) ∈ [0, 1].
 
-    𝒟 vanishes exactly when g is a (complex) multiple of f and reaches 1
-    when the functions are orthogonal over the integration window.
+    f and g are vectorized callables of ω, integrated over the whole
+    window [−W, W].  𝒟 vanishes exactly when g is a (complex) multiple
+    of f and reaches 1 when the functions are orthogonal over the window.
 
     Raises
     ------
@@ -124,28 +127,26 @@ def distance(f: Integrand, g: Integrand,
 
 def _n1_sides(p, sd):
     """Three-row integrands (−i dχ̃/dω, χ̃ χ₊⁻¹ χ̃) at qq, qp, pp: the two
-    sides whose difference is ``divisibility_residual``."""
-    return (Integrand(lambda w: -1j * chi_prime_matrix(p, sd, w)[_ENTRY],
-                      "hermitian"),
-            Integrand(lambda w: _composed_response(p, sd, w)[_ENTRY],
-                      "hermitian"))
+    sides whose difference is ``divisibility_residual``.  Both are
+    hermitian, f(−ω) = f(ω)*, because χ̃ is the response of a real,
+    causal system."""
+    return (lambda w: -1j * chi_prime_matrix(p, sd, w)[_ENTRY],
+            lambda w: _composed_response(p, sd, w)[_ENTRY])
 
 
 def _n2_sides(p, sd, cov0):
     """Three-row integrands (exact spectrum, regression prediction) at
-    qq, qp, pp."""
-    # ħ > 0 breaks the ω ↦ −ω symmetry of the exact spectrum
-    return (Integrand(lambda w: exact_entries_vec(p, sd, w)[_ENTRY], "none"),
-            Integrand(lambda w: rt_entries_vec(p, sd, w, cov0)[_ENTRY],
-                      "none"))
+    qq, qp, pp; ħ > 0 breaks their ω ↦ −ω symmetry."""
+    return (lambda w: exact_entries_vec(p, sd, w)[_ENTRY],
+            lambda w: rt_entries_vec(p, sd, w, cov0)[_ENTRY])
 
 
-def _quantifier_matrix(p, sd, cfg, prefix, sides):
+def _quantifier_matrix(p, sd, cfg, prefix, sides, hermitian=False):
     """Entrywise distances from one pass over the three-row integrands
-    that sides() builds; qp and pq coincide by the entry structure (the
-    two off-diagonal functions differ only by an overall sign or a
-    complex conjugation, neither of which moves the distance).  A
-    degenerate entry reads 0."""
+    that sides() builds, folded onto [0, W] when they are hermitian; qp
+    and pq coincide by the entry structure (the two off-diagonal
+    functions differ only by an overall sign or a complex conjugation,
+    neither of which moves the distance).  A degenerate entry reads 0."""
     matrix = np.zeros((2, 2))
     if is_decoupled(sd):
         zero = EntryDiagnostics(0.0, 0, False)
@@ -153,7 +154,8 @@ def _quantifier_matrix(p, sd, cfg, prefix, sides):
                         for key in ("qq", "qp", "pq", "pp")}
 
     values, tails, panels = _distance_info(*sides(), cfg,
-                                           feature_frequencies(p, sd))
+                                           feature_frequencies(p, sd),
+                                           hermitian)
     values, tails = np.nan_to_num(values), np.nan_to_num(tails)
     matrix[_ENTRY] = values
     matrix[_ENTRY[::-1]] = values
@@ -175,7 +177,7 @@ def divisibility_quantifier(p, sd: SpectralDensity,
     Returns (2×2 real array, diagnostics dict).
     """
     return _quantifier_matrix(p, sd, cfg or _DEFAULT_CFG, "n1",
-                              lambda: _n1_sides(p, sd))
+                              lambda: _n1_sides(p, sd), hermitian=True)
 
 
 def regression_quantifier(p, sd: SpectralDensity,

@@ -68,7 +68,8 @@ class ModelParams:
             problem)
     beta    inverse temperature β > 0; β = ∞ (the ground state) only
             when ħ > 0
-    hbar    quantum of action; exactly 0 selects the classical branch
+    hbar    finite quantum of action ≥ 0; exactly 0 selects the classical
+            branch
     cutoff  finite UV cutoff Λ > ω₀ for the covariance integrals that
             need one
     """
@@ -84,8 +85,8 @@ class ModelParams:
             raise ValueError("omega0 must be finite and > 0")
         if not self.beta > 0.0:
             raise ValueError("beta must be > 0")
-        if not self.hbar >= 0.0:
-            raise ValueError("hbar must be >= 0")
+        if not 0.0 <= self.hbar < math.inf:
+            raise ValueError("hbar must be finite and >= 0")
         if self.hbar == 0.0 and math.isinf(self.beta):
             raise ValueError("beta must be finite when hbar = 0 (the "
                              "classical covariances vanish at T = 0)")

@@ -157,7 +157,7 @@ class PeakedSD(SpectralDensity):
 
     coupling = D (so the numerator carries D²), width = Γ, resonance = Ω.
     The closed-form kernel below is algebraic in Γ and Ω and remains
-    the correct dispersion transform of J for any Γ, Ω > 0, including
+    the correct dispersion transform of J for any finite Γ, Ω > 0, including
     the overdamped regime 2Ω² ≤ Γ² where the spectrum loses its peak.
     """
 
@@ -168,8 +168,10 @@ class PeakedSD(SpectralDensity):
     def __post_init__(self) -> None:
         if not (self.coupling >= 0.0 and math.isfinite(self.coupling)):
             raise ValueError("coupling must be finite and >= 0")
-        if not (self.width > 0.0 and self.resonance > 0.0):
-            raise ValueError("width and resonance must be > 0")
+        if not 0.0 < self.width < math.inf:
+            raise ValueError("width must be finite and > 0")
+        if not 0.0 < self.resonance < math.inf:
+            raise ValueError("resonance must be finite and > 0")
 
     def _denom(self, omega: np.ndarray) -> np.ndarray:
         w2 = omega ** 2

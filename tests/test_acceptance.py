@@ -15,7 +15,6 @@ import numpy as np
 
 from nonmarkov import (
     CutoffSensitive,
-    Integrand,
     LangevinConfig,
     ModelParams,
     OhmicSD,
@@ -200,11 +199,10 @@ def test_10_monte_carlo_langevin_agrees_with_propagation():
 
 def test_11_distance_axioms_and_offdiagonal_symmetry():
     budget = Budget(60.0)
-    gauss = Integrand(lambda w: np.exp(-w * w) + 0.0j, "even")
-    odd_gauss = Integrand(lambda w: w * np.exp(-w * w) + 0.0j, "odd")
+    gauss = lambda w: np.exp(-w * w) + 0.0j
+    odd_gauss = lambda w: w * np.exp(-w * w) + 0.0j
     assert distance(gauss, gauss) == 0.0
-    scaled = Integrand(lambda w: (0.7 - 2.3j) * np.exp(-w * w), "none",
-                       skip_check=True)
+    scaled = lambda w: (0.7 - 2.3j) * np.exp(-w * w)
     assert distance(gauss, scaled) < 1e-6
     assert distance(gauss, odd_gauss) == 1.0
 
@@ -234,12 +232,8 @@ def test_11_distance_axioms_and_offdiagonal_symmetry():
             c = chi_qq_vec(BETA1, sd, w)
             return sign * (c + 2.0 * w * w * c * c)
 
-        d_qp = distance(Integrand(deriv_side, "hermitian"),
-                        Integrand(quadratic_side, "hermitian"),
-                        breakpoints=bps)
-        d_pq = distance(
-            Integrand(lambda w: deriv_side(w, -1.0), "hermitian"),
-            Integrand(lambda w: quadratic_side(w, -1.0), "hermitian"),
-            breakpoints=bps)
+        d_qp = distance(deriv_side, quadratic_side, breakpoints=bps)
+        d_pq = distance(lambda w: deriv_side(w, -1.0),
+                        lambda w: quadratic_side(w, -1.0), breakpoints=bps)
         assert abs(d_qp - d_pq) < 1e-8
     budget.check("criterion 11 (distance axioms, qp/pq agreement 1e-8)")

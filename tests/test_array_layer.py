@@ -17,7 +17,6 @@ from nonmarkov.correlations import (
     CovarianceMatrix,
     exact_entries_vec,
     rt_entries_vec,
-    rt_spectrum_general,
 )
 from nonmarkov.errors import DerivativeUnstable
 from nonmarkov.quantifiers import _n1_sides
@@ -29,6 +28,8 @@ from nonmarkov.response import (
     divisibility_residual,
 )
 from nonmarkov.spectral import OhmicSD, PeakedSD, TabulatedSD
+
+from matrix_forms import rt_spectrum_general
 
 SETTINGS = settings(max_examples=40, deadline=None, database=None)
 
@@ -141,19 +142,19 @@ def test_tabulated_derivative_batch_and_first_failure():
 PUBLIC_NAMES = {
     "CHI_PLUS", "CHI_PLUS_INV", "CovarianceMatrix", "CutoffSensitive",
     "DerivativeUnstable", "DivisionNearZero", "EntryDiagnostics",
-    "Integrand", "LangevinConfig", "LangevinResult", "LineIntegral",
+    "LangevinConfig", "LangevinResult", "LineIntegral",
     "ModelParams", "NonConvergence", "NonFinite", "NumericsError",
-    "OhmicSD", "ParityViolation", "PVFailure", "PeakedSD",
+    "OhmicSD", "PVFailure", "PeakedSD",
     "QuadratureConfig", "QuantifierReport", "SpectralDensity",
     "TabulatedSD", "TailDominates", "UnstableStep", "ZeroNorm",
     "chi_matrix", "chi_prime_matrix", "chi_qq_prime_vec", "chi_qq_vec",
     "chi_time", "cosine_transform", "covariance0", "covariance0_drift",
     "distance", "divisibility_quantifier", "divisibility_residual",
     "embedding_response", "embedding_static_sum", "exact_entries_vec",
-    "feature_frequencies", "inner_product_info", "integrate",
+    "feature_frequencies", "integrate",
     "is_decoupled", "langevin_means", "ou_coefficients", "principal_value",
     "propagate_means", "quantify", "regression_quantifier",
-    "rt_entries_vec", "rt_spectrum_general", "sine_transform",
+    "rt_entries_vec", "sine_transform",
     "__version__",
 }
 

@@ -301,11 +301,21 @@ class TestConfiguration:
         (["--sd", "peaked", "--quantifier", "n2", "--cutoff", "inf"],
          "cutoff"),
         (["--beta", "inf", "--hbar", "0"], "beta"),
+        (["--hbar", "inf"], "hbar"),
     ])
     def test_bad_model_parameter_names_its_key(self, flags, key, capsys):
         rc = cli.main(["--mode", "quantify"] + flags)
         assert rc == 2
         assert f"config error: key '{key}': {key} " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, name", [("--gamma", "width"),
+                                            ("--omega-big", "resonance")])
+    def test_infinite_peak_shape_names_it(self, flag, name, capsys):
+        rc = cli.main(["--mode", "quantify", "--sd", "peaked",
+                       "--quantifier", "n2", flag, "inf"])
+        assert rc == 2
+        assert f"config error: key 'sd': {name} must be finite" in \
+            capsys.readouterr().err
 
     def test_unknown_sd_exits_2(self, capsys):
         rc = cli.main(["--mode", "quantify", "--sd", "mystery"])

@@ -15,12 +15,13 @@ from nonmarkov.correlations import (
     covariance0,
     exact_entries_vec,
     rt_entries_vec,
-    rt_spectrum_general,
 )
 from nonmarkov.errors import CutoffSensitive
 from nonmarkov.quantifiers import quantify
 from nonmarkov.response import ModelParams, chi_qq_vec
 from nonmarkov.spectral import OhmicSD, PeakedSD, TabulatedSD
+
+from matrix_forms import rt_spectrum_general
 
 PEAKED = PeakedSD(coupling=1.0, width=0.5, resonance=2.0)
 FREE_QUANTUM_CQQ = 0.6565176427496657  # (ħ/2ω₀)·coth(βħω₀/2) at ħ=1, β=2, ω₀=1

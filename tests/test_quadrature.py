@@ -14,12 +14,10 @@ from hypothesis import strategies as st
 from nonmarkov.errors import (
     NonConvergence,
     NonFinite,
-    ParityViolation,
     PVFailure,
     TailDominates,
 )
 from nonmarkov.quadrature import (
-    Integrand,
     QuadratureConfig,
     cosine_transform,
     inner_product_info,
@@ -113,36 +111,36 @@ class TestIntegrateLine:
     ``inner_product_info`` pass."""
 
     def test_gaussian(self):
-        f = Integrand(half_gauss, "even")
-        res = inner_product_info(f, f, CFG)
+        res = inner_product_info(half_gauss, half_gauss, CFG)
         for val in res.value:
             assert val.real == pytest.approx(SQRT_PI, abs=1e-10)
 
     def test_odd_integrand_is_zero(self):
-        f = Integrand(half_gauss, "even")
-        g = Integrand(lambda x: x * half_gauss(x), "odd")
-        res = inner_product_info(f, g, CFG)
+        # f g* = −i x·gauss is odd and imaginary, so the hermitian fold's
+        # 2·Re is exactly zero at every node
+        g = lambda x: 1j * x * half_gauss(x)
+        res = inner_product_info(half_gauss, g, CFG, hermitian=True)
         assert res.value[0] == 0.0
         assert res.tail[0] == 0.0
 
     def test_lorentzian_needs_wide_window(self):
-        f = Integrand(root_lorentz, "even")
         wide = QuadratureConfig(half_width=1e7, rel_tol=1e-6)
-        res = inner_product_info(f, f, wide)
+        res = inner_product_info(root_lorentz, root_lorentz, wide)
         assert res.value[1].real == pytest.approx(math.pi, abs=1e-6)
         assert res.tail[1] <= 10.0 * wide.rel_tol * abs(res.value[1])
 
     def test_slow_tail_raises(self):
         # |f|² ~ 1/|x| is not integrable: the tail estimate is infinite
-        f = Integrand(lambda x: (1.0 + x ** 2) ** -0.25, "even")
+        def f(x):
+            return (1.0 + x ** 2) ** -0.25
+
         assert inner_product_info(f, f, CFG).tail[1] == math.inf
         with pytest.raises(TailDominates) as exc:
             distance(f, f, CFG)
         assert exc.value.tail > 0
 
     def test_info_reports_tail_without_raising(self):
-        f = Integrand(root_lorentz, "even")
-        res = inner_product_info(f, f, CFG)
+        res = inner_product_info(root_lorentz, root_lorentz, CFG)
         # truncated value is 2·atan(W)
         assert res.value[1].real == pytest.approx(2.0 * math.atan(CFG.half_width), abs=1e-9)
         assert res.tail[1] == pytest.approx(2.0 / CFG.half_width, rel=0.1)
@@ -150,20 +148,28 @@ class TestIntegrateLine:
     def test_steep_exponential_tail_is_finite(self):
         # the power-law fit on [W/10, W] has a slope near −300 here, so
         # its amplitude alone is far beyond the float range
-        f = Integrand(lambda x: np.exp(-2.0 * np.abs(x)), "even")
+        def f(x):
+            return np.exp(-2.0 * np.abs(x))
+
         res = inner_product_info(f, f, CFG)
         assert res.value[1].real == pytest.approx(0.5, rel=1e-9)
         assert 0.0 <= res.tail[1] < 1e-60
 
     def test_hermitian_integrand_gives_real_value(self):
-        f = Integrand(lambda x: half_gauss(x) * (1.0 + 1j * x), "hermitian")
-        g = Integrand(half_gauss, "hermitian")
-        val = inner_product_info(f, g, CFG).value[0]
-        assert val.imag == 0.0
-        assert val.real == pytest.approx(SQRT_PI, abs=1e-10)
+        def f(x):
+            return half_gauss(x) * (1.0 + 1j * x)
+
+        folded = inner_product_info(f, half_gauss, CFG, hermitian=True)
+        whole = inner_product_info(f, half_gauss, CFG)
+        assert np.all(folded.value.imag == 0.0)
+        assert folded.value[0].real == pytest.approx(SQRT_PI, abs=1e-10)
+        assert np.all(np.abs(folded.value - whole.value)
+                      <= CFG.rel_tol * np.abs(whole.value))
 
     def test_deterministic_bit_identical(self):
-        f = Integrand(lambda x: np.exp(-np.abs(x)) * np.cos(3.0 * x), "even")
+        def f(x):
+            return np.exp(-np.abs(x)) * np.cos(3.0 * x)
+
         a = inner_product_info(f, f, CFG)
         b = inner_product_info(f, f, CFG)
         assert np.array_equal(a.value, b.value)
@@ -198,44 +204,51 @@ class TestPrincipalValue:
 
 class TestOscillatoryTransforms:
     def test_sine_at_zero_time(self):
-        f = Integrand(lambda x: 1.0 / (1.0 + x ** 2), "even")
-        assert sine_transform(f, 0.0, CFG) == 0.0
+        assert sine_transform(lambda x: 1.0 / (1.0 + x ** 2), 0.0, CFG) == 0.0
 
     def test_sine_exponential(self):
-        f = Integrand(lambda x: x * np.exp(-np.abs(x)), "odd")
+        def f(x):
+            return x * np.exp(-np.abs(x))
+
         assert sine_transform(f, 1.0, CFG) == pytest.approx(SINE_EXP_T1, abs=1e-9)
 
     def test_sine_linearity(self):
-        f = Integrand(lambda x: x * np.exp(-np.abs(x)), "odd")
-        g = Integrand(lambda x: 4.0 * x * np.exp(-np.abs(x)), "odd")
-        assert sine_transform(g, 1.3, CFG) == pytest.approx(
+        def f(x):
+            return x * np.exp(-np.abs(x))
+
+        assert sine_transform(lambda x: 4.0 * f(x), 1.3, CFG) == pytest.approx(
             4.0 * sine_transform(f, 1.3, CFG), rel=1e-10)
 
     def test_cosine_exponential(self):
         # ∫₀^∞ e^{-ω} cos(ω) dω = 1/2, so the transform is 1/π
-        f = Integrand(lambda x: np.exp(-np.abs(x)), "even")
+        def f(x):
+            return np.exp(-np.abs(x))
+
         assert cosine_transform(f, 1.0, CFG) == pytest.approx(1.0 / math.pi, abs=1e-9)
 
     def test_cosine_vanishing_case(self):
         # ∫₀^∞ ω e^{-ω} cos(ω) dω = 0
-        f = Integrand(lambda x: x * np.exp(-np.abs(x)), "odd")
+        def f(x):
+            return x * np.exp(-np.abs(x))
+
         assert cosine_transform(f, 1.0, CFG) == pytest.approx(0.0, abs=1e-9)
 
     def test_slowly_decaying_integrand_long_window(self):
         # (2/π)∫₀^∞ sin(ωt)/ω dω = 1 for t > 0; decays like 1/ω so the
         # tail correction has to do real work here.
-        f = Integrand(lambda x: 1.0 / x, "odd", skip_check=True)
         for t in (0.5, 2.0, 11.0):
-            assert sine_transform(f, t, CFG) == pytest.approx(1.0, abs=1e-6)
+            assert sine_transform(lambda x: 1.0 / x, t, CFG) == pytest.approx(
+                1.0, abs=1e-6)
 
     def test_negative_time_rejected(self):
-        f = Integrand(gauss, "even")
         with pytest.raises(ValueError):
-            sine_transform(f, -1.0, CFG)
+            sine_transform(gauss, -1.0, CFG)
 
     def test_cosine_at_zero_time_keeps_the_tail(self):
         # (2/π)∫₀^∞ cos(ωt)/(1+ω²) dω = e^{-t}, continuous at t = 0
-        f = Integrand(lambda x: 1.0 / (1.0 + x ** 2), "even")
+        def f(x):
+            return 1.0 / (1.0 + x ** 2)
+
         at_zero = cosine_transform(f, 0.0, CFG)
         assert at_zero == pytest.approx(1.0, abs=1e-9)
         for t in (1e-9, 1e-6, 1e-3):
@@ -251,9 +264,9 @@ class TestTransformWindow:
     """The transform window is sized from the integrand's by-parts tail."""
 
     def test_slow_tail_meets_tolerance(self):
-        f = Integrand(lambda x: 1.0 / x, "odd", skip_check=True)
         for t in (0.5, 2.0, 11.0):
-            assert sine_transform(f, t, CFG) == pytest.approx(1.0, abs=1e-9)
+            assert sine_transform(lambda x: 1.0 / x, t, CFG) == pytest.approx(
+                1.0, abs=1e-9)
 
     def test_tail_that_never_settles_raises(self):
         # the 1e-3·sin 3ω ripple never decays, so no window bounds the tail
@@ -264,27 +277,27 @@ class TestTransformWindow:
             sine_transform(f, 1.0, CFG)
 
     def test_half_width_is_not_read(self):
-        f = Integrand(lambda x: x / (1.0 + x ** 2) ** 2, "odd")
+        def f(x):
+            return x / (1.0 + x ** 2) ** 2
+
         narrow = QuadratureConfig(half_width=1.0)
         assert sine_transform(f, 0.7, narrow) == sine_transform(f, 0.7, CFG)
 
 
 class TestInnerProduct:
     def test_gaussian_norm(self):
-        f = Integrand(lambda x: np.exp(-(x ** 2) / 2.0), "even")
-        fg, ff, gg = inner_product_info(f, f, CFG).value
+        fg, ff, gg = inner_product_info(half_gauss, half_gauss, CFG).value
         assert fg.real == pytest.approx(SQRT_PI, abs=1e-10)
         assert math.sqrt(ff.real) == pytest.approx(math.sqrt(SQRT_PI), abs=1e-10)
         assert math.sqrt(gg.real) == pytest.approx(math.sqrt(SQRT_PI), abs=1e-10)
 
-    def test_even_odd_orthogonality(self):
-        f = Integrand(lambda x: np.exp(-(x ** 2) / 2.0), "even")
-        g = Integrand(lambda x: x * np.exp(-(x ** 2) / 2.0), "odd")
-        assert inner_product_info(f, g, CFG).value[0] == 0.0
-
     def test_conjugate_symmetry(self):
-        f = Integrand(lambda x: np.exp(-(x ** 2)) * (1.0 + 1j * x), "hermitian")
-        g = Integrand(lambda x: np.exp(-(x ** 2) / 2.0) * (x + 2j), "none")
+        def f(x):
+            return np.exp(-(x ** 2)) * (1.0 + 1j * x)
+
+        def g(x):
+            return np.exp(-(x ** 2) / 2.0) * (x + 2j)
+
         fg = inner_product_info(f, g, CFG)
         gf = inner_product_info(g, f, CFG)
         assert fg.value[0] == pytest.approx(np.conj(gf.value[0]), abs=1e-12)
@@ -306,18 +319,29 @@ class TestVectorPass:
     def test_rows_meet_their_own_tolerance(self, rows):
         s = np.array([10.0 ** e for e, _ in rows])
         a = np.array([a for _, a in rows])
-        f = Integrand(lambda x: s[:, None] * np.exp(-a[:, None] * x ** 2), "even")
-        ones = Integrand(lambda x: np.ones((s.size, x.size)), "even")
+        def f(x):
+            return s[:, None] * np.exp(-a[:, None] * x ** 2)
+
+        def ones(x):
+            return np.ones((s.size, x.size))
+
         fg = inner_product_info(f, ones, TIGHT).value[0]
         exact = s * np.sqrt(np.pi / a)
         assert fg.shape == s.shape
         assert np.all(np.abs(fg - exact) <= TIGHT.rel_tol * exact)
 
     def test_even_odd_rows_are_exactly_zero(self):
+        # each row of f g* is odd and imaginary: the hermitian fold zeroes
+        # every ⟨f,g⟩ row while the norm rows converge on the same panels
         c = np.array([1.0, 1e-8, 3e5])
-        f = Integrand(lambda x: c[:, None] * np.exp(-(x ** 2)), "even")
-        g = Integrand(lambda x: x * np.exp(-np.abs(x)) * c[::-1, None], "odd")
-        res = inner_product_info(f, g, CFG)
+
+        def f(x):
+            return c[:, None] * np.exp(-(x ** 2))
+
+        def g(x):
+            return 1j * x * np.exp(-np.abs(x)) * c[::-1, None]
+
+        res = inner_product_info(f, g, CFG, hermitian=True)
         assert res.value.shape == (3, 3)
         assert np.all(res.value[0] == 0.0)
         assert np.all(res.value[1:] != 0.0)
@@ -344,23 +368,21 @@ class TestParsevalInvariance:
     with the distance computed from their analytic Fourier transforms."""
 
     def test_orthogonal_pair(self):
-        f_t = Integrand(lambda t: np.exp(-(t ** 2) / 2.0), "even")
-        g_t = Integrand(lambda t: t * np.exp(-(t ** 2) / 2.0), "odd")
+        f_t = half_gauss
+        g_t = lambda t: t * half_gauss(t)
         # transforms with kernel e^{iωt}: f̃ = √(2π)e^{-ω²/2}, g̃ = iω f̃
-        f_w = Integrand(lambda w: math.sqrt(2.0 * math.pi) * np.exp(-(w ** 2) / 2.0), "even")
-        g_w = Integrand(lambda w: 1j * w * math.sqrt(2.0 * math.pi) * np.exp(-(w ** 2) / 2.0),
-                        "hermitian")
+        f_w = lambda w: math.sqrt(2.0 * math.pi) * half_gauss(w)
+        g_w = lambda w: 1j * w * f_w(w)
         d_time = _distance(f_t, g_t, CFG)
         d_freq = _distance(f_w, g_w, CFG)
         assert d_time == pytest.approx(1.0, abs=1e-12)
         assert abs(d_time - d_freq) < 1e-6
 
     def test_mixed_pair(self):
-        f_t = Integrand(lambda t: np.exp(-(t ** 2) / 2.0), "even")
-        h_t = Integrand(lambda t: (1.0 + t) * np.exp(-(t ** 2) / 2.0), "none")
-        f_w = Integrand(lambda w: math.sqrt(2.0 * math.pi) * np.exp(-(w ** 2) / 2.0), "even")
-        h_w = Integrand(lambda w: math.sqrt(2.0 * math.pi) * (1.0 + 1j * w) * np.exp(-(w ** 2) / 2.0),
-                        "hermitian")
+        f_t = half_gauss
+        h_t = lambda t: (1.0 + t) * half_gauss(t)
+        f_w = lambda w: math.sqrt(2.0 * math.pi) * half_gauss(w)
+        h_w = lambda w: (1.0 + 1j * w) * f_w(w)
         d_time = _distance(f_t, h_t, CFG)
         d_freq = _distance(f_w, h_w, CFG)
         assert d_time == pytest.approx(PAIR_DISTANCE, abs=1e-9)
@@ -368,20 +390,24 @@ class TestParsevalInvariance:
 
 
 class TestIntegrandHandle:
-    def test_false_parity_rejected(self):
-        with pytest.raises(ParityViolation):
-            Integrand(lambda x: x + 1.0, "even")
-
-    def test_unknown_parity_rejected(self):
-        with pytest.raises(ValueError):
-            Integrand(gauss, "sideways")
+    """Integrands are plain vectorized callables."""
 
     def test_hermitian_accepted(self):
-        Integrand(lambda x: np.exp(1j * x) / (1.0 + x ** 2), "hermitian")
+        # the fold of a hermitian pair agrees with the whole-line pass
+        def f(x):
+            return np.exp(1j * x) / (1.0 + x ** 2)
+
+        def g(x):
+            return np.exp(1j * x) * gauss(x)
+
+        folded = inner_product_info(f, g, CFG, hermitian=True)
+        whole = inner_product_info(f, g, CFG)
+        assert np.all(folded.value.imag == 0.0)
+        assert np.all(np.abs(folded.value - whole.value)
+                      <= CFG.rel_tol * np.abs(whole.value))
 
     def test_scalar_wrapper(self):
-        scalar = np.vectorize(lambda x: math.exp(-x * x / 2.0), otypes=[complex])
-        f = Integrand(scalar, "even")
+        f = np.vectorize(lambda x: math.exp(-x * x / 2.0), otypes=[complex])
         res = inner_product_info(f, f, CFG)
         assert res.value[1].real == pytest.approx(SQRT_PI, abs=1e-10)
 

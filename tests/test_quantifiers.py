@@ -5,23 +5,27 @@ import warnings
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from nonmarkov import quadrature, quantifiers
 from nonmarkov.errors import CutoffSensitive, TailDominates, ZeroNorm
-from nonmarkov.quadrature import Integrand, QuadratureConfig
+from nonmarkov.quadrature import QuadratureConfig, inner_product_info
 from nonmarkov.quantifiers import (
+    _n1_sides,
     distance,
     divisibility_quantifier,
     quantify,
     regression_quantifier,
 )
 from nonmarkov.response import ModelParams, chi_qq_vec, chi_qq_prime_vec, feature_frequencies
-from nonmarkov.spectral import OhmicSD, PeakedSD
+from nonmarkov.spectral import OhmicSD, PeakedSD, TabulatedSD
 
 P1 = ModelParams(omega0=1.0, beta=1.0)
 
-GAUSS = Integrand(lambda x: np.exp(-0.5 * x * x) + 0j, "even")
-ODD_GAUSS = Integrand(lambda x: x * np.exp(-0.5 * x * x) + 0j, "odd")
+GAUSS = lambda x: np.exp(-0.5 * x * x) + 0j
+ODD_GAUSS = lambda x: x * np.exp(-0.5 * x * x) + 0j
 
 # Frozen quantifier values (default config, ω₀ = β = 1). The D = 1
 # entries land on the surds 1/√3, 1/√6, 1/√10 from a residue evaluation
@@ -36,27 +40,28 @@ class TestDistance:
 
     def test_global_scaling_is_invisible(self):
         lam = 3.0 - 2.0j
-        scaled = Integrand(lambda x: lam * np.exp(-0.5 * x * x), "even")
-        assert distance(GAUSS, scaled) < 1e-7
+        assert distance(GAUSS, lambda x: lam * np.exp(-0.5 * x * x)) < 1e-7
 
     def test_parity_orthogonal_pair(self):
         assert distance(GAUSS, ODD_GAUSS) == 1.0
 
     def test_scale_invariance_of_generic_pair(self):
         lam = 0.0037 - 1.2j
-        f2 = Integrand(lambda x: lam * np.exp(-0.5 * x * x), "even")
-        g = Integrand(lambda x: np.exp(-((x - 0.3) ** 2)), "none")
-        g2 = Integrand(lambda x: lam * np.exp(-((x - 0.3) ** 2)), "none")
-        assert abs(distance(GAUSS, g) - distance(f2, g2)) < 1e-10
+        def g(x):
+            return np.exp(-((x - 0.3) ** 2))
+
+        assert abs(distance(GAUSS, g)
+                   - distance(lambda x: lam * GAUSS(x),
+                              lambda x: lam * g(x))) < 1e-10
 
     def test_zero_norm_rejected(self):
-        null = Integrand(lambda x: np.zeros_like(np.asarray(x, dtype=complex)),
-                         "even")
         with pytest.raises(ZeroNorm):
-            distance(GAUSS, null)
+            distance(GAUSS, np.zeros_like)
 
     def test_small_window_raises_tail_dominates(self):
-        lorentz = Integrand(lambda x: 1.0 / (1.0 + x * x) + 0j, "even")
+        def lorentz(x):
+            return 1.0 / (1.0 + x * x) + 0j
+
         tight = QuadratureConfig(half_width=1.5)
         with pytest.raises(TailDominates):
             distance(lorentz, lorentz, tight)
@@ -118,8 +123,8 @@ class TestDivisibilityQuantifier:
                 weight = {"qq": 1.0, "qp": 1j * w, "pp": w * w}[key]
                 return deriv_side(w, key) - sd.damping * weight * c * c
 
-            d = distance(Integrand(lambda w, k=key: deriv_side(w, k), "hermitian"),
-                         Integrand(closed, "hermitian"), breakpoints=bps)
+            d = distance(lambda w, k=key: deriv_side(w, k), closed,
+                         breakpoints=bps)
             assert d == pytest.approx(ref[key], abs=1e-8)
 
     def test_peaked_width_sweep_has_interior_maximum(self):
@@ -242,3 +247,60 @@ class TestIndependentReference:
         m = quantify(p, sd, which="n1").n1
         ref = _mp_n1(p, sd)
         assert [m[0, 0], m[0, 1], m[1, 1]] == pytest.approx(ref, abs=1e-9)
+
+
+def smooth_table(k, cutoff, scale, n):
+    """J = scale·ω·(ω/ωc)^(k−1)·e^(−ω/ωc) on n knots over [0, 25·ωc]."""
+    w = np.linspace(0.0, 25.0 * cutoff, n)
+    return TabulatedSD(w, scale * w * (w / cutoff) ** (k - 1)
+                       * np.exp(-w / cutoff))
+
+
+FOLD = settings(max_examples=25, deadline=None, database=None)
+models = st.builds(ModelParams, omega0=st.floats(0.5, 2.0),
+                   beta=st.just(1.0))
+analytic_baths = st.one_of(
+    st.builds(OhmicSD, st.floats(0.01, 5.0)),
+    st.builds(PeakedSD, coupling=st.floats(0.05, 1.5),
+              width=st.floats(0.05, 3.0), resonance=st.floats(0.3, 3.0)),
+)
+tables = st.builds(smooth_table, k=st.integers(1, 3),
+                   cutoff=st.floats(0.5, 4.0), scale=st.floats(0.05, 1.0),
+                   n=st.sampled_from([201, 301, 401]))
+positive_frequencies = hnp.arrays(np.float64, st.integers(1, 16),
+                                  elements=st.floats(1e-3, 200.0))
+
+
+def _assert_hermitian(p, sd, omega):
+    for side in _n1_sides(p, sd):
+        plus, minus = side(omega), side(-omega)
+        scale = np.maximum(np.abs(plus), np.abs(minus))
+        assert np.all(np.abs(minus - np.conj(plus)) <= 1e-13 * scale)
+
+
+class TestHermitianFold:
+    """n1 folds its pass onto [0, W] because both of its sides satisfy
+    f(−ω) = f(ω)*; the fold takes that on trust, so it is pinned here."""
+
+    @FOLD
+    @given(models, analytic_baths, positive_frequencies)
+    def test_n1_sides_are_hermitian(self, p, sd, omega):
+        _assert_hermitian(p, sd, omega)
+
+    @FOLD
+    @given(models, tables, positive_frequencies)
+    def test_n1_sides_are_hermitian_on_tables(self, p, sd, omega):
+        _assert_hermitian(p, sd, omega)
+
+    @pytest.mark.parametrize("sd", [OhmicSD(1.0), PeakedSD(0.75, 0.63, 1.0),
+                                    smooth_table(2, 1.5, 0.4, 301)])
+    def test_fold_matches_whole_line(self, sd):
+        cfg = QuadratureConfig()
+        f, g = _n1_sides(P1, sd)
+        bps = feature_frequencies(P1, sd)
+        folded = inner_product_info(f, g, cfg, breakpoints=bps,
+                                    hermitian=True)
+        whole = inner_product_info(f, g, cfg, breakpoints=bps)
+        assert np.all(folded.value.imag == 0.0)
+        assert np.all(np.abs(folded.value - whole.value)
+                      <= cfg.rel_tol * np.abs(whole.value))

@@ -305,6 +305,7 @@ class TestModelParams:
         (dict(omega0=math.inf, beta=1.0), "omega0"),
         (dict(omega0=1.0, beta=1.0, cutoff=math.inf), "cutoff"),
         (dict(omega0=1.0, beta=math.inf), "beta"),
+        (dict(omega0=1.0, beta=1.0, hbar=math.inf), "hbar"),
     ])
     def test_rejects_non_finite(self, kwargs, key):
         with pytest.raises(ValueError, match=f"^{key} must be finite"):

@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from nonmarkov.errors import DerivativeUnstable, ParityViolation
+from nonmarkov.errors import DerivativeUnstable
 from nonmarkov.spectral import OhmicSD, PeakedSD, TabulatedSD
 
 # Richardson oracle at ω=1.3 for coupling=1, width=0.5, resonance=2
@@ -100,6 +100,12 @@ class TestPeaked:
             PeakedSD(coupling=1.0, width=0.0, resonance=1.0)
         with pytest.raises(ValueError):
             PeakedSD(coupling=1.0, width=0.5, resonance=-2.0)
+
+    def test_infinite_shape_rejected(self):
+        with pytest.raises(ValueError, match="^width must be finite"):
+            PeakedSD(coupling=1.0, width=math.inf, resonance=1.0)
+        with pytest.raises(ValueError, match="^resonance must be finite"):
+            PeakedSD(coupling=1.0, width=0.5, resonance=math.inf)
 
 
 class TestKernelDerivative:
