@@ -17,13 +17,7 @@ import warnings
 
 import numpy as np
 
-from nonmarkov import (
-    CutoffSensitive,
-    ModelParams,
-    OhmicSD,
-    covariance0_drift,
-    quantify,
-)
+from nonmarkov import CutoffSensitive, ModelParams, OhmicSD, quantify
 
 
 def main() -> None:
@@ -38,7 +32,7 @@ def main() -> None:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", CutoffSensitive)
             report = quantify(p, sd, which="both")
-            drift = covariance0_drift(p, sd)
+        drift = report.diagnostics["n2_pp"].cutoff_drift
         print(f"{d:8.3g} {report.n1[0, 0]:10.5f} {report.n1[0, 1]:10.5f} "
               f"{report.n2[0, 0]:10.5f} {report.n2[0, 1]:10.5f} "
               f"{drift:13.2e}")

@@ -49,19 +49,11 @@ from .errors import (
     NonConvergence,
     NonFinite,
     NumericsError,
-    PVFailure,
     TailDominates,
     UnstableStep,
     ZeroNorm,
 )
-from .quadrature import (
-    LineIntegral,
-    QuadratureConfig,
-    cosine_transform,
-    integrate,
-    principal_value,
-    sine_transform,
-)
+from .quadrature import QuadratureConfig, integrate
 from .spectral import (
     OhmicSD,
     PeakedSD,
@@ -74,7 +66,6 @@ from .response import (
     ModelParams,
     chi_matrix,
     chi_prime_matrix,
-    chi_qq_prime_vec,
     chi_qq_vec,
     chi_time,
     divisibility_residual,
@@ -85,7 +76,6 @@ from .response import (
 from .correlations import (
     CovarianceMatrix,
     covariance0,
-    covariance0_drift,
     exact_entries_vec,
     rt_entries_vec,
 )
@@ -118,13 +108,11 @@ __all__ = [
     "EntryDiagnostics",
     "LangevinConfig",
     "LangevinResult",
-    "LineIntegral",
     "ModelParams",
     "NonConvergence",
     "NonFinite",
     "NumericsError",
     "OhmicSD",
-    "PVFailure",
     "PeakedSD",
     "QuadratureConfig",
     "QuantifierReport",
@@ -135,12 +123,9 @@ __all__ = [
     "ZeroNorm",
     "chi_matrix",
     "chi_prime_matrix",
-    "chi_qq_prime_vec",
     "chi_qq_vec",
     "chi_time",
-    "cosine_transform",
     "covariance0",
-    "covariance0_drift",
     "distance",
     "divisibility_quantifier",
     "divisibility_residual",
@@ -152,11 +137,9 @@ __all__ = [
     "is_decoupled",
     "langevin_means",
     "ou_coefficients",
-    "principal_value",
     "propagate_means",
     "quantify",
     "regression_quantifier",
     "rt_entries_vec",
-    "sine_transform",
     "__version__",
 ]

@@ -19,7 +19,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .correlations import covariance0_drift
 from .errors import CutoffSensitive, NumericsError
 from .oracle import LangevinConfig, embedding_response, langevin_means
 from .quantifiers import quantify
@@ -123,16 +122,14 @@ def _parse_range(text: str):
     return np.linspace(start, stop, steps), False
 
 
-def _build_sd(settings, *, d=None, gamma=None, omega_big=None):
+def _build_sd(settings):
     kind = settings["sd"]
-    d = settings["d"] if d is None else d
-    gamma = settings["gamma"] if gamma is None else gamma
-    omega_big = settings["omega-big"] if omega_big is None else omega_big
     try:
         if kind == "ohmic":
-            return OhmicSD(d)
+            return OhmicSD(settings["d"])
         if kind == "peaked":
-            return PeakedSD(coupling=d, width=gamma, resonance=omega_big)
+            return PeakedSD(coupling=settings["d"], width=settings["gamma"],
+                            resonance=settings["omega-big"])
         if kind.startswith("tabulated:"):
             return TabulatedSD.from_file(kind.split(":", 1)[1])
     except (ValueError, OSError) as exc:
@@ -141,12 +138,10 @@ def _build_sd(settings, *, d=None, gamma=None, omega_big=None):
                             f"got {kind!r}")
 
 
-def _model(settings, *, beta=None, hbar=None) -> ModelParams:
-    beta = settings["beta"] if beta is None else beta
-    hbar = settings["hbar"] if hbar is None else hbar
+def _model(settings) -> ModelParams:
     try:
-        return ModelParams(omega0=1.0, beta=beta, hbar=hbar,
-                           cutoff=settings["cutoff"])
+        return ModelParams(omega0=1.0, beta=settings["beta"],
+                           hbar=settings["hbar"], cutoff=settings["cutoff"])
     except ValueError as exc:
         # ModelParams names the parameter at fault first: beta, hbar or cutoff
         raise ConfigError(str(exc).split()[0], str(exc)) from exc
@@ -157,9 +152,7 @@ def _settings_from(args) -> dict:
     settings["mode"] = None
     if args.config:
         settings.update(_parse_config_file(args.config))
-    for key in ("mode", "sd", "d", "gamma", "omega-big", "beta", "hbar",
-                "cutoff", "param", "range", "quantifier", "aq", "ap",
-                "seed", "out"):
+    for key in _ALL_KEYS:
         flag = getattr(args, key.replace("-", "_"), None)
         if flag is not None:
             settings[key] = flag
@@ -190,26 +183,32 @@ def _quantifier_columns(which: str):
     return cols
 
 
-def _report_cells(report, which, p, sd):
-    cells = []
-    if which in ("n1", "both"):
-        cells += [report.n1[0, 0], report.n1[0, 1], report.n1[1, 1]]
-    if which in ("n2", "both"):
-        cells += [report.n2[0, 0], report.n2[0, 1], report.n2[1, 1]]
-    tail = max((d.tail_ratio for d in report.diagnostics.values()),
-               default=0.0)
-    flagged = any(d.flagged for d in report.diagnostics.values())
-    drift = covariance0_drift(p, sd) if which in ("n2", "both") else 0.0
+def _report_cells(report):
+    """The requested entries (qq, qp, pp of n1, then of n2), the largest
+    tail ratio, whether any entry is flagged and the largest cutoff
+    drift, all read from the report."""
+    cells = [m[i, j] for m in (report.n1, report.n2) if m is not None
+             for i, j in ((0, 0), (0, 1), (1, 1))]
+    diagnostics = report.diagnostics.values()
+    tail = max((d.tail_ratio for d in diagnostics), default=0.0)
+    flagged = any(d.flagged for d in diagnostics)
+    drift = max((d.cutoff_drift for d in diagnostics), default=0.0)
     return cells, tail, flagged, drift
 
 
-def _write_plot_script(csv_path: Path, value_cols, logx: bool,
+def _csv_cells(cells, tail, flagged, drift):
+    """CSV text of what ``_report_cells`` returns."""
+    return ([_fmt(c) for c in cells]
+            + [_fmt(tail), str(int(flagged)), _fmt(drift)])
+
+
+def _write_plot_script(csv_path: Path, n_cols: int, logx: bool,
                        xlabel: str) -> None:
     """Companion gnuplot text referencing the CSV by file name."""
     script = csv_path.with_suffix(".gp")
     using = ", ".join(
         f"'{csv_path.name}' using 1:{i} with lines"
-        for i in range(2, 2 + len(value_cols)))
+        for i in range(2, 2 + n_cols))
     lines = [
         "set datafile separator ','",
         "set key autotitle columnhead",
@@ -227,10 +226,10 @@ def _mode_quantify(settings) -> int:
     which = settings["quantifier"]
     try:
         report = quantify(p, sd, which=which)
-        cells, tail, flagged, drift = _report_cells(report, which, p, sd)
     except NumericsError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    cells, tail, flagged, drift = _report_cells(report)
     cols = _quantifier_columns(which)
     for name, value in zip(cols, cells):
         print(f"{name} = {value:.9f}")
@@ -243,34 +242,54 @@ def _mode_quantify(settings) -> int:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(cols + ["tail_ratio_max", "flagged",
                                     "cutoff_drift", "error"])
-            writer.writerow([_fmt(c) for c in cells]
-                            + [_fmt(tail), str(int(flagged)), _fmt(drift),
-                               ""])
+            writer.writerow(_csv_cells(cells, tail, flagged, drift) + [""])
+    return 0
+
+
+def _write_grid(out: Path, header, grid, row, n_plotted: int,
+                is_log: bool) -> int:
+    """CSV of one row per grid value, flushed as it goes, and its plot
+    script over the first n_plotted value columns.
+
+    header[0] names the grid column and the plot's x axis.  A point
+    writes [value] + row(value) + [""]; a NumericsError writes the
+    value, empty cells and the message instead.  Returns 3 when any
+    point failed (reported on stderr), 0 otherwise.
+    """
+    failures = []
+    with open(out, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        fh.flush()
+        for value in grid:
+            try:
+                cells = [_fmt(value)] + row(float(value)) + [""]
+            except NumericsError as exc:
+                failures.append((float(value), str(exc)))
+                cells = ([_fmt(value)] + [""] * (len(header) - 2)
+                         + [str(exc)])
+            writer.writerow(cells)
+            fh.flush()
+    _write_plot_script(out, n_plotted, is_log, header[0])
+    if failures:
+        value, msg = failures[0]
+        print(f"numerical failure at {header[0]} = {value:g} "
+              f"({len(failures)} of {len(grid)} grid points): {msg}",
+              file=sys.stderr)
+        return 3
     return 0
 
 
 def _sweep_point(settings, param, value, sd):
-    """Quantify one grid point.  `sd` serves every point of a β or ħ
-    sweep, so a table is read once and its kernel memo is kept; a swept
-    spectral parameter builds a new spectral density."""
-    overrides = {}
-    sd_over = {}
-    if param == "beta":
-        overrides["beta"] = value
-    elif param == "hbar":
-        overrides["hbar"] = value
-    elif param == "d":
-        sd_over["d"] = value
-    elif param == "gamma":
-        sd_over["gamma"] = value
-    else:
-        sd_over["omega_big"] = value
-    p = _model(settings, **overrides)
-    if sd_over:
-        sd = _build_sd(settings, **sd_over)
-    which = settings["quantifier"]
-    report = quantify(p, sd, which=which)
-    return _report_cells(report, which, p, sd)
+    """Quantify one grid point: the settings with param set to value.
+    `sd` serves every point of a β or ħ sweep, so a table is read once
+    and its kernel memo is kept; a swept spectral parameter builds a new
+    spectral density."""
+    point = {**settings, param: value}
+    if param in ("d", "gamma", "omega-big"):
+        sd = _build_sd(point)
+    return _report_cells(quantify(_model(point), sd,
+                                  which=point["quantifier"]))
 
 
 def _validate_sweep(settings):
@@ -300,38 +319,13 @@ def _mode_sweep(settings) -> int:
     param, grid, is_log = _validate_sweep(settings)
     sd = _build_sd(settings)  # validates the fixed parameters up front
     _model(settings)
-    which = settings["quantifier"]
-    out = Path(settings["out"] or "nonmarkov_sweep.csv")
-
-    cols = _quantifier_columns(which)
+    cols = _quantifier_columns(settings["quantifier"])
     header = [param] + cols + ["tail_ratio_max", "flagged", "cutoff_drift",
                                "error"]
-    failures = []
-
-    with open(out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        fh.flush()
-        for value in grid:
-            try:
-                cells, tail, flagged, drift = _sweep_point(
-                    settings, param, float(value), sd)
-                row = ([_fmt(value)] + [_fmt(c) for c in cells]
-                       + [_fmt(tail), str(int(flagged)), _fmt(drift), ""])
-            except NumericsError as exc:
-                failures.append((float(value), str(exc)))
-                row = ([_fmt(value)] + [""] * len(cols)
-                       + ["", "", "", str(exc)])
-            writer.writerow(row)
-            fh.flush()
-    _write_plot_script(out, cols, is_log, param)
-    if failures:
-        value, msg = failures[0]
-        print(f"numerical failure at {param} = {value:g} "
-              f"({len(failures)} of {len(grid)} grid points): {msg}",
-              file=sys.stderr)
-        return 3
-    return 0
+    return _write_grid(
+        Path(settings["out"] or "nonmarkov_sweep.csv"), header, grid,
+        lambda v: _csv_cells(*_sweep_point(settings, param, v, sd)),
+        len(cols), is_log)
 
 
 def _mode_means(settings) -> int:
@@ -340,30 +334,12 @@ def _mode_means(settings) -> int:
     grid, is_log = _parse_range(settings["range"] or "0:20:201")
     if (grid < 0.0).any():
         raise ConfigError("range", "times must be >= 0")
-    out = Path(settings["out"] or "nonmarkov_means.csv")
     aq, ap = settings["aq"], settings["ap"]
-
-    failures = []
-    with open(out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t", "q_mean", "p_mean", "error"])
-        fh.flush()
-        for t in grid:
-            try:
-                q, pm = propagate_means(p, sd, aq, ap, float(t))
-                writer.writerow([_fmt(t), _fmt(q), _fmt(pm), ""])
-            except NumericsError as exc:
-                failures.append((float(t), str(exc)))
-                writer.writerow([_fmt(t), "", "", str(exc)])
-            fh.flush()
-    _write_plot_script(out, ["q_mean", "p_mean"], is_log, "t")
-    if failures:
-        t, msg = failures[0]
-        print(f"numerical failure at t = {t:g} "
-              f"({len(failures)} of {len(grid)} grid points): {msg}",
-              file=sys.stderr)
-        return 3
-    return 0
+    return _write_grid(
+        Path(settings["out"] or "nonmarkov_means.csv"),
+        ["t", "q_mean", "p_mean", "error"], grid,
+        lambda t: [_fmt(x) for x in propagate_means(p, sd, aq, ap, t)],
+        2, is_log)
 
 
 def _langevin_oracle_case(settings):
@@ -455,20 +431,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    warnings.simplefilter("once", CutoffSensitive)
-    try:
-        settings = _settings_from(args)
-        mode = settings["mode"]
-        if mode == "quantify":
-            return _mode_quantify(settings)
-        if mode == "sweep":
-            return _mode_sweep(settings)
-        if mode == "means":
-            return _mode_means(settings)
-        return _mode_oracle_check(settings)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("once", CutoffSensitive)
+        try:
+            settings = _settings_from(args)
+            mode = settings["mode"]
+            if mode == "quantify":
+                return _mode_quantify(settings)
+            if mode == "sweep":
+                return _mode_sweep(settings)
+            if mode == "means":
+                return _mode_means(settings)
+            return _mode_oracle_check(settings)
+        except ConfigError as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

@@ -56,10 +56,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CovarianceMatrix:
-    """Equal-time equilibrium covariances; off-diagonals vanish."""
+    """Equal-time equilibrium covariances; off-diagonals vanish.
+
+    cutoff_drift is the relative change of a cutoff-limited variance
+    between Λ and 2Λ: 0 when every variance reached a decaying tail or
+    the model is decoupled, and above 0.01 alongside a CutoffSensitive
+    warning from ``covariance0``.
+    """
 
     c_qq: float
     c_pp: float
+    cutoff_drift: float = 0.0
 
     def __post_init__(self) -> None:
         if not (self.c_qq > 0.0 and self.c_pp > 0.0):
@@ -102,11 +109,11 @@ def _free_covariance(p: ModelParams) -> CovarianceMatrix:
 
 
 # Keyed on the spectral density, so the cache keeps its entries' tables
-# (and their γ̃ memos) alive; its only hit is the cutoff-drift re-read of
-# the covariance just computed, which a few entries serve.
+# (and their γ̃ memos) alive.  Only a repeated (p, sd, cfg) hits it; it
+# stays while perfbench/worker.py reads its cache_info().
 @functools.lru_cache(maxsize=4)
 def _covariance0_cached(p: ModelParams, sd: SpectralDensity,
-                        cfg: QuadratureConfig):
+                        cfg: QuadratureConfig) -> CovarianceMatrix:
     bp = feature_frequencies(p, sd)
     bp += [10.0 * p.omega0, 100.0 * p.omega0]
     top = p.cutoff
@@ -130,11 +137,12 @@ def _covariance0_cached(p: ModelParams, sd: SpectralDensity,
     if decays.any():
         total[decays] += integrate(lambda w: rows(w)[decays], top, math.inf,
                                    cfg).real
-    cov = CovarianceMatrix(*(total / math.pi).tolist())
-    if decays.all():
-        return cov, 0.0
-    extra = integrate(lambda w: rows(w)[~decays], top, 2.0 * top, cfg).real
-    return cov, float(np.max(np.abs(extra) / main[~decays]))
+    drift = 0.0
+    if not decays.all():
+        extra = integrate(lambda w: rows(w)[~decays], top, 2.0 * top,
+                          cfg).real
+        drift = float(np.max(np.abs(extra) / main[~decays]))
+    return CovarianceMatrix(*(total / math.pi).tolist(), cutoff_drift=drift)
 
 
 def covariance0(p: ModelParams, sd: SpectralDensity,
@@ -144,31 +152,18 @@ def covariance0(p: ModelParams, sd: SpectralDensity,
     c_qq = (1/π)∫ ħ·coth(βħω/2)·Im χ̃_qq dω and c_pp carries an extra ω²
     weight; ħ = 0 selects the classical weight 2/(βω).  Integrals that
     keep decaying are pushed to infinity; the log-divergent strict-Ohmic
-    quantum c_pp is truncated at Λ with a sensitivity warning.
+    quantum c_pp is truncated at Λ with a sensitivity warning, and the
+    matrix carries its drift between Λ and 2Λ as ``cutoff_drift``.
     """
     if is_decoupled(sd):
         return _free_covariance(p)
-    cov, drift = _covariance0_cached(p, sd, cfg or QuadratureConfig())
-    if drift > 0.01:
+    cov = _covariance0_cached(p, sd, cfg or QuadratureConfig())
+    if cov.cutoff_drift > 0.01:
         warnings.warn(
-            f"momentum variance shifts by {100.0 * drift:.1f}% between the "
-            f"cutoff and twice the cutoff; result is cutoff-limited",
-            CutoffSensitive, stacklevel=2)
+            f"momentum variance shifts by {100.0 * cov.cutoff_drift:.1f}% "
+            f"between the cutoff and twice the cutoff; result is "
+            f"cutoff-limited", CutoffSensitive, stacklevel=2)
     return cov
-
-
-def covariance0_drift(p: ModelParams, sd: SpectralDensity,
-                      cfg: QuadratureConfig | None = None) -> float:
-    """Relative change of the covariance between cutoff Λ and 2Λ.
-
-    0 when every component either reached a decaying tail or the model
-    is decoupled; values above 0.01 accompany a CutoffSensitive warning
-    from covariance0.
-    """
-    if is_decoupled(sd):
-        return 0.0
-    _, drift = _covariance0_cached(p, sd, cfg or QuadratureConfig())
-    return drift
 
 
 def exact_entries_vec(p: ModelParams, sd: SpectralDensity,

@@ -64,6 +64,7 @@ _GWEIGHTS = np.zeros(15)
 _GWEIGHTS[[1, 3, 5, 7, 9, 11, 13]] = np.concatenate((_WG[:3], _WG[::-1]))
 
 _MAX_ROUNDS = 400
+_ROUNDOFF = 50.0 * np.finfo(float).eps
 _TINY = 1e-300
 # minimum panels per oscillation period 2π/t in the transforms
 _PANELS_PER_PERIOD = 8
@@ -77,7 +78,8 @@ class QuadratureConfig:
         Truncation W of the whole-line integrals of ``inner_product_info``
         to [-W, W].  The transforms size their own window.
     rel_tol, abs_tol
-        Success means estimated error ≤ max(abs_tol, rel_tol·|result|).
+        Success means estimated error ≤ max(abs_tol, rel_tol·|result|),
+        or within the round-off of a result whose panels cancel.
     pv_radius
         Starting symmetric exclusion radius ε for principal values.
     max_subdivisions
@@ -117,8 +119,9 @@ def _eval_panels(fn, lo: np.ndarray, hi: np.ndarray):
         where = x[~finite][0]
         raise NonFinite(f"integrand returned a non-finite value at x = {where:.6g}",
                         where=float(where))
-    vals = (y @ _KWEIGHTS) * half
-    errs = np.abs((y @ (_KWEIGHTS - _GWEIGHTS)) * half)
+    # einsum, not a matmul: BLAS would split the long gemv over threads
+    vals = np.einsum("...k,k->...", y, _KWEIGHTS) * half
+    errs = np.abs(np.einsum("...k,k->...", y, _KWEIGHTS - _GWEIGHTS) * half)
     return vals, errs
 
 
@@ -126,8 +129,10 @@ def _adaptive(fn, edges: np.ndarray, cfg: QuadratureConfig):
     """Globally adaptive bisection over an initial sorted edge set.
 
     All rows of fn share one panel set.  The pass converges when every
-    row's error bound is within max(abs_tol, rel_tol·|row value|).  A
-    panel's weight is the sum of its rows' errors in units of their own
+    row's error bound is within max(abs_tol, rel_tol·|row value|,
+    50·eps·Σ|panel values|); the last term is the round-off limit of a
+    row whose panels cancel (Piessens et al., QUADPACK, 1983).  A panel's
+    weight is the sum of its rows' errors in units of their own
     tolerances (scaled by the tightest, so one row weighs its plain
     error); each round splits the panels carrying the top 90% of the
     total weight, batching all child evaluations into one call.  Panel
@@ -147,6 +152,8 @@ def _adaptive(fn, edges: np.ndarray, cfg: QuadratureConfig):
         total = vals.sum(axis=-1)
         err_total = errs.sum(axis=-1)
         tol = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(total))
+        # a row that cancels is known only to the rounding of its panels
+        tol = np.maximum(tol, _ROUNDOFF * np.abs(vals).sum(axis=-1))
         if np.all(err_total <= tol):
             return total, err_total, lo.size
         weight = (errs * (tol.min() / tol)[..., None]).reshape(-1, lo.size)
@@ -221,7 +228,8 @@ def _half_line(f, a: float, cfg: QuadratureConfig, breakpoints=()):
 
 def integrate(f, a: float, b: float, cfg: QuadratureConfig | None = None,
               *, breakpoints=()) -> complex | np.ndarray:
-    """Adaptive integral of f over [a, b]; b may be +inf (half-line map).
+    """Adaptive integral of f over [a, b]; a must be finite and b may be
+    +inf (half-line map).
 
     A scalar f gives a complex; a k-row f gives the complex array of its
     k integrals, all rows on one shared panel set, each row with its own
@@ -230,13 +238,10 @@ def integrate(f, a: float, b: float, cfg: QuadratureConfig | None = None,
     NonFinite if the integrand returns NaN/inf.
     """
     cfg = cfg or _DEFAULT_CFG
-    if math.isinf(b):
-        if math.isinf(a):
-            raise ValueError("at least one integration bound must be finite")
+    if math.isinf(a):
+        raise ValueError("the lower integration bound must be finite")
+    if b == math.inf:
         val, _, _ = _half_line(f, a, cfg, breakpoints)
-    elif math.isinf(a):
-        return integrate(lambda x: f(-x), -b, -a, cfg,
-                         breakpoints=[-p for p in breakpoints])
     elif not a < b:
         raise ValueError("integration bounds must satisfy a < b")
     else:
@@ -423,14 +428,13 @@ def _oscillatory_tail(f, W: float, t: float, sin_rows):
     return tails[..., 0], bound
 
 
-def _period_locked_edges(W: float, max_width: float, breakpoints=()):
-    """Decade edges of [0, W], each gap cut evenly into panels ≤ max_width."""
-    base = _decade_edges(W, breakpoints)
+def _period_locked_edges(base: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """The edges base with gap i cut evenly into n[i] panels."""
     step = np.diff(base)
-    n = np.maximum(1, np.ceil(step / max_width)).astype(int)
+    n = n.astype(int)
     gap = np.repeat(np.arange(n.size), n)
     j = np.arange(gap.size) - np.repeat(np.cumsum(n) - n, n)
-    return np.append(base[gap] + j * (step / n)[gap], W)
+    return np.append(base[gap] + j * (step / n)[gap], base[-1])
 
 
 def _oscillatory_transform(f, t: float, cfg: QuadratureConfig, kinds,
@@ -469,8 +473,11 @@ def _oscillatory_transform(f, t: float, cfg: QuadratureConfig, kinds,
     W = max(4.0 * max(breakpoints, default=1.0), 20.0 / t)
     bound = np.full(sin_rows.shape, math.inf)
     while True:
-        edges = _period_locked_edges(W, max_width, breakpoints)
-        if edges.size - 1 > cfg.max_subdivisions:
+        # count the panels before building them: a long window at large t
+        # would otherwise take gigabytes only to be refused
+        base = _decade_edges(W, breakpoints)
+        n = np.maximum(1, np.ceil(np.diff(base) / max_width))
+        if n.sum() > cfg.max_subdivisions:
             row = int(np.argmax(bound))
             raise NonConvergence(
                 f"no window within {cfg.max_subdivisions} panels bounds the "
@@ -482,7 +489,7 @@ def _oscillatory_transform(f, t: float, cfg: QuadratureConfig, kinds,
             break
         W *= 2.0
 
-    val, _, _ = _adaptive(integrand, edges, cfg)
+    val, _, _ = _adaptive(integrand, _period_locked_edges(base, n), cfg)
     return np.real(val + tail) * (2.0 / math.pi)
 
 

@@ -46,12 +46,15 @@ class EntryDiagnostics:
     the three underlying integrals, each normalized by its own scale,
     so it is invariant under rescaling of either function.  panels is
     the panel count of the one whole-line pass that gives all entries
-    of a quantifier, so it is the same for each of them.
+    of a quantifier, so it is the same for each of them.  cutoff_drift
+    is the ``CovarianceMatrix.cutoff_drift`` of the covariances an n2
+    entry is built on; n1 entries read 0.
     """
 
     tail_ratio: float
     panels: int
     flagged: bool
+    cutoff_drift: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -141,19 +144,21 @@ def _n2_sides(p, sd, cov0):
             lambda w: rt_entries_vec(p, sd, w, cov0)[_ENTRY])
 
 
-def _quantifier_matrix(p, sd, cfg, prefix, sides, hermitian=False):
-    """Entrywise distances from one pass over the three-row integrands
-    that sides() builds, folded onto [0, W] when they are hermitian; qp
-    and pq coincide by the entry structure (the two off-diagonal
-    functions differ only by an overall sign or a complex conjugation,
-    neither of which moves the distance).  A degenerate entry reads 0."""
+def _quantifier_matrix(p, sd, cfg, prefix, sides, hermitian=False,
+                       cutoff_drift=0.0):
+    """Entrywise distances from one pass over the three-row integrand
+    pair sides, folded onto [0, W] when they are hermitian; qp and pq
+    coincide by the entry structure (the two off-diagonal functions
+    differ only by an overall sign or a complex conjugation, neither of
+    which moves the distance).  A degenerate entry reads 0; every entry
+    carries cutoff_drift."""
     matrix = np.zeros((2, 2))
     if is_decoupled(sd):
         zero = EntryDiagnostics(0.0, 0, False)
         return matrix, {f"{prefix}_{key}": zero
                         for key in ("qq", "qp", "pq", "pp")}
 
-    values, tails, panels = _distance_info(*sides(), cfg,
+    values, tails, panels = _distance_info(*sides, cfg,
                                            feature_frequencies(p, sd),
                                            hermitian)
     values, tails = np.nan_to_num(values), np.nan_to_num(tails)
@@ -161,7 +166,7 @@ def _quantifier_matrix(p, sd, cfg, prefix, sides, hermitian=False):
     matrix[_ENTRY[::-1]] = values
     diagnostics = {f"{prefix}_{key}": EntryDiagnostics(
         tail_ratio=float(tail), panels=panels,
-        flagged=bool(tail > _TAIL_FLAG))
+        flagged=bool(tail > _TAIL_FLAG), cutoff_drift=cutoff_drift)
         for key, tail in zip(_KEYS, tails)}
     diagnostics[f"{prefix}_pq"] = diagnostics[f"{prefix}_qp"]
     return matrix, diagnostics
@@ -177,7 +182,7 @@ def divisibility_quantifier(p, sd: SpectralDensity,
     Returns (2×2 real array, diagnostics dict).
     """
     return _quantifier_matrix(p, sd, cfg or _DEFAULT_CFG, "n1",
-                              lambda: _n1_sides(p, sd), hermitian=True)
+                              _n1_sides(p, sd), hermitian=True)
 
 
 def regression_quantifier(p, sd: SpectralDensity,
@@ -186,14 +191,15 @@ def regression_quantifier(p, sd: SpectralDensity,
     correlation spectrum and the regression-theorem prediction.
 
     Propagates CutoffSensitive warnings from the underlying equal-time
-    covariances (strict Ohmic bath with ħ > 0).
+    covariances (strict Ohmic bath with ħ > 0), and stamps their
+    cutoff_drift on every entry's diagnostics.
 
     Returns (2×2 real array, diagnostics dict).
     """
     cfg = cfg or _DEFAULT_CFG
-    return _quantifier_matrix(
-        p, sd, cfg, "n2",
-        lambda: _n2_sides(p, sd, covariance0(p, sd, cfg)))
+    cov0 = covariance0(p, sd, cfg)
+    return _quantifier_matrix(p, sd, cfg, "n2", _n2_sides(p, sd, cov0),
+                              cutoff_drift=cov0.cutoff_drift)
 
 
 def quantify(p, sd: SpectralDensity, cfg: QuadratureConfig | None = None,

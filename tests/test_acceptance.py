@@ -19,7 +19,6 @@ from nonmarkov import (
     ModelParams,
     OhmicSD,
     PeakedSD,
-    chi_qq_prime_vec,
     chi_qq_vec,
     chi_time,
     covariance0,
@@ -30,11 +29,12 @@ from nonmarkov import (
     feature_frequencies,
     integrate,
     langevin_means,
-    principal_value,
     propagate_means,
     quantify,
     regression_quantifier,
 )
+from nonmarkov.quadrature import principal_value
+from nonmarkov.response import chi_qq_prime_vec
 
 BETA1 = ModelParams(omega0=1.0, beta=1.0)
 PEAKED_DEFAULT = PeakedSD(coupling=1.0, width=0.5, resonance=2.0)

@@ -142,19 +142,19 @@ def test_tabulated_derivative_batch_and_first_failure():
 PUBLIC_NAMES = {
     "CHI_PLUS", "CHI_PLUS_INV", "CovarianceMatrix", "CutoffSensitive",
     "DerivativeUnstable", "DivisionNearZero", "EntryDiagnostics",
-    "LangevinConfig", "LangevinResult", "LineIntegral",
+    "LangevinConfig", "LangevinResult",
     "ModelParams", "NonConvergence", "NonFinite", "NumericsError",
-    "OhmicSD", "PVFailure", "PeakedSD",
+    "OhmicSD", "PeakedSD",
     "QuadratureConfig", "QuantifierReport", "SpectralDensity",
     "TabulatedSD", "TailDominates", "UnstableStep", "ZeroNorm",
-    "chi_matrix", "chi_prime_matrix", "chi_qq_prime_vec", "chi_qq_vec",
-    "chi_time", "cosine_transform", "covariance0", "covariance0_drift",
+    "chi_matrix", "chi_prime_matrix", "chi_qq_vec",
+    "chi_time", "covariance0",
     "distance", "divisibility_quantifier", "divisibility_residual",
     "embedding_response", "embedding_static_sum", "exact_entries_vec",
     "feature_frequencies", "integrate",
-    "is_decoupled", "langevin_means", "ou_coefficients", "principal_value",
+    "is_decoupled", "langevin_means", "ou_coefficients",
     "propagate_means", "quantify", "regression_quantifier",
-    "rt_entries_vec", "sine_transform",
+    "rt_entries_vec",
     "__version__",
 }
 

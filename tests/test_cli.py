@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -249,6 +250,22 @@ class TestMeansMode:
         assert (tmp_path / "nonmarkov_means.csv").exists()
         assert (tmp_path / "nonmarkov_means.gp").exists()
 
+    def test_failing_time_yields_sentinel_row_and_exit_3(self, tmp_path,
+                                                         capsys):
+        # no window within the panel cap bounds the χ(t) tail at t = 1e4
+        out = tmp_path / "m.csv"
+        rc = cli.main(["--mode", "means", "--range", "0:1e4:2",
+                       "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert "numerical failure at t = 10000 (1 of 2 grid points)" in err
+        rows = read_csv(out)
+        assert [row["t"] for row in rows] == ["0", "10000"]
+        assert rows[0]["q_mean"] != "" and rows[0]["error"] == ""
+        assert rows[1]["q_mean"] == rows[1]["p_mean"] == ""
+        assert "t = 10000" in rows[1]["error"]
+        assert out.with_suffix(".gp").exists()
+
 
 class TestConfiguration:
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
@@ -335,6 +352,14 @@ class TestConfiguration:
         assert rc == 0
         plain = stdout_values(capsys.readouterr().out)
         assert with_config == plain
+
+    def test_warning_filters_are_left_as_found(self, tmp_path, capsys):
+        before = list(warnings.filters)
+        rc = cli.main(["--mode", "quantify", "--quantifier", "n2",
+                       "--out", str(tmp_path / "q.csv")])
+        capsys.readouterr()
+        assert rc == 0
+        assert warnings.filters == before
 
     def test_help_exits_cleanly(self, capsys):
         with pytest.raises(SystemExit) as info:

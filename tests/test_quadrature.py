@@ -97,6 +97,13 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             integrate(gauss, 1.0, 1.0, CFG)
 
+    def test_only_the_upper_bound_may_be_infinite(self):
+        for a in (-math.inf, math.inf):
+            with pytest.raises(ValueError, match="lower"):
+                integrate(gauss, a, 0.0, CFG)
+        with pytest.raises(ValueError, match="a < b"):
+            integrate(gauss, 0.0, -math.inf, CFG)
+
     def test_half_line_failures_name_the_frequency(self):
         with pytest.raises(NonFinite) as exc:
             integrate(lambda x: np.where(x > 3.0, np.nan, 1.0 / (1.0 + x ** 2)),

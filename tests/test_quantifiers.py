@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from nonmarkov import quadrature, quantifiers
+from nonmarkov.correlations import covariance0
 from nonmarkov.errors import CutoffSensitive, TailDominates, ZeroNorm
 from nonmarkov.quadrature import QuadratureConfig, inner_product_info
 from nonmarkov.quantifiers import (
@@ -53,6 +54,18 @@ class TestDistance:
         assert abs(distance(GAUSS, g)
                    - distance(lambda x: lam * GAUSS(x),
                               lambda x: lam * g(x))) < 1e-10
+
+    @pytest.mark.parametrize("scale", [1e-6, 1e3, 1e6])
+    def test_cancelling_pair_is_scale_free(self, scale):
+        # ⟨f,g⟩ of an even and an odd function cancels to rounding, whose
+        # size grows with the scale; the pass must not ask for less
+        def f(x):
+            return scale * np.exp(-x * x)
+
+        def g(x):
+            return scale * x * np.exp(-np.abs(x))
+
+        assert distance(f, g) == 1.0
 
     def test_zero_norm_rejected(self):
         with pytest.raises(ZeroNorm):
@@ -155,6 +168,18 @@ class TestRegressionQuantifier:
     def test_zero_coupling_is_zero_matrix(self):
         m, _ = regression_quantifier(P1, OhmicSD(0.0))
         assert not m.any()
+
+    def test_entries_carry_the_covariance_cutoff_drift(self):
+        pq = ModelParams(omega0=1.0, beta=1.0, hbar=1.0)
+        sd = OhmicSD(0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CutoffSensitive)
+            rep = quantify(pq, sd, which="both")
+            drift = covariance0(pq, sd).cutoff_drift
+        assert drift > 0.01
+        for key in ("qq", "qp", "pq", "pp"):
+            assert rep.diagnostics[f"n2_{key}"].cutoff_drift == drift
+            assert rep.diagnostics[f"n1_{key}"].cutoff_drift == 0.0
 
 
 class TestQuantify:

@@ -8,6 +8,7 @@ where the D·a_p term is the friction impulse of the delta-correlated
 kernel acting on the position jump.
 """
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from nonmarkov import oracle, quadrature
-from nonmarkov.errors import CutoffSensitive, DivisionNearZero
+from nonmarkov.errors import CutoffSensitive, DivisionNearZero, NonConvergence
 from nonmarkov.quadrature import (
     QuadratureConfig,
     cosine_transform,
@@ -190,6 +191,18 @@ class TestChiTime:
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
             chi_time(P1, OhmicSD(0.2), -0.1)
+
+    def test_oversized_window_is_refused_before_it_is_built(self):
+        # at t = 1e6 the period-locked window needs millions of panels;
+        # counting them must not allocate them
+        tracemalloc.start()
+        try:
+            with pytest.raises(NonConvergence, match="panels"):
+                chi_time(P1, PeakedSD(0.5, 0.5, 2.0), 1e6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2 ** 20
 
     def test_deterministic(self):
         a = chi_time(P1, PEAKED, 2.5)
