@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 import warnings
 from pathlib import Path
@@ -21,35 +22,34 @@ import numpy as np
 
 from .errors import CutoffSensitive, NumericsError
 from .oracle import LangevinConfig, embedding_response, langevin_means
-from .quantifiers import quantify
+from .quantifiers import _ENTRY, _KEYS, quantify
 from .response import ModelParams, chi_time, propagate_means
 from .spectral import OhmicSD, PeakedSD, TabulatedSD
 
 _MODES = ("quantify", "sweep", "means", "oracle-check")
-_QUANTIFIERS = ("n1", "n2", "both")
-_SWEEPABLE = ("d", "gamma", "omega-big", "beta", "hbar")
+# the swept parameters that build a new spectral density per grid point
+_SD_KEYS = ("d", "gamma", "omega-big")
 
-_FLOAT_KEYS = ("d", "gamma", "omega-big", "beta", "hbar", "cutoff",
-               "aq", "ap")
-_INT_KEYS = ("seed",)
-_STR_KEYS = ("mode", "sd", "param", "range", "quantifier", "out")
-_ALL_KEYS = _FLOAT_KEYS + _INT_KEYS + _STR_KEYS
-
-_DEFAULTS = {
-    "sd": "ohmic",
-    "d": 1.0,
-    "gamma": 0.5,
-    "omega-big": 2.0,
-    "beta": 1.0,
-    "hbar": 1.0,
-    "cutoff": None,
-    "aq": 1.0,
-    "ap": 1.0,
-    "seed": 20260815,
-    "quantifier": "both",
-    "param": None,
-    "range": None,
-    "out": None,
+# Every setting once, as key: (type, default, allowed values, help).  The
+# parser, the config-file reader and _coerce all read this table.
+_SETTINGS = {
+    "mode": (str, None, _MODES, " | ".join(_MODES)),
+    "sd": (str, "ohmic", None, "ohmic | peaked | tabulated:<path>"),
+    "d": (float, 1.0, None, "Ohmic damping D/ω₀ or peaked coupling D/ω₀²"),
+    "gamma": (float, 0.5, None, "peaked width Γ/ω₀"),
+    "omega-big": (float, 2.0, None, "peaked resonance Ω/ω₀"),
+    "beta": (float, 1.0, None, "inverse temperature βω₀"),
+    "hbar": (float, 1.0, None, "ħ (0 = classical)"),
+    "cutoff": (float, None, None, "frequency cutoff Λ/ω₀ for covariances"),
+    "param": (str, None, _SD_KEYS + ("beta", "hbar"),
+              "swept parameter: d, gamma, omega-big, beta or hbar"),
+    "range": (str, None, None,
+              "start:stop:steps[:log|linear]; the time grid in means mode"),
+    "quantifier": (str, "both", ("n1", "n2", "both"), "n1 | n2 | both"),
+    "aq": (float, 1.0, None, "kick amplitude on q"),
+    "ap": (float, 1.0, None, "kick amplitude on p"),
+    "seed": (int, 20260815, None, "Monte Carlo seed"),
+    "out": (str, None, None, "CSV output path"),
 }
 
 
@@ -76,25 +76,24 @@ def _parse_config_file(path: str) -> dict:
                               f"{path}:{lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
         key = key.strip()
-        if key not in _ALL_KEYS:
+        if key not in _SETTINGS:
             raise ConfigError(key, f"unknown key in {path}:{lineno}")
         values[key] = value.strip()
     return values
 
 
-def _coerce(key: str, value):
-    if value is None or not isinstance(value, str):
-        return value
-    if key in _FLOAT_KEYS:
-        try:
-            return float(value)
-        except ValueError:
-            raise ConfigError(key, f"not a number: {value!r}") from None
-    if key in _INT_KEYS:
-        try:
-            return int(value)
-        except ValueError:
-            raise ConfigError(key, f"not an integer: {value!r}") from None
+def _coerce(key: str, text: str):
+    """A flag or config-file value as its setting's type, checked against
+    the setting's allowed values."""
+    kind, _, choices, _ = _SETTINGS[key]
+    try:
+        value = kind(text)
+    except ValueError:
+        raise ConfigError(key, f"expected {kind.__name__}, "
+                               f"got {text!r}") from None
+    if choices and value not in choices:
+        raise ConfigError(key, f"must be one of {', '.join(choices)}, "
+                               f"got {value!r}")
     return value
 
 
@@ -115,6 +114,8 @@ def _parse_range(text: str):
                                    f"got {scale!r}")
     if steps < 2:
         raise ConfigError("range", "steps must be >= 2")
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ConfigError("range", f"endpoints must be finite, got {text!r}")
     if scale == "log":
         if start <= 0.0 or stop <= 0.0:
             raise ConfigError("range", "log range endpoints must be > 0")
@@ -148,47 +149,35 @@ def _model(settings) -> ModelParams:
 
 
 def _settings_from(args) -> dict:
-    settings = dict(_DEFAULTS)
-    settings["mode"] = None
-    if args.config:
-        settings.update(_parse_config_file(args.config))
-    for key in _ALL_KEYS:
-        flag = getattr(args, key.replace("-", "_"), None)
+    """The table's defaults, overridden by the config file and then by
+    the flags; every given value goes through _coerce."""
+    given = _parse_config_file(args.config) if args.config else {}
+    for key in _SETTINGS:
+        flag = getattr(args, key.replace("-", "_"))
         if flag is not None:
-            settings[key] = flag
-    for key in list(settings):
-        settings[key] = _coerce(key, settings[key])
-    if settings["mode"] not in _MODES:
-        raise ConfigError("mode", f"must be one of {', '.join(_MODES)}, "
-                                  f"got {settings['mode']!r}")
-    if settings["quantifier"] not in _QUANTIFIERS:
-        raise ConfigError("quantifier",
-                          f"must be n1, n2 or both, "
-                          f"got {settings['quantifier']!r}")
+            given[key] = flag
+    settings = {key: row[1] for key, row in _SETTINGS.items()}
+    settings.update((key, _coerce(key, text)) for key, text in given.items())
+    if settings["mode"] is None:
+        raise ConfigError("mode", f"required: one of {', '.join(_MODES)}")
     return settings
 
 
 def _fmt(x) -> str:
-    if x is None:
-        return ""
     return format(float(x), ".12g")
 
 
 def _quantifier_columns(which: str):
-    cols = []
-    if which in ("n1", "both"):
-        cols += ["n1_qq", "n1_qp", "n1_pp"]
-    if which in ("n2", "both"):
-        cols += ["n2_qq", "n2_qp", "n2_pp"]
-    return cols
+    return [f"{name}_{key}" for name in ("n1", "n2")
+            if which in (name, "both") for key in _KEYS]
 
 
 def _report_cells(report):
     """The requested entries (qq, qp, pp of n1, then of n2), the largest
     tail ratio, whether any entry is flagged and the largest cutoff
     drift, all read from the report."""
-    cells = [m[i, j] for m in (report.n1, report.n2) if m is not None
-             for i, j in ((0, 0), (0, 1), (1, 1))]
+    cells = [c for m in (report.n1, report.n2) if m is not None
+             for c in m[_ENTRY]]
     diagnostics = report.diagnostics.values()
     tail = max((d.tail_ratio for d in diagnostics), default=0.0)
     flagged = any(d.flagged for d in diagnostics)
@@ -286,18 +275,19 @@ def _sweep_point(settings, param, value, sd):
     and its kernel memo is kept; a swept spectral parameter builds a new
     spectral density."""
     point = {**settings, param: value}
-    if param in ("d", "gamma", "omega-big"):
+    if param in _SD_KEYS:
         sd = _build_sd(point)
     return _report_cells(quantify(_model(point), sd,
                                   which=point["quantifier"]))
 
 
 def _validate_sweep(settings):
-    param = settings["param"]
-    if param not in _SWEEPABLE:
-        raise ConfigError("param", f"must be one of {', '.join(_SWEEPABLE)}, "
-                                   f"got {param!r}")
-    kind = settings["sd"]
+    """The swept parameter and its grid.  Every grid point's model (and
+    spectral density, for a swept spectral parameter) is built here, so
+    a bad value is named by the model's own check before any row runs."""
+    param, kind = settings["param"], settings["sd"]
+    if param is None:
+        raise ConfigError("param", "a sweep requires --param")
     if param in ("gamma", "omega-big") and kind != "peaked":
         raise ConfigError("param", f"'{param}' is only defined for the "
                                    "peaked spectral density")
@@ -307,18 +297,17 @@ def _validate_sweep(settings):
     if settings["range"] is None:
         raise ConfigError("range", "a sweep requires --range")
     grid, is_log = _parse_range(settings["range"])
-    positive_required = param in ("gamma", "omega-big", "beta")
-    if positive_required and (grid <= 0.0).any():
-        raise ConfigError("range", f"'{param}' values must be > 0")
-    if param in ("d", "hbar") and (grid < 0.0).any():
-        raise ConfigError("range", f"'{param}' values must be >= 0")
+    for value in grid:
+        point = {**settings, param: float(value)}
+        _model(point)
+        if param in _SD_KEYS:
+            _build_sd(point)
     return param, grid, is_log
 
 
 def _mode_sweep(settings) -> int:
     param, grid, is_log = _validate_sweep(settings)
     sd = _build_sd(settings)  # validates the fixed parameters up front
-    _model(settings)
     cols = _quantifier_columns(settings["quantifier"])
     header = [param] + cols + ["tail_ratio_max", "flagged", "cutoff_drift",
                                "error"]
@@ -344,14 +333,10 @@ def _mode_means(settings) -> int:
 
 def _langevin_oracle_case(settings):
     """Classical strict-Ohmic comparison set for the oracle check."""
-    return {
-        "damping": 0.2,
-        "config": LangevinConfig(damping=0.2, omega0=1.0,
-                                 beta=settings["beta"], dt=0.01, t_max=20.0,
-                                 n_traj=10 ** 5, seed=settings["seed"],
-                                 kick_q=settings["aq"],
-                                 kick_p=settings["ap"]),
-    }
+    return LangevinConfig(damping=0.2, omega0=1.0, beta=settings["beta"],
+                          dt=0.01, t_max=20.0, n_traj=10 ** 5,
+                          seed=settings["seed"], kick_q=settings["aq"],
+                          kick_p=settings["ap"])
 
 
 def _embedding_oracle_sd():
@@ -363,9 +348,9 @@ def _mode_oracle_check(settings) -> int:
     ok = True
 
     case = _langevin_oracle_case(settings)
-    res = langevin_means(case["config"])
+    res = langevin_means(case)
     p = ModelParams(omega0=1.0, beta=settings["beta"])
-    sd = OhmicSD(case["damping"])
+    sd = OhmicSD(case.damping)
     idx = np.linspace(1, len(res.times) - 1, 20, dtype=int)
     worst_z, worst_t = 0.0, 0.0
     for i in idx:
@@ -405,26 +390,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Non-Markovianity quantifiers for damped harmonic "
                     "motion: single evaluations, parameter sweeps, mean "
                     "evolutions and built-in oracle checks (ω₀ ≡ 1).")
-    ap.add_argument("--mode", choices=_MODES)
-    ap.add_argument("--sd", help="ohmic | peaked | tabulated:<path>")
-    ap.add_argument("--d", type=float,
-                    help="Ohmic damping D/ω₀ or peaked coupling D/ω₀²")
-    ap.add_argument("--gamma", type=float, help="peaked width Γ/ω₀")
-    ap.add_argument("--omega-big", type=float,
-                    help="peaked resonance Ω/ω₀")
-    ap.add_argument("--beta", type=float, help="inverse temperature βω₀")
-    ap.add_argument("--hbar", type=float, help="ħ (0 = classical)")
-    ap.add_argument("--cutoff", type=float,
-                    help="frequency cutoff Λ/ω₀ for covariances")
-    ap.add_argument("--param", help="swept parameter: d, gamma, "
-                                    "omega-big, beta or hbar")
-    ap.add_argument("--range", help="start:stop:steps[:log|linear]; the "
-                                    "time grid in means mode")
-    ap.add_argument("--quantifier", help="n1 | n2 | both")
-    ap.add_argument("--aq", type=float, help="kick amplitude on q")
-    ap.add_argument("--ap", type=float, help="kick amplitude on p")
-    ap.add_argument("--seed", type=int, help="Monte Carlo seed")
-    ap.add_argument("--out", help="CSV output path")
+    for key, (_, _, _, text) in _SETTINGS.items():
+        ap.add_argument(f"--{key}", help=text)
     ap.add_argument("--config", help="key = value file; flags override")
     return ap
 

@@ -77,9 +77,14 @@ class QuadratureConfig:
     half_width
         Truncation W of the whole-line integrals of ``inner_product_info``
         to [-W, W].  The transforms size their own window.
-    rel_tol, abs_tol
-        Success means estimated error ≤ max(abs_tol, rel_tol·|result|),
-        or within the round-off of a result whose panels cancel.
+    rel_tol
+        An adaptive integral succeeds when its estimated error is within
+        rel_tol·|result|, or within the round-off of a result whose
+        panels cancel; so a result does not depend on the scale of f.
+    abs_tol
+        Bound on the absolute quantities: the neglected by-parts tail of
+        the oscillatory transforms and the Richardson residual of
+        principal values.
     pv_radius
         Starting symmetric exclusion radius ε for principal values.
     max_subdivisions
@@ -129,9 +134,11 @@ def _adaptive(fn, edges: np.ndarray, cfg: QuadratureConfig):
     """Globally adaptive bisection over an initial sorted edge set.
 
     All rows of fn share one panel set.  The pass converges when every
-    row's error bound is within max(abs_tol, rel_tol·|row value|,
+    row's error bound is within max(rel_tol·|row value|,
     50·eps·Σ|panel values|); the last term is the round-off limit of a
-    row whose panels cancel (Piessens et al., QUADPACK, 1983).  A panel's
+    row whose panels cancel (Piessens et al., QUADPACK, 1983).  The test
+    is relative only, so the result scales with fn however small it is;
+    abs_tol plays no part in it.  A panel's
     weight is the sum of its rows' errors in units of their own
     tolerances (scaled by the tightest, so one row weighs its plain
     error); each round splits the panels carrying the top 90% of the
@@ -151,7 +158,8 @@ def _adaptive(fn, edges: np.ndarray, cfg: QuadratureConfig):
     for _ in range(_MAX_ROUNDS):
         total = vals.sum(axis=-1)
         err_total = errs.sum(axis=-1)
-        tol = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(total))
+        # _TINY keeps a row that is exactly zero off 0/0 in the weights
+        tol = np.maximum(_TINY, cfg.rel_tol * np.abs(total))
         # a row that cancels is known only to the rounding of its panels
         tol = np.maximum(tol, _ROUNDOFF * np.abs(vals).sum(axis=-1))
         if np.all(err_total <= tol):
@@ -344,8 +352,7 @@ def principal_value(f, pole: float, a: float, b: float,
     if eps0 <= 1e-13 * max(1.0, abs(pole)):
         raise PVFailure("pole too close to an endpoint for symmetric exclusion")
 
-    inner_cfg = replace(cfg, rel_tol=cfg.rel_tol / 10.0,
-                        abs_tol=cfg.abs_tol / 10.0)
+    inner_cfg = replace(cfg, rel_tol=cfg.rel_tol / 10.0)
 
     def excluded(eps: float) -> complex:
         # geometric edges walking away from the pole keep the 1/(x-pole)
@@ -451,8 +458,9 @@ def _oscillatory_transform(f, t: float, cfg: QuadratureConfig, kinds,
     NonConvergence naming t and the row.  At t = 0 the cosine rows are
     the half-line integral of f, which must converge.
     """
-    if t < 0:
-        raise ValueError("transform requires t >= 0")
+    if not 0.0 <= t < math.inf:
+        # NaN or ∞ would never meet the tail bound below
+        raise ValueError(f"transform requires 0 <= t < inf, got {t}")
     sin_rows = np.asarray(kinds) == "sin"
 
     def integrand(x):

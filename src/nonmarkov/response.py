@@ -239,16 +239,15 @@ def chi_time(p: ModelParams, sd: SpectralDensity, t: float,
     """Real-time response matrix χ(t) as a 2×2 real array.
 
     χ(0) is the pre-kick (causal) limit, i.e. the zero matrix; the
-    post-kick values live at t = 0⁺.
+    post-kick values live at t = 0⁺.  t must be finite: the response is
+    causal, and no window bounds the transform at t = ∞ or NaN.
     """
-    if t < 0.0:
-        raise ValueError("response is causal; require t >= 0")
-    if is_decoupled(sd):
-        if t == 0.0:
-            return np.zeros((2, 2))
-        return _free_propagator(p, t)
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"response requires 0 <= t < inf, got {t}")
     if t == 0.0:
         return np.zeros((2, 2))
+    if is_decoupled(sd):
+        return _free_propagator(p, t)
     cfg = cfg or QuadratureConfig()
     bp = feature_frequencies(p, sd)
 
@@ -267,10 +266,9 @@ def propagate_means(p: ModelParams, sd: SpectralDensity, a_q: float,
                     cfg: QuadratureConfig | None = None) -> tuple[float, float]:
     """Mean values (⟨q(t)⟩, ⟨p(t)⟩) after the kick (a_q, a_p) at t = 0.
 
-    At t = 0 the post-kick displacement (−a_p, +a_q) is returned.
+    At t = 0 the post-kick displacement (−a_p, +a_q) is returned; any
+    other t goes to ``chi_time``, which requires 0 < t < ∞.
     """
-    if t < 0.0:
-        raise ValueError("require t >= 0")
     if t == 0.0:
         return (-a_p, a_q)
     mean = chi_time(p, sd, t, cfg) @ np.array([a_q, a_p])

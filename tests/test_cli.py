@@ -42,6 +42,15 @@ def jagged_table(tmp_path_factory) -> Path:
     return path
 
 
+# a valid value other than the default for every setting
+SETTING_SAMPLES = {
+    "mode": "means", "sd": "peaked", "d": "0.3", "gamma": "0.7",
+    "omega-big": "1.5", "beta": "2.5", "hbar": "0", "cutoff": "50",
+    "param": "hbar", "range": "0:1:3", "quantifier": "n2", "aq": "0.25",
+    "ap": "-0.5", "seed": "7", "out": "x.csv",
+}
+
+
 def read_csv(path) -> list[dict]:
     with open(path, newline="", encoding="utf-8") as fh:
         return list(csv.DictReader(fh))
@@ -295,6 +304,48 @@ class TestConfiguration:
                        "--range", "0:5:3:log"])
         assert rc == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("key", list(cli._SETTINGS))
+    def test_flag_and_config_line_agree(self, key, tmp_path):
+        value = SETTING_SAMPLES[key]
+        mode = [] if key == "mode" else ["--mode", "quantify"]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {value}\n", encoding="utf-8")
+        parser = cli._build_parser()
+        by_flag = cli._settings_from(
+            parser.parse_args(mode + [f"--{key}", value]))
+        by_file = cli._settings_from(
+            parser.parse_args(mode + ["--config", str(cfg)]))
+        assert by_flag == by_file
+        assert by_flag[key] != cli._SETTINGS[key][1]
+
+    @pytest.mark.parametrize("flags, key", [
+        (["--mode", "quantify", "--beta", "abc"], "beta"),
+        (["--mode", "quantify", "--seed", "1.5"], "seed"),
+        (["--mode", "juggle"], "mode"),
+        (["--mode", "quantify", "--param", "width"], "param"),
+    ])
+    def test_bad_flag_value_names_its_key(self, flags, key, capsys):
+        assert cli.main(flags) == 2
+        assert f"config error: key '{key}'" in capsys.readouterr().err
+
+    def test_bad_sweep_value_is_named_by_the_model(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        rc = cli.main(["--mode", "sweep", "--param", "beta",
+                       "--range=-1:1:3", "--out", str(out)])
+        assert rc == 2
+        assert ("config error: key 'beta': beta must be > 0"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("grid", ["0:nan:3", "0:inf:3"])
+    def test_non_finite_time_range_exits_2(self, grid, tmp_path, capsys):
+        out = tmp_path / "m.csv"
+        rc = cli.main(["--mode", "means", "--sd", "peaked", "--range", grid,
+                       "--out", str(out)])
+        assert rc == 2
+        assert "config error: key 'range'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_sweep_parameter_rules(self, smooth_table, capsys):
         # width only makes sense for the peaked family

@@ -67,6 +67,17 @@ class TestDistance:
 
         assert distance(f, g) == 1.0
 
+    @pytest.mark.parametrize("scale", [1e-4, 1e-6, 1e-9])
+    def test_small_pair_is_scale_free(self, scale):
+        # squared norms near or below abs_tol: an absolute acceptance
+        # test would stop refining and move the distance by up to 1e-6
+        def pair(s):
+            return distance(lambda x: s * np.exp(-x * x),
+                            lambda x: s * (1.0 + x) * np.exp(-np.abs(x)))
+
+        unit = pair(1.0)
+        assert abs(pair(scale) - unit) <= 1e-14 * unit
+
     def test_zero_norm_rejected(self):
         with pytest.raises(ZeroNorm):
             distance(GAUSS, np.zeros_like)

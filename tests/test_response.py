@@ -192,6 +192,15 @@ class TestChiTime:
         with pytest.raises(ValueError):
             chi_time(P1, OhmicSD(0.2), -0.1)
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_non_finite_time_rejected(self, t):
+        # no window bounds the tail there: NaN never met the tail bound,
+        # so the window kept doubling without end
+        with pytest.raises(ValueError, match="t < inf"):
+            chi_time(P1, PEAKED, t)
+        with pytest.raises(ValueError, match="t < inf"):
+            propagate_means(P1, PEAKED, 1.0, 1.0, t)
+
     def test_oversized_window_is_refused_before_it_is_built(self):
         # at t = 1e6 the period-locked window needs millions of panels;
         # counting them must not allocate them
