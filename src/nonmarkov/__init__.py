@@ -70,7 +70,6 @@ from .response import (
     chi_time,
     divisibility_residual,
     feature_frequencies,
-    is_decoupled,
     propagate_means,
 )
 from .correlations import (
@@ -134,7 +133,6 @@ __all__ = [
     "exact_entries_vec",
     "feature_frequencies",
     "integrate",
-    "is_decoupled",
     "langevin_means",
     "ou_coefficients",
     "propagate_means",

@@ -396,8 +396,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _join_values(argv) -> list[str]:
+    """argv with every '--<key> <value>' of a setting or --config joined
+    into '--<key>=<value>'.  argparse takes a separate value that starts
+    with '-' for a flag unless it is a plain number, so '--aq -1e-3' or
+    '--range -1:1:3' would otherwise stop at its usage line."""
+    flags = {f"--{key}" for key in _SETTINGS} | {"--config"}
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] in flags:
+            out[-1] += f"={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _build_parser().parse_args(
+        _join_values(sys.argv[1:] if argv is None else argv))
     with warnings.catch_warnings():
         warnings.simplefilter("once", CutoffSensitive)
         try:

@@ -37,14 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CutoffSensitive
-from .quadrature import QuadratureConfig, integrate
-from .response import (
-    ModelParams,
-    _chi_qq,
-    chi_qq_vec,
-    feature_frequencies,
-    is_decoupled,
-)
+from .quadrature import _DEFAULT_CFG, QuadratureConfig, integrate
+from .response import ModelParams, _chi_qq, chi_qq_vec, feature_frequencies
 from .spectral import SpectralDensity
 
 __all__ = [
@@ -155,9 +149,9 @@ def covariance0(p: ModelParams, sd: SpectralDensity,
     quantum c_pp is truncated at Λ with a sensitivity warning, and the
     matrix carries its drift between Λ and 2Λ as ``cutoff_drift``.
     """
-    if is_decoupled(sd):
+    if sd.decoupled:
         return _free_covariance(p)
-    cov = _covariance0_cached(p, sd, cfg or QuadratureConfig())
+    cov = _covariance0_cached(p, sd, cfg or _DEFAULT_CFG)
     if cov.cutoff_drift > 0.01:
         warnings.warn(
             f"momentum variance shifts by {100.0 * cov.cutoff_drift:.1f}% "

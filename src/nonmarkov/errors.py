@@ -15,14 +15,18 @@ class NonConvergence(NumericsError):
     """An iterative scheme exhausted its budget before meeting tolerance.
 
     Carries the best available estimate and the error bound at the point
-    of failure so callers can decide whether the partial result is usable.
+    of failure so callers can decide whether the partial result is usable,
+    and, from an adaptive integral, ``where``: the midpoint of the panel
+    that carried the most error.
     """
 
     def __init__(self, message: str, estimate: complex | float | None = None,
-                 error_bound: float | None = None):
+                 error_bound: float | None = None,
+                 where: float | None = None):
         super().__init__(message)
         self.estimate = estimate
         self.error_bound = error_bound
+        self.where = where
 
 
 class NonFinite(NumericsError):
@@ -40,10 +44,8 @@ class TailDominates(NumericsError):
     requested tolerance.
     """
 
-    def __init__(self, message: str, value: complex | float | None = None,
-                 tail: float | None = None):
+    def __init__(self, message: str, tail: float | None = None):
         super().__init__(message)
-        self.value = value
         self.tail = tail
 
 

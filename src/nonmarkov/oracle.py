@@ -1,6 +1,6 @@
 """Independent cross-checks for the response machinery.
 
-Two engines that share no code with the frequency-domain pipeline:
+Two engines that share no numerics with the frequency-domain pipeline:
 
 * a classical Langevin Monte Carlo integrator for the strict-Ohmic
   model, prepared by the same momentum/position kick as the analytic
@@ -8,6 +8,12 @@ Two engines that share no code with the frequency-domain pipeline:
 * a deterministic four-dimensional ODE, the damped pseudo-mode
   embedding of the peaked spectral density, whose kicked trajectory
   must reproduce `chi_time`.
+
+The ODE integrates `PeakedSD.drift_matrix`, the one copy of the
+pseudo-mode matrix.  The pipeline reads that matrix only to place
+quadrature breakpoints at its eigenvalues; its χ̃ comes from the
+closed-form γ̃ of `PeakedSD`, and the tests check the residues of the
+matrix against that χ̃, so the two descriptions of the bath agree.
 """
 from __future__ import annotations
 
@@ -18,6 +24,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import NonConvergence, UnstableStep
+from .spectral import PeakedSD
 
 _BLOWUP = 1e6
 
@@ -141,26 +148,16 @@ def langevin_means(cfg: LangevinConfig) -> LangevinResult:
 
 def _embedding_matrix(coupling: float, width: float, resonance: float,
                       omega0: float) -> np.ndarray:
-    """Drift matrix for (q, p, x, y): the system coupled with strength
-    D (units ω²) to one damped auxiliary mode, counter-term included so
-    the static response stays 1/ω₀²."""
-    w0sq = omega0 ** 2 + coupling ** 2 / resonance ** 2
-    return np.array([
-        [0.0, 1.0, 0.0, 0.0],
-        [-w0sq, 0.0, coupling, 0.0],
-        [0.0, 0.0, 0.0, 1.0],
-        [coupling, 0.0, -resonance ** 2, -width],
-    ])
-
-
-def _check_embedding_params(coupling, width, resonance, omega0):
-    if not (omega0 > 0.0 and width > 0.0 and resonance > 0.0):
-        raise ValueError("omega0, width and resonance must be > 0")
-    if coupling < 0.0:
-        raise ValueError("coupling must be >= 0")
+    """The peaked bath's drift matrix for (q, p, x, y).  ``PeakedSD``
+    checks the bath; the embedding adds ω₀ > 0 and the oscillatory
+    regime."""
+    sd = PeakedSD(coupling, width, resonance)
+    if not omega0 > 0.0:
+        raise ValueError("omega0 must be > 0")
     if not 2.0 * resonance ** 2 - width ** 2 > 0.0:
         raise ValueError("embedding oracle requires the oscillatory "
                          "auxiliary-mode regime 2·resonance² − width² > 0")
+    return sd.drift_matrix(omega0)
 
 
 def embedding_response(coupling: float, width: float, resonance: float,
@@ -170,11 +167,10 @@ def embedding_response(coupling: float, width: float, resonance: float,
 
     Accepts a scalar time or an array of times ≥ 0.
     """
-    _check_embedding_params(coupling, width, resonance, omega0)
+    mat = _embedding_matrix(coupling, width, resonance, omega0)
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     if (t_arr < 0.0).any():
         raise ValueError("times must be >= 0")
-    mat = _embedding_matrix(coupling, width, resonance, omega0)
 
     t_end = float(t_arr.max())
     if t_end == 0.0:
@@ -197,7 +193,6 @@ def embedding_static_sum(coupling: float, width: float, resonance: float,
     """∫₀^∞ χ_qq(t) dt computed from the embedding by augmenting the
     state with the running integral; must equal the static response
     1/ω₀².  The horizon is set by the slowest decay rate."""
-    _check_embedding_params(coupling, width, resonance, omega0)
     mat = _embedding_matrix(coupling, width, resonance, omega0)
     rates = -np.real(np.linalg.eigvals(mat))
     slowest = float(rates.min())

@@ -130,7 +130,8 @@ def _eval_panels(fn, lo: np.ndarray, hi: np.ndarray):
     return vals, errs
 
 
-def _adaptive(fn, edges: np.ndarray, cfg: QuadratureConfig):
+def _adaptive(fn, edges: np.ndarray, cfg: QuadratureConfig,
+              x_of=lambda u: u):
     """Globally adaptive bisection over an initial sorted edge set.
 
     All rows of fn share one panel set.  The pass converges when every
@@ -146,6 +147,12 @@ def _adaptive(fn, edges: np.ndarray, cfg: QuadratureConfig):
     bookkeeping is kept sorted by left edge, so the refinement sequence
     (and the floating-point sum) is deterministic.
 
+    A pass that runs out of panels, of rounds or of panels wide enough
+    to split raises NonConvergence at its heaviest panel: ``where`` is
+    the panel's midpoint, mapped by x_of from the variable of fn to the
+    caller's x, and the message says whether the panel reached the 1e-14
+    relative split limit.
+
     Returns (value, error_bound, panel_count); value and error_bound have
     the row shape of fn, () for a scalar integrand.
     """
@@ -155,7 +162,7 @@ def _adaptive(fn, edges: np.ndarray, cfg: QuadratureConfig):
     lo, hi = edges[:-1], edges[1:]
     vals, errs = _eval_panels(fn, lo, hi)
 
-    for _ in range(_MAX_ROUNDS):
+    for rounds in range(_MAX_ROUNDS + 1):
         total = vals.sum(axis=-1)
         err_total = errs.sum(axis=-1)
         # _TINY keeps a row that is exactly zero off 0/0 in the weights
@@ -169,12 +176,19 @@ def _adaptive(fn, edges: np.ndarray, cfg: QuadratureConfig):
         budget = cfg.max_subdivisions - lo.size
         span = np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
         splittable = (hi - lo) > 1e-14 * span
-        if budget < 1 or not splittable.any():
+        if budget < 1 or not splittable.any() or rounds == _MAX_ROUNDS:
             worst = np.unravel_index(np.argmax(err_total / tol), tol.shape)
+            heavy = int(np.argmax(weight))
+            left, right = x_of(lo[heavy]), x_of(hi[heavy])
+            state = ("could still be split" if splittable[heavy] else
+                     "has reached the 1e-14 relative split limit")
             raise NonConvergence(
                 f"adaptive quadrature did not reach tolerance {tol[worst]:.3g} "
-                f"(error bound {err_total[worst]:.3g} with {lo.size} panels)",
-                estimate=total, error_bound=err_total)
+                f"(error bound {err_total[worst]:.3g} with {lo.size} panels "
+                f"after {rounds} rounds); the heaviest panel "
+                f"[{left:.15g}, {right:.15g}] {state}",
+                estimate=total, error_bound=err_total,
+                where=float(x_of(0.5 * (lo[heavy] + hi[heavy]))))
 
         cand = np.nonzero(splittable)[0]
         order = cand[np.lexsort((lo[cand], -weight[cand]))]
@@ -197,10 +211,6 @@ def _adaptive(fn, edges: np.ndarray, cfg: QuadratureConfig):
         idx = np.argsort(lo, kind="stable")
         lo, hi, vals, errs = lo[idx], hi[idx], vals[..., idx], errs[..., idx]
 
-    raise NonConvergence(
-        "adaptive quadrature exceeded the refinement round limit",
-        estimate=vals.sum(axis=-1), error_bound=errs.sum(axis=-1))
-
 
 def _with_breakpoints(a: float, b: float, breakpoints=()) -> np.ndarray:
     pts = [float(p) for p in breakpoints if a < p < b]
@@ -215,21 +225,23 @@ def _half_line(f, a: float, cfg: QuadratureConfig, breakpoints=()):
     f elsewhere raises NonFinite at its own x.
     """
     # x = a + u/(1-u) maps [0,1) to [a, inf); GK nodes never touch u=1.
+    def x_of(u):
+        return a + u / (1.0 - u)
+
     def mapped(u):
-        om = 1.0 - u
         with np.errstate(divide="ignore", invalid="ignore"):
-            return f(a + u / om) / om**2
+            return f(x_of(u)) / (1.0 - u)**2
     edges = np.concatenate(([0.0], 1.0 - 0.5 ** np.arange(1, 14), [1.0]))
     mapped_bp = [(x - a) / (1.0 + x - a) for x in breakpoints if x > a]
     edges = np.array(sorted({*edges, *mapped_bp}))
     try:
-        return _adaptive(mapped, edges, cfg)
+        return _adaptive(mapped, edges, cfg, x_of)
     except NonFinite as exc:
         if exc.where == 1.0:
             raise NonConvergence(
                 f"integral over [{a:.6g}, inf) diverges: the panels reached "
                 "infinity without meeting the tolerance") from exc
-        x = a + exc.where / (1.0 - exc.where)
+        x = x_of(exc.where)
         raise NonFinite(f"integrand returned a non-finite value at "
                         f"x = {x:.6g}", where=x) from exc
 
@@ -474,7 +486,8 @@ def _oscillatory_transform(f, t: float, cfg: QuadratureConfig, kinds,
         except NonConvergence as exc:
             raise NonConvergence(
                 f"transform at t = 0 does not converge: {exc}",
-                estimate=exc.estimate, error_bound=exc.error_bound) from exc
+                estimate=exc.estimate, error_bound=exc.error_bound,
+                where=exc.where) from exc
         return np.real(val) * (2.0 / math.pi)
 
     max_width = 2.0 * math.pi / t / _PANELS_PER_PERIOD

@@ -16,16 +16,9 @@ import numpy as np
 
 from .correlations import covariance0, exact_entries_vec, rt_entries_vec
 from .errors import TailDominates, ZeroNorm
-from .quadrature import QuadratureConfig, inner_product_info
-from .response import (
-    _composed_response,
-    chi_prime_matrix,
-    feature_frequencies,
-    is_decoupled,
-)
+from .quadrature import _DEFAULT_CFG, QuadratureConfig, inner_product_info
+from .response import _composed_response, chi_prime_matrix, feature_frequencies
 from .spectral import SpectralDensity
-
-_DEFAULT_CFG = QuadratureConfig()
 
 # Truncation-sensitivity thresholds on the scale-free tail ratio:
 # above _TAIL_FLAG the report flags the entry, above _TAIL_RAISE the
@@ -153,7 +146,7 @@ def _quantifier_matrix(p, sd, cfg, prefix, sides, hermitian=False,
     which moves the distance).  A degenerate entry reads 0; every entry
     carries cutoff_drift."""
     matrix = np.zeros((2, 2))
-    if is_decoupled(sd):
+    if sd.decoupled:
         zero = EntryDiagnostics(0.0, 0, False)
         return matrix, {f"{prefix}_{key}": zero
                         for key in ("qq", "qp", "pq", "pp")}

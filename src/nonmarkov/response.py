@@ -37,8 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CutoffSensitive, DivisionNearZero
-from .quadrature import QuadratureConfig, _oscillatory_transform
-from .spectral import OhmicSD, PeakedSD, SpectralDensity
+from .quadrature import _DEFAULT_CFG, QuadratureConfig, _oscillatory_transform
+from .spectral import SpectralDensity
 
 __all__ = [
     "CHI_PLUS",
@@ -52,7 +52,6 @@ __all__ = [
     "chi_time",
     "propagate_means",
     "feature_frequencies",
-    "is_decoupled",
 ]
 
 # Symplectic structure matrix: (χ₊)_qp = −1, (χ₊)_pq = +1.
@@ -171,24 +170,22 @@ def _composed_response(p: ModelParams, sd: SpectralDensity,
 def divisibility_residual(p: ModelParams, sd: SpectralDensity,
                           omega) -> np.ndarray:
     """R(ω) = −i dχ̃/dω − χ̃ χ₊⁻¹ χ̃, shape (2, 2) + ω.shape; identically
-    zero for a divisible (time-homogeneous) mean propagator."""
-    return (-1j * chi_prime_matrix(p, sd, omega)
-            - _composed_response(p, sd, omega))
+    zero for a divisible (time-homogeneous) mean propagator.
 
-
-def is_decoupled(sd: SpectralDensity) -> bool:
-    """True when the bath coupling is exactly zero."""
-    if isinstance(sd, OhmicSD):
-        return sd.damping == 0.0
-    if isinstance(sd, PeakedSD):
-        return sd.coupling == 0.0
-    return False
+    The two terms cancel to χ̃_qq²·(γ̃ + ω dγ̃/dω)·[[1, iω], [−iω, ω²]],
+    which is evaluated instead, so a weak bath keeps its digits."""
+    w = np.asarray(omega, dtype=float)
+    gam = sd.gamma_tilde_vec(w)
+    r = _chi_qq(p, w, gam) ** 2 * (gam + w * sd.gamma_tilde_prime_vec(w))
+    return np.array([[r, 1j * w * r], [-1j * w * r, w ** 2 * r]])
 
 
 def feature_frequencies(p: ModelParams, sd: SpectralDensity) -> list[float]:
-    """Positive frequencies where χ̃ has structure (resonance cluster,
-    coupled-mode frequencies, kernel features).  Used as quadrature
-    breakpoints so that narrow resonances are never missed."""
+    """Positive frequencies where χ̃ has structure: ω₀, the cluster
+    around the damped and shifted resonance of any coupled bath, and the
+    bath's own ``feature_frequencies(ω₀)`` (for the peaked bath, the
+    poles of χ̃).  Used as quadrature breakpoints so that narrow
+    resonances are never missed."""
     return list(_feature_frequencies(p, sd))
 
 
@@ -198,7 +195,7 @@ def feature_frequencies(p: ModelParams, sd: SpectralDensity) -> list[float]:
 def _feature_frequencies(p: ModelParams,
                          sd: SpectralDensity) -> tuple[float, ...]:
     pts: list[float] = [p.omega0]
-    if not is_decoupled(sd):
+    if not sd.decoupled:
         # damped/shifted resonance: two fixed-point refinements of
         # ω*² = ω₀² + ω* Im γ̃(ω*), half-width from Re γ̃(ω*)
         w_star = p.omega0
@@ -210,21 +207,7 @@ def _feature_frequencies(p: ModelParams,
         sigma = 0.5 * max(g.real, 0.0)
         for k in (-6.0, -2.0, -0.5, 0.0, 0.5, 2.0, 6.0):
             pts.append(w_star + k * sigma)
-    if isinstance(sd, PeakedSD) and sd.coupling > 0.0:
-        # poles of χ̃ are eigenvalues of the oscillator coupled to the
-        # auxiliary mode that generates the peaked kernel
-        d, g, big = sd.coupling, sd.width, sd.resonance
-        a = np.array([
-            [0.0, 1.0, 0.0, 0.0],
-            [-(p.omega0 ** 2 + d ** 2 / big ** 2), 0.0, d, 0.0],
-            [0.0, 0.0, 0.0, 1.0],
-            [d, 0.0, -big ** 2, -g],
-        ])
-        for lam in np.linalg.eigvals(a):
-            nu, sig = abs(lam.imag), abs(lam.real)
-            if nu > 1e-12:
-                pts.extend([nu, nu - sig, nu + sig, nu - 3 * sig, nu + 3 * sig])
-    pts.extend(sd.feature_frequencies())
+    pts.extend(sd.feature_frequencies(p.omega0))
     return tuple(sorted({x for x in pts if x > 0.0}))
 
 
@@ -246,9 +229,9 @@ def chi_time(p: ModelParams, sd: SpectralDensity, t: float,
         raise ValueError(f"response requires 0 <= t < inf, got {t}")
     if t == 0.0:
         return np.zeros((2, 2))
-    if is_decoupled(sd):
+    if sd.decoupled:
         return _free_propagator(p, t)
-    cfg = cfg or QuadratureConfig()
+    cfg = cfg or _DEFAULT_CFG
     bp = feature_frequencies(p, sd)
 
     def rows(w: np.ndarray) -> np.ndarray:

@@ -15,15 +15,22 @@ and returning an array of the same shape:
                                 memory kernel, as complex values
 * ``gamma_tilde_prime_vec(ω)``  its frequency derivative d γ̃/dω
 
-For Ohmic and Peaked these are closed forms.  For tabulated data the real
-part is J(ω)/ω and the imaginary part is the dispersion integral
-Im γ̃(ω) = −(1/π) 𝒫∫ dν [J(ν)/ν] / (ν−ω).  The table is interpolated
-by a piecewise cubic, whose Hilbert transform is itself closed form
-(F. W. King, *Hilbert Transforms*, CUP 2009), so Im γ̃ and dγ̃/dω come
-from the cubic coefficients without quadrature; ``principal_value``
-stays in ``quadrature`` as an independent check.  A table too rough
-for its derivative is caught by comparison with its every-other-knot
-subtable and raises ``DerivativeUnstable``.
+For Ohmic and Peaked these are closed forms.  A bath also says whether
+it is ``decoupled`` (zero coupling) and gives ``feature_frequencies(ω₀)``,
+where it or the response of an oscillator of frequency ω₀ has structure,
+so no other module asks which family it has.  The peaked bath is one
+damped pseudo-mode (Garraway, PRA 55, 2290 (1997)); the eigenvalues
+−σ ± iν of its ``drift_matrix(ω₀)`` are the poles of χ̃_qq, placed as
+breakpoints at ν, ν ± σ and ν ± 3σ.
+
+For tabulated data the real part is J(ω)/ω and the imaginary part is
+the dispersion integral Im γ̃(ω) = −(1/π) 𝒫∫ dν [J(ν)/ν] / (ν−ω).  The
+table is interpolated by a piecewise cubic, whose Hilbert transform is
+itself closed form (F. W. King, *Hilbert Transforms*, CUP 2009), so
+Im γ̃ and dγ̃/dω come from the cubic coefficients without quadrature;
+``principal_value`` stays in ``quadrature`` as an independent check.  A
+table too rough for its derivative is caught by comparison with its
+every-other-knot subtable and raises ``DerivativeUnstable``.
 """
 from __future__ import annotations
 
@@ -120,9 +127,15 @@ class SpectralDensity:
         """dγ̃/dω at an array of frequencies, as complex values."""
         raise NotImplementedError
 
-    def feature_frequencies(self) -> list[float]:
-        """Positive frequencies where the kernel has structure; used to
-        seed quadrature breakpoints downstream."""
+    @property
+    def decoupled(self) -> bool:
+        """True when the bath coupling is exactly zero."""
+        return False
+
+    def feature_frequencies(self, omega0: float) -> list[float]:
+        """Frequencies where the kernel, or the response of an oscillator
+        of frequency omega0, has structure; the positive ones seed
+        quadrature breakpoints downstream."""
         return []
 
 
@@ -149,6 +162,10 @@ class OhmicSD(SpectralDensity):
 
     def gamma_tilde_prime_vec(self, omega) -> np.ndarray:
         return np.zeros(np.asarray(omega, dtype=float).shape, dtype=complex)
+
+    @property
+    def decoupled(self) -> bool:
+        return self.damping == 0.0
 
 
 @dataclass(frozen=True)
@@ -201,9 +218,32 @@ class PeakedSD(SpectralDensity):
         im_p = d2 / big ** 2 * ((num + 2.0 * w ** 2) * p - w * num * dp) / p ** 2
         return re_p + 1j * im_p
 
-    def feature_frequencies(self) -> list[float]:
-        return [self.resonance, max(self.resonance - self.width, self.width),
-                self.resonance + self.width]
+    @property
+    def decoupled(self) -> bool:
+        return self.coupling == 0.0
+
+    def drift_matrix(self, omega0: float) -> np.ndarray:
+        """Drift matrix A of (q, p, x, y), the oscillator coupled with
+        strength D (units ω²) to the damped pseudo-mode x, counter-term
+        included so the static response stays 1/ω₀²; χ_qq(t) = (e^{At})_qp."""
+        d, big = self.coupling, self.resonance
+        return np.array([
+            [0.0, 1.0, 0.0, 0.0],
+            [-(omega0 ** 2 + d ** 2 / big ** 2), 0.0, d, 0.0],
+            [0.0, 0.0, 0.0, 1.0],
+            [d, 0.0, -big ** 2, -self.width],
+        ])
+
+    def feature_frequencies(self, omega0: float) -> list[float]:
+        pts = [self.resonance, max(self.resonance - self.width, self.width),
+               self.resonance + self.width]
+        if not self.decoupled:
+            for lam in np.linalg.eigvals(self.drift_matrix(omega0)):
+                nu, sig = abs(lam.imag), abs(lam.real)
+                if nu > 1e-12:
+                    pts.extend([nu, nu - sig, nu + sig, nu - 3 * sig,
+                                nu + 3 * sig])
+        return pts
 
 
 @dataclass(frozen=True, eq=False)
@@ -348,14 +388,10 @@ class TabulatedSD(SpectralDensity):
 
     def _ratio(self, nu: np.ndarray) -> np.ndarray:
         """J(ν)/ν, even and regular at ν = 0 with value J'(0)."""
-        nu = np.asarray(nu, dtype=float)
-        mag = np.abs(nu)
+        mag = np.abs(np.asarray(nu, dtype=float))
         out = np.full(mag.shape, self._slope0)
         big = mag > 1e-12 * self.frequencies[-1]
-        vals = np.zeros(mag.shape)
-        inside = big & (mag <= self.frequencies[-1])
-        vals[inside] = self._interp(mag[inside])
-        out[big] = vals[big] / mag[big]
+        out[big] = self.j(mag[big]) / mag[big]
         return out
 
     def _ratio_prime(self, w: np.ndarray) -> np.ndarray:
@@ -595,6 +631,6 @@ class TabulatedSD(SpectralDensity):
                 f"{_ROUGHNESS_LIMIT}); table too coarse or noisy")
         return self._prime(omega)
 
-    def feature_frequencies(self) -> list[float]:
+    def feature_frequencies(self, omega0: float) -> list[float]:
         peak = float(self.frequencies[int(np.argmax(self.values))])
         return [f for f in (peak, float(self.frequencies[-1])) if f > 0.0]

@@ -1,12 +1,17 @@
-"""Matrix forms of the correlation spectra, for algebraic cross-checks.
+"""Matrix forms of the correlation spectra and of the peaked bath, for
+algebraic cross-checks.
 
 The package computes the regression-theorem prediction entry by entry
 (``correlations.rt_entries_vec``); the form here multiplies the 2×2
-matrices out, so the tests can compare the two.
+matrices out, so the tests can compare the two.  ``pole_residues``
+diagonalizes the pseudo-mode drift matrix of a peaked bath, from which
+χ̃_qq and the equal-time covariances follow in closed form.
 """
+import numpy as np
+
 from nonmarkov.correlations import CovarianceMatrix
 from nonmarkov.response import CHI_PLUS_INV, ModelParams, _matmul2, chi_matrix
-from nonmarkov.spectral import SpectralDensity
+from nonmarkov.spectral import PeakedSD, SpectralDensity
 
 
 def rt_spectrum_general(p: ModelParams, sd: SpectralDensity, omega,
@@ -17,3 +22,11 @@ def rt_spectrum_general(p: ModelParams, sd: SpectralDensity, omega,
     c = c0.as_array()
     return (_matmul2(_matmul2(chi, CHI_PLUS_INV), c)
             - _matmul2(_matmul2(c, CHI_PLUS_INV), chi.conj().swapaxes(0, 1)))
+
+
+def pole_residues(sd: PeakedSD, omega0: float):
+    """Eigenvalues λ_k of A = ``sd.drift_matrix(omega0)`` = V·Λ·V⁻¹ and
+    the residues r_k = V_qk·(V⁻¹)_kp, so that χ_qq(t) = Σ r_k e^{λ_k t}
+    and χ̃_qq(ω) = −Σ r_k/(λ_k + iω)."""
+    lam, v = np.linalg.eig(sd.drift_matrix(omega0))
+    return lam, v[0] * np.linalg.inv(v)[:, 1]

@@ -338,6 +338,28 @@ class TestConfiguration:
                 in capsys.readouterr().err)
         assert not out.exists()
 
+    def test_value_starting_with_a_dash_reaches_the_model(self, tmp_path,
+                                                          capsys):
+        out = tmp_path / "sweep.csv"
+        rc = cli.main(["--mode", "sweep", "--param", "beta",
+                       "--range", "-1:1:3", "--out", str(out)])
+        assert rc == 2
+        assert ("config error: key 'beta': beta must be > 0"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_negative_kick_as_a_separate_value(self, tmp_path, capsys):
+        out = tmp_path / "m.csv"
+        rc = cli.main(["--mode", "means", "--aq", "-1e-3", "--range",
+                       "0:5:6", "--out", str(out)])
+        capsys.readouterr()
+        assert rc == 0
+        row = read_csv(out)[-1]
+        q, pm = propagate_means(ModelParams(omega0=1.0, beta=1.0),
+                                OhmicSD(1.0), -1e-3, 1.0, 5.0)
+        assert math.isclose(float(row["q_mean"]), q, abs_tol=1e-9)
+        assert math.isclose(float(row["p_mean"]), pm, abs_tol=1e-9)
+
     @pytest.mark.parametrize("grid", ["0:nan:3", "0:inf:3"])
     def test_non_finite_time_range_exits_2(self, grid, tmp_path, capsys):
         out = tmp_path / "m.csv"

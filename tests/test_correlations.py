@@ -7,6 +7,7 @@ import weakref
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy.special import psi
 
 from nonmarkov.correlations import (
     CovarianceMatrix,
@@ -21,7 +22,7 @@ from nonmarkov.quantifiers import quantify
 from nonmarkov.response import ModelParams, chi_qq_vec
 from nonmarkov.spectral import OhmicSD, PeakedSD, TabulatedSD
 
-from matrix_forms import rt_spectrum_general
+from matrix_forms import pole_residues, rt_spectrum_general
 
 PEAKED = PeakedSD(coupling=1.0, width=0.5, resonance=2.0)
 FREE_QUANTUM_CQQ = 0.6565176427496657  # (ħ/2ω₀)·coth(βħω₀/2) at ħ=1, β=2, ω₀=1
@@ -151,6 +152,41 @@ class TestMatsubaraReference:
             warnings.simplefilter("ignore", CutoffSensitive)
             c = covariance0(p, OhmicSD(d))
         assert c.c_qq == pytest.approx(c_qq, rel=1e-9)
+
+
+class TestDigammaReference:
+    """covariance0 of the peaked bath in closed form from the residues
+    r_k at the poles λ_k of its drift matrix (``pole_residues``).  With
+    a = 2π/(βħ) the Matsubara sums become digamma functions,
+
+        c_qq = (1/β)[1/ω₀² − (2/a)·Σ r_k ψ(1 − λ_k/a)],
+        c_pp = (1/β)[1 + (2/a)·Σ r_k λ_k² ψ(1 − λ_k/a)],
+
+    since Σ r_k = Σ r_k λ_k² = 0 and Σ r_k λ_k = 1; at β = ∞ they become
+    c_qq = −(ħ/π)·Σ r_k log(−λ_k) and c_pp = (ħ/π)·Σ r_k λ_k² log(−λ_k)."""
+
+    @pytest.mark.parametrize("beta", [0.3, 1.0, 5.0, math.inf])
+    @pytest.mark.parametrize("d, gamma, big", [
+        (0.75, 0.63, 1.0), (1.0, 0.5, 2.0), (1.2, 0.3, 2.5)])
+    def test_peaked(self, d, gamma, big, beta):
+        p = ModelParams(omega0=1.0, beta=beta, hbar=1.0)
+        sd = PeakedSD(d, gamma, big)
+        lam, r = pole_residues(sd, p.omega0)
+        assert abs(r.sum()) < 1e-14 and abs((r * lam ** 2).sum()) < 1e-14
+        assert abs((r * lam).sum() - 1.0) < 1e-14
+        if math.isinf(beta):
+            log = np.log(-lam)
+            c_qq = -p.hbar / math.pi * (r * log).sum().real
+            c_pp = p.hbar / math.pi * (r * lam ** 2 * log).sum().real
+        else:
+            a = 2.0 * math.pi / (beta * p.hbar)
+            digamma = psi(1.0 - lam / a)
+            c_qq = (1.0 / p.omega0 ** 2
+                    - 2.0 / a * (r * digamma).sum().real) / beta
+            c_pp = (1.0 + 2.0 / a * (r * lam ** 2 * digamma).sum().real) / beta
+        c = covariance0(p, sd)
+        assert c.c_qq == pytest.approx(c_qq, rel=1e-10)
+        assert c.c_pp == pytest.approx(c_pp, rel=1e-10)
 
 
 class TestExactSpectrum:

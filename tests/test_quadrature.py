@@ -93,6 +93,15 @@ class TestIntegrate:
         assert exc.value.estimate is not None
         assert exc.value.error_bound is not None
 
+    @pytest.mark.parametrize("b", [4.0, math.inf])
+    def test_budget_exhaustion_names_the_heaviest_panel(self, b):
+        # the half line reports x, not the variable u of its map
+        tiny = QuadratureConfig(max_subdivisions=40)
+        with pytest.raises(NonConvergence, match="could still be split") as exc:
+            integrate(lambda x: np.abs(x - 2.3712) ** -0.5 / (1.0 + x ** 4),
+                      0.0, b, tiny)
+        assert abs(exc.value.where - 2.3712) < 1e-4
+
     def test_bad_bounds_rejected(self):
         with pytest.raises(ValueError):
             integrate(gauss, 1.0, 1.0, CFG)

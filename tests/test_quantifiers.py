@@ -11,7 +11,12 @@ from hypothesis.extra import numpy as hnp
 
 from nonmarkov import quadrature, quantifiers
 from nonmarkov.correlations import covariance0
-from nonmarkov.errors import CutoffSensitive, TailDominates, ZeroNorm
+from nonmarkov.errors import (
+    CutoffSensitive,
+    NonConvergence,
+    TailDominates,
+    ZeroNorm,
+)
 from nonmarkov.quadrature import QuadratureConfig, inner_product_info
 from nonmarkov.quantifiers import (
     _n1_sides,
@@ -194,6 +199,19 @@ class TestRegressionQuantifier:
 
 
 class TestQuantify:
+    def test_unresolvable_resonance_is_named(self):
+        # Re γ̃(ω₀) ≈ 5e-14: χ̃'s resonance at ω₀ = 1 is narrower than the
+        # 1e-14 relative split limit of the adaptive engine
+        p = ModelParams(omega0=1.0, beta=1.0, hbar=1.0)
+        sd = PeakedSD(1e-6, 0.5, 2.0)
+        for run in (lambda: quantify(p, sd, which="n1"),
+                    lambda: covariance0(p, sd)):
+            with pytest.raises(NonConvergence,
+                               match="reached the 1e-14 relative split "
+                                     "limit") as exc:
+                run()
+            assert abs(exc.value.where - 1.0) < 1e-9
+
     def test_selection_validated(self):
         with pytest.raises(ValueError):
             quantify(P1, OhmicSD(0.5), which="n3")

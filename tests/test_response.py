@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from nonmarkov import oracle, quadrature
+from nonmarkov import quadrature
 from nonmarkov.errors import CutoffSensitive, DivisionNearZero, NonConvergence
 from nonmarkov.quadrature import (
     QuadratureConfig,
@@ -38,6 +38,8 @@ from nonmarkov.response import (
 )
 from nonmarkov.spectral import OhmicSD, PeakedSD
 
+from matrix_forms import pole_residues
+
 P1 = ModelParams(omega0=1.0, beta=2.0)
 PEAKED = PeakedSD(coupling=1.0, width=0.5, resonance=2.0)
 
@@ -55,7 +57,7 @@ def ohmic_chi_closed(damping: float, omega0: float, t: float) -> np.ndarray:
 def peaked_chi_expm(sd: PeakedSD, omega0: float, t: float) -> np.ndarray:
     """χ(t) of the peaked model from the pseudo-mode embedding matrix A:
     s = e^{At}·(0, 1, 0, 0) gives χ_qq = s₀, χ̇_qq = s₁, χ_pp = −(A·s)₁."""
-    a = oracle._embedding_matrix(sd.coupling, sd.width, sd.resonance, omega0)
+    a = sd.drift_matrix(omega0)
     s = expm(a * t) @ np.array([0.0, 1.0, 0.0, 0.0])
     return np.array([[s[0], -s[1]], [s[1], -(a @ s)[1]]])
 
@@ -153,6 +155,16 @@ class TestDivisibilityResidual:
                 expect = damping * c * c * np.array([[1.0, 1j * w],
                                                      [-1j * w, w * w]])
                 assert np.abs(r - expect).max() < 1e-10
+
+    @pytest.mark.parametrize("damping", [1e-8, 1e-4, 1.0])
+    def test_weak_ohmic_keeps_its_digits(self, damping):
+        # R = D/(ω₀² − ω² − iDω)²·[[1, iω], [−iω, ω²]]; the difference of
+        # −i dχ̃/dω and χ̃ χ₊⁻¹ χ̃ would lose the digits of a small D
+        w = np.linspace(-10.0, 10.0, 201)
+        r = divisibility_residual(P1, OhmicSD(damping), w)
+        c = damping / (1.0 - w ** 2 - 1j * damping * w) ** 2
+        expect = np.array([[c, 1j * w * c], [-1j * w * c, w * w * c]])
+        assert np.all(np.abs(r - expect) <= 1e-13 * np.abs(expect))
 
 
 class TestChiPlus:
@@ -270,6 +282,28 @@ class TestChiTimeReferences:
             assert np.abs(got - peaked_chi_expm(sd, 1.0, t)).max() < 1e-9
 
 
+class TestPseudoModePoles:
+    """χ̃_qq of the peaked bath against the residues of its drift matrix,
+    which pins the matrix to the closed-form kernel γ̃."""
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(st.floats(0.05, 1.5), st.floats(0.3, 3.0), st.floats(0.05, 0.95),
+           st.floats(0.5, 2.0))
+    def test_chi_is_the_residue_sum(self, coupling, resonance, frac, omega0):
+        # width = frac·√2·Ω keeps the auxiliary mode oscillatory, 2Ω² > Γ²
+        sd = PeakedSD(coupling, frac * math.sqrt(2.0) * resonance, resonance)
+        p = ModelParams(omega0=omega0, beta=1.0)
+        lam, r = pole_residues(sd, omega0)
+        w = np.linspace(-20.0, 20.0, 401)
+        want = chi_qq_vec(p, sd, w)
+        got = -(r[:, None] / (lam[:, None] + 1j * w)).sum(axis=0)
+        # an entry of A rounded by ε‖A‖ moves χ̃ by ε‖A‖·|χ̃|², which near
+        # a sharp pole (weak coupling) exceeds 1e-12 of |χ̃|
+        norm = np.abs(sd.drift_matrix(omega0)).max()
+        bound = 1e-12 * np.abs(want) + 1e-14 * norm * np.abs(want) ** 2
+        assert np.all(np.abs(got - want) <= bound)
+
+
 class TestPropagateMeans:
     def test_post_kick_values(self):
         assert propagate_means(P1, OhmicSD(0.2), 1.0, 1.0, 0.0) == (-1.0, 1.0)
@@ -351,3 +385,6 @@ class TestFeatureFrequencies:
     def test_peaked_includes_mode_structure(self):
         pts = feature_frequencies(P1, PEAKED)
         assert any(abs(x - PEAKED.resonance) < PEAKED.width for x in pts)
+        # the poles of χ̃, eigenvalues of the pseudo-mode drift matrix
+        for lam in np.linalg.eigvals(PEAKED.drift_matrix(P1.omega0)):
+            assert abs(lam.imag) in pts

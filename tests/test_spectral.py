@@ -45,6 +45,10 @@ class TestOhmic:
     def test_decoupled_allowed(self):
         assert OhmicSD(0.0).gamma_tilde_vec(1.0).real == 0.0
 
+    def test_decoupled_only_at_zero_damping(self):
+        assert OhmicSD(0.0).decoupled
+        assert not OhmicSD(1e-300).decoupled
+
     def test_negative_damping_rejected(self):
         with pytest.raises(ValueError):
             OhmicSD(-0.1)
@@ -94,6 +98,27 @@ class TestPeaked:
         for w in (0.3, 1.0, 2.5, 6.0):
             assert tab.gamma_tilde_vec(w).imag == pytest.approx(
                 over.gamma_tilde_vec(w).imag, rel=1e-6)
+
+    def test_decoupled_only_at_zero_coupling(self):
+        assert PeakedSD(0.0, 0.5, 2.0).decoupled
+        assert not PEAKED.decoupled
+
+    def test_drift_matrix_keeps_the_static_response(self):
+        # χ̃_qq(0) = −(A⁻¹)_qp = 1/ω₀² for any coupling
+        for omega0 in (0.5, 1.0, 3.0):
+            a = PEAKED.drift_matrix(omega0)
+            assert -np.linalg.inv(a)[0, 1] == pytest.approx(omega0 ** -2,
+                                                            rel=1e-14)
+
+    def test_feature_frequencies_hold_the_poles(self):
+        # λ = −σ ± iν gives ν, ν ± σ, ν ± 3σ next to the resonance points
+        pts = PEAKED.feature_frequencies(1.0)
+        assert pts[:3] == [2.0, 1.5, 2.5]
+        for lam in np.linalg.eigvals(PEAKED.drift_matrix(1.0)):
+            nu, sig = abs(lam.imag), abs(lam.real)
+            for k in (-3, -1, 0, 1, 3):
+                assert nu + k * sig in pts
+        assert PeakedSD(0.0, 0.5, 2.0).feature_frequencies(1.0) == pts[:3]
 
     def test_nonpositive_shape_rejected(self):
         with pytest.raises(ValueError):
