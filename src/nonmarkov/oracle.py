@@ -49,8 +49,14 @@ class LangevinConfig:
     kick_p: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (self.omega0 > 0.0 and self.beta > 0.0):
-            raise ValueError("omega0 and beta must be > 0")
+        # each message starts with the name of the field at fault
+        if not self.omega0 > 0.0:
+            raise ValueError("omega0 must be > 0")
+        if not 0.0 < self.beta < math.inf:
+            raise ValueError("beta must be finite and > 0")
+        for name in ("kick_q", "kick_p"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.damping < 0.0:
             raise ValueError("damping must be >= 0")
         if not (0.0 < self.dt <= 0.01 / max(self.omega0, self.damping)):

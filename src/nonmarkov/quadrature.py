@@ -85,8 +85,6 @@ class QuadratureConfig:
         Bound on the absolute quantities: the neglected by-parts tail of
         the oscillatory transforms and the Richardson residual of
         principal values.
-    pv_radius
-        Starting symmetric exclusion radius ε for principal values.
     max_subdivisions
         Cap on the total number of panels of one adaptive integral.
     """
@@ -94,13 +92,11 @@ class QuadratureConfig:
     half_width: float = 200.0
     rel_tol: float = 1e-9
     abs_tol: float = 1e-12
-    pv_radius: float = 1e-3
     max_subdivisions: int = 20000
 
     def __post_init__(self) -> None:
-        if not (self.half_width > 0 and self.rel_tol > 0 and self.abs_tol > 0
-                and self.pv_radius > 0):
-            raise ValueError("half_width, rel_tol, abs_tol, pv_radius must be > 0")
+        if not (self.half_width > 0 and self.rel_tol > 0 and self.abs_tol > 0):
+            raise ValueError("half_width, rel_tol, abs_tol must be > 0")
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be >= 1")
 
@@ -350,17 +346,21 @@ def inner_product_info(f, g, cfg: QuadratureConfig | None = None,
 
 
 def principal_value(f, pole: float, a: float, b: float,
-                    cfg: QuadratureConfig | None = None) -> complex:
+                    cfg: QuadratureConfig | None = None, *,
+                    radius: float = 1e-3) -> complex:
     """Cauchy principal value of ∫_a^b f with a simple pole inside.
 
     Symmetric exclusion I(ε) has error linear in ε from the regular part,
     cubic beyond that; two Richardson stages over ε, ε/2, ε/4 cancel both.
+    `radius` is the starting exclusion radius ε (> 0).
     """
     cfg = cfg or _DEFAULT_CFG
+    if not radius > 0.0:
+        raise ValueError(f"radius must be > 0, got {radius}")
     if not (a < pole < b):
         raise PVFailure(f"pole {pole} must lie strictly inside ({a}, {b})")
     gap = min(pole - a, b - pole)
-    eps0 = min(cfg.pv_radius, gap / 8.0)
+    eps0 = min(radius, gap / 8.0)
     if eps0 <= 1e-13 * max(1.0, abs(pole)):
         raise PVFailure("pole too close to an endpoint for symmetric exclusion")
 

@@ -10,8 +10,15 @@ diagonalizes the pseudo-mode drift matrix of a peaked bath, from which
 import numpy as np
 
 from nonmarkov.correlations import CovarianceMatrix
-from nonmarkov.response import CHI_PLUS_INV, ModelParams, _matmul2, chi_matrix
+from nonmarkov.response import CHI_PLUS_INV, ModelParams, chi_matrix
 from nonmarkov.spectral import PeakedSD, SpectralDensity
+
+
+def _matmul(a, b):
+    """2×2 product over entries-first arrays of shape (2, 2, ...):
+    (ab)[i, j] = Σ_k a[i, k]·b[k, j], with the trailing (frequency) axes
+    broadcast, so a constant 2×2 matrix combines with a whole batch."""
+    return np.einsum("ik...,kj...->ij...", a, b)
 
 
 def rt_spectrum_general(p: ModelParams, sd: SpectralDensity, omega,
@@ -20,8 +27,8 @@ def rt_spectrum_general(p: ModelParams, sd: SpectralDensity, omega,
     prediction, shape (2, 2) + ω.shape."""
     chi = chi_matrix(p, sd, omega)
     c = c0.as_array()
-    return (_matmul2(_matmul2(chi, CHI_PLUS_INV), c)
-            - _matmul2(_matmul2(c, CHI_PLUS_INV), chi.conj().swapaxes(0, 1)))
+    return (_matmul(_matmul(chi, CHI_PLUS_INV), c)
+            - _matmul(_matmul(c, CHI_PLUS_INV), chi.conj().swapaxes(0, 1)))
 
 
 def pole_residues(sd: PeakedSD, omega0: float):

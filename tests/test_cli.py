@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from nonmarkov import cli
+from nonmarkov.oracle import LangevinResult
 from nonmarkov.quantifiers import quantify
 from nonmarkov.response import ModelParams, propagate_means
 from nonmarkov.spectral import OhmicSD, PeakedSD, TabulatedSD
@@ -360,6 +361,16 @@ class TestConfiguration:
         assert math.isclose(float(row["q_mean"]), q, abs_tol=1e-9)
         assert math.isclose(float(row["p_mean"]), pm, abs_tol=1e-9)
 
+    @pytest.mark.parametrize("flag, key", [("--aq", "aq"), ("--ap", "ap")])
+    @pytest.mark.parametrize("kick", ["nan", "inf", "-inf"])
+    def test_non_finite_kick_exits_2(self, flag, key, kick, tmp_path, capsys):
+        out = tmp_path / "m.csv"
+        rc = cli.main(["--mode", "means", "--sd", "ohmic", "--range", "0:2:3",
+                       flag, kick, "--out", str(out)])
+        assert rc == 2
+        assert f"config error: key '{key}'" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("grid", ["0:nan:3", "0:inf:3"])
     def test_non_finite_time_range_exits_2(self, grid, tmp_path, capsys):
         out = tmp_path / "m.csv"
@@ -463,3 +474,31 @@ class TestOracleCheckMode:
         assert rc == 4
         assert "FAIL" in out
         assert "langevin vs propagation" in out
+
+    def test_nan_z_score_fails(self, monkeypatch, capsys):
+        # every comparison with NaN is false, so a NaN z-score must not
+        # read as the worst one staying under the tolerance
+        times = np.linspace(0.0, 20.0, 2001)
+        zeros, ones = np.zeros_like(times), np.ones_like(times)
+        monkeypatch.setattr(cli, "langevin_means", lambda cfg: LangevinResult(
+            times, zeros, zeros, ones, ones))
+        monkeypatch.setattr(cli, "propagate_means",
+                            lambda *args: (math.nan, math.nan))
+        assert cli.main(["--mode", "oracle-check"]) == 4
+        assert "worst |z| = nan at t = 0.01" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flags, key", [
+        (["--aq", "nan"], "aq"), (["--ap", "inf"], "ap"),
+        (["--beta", "-1"], "beta"), (["--beta", "inf"], "beta"),
+        (["--seed", "-1"], "seed"),
+    ])
+    def test_bad_setting_is_named_before_the_ensemble(self, flags, key,
+                                                      monkeypatch, capsys):
+        # a NaN kick made every z-score NaN, and NaN > worst compares false,
+        # so the check passed without checking anything
+        def refuse(cfg):
+            raise AssertionError("the ensemble ran")
+
+        monkeypatch.setattr(cli, "langevin_means", refuse)
+        assert cli.main(["--mode", "oracle-check", *flags]) == 2
+        assert f"config error: key '{key}'" in capsys.readouterr().err

@@ -30,6 +30,15 @@ class TestLangevinConfig:
             LangevinConfig(damping=0.2, omega0=1.0, beta=1.0, dt=0.01,
                            t_max=1.0, n_traj=999, seed=0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("beta", math.inf), ("beta", math.nan), ("beta", -1.0),
+        ("kick_q", math.nan), ("kick_p", math.inf)])
+    def test_non_finite_or_negative_field_is_named(self, field, value):
+        args = dict(damping=0.2, omega0=1.0, beta=1.0, dt=0.01, t_max=1.0,
+                    n_traj=1000, seed=0)
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            LangevinConfig(**{**args, field: value})
+
 
 class TestOUStep:
     def test_noise_scale_matches_white_noise_increment(self):

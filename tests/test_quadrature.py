@@ -217,6 +217,12 @@ class TestPrincipalValue:
         with pytest.raises(PVFailure):
             principal_value(lambda x: 1.0 / x, 5.0, -1.0, 1.0, CFG)
 
+    @pytest.mark.parametrize("radius", [0.0, -1e-3, math.nan])
+    def test_nonpositive_radius_rejected(self, radius):
+        with pytest.raises(ValueError, match="radius"):
+            principal_value(lambda x: 1.0 / x, 0.0, -1.0, 1.0, CFG,
+                            radius=radius)
+
 
 class TestOscillatoryTransforms:
     def test_sine_at_zero_time(self):

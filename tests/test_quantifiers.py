@@ -25,7 +25,15 @@ from nonmarkov.quantifiers import (
     quantify,
     regression_quantifier,
 )
-from nonmarkov.response import ModelParams, chi_qq_vec, chi_qq_prime_vec, feature_frequencies
+from nonmarkov.response import (
+    CHI_PLUS_INV,
+    ModelParams,
+    _composed_response,
+    chi_matrix,
+    chi_qq_prime_vec,
+    chi_qq_vec,
+    feature_frequencies,
+)
 from nonmarkov.spectral import OhmicSD, PeakedSD, TabulatedSD
 
 P1 = ModelParams(omega0=1.0, beta=1.0)
@@ -323,6 +331,25 @@ tables = st.builds(smooth_table, k=st.integers(1, 3),
                    n=st.sampled_from([201, 301, 401]))
 positive_frequencies = hnp.arrays(np.float64, st.integers(1, 16),
                                   elements=st.floats(1e-3, 200.0))
+
+
+real_frequencies = hnp.arrays(np.float64, st.integers(1, 16),
+                              elements=st.floats(-200.0, 200.0))
+
+
+@FOLD
+@given(models, st.one_of(analytic_baths, tables), real_frequencies)
+def test_composed_response_matches_plain_matmul(p, sd, omega):
+    # the closed-form entries against the product they multiply out, one
+    # frequency at a time; ω = 0 is always among them
+    omega = np.append(omega, 0.0)
+    batch = _composed_response(p, sd, omega)
+    for i, w in enumerate(omega):
+        chi = chi_matrix(p, sd, float(w))
+        want = chi @ CHI_PLUS_INV @ chi
+        scale = max(np.abs(batch[:, :, i]).max(), np.abs(want).max())
+        np.testing.assert_allclose(batch[:, :, i], want, rtol=0.0,
+                                   atol=1e-13 * scale)
 
 
 def _assert_hermitian(p, sd, omega):

@@ -308,6 +308,14 @@ class TestPropagateMeans:
     def test_post_kick_values(self):
         assert propagate_means(P1, OhmicSD(0.2), 1.0, 1.0, 0.0) == (-1.0, 1.0)
 
+    @pytest.mark.parametrize("t", [0.0, 1.0])
+    @pytest.mark.parametrize("kick", [math.nan, math.inf, -math.inf])
+    def test_non_finite_kick_rejected(self, kick, t):
+        with pytest.raises(ValueError, match="a_q must be finite"):
+            propagate_means(P1, OhmicSD(0.2), kick, 1.0, t)
+        with pytest.raises(ValueError, match="a_p must be finite"):
+            propagate_means(P1, OhmicSD(0.2), 1.0, kick, t)
+
     def test_smooth_kernel_limit(self):
         sd = PeakedSD(0.3, 0.5, 2.0)
         q, p = propagate_means(P1, sd, 1.0, 1.0, 1e-4)
