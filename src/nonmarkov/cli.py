@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import math
 import sys
 import warnings
@@ -23,7 +24,7 @@ import numpy as np
 from .errors import CutoffSensitive, NumericsError
 from .oracle import LangevinConfig, embedding_response, langevin_means
 from .quantifiers import _ENTRY, _KEYS, quantify
-from .response import ModelParams, chi_time, propagate_means
+from .response import ModelParams, _chi_time_transform, propagate_means
 from .spectral import OhmicSD, PeakedSD, TabulatedSD
 
 _MODES = ("quantify", "sweep", "means", "oracle-check")
@@ -352,7 +353,9 @@ def _embedding_oracle_sd():
 
 
 def _mode_oracle_check(settings) -> int:
-    # every input is checked before the ensemble runs; the oracle is classical
+    # every input is checked as in the other modes before the ensemble
+    # runs; the oracle itself is classical, at ħ = 0 and the default cutoff
+    _model(settings)
     p = _model({**settings, "hbar": 0.0, "cutoff": None})
     case = _langevin_oracle_case(settings)
     res = langevin_means(case)
@@ -369,11 +372,13 @@ def _mode_oracle_check(settings) -> int:
           f"t = {res.times[idx[worst]]:g} (tolerance 3 standard errors) -> "
           f"{'pass' if langevin_ok else 'FAIL'}")
 
+    # the transforms of χ̃, not the drift matrix that the embedding
+    # integrates; t = 0, where both are zero, is left out
     sd_peaked = _embedding_oracle_sd()
-    ts = np.linspace(0.0, 50.0, 26)
+    ts = np.linspace(0.0, 50.0, 26)[1:]
     emb = embedding_response(sd_peaked.coupling, sd_peaked.width,
                              sd_peaked.resonance, 1.0, ts)
-    dev = np.array([abs(chi_time(p, sd_peaked, float(t))[0, 0] - e)
+    dev = np.array([abs(_chi_time_transform(p, sd_peaked, float(t))[0, 0] - e)
                     for t, e in zip(ts, emb)])
     worst = np.argmax(dev)
     embedding_ok = dev[worst] < 1e-3
@@ -384,6 +389,8 @@ def _mode_oracle_check(settings) -> int:
     return 0 if langevin_ok and embedding_ok else 4
 
 
+# built once: parse_args returns a fresh namespace and keeps no state
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="nonmarkov",

@@ -10,9 +10,11 @@ Two engines that share no numerics with the frequency-domain pipeline:
   must reproduce `chi_time`.
 
 The ODE integrates `PeakedSD.drift_matrix`, the one copy of the
-pseudo-mode matrix.  The pipeline reads that matrix only to place
-quadrature breakpoints at its eigenvalues; its χ̃ comes from the
-closed-form γ̃ of `PeakedSD`, and the tests check the residues of the
+pseudo-mode matrix.  The pipeline reads that matrix for the quadrature
+breakpoints at its eigenvalues and for `chi_time`, which is its
+exponential; so the embedding check of the CLI compares the ODE with
+the sine and cosine transforms of χ̃ instead, which come from the
+closed-form γ̃ of `PeakedSD`.  The tests check the residues of the
 matrix against that χ̃, so the two descriptions of the bath agree.
 """
 from __future__ import annotations

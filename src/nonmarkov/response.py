@@ -14,18 +14,26 @@ Every 2×2 function of ω is one ndarray of shape (2, 2) + ω.shape, entries
 first, for a scalar or an array ω alike, each written entry by entry
 from χ̃_qq.
 
-The time-domain propagator is reconstructed from Im χ̃_qq through sine
-and cosine transforms (causality plus reality make that sufficient):
+The time-domain propagator has the entries
 
-    χ_qq(t) = (2/π) ∫₀^∞ Im χ̃_qq(ω) sin(ωt) dω
     χ_qp(t) = −dχ_qq/dt,   χ_pq(t) = +dχ_qq/dt,
     χ_pp(t) = −d²χ_qq/dt² for t > 0.
+
+A bath with a drift matrix A (``SpectralDensity.drift_matrix``: the
+Ohmic oscillator, and the peaked bath's pseudo-mode embedding) gives
+them without quadrature: with s = e^{At}·e_p, χ_qq = s_q, dχ_qq/dt = s_p
+and χ_pp = −(A·s)_p, where e^{At} is taken by scaling and squaring.  A
+table has no drift matrix, and its χ_qq is reconstructed from Im χ̃_qq
+through sine and cosine transforms (causality plus reality make that
+sufficient):
+
+    χ_qq(t) = (2/π) ∫₀^∞ Im χ̃_qq(ω) sin(ωt) dω.
 
 A momentum/position kick displaces the means to (−a_p, +a_q) at t = 0⁺,
 which then evolve as ⟨A(t)⟩ = χ(t)·a.  For a memory kernel with a
 delta-function part (strict Ohmic) the momentum additionally picks up
-the friction impulse D·a_p at t = 0⁺; the transforms above contain that
-physics automatically.
+the friction impulse D·a_p at t = 0⁺; both routes contain that physics
+automatically (for the Ohmic drift matrix, −(A·s)_p = ω₀²s_q + D·s_p).
 """
 from __future__ import annotations
 
@@ -36,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CutoffSensitive, DivisionNearZero
+from .errors import CutoffSensitive, DivisionNearZero, NonConvergence
 from .quadrature import _DEFAULT_CFG, QuadratureConfig, _oscillatory_transform
 from .spectral import SpectralDensity
 
@@ -200,10 +208,51 @@ def _feature_frequencies(p: ModelParams,
     return tuple(sorted({x for x in pts if x > 0.0}))
 
 
-def _free_propagator(p: ModelParams, t: float) -> np.ndarray:
-    w0 = p.omega0
-    s, c = math.sin(w0 * t), math.cos(w0 * t)
-    return np.array([[s / w0, -c], [c, w0 * s]])
+# [13/13] Padé approximant of e^x and the 1-norm up to which it is exact
+# in double precision (Higham, SIAM J. Matrix Anal. Appl. 26, 1179
+# (2005)).  With the coefficients b_k, U = A·(A⁶·U_hi + U_lo) and
+# V = A⁶·V_hi + V_lo; each row below gives one of U_hi, U_lo, V_hi, V_lo
+# as a combination of (A², A⁴, A⁶), and _PADE13_EYE its multiple of I.
+_PADE13 = np.array([
+    [40840800.0, 16380.0, 1.0],
+    [1187353796428800.0, 10559470521600.0, 33522128640.0],
+    [1323241920.0, 960960.0, 182.0],
+    [7771770303897600.0, 129060195264000.0, 670442572800.0],
+])
+_PADE13_EYE = np.array([0.0, 32382376266240000.0, 0.0, 64764752532480000.0])
+_THETA13 = 5.371920351148152
+# largest ‖a‖₁ that _expm takes: the squarings round an undamped
+# oscillator's e^{At} to about ‖A·t‖₁·ε relative (up to 1.6e-8 at 1e8),
+# and past about 1e17 its amplitude drifts without bound
+_MAX_EXPM_NORM = 1e8
+
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """e^a by scaling and squaring with the [13/13] Padé approximant.
+
+    No eigenvectors are used, so a defective matrix (the critically
+    damped oscillator, D = 2ω₀) is as accurate as any other."""
+    n = len(a)
+    norm = float(np.abs(a).sum(axis=0).max())
+    if norm > _MAX_EXPM_NORM:
+        raise NonConvergence(f"e^(At) needs ‖A·t‖₁ <= {_MAX_EXPM_NORM:.0e} "
+                             f"to keep the rounding of its squarings small, "
+                             f"got {norm:.3g}")
+    # the least s ≥ 0, give or take one, with ‖a/2^s‖₁ ≤ θ₁₃
+    squarings = max(0, math.frexp(norm / _THETA13)[1])
+    a = a / 2.0 ** squarings
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    parts = (_PADE13 @ np.array([a2, a4, a6]).reshape(3, -1)
+             + _PADE13_EYE[:, None] * np.eye(n).ravel())
+    u_hi, u_lo, v_hi, v_lo = parts.reshape(4, n, n)
+    u = a @ (a6 @ u_hi + u_lo)
+    v = a6 @ v_hi + v_lo
+    r = np.linalg.solve(v - u, v + u)
+    for _ in range(squarings):
+        r = r @ r
+    return r
 
 
 def chi_time(p: ModelParams, sd: SpectralDensity, t: float,
@@ -213,13 +262,26 @@ def chi_time(p: ModelParams, sd: SpectralDensity, t: float,
     χ(0) is the pre-kick (causal) limit, i.e. the zero matrix; the
     post-kick values live at t = 0⁺.  t must be finite: the response is
     causal, and no window bounds the transform at t = ∞ or NaN.
+
+    A bath with a drift matrix A gives s = e^{At}·e_p, and
+    χ(t) = [[s_q, −s_p], [s_p, −(A·s)_p]]; cfg is then unused.  A table
+    goes through the transforms of ``_chi_time_transform``.
     """
     if not 0.0 <= t < math.inf:
         raise ValueError(f"response requires 0 <= t < inf, got {t}")
     if t == 0.0:
         return np.zeros((2, 2))
-    if sd.decoupled:
-        return _free_propagator(p, t)
+    a = sd.drift_matrix(p.omega0)
+    if a is None:
+        return _chi_time_transform(p, sd, t, cfg)
+    s = _expm(a * t)[:, 1]
+    return np.array([[s[0], -s[1]], [s[1], -(a[1] @ s)]])
+
+
+def _chi_time_transform(p: ModelParams, sd: SpectralDensity, t: float,
+                        cfg: QuadratureConfig | None = None) -> np.ndarray:
+    """χ(t) for 0 < t < ∞ from the sine and cosine transforms of Im χ̃_qq
+    on panels locked to the period 2π/t, for any coupled bath."""
     cfg = cfg or _DEFAULT_CFG
     bp = feature_frequencies(p, sd)
 

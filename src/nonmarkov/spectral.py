@@ -18,10 +18,12 @@ and returning an array of the same shape:
 For Ohmic and Peaked these are closed forms.  A bath also says whether
 it is ``decoupled`` (zero coupling) and gives ``feature_frequencies(ω₀)``,
 where it or the response of an oscillator of frequency ω₀ has structure,
-so no other module asks which family it has.  The peaked bath is one
-damped pseudo-mode (Garraway, PRA 55, 2290 (1997)); the eigenvalues
-−σ ± iν of its ``drift_matrix(ω₀)`` are the poles of χ̃_qq, placed as
-breakpoints at ν, ν ± σ and ν ± 3σ.
+so no other module asks which family it has.  The Ohmic and peaked
+baths also give a ``drift_matrix(ω₀)``, whose exponential is the
+real-time response; a table gives None.  The peaked bath is one damped
+pseudo-mode (Garraway, PRA 55, 2290 (1997)); the eigenvalues −σ ± iν of
+its drift matrix are the poles of χ̃_qq, placed as breakpoints at ν,
+ν ± σ and ν ± 3σ.
 
 For tabulated data the real part is J(ω)/ω and the imaginary part is
 the dispersion integral Im γ̃(ω) = −(1/π) 𝒫∫ dν [J(ν)/ν] / (ν−ω).  The
@@ -138,6 +140,12 @@ class SpectralDensity:
         quadrature breakpoints downstream."""
         return []
 
+    def drift_matrix(self, omega0: float) -> np.ndarray | None:
+        """Drift matrix A of (q, p, …) of an oscillator of frequency omega0
+        with this bath, so that χ_qq(t) = (e^{At})_qp; None when the bath
+        has no finite Markovian embedding (tables)."""
+        return None
+
 
 @dataclass(frozen=True)
 class OhmicSD(SpectralDensity):
@@ -166,6 +174,10 @@ class OhmicSD(SpectralDensity):
     @property
     def decoupled(self) -> bool:
         return self.damping == 0.0
+
+    def drift_matrix(self, omega0: float) -> np.ndarray:
+        """Drift matrix of (q, p): q̇ = p, ṗ = −ω₀²q − D·p."""
+        return np.array([[0.0, 1.0], [-omega0 ** 2, -self.damping]])
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,7 @@ from nonmarkov import (
     regression_quantifier,
 )
 from nonmarkov.quadrature import principal_value
-from nonmarkov.response import chi_qq_prime_vec
+from nonmarkov.response import _chi_time_transform, chi_qq_prime_vec
 
 BETA1 = ModelParams(omega0=1.0, beta=1.0)
 PEAKED_DEFAULT = PeakedSD(coupling=1.0, width=0.5, resonance=2.0)
@@ -178,6 +178,11 @@ def test_09_response_matches_hamiltonian_embedding():
     emb = embedding_response(0.05, 0.05, 1.0, 1.0, ts)
     for t, ref in zip(ts, emb):
         assert abs(chi_time(BETA1, sd, float(t))[0, 0] - ref) < 1e-3
+    # the transforms of χ̃ as well: chi_time reads the drift matrix that
+    # the embedding integrates, and tables have no other route
+    for t, ref in zip(ts[1:], emb[1:]):
+        got = _chi_time_transform(BETA1, sd, float(t))[0, 0]
+        assert abs(got - ref) < 1e-3
     budget.check("criterion 9 (χ_qq(t) vs embedding ODE, abs 1e-3)")
 
 

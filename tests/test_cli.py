@@ -260,12 +260,13 @@ class TestMeansMode:
         assert (tmp_path / "nonmarkov_means.csv").exists()
         assert (tmp_path / "nonmarkov_means.gp").exists()
 
-    def test_failing_time_yields_sentinel_row_and_exit_3(self, tmp_path,
-                                                         capsys):
-        # no window within the panel cap bounds the χ(t) tail at t = 1e4
+    def test_failing_time_yields_sentinel_row_and_exit_3(self, smooth_table,
+                                                         tmp_path, capsys):
+        # a table's χ(t) comes from the transforms of χ̃, and no window
+        # within the panel cap bounds their tail at t = 1e4
         out = tmp_path / "m.csv"
-        rc = cli.main(["--mode", "means", "--range", "0:1e4:2",
-                       "--out", str(out)])
+        rc = cli.main(["--mode", "means", "--sd", f"tabulated:{smooth_table}",
+                       "--range", "0:1e4:2", "--out", str(out)])
         err = capsys.readouterr().err
         assert rc == 3
         assert "numerical failure at t = 10000 (1 of 2 grid points)" in err
@@ -444,6 +445,30 @@ class TestConfiguration:
         capsys.readouterr()
         assert rc == 0
         assert warnings.filters == before
+
+    def test_parser_is_built_once_and_keeps_no_value(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "_mode_quantify",
+                            lambda settings: seen.append(settings) or 0)
+        assert cli.main(["--mode", "quantify", "--d", "0.3"]) == 0
+        assert cli.main(["--mode", "quantify"]) == 0
+        assert seen[0]["d"] == 0.3
+        assert seen[1]["d"] == cli._SETTINGS["d"][1]
+        assert cli._build_parser() is cli._build_parser()
+
+    @pytest.mark.parametrize("mode", ["quantify", "means", "oracle-check"])
+    def test_every_mode_checks_the_cutoff_first(self, mode, monkeypatch,
+                                                capsys):
+        # oracle-check is classical and ignores ħ and the cutoff, but a
+        # bad cutoff is named there as in the other modes
+        def refuse(*args, **kwargs):
+            raise AssertionError("work ran before the settings were checked")
+
+        for name in ("langevin_means", "quantify", "propagate_means"):
+            monkeypatch.setattr(cli, name, refuse)
+        assert cli.main(["--mode", mode, "--hbar", "5",
+                         "--cutoff", "0.5"]) == 2
+        assert "config error: key 'cutoff'" in capsys.readouterr().err
 
     def test_help_exits_cleanly(self, capsys):
         with pytest.raises(SystemExit) as info:

@@ -130,7 +130,7 @@ class TestEmbedding:
         assert s2 == pytest.approx(0.25, rel=1e-5)
 
     def test_matches_frequency_domain_response(self):
-        from nonmarkov.response import chi_time
+        from nonmarkov.response import _chi_time_transform, chi_time
         from nonmarkov.spectral import PeakedSD
         ts = np.linspace(0.0, 50.0, 26)
         emb = embedding_response(0.05, 0.05, 1.0, 1.0, ts)
@@ -139,6 +139,11 @@ class TestEmbedding:
         for ti, ei in zip(ts, emb):
             assert chi_time(p, sd, float(ti))[0, 0] == pytest.approx(
                 ei, abs=1e-3)
+        # chi_time reads the drift matrix that the embedding integrates;
+        # the transforms of χ̃ share nothing with it
+        for ti, ei in zip(ts[1:], emb[1:]):
+            assert _chi_time_transform(p, sd, float(ti))[0, 0] == \
+                pytest.approx(ei, abs=1e-3)
 
     def test_overdamped_auxiliary_mode_rejected(self):
         with pytest.raises(ValueError):

@@ -10,9 +10,10 @@ kernel acting on the position jump.
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
@@ -28,6 +29,8 @@ from nonmarkov.response import (
     CHI_PLUS,
     CHI_PLUS_INV,
     ModelParams,
+    _chi_time_transform,
+    _expm,
     chi_matrix,
     chi_prime_matrix,
     chi_qq_vec,
@@ -219,7 +222,7 @@ class TestChiTime:
         tracemalloc.start()
         try:
             with pytest.raises(NonConvergence, match="panels"):
-                chi_time(P1, PeakedSD(0.5, 0.5, 2.0), 1e6)
+                _chi_time_transform(P1, PeakedSD(0.5, 0.5, 2.0), 1e6)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -242,7 +245,7 @@ class TestChiTime:
 
         for t in (0.4, 2.5, 11.0):
             passes.clear()
-            got = chi_time(P1, PEAKED, t)
+            got = _chi_time_transform(P1, PEAKED, t)
             assert len(passes) == 1
             qq = sine_transform(im_c, t, breakpoints=bp)
             dot = cosine_transform(lambda w: w * im_c(w), t, breakpoints=bp)
@@ -252,24 +255,30 @@ class TestChiTime:
 
 
 REF_TIMES = (0.1, 0.3, 0.6, 1.0, 3.0, 10.0, 20.0, 50.0)
+# the drift-matrix route of every Ohmic and peaked bath, and the
+# transforms of Im χ̃ that tables take
+ROUTES = (chi_time, _chi_time_transform)
 
 
 class TestChiTimeReferences:
-    """Every χ(t) entry within 1e-9 of an exact reference."""
+    """Every χ(t) entry of both routes within 1e-9 of an exact reference."""
 
     @pytest.mark.parametrize("damping", [0.05, 0.2, 0.5, 1.5])
     def test_ohmic_closed_form(self, damping):
-        for t in REF_TIMES:
-            got = chi_time(P1, OhmicSD(damping), t)
-            assert np.abs(got - ohmic_chi_closed(damping, 1.0, t)).max() < 1e-9
+        for route in ROUTES:
+            for t in REF_TIMES:
+                got = route(P1, OhmicSD(damping), t)
+                want = ohmic_chi_closed(damping, 1.0, t)
+                assert np.abs(got - want).max() < 1e-9
 
     @pytest.mark.parametrize("peak", [(0.75, 0.63, 1.0), (1.0, 0.5, 2.0),
                                       (0.05, 0.05, 1.0)])
     def test_peaked_embedding(self, peak):
         sd = PeakedSD(*peak)
-        for t in REF_TIMES:
-            got = chi_time(P1, sd, t)
-            assert np.abs(got - peaked_chi_expm(sd, 1.0, t)).max() < 1e-9
+        for route in ROUTES:
+            for t in REF_TIMES:
+                got = route(P1, sd, t)
+                assert np.abs(got - peaked_chi_expm(sd, 1.0, t)).max() < 1e-9
 
     @settings(max_examples=15, deadline=None, database=None)
     @given(st.floats(0.05, 1.5), st.floats(0.5, 3.0), st.floats(0.05, 0.95))
@@ -277,9 +286,105 @@ class TestChiTimeReferences:
         # width = frac·√2·Ω keeps the auxiliary mode oscillatory, 2Ω² > Γ²
         sd = PeakedSD(coupling, max(0.05, frac * math.sqrt(2.0) * resonance),
                       resonance)
+        for route in ROUTES:
+            for t in REF_TIMES:
+                got = route(P1, sd, t)
+                assert np.abs(got - peaked_chi_expm(sd, 1.0, t)).max() < 1e-9
+
+
+def ohmic_chi_expm(damping: float, omega0: float, t: float) -> np.ndarray:
+    """χ(t) of the Ohmic model from scipy's e^{At} of the drift matrix of
+    (q, p), by the formula of ``peaked_chi_expm``."""
+    a = np.array([[0.0, 1.0], [-omega0 ** 2, -damping]])
+    s = expm(a * t) @ np.array([0.0, 1.0])
+    return np.array([[s[0], -s[1]], [s[1], -(a @ s)[1]]])
+
+
+class TestDriftRoute:
+    """χ(t) from e^{At} of the bath's drift matrix: the two routes agree,
+    the matrix exponential holds to rounding, and baths whose transforms
+    fail still get their χ(t)."""
+
+    @settings(max_examples=15, deadline=None, database=None)
+    @given(st.floats(0.01, 4.0))
+    @example(2.0)
+    def test_ohmic_matches_the_transforms(self, damping):
+        # D = 2ω₀ is critical damping, where the eigenvectors of A merge
+        sd = OhmicSD(damping)
         for t in REF_TIMES:
-            got = chi_time(P1, sd, t)
-            assert np.abs(got - peaked_chi_expm(sd, 1.0, t)).max() < 1e-9
+            want = _chi_time_transform(P1, sd, t)
+            assert np.abs(chi_time(P1, sd, t) - want).max() < 1e-9
+
+    @settings(max_examples=15, deadline=None, database=None)
+    @given(st.floats(0.0, 20.0))
+    @example(0.0)
+    @example(2.0)
+    @example(20.0)
+    def test_ohmic_matches_scipy_expm(self, damping):
+        # D = 0 has no transform (Im χ̃ is a delta), and from D ≈ 6.7 on
+        # the transforms may fail at t = 50, so scipy's e^{At} is the
+        # reference over the whole range
+        for t in REF_TIMES:
+            want = ohmic_chi_expm(damping, 1.0, t)
+            assert np.abs(chi_time(P1, OhmicSD(damping), t) - want).max() \
+                < 1e-9
+
+    @settings(max_examples=15, deadline=None, database=None)
+    @given(st.floats(0.05, 1.5), st.floats(0.5, 3.0), st.floats(0.05, 2.0),
+           st.floats(0.5, 2.0))
+    @example(0.8, 1.0, 3.0 / math.sqrt(2.0), 1.0)
+    def test_peaked_matches_the_transforms(self, coupling, resonance, frac,
+                                           omega0):
+        # width = frac·√2·Ω; frac ≥ 1 is the overdamped mode, 2Ω² ≤ Γ²
+        sd = PeakedSD(coupling, frac * math.sqrt(2.0) * resonance, resonance)
+        p = ModelParams(omega0=omega0, beta=1.0)
+        for t in REF_TIMES:
+            want = _chi_time_transform(p, sd, t)
+            assert np.abs(chi_time(p, sd, t) - want).max() < 1e-9
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(st.sampled_from(["ohmic", "peaked"]), st.floats(0.0, 20.0),
+           st.floats(0.05, 3.0), st.floats(0.5, 3.0), st.floats(0.5, 2.0),
+           st.floats(1e-3, 1e3))
+    @example("ohmic", 2.0, 1.0, 1.0, 1.0, 1e3)
+    def test_expm_holds_to_rounding(self, kind, d, width, resonance, omega0,
+                                    t):
+        sd = (OhmicSD(d) if kind == "ohmic"
+              else PeakedSD(d / 10.0, width, resonance))
+        at = sd.drift_matrix(omega0) * t
+        with mpmath.workdps(40):
+            want = np.array(mpmath.expm(mpmath.matrix(at.tolist())).tolist(),
+                            dtype=float)
+        norm = np.abs(want).max()
+        err = np.abs(_expm(at) - want).max()
+        assert err <= 1e-12 * max(norm, 1.0)
+        # once e^{At} has decayed by 30 orders, its relative error grows
+        # like (‖A‖t)²·ε near critical damping, for scipy's expm as well
+        # (4e-11 of the norm at ω₀ = 0.5, D = 1, t = 1e3)
+        if norm >= 1e-30:
+            assert err <= 1e-12 * norm
+        if t <= 10.0:
+            # scipy's own error grows to about 2e-11 of the norm at t = 1e3
+            assert np.abs(_expm(at) - expm(at)).max() <= 1e-12 * norm
+
+    def test_long_time_is_refused_before_rounding_takes_over(self):
+        # undamped, e^{At} is off by about ‖A·t‖₁·ε: 3.6e-9 in the median
+        # and 1.6e-8 at most over 200 times just below the 1e8 limit
+        t = 1e8
+        s, c = math.sin(t), math.cos(t)
+        got = chi_time(P1, OhmicSD(0.0), t)
+        assert np.abs(got - np.array([[s, -c], [c, s]])).max() < 1e-7
+        with pytest.raises(NonConvergence, match="rounding"):
+            chi_time(P1, OhmicSD(0.0), 1.01e8)
+        with pytest.raises(NonConvergence, match="rounding"):
+            propagate_means(P1, PEAKED, 1.0, 1.0, 1e300)
+
+    def test_very_weak_peaked_bath(self):
+        # χ̃'s resonance is about 5e-14 wide, so the transforms end in
+        # NonConvergence
+        sd = PeakedSD(1e-6, 0.5, 2.0)
+        got = chi_time(P1, sd, 5.0)
+        assert np.abs(got - peaked_chi_expm(sd, 1.0, 5.0)).max() < 1e-12
 
 
 class TestPseudoModePoles:
