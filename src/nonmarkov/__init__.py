@@ -19,7 +19,7 @@ Layers, bottom up:
     many rows on shared panels: finite and half-line integrals, Cauchy
     principal values, oscillatory sine/cosine transforms, and the
     whole-line pass that gives ⟨f,g⟩, ‖f‖² and ‖g‖² together with tail
-    accounting, folded onto [0, W] for the hermitian sides of n1.
+    accounting, folded onto [0, W] by evaluating each side at ±ω.
 ``spectral``
     Ohmic, peaked and tabulated spectral densities J(ω) with their
     memory kernels γ̃(ω) and derivatives.

@@ -273,22 +273,13 @@ def _write_grid(out: Path, header, grid, row, n_plotted: int,
     return 0
 
 
-def _sweep_point(settings, param, value, sd):
-    """Quantify one grid point: the settings with param set to value.
-    `sd` serves every point of a β or ħ sweep, so a table is read once
-    and its kernel memo is kept; a swept spectral parameter builds a new
-    spectral density."""
-    point = {**settings, param: value}
-    if param in _SD_KEYS:
-        sd = _build_sd(point)
-    return _report_cells(quantify(_model(point), sd,
-                                  which=point["quantifier"]))
-
-
 def _validate_sweep(settings):
-    """The swept parameter and its grid.  Every grid point's model (and
-    spectral density, for a swept spectral parameter) is built here, so
-    a bad value is named by the model's own check before any row runs."""
+    """The swept parameter, its grid, and every grid point built as a
+    (model, spectral density) pair keyed by its grid value, so a bad
+    value is named by the model's own check before any row runs.  A β
+    or ħ sweep shares the settings' one spectral density, so a table is
+    read once and its kernel memo serves every point; a swept spectral
+    parameter builds one per point."""
     param, kind = settings["param"], settings["sd"]
     if param is None:
         raise ConfigError("param", "a sweep requires --param")
@@ -301,23 +292,26 @@ def _validate_sweep(settings):
     if settings["range"] is None:
         raise ConfigError("range", "a sweep requires --range")
     grid, is_log = _parse_range(settings["range"])
-    for value in grid:
-        point = {**settings, param: float(value)}
-        _model(point)
-        if param in _SD_KEYS:
-            _build_sd(point)
-    return param, grid, is_log
+    values = grid.tolist()
+    points = [{**settings, param: value} for value in values]
+    models = [_model(point) for point in points]
+    if param in _SD_KEYS:
+        sds = [_build_sd(point) for point in points]
+    else:
+        sds = [_build_sd(settings)] * len(points)
+    return param, grid, is_log, dict(zip(values, zip(models, sds)))
 
 
 def _mode_sweep(settings) -> int:
-    param, grid, is_log = _validate_sweep(settings)
-    sd = _build_sd(settings)  # validates the fixed parameters up front
-    cols = _quantifier_columns(settings["quantifier"])
+    param, grid, is_log, points = _validate_sweep(settings)
+    which = settings["quantifier"]
+    cols = _quantifier_columns(which)
     header = [param] + cols + ["tail_ratio_max", "flagged", "cutoff_drift",
                                "error"]
     return _write_grid(
         Path(settings["out"] or "nonmarkov_sweep.csv"), header, grid,
-        lambda v: _csv_cells(*_sweep_point(settings, param, v, sd)),
+        lambda v: _csv_cells(*_report_cells(quantify(*points[v],
+                                                     which=which))),
         len(cols), is_log)
 
 

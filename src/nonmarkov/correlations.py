@@ -2,8 +2,9 @@
 
 Three pieces of the stationary state:
 
-* ``covariance0``        the diagonal equal-time covariance matrix, from
-                         thermally weighted integrals of Im χ̃_qq
+* ``covariance0``        the diagonal equal-time covariance matrix:
+                         equipartition when ħ = 0, otherwise thermally
+                         weighted integrals of Im χ̃_qq
 * ``exact_entries_vec``  the fluctuation-dissipation form of C̃(ω)
 * ``rt_entries_vec``     what the quantum regression theorem would
                          predict for C̃(ω), given the correct equal-time
@@ -12,17 +13,23 @@ Three pieces of the stationary state:
 Both spectra are ndarrays of shape (2, 2) + ω.shape, entries first, like
 every 2×2 function of ω in ``response``.
 
-One thermal weight serves both: the detailed-balance factor
-2ħω/(1−e^{−βħω}), evaluated through ``expm1`` and equal to 2/β at ω = 0
-and in the classical branch (ħ = 0 exactly).  The covariance weight
-ħω·coth(βħω/2) is that factor minus ħω.  Im χ̃_qq/ω is evaluated as
-Re γ̃·|χ̃_qq|², which is finite everywhere by construction.
+One thermal weight serves the spectra and the quantum covariances:
+the detailed-balance factor 2ħω/(1−e^{−βħω}), evaluated through
+``expm1`` and equal to 2/β at ω = 0 and in the classical branch (ħ = 0
+exactly).  The covariance weight ħω·coth(βħω/2) is that factor minus
+ħω.  Im χ̃_qq/ω is evaluated as Re γ̃·|χ̃_qq|², which is finite
+everywhere by construction.
 
-c_qq and c_pp are the two rows of one integrand, so each range is one
-pass on shared panels: [0, Λ] for both rows, then [Λ, ∞) through a
-compactifying map for the rows that decay faster than ω^{-3/2}, keeping
-the covariances cutoff-independent whenever they converge.  The
-momentum variance of a strict Ohmic bath with ħ > 0 grows
+The classical covariances need no integral.  With its counter-term the
+Caldeira–Leggett coupling leaves the reduced equilibrium state of the
+oscillator the bare Gibbs state, so c_qq = 1/(βω₀²) and c_pp = 1/β for
+every bath (Grabert, Schramm & Ingold, Phys. Rep. 168, 115 (1988)).
+
+In the quantum case, c_qq and c_pp are the two rows of one integrand,
+so each range is one pass on shared panels: [0, Λ] for both rows, then
+[Λ, ∞) through a compactifying map for the rows that decay faster than
+ω^{-3/2}, keeping the covariances cutoff-independent whenever they
+converge.  The momentum variance of a strict Ohmic bath with ħ > 0 grows
 logarithmically with frequency instead, so that row stops at the model
 cutoff Λ, and a pass over [Λ, 2Λ] measures its drift; a shift wider
 than 1% triggers a ``CutoffSensitive`` warning.
@@ -143,13 +150,15 @@ def covariance0(p: ModelParams, sd: SpectralDensity,
                 cfg: QuadratureConfig | None = None) -> CovarianceMatrix:
     """Equal-time equilibrium covariance matrix diag(c_qq, c_pp).
 
-    c_qq = (1/π)∫ ħ·coth(βħω/2)·Im χ̃_qq dω and c_pp carries an extra ω²
-    weight; ħ = 0 selects the classical weight 2/(βω).  Integrals that
-    keep decaying are pushed to infinity; the log-divergent strict-Ohmic
-    quantum c_pp is truncated at Λ with a sensitivity warning, and the
-    matrix carries its drift between Λ and 2Λ as ``cutoff_drift``.
+    ħ = 0 gives equipartition, c_qq = 1/(βω₀²) and c_pp = 1/β, for every
+    bath; so does a decoupled bath its free-oscillator values.
+    Otherwise c_qq = (1/π)∫ ħ·coth(βħω/2)·Im χ̃_qq dω and c_pp carries an
+    extra ω² weight.  Integrals that keep decaying are pushed to
+    infinity; the log-divergent strict-Ohmic quantum c_pp is truncated
+    at Λ with a sensitivity warning, and the matrix carries its drift
+    between Λ and 2Λ as ``cutoff_drift``.
     """
-    if sd.decoupled:
+    if sd.decoupled or p.hbar == 0.0:
         return _free_covariance(p)
     cov = _covariance0_cached(p, sd, cfg or _DEFAULT_CFG)
     if cov.cutoff_drift > 0.01:

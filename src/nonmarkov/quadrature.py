@@ -8,9 +8,9 @@ engine sit the operations the rest of the package needs:
 
 * ``integrate``          adaptive integral on [a, b], b may be +inf
 * ``inner_product_info`` ⟨f,g⟩ = ∫ f(ω) g*(ω) dω, ‖f‖² and ‖g‖² over
-                         [-W, W] in one pass, for every row of f and g,
-                         with power-law tail estimates; a hermitian pair
-                         is folded onto [0, W]
+                         [-W, W] in one pass folded onto [0, W], for
+                         every row of f and g, with power-law tail
+                         estimates beyond ±W
 * ``principal_value``    Cauchy principal value by symmetric exclusion and
                          Richardson extrapolation over ε, ε/2, ε/4
 * ``sine_transform``     (2/π)∫₀^∞ f(ω) sin(ωt) dω with period-locked panels
@@ -312,36 +312,34 @@ class LineIntegral:
 
 
 def inner_product_info(f, g, cfg: QuadratureConfig | None = None,
-                       *, breakpoints=(), hermitian: bool = False
-                       ) -> LineIntegral:
+                       *, breakpoints=()) -> LineIntegral:
     """⟨f,g⟩ = ∫ f(ω) g*(ω) dω, ‖f‖² and ‖g‖² over [-W, W] in one pass,
     with tail estimates and no tail policing.
 
     f and g may return k rows each; row r of f pairs with row r of g,
-    and each of the 3k integrals keeps its own tolerance.  With
-    hermitian=True the caller asserts f(−ω) = f(ω)* and g(−ω) = g(ω)*
-    for every row, unchecked; then f g*(−ω) + f g*(ω) = 2 Re f g*(ω), so
-    the pass runs over [0, W] and takes 2·Re, and every integral is real.
+    and each of the 3k integrals keeps its own tolerance.  The pass runs
+    over [0, W] with the decade edges and the positive breakpoints: f
+    and g are evaluated once each on the nodes x and their mirrors −x
+    together, and each product P integrates as P(x) + P(−x).  The tail
+    is the power-law estimate of |P| beyond W plus that beyond −W.
     """
     cfg = cfg or _DEFAULT_CFG
     W = cfg.half_width
 
     def products(x):
-        fx = np.asarray(f(x), dtype=complex)
-        gx = np.asarray(g(x), dtype=complex)
-        return np.stack((fx * np.conj(gx), (fx * np.conj(fx)).real,
-                         (gx * np.conj(gx)).real))
+        both = np.concatenate((x, -x))
+        fx = np.asarray(f(both), dtype=complex)
+        gx = np.asarray(g(both), dtype=complex)
+        prods = np.stack((fx * np.conj(gx), (fx * np.conj(fx)).real,
+                          (gx * np.conj(gx)).real))
+        return prods[..., :x.size], prods[..., x.size:]
 
     xs = np.geomspace(W / 10.0, W, 9)
-    tail = _power_law_tail(xs, np.abs(products(xs)), W)
-    pos = _decade_edges(W, breakpoints)
-    if hermitian:
-        val, err, n = _adaptive(lambda x: 2.0 * products(x).real, pos, cfg)
-        tail = 2.0 * tail
-    else:
-        edges = np.concatenate((-pos[:0:-1], pos))
-        val, err, n = _adaptive(products, edges, cfg)
-        tail = tail + _power_law_tail(xs, np.abs(products(-xs)), W)
+    plus, minus = products(xs)
+    tail = (_power_law_tail(xs, np.abs(plus), W)
+            + _power_law_tail(xs, np.abs(minus), W))
+    val, err, n = _adaptive(lambda x: np.add(*products(x)),
+                            _decade_edges(W, breakpoints), cfg)
     return LineIntegral(val + 0.0j, err, tail, int(n))
 
 

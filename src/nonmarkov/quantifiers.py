@@ -64,19 +64,16 @@ class QuantifierReport:
     diagnostics: dict[str, EntryDiagnostics]
 
 
-def _distance_info(f, g, cfg: QuadratureConfig, breakpoints=(),
-                   hermitian: bool = False):
+def _distance_info(f, g, cfg: QuadratureConfig, breakpoints=()):
     """Normalized distances of the row pairs of f and g from one
     ``inner_product_info`` pass, with their tail ratios and the panel
-    count of the pass; hermitian=True folds the pass onto [0, W] and is
-    only for pairs with f(−ω) = f(ω)* and g(−ω) = g(ω)*.
+    count of the pass.
 
     A row with a norm below 1e-14 is degenerate: its distance and tail
     ratio are NaN.  Raises TailDominates when the window is too small
     for any other row.
     """
-    res = inner_product_info(f, g, cfg, breakpoints=breakpoints,
-                             hermitian=hermitian)
+    res = inner_product_info(f, g, cfg, breakpoints=breakpoints)
     ip, ff, gg = res.value
     t_ip, t_ff, t_gg = res.tail
     nf2 = np.maximum(ff.real, 0.0)
@@ -125,26 +122,25 @@ def _n1_sides(p, sd):
     """Three-row integrands (−i dχ̃/dω, χ̃ χ₊⁻¹ χ̃) at qq, qp, pp: the two
     sides whose difference is ``divisibility_residual``.  Both are
     hermitian, f(−ω) = f(ω)*, because χ̃ is the response of a real,
-    causal system."""
+    causal system, so each ⟨f,g⟩ row is real."""
     return (lambda w: -1j * chi_prime_matrix(p, sd, w)[_ENTRY],
             lambda w: _composed_response(p, sd, w)[_ENTRY])
 
 
 def _n2_sides(p, sd, cov0):
     """Three-row integrands (exact spectrum, regression prediction) at
-    qq, qp, pp; ħ > 0 breaks their ω ↦ −ω symmetry."""
+    qq, qp, pp; ħ > 0 breaks their ω ↦ −ω symmetry, which the folded
+    pass does not need."""
     return (lambda w: exact_entries_vec(p, sd, w)[_ENTRY],
             lambda w: rt_entries_vec(p, sd, w, cov0)[_ENTRY])
 
 
-def _quantifier_matrix(p, sd, cfg, prefix, sides, hermitian=False,
-                       cutoff_drift=0.0):
+def _quantifier_matrix(p, sd, cfg, prefix, sides, cutoff_drift=0.0):
     """Entrywise distances from one pass over the three-row integrand
-    pair sides, folded onto [0, W] when they are hermitian; qp and pq
-    coincide by the entry structure (the two off-diagonal functions
-    differ only by an overall sign or a complex conjugation, neither of
-    which moves the distance).  A degenerate entry reads 0; every entry
-    carries cutoff_drift."""
+    pair sides; qp and pq coincide by the entry structure (the two
+    off-diagonal functions differ only by an overall sign or a complex
+    conjugation, neither of which moves the distance).  A degenerate
+    entry reads 0; every entry carries cutoff_drift."""
     matrix = np.zeros((2, 2))
     if sd.decoupled:
         zero = EntryDiagnostics(0.0, 0, False)
@@ -152,8 +148,7 @@ def _quantifier_matrix(p, sd, cfg, prefix, sides, hermitian=False,
                         for key in ("qq", "qp", "pq", "pp")}
 
     values, tails, panels = _distance_info(*sides, cfg,
-                                           feature_frequencies(p, sd),
-                                           hermitian)
+                                           feature_frequencies(p, sd))
     values, tails = np.nan_to_num(values), np.nan_to_num(tails)
     matrix[_ENTRY] = values
     matrix[_ENTRY[::-1]] = values
@@ -175,7 +170,7 @@ def divisibility_quantifier(p, sd: SpectralDensity,
     Returns (2×2 real array, diagnostics dict).
     """
     return _quantifier_matrix(p, sd, cfg or _DEFAULT_CFG, "n1",
-                              _n1_sides(p, sd), hermitian=True)
+                              _n1_sides(p, sd))
 
 
 def regression_quantifier(p, sd: SpectralDensity,

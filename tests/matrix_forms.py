@@ -6,10 +6,13 @@ The package computes the regression-theorem prediction entry by entry
 matrices out, so the tests can compare the two.  ``pole_residues``
 diagonalizes the pseudo-mode drift matrix of a peaked bath, from which
 χ̃_qq and the equal-time covariances follow in closed form.
+``unfolded_line`` integrates the three products of an
+``inner_product_info`` pass over [−W, W] itself, without the fold.
 """
 import numpy as np
 
 from nonmarkov.correlations import CovarianceMatrix
+from nonmarkov.quadrature import integrate
 from nonmarkov.response import CHI_PLUS_INV, ModelParams, chi_matrix
 from nonmarkov.spectral import PeakedSD, SpectralDensity
 
@@ -37,3 +40,15 @@ def pole_residues(sd: PeakedSD, omega0: float):
     and χ̃_qq(ω) = −Σ r_k/(λ_k + iω)."""
     lam, v = np.linalg.eig(sd.drift_matrix(omega0))
     return lam, v[0] * np.linalg.inv(v)[:, 1]
+
+
+def unfolded_line(f, g, cfg, breakpoints=()):
+    """⟨f,g⟩, ‖f‖² and ‖g‖² by ``integrate`` over [−W, W] with the
+    breakpoints mirrored, shape (3,) + rows like ``LineIntegral.value``."""
+    def products(x):
+        fx, gx = np.asarray(f(x)), np.asarray(g(x))
+        return np.stack((fx * np.conj(gx), np.abs(fx) ** 2, np.abs(gx) ** 2))
+
+    W = cfg.half_width
+    return integrate(products, -W, W, cfg,
+                     breakpoints=[s * b for b in breakpoints for s in (-1, 1)])

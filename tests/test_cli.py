@@ -221,11 +221,11 @@ class TestTabulatedSweepReuse:
         assert self._sweep(table, reused) == 0
         assert len(loads) == 1
 
-        point = cli._sweep_point
+        # every point quantified on a table read afresh
         monkeypatch.setattr(
-            cli, "_sweep_point",
-            lambda settings, param, value, sd: point(
-                settings, param, value, cli._build_sd(settings)))
+            cli, "quantify",
+            lambda p, sd, which: quantify(p, TabulatedSD.from_file(table),
+                                          which=which))
         fresh = tmp_path / "fresh.csv"
         assert self._sweep(table, fresh) == 0
         assert len(loads) == 1 + 1 + 3

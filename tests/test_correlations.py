@@ -18,6 +18,7 @@ from nonmarkov.correlations import (
     rt_entries_vec,
 )
 from nonmarkov.errors import CutoffSensitive
+from nonmarkov.quadrature import QuadratureConfig
 from nonmarkov.quantifiers import quantify
 from nonmarkov.response import ModelParams, chi_qq_vec
 from nonmarkov.spectral import OhmicSD, PeakedSD, TabulatedSD
@@ -29,17 +30,20 @@ FREE_QUANTUM_CQQ = 0.6565176427496657  # (ħ/2ω₀)·coth(βħω₀/2) at ħ=1,
 
 
 class TestCovariance0:
+    # covariance0 returns equipartition for ħ = 0 without integrating;
+    # the classical tests call the quadrature path, which must agree
     def test_classical_equipartition(self):
         p = ModelParams(omega0=1.0, beta=2.0)
         for sd in (OhmicSD(0.1), OhmicSD(0.5), PEAKED,
                    PeakedSD(0.75, 0.3, 1.0)):
-            c = covariance0(p, sd)
+            c = _covariance0_cached(p, sd, QuadratureConfig())
             assert c.c_qq == pytest.approx(0.5, rel=1e-6)
             assert c.c_pp == pytest.approx(0.5, rel=1e-6)
+            assert covariance0(p, sd) == CovarianceMatrix(0.5, 0.5)
 
     def test_classical_scales_with_frequency(self):
         p = ModelParams(omega0=2.0, beta=1.5)
-        c = covariance0(p, OhmicSD(0.3))
+        c = _covariance0_cached(p, OhmicSD(0.3), QuadratureConfig())
         assert c.c_qq == pytest.approx(1.0 / (1.5 * 4.0), rel=1e-6)
         assert c.c_pp == pytest.approx(1.0 / 1.5, rel=1e-6)
 

@@ -27,6 +27,8 @@ from nonmarkov.quadrature import (
 )
 from nonmarkov.quantifiers import distance
 
+from matrix_forms import unfolded_line
+
 # Frozen oracle values.
 SQRT_PI_HALF = 0.8862269254527576   # trapezoid oracle, 4e6 pts on [0, 40]
 SQRT_PI = 1.7724538509055152        # doubled half-line oracle
@@ -132,10 +134,10 @@ class TestIntegrateLine:
             assert val.real == pytest.approx(SQRT_PI, abs=1e-10)
 
     def test_odd_integrand_is_zero(self):
-        # f g* = −i x·gauss is odd and imaginary, so the hermitian fold's
-        # 2·Re is exactly zero at every node
+        # f g* = −i x·gauss is odd, so the fold's P(x) + P(−x) is exactly
+        # zero at every node
         g = lambda x: 1j * x * half_gauss(x)
-        res = inner_product_info(half_gauss, g, CFG, hermitian=True)
+        res = inner_product_info(half_gauss, g, CFG)
         assert res.value[0] == 0.0
         assert res.tail[0] == 0.0
 
@@ -175,12 +177,12 @@ class TestIntegrateLine:
         def f(x):
             return half_gauss(x) * (1.0 + 1j * x)
 
-        folded = inner_product_info(f, half_gauss, CFG, hermitian=True)
-        whole = inner_product_info(f, half_gauss, CFG)
+        folded = inner_product_info(f, half_gauss, CFG)
+        whole = unfolded_line(f, half_gauss, CFG)
         assert np.all(folded.value.imag == 0.0)
         assert folded.value[0].real == pytest.approx(SQRT_PI, abs=1e-10)
-        assert np.all(np.abs(folded.value - whole.value)
-                      <= CFG.rel_tol * np.abs(whole.value))
+        assert np.all(np.abs(folded.value - whole)
+                      <= CFG.rel_tol * np.abs(whole))
 
     def test_deterministic_bit_identical(self):
         def f(x):
@@ -353,8 +355,8 @@ class TestVectorPass:
         assert np.all(np.abs(fg - exact) <= TIGHT.rel_tol * exact)
 
     def test_even_odd_rows_are_exactly_zero(self):
-        # each row of f g* is odd and imaginary: the hermitian fold zeroes
-        # every ⟨f,g⟩ row while the norm rows converge on the same panels
+        # each row of f g* is odd: the fold's P(x) + P(−x) zeroes every
+        # ⟨f,g⟩ row while the norm rows converge on the same panels
         c = np.array([1.0, 1e-8, 3e5])
 
         def f(x):
@@ -363,7 +365,7 @@ class TestVectorPass:
         def g(x):
             return 1j * x * np.exp(-np.abs(x)) * c[::-1, None]
 
-        res = inner_product_info(f, g, CFG, hermitian=True)
+        res = inner_product_info(f, g, CFG)
         assert res.value.shape == (3, 3)
         assert np.all(res.value[0] == 0.0)
         assert np.all(res.value[1:] != 0.0)
@@ -415,18 +417,19 @@ class TestIntegrandHandle:
     """Integrands are plain vectorized callables."""
 
     def test_hermitian_accepted(self):
-        # the fold of a hermitian pair agrees with the whole-line pass
+        # the fold of a hermitian pair is real and agrees with the
+        # unfolded whole line
         def f(x):
             return np.exp(1j * x) / (1.0 + x ** 2)
 
         def g(x):
             return np.exp(1j * x) * gauss(x)
 
-        folded = inner_product_info(f, g, CFG, hermitian=True)
-        whole = inner_product_info(f, g, CFG)
+        folded = inner_product_info(f, g, CFG)
+        whole = unfolded_line(f, g, CFG)
         assert np.all(folded.value.imag == 0.0)
-        assert np.all(np.abs(folded.value - whole.value)
-                      <= CFG.rel_tol * np.abs(whole.value))
+        assert np.all(np.abs(folded.value - whole)
+                      <= CFG.rel_tol * np.abs(whole))
 
     def test_scalar_wrapper(self):
         f = np.vectorize(lambda x: math.exp(-x * x / 2.0), otypes=[complex])

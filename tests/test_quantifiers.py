@@ -20,6 +20,7 @@ from nonmarkov.errors import (
 from nonmarkov.quadrature import QuadratureConfig, inner_product_info
 from nonmarkov.quantifiers import (
     _n1_sides,
+    _n2_sides,
     distance,
     divisibility_quantifier,
     quantify,
@@ -35,6 +36,8 @@ from nonmarkov.response import (
     feature_frequencies,
 )
 from nonmarkov.spectral import OhmicSD, PeakedSD, TabulatedSD
+
+from matrix_forms import unfolded_line
 
 P1 = ModelParams(omega0=1.0, beta=1.0)
 
@@ -360,8 +363,10 @@ def _assert_hermitian(p, sd, omega):
 
 
 class TestHermitianFold:
-    """n1 folds its pass onto [0, W] because both of its sides satisfy
-    f(−ω) = f(ω)*; the fold takes that on trust, so it is pinned here."""
+    """Both sides of n1 satisfy f(−ω) = f(ω)*, as the response of a real,
+    causal system must, so each ⟨f,g⟩ of n1 is real.  The folded pass is
+    checked against ``integrate`` over the unfolded line, for n1 and for
+    quantum n2, whose sides are not hermitian."""
 
     @FOLD
     @given(models, analytic_baths, positive_frequencies)
@@ -373,15 +378,36 @@ class TestHermitianFold:
     def test_n1_sides_are_hermitian_on_tables(self, p, sd, omega):
         _assert_hermitian(p, sd, omega)
 
+    @staticmethod
+    def _fold_matches_whole_line(p, sd, f, g):
+        cfg = QuadratureConfig()
+        bps = feature_frequencies(p, sd)
+        folded = inner_product_info(f, g, cfg, breakpoints=bps)
+        whole = unfolded_line(f, g, cfg, bps)
+        assert np.all(np.abs(folded.value - whole)
+                      <= cfg.rel_tol * np.abs(whole))
+        return folded
+
     @pytest.mark.parametrize("sd", [OhmicSD(1.0), PeakedSD(0.75, 0.63, 1.0),
                                     smooth_table(2, 1.5, 0.4, 301)])
     def test_fold_matches_whole_line(self, sd):
-        cfg = QuadratureConfig()
-        f, g = _n1_sides(P1, sd)
-        bps = feature_frequencies(P1, sd)
-        folded = inner_product_info(f, g, cfg, breakpoints=bps,
-                                    hermitian=True)
-        whole = inner_product_info(f, g, cfg, breakpoints=bps)
+        folded = self._fold_matches_whole_line(P1, sd, *_n1_sides(P1, sd))
         assert np.all(folded.value.imag == 0.0)
-        assert np.all(np.abs(folded.value - whole.value)
-                      <= cfg.rel_tol * np.abs(whole.value))
+
+    @pytest.mark.parametrize("sd", [PeakedSD(0.75, 0.63, 1.0),
+                                    smooth_table(2, 1.5, 0.4, 301)])
+    def test_quantum_n2_fold_matches_whole_line(self, sd):
+        p = ModelParams(omega0=1.0, beta=1.0, hbar=1.0)
+        self._fold_matches_whole_line(
+            p, sd, *_n2_sides(p, sd, covariance0(p, sd)))
+
+
+@pytest.mark.parametrize("sd", [OhmicSD(0.7), PeakedSD(0.75, 0.63, 1.0),
+                                smooth_table(2, 1.5, 0.4, 301)])
+def test_classical_n2_is_beta_invariant(sd):
+    # classically both spectra and the covariances scale as 1/β, and no
+    # distance sees a common scale
+    n2 = [regression_quantifier(ModelParams(omega0=1.0, beta=beta), sd)[0]
+          for beta in (0.3, 1.0, 5.0)]
+    for m in n2[1:]:
+        np.testing.assert_allclose(m ** 2, n2[0] ** 2, rtol=0.0, atol=1e-12)
