@@ -214,29 +214,32 @@ def _write_plot_script(csv_path: Path, n_cols: int, logx: bool,
 
 
 def _mode_quantify(settings) -> int:
+    """Print the report; with --out, also a one-row CSV, whose row is
+    empty cells and the message when the quantifier fails (exit 3)."""
     p = _model(settings)
     sd = _build_sd(settings)
     which = settings["quantifier"]
+    cols = _quantifier_columns(which)
+    header = cols + ["tail_ratio_max", "flagged", "cutoff_drift", "error"]
     try:
         report = quantify(p, sd, which=which)
     except NumericsError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
-    cells, tail, flagged, drift = _report_cells(report)
-    cols = _quantifier_columns(which)
-    for name, value in zip(cols, cells):
-        print(f"{name} = {value:.9f}")
-    print(f"tail_ratio_max = {tail:.3e}")
-    print(f"flagged = {flagged}")
-    print(f"cutoff_drift = {drift:.3e}")
+        row, code = [""] * (len(header) - 1) + [str(exc)], 3
+    else:
+        cells, tail, flagged, drift = _report_cells(report)
+        for name, value in zip(cols, cells):
+            print(f"{name} = {value:.9f}")
+        print(f"tail_ratio_max = {tail:.3e}")
+        print(f"flagged = {flagged}")
+        print(f"cutoff_drift = {drift:.3e}")
+        row, code = _csv_cells(cells, tail, flagged, drift) + [""], 0
     if settings["out"]:
-        path = Path(settings["out"])
-        with open(path, "w", newline="", encoding="utf-8") as fh:
+        with open(settings["out"], "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(cols + ["tail_ratio_max", "flagged",
-                                    "cutoff_drift", "error"])
-            writer.writerow(_csv_cells(cells, tail, flagged, drift) + [""])
-    return 0
+            writer.writerow(header)
+            writer.writerow(row)
+    return code
 
 
 def _write_grid(out: Path, header, grid, row, n_plotted: int,

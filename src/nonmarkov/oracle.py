@@ -16,6 +16,9 @@ exponential; so the embedding check of the CLI compares the ODE with
 the sine and cosine transforms of χ̃ instead, which come from the
 closed-form γ̃ of `PeakedSD`.  The tests check the residues of the
 matrix against that χ̃, so the two descriptions of the bath agree.
+
+The ODE functions import ``scipy.integrate`` when they run, so importing
+this module, and with it the package and the CLI, loads no scipy.
 """
 from __future__ import annotations
 
@@ -23,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import NonConvergence, UnstableStep
 from .spectral import PeakedSD
@@ -175,6 +177,8 @@ def embedding_response(coupling: float, width: float, resonance: float,
 
     Accepts a scalar time or an array of times ≥ 0.
     """
+    from scipy.integrate import solve_ivp
+
     mat = _embedding_matrix(coupling, width, resonance, omega0)
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     if (t_arr < 0.0).any():
@@ -201,6 +205,8 @@ def embedding_static_sum(coupling: float, width: float, resonance: float,
     """∫₀^∞ χ_qq(t) dt computed from the embedding by augmenting the
     state with the running integral; must equal the static response
     1/ω₀².  The horizon is set by the slowest decay rate."""
+    from scipy.integrate import solve_ivp
+
     mat = _embedding_matrix(coupling, width, resonance, omega0)
     rates = -np.real(np.linalg.eigvals(mat))
     slowest = float(rates.min())

@@ -27,7 +27,9 @@ its drift matrix are the poles of χ̃_qq, placed as breakpoints at ν,
 
 For tabulated data the real part is J(ω)/ω and the imaginary part is
 the dispersion integral Im γ̃(ω) = −(1/π) 𝒫∫ dν [J(ν)/ν] / (ν−ω).  The
-table is interpolated by a piecewise cubic, whose Hilbert transform is
+table is interpolated by a monotone piecewise cubic, the module's own
+numpy PCHIP (``_Pchip``), which the tests pin bit for bit to scipy's
+``PchipInterpolator``; the module imports no scipy.  Its Hilbert transform is
 itself closed form (F. W. King, *Hilbert Transforms*, CUP 2009), so
 Im γ̃ and dγ̃/dω come from the cubic coefficients without quadrature;
 ``principal_value`` stays in ``quadrature`` as an independent check.  A
@@ -41,7 +43,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.polynomial import polyval
-from scipy.interpolate import PchipInterpolator
 
 from .errors import DerivativeUnstable
 
@@ -108,6 +109,79 @@ def _horner(coef: np.ndarray, idx: np.ndarray, y: np.ndarray) -> np.ndarray:
         acc += c
         acc *= y
     return acc
+
+
+def _pchip_end_slope(h0, h1, m0, m1):
+    """Three-point end slope of a PCHIP, limited to keep the end monotone."""
+    d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+class _Pchip:
+    """Monotone piecewise-cubic Hermite interpolant (Fritsch & Butland,
+    SIAM J. Sci. Stat. Comput. 5, 300 (1984)), with the end slopes of
+    Moler's pchiptx.  ``c`` holds the cubic, quadratic, slope and value
+    coefficients of each segment, shape (4, n−1), in powers of s = ω − x_i.
+
+    Slopes, coefficients and the evaluation follow scipy's
+    ``PchipInterpolator`` operation by operation, so the two agree to the
+    last bit (tests/test_pchip.py)."""
+
+    def __init__(self, x: np.ndarray, y: np.ndarray) -> None:
+        h = np.diff(x)
+        m = np.diff(y) / h
+        # weighted harmonic mean of the secants, 0 where they change
+        # sign or either is 0
+        w1 = 2.0 * h[1:] + h[:-1]
+        w2 = h[1:] + 2.0 * h[:-1]
+        flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0.0) | (
+            m[:-1] == 0.0)
+        d = np.empty(x.size)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            mean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+            d[1:-1] = np.where(flat, 0.0, 1.0 / mean)
+        d[0] = _pchip_end_slope(h[0], h[1], m[0], m[1])
+        d[-1] = _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])
+        t = (d[:-1] + d[1:] - 2.0 * m) / h
+        self._inner = x[1:-1]
+        # left knot and the coefficients of each segment, gathered by
+        # one take per call; ``c`` is a view of the last four rows
+        self._rows = np.stack((x[:-1], t / h, (m - d[:-1]) / h - t, d[:-1],
+                               y[:-1]))
+        self.c = self._rows[1:]
+
+    def __call__(self, omega, nu: int = 0) -> np.ndarray:
+        """The interpolant (nu = 0) or its slope (nu = 1) at omega, with
+        the end segments extended beyond the table.  The terms are
+        summed in scipy's order: c0 + c1·s + c2·s² + c3·s³, and
+        c1 + (c2·s)·2 + (c3·s²)·3."""
+        omega = np.asarray(omega, dtype=float)
+        w = omega.ravel()
+        x0, c3, c2, c1, c0 = self._rows.take(
+            np.searchsorted(self._inner, w, "right"), axis=1)
+        s = w - x0
+        s2 = s * s
+        if nu == 0:
+            out = c1 * s
+            out += c0
+            c2 *= s2
+            out += c2
+            s2 *= s
+            c3 *= s2
+        elif nu == 1:
+            out = c2 * s
+            out *= 2.0
+            out += c1
+            c3 *= s2
+            c3 *= 3.0
+        else:
+            raise ValueError("nu must be 0 or 1")
+        out += c3
+        return out.reshape(omega.shape)
 
 
 class SpectralDensity:
@@ -308,9 +382,9 @@ class TabulatedSD(SpectralDensity):
                              "relative to the table maximum (truncate later)")
         object.__setattr__(self, "frequencies", freq)
         object.__setattr__(self, "values", vals)
-        interp = PchipInterpolator(freq, vals)
+        interp = _Pchip(freq, vals)
         object.__setattr__(self, "_interp", interp)
-        object.__setattr__(self, "_slope0", float(interp.derivative()(0.0)))
+        object.__setattr__(self, "_slope0", float(interp.c[2, 0]))
 
         top = freq[-1]
         # Jumps α, β of the t², t³ Taylor coefficients of the segment

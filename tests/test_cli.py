@@ -101,6 +101,23 @@ class TestQuantifyMode:
         assert rows[0]["error"] == ""
         assert 0.0 <= float(rows[0]["n1_qq"]) <= 1.0
 
+    def test_failure_replaces_an_old_csv_with_an_error_row(self, tmp_path,
+                                                           capsys):
+        out = tmp_path / "point.csv"
+        out.write_text("stale,junk\n", encoding="utf-8")
+        rc = cli.main(["--mode", "quantify", "--sd", "ohmic", "--d", "50",
+                       "--quantifier", "n2", "--hbar", "0", "--out",
+                       str(out)])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err.startswith("numerical failure: ")
+        rows = read_csv(out)
+        assert len(rows) == 1
+        assert list(rows[0]) == ["n2_qq", "n2_qp", "n2_pp", "tail_ratio_max",
+                                 "flagged", "cutoff_drift", "error"]
+        assert all(rows[0][key] == "" for key in list(rows[0])[:-1])
+        assert rows[0]["error"] == err.split(": ", 1)[1].strip()
+
 
 class TestSweepMode:
     def test_ohmic_coupling_sweep_is_monotone(self, tmp_path, capsys):
