@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import CutoffSensitive, NumericsError
 from .oracle import LangevinConfig, embedding_response, langevin_means
-from .quantifiers import _ENTRY, _KEYS, quantify
+from .quantifiers import _ENTRY, _KEYS, QuantifierReport, quantify
 from .response import ModelParams, _chi_time_transform, propagate_means
 from .spectral import OhmicSD, PeakedSD, TabulatedSD
 
@@ -305,17 +305,40 @@ def _validate_sweep(settings):
     return param, grid, is_log, dict(zip(values, zip(models, sds)))
 
 
+def _sweep_reports(param, which, points):
+    """The report of each grid value as a function of it.  n1 depends
+    on neither β nor ħ, so a β or ħ sweep computes it once, at the first
+    point, and every row joins it to its own n2; a failed n1 fails every
+    row with its message, as it would point by point."""
+    if param in _SD_KEYS or which == "n2":
+        return lambda v: quantify(*points[v], which=which)
+    try:
+        n1 = quantify(*next(iter(points.values())), which="n1")
+    except NumericsError as exc:
+        n1 = exc
+
+    def report(v):
+        if isinstance(n1, NumericsError):
+            raise n1.with_traceback(None)
+        if which == "n1":
+            return n1
+        n2 = quantify(*points[v], which="n2")
+        return QuantifierReport(n1=n1.n1, n2=n2.n2,
+                                diagnostics={**n1.diagnostics,
+                                             **n2.diagnostics})
+    return report
+
+
 def _mode_sweep(settings) -> int:
     param, grid, is_log, points = _validate_sweep(settings)
     which = settings["quantifier"]
     cols = _quantifier_columns(which)
     header = [param] + cols + ["tail_ratio_max", "flagged", "cutoff_drift",
                                "error"]
+    report = _sweep_reports(param, which, points)
     return _write_grid(
         Path(settings["out"] or "nonmarkov_sweep.csv"), header, grid,
-        lambda v: _csv_cells(*_report_cells(quantify(*points[v],
-                                                     which=which))),
-        len(cols), is_log)
+        lambda v: _csv_cells(*_report_cells(report(v))), len(cols), is_log)
 
 
 def _mode_means(settings) -> int:

@@ -3,8 +3,9 @@
 Three pieces of the stationary state:
 
 * ``covariance0``        the diagonal equal-time covariance matrix:
-                         equipartition when ħ = 0, otherwise thermally
-                         weighted integrals of Im χ̃_qq
+                         equipartition when ħ = 0, Matsubara sums for a
+                         quantum bath with a suitable drift matrix,
+                         otherwise thermally weighted integrals of Im χ̃_qq
 * ``exact_entries_vec``  the fluctuation-dissipation form of C̃(ω)
 * ``rt_entries_vec``     what the quantum regression theorem would
                          predict for C̃(ω), given the correct equal-time
@@ -25,14 +26,23 @@ Caldeira–Leggett coupling leaves the reduced equilibrium state of the
 oscillator the bare Gibbs state, so c_qq = 1/(βω₀²) and c_pp = 1/β for
 every bath (Grabert, Schramm & Ingold, Phys. Rep. 168, 115 (1988)).
 
-In the quantum case, c_qq and c_pp are the two rows of one integrand,
-so each range is one pass on shared panels: [0, Λ] for both rows, then
-[Λ, ∞) through a compactifying map for the rows that decay faster than
-ω^{-3/2}, keeping the covariances cutoff-independent whenever they
-converge.  The momentum variance of a strict Ohmic bath with ħ > 0 grows
-logarithmically with frequency instead, so that row stops at the model
-cutoff Λ, and a pass over [Λ, 2Λ] measures its drift; a shift wider
-than 1% triggers a ``CutoffSensitive`` warning.
+The quantum covariances of a bath whose drift matrix A has A_pp = 0 (the
+peaked bath's pseudo-mode embedding) need no integral either.  At finite
+β they are the Matsubara sums (same reference) of
+χ̃_qq(iν_n) = e_qᵀ(ν_n − A)⁻¹e_p over ν_n = 2πn/(βħ): direct batched
+solves up to ν_n ≈ 4‖A‖₁, then a tail from the moments e_qᵀA^k·e_p and
+the Hurwitz ζ.  The Ohmic bath has A_pp = −D, for which the c_pp sum
+diverges logarithmically.
+
+Every other quantum case integrates: tables, the Ohmic bath, β = ∞, and
+sums past 2¹⁴ terms (βħ‖A‖₁ ≳ 2.6e4).  c_qq and c_pp are the two rows of
+one integrand, so each range is one pass on shared panels: [0, Λ] for
+both rows, then [Λ, ∞) through a compactifying map for the rows that
+decay faster than ω^{-3/2}, keeping the covariances cutoff-independent
+whenever they converge.  The momentum variance of a strict Ohmic bath
+with ħ > 0 grows logarithmically with frequency instead, so that row
+stops at the model cutoff Λ, and a pass over [Λ, 2Λ] measures its drift;
+a shift wider than 1% triggers a ``CutoffSensitive`` warning.
 """
 from __future__ import annotations
 
@@ -109,9 +119,72 @@ def _free_covariance(p: ModelParams) -> CovarianceMatrix:
     return CovarianceMatrix(half / p.omega0, half * p.omega0)
 
 
+# The Matsubara sum runs directly up to the first n with ν_{n+1} ≥ 4‖A‖₁
+# (at least _MIN_TERMS terms), so the moment series of its tail falls by
+# 4 per order and _TAIL_MOMENTS orders reach rounding.  A model whose
+# direct part would need more than _MAX_TERMS terms (βħ‖A‖₁ ≳ 2.6e4)
+# keeps the quadrature.
+_MIN_TERMS = 16
+_MAX_TERMS = 2 ** 14
+_TAIL_MOMENTS = 30
+# Hurwitz ζ(s, a) of the tail's orders s = k + 1 at a = N + 1 ≥ 17 by
+# Euler–Maclaurin (Abramowitz & Stegun §23.1.30):
+#   a^s·ζ(s, a) = a/(s − 1) + 1/2 + Σ_i B_2i/(2i)!·(s)_{2i−1}·a^{1−2i};
+# six Bernoulli terms reach rounding wherever the weight 4^{−k} of an
+# order leaves it any effect.  Row i − 1 of _EULER_MACLAURIN holds
+# B_2i/(2i)!·(s)_{2i−1} over the orders.
+_ORDERS = np.arange(2.0, _TAIL_MOMENTS + 2.0)
+_EULER_MACLAURIN = np.array([
+    b / math.factorial(2 * i)
+    * np.prod([_ORDERS + j for j in range(2 * i - 1)], axis=0)
+    for i, b in enumerate((1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66,
+                           -691 / 2730), start=1)])
+
+
+def _matsubara_covariance(p: ModelParams,
+                          a: np.ndarray) -> CovarianceMatrix | None:
+    """Quantum covariances of a bath with drift matrix a and a_pp = 0
+    from the Matsubara sums over ν_n = 2πn/(βħ), with s_n = (ν_n − a)⁻¹e_p:
+
+        c_qq = (1/β)[1/ω₀² + 2Σ_n (s_n)_q],
+        c_pp = (1/β)[1 − 2Σ_n a_p·s_n],
+
+    since (s_n)_q = χ̃_qq(iν_n) and 1 − ν²χ̃_qq(iν) = −e_pᵀa(ν − a)⁻¹e_p.
+    The tail n > N expands s_n = Σ_k a^k·e_p/ν_n^{k+1} and sums each
+    order over n by Hurwitz ζ; its k = 0 term has no q entry and meets
+    a_pp = 0.  Takes 0 < βħ < ∞; None when the direct part would need
+    more than _MAX_TERMS terms."""
+    nu1 = 2.0 * math.pi / (p.beta * p.hbar)
+    terms = 4.0 * float(np.abs(a).sum(axis=0).max()) / nu1
+    # ν_n past the largest float (βħ ≲ 1e-304) is left to the quadrature
+    if not (terms <= _MAX_TERMS + 1 and nu1 * (_MAX_TERMS + 1) < math.inf):
+        return None
+    n = max(_MIN_TERMS, math.ceil(terms) - 1)
+    dim = len(a)
+    e_p = np.eye(dim)[:, 1:2]
+    nu = nu1 * np.arange(1.0, n + 1.0)
+    s = np.linalg.solve(nu[:, None, None] * np.eye(dim) - a, e_p)
+    # the tail is Σ_k ζ_k·x^k·e_p/ν_{N+1}, with x = a/ν_{N+1} and
+    # ζ_k = (N+1)^{k+1}·ζ(k+1, N+1); the Krylov columns x^k·e_p,
+    # k = 0 … 31, come by doubling
+    top = nu1 * (n + 1)
+    zeta = ((n + 1.0) / (_ORDERS - 1.0) + 0.5
+            + (n + 1.0) ** -np.arange(1.0, 12.0, 2.0) @ _EULER_MACLAURIN)
+    power, krylov = a / top, e_p
+    while krylov.shape[1] <= _TAIL_MOMENTS:
+        krylov = np.hstack((krylov, power @ krylov))
+        power = power @ power
+    total = s.sum(axis=0)[:, 0] + krylov[:, 1:_TAIL_MOMENTS + 1] @ zeta / top
+    return CovarianceMatrix(
+        (1.0 / p.omega0 ** 2 + 2.0 * float(total[0])) / p.beta,
+        (1.0 - 2.0 * float(a[1] @ total)) / p.beta)
+
+
 # Keyed on the spectral density, so the cache keeps its entries' tables
 # (and their γ̃ memos) alive.  Only a repeated (p, sd, cfg) hits it; it
-# stays while perfbench/worker.py reads its cache_info().
+# stays while perfbench/worker.py reads its cache_info().  It serves the
+# quantum covariances that have no Matsubara route: tables, the Ohmic
+# bath (whose c_pp diverges), β = ∞ and sums past _MAX_TERMS.
 @functools.lru_cache(maxsize=4)
 def _covariance0_cached(p: ModelParams, sd: SpectralDensity,
                         cfg: QuadratureConfig) -> CovarianceMatrix:
@@ -152,14 +225,21 @@ def covariance0(p: ModelParams, sd: SpectralDensity,
 
     ħ = 0 gives equipartition, c_qq = 1/(βω₀²) and c_pp = 1/β, for every
     bath; so does a decoupled bath its free-oscillator values.
-    Otherwise c_qq = (1/π)∫ ħ·coth(βħω/2)·Im χ̃_qq dω and c_pp carries an
-    extra ω² weight.  Integrals that keep decaying are pushed to
-    infinity; the log-divergent strict-Ohmic quantum c_pp is truncated
-    at Λ with a sensitivity warning, and the matrix carries its drift
-    between Λ and 2Λ as ``cutoff_drift``.
+    At finite β, a bath whose drift matrix A has A_pp = 0 (the peaked
+    bath) gives the Matsubara sums of χ̃_qq(iν_n), with no quadrature
+    and cfg unused.  Otherwise c_qq = (1/π)∫ ħ·coth(βħω/2)·Im χ̃_qq dω
+    and c_pp carries an extra ω² weight.  Integrals that keep decaying
+    are pushed to infinity; the log-divergent strict-Ohmic quantum c_pp
+    is truncated at Λ with a sensitivity warning, and the matrix carries
+    its drift between Λ and 2Λ as ``cutoff_drift``.
     """
     if sd.decoupled or p.hbar == 0.0:
         return _free_covariance(p)
+    a = sd.drift_matrix(p.omega0)
+    if a is not None and a[1, 1] == 0.0 and 0.0 < p.beta * p.hbar < math.inf:
+        cov = _matsubara_covariance(p, a)
+        if cov is not None:
+            return cov
     cov = _covariance0_cached(p, sd, cfg or _DEFAULT_CFG)
     if cov.cutoff_drift > 0.01:
         warnings.warn(

@@ -208,9 +208,8 @@ def _feature_frequencies(p: ModelParams,
     return tuple(sorted({x for x in pts if x > 0.0}))
 
 
-# [13/13] Padé approximant of e^x and the 1-norm up to which it is exact
-# in double precision (Higham, SIAM J. Matrix Anal. Appl. 26, 1179
-# (2005)).  With the coefficients b_k, U = A·(A⁶·U_hi + U_lo) and
+# [13/13] Padé approximant of e^x (Higham, SIAM J. Matrix Anal. Appl. 26,
+# 1179 (2005)).  With the coefficients b_k, U = A·(A⁶·U_hi + U_lo) and
 # V = A⁶·V_hi + V_lo; each row below gives one of U_hi, U_lo, V_hi, V_lo
 # as a combination of (A², A⁴, A⁶), and _PADE13_EYE its multiple of I.
 _PADE13 = np.array([
@@ -220,7 +219,15 @@ _PADE13 = np.array([
     [7771770303897600.0, 129060195264000.0, 670442572800.0],
 ])
 _PADE13_EYE = np.array([0.0, 32382376266240000.0, 0.0, 64764752532480000.0])
-_THETA13 = 5.371920351148152
+# The scaling of Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31, 970
+# (2009): the approximant is exact in double precision while
+# η₃ = max(d₆, d₈) ≤ θ₁₃, with d_k = ‖A^k‖₁^{1/k}.  Two refinements of
+# theirs are left out, as neither brought e^A closer to a 40-digit
+# reference on Ohmic and peaked drift matrices: min(η₃, η₄), which also
+# needs A¹⁰ (the same worst error on 400 random ones), and ℓ(A, 13),
+# which adds squarings on an |A|-based bound (on 60 where it adds one:
+# worst 3.7e-13 of the norm with it, 3.0e-13 without).
+_THETA13 = 4.25
 # largest ‖a‖₁ that _expm takes: the squarings round an undamped
 # oscillator's e^{At} to about ‖A·t‖₁·ε relative (up to 1.6e-8 at 1e8),
 # and past about 1e17 its amplitude drifts without bound
@@ -231,27 +238,44 @@ def _expm(a: np.ndarray) -> np.ndarray:
     """e^a by scaling and squaring with the [13/13] Padé approximant.
 
     No eigenvectors are used, so a defective matrix (the critically
-    damped oscillator, D = 2ω₀) is as accurate as any other."""
+    damped oscillator, D = 2ω₀) is as accurate as any other.  The
+    squarings follow ‖A^k‖₁^{1/k}, which a non-normal A (a sharp peaked
+    bath) keeps far below ‖A‖₁; each needless squaring only adds
+    rounding.  The products use ``ndarray.dot``, which costs a 4×4
+    matrix about half of what ``@`` does."""
     n = len(a)
-    norm = float(np.abs(a).sum(axis=0).max())
+    # column sums as 1ᵀ·|X|, and in Python from there on: the reductions
+    # of numpy cost a 4×4 matrix more than its products
+    ones = np.ones(n)
+    norm = max(ones.dot(np.abs(a)).tolist())
     if norm > _MAX_EXPM_NORM:
         raise NonConvergence(f"e^(At) needs ‖A·t‖₁ <= {_MAX_EXPM_NORM:.0e} "
                              f"to keep the rounding of its squarings small, "
                              f"got {norm:.3g}")
-    # the least s ≥ 0, give or take one, with ‖a/2^s‖₁ ≤ θ₁₃
-    squarings = max(0, math.frexp(norm / _THETA13)[1])
-    a = a / 2.0 ** squarings
-    a2 = a @ a
-    a4 = a2 @ a2
-    a6 = a4 @ a2
-    parts = (_PADE13 @ np.array([a2, a4, a6]).reshape(3, -1)
-             + _PADE13_EYE[:, None] * np.eye(n).ravel())
+    a2 = a.dot(a)
+    a4 = a2.dot(a2)
+    a6 = a4.dot(a2)
+    squarings = 0
+    if norm > _THETA13:  # otherwise η ≤ ‖A‖₁ needs none
+        # d₆ and d₈ from the exact powers, which a 4×4 matrix affords:
+        # the column sums of |[A⁶, A⁸]|
+        sums = ones.dot(np.abs(np.concatenate((a6, a4.dot(a4)), axis=1)))
+        sums = sums.tolist()
+        eta = max(max(sums[:n]) ** (1.0 / 6.0), max(sums[n:]) ** (1.0 / 8.0))
+        if eta > _THETA13:
+            squarings = math.ceil(math.log2(eta / _THETA13))
+            a = a * 2.0 ** -squarings
+            a2 = a.dot(a)
+            a4 = a2.dot(a2)
+            a6 = a4.dot(a2)
+    parts = _PADE13.dot(np.array([a2, a4, a6]).reshape(3, -1))
+    parts[:, ::n + 1] += _PADE13_EYE[:, None]
     u_hi, u_lo, v_hi, v_lo = parts.reshape(4, n, n)
-    u = a @ (a6 @ u_hi + u_lo)
-    v = a6 @ v_hi + v_lo
+    u = a.dot(a6.dot(u_hi) + u_lo)
+    v = a6.dot(v_hi) + v_lo
     r = np.linalg.solve(v - u, v + u)
     for _ in range(squarings):
-        r = r @ r
+        r = r.dot(r)
     return r
 
 

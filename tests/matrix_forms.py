@@ -8,7 +8,12 @@ diagonalizes the pseudo-mode drift matrix of a peaked bath, from which
 χ̃_qq and the equal-time covariances follow in closed form.
 ``unfolded_line`` integrates the three products of an
 ``inner_product_info`` pass over [−W, W] itself, without the fold.
+``mp_matsubara_covariance`` sums the quantum covariances of a
+drift-matrix bath at 50 digits.
 """
+import math
+
+import mpmath as mp
 import numpy as np
 
 from nonmarkov.correlations import CovarianceMatrix
@@ -52,3 +57,35 @@ def unfolded_line(f, g, cfg, breakpoints=()):
     W = cfg.half_width
     return integrate(products, -W, W, cfg,
                      breakpoints=[s * b for b in breakpoints for s in (-1, 1)])
+
+
+def mp_matsubara_covariance(p: ModelParams, sd: SpectralDensity,
+                            dps: int = 50):
+    """(c_qq, c_pp) of a bath whose drift matrix A has A_pp = 0, from its
+    Matsubara sums at dps digits, with s_n = (ν_n − A)⁻¹e_p:
+    c_qq = (1/β)[1/ω₀² + 2Σ_n (s_n)_q] and c_pp = (1/β)[1 − 2Σ_n A_p·s_n].
+
+    Each s_n up to the first n with ν_n ≥ 4ρ(A) + 32ν₁ is an ``lu_solve``;
+    beyond it, s_n = Σ_k A^k·e_p/ν_n^{k+1}, and each order k = 1 … 80 is
+    summed over n by the Hurwitz ζ.  The terms of that series fall like
+    4^{−k}, far below rounding at 80; the p entry of the k = 0 order
+    diverges, but A_pp = 0 leaves it out of c_pp."""
+    a = sd.drift_matrix(p.omega0)
+    assert a[1, 1] == 0.0
+    rho = float(np.abs(np.linalg.eigvals(a)).max())
+    with mp.workdps(dps):
+        am = mp.matrix(a.tolist())
+        dim = am.rows
+        e_p = mp.matrix([0, 1] + [0] * (dim - 2))
+        nu1 = 2 * mp.pi / (mp.mpf(p.beta) * mp.mpf(p.hbar))
+        n = math.ceil(4.0 * rho / float(nu1)) + 32
+        s = mp.matrix(dim, 1)
+        for k in range(1, n + 1):
+            s += mp.lu_solve(k * nu1 * mp.eye(dim) - am, e_p)
+        v = e_p
+        for k in range(1, 81):
+            v = am * v
+            s += v * (mp.zeta(k + 1, n + 1) / nu1 ** (k + 1))
+        c_pp = 1 - 2 * sum(am[1, j] * s[j] for j in range(dim))
+        return (float((1 / mp.mpf(p.omega0) ** 2 + 2 * s[0]) / p.beta),
+                float(c_pp / p.beta))

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from nonmarkov import cli
+from nonmarkov.errors import CutoffSensitive
 from nonmarkov.oracle import LangevinResult
 from nonmarkov.quantifiers import quantify
 from nonmarkov.response import ModelParams, propagate_means
@@ -245,9 +246,58 @@ class TestTabulatedSweepReuse:
                                           which=which))
         fresh = tmp_path / "fresh.csv"
         assert self._sweep(table, fresh) == 0
-        assert len(loads) == 1 + 1 + 3
+        # one n1 for the sweep and one n2 per point, each on its own read
+        assert len(loads) == 1 + 1 + 4
         capsys.readouterr()
         assert reused.read_bytes() == fresh.read_bytes()
+
+
+class TestSweepSharesN1:
+    """A β or ħ sweep computes n1 once; its CSV is the same, byte for
+    byte, as the rows built from quantify at every point."""
+
+    @pytest.fixture(scope="class")
+    def peaked_table(self, tmp_path_factory) -> Path:
+        path = tmp_path_factory.mktemp("tables") / "peaked201.txt"
+        w = np.linspace(0.0, 40.0, 201)
+        j = PeakedSD(coupling=1.0, width=0.5, resonance=2.0).j(w)
+        np.savetxt(path, np.column_stack([w, j]))
+        return path
+
+    @pytest.mark.parametrize("which", ["both", "n1"])
+    @pytest.mark.parametrize("param, grid", [("beta", "0.5:2:3"),
+                                             ("hbar", "0:1:3")])
+    @pytest.mark.parametrize("bath", ["ohmic", "peaked", "table"])
+    def test_rows_match_per_point_quantify(self, bath, param, grid, which,
+                                           peaked_table, tmp_path,
+                                           monkeypatch, capsys):
+        sd = f"tabulated:{peaked_table}" if bath == "table" else bath
+        args = ["--mode", "sweep", "--sd", sd, "--param", param,
+                "--range", grid, "--quantifier", which]
+
+        def sweep(out):
+            # the quantum Ohmic n2 rows warn that c_pp is cutoff-limited
+            with (pytest.warns(CutoffSensitive)
+                  if bath == "ohmic" and which == "both"
+                  else warnings.catch_warnings()):
+                assert cli.main(args + ["--out", str(out)]) == 0
+            return out.read_bytes()
+
+        calls = []
+        monkeypatch.setattr(
+            cli, "quantify",
+            lambda p, sd, which: calls.append(which) or quantify(p, sd,
+                                                                 which=which))
+        shared = sweep(tmp_path / "shared.csv")
+        assert calls == ["n1"] + (["n2"] * 3 if which == "both" else [])
+
+        monkeypatch.setattr(
+            cli, "_sweep_reports",
+            lambda param, which, points: lambda v: quantify(*points[v],
+                                                            which=which))
+        per_point = sweep(tmp_path / "per_point.csv")
+        capsys.readouterr()
+        assert shared == per_point
 
 
 class TestMeansMode:

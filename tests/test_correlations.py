@@ -7,12 +7,16 @@ import weakref
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import psi
 
+from nonmarkov import correlations
 from nonmarkov.correlations import (
     CovarianceMatrix,
     _bose_weight,
     _covariance0_cached,
+    _matsubara_covariance,
     covariance0,
     exact_entries_vec,
     rt_entries_vec,
@@ -23,7 +27,8 @@ from nonmarkov.quantifiers import quantify
 from nonmarkov.response import ModelParams, chi_qq_vec
 from nonmarkov.spectral import OhmicSD, PeakedSD, TabulatedSD
 
-from matrix_forms import pole_residues, rt_spectrum_general
+from matrix_forms import (mp_matsubara_covariance, pole_residues,
+                          rt_spectrum_general)
 
 PEAKED = PeakedSD(coupling=1.0, width=0.5, resonance=2.0)
 FREE_QUANTUM_CQQ = 0.6565176427496657  # (ħ/2ω₀)·coth(βħω₀/2) at ħ=1, β=2, ω₀=1
@@ -191,6 +196,71 @@ class TestDigammaReference:
         c = covariance0(p, sd)
         assert c.c_qq == pytest.approx(c_qq, rel=1e-10)
         assert c.c_pp == pytest.approx(c_pp, rel=1e-10)
+
+
+class TestMatsubaraRoute:
+    """covariance0 of a quantum bath whose drift matrix has A_pp = 0 (the
+    peaked bath) is the Matsubara sum of ``_matsubara_covariance``."""
+
+    @pytest.mark.parametrize("beta, hbar", [
+        (0.3, 1.0), (1.0, 1.0), (5.0, 1.0), (50.0, 1.0), (1.0, 0.05)])
+    @pytest.mark.parametrize("d, gamma, big", [
+        (0.75, 0.63, 1.0), (1.0, 0.5, 2.0), (0.9, 1.0, 0.0625),
+        (1e-3, 0.63, 1.0), (0.3, 0.01, 1.5), (2.0, 3.0, 0.5)])
+    def test_matches_50_digit_sum(self, d, gamma, big, beta, hbar):
+        # (0.9, 1.0, 0.0625) has ‖A‖₁ = 209, and (2, 3, 0.5) is overdamped
+        p = ModelParams(omega0=1.0, beta=beta, hbar=hbar)
+        sd = PeakedSD(d, gamma, big)
+        c_qq, c_pp = mp_matsubara_covariance(p, sd)
+        c = covariance0(p, sd)
+        assert c.c_qq == pytest.approx(c_qq, rel=1e-13)
+        assert c.c_pp == pytest.approx(c_pp, rel=1e-13)
+        assert c.cutoff_drift == 0.0
+
+    @settings(max_examples=25, deadline=None, database=None)
+    @given(st.floats(0.05, 2.0), st.floats(0.1, 3.0), st.floats(0.5, 3.0),
+           st.floats(0.5, 2.0), st.floats(0.2, 20.0), st.floats(0.05, 2.0))
+    def test_matches_the_quadrature(self, d, gamma, big, omega0, beta, hbar):
+        p = ModelParams(omega0=omega0, beta=beta, hbar=hbar)
+        sd = PeakedSD(d, gamma, big)
+        got = _matsubara_covariance(p, sd.drift_matrix(omega0))
+        want = _covariance0_cached(p, sd, QuadratureConfig())
+        assert got.c_qq == pytest.approx(want.c_qq, rel=1e-9)
+        assert got.c_pp == pytest.approx(want.c_pp, rel=1e-9)
+
+    def test_term_cap_hands_over_to_the_quadrature(self, monkeypatch):
+        # the overdamped (2, 3, 0.5) has ‖A‖₁ = 19, so the sum needs
+        # ⌈4‖A‖₁βħ/2π⌉ − 1 terms: 16377 at β = 1354 and 16389 at
+        # β = 1355, on either side of the cap of 2^14
+        sd = PeakedSD(2.0, 3.0, 0.5)
+        a = sd.drift_matrix(1.0)
+        below = ModelParams(omega0=1.0, beta=1354.0, hbar=1.0)
+        above = ModelParams(omega0=1.0, beta=1355.0, hbar=1.0)
+        for p in (below, above):
+            quad = _covariance0_cached(p, sd, QuadratureConfig())
+            if p is above:
+                assert _matsubara_covariance(p, a) is None
+                assert covariance0(p, sd) == quad
+                monkeypatch.setattr(correlations, "_MAX_TERMS", 2 ** 15)
+            c = _matsubara_covariance(p, a)
+            assert c.c_qq == pytest.approx(quad.c_qq, rel=1e-9)
+            assert c.c_pp == pytest.approx(quad.c_pp, rel=1e-9)
+
+    def test_fields_are_plain_floats(self):
+        c = covariance0(ModelParams(omega0=1.0, beta=1.0, hbar=1.0), PEAKED)
+        assert type(c.c_qq) is float and type(c.c_pp) is float
+        assert type(c.cutoff_drift) is float
+
+    def test_other_quantum_covariances_keep_the_quadrature(self):
+        # the Ohmic bath (A_pp = −D) and β = ∞ have no Matsubara route
+        cfg = QuadratureConfig()
+        for p, sd in ((ModelParams(omega0=1.0, beta=2.0, hbar=1.0),
+                       OhmicSD(0.5)),
+                      (ModelParams(omega0=1.0, beta=math.inf, hbar=1.0),
+                       PEAKED)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", CutoffSensitive)
+                assert covariance0(p, sd) == _covariance0_cached(p, sd, cfg)
 
 
 class TestExactSpectrum:

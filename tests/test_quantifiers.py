@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from nonmarkov import quadrature, quantifiers
-from nonmarkov.correlations import covariance0
+from nonmarkov.correlations import _covariance0_cached, covariance0
 from nonmarkov.errors import (
     CutoffSensitive,
     NonConvergence,
@@ -37,7 +37,7 @@ from nonmarkov.response import (
 )
 from nonmarkov.spectral import OhmicSD, PeakedSD, TabulatedSD
 
-from matrix_forms import unfolded_line
+from matrix_forms import mp_matsubara_covariance, unfolded_line
 
 P1 = ModelParams(omega0=1.0, beta=1.0)
 
@@ -212,16 +212,26 @@ class TestRegressionQuantifier:
 class TestQuantify:
     def test_unresolvable_resonance_is_named(self):
         # Re γ̃(ω₀) ≈ 5e-14: χ̃'s resonance at ω₀ = 1 is narrower than the
-        # 1e-14 relative split limit of the adaptive engine
+        # 1e-14 relative split limit of the adaptive engine.  covariance0
+        # takes the Matsubara sum, which needs no quadrature; the
+        # quadrature of the covariances still fails there
         p = ModelParams(omega0=1.0, beta=1.0, hbar=1.0)
         sd = PeakedSD(1e-6, 0.5, 2.0)
         for run in (lambda: quantify(p, sd, which="n1"),
-                    lambda: covariance0(p, sd)):
+                    lambda: _covariance0_cached(p, sd, QuadratureConfig())):
             with pytest.raises(NonConvergence,
                                match="reached the 1e-14 relative split "
                                      "limit") as exc:
                 run()
             assert abs(exc.value.where - 1.0) < 1e-9
+        c = covariance0(p, sd)
+        c_qq, c_pp = mp_matsubara_covariance(p, sd)
+        assert c.c_qq == pytest.approx(c_qq, rel=1e-13)
+        assert c.c_pp == pytest.approx(c_pp, rel=1e-13)
+        # the bath barely moves the free oscillator's (½)coth(½)
+        free = 0.5 / math.tanh(0.5)
+        assert c.c_qq == pytest.approx(free, rel=1e-9)
+        assert c.c_pp == pytest.approx(free, rel=1e-9)
 
     def test_selection_validated(self):
         with pytest.raises(ValueError):

@@ -347,6 +347,7 @@ class TestDriftRoute:
            st.floats(0.05, 3.0), st.floats(0.5, 3.0), st.floats(0.5, 2.0),
            st.floats(1e-3, 1e3))
     @example("ohmic", 2.0, 1.0, 1.0, 1.0, 1e3)
+    @example("peaked", 9.0, 1.0, 0.0625, 1.0, 5.0)
     def test_expm_holds_to_rounding(self, kind, d, width, resonance, omega0,
                                     t):
         sd = (OhmicSD(d) if kind == "ohmic"
@@ -366,6 +367,15 @@ class TestDriftRoute:
         if t <= 10.0:
             # scipy's own error grows to about 2e-11 of the norm at t = 1e3
             assert np.abs(_expm(at) - expm(at)).max() <= 1e-12 * norm
+
+    def test_expm_scales_a_non_normal_matrix_by_its_powers(self):
+        # ‖A·t‖₁ = 1046 while e^{At} stays bounded: the squarings chosen
+        # from ‖A‖₁ left e^{At} 1.2e-12 off; scipy's expm is 5.1e-14 off
+        at = PeakedSD(0.9, 1.0, 0.0625).drift_matrix(1.0) * 5.0
+        with mpmath.workdps(40):
+            want = np.array(mpmath.expm(mpmath.matrix(at.tolist())).tolist(),
+                            dtype=float)
+        assert np.abs(_expm(at) - want).max() <= 1e-13 * np.abs(want).max()
 
     def test_long_time_is_refused_before_rounding_takes_over(self):
         # undamped, e^{At} is off by about ‖A·t‖₁·ε: 3.6e-9 in the median
