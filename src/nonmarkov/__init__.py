@@ -18,8 +18,8 @@ Layers, bottom up:
     one adaptive Gauss–Kronrod engine for vectorized callables of one or
     many rows on shared panels: finite and half-line integrals, Cauchy
     principal values, oscillatory sine/cosine transforms, and the
-    whole-line pass that gives ⟨f,g⟩, ‖f‖² and ‖g‖² together with tail
-    accounting, folded onto [0, W] by evaluating each side at ±ω.
+    whole-line pass that gives ⟨f,g⟩, ‖f‖² and ‖g‖² of the two sides
+    one callable returns, with tail accounting, folded onto [0, W].
 ``spectral``
     Ohmic, peaked and tabulated spectral densities J(ω) with their
     memory kernels γ̃(ω) and derivatives.
@@ -31,8 +31,8 @@ Layers, bottom up:
     stationary covariances and the exact / regression two-time spectra,
     in the same (2, 2) + ω.shape layout.
 ``quantifiers``
-    the normalized distances built from the layers above; the three
-    entries of one quantifier come from a single whole-line pass.
+    the normalized distances built from the layers above; each
+    quantifier is one whole-line pass over one integrand of both sides.
 ``oracle``
     two independent cross-checks: a Langevin Monte Carlo propagator and
     a Hamiltonian embedding of the peaked bath.

@@ -53,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CutoffSensitive
+from .errors import CutoffSensitive, NumericsError
 from .quadrature import _DEFAULT_CFG, QuadratureConfig, integrate
 from .response import ModelParams, _chi_qq, chi_qq_vec, feature_frequencies
 from .spectral import SpectralDensity
@@ -216,7 +216,11 @@ def _covariance0_cached(p: ModelParams, sd: SpectralDensity,
         extra = integrate(lambda w: rows(w)[~decays], top, 2.0 * top,
                           cfg).real
         drift = float(np.max(np.abs(extra) / main[~decays]))
-    return CovarianceMatrix(*(total / math.pi).tolist(), cutoff_drift=drift)
+    cov = (total / math.pi).tolist()
+    if not all(0.0 < c < math.inf for c in cov):
+        raise NumericsError(f"covariance quadrature gave (c_qq, c_pp) = "
+                            f"{cov}, not finite and > 0")
+    return CovarianceMatrix(*cov, cutoff_drift=drift)
 
 
 def covariance0(p: ModelParams, sd: SpectralDensity,

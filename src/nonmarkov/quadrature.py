@@ -9,8 +9,8 @@ engine sit the operations the rest of the package needs:
 * ``integrate``          adaptive integral on [a, b], b may be +inf
 * ``inner_product_info`` ⟨f,g⟩ = ∫ f(ω) g*(ω) dω, ‖f‖² and ‖g‖² over
                          [-W, W] in one pass folded onto [0, W], for
-                         every row of f and g, with power-law tail
-                         estimates beyond ±W
+                         every row of the sides (f, g) of one callable,
+                         with power-law tail estimates beyond ±W
 * ``principal_value``    Cauchy principal value by symmetric exclusion and
                          Richardson extrapolation over ε, ε/2, ε/4
 * ``sine_transform``     (2/π)∫₀^∞ f(ω) sin(ωt) dω with period-locked panels
@@ -290,57 +290,50 @@ def _power_law_tail(xs: np.ndarray, ys: np.ndarray, W: float) -> np.ndarray:
 
 def _decade_edges(W: float, breakpoints=()) -> np.ndarray:
     """[0, W] seeded with decade edges so narrow structure cannot hide."""
-    decades = W * 10.0 ** np.arange(-6.0, 0.0)
-    pts = [float(p) for p in breakpoints if 0.0 < p < W]
-    return np.array(sorted({0.0, W, *decades, *pts}))
+    return _with_breakpoints(0.0, W, [*W * 10.0 ** np.arange(-6.0, 0.0),
+                                      *breakpoints])
 
 
 @dataclass(frozen=True)
 class LineIntegral:
-    """⟨f,g⟩, ‖f‖² and ‖g‖² over [-W, W] from one shared adaptive pass.
-
-    value, error and tail have shape (3,) + rows, in the order ⟨f,g⟩,
-    ‖f‖², ‖g‖²; rows is the row shape of the integrands, () for scalar
-    ones.  tail estimates the magnitude of each integral beyond ±W, and
-    panels counts the panels of the shared pass.
-    """
+    """⟨f,g⟩, ‖f‖² and ‖g‖² over [-W, W] from one shared adaptive pass:
+    value and tail (each integral's magnitude beyond ±W) have shape
+    (3,) + rows in that order, rows the row shape of each side, and
+    panels counts the panels of the pass."""
 
     value: np.ndarray
-    error: np.ndarray
     tail: np.ndarray
     panels: int
 
 
-def inner_product_info(f, g, cfg: QuadratureConfig | None = None,
+def inner_product_info(sides, cfg: QuadratureConfig | None = None,
                        *, breakpoints=()) -> LineIntegral:
     """⟨f,g⟩ = ∫ f(ω) g*(ω) dω, ‖f‖² and ‖g‖² over [-W, W] in one pass,
     with tail estimates and no tail policing.
 
-    f and g may return k rows each; row r of f pairs with row r of g,
-    and each of the 3k integrals keeps its own tolerance.  The pass runs
-    over [0, W] with the decade edges and the positive breakpoints: f
-    and g are evaluated once each on the nodes x and their mirrors −x
-    together, and each product P integrates as P(x) + P(−x).  The tail
-    is the power-law estimate of |P| beyond W plus that beyond −W.
+    sides is one callable that returns f and g stacked on a leading axis
+    of 2, shape (2,) + rows + (N,) for N points; row r of f pairs with
+    row r of g, and each of the 3·rows integrals keeps its own
+    tolerance.  The pass runs over [0, W] with the decade edges and the
+    positive breakpoints, calling sides once per panel batch on the
+    nodes x and their mirrors −x, and each product P integrates as
+    P(x) + P(−x).  The tail is the power-law estimate of |P| beyond W
+    plus that beyond −W, from one more call on [W/10, W] and its mirror.
     """
     cfg = cfg or _DEFAULT_CFG
     W = cfg.half_width
 
     def products(x):
-        both = np.concatenate((x, -x))
-        fx = np.asarray(f(both), dtype=complex)
-        gx = np.asarray(g(both), dtype=complex)
+        fx, gx = np.asarray(sides(np.concatenate((x, -x))), dtype=complex)
         prods = np.stack((fx * np.conj(gx), (fx * np.conj(fx)).real,
                           (gx * np.conj(gx)).real))
         return prods[..., :x.size], prods[..., x.size:]
 
     xs = np.geomspace(W / 10.0, W, 9)
-    plus, minus = products(xs)
-    tail = (_power_law_tail(xs, np.abs(plus), W)
-            + _power_law_tail(xs, np.abs(minus), W))
-    val, err, n = _adaptive(lambda x: np.add(*products(x)),
-                            _decade_edges(W, breakpoints), cfg)
-    return LineIntegral(val + 0.0j, err, tail, int(n))
+    tail = np.add(*_power_law_tail(xs, np.abs(np.stack(products(xs))), W))
+    val, _, n = _adaptive(lambda x: np.add(*products(x)),
+                          _decade_edges(W, breakpoints), cfg)
+    return LineIntegral(val + 0.0j, tail, int(n))
 
 
 def principal_value(f, pole: float, a: float, b: float,
@@ -455,18 +448,19 @@ def _period_locked_edges(base: np.ndarray, n: np.ndarray) -> np.ndarray:
 
 
 def _oscillatory_transform(f, t: float, cfg: QuadratureConfig, kinds,
-                           breakpoints=()):
+                           breakpoints=(), support=math.inf):
     """(2/π)∫₀^∞ f(ω)·k(ωt) dω, real part, with k = sin or cos.
 
     kinds is "sin" or "cos" for a scalar f, or a tuple naming the kernel
     of each row of a k-row f; all rows share one adaptive pass over
-    period-locked panels on [0, W], each with its own by-parts tail
-    beyond W.  W starts at max(4·largest breakpoint, 20/t), with 1 in
-    place of the breakpoint when there is none, and doubles until every
-    row's tail bound (see ``_oscillatory_tail``) is within abs_tol.  A
-    window whose panels would exceed max_subdivisions raises
-    NonConvergence naming t and the row.  At t = 0 the cosine rows are
-    the half-line integral of f, which must converge.
+    period-locked panels on [0, W].  W is the support of an f that
+    vanishes beyond it, with no tail.  Otherwise each row has its own
+    by-parts tail beyond W, which starts at max(4·largest breakpoint,
+    20/t), with 1 in place of the breakpoint when there is none, and
+    doubles until every row's tail bound (``_oscillatory_tail``) is
+    within abs_tol.  A window whose panels would exceed max_subdivisions
+    raises NonConvergence naming t.  At t = 0 the cosine rows are the
+    half-line integral of f, which must converge.
     """
     if not 0.0 <= t < math.inf:
         # NaN or ∞ would never meet the tail bound below
@@ -489,8 +483,10 @@ def _oscillatory_transform(f, t: float, cfg: QuadratureConfig, kinds,
         return np.real(val) * (2.0 / math.pi)
 
     max_width = 2.0 * math.pi / t / _PANELS_PER_PERIOD
-    W = max(4.0 * max(breakpoints, default=1.0), 20.0 / t)
-    bound = np.full(sin_rows.shape, math.inf)
+    bounded = support < math.inf
+    W = support if bounded else max(4.0 * max(breakpoints, default=1.0),
+                                    20.0 / t)
+    tail, bound = 0.0, np.full(sin_rows.shape, 0.0 if bounded else math.inf)
     while True:
         # count the panels before building them: a long window at large t
         # would otherwise take gigabytes only to be refused
@@ -499,10 +495,12 @@ def _oscillatory_transform(f, t: float, cfg: QuadratureConfig, kinds,
         if n.sum() > cfg.max_subdivisions:
             row = int(np.argmax(bound))
             raise NonConvergence(
-                f"no window within {cfg.max_subdivisions} panels bounds the "
-                f"oscillatory tail at t = {t:.6g}: row {row} keeps a tail "
-                f"bound of {bound.flat[row]:.3g} (abs_tol {cfg.abs_tol:.3g})",
-                error_bound=bound)
+                f"the window [0, {W:.6g}] needs more than "
+                f"{cfg.max_subdivisions} panels at t = {t:.6g}; row {row} "
+                f"keeps a tail bound of {bound.flat[row]:.3g} (abs_tol "
+                f"{cfg.abs_tol:.3g})", error_bound=bound)
+        if bounded:
+            break
         tail, bound = _oscillatory_tail(f, W, t, sin_rows)
         if np.all(bound <= cfg.abs_tol):
             break

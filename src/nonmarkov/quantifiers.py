@@ -17,7 +17,7 @@ import numpy as np
 from .correlations import covariance0, exact_entries_vec, rt_entries_vec
 from .errors import TailDominates, ZeroNorm
 from .quadrature import _DEFAULT_CFG, QuadratureConfig, inner_product_info
-from .response import _composed_response, chi_prime_matrix, feature_frequencies
+from .response import _chi_qq_and_prime, feature_frequencies
 from .spectral import SpectralDensity
 
 # Truncation-sensitivity thresholds on the scale-free tail ratio:
@@ -64,23 +64,19 @@ class QuantifierReport:
     diagnostics: dict[str, EntryDiagnostics]
 
 
-def _distance_info(f, g, cfg: QuadratureConfig, breakpoints=()):
-    """Normalized distances of the row pairs of f and g from one
-    ``inner_product_info`` pass, with their tail ratios and the panel
-    count of the pass.
+def _distance_info(sides, cfg: QuadratureConfig, breakpoints=()):
+    """Normalized distances of the row pairs (f, g) that the callable
+    sides returns, from one ``inner_product_info`` pass, with their tail
+    ratios and the panel count of the pass.
 
     A row with a norm below 1e-14 is degenerate: its distance and tail
     ratio are NaN.  Raises TailDominates when the window is too small
     for any other row.
     """
-    res = inner_product_info(f, g, cfg, breakpoints=breakpoints)
-    ip, ff, gg = res.value
+    res = inner_product_info(sides, cfg, breakpoints=breakpoints)
     t_ip, t_ff, t_gg = res.tail
-    nf2 = np.maximum(ff.real, 0.0)
-    ng2 = np.maximum(gg.real, 0.0)
-    degenerate = (np.sqrt(nf2) < 1e-14) | (np.sqrt(ng2) < 1e-14)
-    nf2 = np.where(degenerate, np.nan, nf2)
-    ng2 = np.where(degenerate, np.nan, ng2)
+    norms = np.maximum(res.value[1:].real, 0.0)
+    nf2, ng2 = np.where((np.sqrt(norms) < 1e-14).any(axis=0), np.nan, norms)
 
     scale = np.sqrt(nf2 * ng2)
     tail_ratio = np.maximum.reduce([t_ff / nf2, t_gg / ng2, np.abs(t_ip) / scale])
@@ -91,7 +87,7 @@ def _distance_info(f, g, cfg: QuadratureConfig, breakpoints=()):
             "norm scale) dominates the distance; increase half_width",
             tail=worst)
 
-    ratio = np.abs(ip) ** 2 / (nf2 * ng2)
+    ratio = np.abs(res.value[0]) ** 2 / (nf2 * ng2)
     r = np.clip(1.0 - ratio, 0.0, 1.0)  # clamp window 1e-12 vs rounding
     return np.sqrt(r), tail_ratio, res.panels
 
@@ -112,42 +108,48 @@ def distance(f, g, cfg: QuadratureConfig | None = None,
         If the estimated out-of-window contribution is comparable to
         the norms themselves.
     """
-    val, _, _ = _distance_info(f, g, cfg or _DEFAULT_CFG, breakpoints)
+    val, _, _ = _distance_info(lambda w: (f(w), g(w)), cfg or _DEFAULT_CFG,
+                               breakpoints)
     if np.isnan(val):
         raise ZeroNorm("degenerate argument: norm below 1e-14")
     return float(val)
 
 
 def _n1_sides(p, sd):
-    """Three-row integrands (−i dχ̃/dω, χ̃ χ₊⁻¹ χ̃) at qq, qp, pp: the two
-    sides whose difference is ``divisibility_residual``.  Both are
-    hermitian, f(−ω) = f(ω)*, because χ̃ is the response of a real,
-    causal system, so each ⟨f,g⟩ row is real."""
-    return (lambda w: -1j * chi_prime_matrix(p, sd, w)[_ENTRY],
-            lambda w: _composed_response(p, sd, w)[_ENTRY])
+    """The pair (−i dχ̃/dω, χ̃ χ₊⁻¹ χ̃) at qq, qp, pp from one χ̃ batch: f is
+    −i·``chi_prime_matrix``, and g is −2iωc², c + 2ω²c², −2iωc(1 + ω²c)
+    with c = χ̃_qq.  Both are hermitian (χ̃ is the response of a real,
+    causal system), so each ⟨f,g⟩ row is real."""
+    def sides(w):
+        c, cp = _chi_qq_and_prime(p, sd, w)
+        return (-1j * np.array([cp, 1j * c + 1j * w * cp,
+                                2.0 * w * c + w ** 2 * cp]),
+                np.array([-2j * w * c ** 2, c + 2.0 * w ** 2 * c ** 2,
+                          -2j * w * c * (1.0 + w ** 2 * c)]))
+    return sides
 
 
 def _n2_sides(p, sd, cov0):
-    """Three-row integrands (exact spectrum, regression prediction) at
-    qq, qp, pp; ħ > 0 breaks their ω ↦ −ω symmetry, which the folded
-    pass does not need."""
-    return (lambda w: exact_entries_vec(p, sd, w)[_ENTRY],
-            lambda w: rt_entries_vec(p, sd, w, cov0)[_ENTRY])
+    """The pair (exact spectrum, regression prediction) at qq, qp, pp;
+    ħ > 0 breaks their ω ↦ −ω symmetry, which the folded pass does not
+    need.  A table's γ̃ memo serves the second side's kernel."""
+    return lambda w: (exact_entries_vec(p, sd, w)[_ENTRY],
+                      rt_entries_vec(p, sd, w, cov0)[_ENTRY])
 
 
 def _quantifier_matrix(p, sd, cfg, prefix, sides, cutoff_drift=0.0):
-    """Entrywise distances from one pass over the three-row integrand
-    pair sides; qp and pq coincide by the entry structure (the two
-    off-diagonal functions differ only by an overall sign or a complex
-    conjugation, neither of which moves the distance).  A degenerate
-    entry reads 0; every entry carries cutoff_drift."""
+    """Entrywise distances from one pass over the three-row sides; qp
+    and pq coincide by the entry structure (the two off-diagonal
+    functions differ only by an overall sign or a complex conjugation,
+    neither of which moves the distance).  A degenerate entry reads 0;
+    every entry carries cutoff_drift."""
     matrix = np.zeros((2, 2))
     if sd.decoupled:
         zero = EntryDiagnostics(0.0, 0, False)
         return matrix, {f"{prefix}_{key}": zero
                         for key in ("qq", "qp", "pq", "pp")}
 
-    values, tails, panels = _distance_info(*sides, cfg,
+    values, tails, panels = _distance_info(sides, cfg,
                                            feature_frequencies(p, sd))
     values, tails = np.nan_to_num(values), np.nan_to_num(tails)
     matrix[_ENTRY] = values

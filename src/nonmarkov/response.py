@@ -27,7 +27,9 @@ table has no drift matrix, and its χ_qq is reconstructed from Im χ̃_qq
 through sine and cosine transforms (causality plus reality make that
 sufficient):
 
-    χ_qq(t) = (2/π) ∫₀^∞ Im χ̃_qq(ω) sin(ωt) dω.
+    χ_qq(t) = (2/π) ∫₀^∞ Im χ̃_qq(ω) sin(ωt) dω,
+
+which stop at the bath's ``support_end``, where J and Im χ̃_qq end.
 
 A momentum/position kick displaces the means to (−a_p, +a_q) at t = 0⁺,
 which then evolve as ⟨A(t)⟩ = χ(t)·a.  For a memory kernel with a
@@ -153,17 +155,6 @@ def chi_prime_matrix(p: ModelParams, sd: SpectralDensity, omega) -> np.ndarray:
                      [-1j * c - 1j * w * cp, 2.0 * w * c + w ** 2 * cp]])
 
 
-def _composed_response(p: ModelParams, sd: SpectralDensity,
-                       omega) -> np.ndarray:
-    """χ̃ χ₊⁻¹ χ̃, which −i dχ̃/dω equals for a divisible propagator; with
-    c = χ̃_qq: qq = −2iωc², qp = −pq = c + 2ω²c², pp = −2iωc(1 + ω²c)."""
-    w = np.asarray(omega, dtype=float)
-    c = chi_qq_vec(p, sd, w)
-    qp = c + 2.0 * w ** 2 * c ** 2
-    return np.array([[-2j * w * c ** 2, qp],
-                     [-qp, -2j * w * c * (1.0 + w ** 2 * c)]])
-
-
 def divisibility_residual(p: ModelParams, sd: SpectralDensity,
                           omega) -> np.ndarray:
     """R(ω) = −i dχ̃/dω − χ̃ χ₊⁻¹ χ̃, shape (2, 2) + ω.shape; identically
@@ -183,28 +174,28 @@ def feature_frequencies(p: ModelParams, sd: SpectralDensity) -> list[float]:
     bath's own ``feature_frequencies(ω₀)`` (for the peaked bath, the
     poles of χ̃).  Used as quadrature breakpoints so that narrow
     resonances are never missed."""
-    return list(_feature_frequencies(p, sd))
+    return list(_feature_frequencies(p.omega0, sd))
 
 
-# One model at a time: a χ(t) series asks again for every t, and a
-# quantifier for every pass.
+# One (ω₀, bath) at a time: a χ(t) series asks again for every t, a
+# quantifier for every pass, and a β or ħ sweep for every row.
 @functools.lru_cache(maxsize=1)
-def _feature_frequencies(p: ModelParams,
+def _feature_frequencies(omega0: float,
                          sd: SpectralDensity) -> tuple[float, ...]:
-    pts: list[float] = [p.omega0]
+    pts: list[float] = [omega0]
     if not sd.decoupled:
         # damped/shifted resonance: two fixed-point refinements of
         # ω*² = ω₀² + ω* Im γ̃(ω*), half-width from Re γ̃(ω*)
-        w_star = p.omega0
+        w_star = omega0
         for _ in range(2):
             g = complex(sd.gamma_tilde_vec(np.array([w_star]))[0])
-            w_star = math.sqrt(max(p.omega0 ** 2 + w_star * g.imag,
-                                   1e-6 * p.omega0 ** 2))
+            w_star = math.sqrt(max(omega0 ** 2 + w_star * g.imag,
+                                   1e-6 * omega0 ** 2))
         g = complex(sd.gamma_tilde_vec(np.array([w_star]))[0])
         sigma = 0.5 * max(g.real, 0.0)
         for k in (-6.0, -2.0, -0.5, 0.0, 0.5, 2.0, 6.0):
             pts.append(w_star + k * sigma)
-    pts.extend(sd.feature_frequencies(p.omega0))
+    pts.extend(sd.feature_frequencies(omega0))
     return tuple(sorted({x for x in pts if x > 0.0}))
 
 
@@ -305,7 +296,8 @@ def chi_time(p: ModelParams, sd: SpectralDensity, t: float,
 def _chi_time_transform(p: ModelParams, sd: SpectralDensity, t: float,
                         cfg: QuadratureConfig | None = None) -> np.ndarray:
     """χ(t) for 0 < t < ∞ from the sine and cosine transforms of Im χ̃_qq
-    on panels locked to the period 2π/t, for any coupled bath."""
+    on panels locked to the period 2π/t, for any coupled bath; they stop
+    at the bath's ``support_end``, beyond which Im χ̃_qq ≡ 0."""
     cfg = cfg or _DEFAULT_CFG
     bp = feature_frequencies(p, sd)
 
@@ -315,7 +307,7 @@ def _chi_time_transform(p: ModelParams, sd: SpectralDensity, t: float,
 
     # χ_qq, dχ_qq/dt and χ_pp from one pass over shared panels
     qq, dot, pp = _oscillatory_transform(rows, t, cfg, ("sin", "cos", "sin"),
-                                         bp)
+                                         bp, sd.support_end)
     return np.array([[qq, -dot], [dot, pp]])
 
 

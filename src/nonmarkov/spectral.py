@@ -16,14 +16,14 @@ and returning an array of the same shape:
 * ``gamma_tilde_prime_vec(ω)``  its frequency derivative d γ̃/dω
 
 For Ohmic and Peaked these are closed forms.  A bath also says whether
-it is ``decoupled`` (zero coupling) and gives ``feature_frequencies(ω₀)``,
-where it or the response of an oscillator of frequency ω₀ has structure,
-so no other module asks which family it has.  The Ohmic and peaked
-baths also give a ``drift_matrix(ω₀)``, whose exponential is the
-real-time response; a table gives None.  The peaked bath is one damped
-pseudo-mode (Garraway, PRA 55, 2290 (1997)); the eigenvalues −σ ± iν of
-its drift matrix are the poles of χ̃_qq, placed as breakpoints at ν,
-ν ± σ and ν ± 3σ.
+it is ``decoupled`` (zero coupling), where its J ends (``support_end``,
+a table's last knot) and where it or the response of an oscillator of
+frequency ω₀ has structure (``feature_frequencies(ω₀)``), so no other
+module asks which family it has.  The Ohmic and peaked baths also give
+a ``drift_matrix(ω₀)``, whose exponential is the real-time response; a
+table gives None.  The peaked bath is one damped pseudo-mode (Garraway,
+PRA 55, 2290 (1997)); the eigenvalues −σ ± iν of its drift matrix are
+the poles of χ̃_qq, placed as breakpoints at ν, ν ± σ and ν ± 3σ.
 
 For tabulated data the real part is J(ω)/ω and the imaginary part is
 the dispersion integral Im γ̃(ω) = −(1/π) 𝒫∫ dν [J(ν)/ν] / (ν−ω).  The
@@ -70,6 +70,7 @@ _TERMS = 26
 # largest ratio of knot frequencies within which the series tables take
 # powers relative to one knot; _SPAN**(2·_TERMS) stays far from overflow
 _SPAN = 1e3
+_SMALLEST_NORMAL = float(np.finfo(float).tiny)
 # 32-point Gauss–Legendre nodes and weights on [−1, 1] for the moments
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 
@@ -208,6 +209,8 @@ class SpectralDensity:
         """True when the bath coupling is exactly zero."""
         return False
 
+    support_end = math.inf  # beyond it J ≡ 0, and Re γ̃ and Im χ̃_qq too
+
     def feature_frequencies(self, omega0: float) -> list[float]:
         """Frequencies where the kernel, or the response of an oscillator
         of frequency omega0, has structure; the positive ones seed
@@ -259,9 +262,9 @@ class PeakedSD(SpectralDensity):
     """Resonant spectrum J(ω) = D²Γω / ((ω²−Ω²)² + Γ²ω²).
 
     coupling = D (so the numerator carries D²), width = Γ, resonance = Ω.
-    The closed-form kernel below is algebraic in Γ and Ω and remains
-    the correct dispersion transform of J for any finite Γ, Ω > 0, including
-    the overdamped regime 2Ω² ≤ Γ² where the spectrum loses its peak.
+    The closed-form kernel below is algebraic in Γ and Ω and remains the
+    correct dispersion transform of J for any Γ, Ω > 0 (squares normal,
+    D² finite), including the overdamped regime 2Ω² ≤ Γ².
     """
 
     coupling: float
@@ -269,12 +272,13 @@ class PeakedSD(SpectralDensity):
     resonance: float
 
     def __post_init__(self) -> None:
-        if not (self.coupling >= 0.0 and math.isfinite(self.coupling)):
-            raise ValueError("coupling must be finite and >= 0")
-        if not 0.0 < self.width < math.inf:
-            raise ValueError("width must be finite and > 0")
-        if not 0.0 < self.resonance < math.inf:
-            raise ValueError("resonance must be finite and > 0")
+        # each message starts with the name of the parameter at fault
+        for name, least in (("coupling", 0.0), ("width", _SMALLEST_NORMAL),
+                            ("resonance", _SMALLEST_NORMAL)):
+            value = getattr(self, name)
+            if not (value >= 0.0 and least <= value * value < math.inf):
+                raise ValueError(f"{name} must be finite and >= 0, square in "
+                                 f"[{least:.3g}, inf), got {value!r}")
 
     def _denom(self, omega: np.ndarray) -> np.ndarray:
         w2 = omega ** 2
@@ -344,18 +348,13 @@ class TabulatedSD(SpectralDensity):
 
     Re γ̃ = J(ω)/ω comes from the interpolant.  Im γ̃ and dγ̃/dω are the
     exact dispersion transform of the interpolant, in closed form from
-    its cubic coefficients (``_kernel``), memoized per instance on |ω|.
-    The transform is a sum over knots x_j, taken in three regions of
-    ω/x_j: knots with x_j ≤ ω/2 and x_j ≥ 2ω enter through power series
-    in min(ω/x_j, x_j/ω) ≤ ½ of 26 terms, whose coefficients are summed
-    over knot prefixes and suffixes once per table (O(26·n) to build),
-    and only the knots of the near band ω/2 < x_j < 2ω are summed one by
-    one; beyond 2·top a moment series replaces the knot sums.
-    The first derivative request compares the table with its
-    every-other-knot subtable; when their dγ̃/dω differ by a median
-    relative gap above ``_ROUGHNESS_LIMIT`` the table is too coarse or
-    noisy to differentiate and every derivative request raises
-    ``DerivativeUnstable``.
+    its cubic coefficients (``_kernel``: knot sums in three regions of
+    ω/x_j below 2·top, see ``_knot_sums``, and a moment series beyond),
+    memoized per instance on |ω|.  The first derivative request compares
+    the table with its every-other-knot subtable; when their dγ̃/dω
+    differ by a median relative gap above ``_ROUGHNESS_LIMIT`` the table
+    is too coarse or noisy to differentiate and every derivative request
+    raises ``DerivativeUnstable``.
     """
 
     frequencies: np.ndarray
@@ -382,6 +381,7 @@ class TabulatedSD(SpectralDensity):
                              "relative to the table maximum (truncate later)")
         object.__setattr__(self, "frequencies", freq)
         object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "support_end", float(freq[-1]))
         interp = _Pchip(freq, vals)
         object.__setattr__(self, "_interp", interp)
         object.__setattr__(self, "_slope0", float(interp.c[2, 0]))
@@ -694,7 +694,10 @@ class TabulatedSD(SpectralDensity):
         w = np.abs(omega)
         e, de = self._dispersion(w)
         im = np.full(w.shape, self._im_prime0)
-        nz = w > 0.0
+        # below 1e-150, ω² and E(ω) leave the normal floats: ω → 0 form
+        tiny = (w > 0.0) & (w < 1e-150)
+        im[tiny] += 2.0 / math.pi * self._interp.c[1, 0] * np.log(w[tiny])
+        nz = w >= 1e-150
         wn = w[nz]
         im[nz] = -(de[nz] * wn - e[nz]) / (math.pi * wn * wn)
         return np.sign(omega) * self._ratio_prime(w) + 1j * im

@@ -47,11 +47,12 @@ def pole_residues(sd: PeakedSD, omega0: float):
     return lam, v[0] * np.linalg.inv(v)[:, 1]
 
 
-def unfolded_line(f, g, cfg, breakpoints=()):
-    """⟨f,g⟩, ‖f‖² and ‖g‖² by ``integrate`` over [−W, W] with the
-    breakpoints mirrored, shape (3,) + rows like ``LineIntegral.value``."""
+def unfolded_line(sides, cfg, breakpoints=()):
+    """⟨f,g⟩, ‖f‖² and ‖g‖² of the pair (f, g) that sides returns, by
+    ``integrate`` over [−W, W] with the breakpoints mirrored, shape
+    (3,) + rows like ``LineIntegral.value``."""
     def products(x):
-        fx, gx = np.asarray(f(x)), np.asarray(g(x))
+        fx, gx = np.asarray(sides(x))
         return np.stack((fx * np.conj(gx), np.abs(fx) ** 2, np.abs(gx) ** 2))
 
     W = cfg.half_width

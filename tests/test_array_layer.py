@@ -110,9 +110,8 @@ def test_residual_matches_plain_matmul(p, sd, omega):
 def test_n1_pair_differs_by_the_residual(p, sd, omega):
     # the residual is evaluated in closed form, not as this difference
     res = divisibility_residual(p, sd, omega)
-    f, g = _n1_sides(p, sd)
-    _close(f(omega) - g(omega), res[(0, 0, 1), (0, 1, 1)], f(omega),
-           g(omega))
+    f, g = _n1_sides(p, sd)(omega)
+    _close(f - g, res[(0, 0, 1), (0, 1, 1)], f, g)
 
 
 @SETTINGS

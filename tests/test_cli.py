@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nonmarkov import cli
+from nonmarkov import cli, response
 from nonmarkov.errors import CutoffSensitive
 from nonmarkov.oracle import LangevinResult
 from nonmarkov.quantifiers import quantify
@@ -154,6 +154,22 @@ class TestSweepMode:
         assert cli.main(args + ["--out", str(out2)]) == 0
         capsys.readouterr()
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_beta_sweep_searches_the_resonances_once(self, tmp_path,
+                                                     monkeypatch, capsys):
+        # the breakpoints depend on ω₀ and the bath only, not on β
+        calls = []
+        search = PeakedSD.feature_frequencies
+        monkeypatch.setattr(PeakedSD, "feature_frequencies",
+                            lambda sd, w0: calls.append(w0) or search(sd, w0))
+        response._feature_frequencies.cache_clear()
+        rc = cli.main(["--mode", "sweep", "--sd", "peaked", "--param",
+                       "beta", "--range", "0.5:2:4", "--out",
+                       str(tmp_path / "b.csv")])
+        capsys.readouterr()
+        assert rc == 0
+        assert len(read_csv(tmp_path / "b.csv")) == 4
+        assert calls == [1.0]
 
     def test_cold_quantum_n2_sweep_has_no_failed_rows(self, tmp_path,
                                                        capsys):
@@ -485,6 +501,25 @@ class TestConfiguration:
         assert rc == 2
         assert f"config error: key 'sd': {name} must be finite" in \
             capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value, name", [
+        ("--omega-big", "1e-300", "resonance"),
+        ("--gamma", "1e200", "width"),
+        ("--d", "1e200", "coupling"),
+    ])
+    def test_peak_shape_out_of_the_floats_names_it(self, flag, value, name,
+                                                  capsys):
+        rc = cli.main(["--mode", "quantify", "--sd", "peaked", flag, value])
+        assert rc == 2
+        assert f"config error: key 'sd': {name} must be finite" in \
+            capsys.readouterr().err
+
+    def test_huge_ohmic_damping_is_a_numerical_failure(self, tmp_path,
+                                                       capsys):
+        rc = cli.main(["--mode", "quantify", "--sd", "ohmic", "--d", "1e300",
+                       "--hbar", "1", "--out", str(tmp_path / "x.csv")])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith("numerical failure: ")
 
     def test_unknown_sd_exits_2(self, capsys):
         rc = cli.main(["--mode", "quantify", "--sd", "mystery"])

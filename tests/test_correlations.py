@@ -21,7 +21,7 @@ from nonmarkov.correlations import (
     exact_entries_vec,
     rt_entries_vec,
 )
-from nonmarkov.errors import CutoffSensitive
+from nonmarkov.errors import CutoffSensitive, NumericsError
 from nonmarkov.quadrature import QuadratureConfig
 from nonmarkov.quantifiers import quantify
 from nonmarkov.response import ModelParams, chi_qq_vec
@@ -91,6 +91,17 @@ class TestCovariance0:
         a = covariance0(p, OhmicSD(0.3))
         b = covariance0(p, OhmicSD(0.3))
         assert (a.c_qq, a.c_pp) == (b.c_qq, b.c_pp)
+
+    def test_underflowing_response_is_a_typed_failure(self):
+        # |χ̃_qq|² underflows everywhere at D = 1e300, so both variances
+        # come out 0; that used to end in CovarianceMatrix's ValueError
+        p = ModelParams(omega0=1.0, beta=1.0, hbar=1.0)
+        with pytest.raises(NumericsError, match="not finite and > 0"):
+            _covariance0_cached(p, OhmicSD(1e300), QuadratureConfig())
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CutoffSensitive)
+            with pytest.raises(NumericsError, match="c_pp"):
+                quantify(p, OhmicSD(1e300), which="n2")
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -55,6 +55,12 @@ def root_lorentz(x):
     return 1.0 / np.sqrt(1.0 + x ** 2)
 
 
+def pair(f, g):
+    """The two sides (f, g) as the one callable ``inner_product_info``
+    integrates."""
+    return lambda x: (f(x), g(x))
+
+
 class TestIntegrate:
     def test_constant(self):
         assert integrate(lambda x: np.ones_like(x), 0.0, 1.0, CFG) == pytest.approx(1.0, abs=1e-12)
@@ -129,7 +135,7 @@ class TestIntegrateLine:
     ``inner_product_info`` pass."""
 
     def test_gaussian(self):
-        res = inner_product_info(half_gauss, half_gauss, CFG)
+        res = inner_product_info(pair(half_gauss, half_gauss), CFG)
         for val in res.value:
             assert val.real == pytest.approx(SQRT_PI, abs=1e-10)
 
@@ -137,13 +143,13 @@ class TestIntegrateLine:
         # f g* = −i x·gauss is odd, so the fold's P(x) + P(−x) is exactly
         # zero at every node
         g = lambda x: 1j * x * half_gauss(x)
-        res = inner_product_info(half_gauss, g, CFG)
+        res = inner_product_info(pair(half_gauss, g), CFG)
         assert res.value[0] == 0.0
         assert res.tail[0] == 0.0
 
     def test_lorentzian_needs_wide_window(self):
         wide = QuadratureConfig(half_width=1e7, rel_tol=1e-6)
-        res = inner_product_info(root_lorentz, root_lorentz, wide)
+        res = inner_product_info(pair(root_lorentz, root_lorentz), wide)
         assert res.value[1].real == pytest.approx(math.pi, abs=1e-6)
         assert res.tail[1] <= 10.0 * wide.rel_tol * abs(res.value[1])
 
@@ -152,13 +158,13 @@ class TestIntegrateLine:
         def f(x):
             return (1.0 + x ** 2) ** -0.25
 
-        assert inner_product_info(f, f, CFG).tail[1] == math.inf
+        assert inner_product_info(pair(f, f), CFG).tail[1] == math.inf
         with pytest.raises(TailDominates) as exc:
             distance(f, f, CFG)
         assert exc.value.tail > 0
 
     def test_info_reports_tail_without_raising(self):
-        res = inner_product_info(root_lorentz, root_lorentz, CFG)
+        res = inner_product_info(pair(root_lorentz, root_lorentz), CFG)
         # truncated value is 2·atan(W)
         assert res.value[1].real == pytest.approx(2.0 * math.atan(CFG.half_width), abs=1e-9)
         assert res.tail[1] == pytest.approx(2.0 / CFG.half_width, rel=0.1)
@@ -169,7 +175,7 @@ class TestIntegrateLine:
         def f(x):
             return np.exp(-2.0 * np.abs(x))
 
-        res = inner_product_info(f, f, CFG)
+        res = inner_product_info(pair(f, f), CFG)
         assert res.value[1].real == pytest.approx(0.5, rel=1e-9)
         assert 0.0 <= res.tail[1] < 1e-60
 
@@ -177,8 +183,8 @@ class TestIntegrateLine:
         def f(x):
             return half_gauss(x) * (1.0 + 1j * x)
 
-        folded = inner_product_info(f, half_gauss, CFG)
-        whole = unfolded_line(f, half_gauss, CFG)
+        folded = inner_product_info(pair(f, half_gauss), CFG)
+        whole = unfolded_line(pair(f, half_gauss), CFG)
         assert np.all(folded.value.imag == 0.0)
         assert folded.value[0].real == pytest.approx(SQRT_PI, abs=1e-10)
         assert np.all(np.abs(folded.value - whole)
@@ -188,8 +194,8 @@ class TestIntegrateLine:
         def f(x):
             return np.exp(-np.abs(x)) * np.cos(3.0 * x)
 
-        a = inner_product_info(f, f, CFG)
-        b = inner_product_info(f, f, CFG)
+        a = inner_product_info(pair(f, f), CFG)
+        b = inner_product_info(pair(f, f), CFG)
         assert np.array_equal(a.value, b.value)
         assert np.array_equal(a.tail, b.tail)
         assert a.panels == b.panels
@@ -310,7 +316,7 @@ class TestTransformWindow:
 
 class TestInnerProduct:
     def test_gaussian_norm(self):
-        fg, ff, gg = inner_product_info(half_gauss, half_gauss, CFG).value
+        fg, ff, gg = inner_product_info(pair(half_gauss, half_gauss), CFG).value
         assert fg.real == pytest.approx(SQRT_PI, abs=1e-10)
         assert math.sqrt(ff.real) == pytest.approx(math.sqrt(SQRT_PI), abs=1e-10)
         assert math.sqrt(gg.real) == pytest.approx(math.sqrt(SQRT_PI), abs=1e-10)
@@ -322,8 +328,8 @@ class TestInnerProduct:
         def g(x):
             return np.exp(-(x ** 2) / 2.0) * (x + 2j)
 
-        fg = inner_product_info(f, g, CFG)
-        gf = inner_product_info(g, f, CFG)
+        fg = inner_product_info(pair(f, g), CFG)
+        gf = inner_product_info(pair(g, f), CFG)
         assert fg.value[0] == pytest.approx(np.conj(gf.value[0]), abs=1e-12)
         # the norms trade places
         assert fg.value[1:] == pytest.approx(gf.value[[2, 1]], abs=1e-12)
@@ -349,7 +355,7 @@ class TestVectorPass:
         def ones(x):
             return np.ones((s.size, x.size))
 
-        fg = inner_product_info(f, ones, TIGHT).value[0]
+        fg = inner_product_info(pair(f, ones), TIGHT).value[0]
         exact = s * np.sqrt(np.pi / a)
         assert fg.shape == s.shape
         assert np.all(np.abs(fg - exact) <= TIGHT.rel_tol * exact)
@@ -365,7 +371,7 @@ class TestVectorPass:
         def g(x):
             return 1j * x * np.exp(-np.abs(x)) * c[::-1, None]
 
-        res = inner_product_info(f, g, CFG)
+        res = inner_product_info(pair(f, g), CFG)
         assert res.value.shape == (3, 3)
         assert np.all(res.value[0] == 0.0)
         assert np.all(res.value[1:] != 0.0)
@@ -376,14 +382,14 @@ class TestVectorPass:
             return np.array([np.exp(-(x ** 2)), bad])
 
         with pytest.raises(NonFinite, match="x = ") as exc:
-            inner_product_info(rows, rows, CFG)
+            inner_product_info(pair(rows, rows), CFG)
         assert exc.value.where > 3.0
 
 
 def _distance(f, g, cfg):
     # 𝒟 = sqrt(1 - |<f,g>|²/(||f||²||g||²)) computed straight from the
     # quadrature primitives; mirrors the quantifier-module definition.
-    fg, ff, gg = inner_product_info(f, g, cfg).value
+    fg, ff, gg = inner_product_info(pair(f, g), cfg).value
     return math.sqrt(max(0.0, 1.0 - abs(fg) ** 2 / (ff.real * gg.real)))
 
 
@@ -425,15 +431,15 @@ class TestIntegrandHandle:
         def g(x):
             return np.exp(1j * x) * gauss(x)
 
-        folded = inner_product_info(f, g, CFG)
-        whole = unfolded_line(f, g, CFG)
+        folded = inner_product_info(pair(f, g), CFG)
+        whole = unfolded_line(pair(f, g), CFG)
         assert np.all(folded.value.imag == 0.0)
         assert np.all(np.abs(folded.value - whole)
                       <= CFG.rel_tol * np.abs(whole))
 
     def test_scalar_wrapper(self):
         f = np.vectorize(lambda x: math.exp(-x * x / 2.0), otypes=[complex])
-        res = inner_product_info(f, f, CFG)
+        res = inner_product_info(pair(f, f), CFG)
         assert res.value[1].real == pytest.approx(SQRT_PI, abs=1e-10)
 
 

@@ -29,8 +29,8 @@ from nonmarkov.quantifiers import (
 from nonmarkov.response import (
     CHI_PLUS_INV,
     ModelParams,
-    _composed_response,
     chi_matrix,
+    chi_prime_matrix,
     chi_qq_prime_vec,
     chi_qq_vec,
     feature_frequencies,
@@ -353,21 +353,31 @@ real_frequencies = hnp.arrays(np.float64, st.integers(1, 16),
 @FOLD
 @given(models, st.one_of(analytic_baths, tables), real_frequencies)
 def test_composed_response_matches_plain_matmul(p, sd, omega):
-    # the closed-form entries against the product they multiply out, one
-    # frequency at a time; ω = 0 is always among them
+    # the closed-form g rows of the n1 pair against the product they
+    # multiply out, one frequency at a time; ω = 0 is always among them
     omega = np.append(omega, 0.0)
-    batch = _composed_response(p, sd, omega)
+    batch = _n1_sides(p, sd)(omega)[1]
     for i, w in enumerate(omega):
         chi = chi_matrix(p, sd, float(w))
-        want = chi @ CHI_PLUS_INV @ chi
-        scale = max(np.abs(batch[:, :, i]).max(), np.abs(want).max())
-        np.testing.assert_allclose(batch[:, :, i], want, rtol=0.0,
+        want = (chi @ CHI_PLUS_INV @ chi)[(0, 0, 1), (0, 1, 1)]
+        scale = max(np.abs(batch[:, i]).max(), np.abs(want).max())
+        np.testing.assert_allclose(batch[:, i], want, rtol=0.0,
                                    atol=1e-13 * scale)
 
 
+@FOLD
+@given(models, st.one_of(analytic_baths, tables), real_frequencies)
+def test_n1_f_rows_are_the_response_derivative(p, sd, omega):
+    # the f rows repeat −i·chi_prime_matrix at qq, qp, pp; they must stay
+    # the same expressions, to the last bit
+    omega = np.append(omega, 0.0)
+    want = -1j * chi_prime_matrix(p, sd, omega)[(0, 0, 1), (0, 1, 1)]
+    assert np.array_equal(_n1_sides(p, sd)(omega)[0], want)
+
+
 def _assert_hermitian(p, sd, omega):
-    for side in _n1_sides(p, sd):
-        plus, minus = side(omega), side(-omega)
+    sides = _n1_sides(p, sd)
+    for plus, minus in zip(sides(omega), sides(-omega)):
         scale = np.maximum(np.abs(plus), np.abs(minus))
         assert np.all(np.abs(minus - np.conj(plus)) <= 1e-13 * scale)
 
@@ -389,11 +399,11 @@ class TestHermitianFold:
         _assert_hermitian(p, sd, omega)
 
     @staticmethod
-    def _fold_matches_whole_line(p, sd, f, g):
+    def _fold_matches_whole_line(p, sd, sides):
         cfg = QuadratureConfig()
         bps = feature_frequencies(p, sd)
-        folded = inner_product_info(f, g, cfg, breakpoints=bps)
-        whole = unfolded_line(f, g, cfg, bps)
+        folded = inner_product_info(sides, cfg, breakpoints=bps)
+        whole = unfolded_line(sides, cfg, bps)
         assert np.all(np.abs(folded.value - whole)
                       <= cfg.rel_tol * np.abs(whole))
         return folded
@@ -401,7 +411,7 @@ class TestHermitianFold:
     @pytest.mark.parametrize("sd", [OhmicSD(1.0), PeakedSD(0.75, 0.63, 1.0),
                                     smooth_table(2, 1.5, 0.4, 301)])
     def test_fold_matches_whole_line(self, sd):
-        folded = self._fold_matches_whole_line(P1, sd, *_n1_sides(P1, sd))
+        folded = self._fold_matches_whole_line(P1, sd, _n1_sides(P1, sd))
         assert np.all(folded.value.imag == 0.0)
 
     @pytest.mark.parametrize("sd", [PeakedSD(0.75, 0.63, 1.0),
@@ -409,7 +419,7 @@ class TestHermitianFold:
     def test_quantum_n2_fold_matches_whole_line(self, sd):
         p = ModelParams(omega0=1.0, beta=1.0, hbar=1.0)
         self._fold_matches_whole_line(
-            p, sd, *_n2_sides(p, sd, covariance0(p, sd)))
+            p, sd, _n2_sides(p, sd, covariance0(p, sd)))
 
 
 @pytest.mark.parametrize("sd", [OhmicSD(0.7), PeakedSD(0.75, 0.63, 1.0),

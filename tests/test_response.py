@@ -39,7 +39,7 @@ from nonmarkov.response import (
     feature_frequencies,
     propagate_means,
 )
-from nonmarkov.spectral import OhmicSD, PeakedSD
+from nonmarkov.spectral import OhmicSD, PeakedSD, TabulatedSD
 
 from matrix_forms import pole_residues
 
@@ -252,6 +252,21 @@ class TestChiTime:
             pp = sine_transform(lambda w: w ** 2 * im_c(w), t, breakpoints=bp)
             want = np.array([[qq, -dot], [dot, pp]])
             assert np.abs(got - want).max() < 1e-9
+
+    def test_table_transform_stops_at_the_last_knot(self):
+        # Im χ̃_qq ≡ 0 beyond a table's last knot, so the window is [0, 200]
+        # with no tail; a window from 4·200 needed more than 20000
+        # period-locked panels at t = 20.  The reference is the tail route
+        # with max_subdivisions = 200000.
+        w = np.linspace(0.0, 200.0, 1001)
+        j = 2.0 * w * np.exp(-w / 20.0)
+        j[-1] = 0.0
+        got = chi_time(ModelParams(omega0=1.0, beta=1.0), TabulatedSD(w, j),
+                       20.0)
+        want = (3.9243484806770856e-05, -9.009961570741828e-06,
+                -2.873981266128325e-06)
+        assert [got[0, 0], got[1, 0], got[1, 1]] == pytest.approx(want,
+                                                                  rel=1e-9)
 
 
 REF_TIMES = (0.1, 0.3, 0.6, 1.0, 3.0, 10.0, 20.0, 50.0)

@@ -132,6 +132,25 @@ class TestPeaked:
         with pytest.raises(ValueError, match="^resonance must be finite"):
             PeakedSD(coupling=1.0, width=0.5, resonance=math.inf)
 
+    @pytest.mark.parametrize("shape, name", [
+        ((1e200, 0.5, 2.0), "coupling"),
+        ((1.0, 1e200, 2.0), "width"),
+        ((1.0, 0.5, 1e200), "resonance"),
+        ((1.0, 0.5, 1e-160), "resonance"),
+        ((1.0, 0.5, 1e-200), "resonance"),
+        ((1.0, 1e-160, 2.0), "width"),
+    ])
+    def test_squares_out_of_the_normal_floats_rejected(self, shape, name):
+        # the kernel and the drift matrix square all three parameters; an
+        # overflowing or subnormal square used to end in OverflowError,
+        # LinAlgError or ZeroDivisionError downstream
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            PeakedSD(*shape)
+
+    def test_squares_at_the_float_limits_accepted(self):
+        sd = PeakedSD(1e150, 1e-150, 1e150)
+        assert np.all(np.isfinite(sd.drift_matrix(1.0)))
+
 
 class TestKernelDerivative:
     def test_ohmic_zero_everywhere(self):

@@ -158,6 +158,21 @@ def test_derivative_at_zero_is_the_finite_part():
                                                          abs=1e-8)
 
 
+def test_derivative_below_the_normal_squares_keeps_its_log_form():
+    # below |ω| = 1e-150, ω² and E(ω) leave the normal floats; the
+    # difference quotient of the kernel gave NaN there (0/0).  The
+    # bound is that of the finite part above.
+    tab = peaked_table(241)
+    slope = 2.0 * tab._interp.c[1, 0] / math.pi
+    at_zero = tab.gamma_tilde_prime_vec(0.0).imag
+    w = np.array([1e-320, 1e-300, 1e-200, 1e-160, 9.99e-151, 1.001e-150,
+                  1e-140, 1e-100])
+    for sign in (1.0, -1.0):
+        im = tab.gamma_tilde_prime_vec(sign * w).imag
+        assert im - slope * np.log(w) == pytest.approx(
+            np.full(w.size, at_zero), abs=1e-8)
+
+
 def test_kernel_is_finite_at_the_table_end():
     # J(top) ≠ 0 makes Im γ̃ log-singular at top, where the finite part
     # is returned; with J(top) = 0, Im γ̃ is continuous there

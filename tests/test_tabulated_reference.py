@@ -105,6 +105,24 @@ def test_kernel_matches_the_40_digit_reference(make):
     assert np.all(np.abs(prime.imag - im_prime) <= 5e-9 * np.abs(prime))
 
 
+@pytest.mark.parametrize("make", [lambda: peaked_table(201),
+                                  lambda: exp_table(301, 48.0)],
+                         ids=["peaked-201", "exp-301"])
+def test_far_field_series_matches_the_40_digit_reference(make):
+    # the moment series serves every ω ≥ 2·top, which is most of the
+    # [−200, 200] window of these tables
+    sd = make()
+    omega = sd.frequencies[-1] * np.array([2.0 * (1.0 + 1e-9), 2.5, 3.0,
+                                           5.0, 10.0, 1e2, 1e3, 1e4])
+    e, de = reference_kernel(sd, omega)
+    im = -e / (math.pi * omega)
+    im_prime = -(de * omega - e) / (math.pi * omega ** 2)
+    gam = sd.gamma_tilde_vec(omega)
+    prime = sd.gamma_tilde_prime_vec(omega)
+    assert np.all(np.abs(gam.imag - im) <= 1e-14 * np.abs(im))
+    assert np.all(np.abs(prime.imag - im_prime) <= 1e-14 * np.abs(im_prime))
+
+
 @pytest.mark.parametrize("s", [1e-3, 1e3, 1e5, 1e8])
 def test_kernel_is_scale_invariant(s):
     # E_s(s·ω) = E(ω) and s·dE_s/dω(s·ω) = dE/dω(ω) for the table
