@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlations import covariance0, exact_entries_vec, rt_entries_vec
+from .correlations import _bose_weight, covariance0
 from .errors import TailDominates, ZeroNorm
 from .quadrature import _DEFAULT_CFG, QuadratureConfig, inner_product_info
-from .response import _chi_qq_and_prime, feature_frequencies
+from .response import _chi_qq, _chi_qq_and_prime, feature_frequencies
 from .spectral import SpectralDensity
 
 # Truncation-sensitivity thresholds on the scale-free tail ratio:
@@ -64,23 +64,27 @@ class QuantifierReport:
     diagnostics: dict[str, EntryDiagnostics]
 
 
-def _distance_info(sides, cfg: QuadratureConfig, breakpoints=()):
+def _distance_info(sides, cfg: QuadratureConfig, breakpoints=(),
+                   names=("argument",)):
     """Normalized distances of the row pairs (f, g) that the callable
     sides returns, from one ``inner_product_info`` pass, with their tail
-    ratios and the panel count of the pass.
+    ratios and the panel count of the pass; names[r] names row r.
 
-    A row with a norm below 1e-14 is degenerate: its distance and tail
-    ratio are NaN.  Raises TailDominates when the window is too small
-    for any other row.
+    Raises ZeroNorm, naming the first such row, when a row has a norm
+    below 1e-14, and TailDominates when the window is too small for any
+    row.
     """
     res = inner_product_info(sides, cfg, breakpoints=breakpoints)
     t_ip, t_ff, t_gg = res.tail
-    norms = np.maximum(res.value[1:].real, 0.0)
-    nf2, ng2 = np.where((np.sqrt(norms) < 1e-14).any(axis=0), np.nan, norms)
+    nf2, ng2 = norms = np.maximum(res.value[1:].real, 0.0)
+    degenerate = np.flatnonzero((np.sqrt(norms) < 1e-14).any(axis=0))
+    if degenerate.size:
+        raise ZeroNorm(f"degenerate {names[degenerate[0]]}: norm below "
+                       "1e-14")
 
     scale = np.sqrt(nf2 * ng2)
     tail_ratio = np.maximum.reduce([t_ff / nf2, t_gg / ng2, np.abs(t_ip) / scale])
-    worst = float(np.fmax(tail_ratio, 0.0).max())  # fmax skips the NaN rows
+    worst = float(tail_ratio.max())
     if worst > _TAIL_RAISE:
         raise TailDominates(
             f"estimated out-of-window contribution ({worst:.2g} of the "
@@ -110,8 +114,6 @@ def distance(f, g, cfg: QuadratureConfig | None = None,
     """
     val, _, _ = _distance_info(lambda w: (f(w), g(w)), cfg or _DEFAULT_CFG,
                                breakpoints)
-    if np.isnan(val):
-        raise ZeroNorm("degenerate argument: norm below 1e-14")
     return float(val)
 
 
@@ -130,28 +132,41 @@ def _n1_sides(p, sd):
 
 
 def _n2_sides(p, sd, cov0):
-    """The pair (exact spectrum, regression prediction) at qq, qp, pp;
-    ħ > 0 breaks their ω ↦ −ω symmetry, which the folded pass does not
-    need.  A table's γ̃ memo serves the second side's kernel."""
-    return lambda w: (exact_entries_vec(p, sd, w)[_ENTRY],
-                      rt_entries_vec(p, sd, w, cov0)[_ENTRY])
+    """The pair (exact spectrum, regression prediction) at qq, qp, pp
+    from one χ̃ batch, in the expressions of ``exact_entries_vec`` and
+    ``rt_entries_vec``: s, iωs, ω²s with s = w_B·Re γ̃·|c|², w_B the Bose
+    weight and c = χ̃_qq, against 2ω·c_qq·Im c, c_pp·c − c_qq(ω²c* + 1),
+    2ω·c_pp·Im c.  ħ > 0 breaks their ω ↦ −ω symmetry, which the folded
+    pass does not need."""
+    def sides(w):
+        gam = sd.gamma_tilde_vec(w)
+        c = _chi_qq(p, w, gam)
+        s = _bose_weight(w, p.beta, p.hbar) * (gam.real * np.abs(c) ** 2)
+        im_c = np.imag(c)
+        return (np.array([s + 0.0j, 1j * w * s, w ** 2 * s + 0.0j]),
+                np.array([2.0 * w * cov0.c_qq * im_c + 0.0j,
+                          cov0.c_pp * c
+                          - cov0.c_qq * (w ** 2 * np.conj(c) + 1.0),
+                          2.0 * w * cov0.c_pp * im_c + 0.0j]))
+    return sides
 
 
 def _quantifier_matrix(p, sd, cfg, prefix, sides, cutoff_drift=0.0):
     """Entrywise distances from one pass over the three-row sides; qp
     and pq coincide by the entry structure (the two off-diagonal
     functions differ only by an overall sign or a complex conjugation,
-    neither of which moves the distance).  A degenerate entry reads 0;
-    every entry carries cutoff_drift."""
+    neither of which moves the distance).  Every entry carries
+    cutoff_drift; an entry with a norm below 1e-14 raises ZeroNorm,
+    naming it."""
     matrix = np.zeros((2, 2))
     if sd.decoupled:
         zero = EntryDiagnostics(0.0, 0, False)
         return matrix, {f"{prefix}_{key}": zero
                         for key in ("qq", "qp", "pq", "pp")}
 
-    values, tails, panels = _distance_info(sides, cfg,
-                                           feature_frequencies(p, sd))
-    values, tails = np.nan_to_num(values), np.nan_to_num(tails)
+    values, tails, panels = _distance_info(
+        sides, cfg, feature_frequencies(p, sd),
+        [f"{prefix}_{key}" for key in _KEYS])
     matrix[_ENTRY] = values
     matrix[_ENTRY[::-1]] = values
     diagnostics = {f"{prefix}_{key}": EntryDiagnostics(

@@ -264,7 +264,8 @@ class PeakedSD(SpectralDensity):
     coupling = D (so the numerator carries D²), width = Γ, resonance = Ω.
     The closed-form kernel below is algebraic in Γ and Ω and remains the
     correct dispersion transform of J for any Γ, Ω > 0 (squares normal,
-    D² finite), including the overdamped regime 2Ω² ≤ Γ².
+    D² and the counter-term D²/Ω² finite), including the overdamped
+    regime 2Ω² ≤ Γ².
     """
 
     coupling: float
@@ -279,6 +280,10 @@ class PeakedSD(SpectralDensity):
             if not (value >= 0.0 and least <= value * value < math.inf):
                 raise ValueError(f"{name} must be finite and >= 0, square in "
                                  f"[{least:.3g}, inf), got {value!r}")
+        if not self.coupling ** 2 / self.resonance ** 2 < math.inf:
+            raise ValueError(f"coupling {self.coupling!r} over resonance "
+                             f"{self.resonance!r} gives a counter-term "
+                             "coupling²/resonance² that is not finite")
 
     def _denom(self, omega: np.ndarray) -> np.ndarray:
         w2 = omega ** 2
@@ -500,10 +505,11 @@ class TabulatedSD(SpectralDensity):
         series = w >= 2.0 * top
         out = np.empty((2, w.size))
         g0, mu, dmu = self._far
-        r = top / w[series]
-        r2 = r * r
-        out[0, series] = -2.0 * g0 - (2.0 / top) * r2 * polyval(r2, mu)
-        out[1, series] = (2.0 / top ** 2) * r * r2 * polyval(r2, dmu)
+        if series.any():
+            r = top / w[series]
+            r2 = r * r
+            out[0, series] = -2.0 * g0 - (2.0 / top) * r2 * polyval(r2, mu)
+            out[1, series] = (2.0 / top ** 2) * r * r2 * polyval(r2, dmu)
         out[:, ~series] = self._knot_sums(w[~series])
         return out
 

@@ -514,6 +514,31 @@ class TestConfiguration:
         assert f"config error: key 'sd': {name} must be finite" in \
             capsys.readouterr().err
 
+    def test_overflowing_counter_term_names_the_coupling(self, capsys):
+        rc = cli.main(["--mode", "quantify", "--sd", "peaked", "--d", "1e150",
+                       "--omega-big", "1e-5"])
+        assert rc == 2
+        assert "config error: key 'sd': coupling " in capsys.readouterr().err
+
+    def test_degenerate_n1_entry_is_named_not_zero(self, tmp_path, capsys):
+        # every norm of Ohmic D = 1e300 is below 1e-14; it used to print
+        # n1 ≡ 0 and exit 0, reading the bath as Markovian
+        rc = cli.main(["--mode", "quantify", "--sd", "ohmic", "--d", "1e300",
+                       "--quantifier", "n1"])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith(
+            "numerical failure: degenerate n1_qq: norm below 1e-14")
+        out = tmp_path / "dsweep.csv"
+        rc = cli.main(["--mode", "sweep", "--sd", "ohmic", "--param", "d",
+                       "--range", "1:1e300:2", "--quantifier", "n1",
+                       "--out", str(out)])
+        capsys.readouterr()
+        assert rc == 3
+        first, last = read_csv(out)
+        assert first["error"] == "" and float(first["n1_qq"]) > 0.5
+        assert last["n1_qq"] == ""
+        assert last["error"].startswith("degenerate n1_qq")
+
     def test_huge_ohmic_damping_is_a_numerical_failure(self, tmp_path,
                                                        capsys):
         rc = cli.main(["--mode", "quantify", "--sd", "ohmic", "--d", "1e300",

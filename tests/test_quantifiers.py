@@ -10,7 +10,13 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from nonmarkov import quadrature, quantifiers
-from nonmarkov.correlations import _covariance0_cached, covariance0
+from nonmarkov.correlations import (
+    CovarianceMatrix,
+    _covariance0_cached,
+    covariance0,
+    exact_entries_vec,
+    rt_entries_vec,
+)
 from nonmarkov.errors import (
     CutoffSensitive,
     NonConvergence,
@@ -373,6 +379,54 @@ def test_n1_f_rows_are_the_response_derivative(p, sd, omega):
     omega = np.append(omega, 0.0)
     want = -1j * chi_prime_matrix(p, sd, omega)[(0, 0, 1), (0, 1, 1)]
     assert np.array_equal(_n1_sides(p, sd)(omega)[0], want)
+
+
+thermal_models = st.builds(ModelParams, omega0=st.floats(0.5, 2.0),
+                           beta=st.floats(0.3, 5.0),
+                           hbar=st.sampled_from([0.0, 1.0]))
+# any positive covariances will do: the sides only carry them
+COV = CovarianceMatrix(0.8, 1.3)
+
+
+@FOLD
+@given(thermal_models, st.one_of(analytic_baths, tables), real_frequencies)
+def test_n2_rows_are_the_two_spectra(p, sd, omega):
+    # the rows repeat exact_entries_vec and rt_entries_vec at qq, qp, pp;
+    # they must stay the same expressions, to the last bit
+    omega = np.append(omega, 0.0)
+    exact, rt = _n2_sides(p, sd, COV)(omega)
+    entry = (0, 0, 1), (0, 1, 1)
+    assert np.array_equal(exact, exact_entries_vec(p, sd, omega)[entry])
+    assert np.array_equal(rt, rt_entries_vec(p, sd, omega, COV)[entry])
+
+
+class _CountingBath:
+    """A bath that counts the γ̃ batches asked of it."""
+
+    def __init__(self, sd):
+        self.sd, self.batches = sd, 0
+
+    def gamma_tilde_vec(self, omega):
+        self.batches += 1
+        return self.sd.gamma_tilde_vec(omega)
+
+
+@pytest.mark.parametrize("sd", [OhmicSD(0.7), PeakedSD(0.75, 0.63, 1.0),
+                                smooth_table(2, 1.5, 0.4, 301)])
+def test_n2_sides_take_one_gamma_batch(sd):
+    bath = _CountingBath(sd)
+    sides = _n2_sides(ModelParams(1.0, 1.0, 1.0), bath, COV)
+    for n in (1, 7, 30):
+        sides(np.linspace(-5.0, 5.0, n))
+    assert bath.batches == 3
+
+
+@pytest.mark.parametrize("which", ["n1", "n2"])
+def test_degenerate_entry_raises_naming_it(which):
+    # every norm of Ohmic D = 1e300 is below 1e-14; such an entry used to
+    # read 0 with no flag, as if the bath were Markovian
+    with pytest.raises(ZeroNorm, match=f"^degenerate {which}_qq: norm"):
+        quantify(P1, OhmicSD(1e300), which=which)
 
 
 def _assert_hermitian(p, sd, omega):

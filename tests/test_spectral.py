@@ -147,6 +147,14 @@ class TestPeaked:
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             PeakedSD(*shape)
 
+    def test_overflowing_counter_term_rejected(self):
+        # each square is a normal float, but the drift matrix's D²/Ω² is
+        # not; it used to end in LinAlgError from eigvals
+        with pytest.raises(ValueError, match="^coupling .* not finite"):
+            PeakedSD(1e150, 0.5, 1e-5)
+        a = PeakedSD(1e150, 0.5, 1e-4).drift_matrix(1.0)
+        assert np.isfinite(a).all()
+
     def test_squares_at_the_float_limits_accepted(self):
         sd = PeakedSD(1e150, 1e-150, 1e150)
         assert np.all(np.isfinite(sd.drift_matrix(1.0)))
