@@ -253,14 +253,28 @@ def covariance0(p: ModelParams, sd: SpectralDensity,
     return cov
 
 
+def _exact_rows(p: ModelParams, omega, gam, c):
+    """C̃ at qq, qp, pp from γ̃ and c = χ̃_qq: s, iωs, ω²s."""
+    s = _bose_weight(omega, p.beta, p.hbar) * (gam.real * np.abs(c) ** 2)
+    return s + 0.0j, 1j * omega * s, omega ** 2 * s + 0.0j
+
+
+def _rt_rows(omega, c, c0: CovarianceMatrix):
+    """The regression prediction at qq, qp, pp from c = χ̃_qq."""
+    im_c = np.imag(c)
+    return (2.0 * omega * c0.c_qq * im_c + 0.0j,
+            c0.c_pp * c - c0.c_qq * (omega ** 2 * np.conj(c) + 1.0),
+            2.0 * omega * c0.c_pp * im_c + 0.0j)
+
+
 def exact_entries_vec(p: ModelParams, sd: SpectralDensity,
                       omega) -> np.ndarray:
     """Exact equilibrium spectrum C̃(ω) from the fluctuation-dissipation
     relation, shape (2, 2) + ω.shape."""
     omega = np.asarray(omega, dtype=float)
-    s = _bose_weight(omega, p.beta, p.hbar) * _im_chi_over_omega(p, sd, omega)
-    return np.array([[s + 0.0j, 1j * omega * s],
-                     [-1j * omega * s, omega ** 2 * s + 0.0j]])
+    gam = sd.gamma_tilde_vec(omega)
+    qq, qp, pp = _exact_rows(p, omega, gam, _chi_qq(p, omega, gam))
+    return np.array([[qq, qp], [-qp, pp]])
 
 
 def rt_entries_vec(p: ModelParams, sd: SpectralDensity, omega,
@@ -268,8 +282,5 @@ def rt_entries_vec(p: ModelParams, sd: SpectralDensity, omega,
     """Regression-theorem prediction for C̃(ω) given the covariances c0,
     shape (2, 2) + ω.shape."""
     omega = np.asarray(omega, dtype=float)
-    c = chi_qq_vec(p, sd, omega)
-    im_c = np.imag(c)
-    qp = c0.c_pp * c - c0.c_qq * (omega ** 2 * np.conj(c) + 1.0)
-    return np.array([[2.0 * omega * c0.c_qq * im_c + 0.0j, qp],
-                     [np.conj(qp), 2.0 * omega * c0.c_pp * im_c + 0.0j]])
+    qq, qp, pp = _rt_rows(omega, chi_qq_vec(p, sd, omega), c0)
+    return np.array([[qq, qp], [np.conj(qp), pp]])

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlations import _bose_weight, covariance0
+from .correlations import _exact_rows, _rt_rows, covariance0
 from .errors import TailDominates, ZeroNorm
 from .quadrature import _DEFAULT_CFG, QuadratureConfig, inner_product_info
 from .response import _chi_qq, _chi_qq_and_prime, feature_frequencies
@@ -79,8 +79,7 @@ def _distance_info(sides, cfg: QuadratureConfig, breakpoints=(),
     nf2, ng2 = norms = np.maximum(res.value[1:].real, 0.0)
     degenerate = np.flatnonzero((np.sqrt(norms) < 1e-14).any(axis=0))
     if degenerate.size:
-        raise ZeroNorm(f"degenerate {names[degenerate[0]]}: norm below "
-                       "1e-14")
+        raise ZeroNorm(f"degenerate {names[degenerate[0]]}: norm below 1e-14")
 
     scale = np.sqrt(nf2 * ng2)
     tail_ratio = np.maximum.reduce([t_ff / nf2, t_gg / ng2, np.abs(t_ip) / scale])
@@ -133,21 +132,13 @@ def _n1_sides(p, sd):
 
 def _n2_sides(p, sd, cov0):
     """The pair (exact spectrum, regression prediction) at qq, qp, pp
-    from one χ̃ batch, in the expressions of ``exact_entries_vec`` and
-    ``rt_entries_vec``: s, iωs, ω²s with s = w_B·Re γ̃·|c|², w_B the Bose
-    weight and c = χ̃_qq, against 2ω·c_qq·Im c, c_pp·c − c_qq(ω²c* + 1),
-    2ω·c_pp·Im c.  ħ > 0 breaks their ω ↦ −ω symmetry, which the folded
-    pass does not need."""
+    from one χ̃ batch; ħ > 0 breaks their ω ↦ −ω symmetry, which the
+    folded pass does not need."""
     def sides(w):
         gam = sd.gamma_tilde_vec(w)
         c = _chi_qq(p, w, gam)
-        s = _bose_weight(w, p.beta, p.hbar) * (gam.real * np.abs(c) ** 2)
-        im_c = np.imag(c)
-        return (np.array([s + 0.0j, 1j * w * s, w ** 2 * s + 0.0j]),
-                np.array([2.0 * w * cov0.c_qq * im_c + 0.0j,
-                          cov0.c_pp * c
-                          - cov0.c_qq * (w ** 2 * np.conj(c) + 1.0),
-                          2.0 * w * cov0.c_pp * im_c + 0.0j]))
+        return (np.array(_exact_rows(p, w, gam, c)),
+                np.array(_rt_rows(w, c, cov0)))
     return sides
 
 

@@ -505,11 +505,10 @@ class TabulatedSD(SpectralDensity):
         series = w >= 2.0 * top
         out = np.empty((2, w.size))
         g0, mu, dmu = self._far
-        if series.any():
-            r = top / w[series]
-            r2 = r * r
-            out[0, series] = -2.0 * g0 - (2.0 / top) * r2 * polyval(r2, mu)
-            out[1, series] = (2.0 / top ** 2) * r * r2 * polyval(r2, dmu)
+        r = top / w[series]
+        r2 = r * r
+        out[0, series] = -2.0 * g0 - (2.0 / top) * r2 * polyval(r2, mu)
+        out[1, series] = (2.0 / top ** 2) * r * r2 * polyval(r2, dmu)
         out[:, ~series] = self._knot_sums(w[~series])
         return out
 

@@ -541,10 +541,15 @@ class TestConfiguration:
 
     def test_huge_ohmic_damping_is_a_numerical_failure(self, tmp_path,
                                                        capsys):
+        # n2 alone, so the covariance quadrature fails before any
+        # distance can: n1 would raise ZeroNorm first
         rc = cli.main(["--mode", "quantify", "--sd", "ohmic", "--d", "1e300",
-                       "--hbar", "1", "--out", str(tmp_path / "x.csv")])
+                       "--hbar", "1", "--quantifier", "n2",
+                       "--out", str(tmp_path / "x.csv")])
         assert rc == 3
-        assert capsys.readouterr().err.startswith("numerical failure: ")
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: covariance quadrature ")
+        assert "not finite and > 0" in err
 
     def test_unknown_sd_exits_2(self, capsys):
         rc = cli.main(["--mode", "quantify", "--sd", "mystery"])

@@ -391,8 +391,8 @@ COV = CovarianceMatrix(0.8, 1.3)
 @FOLD
 @given(thermal_models, st.one_of(analytic_baths, tables), real_frequencies)
 def test_n2_rows_are_the_two_spectra(p, sd, omega):
-    # the rows repeat exact_entries_vec and rt_entries_vec at qq, qp, pp;
-    # they must stay the same expressions, to the last bit
+    # one γ̃ batch must give, to the last bit, what exact_entries_vec
+    # and rt_entries_vec put at qq, qp, pp from their own batches
     omega = np.append(omega, 0.0)
     exact, rt = _n2_sides(p, sd, COV)(omega)
     entry = (0, 0, 1), (0, 1, 1)
