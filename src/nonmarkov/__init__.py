@@ -18,8 +18,9 @@ Layers, bottom up:
     one adaptive Gauss–Kronrod engine for vectorized callables of one or
     many rows on shared panels: finite and half-line integrals, Cauchy
     principal values, oscillatory sine/cosine transforms, and the
-    whole-line pass that gives ⟨f,g⟩, ‖f‖² and ‖g‖² of the two sides
-    one callable returns, with tail accounting, folded onto [0, W].
+    whole-line pass that gives ⟨f,g⟩, ‖f‖² and ‖g‖² over all real
+    frequencies of the two sides one callable returns, folded onto one
+    half-line [0, ∞).
 ``spectral``
     Ohmic, peaked and tabulated spectral densities J(ω) with their
     memory kernels γ̃(ω) and derivatives.
@@ -49,7 +50,6 @@ from .errors import (
     NonConvergence,
     NonFinite,
     NumericsError,
-    TailDominates,
     UnstableStep,
     ZeroNorm,
 )
@@ -61,8 +61,6 @@ from .spectral import (
     TabulatedSD,
 )
 from .response import (
-    CHI_PLUS,
-    CHI_PLUS_INV,
     ModelParams,
     chi_matrix,
     chi_prime_matrix,
@@ -72,12 +70,7 @@ from .response import (
     feature_frequencies,
     propagate_means,
 )
-from .correlations import (
-    CovarianceMatrix,
-    covariance0,
-    exact_entries_vec,
-    rt_entries_vec,
-)
+from .correlations import CovarianceMatrix, covariance0
 from .quantifiers import (
     EntryDiagnostics,
     QuantifierReport,
@@ -92,14 +85,11 @@ from .oracle import (
     embedding_response,
     embedding_static_sum,
     langevin_means,
-    ou_coefficients,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CHI_PLUS",
-    "CHI_PLUS_INV",
     "CovarianceMatrix",
     "CutoffSensitive",
     "DerivativeUnstable",
@@ -117,7 +107,6 @@ __all__ = [
     "QuantifierReport",
     "SpectralDensity",
     "TabulatedSD",
-    "TailDominates",
     "UnstableStep",
     "ZeroNorm",
     "chi_matrix",
@@ -130,14 +119,11 @@ __all__ = [
     "divisibility_residual",
     "embedding_response",
     "embedding_static_sum",
-    "exact_entries_vec",
     "feature_frequencies",
     "integrate",
     "langevin_means",
-    "ou_coefficients",
     "propagate_means",
     "quantify",
     "regression_quantifier",
-    "rt_entries_vec",
     "__version__",
 ]

@@ -177,22 +177,18 @@ def _quantifier_columns(which: str):
 
 
 def _report_cells(report):
-    """The requested entries (qq, qp, pp of n1, then of n2), the largest
-    tail ratio, whether any entry is flagged and the largest cutoff
-    drift, all read from the report."""
+    """The requested entries (qq, qp, pp of n1, then of n2) and the
+    largest cutoff drift, both read from the report."""
     cells = [c for m in (report.n1, report.n2) if m is not None
              for c in m[_ENTRY]]
-    diagnostics = report.diagnostics.values()
-    tail = max((d.tail_ratio for d in diagnostics), default=0.0)
-    flagged = any(d.flagged for d in diagnostics)
-    drift = max((d.cutoff_drift for d in diagnostics), default=0.0)
-    return cells, tail, flagged, drift
+    drift = max((d.cutoff_drift for d in report.diagnostics.values()),
+                default=0.0)
+    return cells, drift
 
 
-def _csv_cells(cells, tail, flagged, drift):
+def _csv_cells(cells, drift):
     """CSV text of what ``_report_cells`` returns."""
-    return ([_fmt(c) for c in cells]
-            + [_fmt(tail), str(int(flagged)), _fmt(drift)])
+    return [_fmt(c) for c in cells] + [_fmt(drift)]
 
 
 def _write_plot_script(csv_path: Path, n_cols: int, logx: bool,
@@ -220,20 +216,18 @@ def _mode_quantify(settings) -> int:
     sd = _build_sd(settings)
     which = settings["quantifier"]
     cols = _quantifier_columns(which)
-    header = cols + ["tail_ratio_max", "flagged", "cutoff_drift", "error"]
+    header = cols + ["cutoff_drift", "error"]
     try:
         report = quantify(p, sd, which=which)
     except NumericsError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         row, code = [""] * (len(header) - 1) + [str(exc)], 3
     else:
-        cells, tail, flagged, drift = _report_cells(report)
+        cells, drift = _report_cells(report)
         for name, value in zip(cols, cells):
             print(f"{name} = {value:.9f}")
-        print(f"tail_ratio_max = {tail:.3e}")
-        print(f"flagged = {flagged}")
         print(f"cutoff_drift = {drift:.3e}")
-        row, code = _csv_cells(cells, tail, flagged, drift) + [""], 0
+        row, code = _csv_cells(cells, drift) + [""], 0
     if settings["out"]:
         with open(settings["out"], "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh, lineterminator="\n")
@@ -333,8 +327,7 @@ def _mode_sweep(settings) -> int:
     param, grid, is_log, points = _validate_sweep(settings)
     which = settings["quantifier"]
     cols = _quantifier_columns(which)
-    header = [param] + cols + ["tail_ratio_max", "flagged", "cutoff_drift",
-                               "error"]
+    header = [param] + cols + ["cutoff_drift", "error"]
     report = _sweep_reports(param, which, points)
     return _write_grid(
         Path(settings["out"] or "nonmarkov_sweep.csv"), header, grid,

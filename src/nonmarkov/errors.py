@@ -30,23 +30,17 @@ class NonConvergence(NumericsError):
 
 
 class NonFinite(NumericsError):
-    """An integrand or trajectory produced NaN or infinity."""
+    """An integrand or trajectory produced NaN or infinity.
 
-    def __init__(self, message: str, where: float | None = None):
-        super().__init__(message)
-        self.where = where
-
-
-class TailDominates(NumericsError):
-    """The estimated truncated tail is too large relative to the result.
-
-    Signals that the integration half-width is too small for the
-    requested tolerance.
+    From an adaptive integral that had already begun refining,
+    ``estimate`` is its result on the panels before the failing batch.
     """
 
-    def __init__(self, message: str, tail: float | None = None):
+    def __init__(self, message: str, where: float | None = None,
+                 estimate: complex | float | None = None):
         super().__init__(message)
-        self.tail = tail
+        self.where = where
+        self.estimate = estimate
 
 
 class PVFailure(NumericsError):

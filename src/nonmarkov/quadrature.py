@@ -8,9 +8,9 @@ engine sit the operations the rest of the package needs:
 
 * ``integrate``          adaptive integral on [a, b], b may be +inf
 * ``inner_product_info`` ⟨f,g⟩ = ∫ f(ω) g*(ω) dω, ‖f‖² and ‖g‖² over
-                         [-W, W] in one pass folded onto [0, W], for
-                         every row of the sides (f, g) of one callable,
-                         with power-law tail estimates beyond ±W
+                         the whole real line in one half-line pass folded
+                         onto [0, ∞), for every row of the sides (f, g)
+                         of one callable
 * ``principal_value``    Cauchy principal value by symmetric exclusion and
                          Richardson extrapolation over ε, ε/2, ε/4
 * ``sine_transform``     (2/π)∫₀^∞ f(ω) sin(ωt) dω with period-locked panels
@@ -74,9 +74,6 @@ _PANELS_PER_PERIOD = 8
 class QuadratureConfig:
     """Knobs for all quadrature operations.
 
-    half_width
-        Truncation W of the whole-line integrals of ``inner_product_info``
-        to [-W, W].  The transforms size their own window.
     rel_tol
         An adaptive integral succeeds when its estimated error is within
         rel_tol·|result|, or within the round-off of a result whose
@@ -89,14 +86,13 @@ class QuadratureConfig:
         Cap on the total number of panels of one adaptive integral.
     """
 
-    half_width: float = 200.0
     rel_tol: float = 1e-9
     abs_tol: float = 1e-12
     max_subdivisions: int = 20000
 
     def __post_init__(self) -> None:
-        if not (self.half_width > 0 and self.rel_tol > 0 and self.abs_tol > 0):
-            raise ValueError("half_width, rel_tol, abs_tol must be > 0")
+        if not (self.rel_tol > 0 and self.abs_tol > 0):
+            raise ValueError("rel_tol, abs_tol must be > 0")
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be >= 1")
 
@@ -143,8 +139,10 @@ def _adaptive(fn, edges: np.ndarray, cfg: QuadratureConfig,
     bookkeeping is kept sorted by left edge, so the refinement sequence
     (and the floating-point sum) is deterministic.
 
-    A pass that runs out of panels, of rounds or of panels wide enough
-    to split raises NonConvergence at its heaviest panel: ``where`` is
+    A non-finite value raises NonFinite, which carries the result on
+    the panels so far once refinement has begun.  A pass that runs out
+    of panels, of rounds or of panels wide enough to split raises
+    NonConvergence at its heaviest panel: ``where`` is
     the panel's midpoint, mapped by x_of from the variable of fn to the
     caller's x, and the message says whether the panel reached the 1e-14
     relative split limit.
@@ -196,7 +194,11 @@ def _adaptive(fn, edges: np.ndarray, cfg: QuadratureConfig,
         mids = 0.5 * (lo[sel] + hi[sel])
         child_lo = np.concatenate((lo[sel], mids))
         child_hi = np.concatenate((mids, hi[sel]))
-        cvals, cerrs = _eval_panels(fn, child_lo, child_hi)
+        try:
+            cvals, cerrs = _eval_panels(fn, child_lo, child_hi)
+        except NonFinite as exc:
+            exc.estimate = total
+            raise
 
         keep = np.ones(lo.size, dtype=bool)
         keep[sel] = False
@@ -216,30 +218,41 @@ def _with_breakpoints(a: float, b: float, breakpoints=()) -> np.ndarray:
 def _half_line(f, a: float, cfg: QuadratureConfig, breakpoints=()):
     """One adaptive pass of f over [a, ∞); returns what ``_adaptive`` does.
 
-    A divergent integral reaches u = 1 of the map below, where the mapped
+    The pass runs in v ∈ [0, 2s), with s the largest breakpoint beyond
+    a (at least 1): x = a + v up to v = s, so the nodes where f has its
+    structure are exact, and x = a + s²/(2s − v) beyond, the reciprocal
+    map of QUADPACK's qagi, which meets the first piece with slope 1.
+    Its seed edges v = 2s − s·2⁻ᵏ are x = a + s·2ᵏ, k = 0 … 13.  A
+    divergent integral drives nodes to v = 2s, where the mapped
     integrand is infinite; that raises NonConvergence, and a non-finite
     f elsewhere raises NonFinite at its own x.
     """
-    # x = a + u/(1-u) maps [0,1) to [a, inf); GK nodes never touch u=1.
-    def x_of(u):
-        return a + u / (1.0 - u)
+    s = max([1.0, *(x - a for x in breakpoints if x > a)])
 
-    def mapped(u):
+    def stretch(v):
+        # dx/dv = stretch², and x = a + s·stretch beyond s: s² may overflow
+        with np.errstate(divide="ignore"):
+            return np.where(v <= s, 1.0, s / (2.0 * s - v))
+
+    def x_of(v):
+        return a + np.where(v <= s, v, s * stretch(v))
+
+    def mapped(v):
         with np.errstate(divide="ignore", invalid="ignore"):
-            return f(x_of(u)) / (1.0 - u)**2
-    edges = np.concatenate(([0.0], 1.0 - 0.5 ** np.arange(1, 14), [1.0]))
-    mapped_bp = [(x - a) / (1.0 + x - a) for x in breakpoints if x > a]
-    edges = np.array(sorted({*edges, *mapped_bp}))
+            return f(x_of(v)) * stretch(v) ** 2
+    edges = [0.0, *(x - a for x in breakpoints if x > a),
+             *2.0 * s - s * 0.5 ** np.arange(14), 2.0 * s]
     try:
-        return _adaptive(mapped, edges, cfg, x_of)
+        return _adaptive(mapped, np.array(sorted(set(edges))), cfg, x_of)
     except NonFinite as exc:
-        if exc.where == 1.0:
+        if exc.where == 2.0 * s:
             raise NonConvergence(
                 f"integral over [{a:.6g}, inf) diverges: the panels reached "
-                "infinity without meeting the tolerance") from exc
-        x = x_of(exc.where)
+                "infinity without meeting the tolerance",
+                estimate=exc.estimate) from exc
+        x = float(x_of(exc.where))
         raise NonFinite(f"integrand returned a non-finite value at "
-                        f"x = {x:.6g}", where=x) from exc
+                        f"x = {x:.6g}", where=x, estimate=exc.estimate) from exc
 
 
 def integrate(f, a: float, b: float, cfg: QuadratureConfig | None = None,
@@ -265,75 +278,52 @@ def integrate(f, a: float, b: float, cfg: QuadratureConfig | None = None,
     return complex(val) if np.ndim(val) == 0 else val
 
 
-def _power_law_tail(xs: np.ndarray, ys: np.ndarray, W: float) -> np.ndarray:
-    """Estimate ∫_W^∞ |f| for every row of ys = |f(xs)|, xs on [W/10, W],
-    from a least-squares power-law fit of each row.
-
-    A row's estimate is inf when its fitted decay is slower than 1/ω (not
-    integrable) and 0.0 when fewer than three of its samples are above
-    underflow.
-    """
-    use = ys > _TINY
-    n = np.maximum(use.sum(axis=-1), 1)
-    lx = np.where(use, np.log(xs), 0.0)
-    ly = np.log(np.where(use, ys, 1.0))
-    mx = lx.sum(axis=-1) / n
-    my = ly.sum(axis=-1) / n
-    dx = np.where(use, lx - mx[..., None], 0.0)
-    p = (dx * ly).sum(axis=-1) / np.maximum((dx ** 2).sum(axis=-1), _TINY)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        # one exponent: the amplitude alone overflows for fast-decaying |f|
-        tail = np.exp(my + p * (math.log(W) - mx) + math.log(W)) / -(p + 1.0)
-    tail = np.where(p >= -1.0000001, math.inf, tail)
-    return np.where(use.sum(axis=-1) < 3, 0.0, tail)
-
-
 def _decade_edges(W: float, breakpoints=()) -> np.ndarray:
     """[0, W] seeded with decade edges so narrow structure cannot hide."""
     return _with_breakpoints(0.0, W, [*W * 10.0 ** np.arange(-6.0, 0.0),
                                       *breakpoints])
 
 
+# the whole-line pass is seeded with the decade edges of [0, 200], where
+# its exact nodes end and its map to infinity begins; 200 bounds nothing
+_LINE_TOP = 200.0
+
+
 @dataclass(frozen=True)
 class LineIntegral:
-    """⟨f,g⟩, ‖f‖² and ‖g‖² over [-W, W] from one shared adaptive pass:
-    value and tail (each integral's magnitude beyond ±W) have shape
-    (3,) + rows in that order, rows the row shape of each side, and
-    panels counts the panels of the pass."""
+    """⟨f,g⟩, ‖f‖² and ‖g‖² over the whole real line from one shared
+    adaptive pass: value has shape (3,) + rows in that order, rows the
+    row shape of each side, and panels counts the panels of the pass."""
 
     value: np.ndarray
-    tail: np.ndarray
     panels: int
 
 
 def inner_product_info(sides, cfg: QuadratureConfig | None = None,
                        *, breakpoints=()) -> LineIntegral:
-    """⟨f,g⟩ = ∫ f(ω) g*(ω) dω, ‖f‖² and ‖g‖² over [-W, W] in one pass,
-    with tail estimates and no tail policing.
+    """⟨f,g⟩ = ∫ f(ω) g*(ω) dω, ‖f‖² and ‖g‖² over the whole real line
+    in one pass.
 
     sides is one callable that returns f and g stacked on a leading axis
     of 2, shape (2,) + rows + (N,) for N points; row r of f pairs with
     row r of g, and each of the 3·rows integrals keeps its own
-    tolerance.  The pass runs over [0, W] with the decade edges and the
-    positive breakpoints, calling sides once per panel batch on the
-    nodes x and their mirrors −x, and each product P integrates as
-    P(x) + P(−x).  The tail is the power-law estimate of |P| beyond W
-    plus that beyond −W, from one more call on [W/10, W] and its mirror.
+    tolerance.  The pass is one ``_half_line`` over [0, ∞), seeded with
+    the decade edges of [0, 200] and the breakpoints inside it (the
+    sides of a bath may overflow at the far breakpoints of an extreme
+    coupling), calling sides once per panel batch on the nodes x and
+    their mirrors −x, and each product P integrates as P(x) + P(−x).
+    A side that is not square-integrable raises NonConvergence
+    ("... diverges").
     """
-    cfg = cfg or _DEFAULT_CFG
-    W = cfg.half_width
-
-    def products(x):
+    def folded(x):
         fx, gx = np.asarray(sides(np.concatenate((x, -x))), dtype=complex)
         prods = np.stack((fx * np.conj(gx), (fx * np.conj(fx)).real,
                           (gx * np.conj(gx)).real))
-        return prods[..., :x.size], prods[..., x.size:]
+        return prods[..., :x.size] + prods[..., x.size:]
 
-    xs = np.geomspace(W / 10.0, W, 9)
-    tail = np.add(*_power_law_tail(xs, np.abs(np.stack(products(xs))), W))
-    val, _, n = _adaptive(lambda x: np.add(*products(x)),
-                          _decade_edges(W, breakpoints), cfg)
-    return LineIntegral(val + 0.0j, tail, int(n))
+    val, _, n = _half_line(folded, 0.0, cfg or _DEFAULT_CFG,
+                           _decade_edges(_LINE_TOP, breakpoints))
+    return LineIntegral(val + 0.0j, int(n))
 
 
 def principal_value(f, pole: float, a: float, b: float,

@@ -5,8 +5,8 @@ from satisfying the divisibility (semigroup) identity; the second
 measures how far the exact equilibrium correlation spectrum is from the
 regression-theorem prediction built out of the mean-value propagator.
 Both reduce each 2×2 matrix entry to a number in [0, 1] via the same
-normalized distance, so they are insensitive to any global rescaling of
-the underlying functions.
+normalized distance over the whole real frequency line, so they are
+insensitive to any global rescaling of the underlying functions.
 """
 from __future__ import annotations
 
@@ -15,16 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .correlations import _exact_rows, _rt_rows, covariance0
-from .errors import TailDominates, ZeroNorm
+from .errors import NonConvergence, ZeroNorm
 from .quadrature import _DEFAULT_CFG, QuadratureConfig, inner_product_info
 from .response import _chi_qq, _chi_qq_and_prime, feature_frequencies
 from .spectral import SpectralDensity
-
-# Truncation-sensitivity thresholds on the scale-free tail ratio:
-# above _TAIL_FLAG the report flags the entry, above _TAIL_RAISE the
-# window is too small for the number to mean anything.
-_TAIL_FLAG = 1e-3
-_TAIL_RAISE = 0.1
 
 # the entries computed, and their (row, column) indices; pq mirrors qp
 _KEYS = ("qq", "qp", "pp")
@@ -33,26 +27,21 @@ _ENTRY = ((0, 0, 1), (0, 1, 1))
 
 @dataclass(frozen=True)
 class EntryDiagnostics:
-    """Truncation diagnostics for one quantifier entry.
+    """How one quantifier entry was obtained.
 
-    tail_ratio is the largest estimated out-of-window contribution of
-    the three underlying integrals, each normalized by its own scale,
-    so it is invariant under rescaling of either function.  panels is
-    the panel count of the one whole-line pass that gives all entries
-    of a quantifier, so it is the same for each of them.  cutoff_drift
-    is the ``CovarianceMatrix.cutoff_drift`` of the covariances an n2
-    entry is built on; n1 entries read 0.
+    panels is the panel count of the one whole-line pass that gives all
+    entries of a quantifier, so it is the same for each of them.
+    cutoff_drift is the ``CovarianceMatrix.cutoff_drift`` of the
+    covariances an n2 entry is built on; n1 entries read 0.
     """
 
-    tail_ratio: float
     panels: int
-    flagged: bool
     cutoff_drift: float = 0.0
 
 
 @dataclass(frozen=True)
 class QuantifierReport:
-    """Both quantifier matrices plus per-entry truncation diagnostics.
+    """Both quantifier matrices plus per-entry diagnostics.
 
     n1 and n2 are 2×2 real arrays ordered [[qq, qp], [pq, pp]]; a
     matrix is None when it was not requested.  Diagnostics are keyed
@@ -64,35 +53,37 @@ class QuantifierReport:
     diagnostics: dict[str, EntryDiagnostics]
 
 
-def _distance_info(sides, cfg: QuadratureConfig, breakpoints=(),
-                   names=("argument",)):
-    """Normalized distances of the row pairs (f, g) that the callable
-    sides returns, from one ``inner_product_info`` pass, with their tail
-    ratios and the panel count of the pass; names[r] names row r.
-
-    Raises ZeroNorm, naming the first such row, when a row has a norm
-    below 1e-14, and TailDominates when the window is too small for any
-    row.
-    """
-    res = inner_product_info(sides, cfg, breakpoints=breakpoints)
-    t_ip, t_ff, t_gg = res.tail
-    nf2, ng2 = norms = np.maximum(res.value[1:].real, 0.0)
+def _norms(value, names):
+    """‖f‖² and ‖g‖² of each row of a pass's value; raises ZeroNorm,
+    naming the first row (names[r]) with a norm below 1e-14."""
+    norms = np.maximum(value[1:].real, 0.0)
     degenerate = np.flatnonzero((np.sqrt(norms) < 1e-14).any(axis=0))
     if degenerate.size:
         raise ZeroNorm(f"degenerate {names[degenerate[0]]}: norm below 1e-14")
+    return norms
 
-    scale = np.sqrt(nf2 * ng2)
-    tail_ratio = np.maximum.reduce([t_ff / nf2, t_gg / ng2, np.abs(t_ip) / scale])
-    worst = float(tail_ratio.max())
-    if worst > _TAIL_RAISE:
-        raise TailDominates(
-            f"estimated out-of-window contribution ({worst:.2g} of the "
-            "norm scale) dominates the distance; increase half_width",
-            tail=worst)
 
+def _distance_info(sides, cfg: QuadratureConfig, breakpoints=(),
+                   names=("argument",)):
+    """Normalized distances of the row pairs (f, g) that the callable
+    sides returns, from one ``inner_product_info`` pass over the whole
+    line, with the panel count of the pass; names[r] names row r.
+
+    Raises ZeroNorm, naming the first such row, when a row has a norm
+    below 1e-14.  A pass that fails raises it as well when its estimate
+    so far shows such a row: that entry has no distance however the
+    other rows would end.
+    """
+    try:
+        res = inner_product_info(sides, cfg, breakpoints=breakpoints)
+    except NonConvergence as exc:
+        if exc.estimate is not None:
+            _norms(exc.estimate, names)
+        raise
+    nf2, ng2 = _norms(res.value, names)
     ratio = np.abs(res.value[0]) ** 2 / (nf2 * ng2)
-    r = np.clip(1.0 - ratio, 0.0, 1.0)  # clamp window 1e-12 vs rounding
-    return np.sqrt(r), tail_ratio, res.panels
+    r = np.clip(1.0 - ratio, 0.0, 1.0)  # rounding can step outside [0, 1]
+    return np.sqrt(r), res.panels
 
 
 def distance(f, g, cfg: QuadratureConfig | None = None,
@@ -100,18 +91,17 @@ def distance(f, g, cfg: QuadratureConfig | None = None,
     """Normalized L2 distance 𝒟 = √(1 − |⟨f,g⟩|²/(‖f‖²‖g‖²)) ∈ [0, 1].
 
     f and g are vectorized callables of ω, integrated over the whole
-    window [−W, W].  𝒟 vanishes exactly when g is a (complex) multiple
-    of f and reaches 1 when the functions are orthogonal over the window.
+    real line.  𝒟 vanishes exactly when g is a (complex) multiple of f
+    and reaches 1 when the functions are orthogonal.
 
     Raises
     ------
     ZeroNorm
         If either norm is below 1e-14.
-    TailDominates
-        If the estimated out-of-window contribution is comparable to
-        the norms themselves.
+    NonConvergence
+        If f or g is not square-integrable.
     """
-    val, _, _ = _distance_info(lambda w: (f(w), g(w)), cfg or _DEFAULT_CFG,
+    val, _ = _distance_info(lambda w: (f(w), g(w)), cfg or _DEFAULT_CFG,
                                breakpoints)
     return float(val)
 
@@ -148,24 +138,18 @@ def _quantifier_matrix(p, sd, cfg, prefix, sides, cutoff_drift=0.0):
     functions differ only by an overall sign or a complex conjugation,
     neither of which moves the distance).  Every entry carries
     cutoff_drift; an entry with a norm below 1e-14 raises ZeroNorm,
-    naming it."""
+    naming it.  A decoupled bath gives the zero matrix and no pass."""
     matrix = np.zeros((2, 2))
-    if sd.decoupled:
-        zero = EntryDiagnostics(0.0, 0, False)
-        return matrix, {f"{prefix}_{key}": zero
-                        for key in ("qq", "qp", "pq", "pp")}
-
-    values, tails, panels = _distance_info(
-        sides, cfg, feature_frequencies(p, sd),
-        [f"{prefix}_{key}" for key in _KEYS])
-    matrix[_ENTRY] = values
-    matrix[_ENTRY[::-1]] = values
-    diagnostics = {f"{prefix}_{key}": EntryDiagnostics(
-        tail_ratio=float(tail), panels=panels,
-        flagged=bool(tail > _TAIL_FLAG), cutoff_drift=cutoff_drift)
-        for key, tail in zip(_KEYS, tails)}
-    diagnostics[f"{prefix}_pq"] = diagnostics[f"{prefix}_qp"]
-    return matrix, diagnostics
+    panels = 0
+    if not sd.decoupled:
+        values, panels = _distance_info(
+            sides, cfg, feature_frequencies(p, sd),
+            [f"{prefix}_{key}" for key in _KEYS])
+        matrix[_ENTRY] = values
+        matrix[_ENTRY[::-1]] = values
+    entry = EntryDiagnostics(panels, cutoff_drift)
+    return matrix, {f"{prefix}_{key}": entry
+                    for key in ("qq", "qp", "pq", "pp")}
 
 
 def divisibility_quantifier(p, sd: SpectralDensity,

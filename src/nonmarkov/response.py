@@ -109,7 +109,13 @@ class ModelParams:
 
 
 def _chi_qq(p: ModelParams, omega: np.ndarray, gam: np.ndarray) -> np.ndarray:
-    den = p.omega0 ** 2 - omega ** 2 - 1j * omega * gam
+    # ω₀² − ω² − iωγ̃ from its real and imaginary parts: where ω·Re γ̃
+    # overflows, 1j·∞ would be nan + ∞j, while ∞ as the imaginary part
+    # gives χ̃_qq = 0
+    with np.errstate(over="ignore"):
+        den = np.array(p.omega0 ** 2 - omega ** 2 + omega * gam.imag,
+                       dtype=complex)
+        den.imag = -omega * gam.real
     bad = np.abs(den) < 1e-14 * p.omega0 ** 2
     if bad.any():
         w = omega[bad].ravel()[0]

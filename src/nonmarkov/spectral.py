@@ -638,15 +638,17 @@ class TabulatedSD(SpectralDensity):
         return out
 
     def _dispersion(self, w: np.ndarray):
-        """E and dE/dω at |ω| values w ≥ 0 (both 0 at w = 0), from the
-        memo; the distinct misses are evaluated and added to it.
+        """E and dE/dω at |ω| values w ≥ 0, from the memo; the distinct
+        misses are evaluated and added to it.  Both read 0 below
+        w = 1e-150, where ω² and E(ω) leave the normal floats (and ω/top
+        can underflow to 0).
 
         The memo is a pair of sorted arrays that is replaced, never
         changed in place, and it is cleared when it would outgrow
         ``_MEMO_CAP``; a value does not depend on what the memo holds.
         """
         flat = w.ravel()
-        nz = flat > 0.0
+        nz = flat >= 1e-150
         q = flat[nz]
         keys, vals = self._memo
         pos = np.searchsorted(keys, q)

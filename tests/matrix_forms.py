@@ -7,7 +7,8 @@ matrices out, so the tests can compare the two.  ``pole_residues``
 diagonalizes the pseudo-mode drift matrix of a peaked bath, from which
 χ̃_qq and the equal-time covariances follow in closed form.
 ``unfolded_line`` integrates the three products of an
-``inner_product_info`` pass over [−W, W] itself, without the fold.
+``inner_product_info`` pass over each half of the real line itself,
+without the fold.
 ``mp_matsubara_covariance`` sums the quantum covariances of a
 drift-matrix bath at 50 digits.
 """
@@ -49,15 +50,14 @@ def pole_residues(sd: PeakedSD, omega0: float):
 
 def unfolded_line(sides, cfg, breakpoints=()):
     """⟨f,g⟩, ‖f‖² and ‖g‖² of the pair (f, g) that sides returns, by
-    ``integrate`` over [−W, W] with the breakpoints mirrored, shape
-    (3,) + rows like ``LineIntegral.value``."""
+    one ``integrate`` of P(x) and one of P(−x) over [0, ∞), each with
+    the breakpoints, shape (3,) + rows like ``LineIntegral.value``."""
     def products(x):
         fx, gx = np.asarray(sides(x))
         return np.stack((fx * np.conj(gx), np.abs(fx) ** 2, np.abs(gx) ** 2))
 
-    W = cfg.half_width
-    return integrate(products, -W, W, cfg,
-                     breakpoints=[s * b for b in breakpoints for s in (-1, 1)])
+    return sum(integrate(lambda x, s=s: products(s * x), 0.0, math.inf, cfg,
+                         breakpoints=breakpoints) for s in (1.0, -1.0))
 
 
 def mp_matsubara_covariance(p: ModelParams, sd: SpectralDensity,

@@ -141,21 +141,20 @@ def test_tabulated_derivative_batch_and_first_failure():
 
 
 PUBLIC_NAMES = {
-    "CHI_PLUS", "CHI_PLUS_INV", "CovarianceMatrix", "CutoffSensitive",
+    "CovarianceMatrix", "CutoffSensitive",
     "DerivativeUnstable", "DivisionNearZero", "EntryDiagnostics",
     "LangevinConfig", "LangevinResult",
     "ModelParams", "NonConvergence", "NonFinite", "NumericsError",
     "OhmicSD", "PeakedSD",
     "QuadratureConfig", "QuantifierReport", "SpectralDensity",
-    "TabulatedSD", "TailDominates", "UnstableStep", "ZeroNorm",
+    "TabulatedSD", "UnstableStep", "ZeroNorm",
     "chi_matrix", "chi_prime_matrix", "chi_qq_vec",
     "chi_time", "covariance0",
     "distance", "divisibility_quantifier", "divisibility_residual",
-    "embedding_response", "embedding_static_sum", "exact_entries_vec",
+    "embedding_response", "embedding_static_sum",
     "feature_frequencies", "integrate",
-    "langevin_means", "ou_coefficients",
+    "langevin_means",
     "propagate_means", "quantify", "regression_quantifier",
-    "rt_entries_vec",
     "__version__",
 }
 

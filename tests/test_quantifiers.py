@@ -17,12 +17,7 @@ from nonmarkov.correlations import (
     exact_entries_vec,
     rt_entries_vec,
 )
-from nonmarkov.errors import (
-    CutoffSensitive,
-    NonConvergence,
-    TailDominates,
-    ZeroNorm,
-)
+from nonmarkov.errors import CutoffSensitive, NonConvergence, ZeroNorm
 from nonmarkov.quadrature import QuadratureConfig, inner_product_info
 from nonmarkov.quantifiers import (
     _n1_sides,
@@ -50,11 +45,10 @@ P1 = ModelParams(omega0=1.0, beta=1.0)
 GAUSS = lambda x: np.exp(-0.5 * x * x) + 0j
 ODD_GAUSS = lambda x: x * np.exp(-0.5 * x * x) + 0j
 
-# Frozen quantifier values (default config, ω₀ = β = 1). The D = 1
-# entries land on the surds 1/√3, 1/√6, 1/√10 from a residue evaluation
-# of the Ohmic distance integrals; quadrature reproduces them to ~1e-9.
+# Frozen quantifier value (default config, ω₀ = β = 1). The surds of
+# the D = 1 and D = 2 tests come from a residue evaluation of the Ohmic
+# distance integrals over the whole line.
 N1_OHMIC_WEAK = 0.005000187485558907          # D = 0.01, qq entry
-N2_CLASSICAL_QP = 0.3330974205883572          # D = 0.5, ħ = 0
 
 
 class TestDistance:
@@ -104,14 +98,6 @@ class TestDistance:
         with pytest.raises(ZeroNorm):
             distance(GAUSS, np.zeros_like)
 
-    def test_small_window_raises_tail_dominates(self):
-        def lorentz(x):
-            return 1.0 / (1.0 + x * x) + 0j
-
-        tight = QuadratureConfig(half_width=1.5)
-        with pytest.raises(TailDominates):
-            distance(lorentz, lorentz, tight)
-
 
 class TestDivisibilityQuantifier:
     def test_zero_coupling_is_zero_matrix(self):
@@ -130,10 +116,18 @@ class TestDivisibilityQuantifier:
         assert all(a < b for a, b in zip(vals, vals[1:]))
 
     def test_unit_coupling_surds(self):
+        # truncating the line at ±200 moves qp and pp by 1.8e-9, 2.5e-9
         m, _ = divisibility_quantifier(P1, OhmicSD(1.0))
-        assert m[0, 0] == pytest.approx(1.0 / math.sqrt(3.0), abs=1e-9)
-        assert m[0, 1] == pytest.approx(1.0 / math.sqrt(6.0), abs=1e-6)
-        assert m[1, 1] == pytest.approx(1.0 / math.sqrt(10.0), abs=1e-6)
+        assert m[0, 0] == pytest.approx(1.0 / math.sqrt(3.0), abs=1e-12)
+        assert m[0, 1] == pytest.approx(1.0 / math.sqrt(6.0), abs=1e-12)
+        assert m[1, 1] == pytest.approx(1.0 / math.sqrt(10.0), abs=1e-12)
+
+    def test_critical_coupling_surds(self):
+        # D = 2ω₀; truncating the line at ±200 moves qp by 1.0e-8
+        m, _ = divisibility_quantifier(P1, OhmicSD(2.0))
+        assert m[0, 0] == pytest.approx(math.sqrt(5.0 / 6.0), abs=1e-12)
+        assert m[0, 1] == pytest.approx(1.0 / math.sqrt(3.0), abs=1e-12)
+        assert m[1, 1] == pytest.approx(1.0 / math.sqrt(10.0), abs=1e-12)
 
     def test_off_diagonal_symmetry(self):
         m, diag = divisibility_quantifier(P1, PeakedSD(0.75, 0.4, 1.0))
@@ -178,12 +172,56 @@ class TestDivisibilityQuantifier:
             P1, PeakedSD(0.75, g, 1.0))[0][0, 0] for g in (0.02, 0.63, 5.0)]
         assert vals[1] > vals[0] and vals[1] > vals[2]
 
+    # the abstract's "no monotonic relation" for the peaked bath, in the
+    # coupling and in the resonance: classical n1_qq peaks inside each
+    # bracket (0.341, 0.392, 0.358 and 0.358, 0.639, 0.335)
+    @pytest.mark.parametrize("baths", [
+        [PeakedSD(d, 0.63, 1.0) for d in (0.45, 0.585, 0.75)],
+        [PeakedSD(0.75, 0.63, big) for big in (1.0, 1.181, 1.4)],
+    ], ids=["coupling", "resonance"])
+    def test_peaked_bath_has_interior_maximum(self, baths):
+        p = ModelParams(omega0=1.0, beta=1.0, hbar=0.0)
+        vals = [divisibility_quantifier(p, sd)[0][0, 0] for sd in baths]
+        assert vals[1] > vals[0] and vals[1] > vals[2]
+
+
+def _mp_classical_ohmic_n2(d, beta):
+    """Classical n2 qq and qp of the strict Ohmic bath at ω₀ = 1, from
+    30-digit mpmath quadrature over the whole real line.  The exact
+    spectrum is the fluctuation-dissipation S_qq = (2/(βω))·Im χ̃_qq,
+    with S_qp = iω·S_qq; the regression prediction is
+    (χ̃ χ₊⁻¹ C − C χ₊⁻¹ χ̃†) with C = diag(1, 1)/β, multiplied out."""
+    with mp.workdps(30):
+        damping, b = mp.mpf(d), mp.mpf(beta)
+        pts = [-mp.inf, -1, 0, 1, mp.inf]
+
+        def pair(w, entry):
+            c = 1 / (1 - w ** 2 - 1j * damping * w)
+            s_qq = 2 * mp.im(c) / (b * w) if w else 2 * damping / b
+            if entry == "qq":
+                return s_qq, 2 * w * mp.im(c) / b
+            return 1j * w * s_qq, (c - 1 - w ** 2 * mp.conj(c)) / b
+
+        out = []
+        for entry in ("qq", "qp"):
+            fg = mp.quad(lambda w: pair(w, entry)[0]
+                         * mp.conj(pair(w, entry)[1]), pts)
+            ff = mp.quad(lambda w: abs(pair(w, entry)[0]) ** 2, pts)
+            gg = mp.quad(lambda w: abs(pair(w, entry)[1]) ** 2, pts)
+            out.append(float(mp.sqrt(1 - abs(fg) ** 2 / (ff * gg))))
+        return out
+
 
 class TestRegressionQuantifier:
     def test_classical_values(self):
+        # the whole-line values are 1/√5 and 1/3; truncating the line
+        # at ±200 gives 0.33310 for qp
         m, _ = regression_quantifier(P1, OhmicSD(0.5))
-        assert m[0, 0] == pytest.approx(1.0 / math.sqrt(5.0), abs=1e-6)
-        assert m[0, 1] == pytest.approx(N2_CLASSICAL_QP, abs=1e-6)
+        qq, qp = _mp_classical_ohmic_n2(0.5, 1.0)
+        assert qq == pytest.approx(1.0 / math.sqrt(5.0), abs=1e-14)
+        assert qp == pytest.approx(1.0 / 3.0, abs=1e-14)
+        assert m[0, 0] == pytest.approx(qq, abs=1e-10)
+        assert m[0, 1] == pytest.approx(qp, abs=1e-10)
         assert m[0, 1] > 0.05
         assert m[1, 1] < 1e-6  # regression holds exactly for pp classically
 
@@ -252,7 +290,6 @@ class TestQuantify:
         rep = quantify(P1, OhmicSD(0.5), which="both")
         assert rep.n1.shape == (2, 2) and rep.n2.shape == (2, 2)
         assert len(rep.diagnostics) == 8
-        assert not any(d.flagged for d in rep.diagnostics.values())
 
 
 class TestOnePass:
@@ -277,10 +314,70 @@ class TestOnePass:
         assert passes == [1, 2]
 
 
+class TestStrongCoupling:
+    """Every entry is a whole-line distance in [0, 1], at any coupling;
+    truncating the line at ±200 leaves Ohmic D ≳ 20 too large a tail
+    for any n2."""
+
+    @staticmethod
+    def _entries(p, sd):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CutoffSensitive)
+            rep = quantify(p, sd, which="both")
+        return np.concatenate((rep.n1.ravel(), rep.n2.ravel()))
+
+    @pytest.mark.parametrize("d", [20.0, 50.0, 1000.0])
+    def test_ohmic_strong_coupling(self, d):
+        for beta in (0.3, 5.0):
+            for hbar in (0.0, 1.0):
+                vals = self._entries(ModelParams(1.0, beta, hbar), OhmicSD(d))
+                assert np.all(np.isfinite(vals))
+                assert np.all((vals >= 0.0) & (vals <= 1.0))
+
+    @staticmethod
+    def _rounding_limited(sd):
+        """Whether χ̃_qq's own rounding near the sharpest resonance,
+        eps/(2q) with q = |Re λ|/|λ| over the drift matrix's eigenvalues
+        λ, exceeds the rel_tol that the pass asks of it."""
+        lam = np.linalg.eigvals(sd.drift_matrix(1.0))
+        q = np.min(np.abs(lam.real) / np.abs(lam))
+        return np.finfo(float).eps / (2.0 * q) > QuadratureConfig().rel_tol
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(st.one_of(
+        st.builds(OhmicSD, st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e)),
+        st.builds(PeakedSD, coupling=st.floats(0.05, 3.0),
+                  width=st.floats(0.02, 3.0), resonance=st.floats(0.1, 4.0))),
+        st.floats(0.3, 5.0), st.sampled_from([0.0, 1.0]))
+    def test_every_entry_is_a_distance(self, sd, beta, hbar):
+        try:
+            vals = self._entries(ModelParams(1.0, beta, hbar), sd)
+        except NonConvergence:
+            # the known limit that test_rounding_limited_resonance pins
+            if not self._rounding_limited(sd):
+                raise
+            return
+        assert np.all(np.isfinite(vals))
+        assert np.all((vals >= 0.0) & (vals <= 1.0))
+
+    @pytest.mark.xfail(raises=NonConvergence, strict=True,
+                       reason="χ̃_qq's rounding near a resonance of "
+                              "q = 3.7e-9 is 30 times rel_tol")
+    def test_rounding_limited_resonance(self):
+        # a strong, narrow, slow bath moves the oscillator to ω ≈ 30.017
+        # with |Re λ|/|λ| = 3.7e-9; there ω₀² − ω² + ω·Im γ̃ cancels 900
+        # against 900, so χ̃_qq carries rounding of eps/(2q) ≈ 3e-8 and
+        # no panel count meets rel_tol (truncating at ±200 does no better)
+        sd = PeakedSD(3.0, 0.02, 0.1)
+        assert self._rounding_limited(sd)
+        self._entries(ModelParams(1.0, 1.0, 0.0), sd)
+
+
 def _mp_n1(p, sd):
-    """n1 qq, qp, pp from 30-digit mpmath quadrature of the windowed
-    integrals ⟨f,g⟩, ‖f‖², ‖g‖² on [−W, W], split at ±feature_frequencies
-    and 0, with f = −i dχ̃/dω and g = χ̃ χ₊⁻¹ χ̃ written out in mpmath."""
+    """n1 qq, qp, pp from 30-digit mpmath quadrature of the integrals
+    ⟨f,g⟩, ‖f‖², ‖g‖² over the whole real line, split at
+    ±feature_frequencies and 0, with f = −i dχ̃/dω and g = χ̃ χ₊⁻¹ χ̃
+    written out in mpmath."""
     with mp.workdps(30):
         w0 = mp.mpf(p.omega0)
         if isinstance(sd, OhmicSD):
@@ -309,9 +406,8 @@ def _mp_n1(p, sd):
                             for i, j in entries])
             return memo[w]
 
-        W = mp.mpf(QuadratureConfig().half_width)
         bps = [mp.mpf(b) for b in feature_frequencies(p, sd)]
-        pts = [-W] + [-b for b in reversed(bps)] + [0] + bps + [W]
+        pts = [-mp.inf] + [-b for b in reversed(bps)] + [0] + bps + [mp.inf]
         out = []
         for e in range(3):
             fg = mp.quad(lambda w: sides(w)[0][e] * mp.conj(sides(w)[1][e]), pts)

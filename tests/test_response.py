@@ -9,6 +9,7 @@ kernel acting on the position jump.
 """
 import math
 import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
@@ -92,6 +93,13 @@ class TestChiQQ:
     def test_undamped_resonance_rejected(self):
         with pytest.raises(DivisionNearZero):
             chi_qq_vec(P1, OhmicSD(0.0), 1.0)
+
+    def test_overflowing_denominator_gives_zero(self):
+        # ω·Re γ̃ = 1e310 overflows; 1j·∞ would make the denominator NaN
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            val = chi_qq_vec(ModelParams(1.0, 1.0), OhmicSD(1e300), [1e10])
+        assert val.tolist() == [0.0]
 
 
 class TestChiMatrix:

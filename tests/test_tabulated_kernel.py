@@ -173,6 +173,17 @@ def test_derivative_below_the_normal_squares_keeps_its_log_form():
             np.full(w.size, at_zero), abs=1e-8)
 
 
+def test_kernel_below_the_normal_squares_is_its_zero_limit():
+    # at the smallest subnormal ω/top underflowed to 0, and γ̃ was NaN
+    tab = peaked_table(241)
+    g0 = tab.gamma_tilde_vec(0.0)
+    w = np.array([5e-324, 1e-320, 1e-200, 9.99e-151])
+    for sign in (1.0, -1.0):
+        g = tab.gamma_tilde_vec(sign * w)
+        assert np.all(g.imag == 0.0)
+        assert g.real == pytest.approx(np.full(w.size, g0.real), rel=1e-15)
+
+
 def test_kernel_is_finite_at_the_table_end():
     # J(top) ≠ 0 makes Im γ̃ log-singular at top, where the finite part
     # is returned; with J(top) = 0, Im γ̃ is continuous there

@@ -110,7 +110,7 @@ def test_kernel_matches_the_40_digit_reference(make):
                          ids=["peaked-201", "exp-301"])
 def test_far_field_series_matches_the_40_digit_reference(make):
     # the moment series serves every ω ≥ 2·top, which is most of the
-    # [−200, 200] window of these tables
+    # real line that the quantifiers integrate these tables over
     sd = make()
     omega = sd.frequencies[-1] * np.array([2.0 * (1.0 + 1e-9), 2.5, 3.0,
                                            5.0, 10.0, 1e2, 1e3, 1e4])
