@@ -9,8 +9,10 @@ stationary two-time spectrum against the regression-theorem prediction.
 Both reduce to normalized L2 distances, so every value lies in [0, 1]
 and vanishes identically when the oscillator is decoupled from the bath.
 Strict Ohmic damping keeps a nonzero divisibility residual,
-D/(ω₀²−ω²−iDω)²·[[1, iω], [−iω, ω²]], so n1 is small at weak coupling
-and grows with D.
+D/(ω₀²−ω²−iDω)²·[[1, iω], [−iω, ω²]], so n1 is small at weak coupling.
+With x = D/ω₀, n1_qq² = x²(1+x²)/(x²(1+x²)+4) and n1_qp² = x²/(2(x²+2))
+rise toward 1 and 1/2, while n1_pp² = x²/(x²+(x²+2)²) peaks at 1/9 at
+x = √2 and falls like 1/x².
 
 Layers, bottom up:
 
@@ -53,7 +55,7 @@ from .errors import (
     UnstableStep,
     ZeroNorm,
 )
-from .quadrature import QuadratureConfig, integrate
+from .quadrature import integrate
 from .spectral import (
     OhmicSD,
     PeakedSD,
@@ -103,7 +105,6 @@ __all__ = [
     "NumericsError",
     "OhmicSD",
     "PeakedSD",
-    "QuadratureConfig",
     "QuantifierReport",
     "SpectralDensity",
     "TabulatedSD",

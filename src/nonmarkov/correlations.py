@@ -37,12 +37,12 @@ diverges logarithmically.
 Every other quantum case integrates: tables, the Ohmic bath, β = ∞, and
 sums past 2¹⁴ terms (βħ‖A‖₁ ≳ 2.6e4).  c_qq and c_pp are the two rows of
 one integrand, so each range is one pass on shared panels: [0, Λ] for
-both rows, then [Λ, ∞) through a compactifying map for the rows that
-decay faster than ω^{-3/2}, keeping the covariances cutoff-independent
-whenever they converge.  The momentum variance of a strict Ohmic bath
-with ħ > 0 grows logarithmically with frequency instead, so that row
-stops at the model cutoff Λ, and a pass over [Λ, 2Λ] measures its drift;
-a shift wider than 1% triggers a ``CutoffSensitive`` warning.
+both rows, then [Λ, ∞) through a compactifying map, keeping the
+covariances cutoff-independent whenever they converge.  The bath says
+which rows those are: the momentum variance of a strict Ohmic bath (a
+drift matrix with A_pp ≠ 0) with ħ > 0 grows logarithmically with
+frequency, so that row alone stops at the model cutoff Λ, and a pass over [Λ, 2Λ] measures its drift; a shift wider
+than 1% triggers a ``CutoffSensitive`` warning.
 """
 from __future__ import annotations
 
@@ -54,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CutoffSensitive, NumericsError
-from .quadrature import _DEFAULT_CFG, QuadratureConfig, integrate
+from .quadrature import integrate
 from .response import ModelParams, _chi_qq, chi_qq_vec, feature_frequencies
 from .spectral import SpectralDensity
 
@@ -181,13 +181,13 @@ def _matsubara_covariance(p: ModelParams,
 
 
 # Keyed on the spectral density, so the cache keeps its entries' tables
-# (and their γ̃ memos) alive.  Only a repeated (p, sd, cfg) hits it; it
-# stays while perfbench/worker.py reads its cache_info().  It serves the
+# (and their γ̃ memos) alive.  Only a repeated (p, sd) hits it; it stays
+# while perfbench/worker.py reads its cache_info().  It serves the
 # quantum covariances that have no Matsubara route: tables, the Ohmic
 # bath (whose c_pp diverges), β = ∞ and sums past _MAX_TERMS.
 @functools.lru_cache(maxsize=4)
-def _covariance0_cached(p: ModelParams, sd: SpectralDensity,
-                        cfg: QuadratureConfig) -> CovarianceMatrix:
+def _covariance0_cached(p: ModelParams,
+                        sd: SpectralDensity) -> CovarianceMatrix:
     bp = feature_frequencies(p, sd)
     bp += [10.0 * p.omega0, 100.0 * p.omega0]
     top = p.cutoff
@@ -198,44 +198,41 @@ def _covariance0_cached(p: ModelParams, sd: SpectralDensity,
              * _im_chi_over_omega(p, sd, w))
         return np.array([s, w * w * s])
 
-    main = integrate(rows, 0.0, top, cfg, breakpoints=bp).real
-    # a row decays when its log-log slope over [Λ/10, Λ] is below −3/2
-    # (or it has a non-positive sample there); it is then integrated to
-    # infinity, and every other row to 2Λ to measure the drift
-    xs = np.geomspace(top / 10.0, top, 9)
-    ys = np.abs(rows(xs))
-    positive = (ys > 0.0).all(axis=1)
-    ly = np.log(np.where(ys > 0.0, ys, 1.0))
-    decays = ~positive | (np.polyfit(np.log(xs), ly.T, 1)[0] < -1.5)
+    main = integrate(rows, 0.0, top, breakpoints=bp).real
+    # The bath decides which rows converge: all but the quantum c_pp of a
+    # white-noise kernel (a_pp ≠ 0, strict Ohmic), whose integrand falls
+    # like 1/ω; it stops at Λ, and a pass over [Λ, 2Λ] measures its
+    # drift.  A table's J ends at its last knot, the peaked J/ω falls
+    # like ω⁻⁴ and a classical row carries the weight 2/β.
+    a = sd.drift_matrix(p.omega0)
+    cutoff_limited = p.hbar > 0.0 and a is not None and a[1, 1] != 0.0
+    decays = np.array([True, not cutoff_limited])
     total = main.copy()
-    if decays.any():
-        total[decays] += integrate(lambda w: rows(w)[decays], top, math.inf,
-                                   cfg).real
-    drift = 0.0
-    if not decays.all():
-        extra = integrate(lambda w: rows(w)[~decays], top, 2.0 * top,
-                          cfg).real
-        drift = float(np.max(np.abs(extra) / main[~decays]))
+    total[decays] += integrate(lambda w: rows(w)[decays], top,
+                               math.inf).real
     cov = (total / math.pi).tolist()
     if not all(0.0 < c < math.inf for c in cov):
         raise NumericsError(f"covariance quadrature gave (c_qq, c_pp) = "
                             f"{cov}, not finite and > 0")
+    drift = 0.0
+    if cutoff_limited:
+        extra = integrate(lambda w: rows(w)[1:], top, 2.0 * top).real
+        drift = float(abs(extra[0]) / main[1])
     return CovarianceMatrix(*cov, cutoff_drift=drift)
 
 
-def covariance0(p: ModelParams, sd: SpectralDensity,
-                cfg: QuadratureConfig | None = None) -> CovarianceMatrix:
+def covariance0(p: ModelParams, sd: SpectralDensity) -> CovarianceMatrix:
     """Equal-time equilibrium covariance matrix diag(c_qq, c_pp).
 
     ħ = 0 gives equipartition, c_qq = 1/(βω₀²) and c_pp = 1/β, for every
     bath; so does a decoupled bath its free-oscillator values.
     At finite β, a bath whose drift matrix A has A_pp = 0 (the peaked
-    bath) gives the Matsubara sums of χ̃_qq(iν_n), with no quadrature
-    and cfg unused.  Otherwise c_qq = (1/π)∫ ħ·coth(βħω/2)·Im χ̃_qq dω
-    and c_pp carries an extra ω² weight.  Integrals that keep decaying
-    are pushed to infinity; the log-divergent strict-Ohmic quantum c_pp
-    is truncated at Λ with a sensitivity warning, and the matrix carries
-    its drift between Λ and 2Λ as ``cutoff_drift``.
+    bath) gives the Matsubara sums of χ̃_qq(iν_n), with no quadrature.
+    Otherwise c_qq = (1/π)∫ ħ·coth(βħω/2)·Im χ̃_qq dω and c_pp carries
+    an extra ω² weight.  Both integrals run to infinity, except the
+    log-divergent strict-Ohmic quantum c_pp, which is truncated at Λ
+    with a sensitivity warning, and the matrix carries its drift between
+    Λ and 2Λ as ``cutoff_drift``.
     """
     if sd.decoupled or p.hbar == 0.0:
         return _free_covariance(p)
@@ -244,7 +241,7 @@ def covariance0(p: ModelParams, sd: SpectralDensity,
         cov = _matsubara_covariance(p, a)
         if cov is not None:
             return cov
-    cov = _covariance0_cached(p, sd, cfg or _DEFAULT_CFG)
+    cov = _covariance0_cached(p, sd)
     if cov.cutoff_drift > 0.01:
         warnings.warn(
             f"momentum variance shifts by {100.0 * cov.cutoff_drift:.1f}% "

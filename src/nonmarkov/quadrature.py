@@ -15,7 +15,7 @@ engine sit the operations the rest of the package needs:
                          Richardson extrapolation over ε, ε/2, ε/4
 * ``sine_transform``     (2/π)∫₀^∞ f(ω) sin(ωt) dω with period-locked panels
                          on [0, W] and a by-parts tail beyond W; W doubles
-                         until the tail's remainder bound is within abs_tol
+                         until the tail's remainder bound is within 1e-12
 * ``cosine_transform``   same with cos(ωt); at t = 0 the half-line
                          integral of f, which must converge
 
@@ -23,18 +23,21 @@ An integrand is a plain vectorized callable: it receives a float ndarray
 of N points and returns N values (real or complex), or an array of shape
 rows + (N,).  Every operation is pure, and repeated evaluation with
 identical inputs is bit-identical.
+
+Every operation runs at the same fixed tolerances: 1e-9 relative for an
+adaptive integral, 1e-12 absolute for a transform's tail and a principal
+value's residual, and at most 20,000 panels in one pass.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NonConvergence, NonFinite, PVFailure
 
 __all__ = [
-    "QuadratureConfig",
     "LineIntegral",
     "integrate",
     "principal_value",
@@ -68,36 +71,12 @@ _ROUNDOFF = 50.0 * np.finfo(float).eps
 _TINY = 1e-300
 # minimum panels per oscillation period 2π/t in the transforms
 _PANELS_PER_PERIOD = 8
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Knobs for all quadrature operations.
-
-    rel_tol
-        An adaptive integral succeeds when its estimated error is within
-        rel_tol·|result|, or within the round-off of a result whose
-        panels cancel; so a result does not depend on the scale of f.
-    abs_tol
-        Bound on the absolute quantities: the neglected by-parts tail of
-        the oscillatory transforms and the Richardson residual of
-        principal values.
-    max_subdivisions
-        Cap on the total number of panels of one adaptive integral.
-    """
-
-    rel_tol: float = 1e-9
-    abs_tol: float = 1e-12
-    max_subdivisions: int = 20000
-
-    def __post_init__(self) -> None:
-        if not (self.rel_tol > 0 and self.abs_tol > 0):
-            raise ValueError("rel_tol, abs_tol must be > 0")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be >= 1")
-
-
-_DEFAULT_CFG = QuadratureConfig()
+# The fixed tolerances: relative for every adaptive pass, absolute for a
+# transform's by-parts tail and a principal value's Richardson residual,
+# and the panel cap of one adaptive pass.
+_REL_TOL = 1e-9
+_ABS_TOL = 1e-12
+_MAX_PANELS = 20000
 
 
 def _eval_panels(fn, lo: np.ndarray, hi: np.ndarray):
@@ -122,8 +101,8 @@ def _eval_panels(fn, lo: np.ndarray, hi: np.ndarray):
     return vals, errs
 
 
-def _adaptive(fn, edges: np.ndarray, cfg: QuadratureConfig,
-              x_of=lambda u: u):
+def _adaptive(fn, edges: np.ndarray, x_of=lambda u: u, *,
+              rel_tol: float = _REL_TOL):
     """Globally adaptive bisection over an initial sorted edge set.
 
     All rows of fn share one panel set.  The pass converges when every
@@ -131,8 +110,8 @@ def _adaptive(fn, edges: np.ndarray, cfg: QuadratureConfig,
     50·eps·Σ|panel values|); the last term is the round-off limit of a
     row whose panels cancel (Piessens et al., QUADPACK, 1983).  The test
     is relative only, so the result scales with fn however small it is;
-    abs_tol plays no part in it.  A panel's
-    weight is the sum of its rows' errors in units of their own
+    rel_tol is _REL_TOL except in the inner passes of principal values.
+    A panel's weight is the sum of its rows' errors in units of their own
     tolerances (scaled by the tightest, so one row weighs its plain
     error); each round splits the panels carrying the top 90% of the
     total weight, batching all child evaluations into one call.  Panel
@@ -141,9 +120,9 @@ def _adaptive(fn, edges: np.ndarray, cfg: QuadratureConfig,
 
     A non-finite value raises NonFinite, which carries the result on
     the panels so far once refinement has begun.  A pass that runs out
-    of panels, of rounds or of panels wide enough to split raises
-    NonConvergence at its heaviest panel: ``where`` is
-    the panel's midpoint, mapped by x_of from the variable of fn to the
+    of panels (_MAX_PANELS), of rounds or of panels wide enough to split
+    raises NonConvergence at its heaviest panel: ``where`` is the
+    panel's midpoint, mapped by x_of from the variable of fn to the
     caller's x, and the message says whether the panel reached the 1e-14
     relative split limit.
 
@@ -160,14 +139,14 @@ def _adaptive(fn, edges: np.ndarray, cfg: QuadratureConfig,
         total = vals.sum(axis=-1)
         err_total = errs.sum(axis=-1)
         # _TINY keeps a row that is exactly zero off 0/0 in the weights
-        tol = np.maximum(_TINY, cfg.rel_tol * np.abs(total))
+        tol = np.maximum(_TINY, rel_tol * np.abs(total))
         # a row that cancels is known only to the rounding of its panels
         tol = np.maximum(tol, _ROUNDOFF * np.abs(vals).sum(axis=-1))
         if np.all(err_total <= tol):
             return total, err_total, lo.size
         weight = (errs * (tol.min() / tol)[..., None]).reshape(-1, lo.size)
         weight = weight.sum(axis=0)
-        budget = cfg.max_subdivisions - lo.size
+        budget = _MAX_PANELS - lo.size
         span = np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
         splittable = (hi - lo) > 1e-14 * span
         if budget < 1 or not splittable.any() or rounds == _MAX_ROUNDS:
@@ -215,7 +194,7 @@ def _with_breakpoints(a: float, b: float, breakpoints=()) -> np.ndarray:
     return np.array(sorted({a, b, *pts}))
 
 
-def _half_line(f, a: float, cfg: QuadratureConfig, breakpoints=()):
+def _half_line(f, a: float, breakpoints=()):
     """One adaptive pass of f over [a, ∞); returns what ``_adaptive`` does.
 
     The pass runs in v ∈ [0, 2s), with s the largest breakpoint beyond
@@ -243,7 +222,7 @@ def _half_line(f, a: float, cfg: QuadratureConfig, breakpoints=()):
     edges = [0.0, *(x - a for x in breakpoints if x > a),
              *2.0 * s - s * 0.5 ** np.arange(14), 2.0 * s]
     try:
-        return _adaptive(mapped, np.array(sorted(set(edges))), cfg, x_of)
+        return _adaptive(mapped, np.array(sorted(set(edges))), x_of)
     except NonFinite as exc:
         if exc.where == 2.0 * s:
             raise NonConvergence(
@@ -255,8 +234,8 @@ def _half_line(f, a: float, cfg: QuadratureConfig, breakpoints=()):
                         f"x = {x:.6g}", where=x, estimate=exc.estimate) from exc
 
 
-def integrate(f, a: float, b: float, cfg: QuadratureConfig | None = None,
-              *, breakpoints=()) -> complex | np.ndarray:
+def integrate(f, a: float, b: float, *,
+              breakpoints=()) -> complex | np.ndarray:
     """Adaptive integral of f over [a, b]; a must be finite and b may be
     +inf (half-line map).
 
@@ -266,15 +245,14 @@ def integrate(f, a: float, b: float, cfg: QuadratureConfig | None = None,
     the panel budget is exhausted or a half-line integral diverges,
     NonFinite if the integrand returns NaN/inf.
     """
-    cfg = cfg or _DEFAULT_CFG
     if math.isinf(a):
         raise ValueError("the lower integration bound must be finite")
     if b == math.inf:
-        val, _, _ = _half_line(f, a, cfg, breakpoints)
+        val, _, _ = _half_line(f, a, breakpoints)
     elif not a < b:
         raise ValueError("integration bounds must satisfy a < b")
     else:
-        val, _, _ = _adaptive(f, _with_breakpoints(a, b, breakpoints), cfg)
+        val, _, _ = _adaptive(f, _with_breakpoints(a, b, breakpoints))
     return complex(val) if np.ndim(val) == 0 else val
 
 
@@ -299,8 +277,7 @@ class LineIntegral:
     panels: int
 
 
-def inner_product_info(sides, cfg: QuadratureConfig | None = None,
-                       *, breakpoints=()) -> LineIntegral:
+def inner_product_info(sides, *, breakpoints=()) -> LineIntegral:
     """⟨f,g⟩ = ∫ f(ω) g*(ω) dω, ‖f‖² and ‖g‖² over the whole real line
     in one pass.
 
@@ -321,21 +298,21 @@ def inner_product_info(sides, cfg: QuadratureConfig | None = None,
                           (gx * np.conj(gx)).real))
         return prods[..., :x.size] + prods[..., x.size:]
 
-    val, _, n = _half_line(folded, 0.0, cfg or _DEFAULT_CFG,
-                           _decade_edges(_LINE_TOP, breakpoints))
+    val, _, n = _half_line(folded, 0.0, _decade_edges(_LINE_TOP, breakpoints))
     return LineIntegral(val + 0.0j, int(n))
 
 
-def principal_value(f, pole: float, a: float, b: float,
-                    cfg: QuadratureConfig | None = None, *,
-                    radius: float = 1e-3) -> complex:
+def principal_value(f, pole: float, a: float, b: float, *,
+                    radius: float = 1e-3,
+                    abs_tol: float = _ABS_TOL) -> complex:
     """Cauchy principal value of ∫_a^b f with a simple pole inside.
 
     Symmetric exclusion I(ε) has error linear in ε from the regular part,
     cubic beyond that; two Richardson stages over ε, ε/2, ε/4 cancel both.
-    `radius` is the starting exclusion radius ε (> 0).
+    `radius` is the starting exclusion radius ε (> 0); `abs_tol` is the
+    absolute floor of the residual test, which a kernel far below 1 in
+    size needs lowered.
     """
-    cfg = cfg or _DEFAULT_CFG
     if not radius > 0.0:
         raise ValueError(f"radius must be > 0, got {radius}")
     if not (a < pole < b):
@@ -345,7 +322,7 @@ def principal_value(f, pole: float, a: float, b: float,
     if eps0 <= 1e-13 * max(1.0, abs(pole)):
         raise PVFailure("pole too close to an endpoint for symmetric exclusion")
 
-    inner_cfg = replace(cfg, rel_tol=cfg.rel_tol / 10.0)
+    inner_tol = _REL_TOL / 10.0
 
     def excluded(eps: float) -> complex:
         # geometric edges walking away from the pole keep the 1/(x-pole)
@@ -358,8 +335,8 @@ def principal_value(f, pole: float, a: float, b: float,
         while b - right[-1] > eps and len(right) < 60:
             right.append(pole + (right[-1] - pole) * 2.0)
         edges_r = np.array(sorted({b, *[x for x in right if x < b], pole + eps}))
-        vl, _, _ = _adaptive(f, edges_l, inner_cfg)
-        vr, _, _ = _adaptive(f, edges_r, inner_cfg)
+        vl, _, _ = _adaptive(f, edges_l, rel_tol=inner_tol)
+        vr, _, _ = _adaptive(f, edges_r, rel_tol=inner_tol)
         return vl + vr
 
     # Neville tableau over halved radii; the exclusion error is odd in ε
@@ -377,9 +354,9 @@ def principal_value(f, pole: float, a: float, b: float,
         if m < 2:
             continue
         top = row[-1]
-        scale = max(abs(top), abs(row[0]), cfg.abs_tol)
+        scale = max(abs(top), abs(row[0]), abs_tol)
         resid = abs(top - row[-2])
-        if resid <= max(1e-6 * scale, 1e3 * max(cfg.abs_tol, cfg.rel_tol * scale)):
+        if resid <= max(1e-6 * scale, 1e3 * max(abs_tol, _REL_TOL * scale)):
             return complex(top)
     raise NonConvergence(
         f"principal-value exclusion sequence did not contract "
@@ -437,7 +414,7 @@ def _period_locked_edges(base: np.ndarray, n: np.ndarray) -> np.ndarray:
     return np.append(base[gap] + j * (step / n)[gap], base[-1])
 
 
-def _oscillatory_transform(f, t: float, cfg: QuadratureConfig, kinds,
+def _oscillatory_transform(f, t: float, kinds,
                            breakpoints=(), support=math.inf):
     """(2/π)∫₀^∞ f(ω)·k(ωt) dω, real part, with k = sin or cos.
 
@@ -448,7 +425,7 @@ def _oscillatory_transform(f, t: float, cfg: QuadratureConfig, kinds,
     by-parts tail beyond W, which starts at max(4·largest breakpoint,
     20/t), with 1 in place of the breakpoint when there is none, and
     doubles until every row's tail bound (``_oscillatory_tail``) is
-    within abs_tol.  A window whose panels would exceed max_subdivisions
+    within _ABS_TOL.  A window whose panels would exceed _MAX_PANELS
     raises NonConvergence naming t.  At t = 0 the cosine rows are the
     half-line integral of f, which must converge.
     """
@@ -464,7 +441,7 @@ def _oscillatory_transform(f, t: float, cfg: QuadratureConfig, kinds,
     if t == 0.0:
         # sin(0) = 0 and cos(0) = 1: nothing oscillates
         try:
-            val, _, _ = _half_line(integrand, 0.0, cfg, breakpoints)
+            val, _, _ = _half_line(integrand, 0.0, breakpoints)
         except NonConvergence as exc:
             raise NonConvergence(
                 f"transform at t = 0 does not converge: {exc}",
@@ -482,35 +459,31 @@ def _oscillatory_transform(f, t: float, cfg: QuadratureConfig, kinds,
         # would otherwise take gigabytes only to be refused
         base = _decade_edges(W, breakpoints)
         n = np.maximum(1, np.ceil(np.diff(base) / max_width))
-        if n.sum() > cfg.max_subdivisions:
+        if n.sum() > _MAX_PANELS:
             row = int(np.argmax(bound))
             raise NonConvergence(
                 f"the window [0, {W:.6g}] needs more than "
-                f"{cfg.max_subdivisions} panels at t = {t:.6g}; row {row} "
-                f"keeps a tail bound of {bound.flat[row]:.3g} (abs_tol "
-                f"{cfg.abs_tol:.3g})", error_bound=bound)
+                f"{_MAX_PANELS} panels at t = {t:.6g}; row {row} "
+                f"keeps a tail bound of {bound.flat[row]:.3g}, above "
+                f"{_ABS_TOL:.3g}", error_bound=bound)
         if bounded:
             break
         tail, bound = _oscillatory_tail(f, W, t, sin_rows)
-        if np.all(bound <= cfg.abs_tol):
+        if np.all(bound <= _ABS_TOL):
             break
         W *= 2.0
 
-    val, _, _ = _adaptive(integrand, _period_locked_edges(base, n), cfg)
+    val, _, _ = _adaptive(integrand, _period_locked_edges(base, n))
     return np.real(val + tail) * (2.0 / math.pi)
 
 
-def sine_transform(f, t: float, cfg: QuadratureConfig | None = None,
-                   *, breakpoints=()) -> float:
+def sine_transform(f, t: float, *, breakpoints=()) -> float:
     """(2/π)∫₀^∞ f(ω) sin(ωt) dω with at least 8 panels per period 2π/t
     on a window sized from f's by-parts tail.  Returns the real part of
     the transform."""
-    return float(_oscillatory_transform(f, t, cfg or _DEFAULT_CFG, "sin",
-                                        breakpoints))
+    return float(_oscillatory_transform(f, t, "sin", breakpoints))
 
 
-def cosine_transform(f, t: float, cfg: QuadratureConfig | None = None,
-                     *, breakpoints=()) -> float:
+def cosine_transform(f, t: float, *, breakpoints=()) -> float:
     """(2/π)∫₀^∞ f(ω) cos(ωt) dω, same panelling policy as sine_transform."""
-    return float(_oscillatory_transform(f, t, cfg or _DEFAULT_CFG, "cos",
-                                        breakpoints))
+    return float(_oscillatory_transform(f, t, "cos", breakpoints))

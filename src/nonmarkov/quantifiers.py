@@ -16,8 +16,9 @@ import numpy as np
 
 from .correlations import _exact_rows, _rt_rows, covariance0
 from .errors import NonConvergence, ZeroNorm
-from .quadrature import _DEFAULT_CFG, QuadratureConfig, inner_product_info
-from .response import _chi_qq, _chi_qq_and_prime, feature_frequencies
+from .quadrature import inner_product_info
+from .response import (_chi_prime_rows, _chi_qq, _chi_qq_and_prime,
+                       feature_frequencies)
 from .spectral import SpectralDensity
 
 # the entries computed, and their (row, column) indices; pq mirrors qp
@@ -63,8 +64,7 @@ def _norms(value, names):
     return norms
 
 
-def _distance_info(sides, cfg: QuadratureConfig, breakpoints=(),
-                   names=("argument",)):
+def _distance_info(sides, breakpoints=(), names=("argument",)):
     """Normalized distances of the row pairs (f, g) that the callable
     sides returns, from one ``inner_product_info`` pass over the whole
     line, with the panel count of the pass; names[r] names row r.
@@ -75,7 +75,7 @@ def _distance_info(sides, cfg: QuadratureConfig, breakpoints=(),
     other rows would end.
     """
     try:
-        res = inner_product_info(sides, cfg, breakpoints=breakpoints)
+        res = inner_product_info(sides, breakpoints=breakpoints)
     except NonConvergence as exc:
         if exc.estimate is not None:
             _norms(exc.estimate, names)
@@ -86,8 +86,7 @@ def _distance_info(sides, cfg: QuadratureConfig, breakpoints=(),
     return np.sqrt(r), res.panels
 
 
-def distance(f, g, cfg: QuadratureConfig | None = None,
-             *, breakpoints=()) -> float:
+def distance(f, g, *, breakpoints=()) -> float:
     """Normalized L2 distance 𝒟 = √(1 − |⟨f,g⟩|²/(‖f‖²‖g‖²)) ∈ [0, 1].
 
     f and g are vectorized callables of ω, integrated over the whole
@@ -101,20 +100,18 @@ def distance(f, g, cfg: QuadratureConfig | None = None,
     NonConvergence
         If f or g is not square-integrable.
     """
-    val, _ = _distance_info(lambda w: (f(w), g(w)), cfg or _DEFAULT_CFG,
-                               breakpoints)
+    val, _ = _distance_info(lambda w: (f(w), g(w)), breakpoints)
     return float(val)
 
 
 def _n1_sides(p, sd):
     """The pair (−i dχ̃/dω, χ̃ χ₊⁻¹ χ̃) at qq, qp, pp from one χ̃ batch: f is
-    −i·``chi_prime_matrix``, and g is −2iωc², c + 2ω²c², −2iωc(1 + ω²c)
-    with c = χ̃_qq.  Both are hermitian (χ̃ is the response of a real,
-    causal system), so each ⟨f,g⟩ row is real."""
+    −i times the rows of ``chi_prime_matrix``, and g is −2iωc²,
+    c + 2ω²c², −2iωc(1 + ω²c) with c = χ̃_qq.  Both are hermitian (χ̃ is
+    the response of a real, causal system), so each ⟨f,g⟩ row is real."""
     def sides(w):
         c, cp = _chi_qq_and_prime(p, sd, w)
-        return (-1j * np.array([cp, 1j * c + 1j * w * cp,
-                                2.0 * w * c + w ** 2 * cp]),
+        return (-1j * np.array(_chi_prime_rows(w, c, cp)),
                 np.array([-2j * w * c ** 2, c + 2.0 * w ** 2 * c ** 2,
                           -2j * w * c * (1.0 + w ** 2 * c)]))
     return sides
@@ -132,7 +129,7 @@ def _n2_sides(p, sd, cov0):
     return sides
 
 
-def _quantifier_matrix(p, sd, cfg, prefix, sides, cutoff_drift=0.0):
+def _quantifier_matrix(p, sd, prefix, sides, cutoff_drift=0.0):
     """Entrywise distances from one pass over the three-row sides; qp
     and pq coincide by the entry structure (the two off-diagonal
     functions differ only by an overall sign or a complex conjugation,
@@ -143,7 +140,7 @@ def _quantifier_matrix(p, sd, cfg, prefix, sides, cutoff_drift=0.0):
     panels = 0
     if not sd.decoupled:
         values, panels = _distance_info(
-            sides, cfg, feature_frequencies(p, sd),
+            sides, feature_frequencies(p, sd),
             [f"{prefix}_{key}" for key in _KEYS])
         matrix[_ENTRY] = values
         matrix[_ENTRY[::-1]] = values
@@ -152,8 +149,7 @@ def _quantifier_matrix(p, sd, cfg, prefix, sides, cutoff_drift=0.0):
                     for key in ("qq", "qp", "pq", "pp")}
 
 
-def divisibility_quantifier(p, sd: SpectralDensity,
-                            cfg: QuadratureConfig | None = None):
+def divisibility_quantifier(p, sd: SpectralDensity):
     """First quantifier: distance between −i dχ̃/dω and χ̃ χ₊⁻¹ χ̃.
 
     Vanishes entrywise iff the mean propagator forms a divisible
@@ -161,12 +157,10 @@ def divisibility_quantifier(p, sd: SpectralDensity,
 
     Returns (2×2 real array, diagnostics dict).
     """
-    return _quantifier_matrix(p, sd, cfg or _DEFAULT_CFG, "n1",
-                              _n1_sides(p, sd))
+    return _quantifier_matrix(p, sd, "n1", _n1_sides(p, sd))
 
 
-def regression_quantifier(p, sd: SpectralDensity,
-                          cfg: QuadratureConfig | None = None):
+def regression_quantifier(p, sd: SpectralDensity):
     """Second quantifier: distance between the exact equilibrium
     correlation spectrum and the regression-theorem prediction.
 
@@ -176,27 +170,24 @@ def regression_quantifier(p, sd: SpectralDensity,
 
     Returns (2×2 real array, diagnostics dict).
     """
-    cfg = cfg or _DEFAULT_CFG
-    cov0 = covariance0(p, sd, cfg)
-    return _quantifier_matrix(p, sd, cfg, "n2", _n2_sides(p, sd, cov0),
+    cov0 = covariance0(p, sd)
+    return _quantifier_matrix(p, sd, "n2", _n2_sides(p, sd, cov0),
                               cutoff_drift=cov0.cutoff_drift)
 
 
-def quantify(p, sd: SpectralDensity, cfg: QuadratureConfig | None = None,
-             which: str = "both") -> QuantifierReport:
+def quantify(p, sd: SpectralDensity, which: str = "both") -> QuantifierReport:
     """Compute the requested quantifier matrices with diagnostics.
 
     which ∈ {'n1', 'n2', 'both'}.
     """
     if which not in ("n1", "n2", "both"):
         raise ValueError(f"unknown quantifier selection {which!r}")
-    cfg = cfg or _DEFAULT_CFG
     n1 = n2 = None
     diagnostics: dict[str, EntryDiagnostics] = {}
     if which in ("n1", "both"):
-        n1, d = divisibility_quantifier(p, sd, cfg)
+        n1, d = divisibility_quantifier(p, sd)
         diagnostics.update(d)
     if which in ("n2", "both"):
-        n2, d = regression_quantifier(p, sd, cfg)
+        n2, d = regression_quantifier(p, sd)
         diagnostics.update(d)
     return QuantifierReport(n1=n1, n2=n2, diagnostics=diagnostics)

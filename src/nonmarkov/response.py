@@ -47,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CutoffSensitive, DivisionNearZero, NonConvergence
-from .quadrature import _DEFAULT_CFG, QuadratureConfig, _oscillatory_transform
+from .quadrature import _oscillatory_transform
 from .spectral import SpectralDensity
 
 __all__ = [
@@ -153,12 +153,16 @@ def chi_matrix(p: ModelParams, sd: SpectralDensity, omega) -> np.ndarray:
     return np.array([[c, 1j * w * c], [-1j * w * c, 1.0 + w ** 2 * c]])
 
 
+def _chi_prime_rows(omega, c, cp):
+    """dχ̃/dω at qq, qp, pp from c = χ̃_qq and cp = dχ̃_qq/dω; pq is −qp."""
+    return cp, 1j * c + 1j * omega * cp, 2.0 * omega * c + omega ** 2 * cp
+
+
 def chi_prime_matrix(p: ModelParams, sd: SpectralDensity, omega) -> np.ndarray:
     """Entrywise frequency derivative dχ̃/dω, shape (2, 2) + ω.shape."""
     w = np.asarray(omega, dtype=float)
-    c, cp = _chi_qq_and_prime(p, sd, w)
-    return np.array([[cp, 1j * c + 1j * w * cp],
-                     [-1j * c - 1j * w * cp, 2.0 * w * c + w ** 2 * cp]])
+    qq, qp, pp = _chi_prime_rows(w, *_chi_qq_and_prime(p, sd, w))
+    return np.array([[qq, qp], [-qp, pp]])
 
 
 def divisibility_residual(p: ModelParams, sd: SpectralDensity,
@@ -276,8 +280,7 @@ def _expm(a: np.ndarray) -> np.ndarray:
     return r
 
 
-def chi_time(p: ModelParams, sd: SpectralDensity, t: float,
-             cfg: QuadratureConfig | None = None) -> np.ndarray:
+def chi_time(p: ModelParams, sd: SpectralDensity, t: float) -> np.ndarray:
     """Real-time response matrix χ(t) as a 2×2 real array.
 
     χ(0) is the pre-kick (causal) limit, i.e. the zero matrix; the
@@ -285,7 +288,7 @@ def chi_time(p: ModelParams, sd: SpectralDensity, t: float,
     causal, and no window bounds the transform at t = ∞ or NaN.
 
     A bath with a drift matrix A gives s = e^{At}·e_p, and
-    χ(t) = [[s_q, −s_p], [s_p, −(A·s)_p]]; cfg is then unused.  A table
+    χ(t) = [[s_q, −s_p], [s_p, −(A·s)_p]], with no quadrature.  A table
     goes through the transforms of ``_chi_time_transform``.
     """
     if not 0.0 <= t < math.inf:
@@ -294,17 +297,16 @@ def chi_time(p: ModelParams, sd: SpectralDensity, t: float,
         return np.zeros((2, 2))
     a = sd.drift_matrix(p.omega0)
     if a is None:
-        return _chi_time_transform(p, sd, t, cfg)
+        return _chi_time_transform(p, sd, t)
     s = _expm(a * t)[:, 1]
     return np.array([[s[0], -s[1]], [s[1], -(a[1] @ s)]])
 
 
-def _chi_time_transform(p: ModelParams, sd: SpectralDensity, t: float,
-                        cfg: QuadratureConfig | None = None) -> np.ndarray:
+def _chi_time_transform(p: ModelParams, sd: SpectralDensity,
+                        t: float) -> np.ndarray:
     """χ(t) for 0 < t < ∞ from the sine and cosine transforms of Im χ̃_qq
     on panels locked to the period 2π/t, for any coupled bath; they stop
     at the bath's ``support_end``, beyond which Im χ̃_qq ≡ 0."""
-    cfg = cfg or _DEFAULT_CFG
     bp = feature_frequencies(p, sd)
 
     def rows(w: np.ndarray) -> np.ndarray:
@@ -312,14 +314,13 @@ def _chi_time_transform(p: ModelParams, sd: SpectralDensity, t: float,
         return np.array([im_c, w * im_c, w ** 2 * im_c])
 
     # χ_qq, dχ_qq/dt and χ_pp from one pass over shared panels
-    qq, dot, pp = _oscillatory_transform(rows, t, cfg, ("sin", "cos", "sin"),
+    qq, dot, pp = _oscillatory_transform(rows, t, ("sin", "cos", "sin"),
                                          bp, sd.support_end)
     return np.array([[qq, -dot], [dot, pp]])
 
 
 def propagate_means(p: ModelParams, sd: SpectralDensity, a_q: float,
-                    a_p: float, t: float,
-                    cfg: QuadratureConfig | None = None) -> tuple[float, float]:
+                    a_p: float, t: float) -> tuple[float, float]:
     """Mean values (⟨q(t)⟩, ⟨p(t)⟩) after the kick (a_q, a_p) at t = 0.
 
     At t = 0 the post-kick displacement (−a_p, +a_q) is returned; any
@@ -331,5 +332,5 @@ def propagate_means(p: ModelParams, sd: SpectralDensity, a_q: float,
             raise ValueError(f"{name} must be finite, got {kick}")
     if t == 0.0:
         return (-a_p, a_q)
-    mean = chi_time(p, sd, t, cfg) @ np.array([a_q, a_p])
+    mean = chi_time(p, sd, t) @ np.array([a_q, a_p])
     return (float(mean[0]), float(mean[1]))

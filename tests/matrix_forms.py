@@ -48,7 +48,7 @@ def pole_residues(sd: PeakedSD, omega0: float):
     return lam, v[0] * np.linalg.inv(v)[:, 1]
 
 
-def unfolded_line(sides, cfg, breakpoints=()):
+def unfolded_line(sides, breakpoints=()):
     """⟨f,g⟩, ‖f‖² and ‖g‖² of the pair (f, g) that sides returns, by
     one ``integrate`` of P(x) and one of P(−x) over [0, ∞), each with
     the breakpoints, shape (3,) + rows like ``LineIntegral.value``."""
@@ -56,7 +56,7 @@ def unfolded_line(sides, cfg, breakpoints=()):
         fx, gx = np.asarray(sides(x))
         return np.stack((fx * np.conj(gx), np.abs(fx) ** 2, np.abs(gx) ** 2))
 
-    return sum(integrate(lambda x, s=s: products(s * x), 0.0, math.inf, cfg,
+    return sum(integrate(lambda x, s=s: products(s * x), 0.0, math.inf,
                          breakpoints=breakpoints) for s in (1.0, -1.0))
 
 

@@ -33,7 +33,7 @@ from nonmarkov import (
     regression_quantifier,
 )
 from nonmarkov.correlations import _covariance0_cached
-from nonmarkov.quadrature import QuadratureConfig, principal_value
+from nonmarkov.quadrature import principal_value
 from nonmarkov.response import _chi_time_transform, chi_qq_prime_vec
 
 BETA1 = ModelParams(omega0=1.0, beta=1.0)
@@ -87,7 +87,7 @@ def test_03_classical_equipartition_is_coupling_free():
                 PeakedSD(coupling=0.5, width=0.5, resonance=2.0)]
     for sd in families:
         # the quadrature path: covariance0 returns equipartition for ħ = 0
-        cov = _covariance0_cached(p, sd, QuadratureConfig())
+        cov = _covariance0_cached(p, sd)
         assert abs(cov.c_qq * 1.7 - 1.0) < 1e-6
         assert abs(cov.c_pp * 1.7 - 1.0) < 1e-6
     budget.check("criterion 3 (equipartition 1/(βω₀²), 1/β, tol 1e-6)")

@@ -146,7 +146,7 @@ PUBLIC_NAMES = {
     "LangevinConfig", "LangevinResult",
     "ModelParams", "NonConvergence", "NonFinite", "NumericsError",
     "OhmicSD", "PeakedSD",
-    "QuadratureConfig", "QuantifierReport", "SpectralDensity",
+    "QuantifierReport", "SpectralDensity",
     "TabulatedSD", "UnstableStep", "ZeroNorm",
     "chi_matrix", "chi_prime_matrix", "chi_qq_vec",
     "chi_time", "covariance0",

@@ -22,7 +22,6 @@ from nonmarkov.correlations import (
     rt_entries_vec,
 )
 from nonmarkov.errors import CutoffSensitive, NumericsError
-from nonmarkov.quadrature import QuadratureConfig
 from nonmarkov.quantifiers import quantify
 from nonmarkov.response import ModelParams, chi_qq_vec
 from nonmarkov.spectral import OhmicSD, PeakedSD, TabulatedSD
@@ -41,14 +40,14 @@ class TestCovariance0:
         p = ModelParams(omega0=1.0, beta=2.0)
         for sd in (OhmicSD(0.1), OhmicSD(0.5), PEAKED,
                    PeakedSD(0.75, 0.3, 1.0)):
-            c = _covariance0_cached(p, sd, QuadratureConfig())
+            c = _covariance0_cached(p, sd)
             assert c.c_qq == pytest.approx(0.5, rel=1e-6)
             assert c.c_pp == pytest.approx(0.5, rel=1e-6)
             assert covariance0(p, sd) == CovarianceMatrix(0.5, 0.5)
 
     def test_classical_scales_with_frequency(self):
         p = ModelParams(omega0=2.0, beta=1.5)
-        c = _covariance0_cached(p, OhmicSD(0.3), QuadratureConfig())
+        c = _covariance0_cached(p, OhmicSD(0.3))
         assert c.c_qq == pytest.approx(1.0 / (1.5 * 4.0), rel=1e-6)
         assert c.c_pp == pytest.approx(1.0 / 1.5, rel=1e-6)
 
@@ -97,7 +96,7 @@ class TestCovariance0:
         # come out 0; that used to end in CovarianceMatrix's ValueError
         p = ModelParams(omega0=1.0, beta=1.0, hbar=1.0)
         with pytest.raises(NumericsError, match="not finite and > 0"):
-            _covariance0_cached(p, OhmicSD(1e300), QuadratureConfig())
+            _covariance0_cached(p, OhmicSD(1e300))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", CutoffSensitive)
             with pytest.raises(NumericsError, match="c_pp"):
@@ -162,16 +161,28 @@ class TestMatsubaraReference:
         assert c.c_qq == pytest.approx(c_qq, rel=1e-10)
         assert c.c_pp == pytest.approx(c_pp, rel=1e-10)
 
-    @pytest.mark.parametrize("beta", [0.3, 1.0, 5.0])
-    @pytest.mark.parametrize("d", [0.05, 0.5, 1.0, 2.5])
-    def test_ohmic_position(self, d, beta):
+    @staticmethod
+    def _ohmic_position(d, beta, cutoff=None):
         # γ̃(iν) = D; c_pp diverges with the cutoff, c_qq does not
-        p = ModelParams(omega0=1.0, beta=beta, hbar=1.0)
+        p = ModelParams(omega0=1.0, beta=beta, hbar=1.0, cutoff=cutoff)
         c_qq, _ = _matsubara(p, lambda nu: d)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", CutoffSensitive)
             c = covariance0(p, OhmicSD(d))
         assert c.c_qq == pytest.approx(c_qq, rel=1e-9)
+
+    # Hot (β = 0.003), strong (D = 20) and low-cutoff baths are where
+    # the rows' slopes near Λ do not show which of them converge: the
+    # log-divergent c_pp can look decaying, and c_qq not.
+    @pytest.mark.parametrize("beta", [0.003, 0.3, 1.0, 5.0])
+    @pytest.mark.parametrize("d", [0.05, 0.5, 1.0, 2.5, 20.0])
+    def test_ohmic_position(self, d, beta):
+        self._ohmic_position(d, beta)
+
+    @pytest.mark.parametrize("beta", [0.003, 0.3, 1.0, 5.0])
+    @pytest.mark.parametrize("d", [0.05, 0.5, 1.0, 2.5, 20.0])
+    def test_ohmic_position_at_a_low_cutoff(self, d, beta):
+        self._ohmic_position(d, beta, cutoff=20.0)
 
 
 class TestDigammaReference:
@@ -235,7 +246,7 @@ class TestMatsubaraRoute:
         p = ModelParams(omega0=omega0, beta=beta, hbar=hbar)
         sd = PeakedSD(d, gamma, big)
         got = _matsubara_covariance(p, sd.drift_matrix(omega0))
-        want = _covariance0_cached(p, sd, QuadratureConfig())
+        want = _covariance0_cached(p, sd)
         assert got.c_qq == pytest.approx(want.c_qq, rel=1e-9)
         assert got.c_pp == pytest.approx(want.c_pp, rel=1e-9)
 
@@ -248,7 +259,7 @@ class TestMatsubaraRoute:
         below = ModelParams(omega0=1.0, beta=1354.0, hbar=1.0)
         above = ModelParams(omega0=1.0, beta=1355.0, hbar=1.0)
         for p in (below, above):
-            quad = _covariance0_cached(p, sd, QuadratureConfig())
+            quad = _covariance0_cached(p, sd)
             if p is above:
                 assert _matsubara_covariance(p, a) is None
                 assert covariance0(p, sd) == quad
@@ -264,14 +275,13 @@ class TestMatsubaraRoute:
 
     def test_other_quantum_covariances_keep_the_quadrature(self):
         # the Ohmic bath (A_pp = −D) and β = ∞ have no Matsubara route
-        cfg = QuadratureConfig()
         for p, sd in ((ModelParams(omega0=1.0, beta=2.0, hbar=1.0),
                        OhmicSD(0.5)),
                       (ModelParams(omega0=1.0, beta=math.inf, hbar=1.0),
                        PEAKED)):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", CutoffSensitive)
-                assert covariance0(p, sd) == _covariance0_cached(p, sd, cfg)
+                assert covariance0(p, sd) == _covariance0_cached(p, sd)
 
 
 class TestExactSpectrum:

@@ -11,9 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nonmarkov import quadrature
 from nonmarkov.errors import NonConvergence, NonFinite, PVFailure
 from nonmarkov.quadrature import (
-    QuadratureConfig,
     cosine_transform,
     inner_product_info,
     integrate,
@@ -32,8 +32,6 @@ TWO_SHI_ONE = 2.114501750751457     # series sum 2*Σ 1/((2k+1)(2k+1)!)
 SINE_EXP_T1 = 0.3183098861784861    # trapezoid oracle for ∫ω e^{-ω}sin ω
 GAUSS_MOMENT2 = 0.8862269254527585  # trapezoid oracle for ∫t²e^{-t²}
 PAIR_DISTANCE = 0.5773502691896258  # closed-form Gaussian moments
-
-CFG = QuadratureConfig()
 
 
 def gauss(x):
@@ -58,20 +56,20 @@ def pair(f, g):
 
 class TestIntegrate:
     def test_constant(self):
-        assert integrate(lambda x: np.ones_like(x), 0.0, 1.0, CFG) == pytest.approx(1.0, abs=1e-12)
+        assert integrate(lambda x: np.ones_like(x), 0.0, 1.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_sine_arch(self):
-        val = integrate(np.sin, 0.0, math.pi, CFG)
+        val = integrate(np.sin, 0.0, math.pi)
         assert val.real == pytest.approx(2.0, abs=1e-11)
         assert val.imag == 0.0
 
     def test_gaussian_half_line(self):
-        val = integrate(gauss, 0.0, math.inf, CFG)
+        val = integrate(gauss, 0.0, math.inf)
         assert val.real == pytest.approx(SQRT_PI_HALF, abs=1e-10)
 
     def test_breakpoints_do_not_change_value(self):
-        plain = integrate(gauss, 0.0, 10.0, CFG)
-        seeded = integrate(gauss, 0.0, 10.0, CFG, breakpoints=[0.3, 2.5])
+        plain = integrate(gauss, 0.0, 10.0)
+        seeded = integrate(gauss, 0.0, 10.0, breakpoints=[0.3, 2.5])
         assert seeded.real == pytest.approx(plain.real, abs=1e-11)
 
     def test_narrow_feature_found_via_breakpoint(self):
@@ -79,7 +77,7 @@ class TestIntegrate:
         def spike(x):
             return 1e-5 / ((x - 3.0) ** 2 + 1e-10)
 
-        val = integrate(spike, 0.0, 10.0, CFG, breakpoints=[3.0])
+        val = integrate(spike, 0.0, 10.0, breakpoints=[3.0])
         assert val.real == pytest.approx(math.pi, rel=1e-5)
 
     def test_nonfinite_detected(self):
@@ -87,42 +85,42 @@ class TestIntegrate:
             return np.where(x > 0.5, np.nan, 1.0)
 
         with pytest.raises(NonFinite):
-            integrate(bad, 0.0, 1.0, CFG)
+            integrate(bad, 0.0, 1.0)
 
-    def test_budget_exhaustion_carries_estimate(self):
-        tiny = QuadratureConfig(max_subdivisions=4)
+    def test_budget_exhaustion_carries_estimate(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "_MAX_PANELS", 4)
         with pytest.raises(NonConvergence) as exc:
-            integrate(lambda x: np.abs(x - 0.3712) ** -0.5, 0.0, 1.0, tiny)
+            integrate(lambda x: np.abs(x - 0.3712) ** -0.5, 0.0, 1.0)
         assert exc.value.estimate is not None
         assert exc.value.error_bound is not None
 
     @pytest.mark.parametrize("b", [4.0, math.inf])
-    def test_budget_exhaustion_names_the_heaviest_panel(self, b):
+    def test_budget_exhaustion_names_the_heaviest_panel(self, b, monkeypatch):
         # the half line reports x, not the variable u of its map
-        tiny = QuadratureConfig(max_subdivisions=40)
+        monkeypatch.setattr(quadrature, "_MAX_PANELS", 40)
         with pytest.raises(NonConvergence, match="could still be split") as exc:
             integrate(lambda x: np.abs(x - 2.3712) ** -0.5 / (1.0 + x ** 4),
-                      0.0, b, tiny)
+                      0.0, b)
         assert abs(exc.value.where - 2.3712) < 1e-4
 
     def test_bad_bounds_rejected(self):
         with pytest.raises(ValueError):
-            integrate(gauss, 1.0, 1.0, CFG)
+            integrate(gauss, 1.0, 1.0)
 
     def test_only_the_upper_bound_may_be_infinite(self):
         for a in (-math.inf, math.inf):
             with pytest.raises(ValueError, match="lower"):
-                integrate(gauss, a, 0.0, CFG)
+                integrate(gauss, a, 0.0)
         with pytest.raises(ValueError, match="a < b"):
-            integrate(gauss, 0.0, -math.inf, CFG)
+            integrate(gauss, 0.0, -math.inf)
 
     def test_half_line_failures_name_the_frequency(self):
         with pytest.raises(NonFinite) as exc:
             integrate(lambda x: np.where(x > 3.0, np.nan, 1.0 / (1.0 + x ** 2)),
-                      0.0, math.inf, CFG)
+                      0.0, math.inf)
         assert exc.value.where > 3.0
         with pytest.raises(NonConvergence, match="diverges"):
-            integrate(lambda x: 1.0 / (1.0 + x), 0.0, math.inf, CFG)
+            integrate(lambda x: 1.0 / (1.0 + x), 0.0, math.inf)
 
 
 class TestIntegrateLine:
@@ -130,7 +128,7 @@ class TestIntegrateLine:
     ``inner_product_info`` pass."""
 
     def test_gaussian(self):
-        res = inner_product_info(pair(half_gauss, half_gauss), CFG)
+        res = inner_product_info(pair(half_gauss, half_gauss))
         for val in res.value:
             assert val.real == pytest.approx(SQRT_PI, abs=1e-10)
 
@@ -138,13 +136,13 @@ class TestIntegrateLine:
         # f g* = −i x·gauss is odd, so the fold's P(x) + P(−x) is exactly
         # zero at every node
         g = lambda x: 1j * x * half_gauss(x)
-        res = inner_product_info(pair(half_gauss, g), CFG)
+        res = inner_product_info(pair(half_gauss, g))
         assert res.value[0] == 0.0
 
     def test_lorentzian_needs_wide_window(self):
         # 1/(1 + x²) keeps a 2/W share beyond any window ±W; the default
         # pass has none and integrates it over the whole line
-        res = inner_product_info(pair(root_lorentz, root_lorentz), CFG)
+        res = inner_product_info(pair(root_lorentz, root_lorentz))
         assert res.value[1].real == pytest.approx(math.pi, abs=1e-9)
 
     def test_slow_tail_raises(self):
@@ -153,123 +151,123 @@ class TestIntegrateLine:
             return (1.0 + x ** 2) ** -0.25
 
         with pytest.raises(NonConvergence, match="diverges"):
-            distance(f, f, CFG)
+            distance(f, f)
 
     def test_steep_exponential_tail_is_finite(self):
         def f(x):
             return np.exp(-2.0 * np.abs(x))
 
-        res = inner_product_info(pair(f, f), CFG)
+        res = inner_product_info(pair(f, f))
         assert res.value[1].real == pytest.approx(0.5, rel=1e-9)
 
     def test_hermitian_integrand_gives_real_value(self):
         def f(x):
             return half_gauss(x) * (1.0 + 1j * x)
 
-        folded = inner_product_info(pair(f, half_gauss), CFG)
-        whole = unfolded_line(pair(f, half_gauss), CFG)
+        folded = inner_product_info(pair(f, half_gauss))
+        whole = unfolded_line(pair(f, half_gauss))
         assert np.all(folded.value.imag == 0.0)
         assert folded.value[0].real == pytest.approx(SQRT_PI, abs=1e-10)
         assert np.all(np.abs(folded.value - whole)
-                      <= CFG.rel_tol * np.abs(whole))
+                      <= quadrature._REL_TOL * np.abs(whole))
 
     def test_deterministic_bit_identical(self):
         def f(x):
             return np.exp(-np.abs(x)) * np.cos(3.0 * x)
 
-        a = inner_product_info(pair(f, f), CFG)
-        b = inner_product_info(pair(f, f), CFG)
+        a = inner_product_info(pair(f, f))
+        b = inner_product_info(pair(f, f))
         assert np.array_equal(a.value, b.value)
         assert a.panels == b.panels
 
 
 class TestPrincipalValue:
     def test_pole_at_origin_odd(self):
-        val = principal_value(lambda x: 1.0 / x, 0.0, -1.0, 1.0, CFG)
+        val = principal_value(lambda x: 1.0 / x, 0.0, -1.0, 1.0)
         assert abs(val) < 1e-12
 
     def test_even_over_x_vanishes(self):
         def f(x):
             return (np.cos(x) + x ** 2) / x
 
-        val = principal_value(f, 0.0, -2.0, 2.0, CFG)
+        val = principal_value(f, 0.0, -2.0, 2.0)
         assert abs(val) < 1e-12
 
     def test_log_antiderivative(self):
-        val = principal_value(lambda x: 1.0 / (x - 1.0), 1.0, -2.0, 2.0, CFG)
+        val = principal_value(lambda x: 1.0 / (x - 1.0), 1.0, -2.0, 2.0)
         assert val.real == pytest.approx(PV_LOG, abs=1e-9)
 
     def test_exponential_over_x(self):
-        val = principal_value(lambda x: np.exp(x) / x, 0.0, -1.0, 1.0, CFG)
+        val = principal_value(lambda x: np.exp(x) / x, 0.0, -1.0, 1.0)
         assert val.real == pytest.approx(TWO_SHI_ONE, abs=1e-9)
 
     def test_pole_outside_rejected(self):
         with pytest.raises(PVFailure):
-            principal_value(lambda x: 1.0 / x, 5.0, -1.0, 1.0, CFG)
+            principal_value(lambda x: 1.0 / x, 5.0, -1.0, 1.0)
 
     @pytest.mark.parametrize("radius", [0.0, -1e-3, math.nan])
     def test_nonpositive_radius_rejected(self, radius):
         with pytest.raises(ValueError, match="radius"):
-            principal_value(lambda x: 1.0 / x, 0.0, -1.0, 1.0, CFG,
+            principal_value(lambda x: 1.0 / x, 0.0, -1.0, 1.0,
                             radius=radius)
 
 
 class TestOscillatoryTransforms:
     def test_sine_at_zero_time(self):
-        assert sine_transform(lambda x: 1.0 / (1.0 + x ** 2), 0.0, CFG) == 0.0
+        assert sine_transform(lambda x: 1.0 / (1.0 + x ** 2), 0.0) == 0.0
 
     def test_sine_exponential(self):
         def f(x):
             return x * np.exp(-np.abs(x))
 
-        assert sine_transform(f, 1.0, CFG) == pytest.approx(SINE_EXP_T1, abs=1e-9)
+        assert sine_transform(f, 1.0) == pytest.approx(SINE_EXP_T1, abs=1e-9)
 
     def test_sine_linearity(self):
         def f(x):
             return x * np.exp(-np.abs(x))
 
-        assert sine_transform(lambda x: 4.0 * f(x), 1.3, CFG) == pytest.approx(
-            4.0 * sine_transform(f, 1.3, CFG), rel=1e-10)
+        assert sine_transform(lambda x: 4.0 * f(x), 1.3) == pytest.approx(
+            4.0 * sine_transform(f, 1.3), rel=1e-10)
 
     def test_cosine_exponential(self):
         # ∫₀^∞ e^{-ω} cos(ω) dω = 1/2, so the transform is 1/π
         def f(x):
             return np.exp(-np.abs(x))
 
-        assert cosine_transform(f, 1.0, CFG) == pytest.approx(1.0 / math.pi, abs=1e-9)
+        assert cosine_transform(f, 1.0) == pytest.approx(1.0 / math.pi, abs=1e-9)
 
     def test_cosine_vanishing_case(self):
         # ∫₀^∞ ω e^{-ω} cos(ω) dω = 0
         def f(x):
             return x * np.exp(-np.abs(x))
 
-        assert cosine_transform(f, 1.0, CFG) == pytest.approx(0.0, abs=1e-9)
+        assert cosine_transform(f, 1.0) == pytest.approx(0.0, abs=1e-9)
 
     def test_slowly_decaying_integrand_long_window(self):
         # (2/π)∫₀^∞ sin(ωt)/ω dω = 1 for t > 0; decays like 1/ω so the
         # tail correction has to do real work here.
         for t in (0.5, 2.0, 11.0):
-            assert sine_transform(lambda x: 1.0 / x, t, CFG) == pytest.approx(
+            assert sine_transform(lambda x: 1.0 / x, t) == pytest.approx(
                 1.0, abs=1e-6)
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
-            sine_transform(gauss, -1.0, CFG)
+            sine_transform(gauss, -1.0)
 
     def test_cosine_at_zero_time_keeps_the_tail(self):
         # (2/π)∫₀^∞ cos(ωt)/(1+ω²) dω = e^{-t}, continuous at t = 0
         def f(x):
             return 1.0 / (1.0 + x ** 2)
 
-        at_zero = cosine_transform(f, 0.0, CFG)
+        at_zero = cosine_transform(f, 0.0)
         assert at_zero == pytest.approx(1.0, abs=1e-9)
         for t in (1e-9, 1e-6, 1e-3):
-            assert cosine_transform(f, t, CFG) == pytest.approx(
+            assert cosine_transform(f, t) == pytest.approx(
                 math.exp(-t), abs=1e-9)
 
     def test_cosine_at_zero_time_of_divergent_integral_raises(self):
         with pytest.raises(NonConvergence, match="t = 0"):
-            cosine_transform(lambda x: 1.0 / (1.0 + x), 0.0, CFG)
+            cosine_transform(lambda x: 1.0 / (1.0 + x), 0.0)
 
 
 class TestTransformWindow:
@@ -277,7 +275,7 @@ class TestTransformWindow:
 
     def test_slow_tail_meets_tolerance(self):
         for t in (0.5, 2.0, 11.0):
-            assert sine_transform(lambda x: 1.0 / x, t, CFG) == pytest.approx(
+            assert sine_transform(lambda x: 1.0 / x, t) == pytest.approx(
                 1.0, abs=1e-9)
 
     def test_tail_that_never_settles_raises(self):
@@ -286,12 +284,12 @@ class TestTransformWindow:
             return 1.0 / (1.0 + x ** 2) + 1e-3 * np.sin(3.0 * x)
 
         with pytest.raises(NonConvergence, match=r"t = 1\b.*row 0"):
-            sine_transform(f, 1.0, CFG)
+            sine_transform(f, 1.0)
 
 
 class TestInnerProduct:
     def test_gaussian_norm(self):
-        fg, ff, gg = inner_product_info(pair(half_gauss, half_gauss), CFG).value
+        fg, ff, gg = inner_product_info(pair(half_gauss, half_gauss)).value
         assert fg.real == pytest.approx(SQRT_PI, abs=1e-10)
         assert math.sqrt(ff.real) == pytest.approx(math.sqrt(SQRT_PI), abs=1e-10)
         assert math.sqrt(gg.real) == pytest.approx(math.sqrt(SQRT_PI), abs=1e-10)
@@ -303,20 +301,19 @@ class TestInnerProduct:
         def g(x):
             return np.exp(-(x ** 2) / 2.0) * (x + 2j)
 
-        fg = inner_product_info(pair(f, g), CFG)
-        gf = inner_product_info(pair(g, f), CFG)
+        fg = inner_product_info(pair(f, g))
+        gf = inner_product_info(pair(g, f))
         assert fg.value[0] == pytest.approx(np.conj(gf.value[0]), abs=1e-12)
         # the norms trade places
         assert fg.value[1:] == pytest.approx(gf.value[[2, 1]], abs=1e-12)
 
 
 ROWS = settings(max_examples=40, deadline=None, database=None)
-# abs_tol far below every row, so each row is held to rel_tol of itself
-TIGHT = QuadratureConfig(abs_tol=1e-300)
 
 
 class TestVectorPass:
-    """k-row integrands share one panel set, each row on its own tolerance."""
+    """k-row integrands share one panel set, each row on its own
+    tolerance, relative to the row itself however small it is."""
 
     @ROWS
     @given(st.lists(st.tuples(st.floats(-12.0, 6.0), st.floats(0.05, 50.0)),
@@ -331,10 +328,10 @@ class TestVectorPass:
             # e^{−x²/100}: a g with a norm on the whole line
             return np.broadcast_to(np.exp(-x ** 2 / 100.0), (s.size, x.size))
 
-        fg = inner_product_info(pair(f, wide), TIGHT).value[0]
+        fg = inner_product_info(pair(f, wide)).value[0]
         exact = s * np.sqrt(np.pi / (a + 0.01))
         assert fg.shape == s.shape
-        assert np.all(np.abs(fg - exact) <= TIGHT.rel_tol * exact)
+        assert np.all(np.abs(fg - exact) <= quadrature._REL_TOL * exact)
 
     def test_even_odd_rows_are_exactly_zero(self):
         # each row of f g* is odd: the fold's P(x) + P(−x) zeroes every
@@ -347,7 +344,7 @@ class TestVectorPass:
         def g(x):
             return 1j * x * np.exp(-np.abs(x)) * c[::-1, None]
 
-        res = inner_product_info(pair(f, g), CFG)
+        res = inner_product_info(pair(f, g))
         assert res.value.shape == (3, 3)
         assert np.all(res.value[0] == 0.0)
         assert np.all(res.value[1:] != 0.0)
@@ -358,14 +355,14 @@ class TestVectorPass:
             return np.array([np.exp(-(x ** 2)), bad])
 
         with pytest.raises(NonFinite, match="x = ") as exc:
-            inner_product_info(pair(rows, rows), CFG)
+            inner_product_info(pair(rows, rows))
         assert exc.value.where > 3.0
 
 
-def _distance(f, g, cfg):
+def _distance(f, g):
     # 𝒟 = sqrt(1 - |<f,g>|²/(||f||²||g||²)) computed straight from the
     # quadrature primitives; mirrors the quantifier-module definition.
-    fg, ff, gg = inner_product_info(pair(f, g), cfg).value
+    fg, ff, gg = inner_product_info(pair(f, g)).value
     return math.sqrt(max(0.0, 1.0 - abs(fg) ** 2 / (ff.real * gg.real)))
 
 
@@ -379,8 +376,8 @@ class TestParsevalInvariance:
         # transforms with kernel e^{iωt}: f̃ = √(2π)e^{-ω²/2}, g̃ = iω f̃
         f_w = lambda w: math.sqrt(2.0 * math.pi) * half_gauss(w)
         g_w = lambda w: 1j * w * f_w(w)
-        d_time = _distance(f_t, g_t, CFG)
-        d_freq = _distance(f_w, g_w, CFG)
+        d_time = _distance(f_t, g_t)
+        d_freq = _distance(f_w, g_w)
         assert d_time == pytest.approx(1.0, abs=1e-12)
         assert abs(d_time - d_freq) < 1e-6
 
@@ -389,8 +386,8 @@ class TestParsevalInvariance:
         h_t = lambda t: (1.0 + t) * half_gauss(t)
         f_w = lambda w: math.sqrt(2.0 * math.pi) * half_gauss(w)
         h_w = lambda w: (1.0 + 1j * w) * f_w(w)
-        d_time = _distance(f_t, h_t, CFG)
-        d_freq = _distance(f_w, h_w, CFG)
+        d_time = _distance(f_t, h_t)
+        d_freq = _distance(f_w, h_w)
         assert d_time == pytest.approx(PAIR_DISTANCE, abs=1e-9)
         assert abs(d_time - d_freq) < 1e-6
 
@@ -407,21 +404,14 @@ class TestIntegrandHandle:
         def g(x):
             return np.exp(1j * x) * gauss(x)
 
-        folded = inner_product_info(pair(f, g), CFG)
-        whole = unfolded_line(pair(f, g), CFG)
+        folded = inner_product_info(pair(f, g))
+        whole = unfolded_line(pair(f, g))
         assert np.all(folded.value.imag == 0.0)
         assert np.all(np.abs(folded.value - whole)
-                      <= CFG.rel_tol * np.abs(whole))
+                      <= quadrature._REL_TOL * np.abs(whole))
 
     def test_scalar_wrapper(self):
         f = np.vectorize(lambda x: math.exp(-x * x / 2.0), otypes=[complex])
-        res = inner_product_info(pair(f, f), CFG)
+        res = inner_product_info(pair(f, f))
         assert res.value[1].real == pytest.approx(SQRT_PI, abs=1e-10)
 
-
-class TestConfigValidation:
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            QuadratureConfig(rel_tol=-1e-9)
-        with pytest.raises(ValueError):
-            QuadratureConfig(max_subdivisions=0)

@@ -18,7 +18,7 @@ from nonmarkov.correlations import (
     rt_entries_vec,
 )
 from nonmarkov.errors import CutoffSensitive, NonConvergence, ZeroNorm
-from nonmarkov.quadrature import QuadratureConfig, inner_product_info
+from nonmarkov.quadrature import inner_product_info
 from nonmarkov.quantifiers import (
     _n1_sides,
     _n2_sides,
@@ -45,10 +45,27 @@ P1 = ModelParams(omega0=1.0, beta=1.0)
 GAUSS = lambda x: np.exp(-0.5 * x * x) + 0j
 ODD_GAUSS = lambda x: x * np.exp(-0.5 * x * x) + 0j
 
-# Frozen quantifier value (default config, ω₀ = β = 1). The surds of
-# the D = 1 and D = 2 tests come from a residue evaluation of the Ohmic
-# distance integrals over the whole line.
-N1_OHMIC_WEAK = 0.005000187485558907          # D = 0.01, qq entry
+
+def ohmic_n1(x):
+    """n1 (qq, qp, pp) of the strict Ohmic bath at x = D/ω₀ in closed
+    form: the whole-line integrals of its n1 integrands are rational in
+    x (by residues; exact sympy integrals agree at D/ω₀ = 1/10, 1/2, 1,
+    2, 7/3, 3 and 5), and
+
+        n1_qq² = x²(1 + x²)/(x²(1 + x²) + 4),
+        n1_qp² = x²/(2(x² + 2)),
+        n1_pp² = x²/(x² + (x² + 2)²).
+
+    qq and qp rise toward 1 and 1/√2; pp peaks at 1/3 at x = √2 and
+    falls like 1/x."""
+    x2 = x * x
+    return (math.sqrt(x2 * (1.0 + x2) / (x2 * (1.0 + x2) + 4.0)),
+            math.sqrt(x2 / (2.0 * (x2 + 2.0))),
+            math.sqrt(x2 / (x2 + (x2 + 2.0) ** 2)))
+
+
+# ω₀ = β = 1.  The surds of the D = 1 and D = 2 tests are ohmic_n1 there.
+N1_OHMIC_WEAK = ohmic_n1(0.01)[0]             # D = 0.01, qq entry
 
 
 class TestDistance:
@@ -85,7 +102,7 @@ class TestDistance:
 
     @pytest.mark.parametrize("scale", [1e-4, 1e-6, 1e-9])
     def test_small_pair_is_scale_free(self, scale):
-        # squared norms near or below abs_tol: an absolute acceptance
+        # squared norms near or below 1e-12: an absolute acceptance
         # test would stop refining and move the distance by up to 1e-6
         def pair(s):
             return distance(lambda x: s * np.exp(-x * x),
@@ -128,6 +145,23 @@ class TestDivisibilityQuantifier:
         assert m[0, 0] == pytest.approx(math.sqrt(5.0 / 6.0), abs=1e-12)
         assert m[0, 1] == pytest.approx(1.0 / math.sqrt(3.0), abs=1e-12)
         assert m[1, 1] == pytest.approx(1.0 / math.sqrt(10.0), abs=1e-12)
+
+    # below D/ω₀ ≈ 1e-2 the pass drifts from the closed form (9e-8 at
+    # 1e-4): the divisibility residual cancels in the n1 integrands
+    @pytest.mark.parametrize("omega0", [1.0, 2.5])
+    @pytest.mark.parametrize("x", np.geomspace(0.1, 50.0, 16).tolist())
+    def test_ohmic_closed_form(self, x, omega0):
+        p = ModelParams(omega0=omega0, beta=1.0)
+        m, _ = divisibility_quantifier(p, OhmicSD(x * omega0))
+        assert [m[0, 0], m[0, 1], m[1, 1]] == pytest.approx(ohmic_n1(x),
+                                                            rel=1e-11)
+
+    def test_ohmic_pp_is_not_monotonic(self):
+        # n1_pp peaks at exactly 1/3 at D = √2·ω₀, inside D = 1.2 … 1.7
+        pp = [divisibility_quantifier(P1, OhmicSD(d))[0][1, 1]
+              for d in (1.2, math.sqrt(2.0), 1.7)]
+        assert pp[1] == pytest.approx(1.0 / 3.0, abs=1e-13)
+        assert pp[0] < pp[1] > pp[2]
 
     def test_off_diagonal_symmetry(self):
         m, diag = divisibility_quantifier(P1, PeakedSD(0.75, 0.4, 1.0))
@@ -262,7 +296,7 @@ class TestQuantify:
         p = ModelParams(omega0=1.0, beta=1.0, hbar=1.0)
         sd = PeakedSD(1e-6, 0.5, 2.0)
         for run in (lambda: quantify(p, sd, which="n1"),
-                    lambda: _covariance0_cached(p, sd, QuadratureConfig())):
+                    lambda: _covariance0_cached(p, sd)):
             with pytest.raises(NonConvergence,
                                match="reached the 1e-14 relative split "
                                      "limit") as exc:
@@ -341,7 +375,7 @@ class TestStrongCoupling:
         λ, exceeds the rel_tol that the pass asks of it."""
         lam = np.linalg.eigvals(sd.drift_matrix(1.0))
         q = np.min(np.abs(lam.real) / np.abs(lam))
-        return np.finfo(float).eps / (2.0 * q) > QuadratureConfig().rel_tol
+        return np.finfo(float).eps / (2.0 * q) > quadrature._REL_TOL
 
     @settings(max_examples=40, deadline=None, database=None)
     @given(st.one_of(
@@ -424,6 +458,11 @@ class TestIndependentReference:
         m = quantify(p, sd, which="n1").n1
         ref = _mp_n1(p, sd)
         assert [m[0, 0], m[0, 1], m[1, 1]] == pytest.approx(ref, abs=1e-9)
+
+    @pytest.mark.parametrize("d", [0.1, 5.0])
+    def test_ohmic_closed_form_matches_mpmath_quadrature(self, d):
+        ref = _mp_n1(ModelParams(omega0=1.0, beta=1.0), OhmicSD(d))
+        assert ohmic_n1(d) == pytest.approx(ref, rel=1e-14)
 
 
 def smooth_table(k, cutoff, scale, n):
@@ -550,12 +589,11 @@ class TestHermitianFold:
 
     @staticmethod
     def _fold_matches_whole_line(p, sd, sides):
-        cfg = QuadratureConfig()
         bps = feature_frequencies(p, sd)
-        folded = inner_product_info(sides, cfg, breakpoints=bps)
-        whole = unfolded_line(sides, cfg, bps)
+        folded = inner_product_info(sides, breakpoints=bps)
+        whole = unfolded_line(sides, bps)
         assert np.all(np.abs(folded.value - whole)
-                      <= cfg.rel_tol * np.abs(whole))
+                      <= quadrature._REL_TOL * np.abs(whole))
         return folded
 
     @pytest.mark.parametrize("sd", [OhmicSD(1.0), PeakedSD(0.75, 0.63, 1.0),

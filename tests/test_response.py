@@ -21,7 +21,6 @@ from scipy.linalg import expm
 from nonmarkov import quadrature
 from nonmarkov.errors import CutoffSensitive, DivisionNearZero, NonConvergence
 from nonmarkov.quadrature import (
-    QuadratureConfig,
     cosine_transform,
     integrate,
     sine_transform,
@@ -265,7 +264,7 @@ class TestChiTime:
         # Im χ̃_qq ≡ 0 beyond a table's last knot, so the window is [0, 200]
         # with no tail; a window from 4·200 needed more than 20000
         # period-locked panels at t = 20.  The reference is the tail route
-        # with max_subdivisions = 200000.
+        # with a cap of 200000 panels.
         w = np.linspace(0.0, 200.0, 1001)
         j = 2.0 * w * np.exp(-w / 20.0)
         j[-1] = 0.0
@@ -480,7 +479,6 @@ class TestPropagateMeans:
 class TestSumRule:
     def test_static_value_recovered(self):
         # (2/π)∫₀^∞ Im χ̃_qq/ω dω must equal the static susceptibility 1/ω₀²
-        cfg = QuadratureConfig()
         cases = [OhmicSD(0.1), OhmicSD(1.0), PEAKED]
         for sd in cases:
             bp = feature_frequencies(P1, sd)
@@ -488,7 +486,7 @@ class TestSumRule:
             def ratio(w, sd=sd):
                 return np.imag(chi_qq_vec(P1, sd, w)) / w + 0.0j
 
-            val = integrate(ratio, 0.0, math.inf, cfg, breakpoints=bp)
+            val = integrate(ratio, 0.0, math.inf, breakpoints=bp)
             assert 2.0 / math.pi * val.real == pytest.approx(1.0, rel=1e-6)
 
 

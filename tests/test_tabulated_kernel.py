@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from nonmarkov import cli, spectral
 from nonmarkov.errors import DerivativeUnstable
-from nonmarkov.quadrature import QuadratureConfig, principal_value
+from nonmarkov.quadrature import principal_value
 from nonmarkov.quantifiers import quantify
 from nonmarkov.response import ModelParams
 from nonmarkov.spectral import PeakedSD, TabulatedSD
@@ -26,7 +26,7 @@ PEAKED = PeakedSD(coupling=1.0, width=0.5, resonance=2.0)
 # A small exclusion radius keeps the principal value accurate when the
 # pole sits on a knot, where the interpolant's second derivative jumps;
 # a negligible absolute floor lets it resolve |Im γ̃| ≈ 1e-7 at ω ≈ 1e-7.
-PV_CFG = QuadratureConfig(abs_tol=1e-20)
+PV_ABS_TOL = 1e-20
 
 
 def peaked_table(n, top=40.0):
@@ -72,7 +72,7 @@ def pv_im(sd, w):
     half = 1.25 * max(sd.frequencies[-1], w) + 1.0
     val = principal_value(
         lambda nu: sd._ratio(nu) * 2.0 * w / (nu * nu - w * w) + 0.0j,
-        pole=w, a=0.0, b=half, cfg=PV_CFG, radius=1e-5)
+        pole=w, a=0.0, b=half, radius=1e-5, abs_tol=PV_ABS_TOL)
     return -val.real / math.pi
 
 
