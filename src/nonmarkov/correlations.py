@@ -35,14 +35,16 @@ the Hurwitz ζ.  The Ohmic bath has A_pp = −D, for which the c_pp sum
 diverges logarithmically.
 
 Every other quantum case integrates: tables, the Ohmic bath, β = ∞, and
-sums past 2¹⁴ terms (βħ‖A‖₁ ≳ 2.6e4).  c_qq and c_pp are the two rows of
-one integrand, so each range is one pass on shared panels: [0, Λ] for
-both rows, then [Λ, ∞) through a compactifying map, keeping the
-covariances cutoff-independent whenever they converge.  The bath says
-which rows those are: the momentum variance of a strict Ohmic bath (a
-drift matrix with A_pp ≠ 0) with ħ > 0 grows logarithmically with
-frequency, so that row alone stops at the model cutoff Λ, and a pass over [Λ, 2Λ] measures its drift; a shift wider
-than 1% triggers a ``CutoffSensitive`` warning.
+sums past 2¹⁴ terms (βħ‖A‖₁ ≳ 2.6e4).  c_qq and c_pp are rows of one
+integrand, integrated in one pass on shared panels over [0, ∞) through
+a compactifying map, seeded with the bath's feature frequencies and the
+decades of the thermal scale 1/(βħ).  The model cutoff Λ regularizes
+one integral only: the momentum variance of a strict Ohmic bath (a
+drift matrix with A_pp ≠ 0) with ħ > 0, which grows logarithmically
+with frequency.  That row stops at Λ, a third row of the same pass
+covers (Λ, 2Λ] and measures its drift, and a shift wider than 1%
+triggers a ``CutoffSensitive`` warning.  No other covariance depends
+on Λ.
 """
 from __future__ import annotations
 
@@ -70,9 +72,9 @@ class CovarianceMatrix:
     """Equal-time equilibrium covariances; off-diagonals vanish.
 
     cutoff_drift is the relative change of a cutoff-limited variance
-    between Λ and 2Λ: 0 when every variance reached a decaying tail or
-    the model is decoupled, and above 0.01 alongside a CutoffSensitive
-    warning from ``covariance0``.
+    between Λ and 2Λ: 0 unless the variance is the strict-Ohmic quantum
+    c_pp, and above 0.01 alongside a CutoffSensitive warning from
+    ``covariance0``.
     """
 
     c_qq: float
@@ -82,17 +84,6 @@ class CovarianceMatrix:
     def __post_init__(self) -> None:
         if not (self.c_qq > 0.0 and self.c_pp > 0.0):
             raise ValueError("covariances must be positive")
-
-    @property
-    def c_qp(self) -> float:
-        return 0.0
-
-    @property
-    def c_pq(self) -> float:
-        return 0.0
-
-    def as_array(self) -> np.ndarray:
-        return np.diag([self.c_qq, self.c_pp])
 
 
 def _bose_weight(omega, beta: float, hbar: float) -> np.ndarray:
@@ -188,36 +179,42 @@ def _matsubara_covariance(p: ModelParams,
 @functools.lru_cache(maxsize=4)
 def _covariance0_cached(p: ModelParams,
                         sd: SpectralDensity) -> CovarianceMatrix:
-    bp = feature_frequencies(p, sd)
-    bp += [10.0 * p.omega0, 100.0 * p.omega0]
+    bp = feature_frequencies(p, sd) + [10.0 * p.omega0, 100.0 * p.omega0]
+    # the weight ħω·coth(βħω/2) turns over at ω ≈ 2/(βħ), which may lie
+    # far below every feature of the bath
+    if 0.0 < p.beta * p.hbar < math.inf:
+        bp += [*10.0 ** np.arange(-1.0, 7.0) / (p.beta * p.hbar)]
+    # The bath decides which rows converge: all but the quantum c_pp of a
+    # white-noise kernel (a_pp ≠ 0, strict Ohmic), whose integrand falls
+    # like 1/ω.  Its row stops at Λ, and a third row over (Λ, 2Λ]
+    # measures its drift.  A table's J ends at its last knot, the peaked
+    # J/ω falls like ω⁻⁴ and a classical row carries the weight 2/β.
+    a = sd.drift_matrix(p.omega0)
     top = p.cutoff
+    cutoff_limited = p.hbar > 0.0 and a is not None and a[1, 1] != 0.0
+    if cutoff_limited:
+        # only seeds below Λ: an extreme coupling puts its resonance
+        # cluster where ω² overflows
+        bp = [x for x in bp if x < top] + [top, 2.0 * top]
 
     def rows(w: np.ndarray) -> np.ndarray:
         # ħω·coth(βħω/2)·Im χ̃_qq/ω, then ω² times it
         s = ((_bose_weight(w, p.beta, p.hbar) - p.hbar * w)
              * _im_chi_over_omega(p, sd, w))
-        return np.array([s, w * w * s])
+        if not cutoff_limited:
+            return np.array([s, w * w * s])
+        # the map to infinity visits nodes far beyond 2Λ, where the cut
+        # rows vanish and ω² may overflow
+        pp = np.minimum(w, 2.0 * top) ** 2 * s
+        return np.array([s, pp * (w <= top),
+                         pp * ((top < w) & (w <= 2.0 * top))])
 
-    main = integrate(rows, 0.0, top, breakpoints=bp).real
-    # The bath decides which rows converge: all but the quantum c_pp of a
-    # white-noise kernel (a_pp ≠ 0, strict Ohmic), whose integrand falls
-    # like 1/ω; it stops at Λ, and a pass over [Λ, 2Λ] measures its
-    # drift.  A table's J ends at its last knot, the peaked J/ω falls
-    # like ω⁻⁴ and a classical row carries the weight 2/β.
-    a = sd.drift_matrix(p.omega0)
-    cutoff_limited = p.hbar > 0.0 and a is not None and a[1, 1] != 0.0
-    decays = np.array([True, not cutoff_limited])
-    total = main.copy()
-    total[decays] += integrate(lambda w: rows(w)[decays], top,
-                               math.inf).real
-    cov = (total / math.pi).tolist()
+    total = integrate(rows, 0.0, math.inf, breakpoints=bp).real
+    cov = (total[:2] / math.pi).tolist()
     if not all(0.0 < c < math.inf for c in cov):
         raise NumericsError(f"covariance quadrature gave (c_qq, c_pp) = "
                             f"{cov}, not finite and > 0")
-    drift = 0.0
-    if cutoff_limited:
-        extra = integrate(lambda w: rows(w)[1:], top, 2.0 * top).real
-        drift = float(abs(extra[0]) / main[1])
+    drift = float(total[2] / total[1]) if cutoff_limited else 0.0
     return CovarianceMatrix(*cov, cutoff_drift=drift)
 
 
@@ -229,10 +226,10 @@ def covariance0(p: ModelParams, sd: SpectralDensity) -> CovarianceMatrix:
     At finite β, a bath whose drift matrix A has A_pp = 0 (the peaked
     bath) gives the Matsubara sums of χ̃_qq(iν_n), with no quadrature.
     Otherwise c_qq = (1/π)∫ ħ·coth(βħω/2)·Im χ̃_qq dω and c_pp carries
-    an extra ω² weight.  Both integrals run to infinity, except the
-    log-divergent strict-Ohmic quantum c_pp, which is truncated at Λ
-    with a sensitivity warning, and the matrix carries its drift between
-    Λ and 2Λ as ``cutoff_drift``.
+    an extra ω² weight, both over [0, ∞) in one adaptive pass.  Only the
+    log-divergent strict-Ohmic quantum c_pp reads the cutoff Λ: it is
+    truncated there with a sensitivity warning, and the matrix carries
+    its drift between Λ and 2Λ as ``cutoff_drift``.
     """
     if sd.decoupled or p.hbar == 0.0:
         return _free_covariance(p)

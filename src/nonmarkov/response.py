@@ -41,12 +41,11 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CutoffSensitive, DivisionNearZero, NonConvergence
+from .errors import DivisionNearZero, NonConvergence
 from .quadrature import _oscillatory_transform
 from .spectral import SpectralDensity
 
@@ -79,8 +78,9 @@ class ModelParams:
             when ħ > 0
     hbar    finite quantum of action ≥ 0; exactly 0 selects the classical
             branch
-    cutoff  finite UV cutoff Λ > ω₀ for the covariance integrals that
-            need one
+    cutoff  finite UV cutoff Λ > ω₀, read only by the one covariance
+            integral that diverges without it: the momentum variance
+            of a strict Ohmic bath at ħ > 0
     """
 
     omega0: float
@@ -103,9 +103,6 @@ class ModelParams:
             object.__setattr__(self, "cutoff", 1000.0 * self.omega0)
         if not self.omega0 < self.cutoff < math.inf:
             raise ValueError("cutoff must be finite and exceed omega0")
-        if self.cutoff <= 10.0 * self.omega0:
-            warnings.warn("cutoff within a decade of omega0; covariance "
-                          "integrals will be crude", CutoffSensitive)
 
 
 def _chi_qq(p: ModelParams, omega: np.ndarray, gam: np.ndarray) -> np.ndarray:

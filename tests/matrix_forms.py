@@ -35,7 +35,7 @@ def rt_spectrum_general(p: ModelParams, sd: SpectralDensity, omega,
     """Matrix form χ̃ χ₊⁻¹ C(0) − C(0) χ₊⁻¹ χ̃† of the regression
     prediction, shape (2, 2) + ω.shape."""
     chi = chi_matrix(p, sd, omega)
-    c = c0.as_array()
+    c = np.diag([c0.c_qq, c0.c_pp])
     return (_matmul(_matmul(chi, CHI_PLUS_INV), c)
             - _matmul(_matmul(c, CHI_PLUS_INV), chi.conj().swapaxes(0, 1)))
 

@@ -3,6 +3,7 @@ import gc
 import math
 import warnings
 import weakref
+from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
@@ -22,6 +23,7 @@ from nonmarkov.correlations import (
     rt_entries_vec,
 )
 from nonmarkov.errors import CutoffSensitive, NumericsError
+from nonmarkov.quadrature import integrate
 from nonmarkov.quantifiers import quantify
 from nonmarkov.response import ModelParams, chi_qq_vec
 from nonmarkov.spectral import OhmicSD, PeakedSD, TabulatedSD
@@ -30,6 +32,9 @@ from matrix_forms import (mp_matsubara_covariance, pole_residues,
                           rt_spectrum_general)
 
 PEAKED = PeakedSD(coupling=1.0, width=0.5, resonance=2.0)
+# PEAKED sampled on 201 points of [0, 40]
+_W = np.linspace(0.0, 40.0, 201)
+PEAKED_TABLE = (_W, 0.5 * _W / ((_W * _W - 4.0) ** 2 + 0.25 * _W * _W))
 FREE_QUANTUM_CQQ = 0.6565176427496657  # (ħ/2ω₀)·coth(βħω₀/2) at ħ=1, β=2, ω₀=1
 
 
@@ -50,10 +55,6 @@ class TestCovariance0:
         c = _covariance0_cached(p, OhmicSD(0.3))
         assert c.c_qq == pytest.approx(1.0 / (1.5 * 4.0), rel=1e-6)
         assert c.c_pp == pytest.approx(1.0 / 1.5, rel=1e-6)
-
-    def test_off_diagonals_vanish(self):
-        c = covariance0(ModelParams(omega0=1.0, beta=2.0), OhmicSD(0.5))
-        assert c.c_qp == 0.0 and c.c_pq == 0.0
 
     def test_decoupled_quantum_closed_form(self):
         p = ModelParams(omega0=1.0, beta=2.0, hbar=1.0)
@@ -101,6 +102,41 @@ class TestCovariance0:
             warnings.simplefilter("ignore", CutoffSensitive)
             with pytest.raises(NumericsError, match="c_pp"):
                 quantify(p, OhmicSD(1e300), which="n2")
+
+    @pytest.mark.parametrize("p, sd", [
+        (ModelParams(omega0=1.0, beta=2.0, hbar=1.0), OhmicSD(0.5)),
+        (ModelParams(omega0=1.0, beta=2.0), OhmicSD(0.5)),
+        (ModelParams(omega0=1.0, beta=math.inf, hbar=1.0), PEAKED),
+        (ModelParams(omega0=1.0, beta=0.3, hbar=1.0),
+         TabulatedSD(*PEAKED_TABLE))])
+    def test_one_pass(self, p, sd, monkeypatch):
+        passes = []
+
+        def counted(*args, **kwargs):
+            passes.append(args[1:3])
+            return integrate(*args, **kwargs)
+        monkeypatch.setattr(correlations, "integrate", counted)
+        correlations._covariance0_cached.__wrapped__(p, sd)
+        assert passes == [(0.0, math.inf)]
+
+    @pytest.mark.parametrize("p", [
+        ModelParams(omega0=1.0, beta=1.0, hbar=1.0),
+        ModelParams(omega0=1.0, beta=math.inf, hbar=1.0)])
+    @pytest.mark.parametrize("sd", [PEAKED, TabulatedSD(*PEAKED_TABLE)])
+    def test_only_the_strict_ohmic_momentum_reads_the_cutoff(self, p, sd):
+        # the quadrature, also where covariance0 takes the Matsubara sum
+        got = {_covariance0_cached(replace(p, cutoff=cut), sd)
+               for cut in (20.0, 1000.0, 5000.0)}
+        assert len(got) == 1 and got.pop().cutoff_drift == 0.0
+
+    def test_a_low_cutoff_warns_only_where_it_is_read(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = ModelParams(omega0=1.0, beta=1.0, hbar=1.0, cutoff=5.0)
+            covariance0(p, PEAKED)
+        with pytest.warns(CutoffSensitive, match="shifts by"):
+            report = quantify(p, OhmicSD(1.0), which="n2")
+        assert report.diagnostics["n2_qq"].cutoff_drift > 0.01
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -186,15 +222,32 @@ class TestMatsubaraReference:
 
 
 class TestDigammaReference:
-    """covariance0 of the peaked bath in closed form from the residues
-    r_k at the poles λ_k of its drift matrix (``pole_residues``).  With
-    a = 2π/(βħ) the Matsubara sums become digamma functions,
+    """Covariances of a drift-matrix bath in closed form from the
+    residues r_k at the poles λ_k of its drift matrix (``pole_residues``).
+    With a = 2π/(βħ) the Matsubara sums become digamma functions,
 
         c_qq = (1/β)[1/ω₀² − (2/a)·Σ r_k ψ(1 − λ_k/a)],
         c_pp = (1/β)[1 + (2/a)·Σ r_k λ_k² ψ(1 − λ_k/a)],
 
-    since Σ r_k = Σ r_k λ_k² = 0 and Σ r_k λ_k = 1; at β = ∞ they become
+    since Σ r_k = 0 and Σ r_k λ_k = 1 for every such bath, and
+    Σ r_k λ_k² = 0 for the peaked one (the Ohmic bath has −D there, and
+    its c_pp diverges); at β = ∞ they become
     c_qq = −(ħ/π)·Σ r_k log(−λ_k) and c_pp = (ħ/π)·Σ r_k λ_k² log(−λ_k)."""
+
+    @staticmethod
+    def _closed_form(p, sd):
+        lam, r = pole_residues(sd, p.omega0)
+        assert abs(r.sum()) < 1e-14 and abs((r * lam).sum() - 1.0) < 1e-14
+        if math.isinf(p.beta):
+            log = np.log(-lam)
+            return (-p.hbar / math.pi * (r * log).sum().real,
+                    p.hbar / math.pi * (r * lam ** 2 * log).sum().real)
+        a = 2.0 * math.pi / (p.beta * p.hbar)
+        digamma = psi(1.0 - lam / a)
+        return ((1.0 / p.omega0 ** 2
+                 - 2.0 / a * (r * digamma).sum().real) / p.beta,
+                (1.0 + 2.0 / a * (r * lam ** 2 * digamma).sum().real)
+                / p.beta)
 
     @pytest.mark.parametrize("beta", [0.3, 1.0, 5.0, math.inf])
     @pytest.mark.parametrize("d, gamma, big", [
@@ -203,21 +256,35 @@ class TestDigammaReference:
         p = ModelParams(omega0=1.0, beta=beta, hbar=1.0)
         sd = PeakedSD(d, gamma, big)
         lam, r = pole_residues(sd, p.omega0)
-        assert abs(r.sum()) < 1e-14 and abs((r * lam ** 2).sum()) < 1e-14
-        assert abs((r * lam).sum() - 1.0) < 1e-14
-        if math.isinf(beta):
-            log = np.log(-lam)
-            c_qq = -p.hbar / math.pi * (r * log).sum().real
-            c_pp = p.hbar / math.pi * (r * lam ** 2 * log).sum().real
-        else:
-            a = 2.0 * math.pi / (beta * p.hbar)
-            digamma = psi(1.0 - lam / a)
-            c_qq = (1.0 / p.omega0 ** 2
-                    - 2.0 / a * (r * digamma).sum().real) / beta
-            c_pp = (1.0 + 2.0 / a * (r * lam ** 2 * digamma).sum().real) / beta
+        assert abs((r * lam ** 2).sum()) < 1e-14
+        c_qq, c_pp = self._closed_form(p, sd)
         c = covariance0(p, sd)
         assert c.c_qq == pytest.approx(c_qq, rel=1e-10)
         assert c.c_pp == pytest.approx(c_pp, rel=1e-10)
+
+    # Cold baths, where the thermal weight turns over at ω ≈ 2/(βħ), far
+    # below every feature of the bath.  covariance0 hands the first two
+    # to the Matsubara sum on (0.75, 0.63, 1), so the quadrature is
+    # called directly.
+    @pytest.mark.parametrize("beta", [5142.0, 11128.0, 1e5])
+    @pytest.mark.parametrize("d, gamma, big", [
+        (0.75, 0.63, 1.0), (1.0, 0.5, 2.0), (1.2, 0.3, 2.5)])
+    def test_peaked_quadrature_when_cold(self, d, gamma, big, beta):
+        p = ModelParams(omega0=1.0, beta=beta, hbar=1.0)
+        sd = PeakedSD(d, gamma, big)
+        c_qq, c_pp = self._closed_form(p, sd)
+        c = _covariance0_cached(p, sd)
+        assert c.c_qq == pytest.approx(c_qq, rel=1e-10)
+        assert c.c_pp == pytest.approx(c_pp, rel=1e-10)
+
+    # D = 2 is critical damping, where the drift matrix is defective
+    @pytest.mark.parametrize("beta", [5.0, 5e3, 5e4, 5e5])
+    @pytest.mark.parametrize("d", [0.05, 0.7, 2.5])
+    def test_ohmic_position(self, d, beta):
+        p = ModelParams(omega0=1.0, beta=beta, hbar=1.0)
+        c_qq, _ = self._closed_form(p, OhmicSD(d))
+        assert _covariance0_cached(p, OhmicSD(d)).c_qq == pytest.approx(
+            c_qq, rel=1e-10)
 
 
 class TestMatsubaraRoute:

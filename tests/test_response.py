@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from nonmarkov import quadrature
-from nonmarkov.errors import CutoffSensitive, DivisionNearZero, NonConvergence
+from nonmarkov.errors import DivisionNearZero, NonConvergence
 from nonmarkov.quadrature import (
     cosine_transform,
     integrate,
@@ -510,10 +510,6 @@ class TestModelParams:
     def test_rejects_non_finite(self, kwargs, key):
         with pytest.raises(ValueError, match=f"^{key} must be finite"):
             ModelParams(**kwargs)
-
-    def test_low_cutoff_warns(self):
-        with pytest.warns(CutoffSensitive):
-            ModelParams(omega0=1.0, beta=1.0, cutoff=5.0)
 
     def test_default_cutoff(self):
         assert ModelParams(omega0=2.0, beta=1.0).cutoff == 2000.0
