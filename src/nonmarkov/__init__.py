@@ -34,8 +34,10 @@ Layers, bottom up:
     stationary covariances and the exact / regression two-time spectra,
     in the same (2, 2) + ω.shape layout.
 ``quantifiers``
-    the normalized distances built from the layers above; each
-    quantifier is one whole-line pass over one integrand of both sides.
+    the normalized distances built from the layers above: n1, and n2 at
+    ħ = 0, of a bath with a drift matrix in closed form (algebraic for
+    the Ohmic bath, Lyapunov equations for the peaked one); any other
+    quantifier one whole-line pass over one integrand of both sides.
 ``oracle``
     two independent cross-checks: a Langevin Monte Carlo propagator and
     a Hamiltonian embedding of the peaked bath.

@@ -23,7 +23,8 @@ import numpy as np
 
 from .errors import CutoffSensitive, NumericsError
 from .oracle import LangevinConfig, embedding_response, langevin_means
-from .quantifiers import _ENTRY, _KEYS, QuantifierReport, quantify
+from .quantifiers import (_ENTRY, _KEYS, QuantifierReport, _pass_quantifiers,
+                          quantify)
 from .response import ModelParams, _chi_time_transform, propagate_means
 from .spectral import OhmicSD, PeakedSD, TabulatedSD
 
@@ -365,6 +366,20 @@ def _embedding_oracle_sd():
     return PeakedSD(coupling=0.05, width=0.05, resonance=1.0)
 
 
+def _closed_form_deviation(p, sd) -> float:
+    """Worst |Δn²| over n1 and classical n2 between the closed forms and
+    the quadrature pass, as squares (a vanishing entry carries
+    √(rounding)); NaN, with the message on stderr, when either fails."""
+    try:
+        closed = quantify(p, sd, which="both")
+        passed = _pass_quantifiers(p, sd)
+    except NumericsError as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return math.nan
+    return max(float(np.abs(c ** 2 - q ** 2).max())
+               for c, q in zip((closed.n1, closed.n2), passed))
+
+
 def _mode_oracle_check(settings) -> int:
     # every input is checked as in the other modes before the ensemble
     # runs; the oracle itself is classical, at ħ = 0 and the default cutoff
@@ -399,7 +414,17 @@ def _mode_oracle_check(settings) -> int:
           f"{dev[worst]:.3e} at t = {ts[worst]:g} (tolerance 1e-03) -> "
           f"{'pass' if embedding_ok else 'FAIL'}")
 
-    return 0 if langevin_ok and embedding_ok else 4
+    # n1 and classical n2 in closed form against the quadrature pass
+    baths = {"Ohmic": sd, "peaked": sd_peaked}
+    dev = np.array([_closed_form_deviation(p, bath)
+                    for bath in baths.values()])
+    worst = np.argmax(dev)
+    closed_ok = dev[worst] <= 1e-7
+    print(f"closed forms vs quadrature (n1, classical n2): worst |dn²| = "
+          f"{dev[worst]:.3e} on the {list(baths)[worst]} bath (tolerance "
+          f"1e-07) -> {'pass' if closed_ok else 'FAIL'}")
+
+    return 0 if langevin_ok and embedding_ok and closed_ok else 4
 
 
 # built once: parse_args returns a fresh namespace and keeps no state

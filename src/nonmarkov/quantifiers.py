@@ -7,16 +7,28 @@ regression-theorem prediction built out of the mean-value propagator.
 Both reduce each 2×2 matrix entry to a number in [0, 1] via the same
 normalized distance over the whole real frequency line, so they are
 insensitive to any global rescaling of the underlying functions.
+
+A coupled bath with a drift matrix (``SpectralDensity.drift_matrix``)
+gives n1, and n2 at ħ = 0, in closed form with no quadrature: the Ohmic
+bath by algebraic functions of D/ω₀, the peaked bath by Lyapunov
+equations of its drift matrix A, since every side is then the causal
+response of a finite realization.  Each such distance is the Gram
+determinant of the two shortest of f, g and r = f − g, so nothing
+cancels where f ≈ g.  A peaked bath whose sharpest mode λ of A gives
+χ̃_qq a rounding of ε/(2|Re λ|/|λ|) above the 1e-9 relative tolerance
+raises ``NonConvergence`` instead.  Tables, and quantum n2, take one
+whole-line quadrature pass.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .correlations import _exact_rows, _rt_rows, covariance0
-from .errors import NonConvergence, ZeroNorm
-from .quadrature import inner_product_info
+from .errors import NonConvergence, NonFinite, ZeroNorm
+from .quadrature import _REL_TOL, inner_product_info
 from .response import (_chi_prime_rows, _chi_qq, _chi_qq_and_prime,
                        feature_frequencies)
 from .spectral import SpectralDensity
@@ -31,7 +43,8 @@ class EntryDiagnostics:
     """How one quantifier entry was obtained.
 
     panels is the panel count of the one whole-line pass that gives all
-    entries of a quantifier, so it is the same for each of them.
+    entries of a quantifier, so it is the same for each of them; 0 means
+    no pass, for a decoupled bath or an entry in closed form.
     cutoff_drift is the ``CovarianceMatrix.cutoff_drift`` of the
     covariances an n2 entry is built on; n1 entries read 0.
     """
@@ -129,34 +142,192 @@ def _n2_sides(p, sd, cov0):
     return sides
 
 
-def _quantifier_matrix(p, sd, prefix, sides, cutoff_drift=0.0):
-    """Entrywise distances from one pass over the three-row sides; qp
-    and pq coincide by the entry structure (the two off-diagonal
-    functions differ only by an overall sign or a complex conjugation,
-    neither of which moves the distance).  Every entry carries
-    cutoff_drift; an entry with a norm below 1e-14 raises ZeroNorm,
-    naming it.  A decoupled bath gives the zero matrix and no pass."""
+def _matrix(prefix, values, panels=0, cutoff_drift=0.0):
+    """The 2×2 matrix of the qq, qp, pp values, and every entry's
+    diagnostics; qp and pq coincide by the entry structure (the two
+    off-diagonal functions differ only by an overall sign or a complex
+    conjugation, neither of which moves the distance)."""
     matrix = np.zeros((2, 2))
-    panels = 0
-    if not sd.decoupled:
-        values, panels = _distance_info(
-            sides, feature_frequencies(p, sd),
-            [f"{prefix}_{key}" for key in _KEYS])
-        matrix[_ENTRY] = values
-        matrix[_ENTRY[::-1]] = values
+    matrix[_ENTRY] = values
+    matrix[_ENTRY[::-1]] = values
     entry = EntryDiagnostics(panels, cutoff_drift)
     return matrix, {f"{prefix}_{key}": entry
                     for key in ("qq", "qp", "pq", "pp")}
+
+
+def _quantifier_matrix(p, sd, prefix, sides, cutoff_drift=0.0):
+    """Entrywise distances from one pass over the three-row sides.
+    Every entry carries cutoff_drift; an entry with a norm below 1e-14
+    raises ZeroNorm, naming it.  A decoupled bath gives the zero matrix
+    and no pass."""
+    if sd.decoupled:
+        return _matrix(prefix, 0.0, 0, cutoff_drift)
+    values, panels = _distance_info(
+        sides, feature_frequencies(p, sd),
+        [f"{prefix}_{key}" for key in _KEYS])
+    return _matrix(prefix, values, panels, cutoff_drift)
+
+
+def _ohmic_entries(x, prefix):
+    """n1 or classical n2 (qq, qp, pp) of the strict Ohmic bath at
+    x = D/ω₀.  The whole-line integrals are rational in x (by residues):
+
+        n1_qq² = x²(1 + x²)/(x²(1 + x²) + 4),   n2_qq² = x²/(1 + x²),
+        n1_qp² = x²/(2(x² + 2)),                n2_qp² = x²/(2 + x²),
+        n1_pp² = x²/(x² + (x² + 2)²),           n2_pp = 0,
+
+    each written so that no power of x overflows: D = 1e300 gives
+    n1 = (1, 1/√2, 1e-300) and n2 = (1, 1, 0)."""
+    with np.errstate(divide="ignore", over="ignore"):
+        if prefix == "n1":
+            return 1.0 / np.hypot([1.0, math.sqrt(2.0), 1.0],
+                                  [2.0 / (x * np.hypot(1.0, x)), 2.0 / x,
+                                   x + 2.0 / x])
+        return np.array([x / np.hypot(1.0, x),
+                         x / np.hypot(math.sqrt(2.0), x), 0.0])
+
+
+def _guard(a, prefix):
+    """Raise NonConvergence, naming the entry and the frequency |Im λ|,
+    when the sharpest mode λ of the drift matrix a, q = |Re λ|/|λ|
+    smallest, leaves χ̃_qq a rounding of ε/(2q) above _REL_TOL."""
+    lam = np.linalg.eigvals(a)
+    ratio = np.abs(lam.real) / np.abs(lam)
+    k = int(np.argmin(ratio))
+    bound = np.finfo(float).eps / (2.0 * ratio[k])
+    if not bound <= _REL_TOL:
+        where = abs(float(lam[k].imag))
+        raise NonConvergence(
+            f"{prefix}_qq: the mode of the drift matrix at ω = {where:.6g} "
+            f"has |Re λ|/|λ| = {ratio[k]:.3g}, so χ̃_qq carries rounding of "
+            f"{bound:.3g}, above the {_REL_TOL:.0e} relative tolerance",
+            error_bound=bound, where=where)
+
+
+def _lyapunov(a):
+    """solve(R): X with a·X + X·aᵀ = R for a batch R of shape (..., n, n),
+    through the one n²×n² operator I⊗a + a⊗I, and one step of
+    iterative refinement with the residual in extended precision: a
+    slow mode of a (an overdamped bath far below a fast one) leaves the
+    operator ill-conditioned, and the step takes its error from about
+    ε·cond to ε (peaked (3, 3, 0.1): n1_qp from 1.4e-5 to 2.2e-9 of a
+    50-digit solve).  Where longdouble is double the step does no harm."""
+    n = len(a)
+    op = np.kron(a, np.eye(n)) + np.kron(np.eye(n), a)
+    wide = op.astype(np.longdouble)
+
+    def solve(rhs):
+        b = rhs.reshape(-1, n * n).T
+        x = np.linalg.solve(op, b)
+        x += np.linalg.solve(op, (b - wide @ x).astype(float))
+        return x.T.reshape(rhs.shape)
+    return solve
+
+
+# the pairs (u, v) of the sides (f, g, r) whose ⟨u, v⟩ enter a distance
+_PAIRS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
+
+
+def _n1_products(a):
+    """2π·⟨u, v⟩ over _PAIRS of f, g, r at qq, qp, pp, shape (6, 3).
+
+    By Parseval ⟨u, v⟩ = 2π∫₀^∞ u(t)v(t) dt, and each side is a causal
+    response c·e^{A't}·b: f = −i dχ̃/dω of A' = [[A, I], [0, A]],
+    g = χ̃ χ₊⁻¹ χ̃ of [[A, M], [0, A]] and r of [[A, I − M], [0, A]],
+    with B = [e_p, −A·e_p], C = [e_q; e_p], M = B·χ₊⁻¹·C, and at entry
+    (i, j) the input b = [0; B_j] and the output c = [C_i, 0].  With the
+    coupling blocks P, Q of u and v, X = [[X11, X12], [X21, X22]] solves,
+    block by block from the bottom: L(X22) = −B_j B_jᵀ, L(X12) = −P·X22,
+    L(X21) = −X22·Qᵀ and L(X11) = −(P·X21 + X12·Qᵀ), with
+    L(X) = A·X + X·Aᵀ; then ⟨u, v⟩ = 2π·C_i·X11·C_iᵀ.  The peaked bath
+    has I − M = diag(0, 0, 1, 1), so r carries the coupling explicitly."""
+    n = len(a)
+    solve = _lyapunov(a)
+    e_q, e_p = np.eye(n)[:2]
+    b = np.stack((e_p, -a[:, 1]))                     # B_q, B_p as rows
+    m = np.outer(b[0], e_p) - np.outer(b[1], e_q)     # B·χ₊⁻¹·C
+    blocks = np.stack((np.eye(n), m, np.eye(n) - m))  # f, g, r
+    x22 = solve(-b[:, :, None] * b[:, None, :])
+    y = solve(-np.einsum("sab,jbc->sjac", blocks, x22))  # X12 of each side
+    u, v = np.array(_PAIRS).T
+    x11 = solve(-(np.einsum("uab,ujcb->ujac", blocks[u], y[v])
+                  + np.einsum("ujab,ucb->ujac", y[u], blocks[v])))
+    return 2.0 * math.pi * np.stack(
+        (x11[:, 0, 0, 0], x11[:, 1, 0, 0], x11[:, 1, 1, 1]), axis=1)
+
+
+def _n2_products(a, omega0):
+    """2π·⟨u, v⟩ over _PAIRS of the classical exact spectrum S, the
+    regression prediction T and R = S − T at qq, qp, pp, shape (6, 3),
+    in units of 1/β².
+
+    S and T are H + H^† with H causal, so ⟨S_ij, T_ij⟩ is the sum of
+    the causal products of columns j and i, at outputs i and j.  S has
+    the columns Σ·[e_q, e_p]·β = [−A⁻¹e_p, e_p] (the Gibbs state of the
+    embedding), T has [A·e_p/ω₀², e_p]; so R has only a q column.  The
+    static response −A⁻¹e_p is [1/ω₀², 0, −A_bb⁻¹A_bq/ω₀²] (bath block
+    bb, coupling A_bq), and A·e_p = e_q for the peaked bath, so the q
+    and p entries of R's column cancel exactly, leaving the coupling."""
+    n = len(a)
+    solve = _lyapunov(a)
+    s_q = np.concatenate(([1.0, 0.0],
+                          -np.linalg.solve(a[2:, 2:], a[2:, 0]))) / omega0 ** 2
+    t_q = a[:, 1] / omega0 ** 2
+    cols = np.stack((s_q, t_q, s_q - t_q))           # S, T, R at column q
+    u, v = np.array(_PAIRS).T
+    rhs = np.concatenate((-cols[u][:, :, None] * cols[v][:, None, :],
+                          -np.outer(np.eye(n)[1], np.eye(n)[1])[None]))
+    x = solve(rhs)
+    # column p: S and T share e_p, and R has none
+    xq, xp = x[:-1], x[-1] * ((u < 2) & (v < 2))[:, None, None]
+    return 2.0 * math.pi * np.stack(
+        (2.0 * xq[:, 0, 0], xp[:, 0, 0] + xq[:, 1, 1], 2.0 * xp[:, 1, 1]),
+        axis=1)
+
+
+def _gram_entries(products, prefix):
+    """√(G/(‖f‖²‖g‖²)) per entry from the products over _PAIRS, with G
+    the Gram determinant of the two shortest of f, g and r = f − g,
+    which spans the same area from any two of them."""
+    ff, gg, rr, fg, fr, gr = products
+    for key, column, norm in zip(_KEYS, products.T, ff * gg):
+        if not np.isfinite(column).all():
+            raise NonFinite(f"{prefix}_{key}: an inner product of the "
+                            "closed form is not finite")
+        if not norm > 0.0:
+            raise ZeroNorm(f"degenerate {prefix}_{key}: norm 0")
+    longest = np.argmax(products[:3], axis=0)
+    gram = np.where(longest == 2, ff * gg - fg ** 2,
+                    np.where(longest == 1, ff * rr - fr ** 2,
+                             gg * rr - gr ** 2))
+    return np.sqrt(np.clip(gram / (ff * gg), 0.0, 1.0))
+
+
+def _closed_form(p, a, prefix):
+    """n1 (prefix 'n1') or classical n2 ('n2') of a coupled bath with
+    the drift matrix a, as a (matrix, diagnostics) pair with no pass."""
+    if len(a) == 2:     # (q, p) alone: the strict Ohmic oscillator
+        values = _ohmic_entries(-a[1, 1] / p.omega0, prefix)
+    else:
+        _guard(a, prefix)
+        products = (_n1_products(a) if prefix == "n1"
+                    else _n2_products(a, p.omega0))
+        values = _gram_entries(products, prefix)
+    return _matrix(prefix, values)
 
 
 def divisibility_quantifier(p, sd: SpectralDensity):
     """First quantifier: distance between −i dχ̃/dω and χ̃ χ₊⁻¹ χ̃.
 
     Vanishes entrywise iff the mean propagator forms a divisible
-    (semigroup) family; zero coupling returns the zero matrix.
+    (semigroup) family; zero coupling returns the zero matrix.  A bath
+    with a drift matrix takes the closed form, any other one pass.
 
     Returns (2×2 real array, diagnostics dict).
     """
+    a = None if sd.decoupled else sd.drift_matrix(p.omega0)
+    if a is not None:
+        return _closed_form(p, a, "n1")
     return _quantifier_matrix(p, sd, "n1", _n1_sides(p, sd))
 
 
@@ -164,15 +335,28 @@ def regression_quantifier(p, sd: SpectralDensity):
     """Second quantifier: distance between the exact equilibrium
     correlation spectrum and the regression-theorem prediction.
 
-    Propagates CutoffSensitive warnings from the underlying equal-time
-    covariances (strict Ohmic bath with ħ > 0), and stamps their
-    cutoff_drift on every entry's diagnostics.
+    At ħ = 0 a bath with a drift matrix takes the closed form; any other
+    case takes one pass.  Propagates CutoffSensitive warnings from the
+    underlying equal-time covariances (strict Ohmic bath with ħ > 0),
+    and stamps their cutoff_drift on every entry's diagnostics.
 
     Returns (2×2 real array, diagnostics dict).
     """
+    a = None if sd.decoupled or p.hbar > 0.0 else sd.drift_matrix(p.omega0)
+    if a is not None:
+        return _closed_form(p, a, "n2")
     cov0 = covariance0(p, sd)
     return _quantifier_matrix(p, sd, "n2", _n2_sides(p, sd, cov0),
                               cutoff_drift=cov0.cutoff_drift)
+
+
+def _pass_quantifiers(p, sd: SpectralDensity):
+    """n1 and n2 by the quadrature pass, whatever the bath: the
+    cross-check of the closed forms."""
+    cov0 = covariance0(p, sd)
+    return (_quantifier_matrix(p, sd, "n1", _n1_sides(p, sd))[0],
+            _quantifier_matrix(p, sd, "n2", _n2_sides(p, sd, cov0),
+                               cov0.cutoff_drift)[0])
 
 
 def quantify(p, sd: SpectralDensity, which: str = "both") -> QuantifierReport:

@@ -10,7 +10,8 @@ diagonalizes the pseudo-mode drift matrix of a peaked bath, from which
 ``inner_product_info`` pass over each half of the real line itself,
 without the fold.
 ``mp_matsubara_covariance`` sums the quantum covariances of a
-drift-matrix bath at 50 digits.
+drift-matrix bath at 50 digits, and ``mp_lyapunov_quantifiers`` solves
+for n1 and classical n2 of an Ohmic or peaked bath at 50 digits.
 """
 import math
 
@@ -20,7 +21,7 @@ import numpy as np
 from nonmarkov.correlations import CovarianceMatrix
 from nonmarkov.quadrature import integrate
 from nonmarkov.response import CHI_PLUS_INV, ModelParams, chi_matrix
-from nonmarkov.spectral import PeakedSD, SpectralDensity
+from nonmarkov.spectral import OhmicSD, PeakedSD, SpectralDensity
 
 
 def _matmul(a, b):
@@ -90,3 +91,106 @@ def mp_matsubara_covariance(p: ModelParams, sd: SpectralDensity,
         c_pp = 1 - 2 * sum(am[1, j] * s[j] for j in range(dim))
         return (float((1 / mp.mpf(p.omega0) ** 2 + 2 * s[0]) / p.beta),
                 float(c_pp / p.beta))
+
+
+def _mp_kron(x, y):
+    out = mp.matrix(x.rows * y.rows, x.cols * y.cols)
+    for i in range(x.rows):
+        for j in range(x.cols):
+            if x[i, j]:
+                for k in range(y.rows):
+                    for m in range(y.cols):
+                        out[i * y.rows + k, j * y.cols + m] = x[i, j] * y[k, m]
+    return out
+
+
+def _mp_drift_matrix(sd, omega0):
+    """The drift matrix of an Ohmic or peaked bath, built from the
+    bath's parameters at the working precision, not from
+    ``drift_matrix``."""
+    w2 = mp.mpf(omega0) ** 2
+    if isinstance(sd, OhmicSD):
+        return mp.matrix([[0, 1], [-w2, -mp.mpf(sd.damping)]])
+    d, g, big = (mp.mpf(sd.coupling), mp.mpf(sd.width),
+                 mp.mpf(sd.resonance))
+    return mp.matrix([[0, 1, 0, 0], [-(w2 + d ** 2 / big ** 2), 0, d, 0],
+                      [0, 0, 0, 1], [d, 0, -big ** 2, -g]])
+
+
+def _mp_products(drifts, cases):
+    """c·X·cᵀ for each pair (u, v) of realizations and each case
+    (inputs, output): X solves A_u·X + X·A_vᵀ + b_u·b_vᵀ = 0, with
+    b = inputs[u] and inputs[v], by LU decomposition of the Kronecker
+    operator I⊗A_u + A_v⊗I (column-major vec), and c = e_output.  Each
+    operator is built and factored once for all cases, which is what
+    ``lu_solve`` would do for each."""
+    out = [{} for _ in cases]
+    for u, v in (("f", "f"), ("g", "g"), ("f", "g")):
+        au, av = drifts[u], drifts[v]
+        n = au.rows
+        lu, perm = mp.mp.LU_decomp(_mp_kron(mp.eye(n), au)
+                                + _mp_kron(av, mp.eye(n)))
+        for res, (inputs, output) in zip(out, cases):
+            rhs = mp.matrix(n * n, 1)
+            for col in range(n):
+                for row in range(n):
+                    rhs[col * n + row] = -inputs[u][row] * inputs[v][col]
+            x = mp.mp.U_solve(lu, mp.mp.L_solve(lu, rhs, perm))
+            res[u + v] = x[output * (n + 1)]
+    return out
+
+
+def _mp_distance(prods):
+    return float(mp.sqrt(max(0, 1 - prods["fg"] ** 2
+                             / (prods["ff"] * prods["gg"]))))
+
+
+def mp_lyapunov_quantifiers(sd, omega0: float = 1.0, dps: int = 50):
+    """(n1, classical n2) at qq, qp, pp of an Ohmic or peaked bath from
+    Lyapunov equations at dps digits, each distance as
+    √(1 − ⟨f,g⟩²/(‖f‖²‖g‖²)) of the two sides alone.
+
+    n1: f = −i dχ̃/dω and g = χ̃ χ₊⁻¹ χ̃ are the responses of the drift
+    matrices [[A, I], [0, A]] and [[A, M], [0, A]], M = B·χ₊⁻¹·C, with
+    input [0; B_j] and output [C_i, 0] at entry (i, j), where
+    B = [e_p, −A·e_p] and C = [e_q; e_p]; each is solved whole, as one
+    (2n)² system.  Classical n2: the exact spectrum has the causal part
+    C·e^{At}·[−A⁻¹e_p, e_p], the regression prediction
+    C·e^{At}·[A·e_p/ω₀², e_p], and entry (i, j) adds the products of
+    columns j and i at outputs i and j."""
+    with mp.workdps(dps):
+        a = _mp_drift_matrix(sd, omega0)
+        n = a.rows
+        eye = mp.eye(n)
+        e_p = eye[:, 1]
+        b = [e_p, -(a * e_p)]
+        m = b[0] * eye[1, :] - b[1] * eye[0, :]
+
+        def block(coupling):
+            out = mp.matrix(2 * n, 2 * n)
+            for i in range(n):
+                for j in range(n):
+                    out[i, j] = out[n + i, n + j] = a[i, j]
+                    out[i, n + j] = coupling[i, j]
+            return out
+
+        drifts = {"f": block(eye), "g": block(m)}
+        pads = []
+        for j in range(2):
+            pad = mp.matrix(2 * n, 1)
+            for k in range(n):
+                pad[n + k] = b[j][k]
+            pads.append({"f": pad, "g": pad})
+        n1 = [_mp_distance(prods) for prods in _mp_products(
+            drifts, [(pads[j], i) for i, j in ((0, 0), (0, 1), (1, 1))])]
+        static = -mp.lu_solve(a, e_p)
+        columns = [{"f": static, "g": (a * e_p) / mp.mpf(omega0) ** 2},
+                   {"f": e_p, "g": e_p}]
+        # products of column j at output i, keyed (i, j)
+        keys = [(i, j) for i in range(2) for j in range(2)]
+        prods = dict(zip(keys, _mp_products(
+            {"f": a, "g": a}, [(columns[j], i) for i, j in keys])))
+        n2 = [_mp_distance({k: prods[i, j][k] + prods[j, i][k]
+                            for k in ("ff", "gg", "fg")})
+              for i, j in ((0, 0), (0, 1), (1, 1))]
+        return n1, n2

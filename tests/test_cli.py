@@ -104,7 +104,8 @@ class TestQuantifyMode:
                                                            capsys):
         out = tmp_path / "point.csv"
         out.write_text("stale,junk\n", encoding="utf-8")
-        rc = cli.main(["--mode", "quantify", "--sd", "ohmic", "--d", "1e300",
+        # a peaked bath whose resonance χ̃_qq cannot resolve in doubles
+        rc = cli.main(["--mode", "quantify", "--sd", "peaked", "--d", "1e-6",
                        "--quantifier", "n1", "--out", str(out)])
         err = capsys.readouterr().err
         assert rc == 3
@@ -517,29 +518,34 @@ class TestConfiguration:
         assert rc == 2
         assert "config error: key 'sd': coupling " in capsys.readouterr().err
 
-    def test_degenerate_n1_entry_is_named_not_zero(self, tmp_path, capsys):
-        # every norm of Ohmic D = 1e300 is below 1e-14; it used to print
-        # n1 ≡ 0 and exit 0, reading the bath as Markovian
+    def test_huge_ohmic_coupling_prints_its_true_n1(self, tmp_path, capsys):
+        # every norm of Ohmic D = 1e300 on the quadrature pass is below
+        # 1e-14; it used to print n1 ≡ 0 and exit 0, reading the bath as
+        # Markovian, and then exited 3.  The closed form has its values
+        out = tmp_path / "point.csv"
         rc = cli.main(["--mode", "quantify", "--sd", "ohmic", "--d", "1e300",
-                       "--quantifier", "n1"])
-        assert rc == 3
-        assert capsys.readouterr().err.startswith(
-            "numerical failure: degenerate n1_qq: norm below 1e-14")
+                       "--quantifier", "n1", "--out", str(out)])
+        assert rc == 0
+        printed = stdout_values(capsys.readouterr().out)
+        assert [printed[k] for k in ("n1_qq", "n1_qp", "n1_pp")] == [
+            "1.000000000", "0.707106781", "0.000000000"]
+        (row,) = read_csv(out)
+        assert [float(row[k]) for k in ("n1_qq", "n1_qp", "n1_pp")] == \
+            pytest.approx([1.0, math.sqrt(0.5), 1e-300], rel=1e-11, abs=0.0)
         out = tmp_path / "dsweep.csv"
         rc = cli.main(["--mode", "sweep", "--sd", "ohmic", "--param", "d",
                        "--range", "1:1e300:2", "--quantifier", "n1",
                        "--out", str(out)])
         capsys.readouterr()
-        assert rc == 3
+        assert rc == 0
         first, last = read_csv(out)
         assert first["error"] == "" and float(first["n1_qq"]) > 0.5
-        assert last["n1_qq"] == ""
-        assert last["error"].startswith("degenerate n1_qq")
+        assert last["error"] == "" and float(last["n1_pp"]) == 1e-300
 
     def test_huge_ohmic_damping_is_a_numerical_failure(self, tmp_path,
                                                        capsys):
-        # n2 alone, so the covariance quadrature fails before any
-        # distance can: n1 would raise ZeroNorm first
+        # quantum n2, whose covariance quadrature fails (classical n2
+        # and n1 are closed forms there)
         rc = cli.main(["--mode", "quantify", "--sd", "ohmic", "--d", "1e300",
                        "--hbar", "1", "--quantifier", "n2",
                        "--out", str(tmp_path / "x.csv")])
@@ -611,9 +617,14 @@ class TestOracleCheckMode:
         rc = cli.main(["--mode", "oracle-check"])
         out = capsys.readouterr().out
         assert rc == 0
-        assert out.count("-> pass") == 2
+        assert out.count("-> pass") == 3
         assert "langevin vs propagation" in out
         assert "embedding vs frequency-domain response" in out
+        closed = out.splitlines()[2]
+        assert closed.startswith("closed forms vs quadrature (n1, classical "
+                                 "n2): worst |dn²| = ")
+        assert closed.endswith(" bath (tolerance 1e-07) -> pass")
+        assert float(closed.split("= ")[1].split()[0]) <= 1e-7
 
     def test_corrupted_kernel_is_caught(self, monkeypatch, capsys):
         class WrongSignSD(PeakedSD):
@@ -628,6 +639,9 @@ class TestOracleCheckMode:
         assert rc == 4
         assert "FAIL" in out
         assert "langevin vs propagation" in out
+        # the closed form reads the drift matrix, the pass the kernel
+        assert out.splitlines()[2].endswith(
+            " on the peaked bath (tolerance 1e-07) -> FAIL")
 
     def test_nan_z_score_fails(self, monkeypatch, capsys):
         # every comparison with NaN is false, so a NaN z-score must not

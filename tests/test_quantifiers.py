@@ -5,7 +5,7 @@ import warnings
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -22,6 +22,8 @@ from nonmarkov.quadrature import inner_product_info
 from nonmarkov.quantifiers import (
     _n1_sides,
     _n2_sides,
+    _pass_quantifiers,
+    _quantifier_matrix,
     distance,
     divisibility_quantifier,
     quantify,
@@ -38,7 +40,8 @@ from nonmarkov.response import (
 )
 from nonmarkov.spectral import OhmicSD, PeakedSD, TabulatedSD
 
-from matrix_forms import mp_matsubara_covariance, unfolded_line
+from matrix_forms import (mp_lyapunov_quantifiers, mp_matsubara_covariance,
+                          unfolded_line)
 
 P1 = ModelParams(omega0=1.0, beta=1.0)
 
@@ -146,15 +149,18 @@ class TestDivisibilityQuantifier:
         assert m[0, 1] == pytest.approx(1.0 / math.sqrt(3.0), abs=1e-12)
         assert m[1, 1] == pytest.approx(1.0 / math.sqrt(10.0), abs=1e-12)
 
-    # below D/ω₀ ≈ 1e-2 the pass drifts from the closed form (9e-8 at
-    # 1e-4): the divisibility residual cancels in the n1 integrands
+    # quantify takes the closed form; the quadrature pass must meet it
+    # too.  Below D/ω₀ ≈ 1e-2 the pass drifts from it (9e-8 at 1e-4):
+    # the divisibility residual cancels in the n1 integrands
     @pytest.mark.parametrize("omega0", [1.0, 2.5])
     @pytest.mark.parametrize("x", np.geomspace(0.1, 50.0, 16).tolist())
     def test_ohmic_closed_form(self, x, omega0):
         p = ModelParams(omega0=omega0, beta=1.0)
-        m, _ = divisibility_quantifier(p, OhmicSD(x * omega0))
-        assert [m[0, 0], m[0, 1], m[1, 1]] == pytest.approx(ohmic_n1(x),
-                                                            rel=1e-11)
+        sd = OhmicSD(x * omega0)
+        for m in (divisibility_quantifier(p, sd)[0],
+                  _quantifier_matrix(p, sd, "n1", _n1_sides(p, sd))[0]):
+            assert [m[0, 0], m[0, 1], m[1, 1]] == pytest.approx(ohmic_n1(x),
+                                                                rel=1e-11)
 
     def test_ohmic_pp_is_not_monotonic(self):
         # n1_pp peaks at exactly 1/3 at D = √2·ω₀, inside D = 1.2 … 1.7
@@ -250,14 +256,16 @@ class TestRegressionQuantifier:
     def test_classical_values(self):
         # the whole-line values are 1/√5 and 1/3; truncating the line
         # at ±200 gives 0.33310 for qp
-        m, _ = regression_quantifier(P1, OhmicSD(0.5))
+        # quantify's closed form and the quadrature pass alike
         qq, qp = _mp_classical_ohmic_n2(0.5, 1.0)
         assert qq == pytest.approx(1.0 / math.sqrt(5.0), abs=1e-14)
         assert qp == pytest.approx(1.0 / 3.0, abs=1e-14)
-        assert m[0, 0] == pytest.approx(qq, abs=1e-10)
-        assert m[0, 1] == pytest.approx(qp, abs=1e-10)
-        assert m[0, 1] > 0.05
-        assert m[1, 1] < 1e-6  # regression holds exactly for pp classically
+        for m in (regression_quantifier(P1, OhmicSD(0.5))[0],
+                  _pass_quantifiers(P1, OhmicSD(0.5))[1]):
+            assert m[0, 0] == pytest.approx(qq, abs=1e-10)
+            assert m[0, 1] == pytest.approx(qp, abs=1e-10)
+            assert m[0, 1] > 0.05
+            assert m[1, 1] < 1e-6  # regression holds exactly for pp
 
     def test_weak_coupling_small(self):
         m, _ = regression_quantifier(P1, OhmicSD(1e-3))
@@ -293,15 +301,21 @@ class TestQuantify:
         # 1e-14 relative split limit of the adaptive engine.  covariance0
         # takes the Matsubara sum, which needs no quadrature; the
         # quadrature of the covariances still fails there
+        # quadrature too.  quantify's closed form is guarded before it:
+        # χ̃_qq's rounding there, eps/(2q), is far above rel_tol
         p = ModelParams(omega0=1.0, beta=1.0, hbar=1.0)
         sd = PeakedSD(1e-6, 0.5, 2.0)
-        for run in (lambda: quantify(p, sd, which="n1"),
+        for run in (lambda: _quantifier_matrix(p, sd, "n1", _n1_sides(p, sd)),
                     lambda: _covariance0_cached(p, sd)):
             with pytest.raises(NonConvergence,
                                match="reached the 1e-14 relative split "
                                      "limit") as exc:
                 run()
             assert abs(exc.value.where - 1.0) < 1e-9
+        with pytest.raises(NonConvergence, match="^n1_qq: the mode of the "
+                                                 "drift matrix") as exc:
+            quantify(p, sd, which="n1")
+        assert abs(exc.value.where - 1.0) < 1e-9
         c = covariance0(p, sd)
         c_qq, c_pp = mp_matsubara_covariance(p, sd)
         assert c.c_qq == pytest.approx(c_qq, rel=1e-13)
@@ -327,10 +341,11 @@ class TestQuantify:
 
 
 class TestOnePass:
-    """Each quantifier is one whole-line pass over all of its entries."""
+    """Each quantifier that has no closed form is one whole-line pass
+    over all of its entries; one that has a closed form makes none."""
 
-    @pytest.mark.parametrize("sd", [OhmicSD(1.0), PeakedSD(0.75, 0.63, 1.0)])
-    def test_one_inner_product_pass_per_quantifier(self, sd, monkeypatch):
+    @staticmethod
+    def _count_passes(monkeypatch):
         passes = []
         inner = quantifiers.inner_product_info
         monkeypatch.setattr(quantifiers, "inner_product_info",
@@ -338,7 +353,26 @@ class TestOnePass:
         adaptive = quadrature._adaptive
         monkeypatch.setattr(quadrature, "_adaptive",
                             lambda *a: passes.append(2) or adaptive(*a))
-        rep = quantify(ModelParams(1.0, 1.0, 1.0), sd, which="n1")
+        return passes
+
+    @pytest.mark.parametrize("sd", [OhmicSD(1.0), PeakedSD(0.75, 0.63, 1.0)])
+    def test_one_inner_product_pass_per_quantifier(self, sd, monkeypatch):
+        # n1, and classical n2, of a bath with a drift matrix are closed
+        # forms; a peaked bath's quantum covariances are Matsubara sums
+        passes = self._count_passes(monkeypatch)
+        for p, which in ((ModelParams(1.0, 1.0, 1.0), "n1"),
+                         (ModelParams(1.0, 1.0, 0.0), "n2")):
+            rep = quantify(p, sd, which=which)
+            assert passes == []
+            assert {d.panels for d in rep.diagnostics.values()} == {0}
+
+        # quantum n2 keeps its pass; the Ohmic covariances take their own
+        p = ModelParams(1.0, 1.0, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CutoffSensitive)
+            covariance0(p, sd)
+            passes.clear()
+            rep = quantify(p, sd, which="n2")
         assert passes == [1, 2]
         panels = {d.panels for d in rep.diagnostics.values()}
         assert len(panels) == 1 and panels.pop() > 0
@@ -346,6 +380,20 @@ class TestOnePass:
         passes.clear()
         distance(GAUSS, GAUSS)
         assert passes == [1, 2]
+
+    @pytest.mark.parametrize("which", ["n1", "n2"])
+    @pytest.mark.parametrize("hbar", [0.0, 1.0])
+    def test_a_table_takes_one_pass(self, which, hbar, monkeypatch):
+        passes = self._count_passes(monkeypatch)
+        p = ModelParams(1.0, 1.0, hbar)
+        sd = smooth_table(2, 1.5, 0.4, 301)
+        if which == "n2":
+            covariance0(p, sd)      # its own pass, cached for quantify
+        passes.clear()
+        rep = quantify(p, sd, which=which)
+        assert passes == [1, 2]
+        panels = {d.panels for d in rep.diagnostics.values()}
+        assert len(panels) == 1 and panels.pop() > 0
 
 
 class TestStrongCoupling:
@@ -454,15 +502,101 @@ def _mp_n1(p, sd):
 class TestIndependentReference:
     @pytest.mark.parametrize("sd", [OhmicSD(1.0), PeakedSD(0.75, 0.63, 1.0)])
     def test_n1_matches_mpmath_quadrature(self, sd):
+        # the closed form of quantify and the quadrature pass alike
         p = ModelParams(omega0=1.0, beta=1.0, hbar=1.0)
-        m = quantify(p, sd, which="n1").n1
         ref = _mp_n1(p, sd)
-        assert [m[0, 0], m[0, 1], m[1, 1]] == pytest.approx(ref, abs=1e-9)
+        for m in (quantify(p, sd, which="n1").n1,
+                  _quantifier_matrix(p, sd, "n1", _n1_sides(p, sd))[0]):
+            assert [m[0, 0], m[0, 1], m[1, 1]] == pytest.approx(ref,
+                                                                abs=1e-9)
 
     @pytest.mark.parametrize("d", [0.1, 5.0])
     def test_ohmic_closed_form_matches_mpmath_quadrature(self, d):
         ref = _mp_n1(ModelParams(omega0=1.0, beta=1.0), OhmicSD(d))
         assert ohmic_n1(d) == pytest.approx(ref, rel=1e-14)
+
+
+ENTRIES = (0, 0, 1), (0, 1, 1)
+
+
+def _entries_within(got, want, rel):
+    np.testing.assert_allclose(got, want, rtol=rel, atol=0.0)
+
+
+class TestClosedForm:
+    """n1 and classical n2 of a bath with a drift matrix, in closed form:
+    against a 50-digit Lyapunov solve, exact whole-line integrals and
+    the quadrature pass, which still serves tables."""
+
+    @pytest.mark.parametrize("sd", [
+        *(OhmicSD(x) for x in (1e-8, 1e-4, 1e-2, 1.0, 2.0, 50.0, 1e3, 1e4)),
+        PeakedSD(0.75, 0.63, 1.0), PeakedSD(1.0, 0.5, 2.0),
+        PeakedSD(1e-3, 0.63, 1.0), PeakedSD(0.3, 0.01, 1.5),
+        PeakedSD(3.0, 3.0, 4.0)], ids=repr)
+    def test_matches_50_digit_lyapunov_reference(self, sd):
+        n1, n2 = mp_lyapunov_quantifiers(sd)
+        rep = quantify(P1, sd)
+        _entries_within(rep.n1[ENTRIES], n1, 1e-10)
+        _entries_within(rep.n2[ENTRIES], n2, 1e-10)
+        assert {d.panels for d in rep.diagnostics.values()} == {0}
+
+    @pytest.mark.parametrize("d", [0.1, 5.0])
+    def test_ohmic_classical_n2_matches_mpmath_quadrature(self, d):
+        # n2_qq² = x²/(1 + x²), n2_qp² = x²/(2 + x²) and n2_pp = 0
+        m, _ = regression_quantifier(P1, OhmicSD(d))
+        _entries_within(m[ENTRIES][:2], _mp_classical_ohmic_n2(d, 1.0),
+                        1e-14)
+        assert m[1, 1] == 0.0
+
+    def test_huge_ohmic_coupling_has_its_true_entries(self):
+        # every entry of D = 1e300 is finite: no power of D is formed
+        rep = quantify(P1, OhmicSD(1e300))
+        _entries_within(rep.n1[ENTRIES], [1.0, math.sqrt(0.5), 1e-300], 1e-14)
+        _entries_within(rep.n2[ENTRIES], [1.0, 1.0, 0.0], 1e-14)
+
+    @staticmethod
+    def _rounding(sd, omega0=1.0):
+        """eps/(2q), q = |Re λ|/|λ| smallest over the drift matrix, and
+        |Im λ| of that mode."""
+        lam = np.linalg.eigvals(sd.drift_matrix(omega0))
+        q = np.abs(lam.real) / np.abs(lam)
+        k = np.argmin(q)
+        return np.finfo(float).eps / (2.0 * q[k]), abs(lam[k].imag)
+
+    @pytest.mark.parametrize("sd, bound", [(PeakedSD(1e-6, 0.5, 2.0), 4.1e-3),
+                                           (PeakedSD(3.0, 0.02, 0.1), 3.0e-8)])
+    @pytest.mark.parametrize("which", ["n1", "n2"])
+    def test_guard_names_the_entry_and_the_mode(self, sd, bound, which):
+        rounding, where = self._rounding(sd)
+        assert rounding == pytest.approx(bound, rel=0.02)
+        with pytest.raises(NonConvergence,
+                           match=f"^{which}_qq: the mode of the drift "
+                                 f"matrix at ω = ") as exc:
+            quantify(ModelParams(1.0, 1.0, 0.0), sd, which=which)
+        assert exc.value.where == where
+        assert exc.value.error_bound == pytest.approx(rounding, rel=1e-12)
+
+    def test_sweep_baths_are_far_from_the_guard(self):
+        # the corners of the peaked ranges of perfbench's sweep, where a
+        # 13³ grid finds its worst eps/(2q), 2.8e-11, too
+        worst = max(self._rounding(PeakedSD(d, g, big))[0]
+                    for d in (0.1, 1.3) for g in (0.1, 2.5)
+                    for big in (0.8, 3.5))
+        assert worst == pytest.approx(2.8e-11, rel=0.01)
+
+    @settings(max_examples=30, deadline=None, database=None)
+    @given(st.one_of(
+        st.builds(OhmicSD, st.floats(-2.0, 3.0).map(lambda e: 10.0 ** e)),
+        st.builds(PeakedSD, coupling=st.floats(0.05, 3.0),
+                  width=st.floats(0.02, 3.0), resonance=st.floats(0.1, 4.0))),
+        st.floats(0.5, 2.0))
+    def test_closed_form_matches_the_pass(self, sd, omega0):
+        # squared entries, so a vanishing entry's √(rounding) is no excuse
+        assume(self._rounding(sd, omega0)[0] <= quadrature._REL_TOL)
+        p = ModelParams(omega0, 1.0, 0.0)
+        rep = quantify(p, sd)
+        for closed, passed in zip((rep.n1, rep.n2), _pass_quantifiers(p, sd)):
+            assert np.abs(closed ** 2 - passed ** 2).max() <= 1e-7
 
 
 def smooth_table(k, cutoff, scale, n):
@@ -558,10 +692,14 @@ def test_n2_sides_take_one_gamma_batch(sd):
 
 @pytest.mark.parametrize("which", ["n1", "n2"])
 def test_degenerate_entry_raises_naming_it(which):
-    # every norm of Ohmic D = 1e300 is below 1e-14; such an entry used to
-    # read 0 with no flag, as if the bath were Markovian
+    # every norm of Ohmic D = 1e300 on the quadrature pass is below
+    # 1e-14; such an entry used to read 0 with no flag, as if the bath
+    # were Markovian.  quantify takes the closed form there instead
+    sd = OhmicSD(1e300)
+    sides = (_n1_sides(P1, sd) if which == "n1"
+             else _n2_sides(P1, sd, covariance0(P1, sd)))
     with pytest.raises(ZeroNorm, match=f"^degenerate {which}_qq: norm"):
-        quantify(P1, OhmicSD(1e300), which=which)
+        _quantifier_matrix(P1, sd, which, sides)
 
 
 def _assert_hermitian(p, sd, omega):
