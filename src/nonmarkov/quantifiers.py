@@ -16,7 +16,8 @@ response of a finite realization.  Each such distance is the Gram
 determinant of the two shortest of f, g and r = f − g, so nothing
 cancels where f ≈ g.  A peaked bath whose sharpest mode λ of A gives
 χ̃_qq a rounding of ε/(2|Re λ|/|λ|) above the 1e-9 relative tolerance
-raises ``NonConvergence`` instead.  Tables, and quantum n2, take one
+raises ``NonConvergence`` instead, and so does one whose ‖f − g‖² and
+‖r‖² disagree by more than that.  Tables, and quantum n2, take one
 whole-line quadrature pass.
 """
 from __future__ import annotations
@@ -27,12 +28,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .correlations import _exact_rows, _rt_rows, covariance0
-from .errors import NonConvergence, NonFinite, ZeroNorm
+from .errors import DivisionNearZero, NonConvergence, NonFinite, ZeroNorm
 from .quadrature import _REL_TOL, inner_product_info
 from .response import (_chi_prime_rows, _chi_qq, _chi_qq_and_prime,
                        feature_frequencies)
 from .spectral import SpectralDensity
 
+# the guard's floor under |λ|: λ = 0 in doubles is an undamped mode
+_TINY = np.finfo(float).tiny
 # the entries computed, and their (row, column) indices; pq mirrors qp
 _KEYS = ("qq", "qp", "pp")
 _ENTRY = ((0, 0, 1), (0, 1, 1))
@@ -190,16 +193,18 @@ def _ohmic_entries(x, prefix):
 def _guard(a, prefix):
     """Raise NonConvergence, naming the entry and the frequency |Im λ|,
     when the sharpest mode λ of the drift matrix a, q = |Re λ|/|λ|
-    smallest, leaves χ̃_qq a rounding of ε/(2q) above _REL_TOL."""
+    smallest, leaves χ̃_qq a rounding of ε/(2q) above _REL_TOL; an
+    undamped mode (q = 0, or λ = 0 in doubles) has no bound at all."""
     lam = np.linalg.eigvals(a)
-    ratio = np.abs(lam.real) / np.abs(lam)
+    ratio = np.abs(lam.real) / np.maximum(np.abs(lam), _TINY)
     k = int(np.argmin(ratio))
-    bound = np.finfo(float).eps / (2.0 * ratio[k])
+    q = float(ratio[k])
+    bound = np.finfo(float).eps / (2.0 * q) if q > 0.0 else math.inf
     if not bound <= _REL_TOL:
         where = abs(float(lam[k].imag))
         raise NonConvergence(
             f"{prefix}_qq: the mode of the drift matrix at ω = {where:.6g} "
-            f"has |Re λ|/|λ| = {ratio[k]:.3g}, so χ̃_qq carries rounding of "
+            f"has |Re λ|/|λ| = {q:.3g}, so χ̃_qq carries rounding of "
             f"{bound:.3g}, above the {_REL_TOL:.0e} relative tolerance",
             error_bound=bound, where=where)
 
@@ -268,16 +273,14 @@ def _n2_products(a, omega0):
     static response −A⁻¹e_p is [1/ω₀², 0, −A_bb⁻¹A_bq/ω₀²] (bath block
     bb, coupling A_bq), and A·e_p = e_q for the peaked bath, so the q
     and p entries of R's column cancel exactly, leaving the coupling."""
-    n = len(a)
-    solve = _lyapunov(a)
+    e_p = np.eye(len(a))[1]
     s_q = np.concatenate(([1.0, 0.0],
                           -np.linalg.solve(a[2:, 2:], a[2:, 0]))) / omega0 ** 2
     t_q = a[:, 1] / omega0 ** 2
     cols = np.stack((s_q, t_q, s_q - t_q))           # S, T, R at column q
     u, v = np.array(_PAIRS).T
-    rhs = np.concatenate((-cols[u][:, :, None] * cols[v][:, None, :],
-                          -np.outer(np.eye(n)[1], np.eye(n)[1])[None]))
-    x = solve(rhs)
+    x = _lyapunov(a)(np.concatenate((
+        -cols[u][:, :, None] * cols[v][:, None, :], -np.outer(e_p, e_p)[None])))
     # column p: S and T share e_p, and R has none
     xq, xp = x[:-1], x[-1] * ((u < 2) & (v < 2))[:, None, None]
     return 2.0 * math.pi * np.stack(
@@ -288,30 +291,49 @@ def _n2_products(a, omega0):
 def _gram_entries(products, prefix):
     """√(G/(‖f‖²‖g‖²)) per entry from the products over _PAIRS, with G
     the Gram determinant of the two shortest of f, g and r = f − g,
-    which spans the same area from any two of them."""
-    ff, gg, rr, fg, fr, gr = products
-    for key, column, norm in zip(_KEYS, products.T, ff * gg):
+    which spans the same area from any two of them; divided through so
+    that no two norms multiply, which could overflow."""
+    for key, column in zip(_KEYS, products.T):
         if not np.isfinite(column).all():
             raise NonFinite(f"{prefix}_{key}: an inner product of the "
                             "closed form is not finite")
-        if not norm > 0.0:
-            raise ZeroNorm(f"degenerate {prefix}_{key}: norm 0")
+        if not (column[0] > 0.0 and column[1] > 0.0):
+            raise ZeroNorm(f"degenerate {prefix}_{key}: norm not positive")
+    ff, gg, rr, fg, fr, gr = products
+    # ‖r‖² comes from its own realization, so ‖f‖² − 2⟨f,g⟩ + ‖g‖² checks
+    # the solves: an extreme bath (parameters 1e20 apart) breaks it
+    gap = np.abs(ff - 2.0 * fg + gg - rr) / (ff + gg)
+    k = int(np.argmax(gap))
+    if not gap[k] <= _REL_TOL:
+        raise NonConvergence(
+            f"{prefix}_{_KEYS[k]}: the closed form's ‖f − g‖² and ‖r‖² "
+            f"differ by {gap[k]:.3g} of ‖f‖² + ‖g‖², above the "
+            f"{_REL_TOL:.0e} relative tolerance", error_bound=float(gap[k]))
     longest = np.argmax(products[:3], axis=0)
-    gram = np.where(longest == 2, ff * gg - fg ** 2,
-                    np.where(longest == 1, ff * rr - fr ** 2,
-                             gg * rr - gr ** 2))
-    return np.sqrt(np.clip(gram / (ff * gg), 0.0, 1.0))
+    with np.errstate(over="ignore", under="ignore"):
+        ratio = np.where(longest == 2, 1.0 - (fg / ff) * (fg / gg),
+                         np.where(longest == 1, (rr - fr * (fr / ff)) / gg,
+                                  (rr - gr * (gr / gg)) / ff))
+    return np.sqrt(np.clip(ratio, 0.0, 1.0))
 
 
 def _closed_form(p, a, prefix):
     """n1 (prefix 'n1') or classical n2 ('n2') of a coupled bath with
-    the drift matrix a, as a (matrix, diagnostics) pair with no pass."""
+    the drift matrix a, as a (matrix, diagnostics) pair with no pass.
+    An extreme bath whose solves overflow raises NonFinite, one whose
+    Lyapunov operator is singular in doubles DivisionNearZero."""
     if len(a) == 2:     # (q, p) alone: the strict Ohmic oscillator
         values = _ohmic_entries(-a[1, 1] / p.omega0, prefix)
     else:
         _guard(a, prefix)
-        products = (_n1_products(a) if prefix == "n1"
-                    else _n2_products(a, p.omega0))
+        try:
+            with np.errstate(all="ignore"):
+                products = (_n1_products(a) if prefix == "n1"
+                            else _n2_products(a, p.omega0))
+        except np.linalg.LinAlgError as exc:
+            raise DivisionNearZero(
+                f"{prefix}_qq: the Lyapunov operator of the drift matrix "
+                "is singular in double precision") from exc
         values = _gram_entries(products, prefix)
     return _matrix(prefix, values)
 

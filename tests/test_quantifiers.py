@@ -17,7 +17,8 @@ from nonmarkov.correlations import (
     exact_entries_vec,
     rt_entries_vec,
 )
-from nonmarkov.errors import CutoffSensitive, NonConvergence, ZeroNorm
+from nonmarkov.errors import (CutoffSensitive, DivisionNearZero,
+                             NonConvergence, ZeroNorm)
 from nonmarkov.quadrature import inner_product_info
 from nonmarkov.quantifiers import (
     _n1_sides,
@@ -575,6 +576,38 @@ class TestClosedForm:
             quantify(ModelParams(1.0, 1.0, 0.0), sd, which=which)
         assert exc.value.where == where
         assert exc.value.error_bound == pytest.approx(rounding, rel=1e-12)
+
+    @pytest.mark.parametrize("sd", [PeakedSD(1e-100, 1.0, 1.0),
+                                    PeakedSD(0.5, 1e-150, 1.0),
+                                    PeakedSD(0.5, 1e100, 1.0)], ids=repr)
+    def test_undamped_mode_is_guarded_without_warning(self, sd):
+        # Re λ = 0, or λ = 0, in doubles: a typed failure, never a NaN or
+        # a division warning (which the suite turns into errors)
+        with pytest.raises(NonConvergence, match="^n1_qq: the mode of the "
+                                                 "drift matrix at"):
+            quantify(P1, sd)
+
+    def test_inconsistent_solves_are_refused(self, monkeypatch):
+        # ‖f − g‖² from ⟨f,g⟩ against ‖r‖² from its own realization: a
+        # bath whose solves break it (parameters 1e20 apart, found by a
+        # fuzz) fails typed instead of returning a number in [0, 1]
+        # unit f and g at 60°, r = f − g: then qp's ‖r‖² is spoiled
+        products = np.repeat([[1.0], [1.0], [1.0], [0.5], [0.5], [-0.5]],
+                             3, axis=1)
+        assert quantifiers._gram_entries(products, "n2") == \
+            pytest.approx([math.sqrt(0.75)] * 3, rel=1e-15)
+        products[2, 1] = 0.5
+        with pytest.raises(NonConvergence, match="^n2_qp: the closed "
+                                                 "form's ‖f − g‖²"):
+            quantifiers._gram_entries(products, "n2")
+
+        def singular(a):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(quantifiers, "_n1_products", singular)
+        with pytest.raises(DivisionNearZero, match="^n1_qq: the Lyapunov "
+                                                   "operator"):
+            quantify(P1, PeakedSD(0.75, 0.63, 1.0), which="n1")
 
     def test_sweep_baths_are_far_from_the_guard(self):
         # the corners of the peaked ranges of perfbench's sweep, where a
