@@ -122,8 +122,8 @@ def _mp_products(drifts, cases):
     (inputs, output): X solves A_u·X + X·A_vᵀ + b_u·b_vᵀ = 0, with
     b = inputs[u] and inputs[v], by LU decomposition of the Kronecker
     operator I⊗A_u + A_v⊗I (column-major vec), and c = e_output.  Each
-    operator is built and factored once for all cases, which is what
-    ``lu_solve`` would do for each."""
+    operator is built and factored once for all cases, where
+    ``lu_solve`` would factor it again for each."""
     out = [{} for _ in cases]
     for u, v in (("f", "f"), ("g", "g"), ("f", "g")):
         au, av = drifts[u], drifts[v]

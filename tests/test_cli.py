@@ -104,7 +104,7 @@ class TestQuantifyMode:
                                                            capsys):
         out = tmp_path / "point.csv"
         out.write_text("stale,junk\n", encoding="utf-8")
-        # a peaked bath whose resonance χ̃_qq cannot resolve in doubles
+        # a peaked bath whose resonance doubles cannot resolve (the guard)
         rc = cli.main(["--mode", "quantify", "--sd", "peaked", "--d", "1e-6",
                        "--quantifier", "n1", "--out", str(out)])
         err = capsys.readouterr().err
@@ -520,8 +520,7 @@ class TestConfiguration:
 
     def test_huge_ohmic_coupling_prints_its_true_n1(self, tmp_path, capsys):
         # every norm of Ohmic D = 1e300 on the quadrature pass is below
-        # 1e-14; it used to print n1 ≡ 0 and exit 0, reading the bath as
-        # Markovian, and then exited 3.  The closed form has its values
+        # 1e-14, but the closed form has its values, and no power of D
         out = tmp_path / "point.csv"
         rc = cli.main(["--mode", "quantify", "--sd", "ohmic", "--d", "1e300",
                        "--quantifier", "n1", "--out", str(out)])
