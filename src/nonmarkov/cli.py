@@ -366,18 +366,20 @@ def _embedding_oracle_sd():
     return PeakedSD(coupling=0.05, width=0.05, resonance=1.0)
 
 
-def _closed_form_deviation(p, sd) -> float:
-    """Worst |Δn²| over n1 and classical n2 between the closed forms and
-    the quadrature pass, as squares (a vanishing entry carries
-    √(rounding)); NaN, with the message on stderr, when either fails."""
+def _closed_form_deviation(p, sd, which) -> float:
+    """Worst |Δn²| over the quantifiers which ('both' or 'n2') between
+    the closed forms (the Matsubara sums for quantum n2) and the
+    quadrature pass, as squares (a vanishing entry carries √(rounding));
+    NaN, with the message on stderr, when either fails."""
     try:
-        closed = quantify(p, sd, which="both")
+        closed = quantify(p, sd, which=which)
         passed = _pass_quantifiers(p, sd)
     except NumericsError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return math.nan
     return max(float(np.abs(c ** 2 - q ** 2).max())
-               for c, q in zip((closed.n1, closed.n2), passed))
+               for c, q in zip((closed.n1, closed.n2), passed)
+               if c is not None)
 
 
 def _mode_oracle_check(settings) -> int:
@@ -414,15 +416,19 @@ def _mode_oracle_check(settings) -> int:
           f"{dev[worst]:.3e} at t = {ts[worst]:g} (tolerance 1e-03) -> "
           f"{'pass' if embedding_ok else 'FAIL'}")
 
-    # n1 and classical n2 in closed form against the quadrature pass
-    baths = {"Ohmic": sd, "peaked": sd_peaked}
-    dev = np.array([_closed_form_deviation(p, bath)
-                    for bath in baths.values()])
+    # n1 and classical n2 in closed form, and quantum n2 of the peaked
+    # bath by Matsubara sums, against the quadrature pass
+    quantum = _model({**settings, "hbar": 1.0, "cutoff": None})
+    cases = {"Ohmic bath": (p, sd, "both"),
+             "peaked bath": (p, sd_peaked, "both"),
+             "peaked bath at ħ = 1": (quantum, sd_peaked, "n2")}
+    dev = np.array([_closed_form_deviation(*case) for case in cases.values()])
     worst = np.argmax(dev)
     closed_ok = dev[worst] <= 1e-7
-    print(f"closed forms vs quadrature (n1, classical n2): worst |dn²| = "
-          f"{dev[worst]:.3e} on the {list(baths)[worst]} bath (tolerance "
-          f"1e-07) -> {'pass' if closed_ok else 'FAIL'}")
+    print(f"closed forms vs quadrature (n1, classical n2, quantum n2 of the "
+          f"peaked bath): worst |dn²| = {dev[worst]:.3e} on the "
+          f"{list(cases)[worst]} (tolerance 1e-07) -> "
+          f"{'pass' if closed_ok else 'FAIL'}")
 
     return 0 if langevin_ok and embedding_ok and closed_ok else 4
 

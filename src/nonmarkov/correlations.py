@@ -31,8 +31,10 @@ peaked bath's pseudo-mode embedding) need no integral either.  At finite
 β they are the Matsubara sums (same reference) of
 χ̃_qq(iν_n) = e_qᵀ(ν_n − A)⁻¹e_p over ν_n = 2πn/(βħ): direct batched
 solves up to ν_n ≈ 4‖A‖₁, then a tail from the moments e_qᵀA^k·e_p and
-the Hurwitz ζ.  The Ohmic bath has A_pp = −D, for which the c_pp sum
-diverges logarithmically.
+the Hurwitz ζ.  ``_matsubara_terms`` gives the frequencies, the term
+count and the ζ of that tail, and quantum n2 (``quantifiers``) sums
+over the same terms.  The Ohmic bath has A_pp = −D, for which the c_pp
+sum diverges logarithmically.
 
 Every other quantum case integrates: tables, the Ohmic bath, β = ∞, and
 sums past 2¹⁴ terms (βħ‖A‖₁ ≳ 2.6e4).  c_qq and c_pp are rows of one
@@ -114,9 +116,12 @@ def _free_covariance(p: ModelParams) -> CovarianceMatrix:
 # (at least _MIN_TERMS terms), so the moment series of its tail falls by
 # 4 per order and _TAIL_MOMENTS orders reach rounding.  A model whose
 # direct part would need more than _MAX_TERMS terms (βħ‖A‖₁ ≳ 2.6e4)
-# keeps the quadrature.
+# keeps the quadrature.  Quantum n2 (``quantifiers._n2_quantum_products``)
+# takes about 1.2 µs per term against 1.4–1.6 ms for its pass, so it keeps
+# the pass past _N2_MAX_TERMS, the measured crossover.
 _MIN_TERMS = 16
 _MAX_TERMS = 2 ** 14
+_N2_MAX_TERMS = 2 ** 10
 _TAIL_MOMENTS = 30
 # Hurwitz ζ(s, a) of the tail's orders s = k + 1 at a = N + 1 ≥ 17 by
 # Euler–Maclaurin (Abramowitz & Stegun §23.1.30):
@@ -132,6 +137,26 @@ _EULER_MACLAURIN = np.array([
                            -691 / 2730), start=1)])
 
 
+def _matsubara_terms(p: ModelParams, a: np.ndarray, cap: int):
+    """The Matsubara frequencies ν_n = 2πn/(βħ), n = 1 … N, that a sum
+    over the drift matrix a takes directly, ν_{N+1}, and the tail's
+    ζ_k = (N+1)^{k+1}·ζ(k+1, N+1) over the orders k + 1 = 2 … 31, so
+    that Σ_{n>N} ν_n^{−s} = ζ_{s−1}/ν_{N+1}^s.  N is the last n with
+    ν_{n+1} < 4‖a‖₁, and at least _MIN_TERMS.  None unless a_pp = 0 and
+    0 < βħ < ∞, and when N would exceed cap."""
+    if not (a[1, 1] == 0.0 and 0.0 < p.beta * p.hbar < math.inf):
+        return None
+    nu1 = 2.0 * math.pi / (p.beta * p.hbar)
+    terms = 4.0 * float(np.abs(a).sum(axis=0).max()) / nu1
+    # ν_n past the largest float (βħ ≲ 1e-304) is left to the quadrature
+    if not (terms <= cap + 1 and nu1 * (cap + 1) < math.inf):
+        return None
+    n = max(_MIN_TERMS, math.ceil(terms) - 1)
+    zeta = ((n + 1.0) / (_ORDERS - 1.0) + 0.5
+            + (n + 1.0) ** -np.arange(1.0, 12.0, 2.0) @ _EULER_MACLAURIN)
+    return nu1 * np.arange(1.0, n + 1.0), nu1 * (n + 1), zeta
+
+
 def _matsubara_covariance(p: ModelParams,
                           a: np.ndarray) -> CovarianceMatrix | None:
     """Quantum covariances of a bath with drift matrix a and a_pp = 0
@@ -143,24 +168,17 @@ def _matsubara_covariance(p: ModelParams,
     since (s_n)_q = χ̃_qq(iν_n) and 1 − ν²χ̃_qq(iν) = −e_pᵀa(ν − a)⁻¹e_p.
     The tail n > N expands s_n = Σ_k a^k·e_p/ν_n^{k+1} and sums each
     order over n by Hurwitz ζ; its k = 0 term has no q entry and meets
-    a_pp = 0.  Takes 0 < βħ < ∞; None when the direct part would need
-    more than _MAX_TERMS terms."""
-    nu1 = 2.0 * math.pi / (p.beta * p.hbar)
-    terms = 4.0 * float(np.abs(a).sum(axis=0).max()) / nu1
-    # ν_n past the largest float (βħ ≲ 1e-304) is left to the quadrature
-    if not (terms <= _MAX_TERMS + 1 and nu1 * (_MAX_TERMS + 1) < math.inf):
+    a_pp = 0.  None unless a_pp = 0 and 0 < βħ < ∞, and when the direct
+    part would need more than _MAX_TERMS terms."""
+    terms = _matsubara_terms(p, a, _MAX_TERMS)
+    if terms is None:
         return None
-    n = max(_MIN_TERMS, math.ceil(terms) - 1)
+    nu, top, zeta = terms
     dim = len(a)
     e_p = np.eye(dim)[:, 1:2]
-    nu = nu1 * np.arange(1.0, n + 1.0)
     s = np.linalg.solve(nu[:, None, None] * np.eye(dim) - a, e_p)
-    # the tail is Σ_k ζ_k·x^k·e_p/ν_{N+1}, with x = a/ν_{N+1} and
-    # ζ_k = (N+1)^{k+1}·ζ(k+1, N+1); the Krylov columns x^k·e_p,
-    # k = 0 … 31, come by doubling
-    top = nu1 * (n + 1)
-    zeta = ((n + 1.0) / (_ORDERS - 1.0) + 0.5
-            + (n + 1.0) ** -np.arange(1.0, 12.0, 2.0) @ _EULER_MACLAURIN)
+    # the tail is Σ_k ζ_k·x^k·e_p/ν_{N+1}, with x = a/ν_{N+1}; the Krylov
+    # columns x^k·e_p, k = 0 … 31, come by doubling
     power, krylov = a / top, e_p
     while krylov.shape[1] <= _TAIL_MOMENTS:
         krylov = np.hstack((krylov, power @ krylov))
@@ -234,10 +252,9 @@ def covariance0(p: ModelParams, sd: SpectralDensity) -> CovarianceMatrix:
     if sd.decoupled or p.hbar == 0.0:
         return _free_covariance(p)
     a = sd.drift_matrix(p.omega0)
-    if a is not None and a[1, 1] == 0.0 and 0.0 < p.beta * p.hbar < math.inf:
-        cov = _matsubara_covariance(p, a)
-        if cov is not None:
-            return cov
+    cov = None if a is None else _matsubara_covariance(p, a)
+    if cov is not None:
+        return cov
     cov = _covariance0_cached(p, sd)
     if cov.cutoff_drift > 0.01:
         warnings.warn(

@@ -17,8 +17,11 @@ determinant of the two shortest of f, g and r = f − g, so nothing
 cancels where f ≈ g.  A peaked bath whose sharpest mode λ of A gives
 χ̃_qq a rounding of ε/(2|Re λ|/|λ|) above the 1e-9 relative tolerance
 raises ``NonConvergence`` instead, and so does one whose ‖f − g‖² and
-‖r‖² disagree by more than that.  Tables, and quantum n2, take one
-whole-line quadrature pass.
+‖r‖² disagree by more than that.  Quantum n2 of a bath whose drift
+matrix has A_pp = 0 (the peaked bath) at 0 < βħ < ∞ is Matsubara sums
+over the same realizations, under the same guard, up to 2¹⁰ terms
+(Grabert, Schramm & Ingold, Phys. Rep. 168, 115 (1988)).  Tables, Ohmic
+quantum n2, β = ∞ and longer sums take one whole-line quadrature pass.
 """
 from __future__ import annotations
 
@@ -27,7 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlations import _exact_rows, _rt_rows, covariance0
+from .correlations import (_N2_MAX_TERMS, _ORDERS, _TAIL_MOMENTS,
+                           _exact_rows, _matsubara_terms, _rt_rows,
+                           covariance0)
 from .errors import DivisionNearZero, NonConvergence, NonFinite, ZeroNorm
 from .quadrature import _REL_TOL, inner_product_info
 from .response import (_chi_prime_rows, _chi_qq, _chi_qq_and_prime,
@@ -96,10 +101,16 @@ def _distance_info(sides, breakpoints=(), names=("argument",)):
         if exc.estimate is not None:
             _norms(exc.estimate, names)
         raise
-    nf2, ng2 = _norms(res.value, names)
-    ratio = np.abs(res.value[0]) ** 2 / (nf2 * ng2)
+    return _distances(res.value, names), res.panels
+
+
+def _distances(value, names):
+    """√(1 − |⟨f,g⟩|²/(‖f‖²‖g‖²)) of each row of the products value,
+    stacked ⟨f,g⟩, ‖f‖², ‖g‖²; raises ZeroNorm as ``_norms`` does."""
+    nf2, ng2 = _norms(value, names)
+    ratio = np.abs(value[0]) ** 2 / (nf2 * ng2)
     r = np.clip(1.0 - ratio, 0.0, 1.0)  # rounding can step outside [0, 1]
-    return np.sqrt(r), res.panels
+    return np.sqrt(r)
 
 
 def distance(f, g, *, breakpoints=()) -> float:
@@ -288,6 +299,98 @@ def _n2_products(a, omega0):
         axis=1)
 
 
+# A side U = H_ij(s) + H_ji(−s) has two causal halves, each an (output,
+# column) half-side numbered 4·output + column: output 0 is q and 1 is p;
+# columns 0, 1 are S's σ_q, σ_p and 2, 3 are T's τ_q, τ_p.
+def _sides(col):
+    return [(4 * i + col + j, 4 * j + col + i) for i, j in zip(*_ENTRY)]
+
+
+# the products (F⁺, F⁻, G⁺, G⁻) that _n2_quantum_products takes: S with
+# S, T with T and S with T at qq, qp, pp, then S_pp with T_qp
+_S, _T = _sides(0), _sides(2)
+_PRODUCTS = np.array([*zip(_S, _S), *zip(_T, _T), *zip(_S, _T),
+                      (_S[2], _T[1])]).reshape(-1, 4).T
+
+
+def _n2_quantum_products(p, a, cov0, terms):
+    """⟨S, T⟩, ‖S‖² and ‖T‖² at qq, qp, pp of the quantum exact spectrum
+    S and the regression prediction T of a bath with the drift matrix a
+    (a_pp = 0), shape (3, 3) like a pass's value, from the Matsubara
+    terms (ν_n, ν_{N+1}, ζ) of ``correlations._matsubara_terms``.
+
+    Entry (i, j) of S is (w_B/2)·U, U = H_ij(s) + H_ji(−s) with
+    H = C(s − a)⁻¹[σ_q, σ_p], s = −iω, σ_q = −a⁻¹e_p and σ_p = e_p; T is
+    the same with [τ_q, τ_p] = [c_qq·a·e_p, c_pp·e_p] and no weight.
+    The Bose weight w_B = W + ħω, W = ħω·coth(βħω/2), and its odd part
+    ħω drops out by parity but for S_qp with T_qp, where it leaves
+    iħ⟨U_pp, T_qp⟩; w_B² leaves 2ħ²ω² + ħ²ω²csch²(βħω/2).  For a
+    product P = F·G* of two such sides, X_kl solving
+    a·X + X·aᵀ + b_k·b_lᵀ = 0 gives ∫P/(ω² + ν²) dω = πΞ(ν)/ν by residues,
+    with Ξ(ν) the resolvent forms c(ν − a)⁻¹X·c′ of the cross halves and
+    the products F⁺(ν)G⁻(ν) + F⁻(ν)G⁺(ν) of the others.  Then, with the
+    Matsubara frequencies ν_n = 2πn/(βħ),
+
+        ∫P dω = lim πνΞ(ν) = πμ_0,
+        ∫W·P dω = (2/β)∫P + (4/β)Σ_n ∫P·ω²/(ω² + ν_n²),
+        ∫ħ²ω²csch²·P dω = (4/β²)[∫P + Σ_n ∂_ν(2ν∫P·ω²/(ω² + ν²))|ν_n],
+        ∫ω²P dω = −πμ_2,
+
+    where ∫P·ω²/(ω² + ν²) = −πΣ_j μ_j/ν^j is written exactly through
+    e_o·a(ν − a)⁻¹ and its ∂_ν through e_o·a²(ν − a)⁻² and
+    e_o·a(ν − a)⁻², and the tail n > N sums its moments μ_j by Hurwitz ζ
+    (μ_1 vanishes: P falls faster than ω⁻²)."""
+    nu, top, zeta = terms
+    eye = np.eye(len(a))
+    sigma = np.concatenate(([1.0, 0.0],
+                            -np.linalg.solve(a[2:, 2:], a[2:, 0])))
+    cols = np.stack((sigma / p.omega0 ** 2, eye[1], cov0.c_qq * a[:, 1],
+                     cov0.c_pp * eye[1]))
+    x = _lyapunov(a)(-cols[:, None, :, None] * cols[None, :, None, :])
+    # the rows e_o·a(ν − a)⁻¹, e_o·a(ν − a)⁻² and e_o·a²(ν − a)⁻² at each ν_n
+    res = np.linalg.inv(nu[:, None, None] * eye - a)
+    z = a[:2] @ res
+    v, w = z @ res, z @ a @ res
+    # the Krylov rows e_o·(a/ν_{N+1})^j, j = 0 … 31, by doubling
+    power, krylov = a / top, eye[:2, None, :]
+    while krylov.shape[1] <= _TAIL_MOMENTS:
+        krylov = np.concatenate((krylov, krylov @ power), axis=1)
+        power = power @ power
+    tail = krylov[:, 2:_TAIL_MOMENTS + 2]           # the orders j = 2 … 31
+    # the cross halves' row functionals: e_o (∫P), the W and csch² sums,
+    # each direct part plus its ζ tail, and e_o·a² (μ_2)
+    rows = np.stack((eye[:2], z.sum(axis=0) + zeta @ tail,
+                     w.sum(axis=0) + (_ORDERS - 1.0) * zeta @ tail,
+                     a[:2] @ a))
+    # R_o·X_kl·e_o′ + R_o′·X_lk·e_o over the half-sides (o, k) and (o′, l)
+    g = np.einsum("fod,kldm->fokml", rows, x[..., :2])
+    cross = (g + g.transpose(0, 3, 4, 1, 2)).reshape(4, 8, 8)
+    # the other halves: νF(ν) = e_o·b_k + e_o·a(ν − a)⁻¹b_k = Σ_j f_j/ν^j
+    # with f_j = e_o·a^j·b_k, and its ∂_ν
+    phi = (cols.T[:2] + z @ cols.T).reshape(-1, 8)
+    dphi = -(v @ cols.T).reshape(-1, 8)
+    f = (krylov[:, :_TAIL_MOMENTS + 1] @ cols.T).swapaxes(1, 2).reshape(8, -1)
+    # the tail of Σ_j p_j/ν^{j+1}, p the Cauchy product of two f, is a
+    # Hankel form: ζ of the order k + l + 1 between f_k and f_l
+    k = np.arange(_TAIL_MOMENTS + 1)
+    order = k[:, None] + k
+    hankel = np.concatenate(([0.0], zeta, np.zeros(_TAIL_MOMENTS)))[order]
+    prod = np.stack((
+        np.zeros((8, 8)),
+        (phi / nu[:, None]).T @ phi + f @ hankel @ f.T / top,
+        -(dphi.T @ phi + phi.T @ dphi) + f @ (order * hankel) @ f.T / top,
+        (np.outer(f[:, 0], f[:, 1]) + np.outer(f[:, 1], f[:, 0])) * top))
+    f1, f2, g1, g2 = _PRODUCTS
+    m0, sw, sc, mu2 = (cross[:, f1, g1] + cross[:, f2, g2]
+                       + prod[:, f1, g2] + prod[:, f2, g1])
+    m0 = math.pi * m0
+    ss = ((m0[:3] + 2.0 * math.pi * sc[:3]) / p.beta ** 2
+          - 0.5 * math.pi * p.hbar ** 2 * mu2[:3])
+    st = (m0[6:9] - 2.0 * math.pi * sw[6:9]) / p.beta + 0j
+    st[1] += 0.5j * p.hbar * m0[9]
+    return np.stack((st, ss + 0j, m0[3:6] + 0j))
+
+
 def _gram_entries(products, prefix):
     """√(G/(‖f‖²‖g‖²)) per entry from the products over _PAIRS, with G
     the Gram determinant of the two shortest of f, g and r = f − g,
@@ -338,6 +441,29 @@ def _closed_form(p, a, prefix):
     return _matrix(prefix, values)
 
 
+def _quantum_closed_form(p, a, cov0):
+    """Quantum n2 (qq, qp, pp) of a bath with the drift matrix a by
+    ``_n2_quantum_products`` after ``_guard``, with the errors of
+    ``_closed_form``; None where ``_matsubara_terms`` has no sum (a_pp ≠ 0,
+    β = ∞) or past _N2_MAX_TERMS terms."""
+    terms = _matsubara_terms(p, a, _N2_MAX_TERMS)
+    if terms is None:
+        return None
+    _guard(a, "n2")
+    try:
+        with np.errstate(all="ignore"):
+            value = _n2_quantum_products(p, a, cov0, terms)
+    except np.linalg.LinAlgError as exc:
+        raise DivisionNearZero(
+            "n2_qq: the Lyapunov operator of the drift matrix is singular "
+            "in double precision") from exc
+    for key, column in zip(_KEYS, value.T):
+        if not np.isfinite(column).all():
+            raise NonFinite(f"n2_{key}: an inner product of the Matsubara "
+                            "sums is not finite")
+    return _distances(value, [f"n2_{key}" for key in _KEYS])
+
+
 def divisibility_quantifier(p, sd: SpectralDensity):
     """First quantifier: distance between −i dχ̃/dω and χ̃ χ₊⁻¹ χ̃.
 
@@ -357,17 +483,22 @@ def regression_quantifier(p, sd: SpectralDensity):
     """Second quantifier: distance between the exact equilibrium
     correlation spectrum and the regression-theorem prediction.
 
-    At ħ = 0 a bath with a drift matrix takes the closed form; any other
-    case takes one pass.  Propagates CutoffSensitive warnings from the
+    At ħ = 0 a bath with a drift matrix takes the closed form, and at
+    0 < βħ < ∞ a bath whose drift matrix has A_pp = 0 (the peaked bath)
+    takes Matsubara sums of at most 2¹⁰ terms; any other case takes one
+    pass.  Propagates CutoffSensitive warnings from the
     underlying equal-time covariances (strict Ohmic bath with ħ > 0),
     and stamps their cutoff_drift on every entry's diagnostics.
 
     Returns (2×2 real array, diagnostics dict).
     """
-    a = None if sd.decoupled or p.hbar > 0.0 else sd.drift_matrix(p.omega0)
-    if a is not None:
+    a = None if sd.decoupled else sd.drift_matrix(p.omega0)
+    if a is not None and p.hbar == 0.0:
         return _closed_form(p, a, "n2")
     cov0 = covariance0(p, sd)
+    values = None if a is None else _quantum_closed_form(p, a, cov0)
+    if values is not None:
+        return _matrix("n2", values)
     return _quantifier_matrix(p, sd, "n2", _n2_sides(p, sd, cov0),
                               cutoff_drift=cov0.cutoff_drift)
 

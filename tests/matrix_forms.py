@@ -10,8 +10,10 @@ diagonalizes the pseudo-mode drift matrix of a peaked bath, from which
 ``inner_product_info`` pass over each half of the real line itself,
 without the fold.
 ``mp_matsubara_covariance`` sums the quantum covariances of a
-drift-matrix bath at 50 digits, and ``mp_lyapunov_quantifiers`` solves
-for n1 and classical n2 of an Ohmic or peaked bath at 50 digits.
+drift-matrix bath at 50 digits, ``mp_lyapunov_quantifiers`` solves
+for n1 and classical n2 of an Ohmic or peaked bath at 50 digits, and
+``mp_quantum_n2`` integrates quantum n2 of a peaked bath over the whole
+line at 30 digits.
 """
 import math
 
@@ -194,3 +196,63 @@ def mp_lyapunov_quantifiers(sd, omega0: float = 1.0, dps: int = 50):
                             for k in ("ff", "gg", "fg")})
               for i, j in ((0, 0), (0, 1), (1, 1))]
         return n1, n2
+
+
+def mp_quantum_n2(p: ModelParams, sd: PeakedSD, c0: CovarianceMatrix,
+                  dps: int = 30):
+    """Quantum n2 at qq, qp, pp of a peaked bath from whole-line mpmath
+    quadrature at dps digits: ⟨S, T⟩, ‖S‖² and ‖T‖² of the exact
+    spectrum S = w_B·Re γ̃·|χ̃_qq|²·[1, iω, ω²] and the regression
+    prediction T built on the covariances c0, each integrated as
+    P(ω) + P(−ω) over [0, ∞), split at the resonances ν and ν ± σ of the
+    drift matrix's modes −σ ± iν and at the thermal scale 1/(βħ).  One
+    evaluation at ω serves all ten integrands, in real arithmetic (⟨S, T⟩
+    at qp is complex)."""
+    with mp.workdps(dps):
+        d2 = mp.mpf(sd.coupling) ** 2
+        g2, big2 = mp.mpf(sd.width) ** 2, mp.mpf(sd.resonance) ** 2
+        w02, beta, hbar = (mp.mpf(p.omega0) ** 2, mp.mpf(p.beta),
+                           mp.mpf(p.hbar))
+        cqq, cpp = mp.mpf(c0.c_qq), mp.mpf(c0.c_pp)
+        memo = {}
+
+        def rows(x):
+            if x not in memo:
+                # γ̃(±x) = re ± i·x·im and χ̃_qq(±x) = cr ± i·ci
+                x2 = x * x
+                den = (x2 - big2) ** 2 + g2 * x2
+                re = d2 * mp.sqrt(g2) / den
+                im = d2 * (g2 + x2 - big2) / (big2 * den)
+                dr, di = w02 - x2 + x2 * im, -x * re
+                mod = dr * dr + di * di
+                cr = dr / mod
+                # T_qp = c_pp·χ̃ − c_qq(ω²χ̃* + 1) = tr ± i·ti
+                tr = (cpp - cqq * x2) * cr - cqq
+                out = [mp.mpf(0)] * 10
+                for w in (x, -x):
+                    ci = w * re / mod
+                    s = -2 * hbar * w / mp.expm1(-beta * hbar * w) * re / mod
+                    tqq, tpp = 2 * w * cqq * ci, 2 * w * cpp * ci
+                    ti = (cpp + cqq * x2) * ci
+                    for k, term in enumerate((
+                            s * tqq, s * s, tqq * tqq,
+                            w * s * ti, w * s * tr, x2 * s * s,
+                            tr * tr + ti * ti,
+                            x2 * s * tpp, x2 * x2 * s * s, tpp * tpp)):
+                        out[k] += term
+                memo[x] = out
+            return memo[x]
+
+        cuts = [1.0 / (p.beta * p.hbar)]
+        for lam in np.linalg.eigvals(sd.drift_matrix(p.omega0)):
+            nu, sig = abs(lam.imag), abs(lam.real)
+            cuts += [nu, nu - sig, nu + sig]
+        line = [mp.mpf(0), *(mp.mpf(x) for x in sorted(set(cuts)) if x > 0),
+                mp.inf]
+        ints = [mp.quad(lambda x, k=k: rows(x)[k], line) for k in range(10)]
+        n2 = []
+        for st2, ss, tt in ((ints[0] ** 2, ints[1], ints[2]),
+                            (ints[3] ** 2 + ints[4] ** 2, ints[5], ints[6]),
+                            (ints[7] ** 2, ints[8], ints[9])):
+            n2.append(float(mp.sqrt(1 - st2 / (ss * tt))))
+        return n2

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nonmarkov import cli, response
+from nonmarkov import cli, quantifiers, response
 from nonmarkov.errors import CutoffSensitive
 from nonmarkov.oracle import LangevinResult
 from nonmarkov.quantifiers import quantify
@@ -155,14 +155,19 @@ class TestSweepMode:
 
     def test_beta_sweep_searches_the_resonances_once(self, tmp_path,
                                                      monkeypatch, capsys):
-        # the breakpoints depend on ω₀ and the bath only, not on β
+        # the breakpoints depend on ω₀ and the bath only, not on β; a
+        # table takes the quadrature pass for n1, n2 and the covariances
+        table = tmp_path / "peaked.txt"
+        w = np.linspace(0.0, 40.0, 201)
+        np.savetxt(table, np.column_stack(
+            [w, 0.5 * w / ((w * w - 4.0) ** 2 + 0.25 * w * w)]))
         calls = []
-        search = PeakedSD.feature_frequencies
-        monkeypatch.setattr(PeakedSD, "feature_frequencies",
+        search = TabulatedSD.feature_frequencies
+        monkeypatch.setattr(TabulatedSD, "feature_frequencies",
                             lambda sd, w0: calls.append(w0) or search(sd, w0))
         response._feature_frequencies.cache_clear()
-        rc = cli.main(["--mode", "sweep", "--sd", "peaked", "--param",
-                       "beta", "--range", "0.5:2:4", "--out",
+        rc = cli.main(["--mode", "sweep", "--sd", f"tabulated:{table}",
+                       "--param", "beta", "--range", "0.5:2:4", "--out",
                        str(tmp_path / "b.csv")])
         capsys.readouterr()
         assert rc == 0
@@ -171,8 +176,9 @@ class TestSweepMode:
 
     def test_cold_quantum_n2_sweep_has_no_failed_rows(self, tmp_path,
                                                        capsys):
-        # at βħ ≳ 2 the n2 integrands decay so fast that the tail fit
-        # used to overflow and abort the sweep
+        # βħ ≳ 2 once overflowed the tail fit of the windowed pass, which
+        # the pass over [0, ∞) replaced; these rows now take the Matsubara
+        # sums, and the sweep must still end with no failed row
         out = tmp_path / "cold.csv"
         rc = cli.main(["--mode", "sweep", "--sd", "peaked", "--param",
                        "beta", "--range", "1:2.614:8", "--hbar", "1",
@@ -621,9 +627,30 @@ class TestOracleCheckMode:
         assert "embedding vs frequency-domain response" in out
         closed = out.splitlines()[2]
         assert closed.startswith("closed forms vs quadrature (n1, classical "
-                                 "n2): worst |dn²| = ")
-        assert closed.endswith(" bath (tolerance 1e-07) -> pass")
+                                 "n2, quantum n2 of the peaked bath): worst "
+                                 "|dn²| = ")
+        assert closed.endswith(" bath (tolerance 1e-07) -> pass") or \
+            closed.endswith(" bath at ħ = 1 (tolerance 1e-07) -> pass")
         assert float(closed.split("= ")[1].split()[0]) <= 1e-7
+
+    def test_a_wrong_matsubara_sum_is_caught(self, monkeypatch, capsys):
+        # quantum n2 of the peaked bath by Matsubara sums, against its pass;
+        # a stand-in ensemble skips the Monte Carlo run the line ignores
+        times = np.linspace(0.0, 20.0, 2001)
+        zeros, ones = np.zeros_like(times), np.ones_like(times)
+        monkeypatch.setattr(cli, "langevin_means", lambda cfg: LangevinResult(
+            times, zeros, zeros, ones, ones))
+        products = quantifiers._n2_quantum_products
+
+        def off(*args):
+            value = products(*args)
+            value[0] *= 0.999
+            return value
+
+        monkeypatch.setattr(quantifiers, "_n2_quantum_products", off)
+        assert cli.main(["--mode", "oracle-check"]) == 4
+        assert capsys.readouterr().out.splitlines()[2].endswith(
+            " on the peaked bath at ħ = 1 (tolerance 1e-07) -> FAIL")
 
     def test_corrupted_kernel_is_caught(self, monkeypatch, capsys):
         class WrongSignSD(PeakedSD):
@@ -638,9 +665,10 @@ class TestOracleCheckMode:
         assert rc == 4
         assert "FAIL" in out
         assert "langevin vs propagation" in out
-        # the closed form reads the drift matrix, the pass the kernel
-        assert out.splitlines()[2].endswith(
-            " on the peaked bath (tolerance 1e-07) -> FAIL")
+        # the closed forms read the drift matrix, the pass the kernel
+        closed = out.splitlines()[2]
+        assert " on the peaked bath" in closed
+        assert closed.endswith(" (tolerance 1e-07) -> FAIL")
 
     def test_nan_z_score_fails(self, monkeypatch, capsys):
         # every comparison with NaN is false, so a NaN z-score must not

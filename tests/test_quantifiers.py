@@ -42,7 +42,7 @@ from nonmarkov.response import (
 from nonmarkov.spectral import OhmicSD, PeakedSD, TabulatedSD
 
 from matrix_forms import (mp_lyapunov_quantifiers, mp_matsubara_covariance,
-                          unfolded_line)
+                          mp_quantum_n2, unfolded_line)
 
 P1 = ModelParams(omega0=1.0, beta=1.0)
 
@@ -359,15 +359,20 @@ class TestOnePass:
     @pytest.mark.parametrize("sd", [OhmicSD(1.0), PeakedSD(0.75, 0.63, 1.0)])
     def test_one_inner_product_pass_per_quantifier(self, sd, monkeypatch):
         # n1, and classical n2, of a bath with a drift matrix are closed
-        # forms; a peaked bath's quantum covariances are Matsubara sums
+        # forms; a peaked bath's quantum covariances, and its quantum n2,
+        # are Matsubara sums
         passes = self._count_passes(monkeypatch)
+        peaked = isinstance(sd, PeakedSD)
         for p, which in ((ModelParams(1.0, 1.0, 1.0), "n1"),
-                         (ModelParams(1.0, 1.0, 0.0), "n2")):
+                         (ModelParams(1.0, 1.0, 0.0), "n2"),
+                         *[(ModelParams(1.0, 1.0, 1.0), "n2")] * peaked):
             rep = quantify(p, sd, which=which)
             assert passes == []
             assert {d.panels for d in rep.diagnostics.values()} == {0}
+        if peaked:
+            return
 
-        # quantum n2 keeps its pass; the Ohmic covariances take their own
+        # Ohmic quantum n2 keeps its pass; its covariances take their own
         p = ModelParams(1.0, 1.0, 1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", CutoffSensitive)
@@ -630,6 +635,84 @@ class TestClosedForm:
         rep = quantify(p, sd)
         for closed, passed in zip((rep.n1, rep.n2), _pass_quantifiers(p, sd)):
             assert np.abs(closed ** 2 - passed ** 2).max() <= 1e-7
+
+
+class TestQuantumMatsubara:
+    """Quantum n2 of the peaked bath by Matsubara sums, with no pass:
+    against 30-digit whole-line quadrature, the pass, the classical
+    closed form as ħ → 0, and the term cap past which the pass stays."""
+
+    # each bath at two (β, ħ), so that every bath, every β and both ħ
+    # appear; the whole 4 × 4 × 2 grid agrees within 6.6e-12, but takes
+    # about 30 s at 30 digits
+    @pytest.mark.parametrize("bath, beta, hbar", [
+        ((0.75, 0.63, 1.0), 0.3, 0.05), ((0.75, 0.63, 1.0), 5.0, 1.0),
+        ((1.0, 0.5, 2.0), 1.0, 1.0), ((1.0, 0.5, 2.0), 50.0, 0.05),
+        ((0.9, 1.0, 0.0625), 0.3, 1.0), ((0.9, 1.0, 0.0625), 5.0, 0.05),
+        ((1e-3, 0.63, 1.0), 1.0, 0.05), ((1e-3, 0.63, 1.0), 50.0, 1.0)])
+    def test_matches_30_digit_whole_line_reference(self, bath, beta, hbar):
+        p, sd = ModelParams(1.0, beta, hbar), PeakedSD(*bath)
+        rep = quantify(p, sd, which="n2")
+        _entries_within(rep.n2[ENTRIES],
+                        mp_quantum_n2(p, sd, covariance0(p, sd)), 1e-10)
+        assert {d.panels for d in rep.diagnostics.values()} == {0}
+
+    @settings(max_examples=30, deadline=None, database=None)
+    @given(st.builds(PeakedSD, coupling=st.floats(0.05, 3.0),
+                     width=st.floats(0.02, 3.0),
+                     resonance=st.floats(0.1, 4.0)),
+           st.floats(0.3, 5.0))
+    def test_matches_the_pass(self, sd, beta):
+        # TestStrongCoupling's peaked ranges at ħ = 1; squared entries
+        assume(not TestStrongCoupling._rounding_limited(sd))
+        p = ModelParams(1.0, beta, 1.0)
+        got = quantify(p, sd, which="n2").n2
+        assert np.abs(got ** 2 - _pass_quantifiers(p, sd)[1] ** 2).max() \
+            <= 1e-7
+
+    @pytest.mark.parametrize("sd", [PeakedSD(0.75, 0.63, 1.0),
+                                    PeakedSD(1.0, 0.5, 2.0),
+                                    PeakedSD(0.9, 1.0, 0.0625)], ids=repr)
+    def test_tends_to_the_classical_closed_form(self, sd):
+        # qq and qp tend to their classical closed forms.  pp, 0
+        # classically, is first order in ħ (the odd part ħω of the Bose
+        # weight, about 0.67ħ on (0.75, 0.63, 1), as 30-digit quadrature
+        # also gives), so n2_pp/ħ stays put; at ħ = 1e-6 it carries the
+        # 1 − ratio formula's rounding ε/n2_pp², up to 6e-4
+        def n2(hbar):
+            return quantify(ModelParams(1.0, 1.0, hbar), sd, which="n2").n2
+
+        quantum = n2(1e-6)
+        classical = quantify(P1, sd, which="n2").n2
+        assert np.abs(quantum - classical)[0].max() <= 1e-9
+        assert quantum[1, 1] / 1e-6 == pytest.approx(n2(1e-3)[1, 1] / 1e-3,
+                                                      rel=2e-3)
+
+    def test_past_the_cap_takes_the_pass(self):
+        # (0.75, 0.63, 1) has ‖A‖₁ = 2.3125: ⌈4‖A‖₁βħ/2π⌉ − 1 terms are
+        # 1023 at β = 695 and 1471 at β = 1000, about the pass's cost
+        sd = PeakedSD(0.75, 0.63, 1.0)
+        below, above = (ModelParams(1.0, beta, 1.0) for beta in (695.0, 1e3))
+        rep = quantify(below, sd, which="n2")
+        assert {d.panels for d in rep.diagnostics.values()} == {0}
+        rep = quantify(above, sd, which="n2")
+        panels = {d.panels for d in rep.diagnostics.values()}
+        assert len(panels) == 1 and panels.pop() > 0
+        assert np.array_equal(rep.n2, _pass_quantifiers(above, sd)[1])
+
+    def test_guard_and_singular_operator(self, monkeypatch):
+        p = ModelParams(1.0, 1.0, 1.0)
+        with pytest.raises(NonConvergence, match="^n2_qq: the mode of the "
+                                                 "drift matrix at ω = "):
+            quantify(p, PeakedSD(1e-6, 0.5, 2.0), which="n2")
+
+        def singular(*args):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(quantifiers, "_n2_quantum_products", singular)
+        with pytest.raises(DivisionNearZero, match="^n2_qq: the Lyapunov "
+                                                   "operator"):
+            quantify(p, PeakedSD(0.75, 0.63, 1.0), which="n2")
 
 
 def smooth_table(k, cutoff, scale, n):
