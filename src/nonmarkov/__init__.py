@@ -37,7 +37,7 @@ Layers, bottom up:
     the normalized distances built from the layers above: n1, and n2 at
     ħ = 0, of a bath with a drift matrix in closed form (algebraic for
     the Ohmic bath, Lyapunov equations for the peaked one), quantum n2
-    of the peaked bath by Matsubara sums; any other quantifier one
+    of both baths by Matsubara sums; any other quantifier one
     whole-line pass over one integrand of both sides.
 ``oracle``
     two independent cross-checks: a Langevin Monte Carlo propagator and

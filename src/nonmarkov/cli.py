@@ -303,23 +303,28 @@ def _validate_sweep(settings):
 def _sweep_reports(param, which, points):
     """The report of each grid value as a function of it.  n1 depends
     on neither β nor ħ, so a β or ħ sweep computes it once, at the first
-    point, and every row joins it to its own n2; a failed n1 fails every
-    row with its message, as it would point by point."""
-    if param in _SD_KEYS or which == "n2":
+    point, and every row joins it to its own n2.  Classical n2 does not
+    depend on β either, so a β sweep at ħ = 0 computes the whole report
+    once and serves every row from it.  A failed shared report fails
+    every row with its message, as it would point by point."""
+    first = next(iter(points.values()))
+    classical = param == "beta" and first[0].hbar == 0.0
+    if not classical and (param in _SD_KEYS or which == "n2"):
         return lambda v: quantify(*points[v], which=which)
+    shared = which if classical else "n1"
     try:
-        n1 = quantify(*next(iter(points.values())), which="n1")
+        once = quantify(*first, which=shared)
     except NumericsError as exc:
-        n1 = exc
+        once = exc
 
     def report(v):
-        if isinstance(n1, NumericsError):
-            raise n1.with_traceback(None)
-        if which == "n1":
-            return n1
+        if isinstance(once, NumericsError):
+            raise once.with_traceback(None)
+        if shared == which:
+            return once
         n2 = quantify(*points[v], which="n2")
-        return QuantifierReport(n1=n1.n1, n2=n2.n2,
-                                diagnostics={**n1.diagnostics,
+        return QuantifierReport(n1=once.n1, n2=n2.n2,
+                                diagnostics={**once.diagnostics,
                                              **n2.diagnostics})
     return report
 
@@ -416,17 +421,19 @@ def _mode_oracle_check(settings) -> int:
           f"{dev[worst]:.3e} at t = {ts[worst]:g} (tolerance 1e-03) -> "
           f"{'pass' if embedding_ok else 'FAIL'}")
 
-    # n1 and classical n2 in closed form, and quantum n2 of the peaked
-    # bath by Matsubara sums, against the quadrature pass
+    # n1 and classical n2 in closed form, and quantum n2 by Matsubara
+    # sums, against the quadrature pass; the Ohmic quantum c_pp stops at
+    # the cutoff and may warn that it is cutoff-limited
     quantum = _model({**settings, "hbar": 1.0, "cutoff": None})
     cases = {"Ohmic bath": (p, sd, "both"),
              "peaked bath": (p, sd_peaked, "both"),
+             "Ohmic bath at ħ = 1": (quantum, sd, "n2"),
              "peaked bath at ħ = 1": (quantum, sd_peaked, "n2")}
     dev = np.array([_closed_form_deviation(*case) for case in cases.values()])
     worst = np.argmax(dev)
     closed_ok = dev[worst] <= 1e-7
-    print(f"closed forms vs quadrature (n1, classical n2, quantum n2 of the "
-          f"peaked bath): worst |dn²| = {dev[worst]:.3e} on the "
+    print(f"closed forms vs quadrature (n1, classical n2, quantum n2 by "
+          f"Matsubara sums): worst |dn²| = {dev[worst]:.3e} on the "
           f"{list(cases)[worst]} (tolerance 1e-07) -> "
           f"{'pass' if closed_ok else 'FAIL'}")
 

@@ -32,12 +32,13 @@ peaked bath's pseudo-mode embedding) need no integral either.  At finite
 χ̃_qq(iν_n) = e_qᵀ(ν_n − A)⁻¹e_p over ν_n = 2πn/(βħ): direct batched
 solves up to ν_n ≈ 4‖A‖₁, then a tail from the moments e_qᵀA^k·e_p and
 the Hurwitz ζ.  ``_matsubara_terms`` gives the frequencies, the term
-count and the ζ of that tail, and quantum n2 (``quantifiers``) sums
-over the same terms.  The Ohmic bath has A_pp = −D, for which the c_pp
-sum diverges logarithmically.
+count and the ζ of that tail for any drift matrix, and quantum n2
+(``quantifiers``) of the Ohmic and peaked baths sums over the same
+terms.  The Ohmic bath has A_pp = −D, for which the c_pp sum diverges
+logarithmically, so its covariances integrate.
 
 Every other quantum case integrates: tables, the Ohmic bath, β = ∞, and
-sums past 2¹⁴ terms (βħ‖A‖₁ ≳ 2.6e4).  c_qq and c_pp are rows of one
+sums past 2¹³ terms (βħ‖A‖₁ ≳ 1.3e4).  c_qq and c_pp are rows of one
 integrand, integrated in one pass on shared panels over [0, ∞) through
 a compactifying map, seeded with the bath's feature frequencies and the
 decades of the thermal scale 1/(βħ).  The model cutoff Λ regularizes
@@ -114,13 +115,18 @@ def _free_covariance(p: ModelParams) -> CovarianceMatrix:
 
 # The Matsubara sum runs directly up to the first n with ν_{n+1} ≥ 4‖A‖₁
 # (at least _MIN_TERMS terms), so the moment series of its tail falls by
-# 4 per order and _TAIL_MOMENTS orders reach rounding.  A model whose
-# direct part would need more than _MAX_TERMS terms (βħ‖A‖₁ ≳ 2.6e4)
-# keeps the quadrature.  Quantum n2 (``quantifiers._n2_quantum_products``)
-# takes about 1.2 µs per term against 1.4–1.6 ms for its pass, so it keeps
-# the pass past _N2_MAX_TERMS, the measured crossover.
+# 4 per order and _TAIL_MOMENTS orders reach rounding.  Past _MAX_TERMS
+# (βħ‖A‖₁ ≳ 1.3e4) the covariances keep the quadrature.  The sum takes
+# about 0.35 µs per term against 0.5–0.9 ms for the pass, a crossover
+# near 2¹¹; but between 2¹¹ and 2¹³ terms the pass reads the covariances
+# of the peaked (0.9, 1, 0.0625) bath up to 2.2e-11 off a 50-digit sum,
+# where the sum stays within 1e-13.  Quantum n2
+# (``quantifiers._n2_quantum_products``) takes about 0.25 ms plus 0.7 µs
+# per term against 0.9–1.5 ms for its pass, on the 2×2 Ohmic matrix as
+# on the 4×4 peaked ones, so it keeps the pass past _N2_MAX_TERMS, the
+# measured crossover.
 _MIN_TERMS = 16
-_MAX_TERMS = 2 ** 14
+_MAX_TERMS = 2 ** 13
 _N2_MAX_TERMS = 2 ** 10
 _TAIL_MOMENTS = 30
 # Hurwitz ζ(s, a) of the tail's orders s = k + 1 at a = N + 1 ≥ 17 by
@@ -142,9 +148,9 @@ def _matsubara_terms(p: ModelParams, a: np.ndarray, cap: int):
     over the drift matrix a takes directly, ν_{N+1}, and the tail's
     ζ_k = (N+1)^{k+1}·ζ(k+1, N+1) over the orders k + 1 = 2 … 31, so
     that Σ_{n>N} ν_n^{−s} = ζ_{s−1}/ν_{N+1}^s.  N is the last n with
-    ν_{n+1} < 4‖a‖₁, and at least _MIN_TERMS.  None unless a_pp = 0 and
-    0 < βħ < ∞, and when N would exceed cap."""
-    if not (a[1, 1] == 0.0 and 0.0 < p.beta * p.hbar < math.inf):
+    ν_{n+1} < 4‖a‖₁, and at least _MIN_TERMS.  None unless 0 < βħ < ∞,
+    and when N would exceed cap; any drift matrix takes them."""
+    if not 0.0 < p.beta * p.hbar < math.inf:
         return None
     nu1 = 2.0 * math.pi / (p.beta * p.hbar)
     terms = 4.0 * float(np.abs(a).sum(axis=0).max()) / nu1
@@ -168,9 +174,10 @@ def _matsubara_covariance(p: ModelParams,
     since (s_n)_q = χ̃_qq(iν_n) and 1 − ν²χ̃_qq(iν) = −e_pᵀa(ν − a)⁻¹e_p.
     The tail n > N expands s_n = Σ_k a^k·e_p/ν_n^{k+1} and sums each
     order over n by Hurwitz ζ; its k = 0 term has no q entry and meets
-    a_pp = 0.  None unless a_pp = 0 and 0 < βħ < ∞, and when the direct
-    part would need more than _MAX_TERMS terms."""
-    terms = _matsubara_terms(p, a, _MAX_TERMS)
+    a_pp = 0.  None unless a_pp = 0 (a strict Ohmic c_pp sum diverges)
+    and 0 < βħ < ∞, and when the direct part would need more than
+    _MAX_TERMS terms."""
+    terms = None if a[1, 1] != 0.0 else _matsubara_terms(p, a, _MAX_TERMS)
     if terms is None:
         return None
     nu, top, zeta = terms
@@ -193,7 +200,8 @@ def _matsubara_covariance(p: ModelParams,
 # (and their γ̃ memos) alive.  Only a repeated (p, sd) hits it; it stays
 # while perfbench/worker.py reads its cache_info().  It serves the
 # quantum covariances that have no Matsubara route: tables, the Ohmic
-# bath (whose c_pp diverges), β = ∞ and sums past _MAX_TERMS.
+# bath (whose c_pp diverges, and whose quantum n2 sums read these
+# covariances), β = ∞ and sums past _MAX_TERMS.
 @functools.lru_cache(maxsize=4)
 def _covariance0_cached(p: ModelParams,
                         sd: SpectralDensity) -> CovarianceMatrix:

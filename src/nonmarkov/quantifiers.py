@@ -17,11 +17,13 @@ determinant of the two shortest of f, g and r = f − g, so nothing
 cancels where f ≈ g.  A peaked bath whose sharpest mode λ of A gives
 χ̃_qq a rounding of ε/(2|Re λ|/|λ|) above the 1e-9 relative tolerance
 raises ``NonConvergence`` instead, and so does one whose ‖f − g‖² and
-‖r‖² disagree by more than that.  Quantum n2 of a bath whose drift
-matrix has A_pp = 0 (the peaked bath) at 0 < βħ < ∞ is Matsubara sums
-over the same realizations, under the same guard, up to 2¹⁰ terms
-(Grabert, Schramm & Ingold, Phys. Rep. 168, 115 (1988)).  Tables, Ohmic
-quantum n2, β = ∞ and longer sums take one whole-line quadrature pass.
+‖r‖² disagree by more than that.  Quantum n2 of a bath with a drift
+matrix at 0 < βħ < ∞ is Matsubara sums over the same realizations, up
+to 2¹⁰ terms (Grabert, Schramm & Ingold, Phys. Rep. 168, 115 (1988)):
+the peaked bath's under the same guard, the Ohmic bath's, like its
+closed forms, with none, on the covariances of ``covariance0`` (whose
+momentum variance there is the Λ-cut pass, with its cutoff drift).
+Tables, β = ∞ and longer sums take one whole-line quadrature pass.
 """
 from __future__ import annotations
 
@@ -229,7 +231,9 @@ def _lyapunov(a):
     ε·cond to ε (peaked (3, 3, 0.1): n1_qp from 1.4e-5 to 2.2e-9 of a
     50-digit solve).  Where longdouble is double the step does no harm."""
     n = len(a)
-    op = np.kron(a, np.eye(n)) + np.kron(np.eye(n), a)
+    eye = np.eye(n)
+    op = (a[:, None, :, None] * eye[None, :, None, :]
+          + eye[:, None, :, None] * a[None, :, None, :]).reshape(n * n, n * n)
     wide = op.astype(np.longdouble)
 
     def solve(rhs):
@@ -316,8 +320,9 @@ _PRODUCTS = np.array([*zip(_S, _S), *zip(_T, _T), *zip(_S, _T),
 def _n2_quantum_products(p, a, cov0, terms):
     """⟨S, T⟩, ‖S‖² and ‖T‖² at qq, qp, pp of the quantum exact spectrum
     S and the regression prediction T of a bath with the drift matrix a
-    (a_pp = 0), shape (3, 3) like a pass's value, from the Matsubara
-    terms (ν_n, ν_{N+1}, ζ) of ``correlations._matsubara_terms``.
+    (the peaked 4×4 or the strict Ohmic 2×2 one), shape (3, 3) like a
+    pass's value, from the Matsubara terms (ν_n, ν_{N+1}, ζ) of
+    ``correlations._matsubara_terms``.
 
     Entry (i, j) of S is (w_B/2)·U, U = H_ij(s) + H_ji(−s) with
     H = C(s − a)⁻¹[σ_q, σ_p], s = −iω, σ_q = −a⁻¹e_p and σ_p = e_p; T is
@@ -443,13 +448,14 @@ def _closed_form(p, a, prefix):
 
 def _quantum_closed_form(p, a, cov0):
     """Quantum n2 (qq, qp, pp) of a bath with the drift matrix a by
-    ``_n2_quantum_products`` after ``_guard``, with the errors of
-    ``_closed_form``; None where ``_matsubara_terms`` has no sum (a_pp ≠ 0,
-    β = ∞) or past _N2_MAX_TERMS terms."""
+    ``_n2_quantum_products``, after ``_guard`` as in ``_closed_form`` (so
+    not on the Ohmic 2×2 matrix), with its errors; None where
+    ``_matsubara_terms`` has no sum (β = ∞) or past _N2_MAX_TERMS terms."""
     terms = _matsubara_terms(p, a, _N2_MAX_TERMS)
     if terms is None:
         return None
-    _guard(a, "n2")
+    if len(a) > 2:      # the strict Ohmic 2×2 matrix has no guard
+        _guard(a, "n2")
     try:
         with np.errstate(all="ignore"):
             value = _n2_quantum_products(p, a, cov0, terms)
@@ -483,12 +489,12 @@ def regression_quantifier(p, sd: SpectralDensity):
     """Second quantifier: distance between the exact equilibrium
     correlation spectrum and the regression-theorem prediction.
 
-    At ħ = 0 a bath with a drift matrix takes the closed form, and at
-    0 < βħ < ∞ a bath whose drift matrix has A_pp = 0 (the peaked bath)
-    takes Matsubara sums of at most 2¹⁰ terms; any other case takes one
-    pass.  Propagates CutoffSensitive warnings from the
-    underlying equal-time covariances (strict Ohmic bath with ħ > 0),
-    and stamps their cutoff_drift on every entry's diagnostics.
+    At ħ = 0 a bath with a drift matrix (Ohmic or peaked) takes the
+    closed form, and at 0 < βħ < ∞ Matsubara sums of at most 2¹⁰ terms;
+    any other case takes one pass.  Either way it propagates
+    CutoffSensitive warnings from the underlying equal-time covariances
+    (strict Ohmic bath with ħ > 0), and stamps their cutoff_drift on
+    every entry's diagnostics.
 
     Returns (2×2 real array, diagnostics dict).
     """
@@ -498,7 +504,7 @@ def regression_quantifier(p, sd: SpectralDensity):
     cov0 = covariance0(p, sd)
     values = None if a is None else _quantum_closed_form(p, a, cov0)
     if values is not None:
-        return _matrix("n2", values)
+        return _matrix("n2", values, cutoff_drift=cov0.cutoff_drift)
     return _quantifier_matrix(p, sd, "n2", _n2_sides(p, sd, cov0),
                               cutoff_drift=cov0.cutoff_drift)
 

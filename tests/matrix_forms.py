@@ -12,8 +12,8 @@ without the fold.
 ``mp_matsubara_covariance`` sums the quantum covariances of a
 drift-matrix bath at 50 digits, ``mp_lyapunov_quantifiers`` solves
 for n1 and classical n2 of an Ohmic or peaked bath at 50 digits, and
-``mp_quantum_n2`` integrates quantum n2 of a peaked bath over the whole
-line at 30 digits.
+``mp_quantum_n2`` integrates quantum n2 of an Ohmic or peaked bath over
+the whole line at 30 digits.
 """
 import math
 
@@ -198,19 +198,21 @@ def mp_lyapunov_quantifiers(sd, omega0: float = 1.0, dps: int = 50):
         return n1, n2
 
 
-def mp_quantum_n2(p: ModelParams, sd: PeakedSD, c0: CovarianceMatrix,
-                  dps: int = 30):
-    """Quantum n2 at qq, qp, pp of a peaked bath from whole-line mpmath
-    quadrature at dps digits: ⟨S, T⟩, ‖S‖² and ‖T‖² of the exact
+def mp_quantum_n2(p: ModelParams, sd, c0: CovarianceMatrix, dps: int = 30):
+    """Quantum n2 at qq, qp, pp of an Ohmic or peaked bath from whole-line
+    mpmath quadrature at dps digits: ⟨S, T⟩, ‖S‖² and ‖T‖² of the exact
     spectrum S = w_B·Re γ̃·|χ̃_qq|²·[1, iω, ω²] and the regression
     prediction T built on the covariances c0, each integrated as
     P(ω) + P(−ω) over [0, ∞), split at the resonances ν and ν ± σ of the
-    drift matrix's modes −σ ± iν and at the thermal scale 1/(βħ).  One
-    evaluation at ω serves all ten integrands, in real arithmetic (⟨S, T⟩
-    at qp is complex)."""
+    drift matrix's modes −σ ± iν and at the thermal scale 1/(βħ).  The
+    strict Ohmic γ̃ is the constant D, and c0 carries its cutoff-limited
+    c_pp.  One evaluation at ω serves all ten integrands, in real
+    arithmetic (⟨S, T⟩ at qp is complex)."""
     with mp.workdps(dps):
-        d2 = mp.mpf(sd.coupling) ** 2
-        g2, big2 = mp.mpf(sd.width) ** 2, mp.mpf(sd.resonance) ** 2
+        ohmic = isinstance(sd, OhmicSD)
+        if not ohmic:
+            d2 = mp.mpf(sd.coupling) ** 2
+            g2, big2 = mp.mpf(sd.width) ** 2, mp.mpf(sd.resonance) ** 2
         w02, beta, hbar = (mp.mpf(p.omega0) ** 2, mp.mpf(p.beta),
                            mp.mpf(p.hbar))
         cqq, cpp = mp.mpf(c0.c_qq), mp.mpf(c0.c_pp)
@@ -220,9 +222,12 @@ def mp_quantum_n2(p: ModelParams, sd: PeakedSD, c0: CovarianceMatrix,
             if x not in memo:
                 # γ̃(±x) = re ± i·x·im and χ̃_qq(±x) = cr ± i·ci
                 x2 = x * x
-                den = (x2 - big2) ** 2 + g2 * x2
-                re = d2 * mp.sqrt(g2) / den
-                im = d2 * (g2 + x2 - big2) / (big2 * den)
+                if ohmic:
+                    re, im = mp.mpf(sd.damping), mp.mpf(0)
+                else:
+                    den = (x2 - big2) ** 2 + g2 * x2
+                    re = d2 * mp.sqrt(g2) / den
+                    im = d2 * (g2 + x2 - big2) / (big2 * den)
                 dr, di = w02 - x2 + x2 * im, -x * re
                 mod = dr * dr + di * di
                 cr = dr / mod

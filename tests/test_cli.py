@@ -319,6 +319,43 @@ class TestSweepSharesN1:
         capsys.readouterr()
         assert shared == per_point
 
+    @pytest.mark.parametrize("which", ["both", "n1", "n2"])
+    @pytest.mark.parametrize("bath", [
+        ["--sd", "ohmic", "--d", "0.7"],
+        ["--sd", "peaked", "--d", "0.75", "--gamma", "0.63",
+         "--omega-big", "1"],
+        # refused by the closed forms' guard (the mode at ω ≈ 1)
+        ["--sd", "peaked", "--d", "1e-6", "--gamma", "0.5",
+         "--omega-big", "2"]], ids=["ohmic", "peaked", "refused"])
+    def test_classical_beta_sweep_quantifies_once(self, bath, which,
+                                                  tmp_path, monkeypatch,
+                                                  capsys):
+        # n1 and classical n2 do not depend on β, so one quantify serves
+        # every row, and a failing one fails every row with its message
+        refused = "1e-6" in bath
+        args = ["--mode", "sweep", *bath, "--param", "beta", "--range",
+                "0.3:5:4:log", "--hbar", "0", "--quantifier", which]
+        calls = []
+        monkeypatch.setattr(
+            cli, "quantify",
+            lambda p, sd, which: calls.append(which) or quantify(p, sd,
+                                                                 which=which))
+        shared = tmp_path / "shared.csv"
+        assert cli.main(args + ["--out", str(shared)]) == 3 * refused
+        assert calls == [which]
+
+        monkeypatch.setattr(
+            cli, "_sweep_reports",
+            lambda param, which, points: lambda v: quantify(*points[v],
+                                                            which=which))
+        per_point = tmp_path / "per_point.csv"
+        assert cli.main(args + ["--out", str(per_point)]) == 3 * refused
+        capsys.readouterr()
+        assert shared.read_bytes() == per_point.read_bytes()
+        errors = {row["error"] for row in read_csv(shared)}
+        assert len(read_csv(shared)) == 4 and len(errors) == 1
+        assert ("the mode of the drift matrix" in errors.pop()) == refused
+
 
 class TestMeansMode:
     def test_rows_match_direct_propagation(self, tmp_path, capsys):
@@ -617,9 +654,16 @@ class TestConfiguration:
         assert "--omega-big" in capsys.readouterr().out
 
 
+def oracle_check() -> int:
+    """``oracle-check`` with its defaults; its Ohmic quantum-n2 case warns
+    that the momentum variance is cutoff-limited."""
+    with pytest.warns(CutoffSensitive):
+        return cli.main(["--mode", "oracle-check"])
+
+
 class TestOracleCheckMode:
     def test_consistent_implementations_pass(self, capsys):
-        rc = cli.main(["--mode", "oracle-check"])
+        rc = oracle_check()
         out = capsys.readouterr().out
         assert rc == 0
         assert out.count("-> pass") == 3
@@ -627,30 +671,33 @@ class TestOracleCheckMode:
         assert "embedding vs frequency-domain response" in out
         closed = out.splitlines()[2]
         assert closed.startswith("closed forms vs quadrature (n1, classical "
-                                 "n2, quantum n2 of the peaked bath): worst "
+                                 "n2, quantum n2 by Matsubara sums): worst "
                                  "|dn²| = ")
         assert closed.endswith(" bath (tolerance 1e-07) -> pass") or \
             closed.endswith(" bath at ħ = 1 (tolerance 1e-07) -> pass")
         assert float(closed.split("= ")[1].split()[0]) <= 1e-7
 
     def test_a_wrong_matsubara_sum_is_caught(self, monkeypatch, capsys):
-        # quantum n2 of the peaked bath by Matsubara sums, against its pass;
-        # a stand-in ensemble skips the Monte Carlo run the line ignores
+        # quantum n2 of each bath by Matsubara sums, against its pass, with
+        # ⟨S, T⟩ scaled on that bath's drift matrix alone (2×2 Ohmic, 4×4
+        # peaked); a stand-in ensemble skips the Monte Carlo run the line
+        # ignores
         times = np.linspace(0.0, 20.0, 2001)
         zeros, ones = np.zeros_like(times), np.ones_like(times)
         monkeypatch.setattr(cli, "langevin_means", lambda cfg: LangevinResult(
             times, zeros, zeros, ones, ones))
         products = quantifiers._n2_quantum_products
+        for bath, size in (("Ohmic", 2), ("peaked", 4)):
+            def off(p, a, cov0, terms, size=size):
+                value = products(p, a, cov0, terms)
+                if len(a) == size:
+                    value[0] *= 0.999
+                return value
 
-        def off(*args):
-            value = products(*args)
-            value[0] *= 0.999
-            return value
-
-        monkeypatch.setattr(quantifiers, "_n2_quantum_products", off)
-        assert cli.main(["--mode", "oracle-check"]) == 4
-        assert capsys.readouterr().out.splitlines()[2].endswith(
-            " on the peaked bath at ħ = 1 (tolerance 1e-07) -> FAIL")
+            monkeypatch.setattr(quantifiers, "_n2_quantum_products", off)
+            assert oracle_check() == 4
+            assert capsys.readouterr().out.splitlines()[2].endswith(
+                f" on the {bath} bath at ħ = 1 (tolerance 1e-07) -> FAIL")
 
     def test_corrupted_kernel_is_caught(self, monkeypatch, capsys):
         class WrongSignSD(PeakedSD):
@@ -660,7 +707,7 @@ class TestOracleCheckMode:
         monkeypatch.setattr(
             cli, "_embedding_oracle_sd",
             lambda: WrongSignSD(coupling=0.05, width=0.05, resonance=1.0))
-        rc = cli.main(["--mode", "oracle-check"])
+        rc = oracle_check()
         out = capsys.readouterr().out
         assert rc == 4
         assert "FAIL" in out
@@ -679,7 +726,7 @@ class TestOracleCheckMode:
             times, zeros, zeros, ones, ones))
         monkeypatch.setattr(cli, "propagate_means",
                             lambda *args: (math.nan, math.nan))
-        assert cli.main(["--mode", "oracle-check"]) == 4
+        assert oracle_check() == 4
         assert "worst |z| = nan at t = 0.01" in capsys.readouterr().out
 
     @pytest.mark.parametrize("flags, key", [

@@ -263,9 +263,9 @@ class TestDigammaReference:
         assert c.c_pp == pytest.approx(c_pp, rel=1e-10)
 
     # Cold baths, where the thermal weight turns over at ω ≈ 2/(βħ), far
-    # below every feature of the bath.  covariance0 hands the first two
-    # to the Matsubara sum on (0.75, 0.63, 1), so the quadrature is
-    # called directly.
+    # below every feature of the bath.  covariance0 hands the first to
+    # the Matsubara sum on (0.75, 0.63, 1), so the quadrature is called
+    # directly.
     @pytest.mark.parametrize("beta", [5142.0, 11128.0, 1e5])
     @pytest.mark.parametrize("d, gamma, big", [
         (0.75, 0.63, 1.0), (1.0, 0.5, 2.0), (1.2, 0.3, 2.5)])
@@ -319,18 +319,18 @@ class TestMatsubaraRoute:
 
     def test_term_cap_hands_over_to_the_quadrature(self, monkeypatch):
         # the overdamped (2, 3, 0.5) has ‖A‖₁ = 19, so the sum needs
-        # ⌈4‖A‖₁βħ/2π⌉ − 1 terms: 16377 at β = 1354 and 16389 at
-        # β = 1355, on either side of the cap of 2^14
+        # ⌈4‖A‖₁βħ/2π⌉ − 1 terms: 8188 at β = 677 and 8200 at β = 678,
+        # on either side of the cap of 2^13
         sd = PeakedSD(2.0, 3.0, 0.5)
         a = sd.drift_matrix(1.0)
-        below = ModelParams(omega0=1.0, beta=1354.0, hbar=1.0)
-        above = ModelParams(omega0=1.0, beta=1355.0, hbar=1.0)
+        below = ModelParams(omega0=1.0, beta=677.0, hbar=1.0)
+        above = ModelParams(omega0=1.0, beta=678.0, hbar=1.0)
         for p in (below, above):
             quad = _covariance0_cached(p, sd)
             if p is above:
                 assert _matsubara_covariance(p, a) is None
                 assert covariance0(p, sd) == quad
-                monkeypatch.setattr(correlations, "_MAX_TERMS", 2 ** 15)
+                monkeypatch.setattr(correlations, "_MAX_TERMS", 2 ** 14)
             c = _matsubara_covariance(p, a)
             assert c.c_qq == pytest.approx(quad.c_qq, rel=1e-9)
             assert c.c_pp == pytest.approx(quad.c_pp, rel=1e-9)

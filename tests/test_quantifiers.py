@@ -359,29 +359,20 @@ class TestOnePass:
     @pytest.mark.parametrize("sd", [OhmicSD(1.0), PeakedSD(0.75, 0.63, 1.0)])
     def test_one_inner_product_pass_per_quantifier(self, sd, monkeypatch):
         # n1, and classical n2, of a bath with a drift matrix are closed
-        # forms; a peaked bath's quantum covariances, and its quantum n2,
-        # are Matsubara sums
+        # forms, and its quantum n2 is Matsubara sums; a peaked bath's
+        # quantum covariances are sums too, the strict Ohmic ones take
+        # their own pass, cached here before the count starts
         passes = self._count_passes(monkeypatch)
-        peaked = isinstance(sd, PeakedSD)
-        for p, which in ((ModelParams(1.0, 1.0, 1.0), "n1"),
-                         (ModelParams(1.0, 1.0, 0.0), "n2"),
-                         *[(ModelParams(1.0, 1.0, 1.0), "n2")] * peaked):
-            rep = quantify(p, sd, which=which)
-            assert passes == []
-            assert {d.panels for d in rep.diagnostics.values()} == {0}
-        if peaked:
-            return
-
-        # Ohmic quantum n2 keeps its pass; its covariances take their own
-        p = ModelParams(1.0, 1.0, 1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", CutoffSensitive)
-            covariance0(p, sd)
+            covariance0(ModelParams(1.0, 1.0, 1.0), sd)
             passes.clear()
-            rep = quantify(p, sd, which="n2")
-        assert passes == [1, 2]
-        panels = {d.panels for d in rep.diagnostics.values()}
-        assert len(panels) == 1 and panels.pop() > 0
+            for p, which in ((ModelParams(1.0, 1.0, 1.0), "n1"),
+                             (ModelParams(1.0, 1.0, 0.0), "n2"),
+                             (ModelParams(1.0, 1.0, 1.0), "n2")):
+                rep = quantify(p, sd, which=which)
+                assert passes == []
+                assert {d.panels for d in rep.diagnostics.values()} == {0}
 
         passes.clear()
         distance(GAUSS, GAUSS)
@@ -638,8 +629,8 @@ class TestClosedForm:
 
 
 class TestQuantumMatsubara:
-    """Quantum n2 of the peaked bath by Matsubara sums, with no pass:
-    against 30-digit whole-line quadrature, the pass, the classical
+    """Quantum n2 of the Ohmic and peaked baths by Matsubara sums, with no
+    pass: against 30-digit whole-line quadrature, the pass, the classical
     closed form as ħ → 0, and the term cap past which the pass stays."""
 
     # each bath at two (β, ħ), so that every bath, every β and both ħ
@@ -699,6 +690,55 @@ class TestQuantumMatsubara:
         panels = {d.panels for d in rep.diagnostics.values()}
         assert len(panels) == 1 and panels.pop() > 0
         assert np.array_equal(rep.n2, _pass_quantifiers(above, sd)[1])
+
+    @staticmethod
+    def _ohmic_n2(p, d):
+        """Quantum n2 of OhmicSD(d) by quantify, with its covariances; the
+        strict Ohmic c_pp is cutoff-limited and may warn so."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CutoffSensitive)
+            sd = OhmicSD(d)
+            return quantify(p, sd, which="n2"), covariance0(p, sd)
+
+    # D = 2 is critical damping, a defective drift matrix
+    @pytest.mark.parametrize("hbar", [0.05, 1.0])
+    @pytest.mark.parametrize("beta", [0.3, 5.0])
+    @pytest.mark.parametrize("d", [0.05, 2.0, 20.0])
+    def test_ohmic_matches_30_digit_whole_line_reference(self, d, beta,
+                                                          hbar):
+        # the sums take the Λ-cut c_pp of the covariance pass as given, and
+        # every entry carries its drift
+        p = ModelParams(1.0, beta, hbar)
+        rep, cov0 = self._ohmic_n2(p, d)
+        _entries_within(rep.n2[ENTRIES], mp_quantum_n2(p, OhmicSD(d), cov0),
+                        1e-10)
+        assert cov0.cutoff_drift > 0.0
+        assert {(e.panels, e.cutoff_drift)
+                for e in rep.diagnostics.values()} == {(0, cov0.cutoff_drift)}
+
+    @pytest.mark.parametrize("d", [1e-8, 1e-3, 1e3])
+    def test_ohmic_extreme_couplings_match_the_pass(self, d):
+        # D = 1e3 at β = 1 takes 637 terms; squared entries
+        p = ModelParams(1.0, 1.0, 1.0)
+        rep, _ = self._ohmic_n2(p, d)
+        assert {e.panels for e in rep.diagnostics.values()} == {0}
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CutoffSensitive)
+            passed = _pass_quantifiers(p, OhmicSD(d))[1]
+        assert np.abs(rep.n2 ** 2 - passed ** 2).max() <= 1e-7
+
+    def test_ohmic_past_the_cap_takes_the_pass(self):
+        # D = 1e4 has ‖A‖₁ = 1e4 + 1: 6366 terms at β = 1, past 2^10
+        p = ModelParams(1.0, 1.0, 1.0)
+        rep, cov0 = self._ohmic_n2(p, 1e4)
+        panels = {e.panels for e in rep.diagnostics.values()}
+        assert len(panels) == 1 and panels.pop() > 0
+        assert {e.cutoff_drift for e in rep.diagnostics.values()} == {
+            cov0.cutoff_drift}
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CutoffSensitive)
+            passed = _pass_quantifiers(p, OhmicSD(1e4))[1]
+        assert np.array_equal(rep.n2, passed)
 
     def test_guard_and_singular_operator(self, monkeypatch):
         p = ModelParams(1.0, 1.0, 1.0)
