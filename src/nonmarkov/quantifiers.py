@@ -23,7 +23,8 @@ to 2¹⁰ terms (Grabert, Schramm & Ingold, Phys. Rep. 168, 115 (1988)):
 the peaked bath's under the same guard, the Ohmic bath's, like its
 closed forms, with none, on the covariances of ``covariance0`` (whose
 momentum variance there is the Λ-cut pass, with its cutoff drift).
-Tables, β = ∞ and longer sums take one whole-line quadrature pass.
+Tables, β = ∞, longer sums and a stiff Ohmic bath (D ≳ 31.6ω₀, whose
+mode rates span more than 1e3) take one whole-line quadrature pass.
 """
 from __future__ import annotations
 
@@ -43,6 +44,13 @@ from .spectral import SpectralDensity
 
 # the guard's floor under |λ|: λ = 0 in doubles is an undamped mode
 _TINY = np.finfo(float).tiny
+# the widest spread max|λ|/min|λ| of the strict Ohmic drift matrix's mode
+# rates on which its quantum n2 takes the Matsubara sums.  Against its
+# pass, on squared entries: within 1.8e-14 up to the spread 1e3, over
+# D ∈ [1e-8, 31], β ∈ [0.01, 1e3] and ħ ∈ [0.01, 3] at ω₀ = 1; 8.4e-14
+# at 1e4 (D = 100) and 5.5e-13 at 1e6 (D = 1e3), where the pass is
+# 2.2e-16 off 30 digits
+_MAX_SPREAD = 1e3
 # the entries computed, and their (row, column) indices; pq mirrors qp
 _KEYS = ("qq", "qp", "pp")
 _ENTRY = ((0, 0, 1), (0, 1, 1))
@@ -207,7 +215,15 @@ def _guard(a, prefix):
     """Raise NonConvergence, naming the entry and the frequency |Im λ|,
     when the sharpest mode λ of the drift matrix a, q = |Re λ|/|λ|
     smallest, leaves χ̃_qq a rounding of ε/(2q) above _REL_TOL; an
-    undamped mode (q = 0, or λ = 0 in doubles) has no bound at all."""
+    undamped mode (q = 0, or λ = 0 in doubles) has no bound at all.
+
+    The strict Ohmic 2×2 matrix passes unchecked: its n1 and classical
+    n2 are rational in D/ω₀, and its quantum n2 sums, where
+    ``_quantum_closed_form`` takes them, held within 1.8e-14 of the pass
+    on squared entries down to D = 1e-10 ω₀, below which its covariance
+    pass fails first."""
+    if len(a) == 2:
+        return
     lam = np.linalg.eigvals(a)
     ratio = np.abs(lam.real) / np.maximum(np.abs(lam), _TINY)
     k = int(np.argmin(ratio))
@@ -430,10 +446,10 @@ def _closed_form(p, a, prefix):
     the drift matrix a, as a (matrix, diagnostics) pair with no pass.
     An extreme bath whose solves overflow raises NonFinite, one whose
     Lyapunov operator is singular in doubles DivisionNearZero."""
+    _guard(a, prefix)
     if len(a) == 2:     # (q, p) alone: the strict Ohmic oscillator
         values = _ohmic_entries(-a[1, 1] / p.omega0, prefix)
     else:
-        _guard(a, prefix)
         try:
             with np.errstate(all="ignore"):
                 products = (_n1_products(a) if prefix == "n1"
@@ -446,16 +462,29 @@ def _closed_form(p, a, prefix):
     return _matrix(prefix, values)
 
 
+def _stiff_ohmic(a):
+    """Whether a is the strict Ohmic 2×2 drift matrix with mode rates |λ|
+    more than _MAX_SPREAD apart (NaN counts as apart), as past
+    D ≈ 31.6ω₀, where its real modes sit near D and ω₀²/D.  A peaked
+    matrix is never so: on stiff ones its pass loses digits too, as on
+    (0.9, 1, 0.0625), a spread of 7.7e5, where at β = 0.3, ħ = 1 the
+    sums read n2 squared 9.5e-12 off 30 digits and the pass 4.7e-12."""
+    if len(a) > 2:
+        return False
+    rates = np.abs(np.linalg.eigvals(a))
+    return not rates.max() <= _MAX_SPREAD * rates.min()
+
+
 def _quantum_closed_form(p, a, cov0):
     """Quantum n2 (qq, qp, pp) of a bath with the drift matrix a by
-    ``_n2_quantum_products``, after ``_guard`` as in ``_closed_form`` (so
-    not on the Ohmic 2×2 matrix), with its errors; None where
-    ``_matsubara_terms`` has no sum (β = ∞) or past _N2_MAX_TERMS terms."""
+    ``_n2_quantum_products``, after ``_guard`` as in ``_closed_form``,
+    with its errors; None where ``_matsubara_terms`` has no sum (β = ∞)
+    or past _N2_MAX_TERMS terms, and on a stiff strict Ohmic matrix,
+    whose pass keeps the digits that the sums lose there."""
     terms = _matsubara_terms(p, a, _N2_MAX_TERMS)
-    if terms is None:
+    if terms is None or _stiff_ohmic(a):
         return None
-    if len(a) > 2:      # the strict Ohmic 2×2 matrix has no guard
-        _guard(a, "n2")
+    _guard(a, "n2")
     try:
         with np.errstate(all="ignore"):
             value = _n2_quantum_products(p, a, cov0, terms)
@@ -490,11 +519,11 @@ def regression_quantifier(p, sd: SpectralDensity):
     correlation spectrum and the regression-theorem prediction.
 
     At ħ = 0 a bath with a drift matrix (Ohmic or peaked) takes the
-    closed form, and at 0 < βħ < ∞ Matsubara sums of at most 2¹⁰ terms;
-    any other case takes one pass.  Either way it propagates
-    CutoffSensitive warnings from the underlying equal-time covariances
-    (strict Ohmic bath with ħ > 0), and stamps their cutoff_drift on
-    every entry's diagnostics.
+    closed form, and at 0 < βħ < ∞ Matsubara sums of at most 2¹⁰ terms,
+    but for a stiff Ohmic bath; any other case takes one pass.  Either
+    way it propagates CutoffSensitive warnings from the underlying
+    equal-time covariances (strict Ohmic bath with ħ > 0), and stamps
+    their cutoff_drift on every entry's diagnostics.
 
     Returns (2×2 real array, diagnostics dict).
     """

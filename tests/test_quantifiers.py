@@ -360,13 +360,14 @@ class TestOnePass:
     def test_one_inner_product_pass_per_quantifier(self, sd, monkeypatch):
         # n1, and classical n2, of a bath with a drift matrix are closed
         # forms, and its quantum n2 is Matsubara sums; a peaked bath's
-        # quantum covariances are sums too, the strict Ohmic ones take
-        # their own pass, cached here before the count starts
+        # quantum covariances are sums too, while the strict Ohmic ones
+        # take their own pass, cached here before the count starts
         passes = self._count_passes(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", CutoffSensitive)
-            covariance0(ModelParams(1.0, 1.0, 1.0), sd)
-            passes.clear()
+            if isinstance(sd, OhmicSD):
+                covariance0(ModelParams(1.0, 1.0, 1.0), sd)
+                passes.clear()
             for p, which in ((ModelParams(1.0, 1.0, 1.0), "n1"),
                              (ModelParams(1.0, 1.0, 0.0), "n2"),
                              (ModelParams(1.0, 1.0, 1.0), "n2")):
@@ -716,9 +717,9 @@ class TestQuantumMatsubara:
         assert {(e.panels, e.cutoff_drift)
                 for e in rep.diagnostics.values()} == {(0, cov0.cutoff_drift)}
 
-    @pytest.mark.parametrize("d", [1e-8, 1e-3, 1e3])
-    def test_ohmic_extreme_couplings_match_the_pass(self, d):
-        # D = 1e3 at β = 1 takes 637 terms; squared entries
+    @pytest.mark.parametrize("d", [1e-8, 1e-3])
+    def test_ohmic_weak_couplings_match_the_pass(self, d):
+        # squared entries; a strong coupling is stiff and keeps the pass
         p = ModelParams(1.0, 1.0, 1.0)
         rep, _ = self._ohmic_n2(p, d)
         assert {e.panels for e in rep.diagnostics.values()} == {0}
@@ -727,17 +728,36 @@ class TestQuantumMatsubara:
             passed = _pass_quantifiers(p, OhmicSD(d))[1]
         assert np.abs(rep.n2 ** 2 - passed ** 2).max() <= 1e-7
 
+    # mode rates 959 apart at D = 31 and 1022 at D = 32, across the
+    # spread 1e3 past which the sums lose digits (5.5e-13 on squares at
+    # D = 1e3 and β = 1, with 637 terms) and the pass takes over; D = 1e5
+    # at β = 0.01 would take 636 terms
+    @pytest.mark.parametrize("d, beta, summed", [
+        (31.0, 1.0, True), (32.0, 1.0, False), (1e3, 1.0, False),
+        (1e5, 0.01, False)])
+    def test_stiff_ohmic_takes_the_pass(self, d, beta, summed):
+        # squared entries within 1e-13 of 30 digits either way
+        p = ModelParams(1.0, beta, 1.0)
+        rep, cov0 = self._ohmic_n2(p, d)
+        panels = {e.panels for e in rep.diagnostics.values()}
+        assert len(panels) == 1 and (panels.pop() == 0) == summed
+        want = np.array(mp_quantum_n2(p, OhmicSD(d), cov0))
+        assert np.abs(rep.n2[ENTRIES] ** 2 - want ** 2).max() <= 1e-13
+
     def test_ohmic_past_the_cap_takes_the_pass(self):
-        # D = 1e4 has ‖A‖₁ = 1e4 + 1: 6366 terms at β = 1, past 2^10
-        p = ModelParams(1.0, 1.0, 1.0)
-        rep, cov0 = self._ohmic_n2(p, 1e4)
+        # D = 20 has ‖A‖₁ = 21: 1016 terms at β = 76, 1029 at β = 77
+        sd = OhmicSD(20.0)
+        below, above = (ModelParams(1.0, beta, 1.0) for beta in (76.0, 77.0))
+        rep, _ = self._ohmic_n2(below, 20.0)
+        assert {e.panels for e in rep.diagnostics.values()} == {0}
+        rep, cov0 = self._ohmic_n2(above, 20.0)
         panels = {e.panels for e in rep.diagnostics.values()}
         assert len(panels) == 1 and panels.pop() > 0
         assert {e.cutoff_drift for e in rep.diagnostics.values()} == {
             cov0.cutoff_drift}
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", CutoffSensitive)
-            passed = _pass_quantifiers(p, OhmicSD(1e4))[1]
+            passed = _pass_quantifiers(above, sd)[1]
         assert np.array_equal(rep.n2, passed)
 
     def test_guard_and_singular_operator(self, monkeypatch):
