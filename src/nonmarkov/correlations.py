@@ -34,8 +34,10 @@ solves up to ν_n ≈ 4‖A‖₁, then a tail from the moments e_qᵀA^k·e_p a
 the Hurwitz ζ.  ``_matsubara_terms`` gives the frequencies, the term
 count and the ζ of that tail for any drift matrix, and quantum n2
 (``quantifiers``) of the Ohmic and peaked baths sums over the same
-terms.  The Ohmic bath has A_pp = −D, for which the c_pp sum diverges
-logarithmically, so its covariances integrate.
+terms.  ``_covariances`` is ``covariance0`` over many baths at once:
+the sums of those whose matrices share a size and a term count go as
+one batched solve.  The Ohmic bath has A_pp = −D, for which the c_pp
+sum diverges logarithmically, so its covariances integrate.
 
 Every other quantum case integrates: tables, the Ohmic bath, β = ∞, and
 sums past 2¹³ terms (βħ‖A‖₁ ≳ 1.3e4).  c_qq and c_pp are rows of one
@@ -163,10 +165,11 @@ def _matsubara_terms(p: ModelParams, a: np.ndarray, cap: int):
     return nu1 * np.arange(1.0, n + 1.0), nu1 * (n + 1), zeta
 
 
-def _matsubara_covariance(p: ModelParams,
-                          a: np.ndarray) -> CovarianceMatrix | None:
-    """Quantum covariances of a bath with drift matrix a and a_pp = 0
-    from the Matsubara sums over ν_n = 2πn/(βħ), with s_n = (ν_n − a)⁻¹e_p:
+def _matsubara_covariance(ps, a: np.ndarray, terms) -> list[CovarianceMatrix]:
+    """Quantum covariances of the models ps with the stack a of drift
+    matrices, each with a_pp = 0, from the Matsubara sums over
+    ν_n = 2πn/(βħ) of their stacked terms (ν_n, ν_{N+1}, ζ) of one N, with
+    s_n = (ν_n − a)⁻¹e_p:
 
         c_qq = (1/β)[1/ω₀² + 2Σ_n (s_n)_q],
         c_pp = (1/β)[1 − 2Σ_n a_p·s_n],
@@ -174,26 +177,59 @@ def _matsubara_covariance(p: ModelParams,
     since (s_n)_q = χ̃_qq(iν_n) and 1 − ν²χ̃_qq(iν) = −e_pᵀa(ν − a)⁻¹e_p.
     The tail n > N expands s_n = Σ_k a^k·e_p/ν_n^{k+1} and sums each
     order over n by Hurwitz ζ; its k = 0 term has no q entry and meets
-    a_pp = 0.  None unless a_pp = 0 (a strict Ohmic c_pp sum diverges)
-    and 0 < βħ < ∞, and when the direct part would need more than
-    _MAX_TERMS terms."""
-    terms = None if a[1, 1] != 0.0 else _matsubara_terms(p, a, _MAX_TERMS)
-    if terms is None:
-        return None
+    a_pp = 0.  One batched solve of (ν_n − a) serves the stack."""
     nu, top, zeta = terms
-    dim = len(a)
+    dim = a.shape[-1]
     e_p = np.eye(dim)[:, 1:2]
-    s = np.linalg.solve(nu[:, None, None] * np.eye(dim) - a, e_p)
+    s = np.linalg.solve(nu[:, :, None, None] * np.eye(dim) - a[:, None], e_p)
     # the tail is Σ_k ζ_k·x^k·e_p/ν_{N+1}, with x = a/ν_{N+1}; the Krylov
     # columns x^k·e_p, k = 0 … 31, come by doubling
-    power, krylov = a / top, e_p
-    while krylov.shape[1] <= _TAIL_MOMENTS:
-        krylov = np.hstack((krylov, power @ krylov))
+    power = a / top[:, None, None]
+    krylov = np.broadcast_to(e_p, a.shape[:2] + (1,))
+    while krylov.shape[-1] <= _TAIL_MOMENTS:
+        krylov = np.concatenate((krylov, power @ krylov), axis=-1)
         power = power @ power
-    total = s.sum(axis=0)[:, 0] + krylov[:, 1:_TAIL_MOMENTS + 1] @ zeta / top
-    return CovarianceMatrix(
-        (1.0 / p.omega0 ** 2 + 2.0 * float(total[0])) / p.beta,
-        (1.0 - 2.0 * float(a[1] @ total)) / p.beta)
+    total = (s.sum(axis=1)[..., 0]
+             + (krylov[:, :, 1:_TAIL_MOMENTS + 1] @ zeta[:, :, None])[..., 0]
+             / top[:, None])
+    ap_total = (a[:, 1:2] @ total[:, :, None])[:, 0, 0]
+    return [CovarianceMatrix((1.0 / p.omega0 ** 2 + 2.0 * float(t[0])) / p.beta,
+                             (1.0 - 2.0 * float(ap)) / p.beta)
+            for p, t, ap in zip(ps, total, ap_total)]
+
+
+def _covariances(rows) -> list:
+    """``covariance0`` of each (p, sd, a, terms) of rows, with a the
+    drift matrix of sd at p.omega0 (None for a table or a decoupled
+    bath) and terms its ``_matsubara_terms`` under _MAX_TERMS, or the
+    NumericsError of its failed pass in its place.  The Matsubara sums
+    of rows whose matrices share a size and a term count go as one
+    batch; the passes run, and warn, in the order of rows."""
+    out: list = [None] * len(rows)
+    groups: dict = {}
+    for i, (p, sd, a, terms) in enumerate(rows):
+        if sd.decoupled or p.hbar == 0.0:
+            out[i] = _free_covariance(p)
+        elif a is not None and a[1, 1] == 0.0 and terms is not None:
+            groups.setdefault((len(a), len(terms[0])), []).append(i)
+        else:
+            try:
+                out[i] = _covariance_pass(p, sd)
+            except NumericsError as exc:
+                out[i] = exc
+    for group in groups.values():
+        covs = _matsubara_covariance(
+            [rows[i][0] for i in group], np.stack([rows[i][2] for i in group]),
+            _stacked_terms([rows[i][3] for i in group]))
+        for i, cov in zip(group, covs):
+            out[i] = cov
+    return out
+
+
+def _stacked_terms(terms):
+    """Matsubara terms of one N, stacked over rows for a batched sum."""
+    nu, top, zeta = zip(*terms)
+    return np.stack(nu), np.array(top), np.stack(zeta)
 
 
 # Keyed on the spectral density, so the cache keeps its entries' tables
@@ -209,7 +245,11 @@ def _covariance0_cached(p: ModelParams,
     # the weight ħω·coth(βħω/2) turns over at ω ≈ 2/(βħ), which may lie
     # far below every feature of the bath
     if 0.0 < p.beta * p.hbar < math.inf:
-        bp += [*10.0 ** np.arange(-1.0, 7.0) / (p.beta * p.hbar)]
+        # a hot enough bath (βħ ≲ 1e-302) puts the top decades past the
+        # largest float; they seed nothing
+        with np.errstate(over="ignore"):
+            decades = 10.0 ** np.arange(-1.0, 7.0) / (p.beta * p.hbar)
+        bp += [x for x in decades.tolist() if x < math.inf]
     # The bath decides which rows converge: all but the quantum c_pp of a
     # white-noise kernel (a_pp ≠ 0, strict Ohmic), whose integrand falls
     # like 1/ω.  Its row stops at Λ, and a third row over (Λ, 2Λ]
@@ -244,6 +284,18 @@ def _covariance0_cached(p: ModelParams,
     return CovarianceMatrix(*cov, cutoff_drift=drift)
 
 
+def _covariance_pass(p: ModelParams, sd: SpectralDensity) -> CovarianceMatrix:
+    """The covariances of ``_covariance0_cached``, with a CutoffSensitive
+    warning when their cutoff drift passes 1%."""
+    cov = _covariance0_cached(p, sd)
+    if cov.cutoff_drift > 0.01:
+        warnings.warn(
+            f"momentum variance shifts by {100.0 * cov.cutoff_drift:.1f}% "
+            f"between the cutoff and twice the cutoff; result is "
+            f"cutoff-limited", CutoffSensitive, stacklevel=4)
+    return cov
+
+
 def covariance0(p: ModelParams, sd: SpectralDensity) -> CovarianceMatrix:
     """Equal-time equilibrium covariance matrix diag(c_qq, c_pp).
 
@@ -257,18 +309,11 @@ def covariance0(p: ModelParams, sd: SpectralDensity) -> CovarianceMatrix:
     truncated there with a sensitivity warning, and the matrix carries
     its drift between Λ and 2Λ as ``cutoff_drift``.
     """
-    if sd.decoupled or p.hbar == 0.0:
-        return _free_covariance(p)
-    a = sd.drift_matrix(p.omega0)
-    cov = None if a is None else _matsubara_covariance(p, a)
-    if cov is not None:
-        return cov
-    cov = _covariance0_cached(p, sd)
-    if cov.cutoff_drift > 0.01:
-        warnings.warn(
-            f"momentum variance shifts by {100.0 * cov.cutoff_drift:.1f}% "
-            f"between the cutoff and twice the cutoff; result is "
-            f"cutoff-limited", CutoffSensitive, stacklevel=2)
+    a = None if sd.decoupled else sd.drift_matrix(p.omega0)
+    terms = None if a is None else _matsubara_terms(p, a, _MAX_TERMS)
+    (cov,) = _covariances([(p, sd, a, terms)])
+    if isinstance(cov, NumericsError):
+        raise cov
     return cov
 
 

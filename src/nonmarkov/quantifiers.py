@@ -25,18 +25,28 @@ closed forms, with none, on the covariances of ``covariance0`` (whose
 momentum variance there is the Λ-cut pass, with its cutoff drift).
 Tables, β = ∞, longer sums and a stiff Ohmic bath (D ≳ 31.6ω₀, whose
 mode rates span more than 1e3) take one whole-line quadrature pass.
+
+``quantify`` is one row of ``_batch_reports``, which a CLI sweep hands
+its whole grid.  Rows whose drift matrices share a size share each
+closed form's batched LAPACK calls (one ``eigvals`` for the guard, one
+stack of Lyapunov operators for n1 and n2), and quantum n2 rows that
+also share their Matsubara term count share one batched sum; every row
+keeps its own term count, summation order, result and error.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .correlations import (_N2_MAX_TERMS, _ORDERS, _TAIL_MOMENTS,
-                           _exact_rows, _matsubara_terms, _rt_rows,
+from .correlations import (_MAX_TERMS, _N2_MAX_TERMS, _ORDERS,
+                           _TAIL_MOMENTS, _covariances, _exact_rows,
+                           _matsubara_terms, _rt_rows, _stacked_terms,
                            covariance0)
-from .errors import DivisionNearZero, NonConvergence, NonFinite, ZeroNorm
+from .errors import (DivisionNearZero, NonConvergence, NonFinite,
+                     NumericsError, ZeroNorm)
 from .quadrature import _REL_TOL, inner_product_info
 from .response import (_chi_prime_rows, _chi_qq, _chi_qq_and_prime,
                        feature_frequencies)
@@ -44,6 +54,7 @@ from .spectral import SpectralDensity
 
 # the guard's floor under |λ|: λ = 0 in doubles is an undamped mode
 _TINY = np.finfo(float).tiny
+_EPS = np.finfo(float).eps
 # the widest spread max|λ|/min|λ| of the strict Ohmic drift matrix's mode
 # rates on which its quantum n2 takes the Matsubara sums.  Against its
 # pass, on squared entries: within 1.8e-14 up to the spread 1e3, over
@@ -193,8 +204,9 @@ def _quantifier_matrix(p, sd, prefix, sides, cutoff_drift=0.0):
 
 
 def _ohmic_entries(x, prefix):
-    """n1 or classical n2 (qq, qp, pp) of the strict Ohmic bath at
-    x = D/ω₀.  The whole-line integrals are rational in x (by residues):
+    """n1 or classical n2 (qq, qp, pp) of the strict Ohmic bath at each
+    x = D/ω₀ of the array x, shape x.shape + (3,).  The whole-line
+    integrals are rational in x (by residues):
 
         n1_qq² = x²(1 + x²)/(x²(1 + x²) + 4),   n2_qq² = x²/(1 + x²),
         n1_qp² = x²/(2(x² + 2)),                n2_qp² = x²/(2 + x²),
@@ -204,68 +216,139 @@ def _ohmic_entries(x, prefix):
     n1 = (1, 1/√2, 1e-300) and n2 = (1, 1, 0)."""
     with np.errstate(divide="ignore", over="ignore"):
         if prefix == "n1":
-            return 1.0 / np.hypot([1.0, math.sqrt(2.0), 1.0],
-                                  [2.0 / (x * np.hypot(1.0, x)), 2.0 / x,
-                                   x + 2.0 / x])
-        return np.array([x / np.hypot(1.0, x),
-                         x / np.hypot(math.sqrt(2.0), x), 0.0])
+            return 1.0 / np.hypot([1.0, math.sqrt(2.0), 1.0], np.stack(
+                (2.0 / (x * np.hypot(1.0, x)), 2.0 / x, x + 2.0 / x),
+                axis=-1))
+        return np.stack((x / np.hypot(1.0, x),
+                         x / np.hypot(math.sqrt(2.0), x), np.zeros_like(x)),
+                        axis=-1)
+
+
+class _Row:
+    """One bath of a batch: its model p, its bath sd and drift matrix a
+    (None for a table or a decoupled bath), and what the batch has of it
+    so far: the matrices with their diagnostics, or the error that ends
+    it; terms and cov0 are the Matsubara terms and covariances of its
+    quantum n2."""
+
+    def __init__(self, p, sd: SpectralDensity):
+        self.p, self.sd = p, sd
+        self.a = None if sd.decoupled else sd.drift_matrix(p.omega0)
+        self.terms = self.cov0 = None
+        self.matrices: dict[str, np.ndarray] = {}
+        self.diagnostics: dict[str, EntryDiagnostics] = {}
+        self.error: NumericsError | None = None
+
+    def put(self, prefix, result):
+        """Record result, a (matrix, diagnostics) pair, or the error."""
+        if isinstance(result, NumericsError):
+            self.error = result
+        else:
+            self.matrices[prefix], diagnostics = result
+            self.diagnostics.update(diagnostics)
+
+    def report(self):
+        """The QuantifierReport of the row, or its error."""
+        return self.error or QuantifierReport(
+            n1=self.matrices.get("n1"), n2=self.matrices.get("n2"),
+            diagnostics=self.diagnostics)
+
+
+class _Batch:
+    """Rows whose drift matrices have one size, with the stack a of
+    those matrices.  Their Lyapunov operators (``_lyapunov``) are built
+    at the first solve, once for a batch and every batch taken from it."""
+
+    def __init__(self, rows, a, source=None):
+        self.rows, self.a = rows, a
+        self._source = source
+
+    def take(self, rows):
+        """The batch of rows, a subset of this one's."""
+        if rows == self.rows:
+            return self
+        place = {id(r): k for k, r in enumerate(self.rows)}
+        k = [place[id(r)] for r in rows]
+        return _Batch(rows, self.a[k], (self, k))
+
+    @functools.cached_property
+    def ops(self):
+        """The operators (op, wide) of the rows, for ``_solve``."""
+        if self._source is None:
+            return _lyapunov(self.a)
+        batch, k = self._source
+        op, wide = batch.ops
+        return op[k], wide[k]
+
+    def scalars(self, value):
+        """value(row) of each row as one array."""
+        return np.array([value(r) for r in self.rows])
 
 
 def _guard(a, prefix):
-    """Raise NonConvergence, naming the entry and the frequency |Im λ|,
-    when the sharpest mode λ of the drift matrix a, q = |Re λ|/|λ|
-    smallest, leaves χ̃_qq a rounding of ε/(2q) above _REL_TOL; an
-    undamped mode (q = 0, or λ = 0 in doubles) has no bound at all.
+    """The NonConvergence of each drift matrix of the stack a, or None:
+    it names the entry and the frequency |Im λ| where the sharpest mode
+    λ, q = |Re λ|/|λ| smallest, leaves χ̃_qq a rounding of ε/(2q) above
+    _REL_TOL; an undamped mode (q = 0, or λ = 0 in doubles) has no bound
+    at all.  One ``eigvals`` serves the stack.
 
-    The strict Ohmic 2×2 matrix passes unchecked: its n1 and classical
-    n2 are rational in D/ω₀, and its quantum n2 sums, where
-    ``_quantum_closed_form`` takes them, held within 1.8e-14 of the pass
-    on squared entries down to D = 1e-10 ω₀, below which its covariance
-    pass fails first."""
-    if len(a) == 2:
-        return
+    Strict Ohmic 2×2 matrices pass unchecked: their n1 and classical n2
+    are rational in D/ω₀, and their quantum n2 sums, where the batch
+    takes them, held within 1.8e-14 of the pass on squared entries down
+    to D = 1e-10 ω₀, below which the covariance pass fails first."""
+    errors = [None] * len(a)
+    if a.shape[-1] == 2:
+        return errors
     lam = np.linalg.eigvals(a)
     ratio = np.abs(lam.real) / np.maximum(np.abs(lam), _TINY)
-    k = int(np.argmin(ratio))
-    q = float(ratio[k])
-    bound = np.finfo(float).eps / (2.0 * q) if q > 0.0 else math.inf
-    if not bound <= _REL_TOL:
-        where = abs(float(lam[k].imag))
-        raise NonConvergence(
+    q = ratio.min(axis=-1)
+    with np.errstate(divide="ignore"):
+        bound = _EPS / (2.0 * q)
+    for i in np.flatnonzero(~(bound <= _REL_TOL)):
+        k = int(np.argmin(ratio[i]))
+        where = abs(float(lam[i, k].imag))
+        limit = float(bound[i]) if q[i] > 0.0 else math.inf
+        errors[i] = NonConvergence(
             f"{prefix}_qq: the mode of the drift matrix at ω = {where:.6g} "
-            f"has |Re λ|/|λ| = {q:.3g}, so χ̃_qq carries rounding of "
-            f"{bound:.3g}, above the {_REL_TOL:.0e} relative tolerance",
-            error_bound=bound, where=where)
+            f"has |Re λ|/|λ| = {q[i]:.3g}, so χ̃_qq carries rounding of "
+            f"{limit:.3g}, above the {_REL_TOL:.0e} relative tolerance",
+            error_bound=limit, where=where)
+    return errors
 
 
 def _lyapunov(a):
-    """solve(R): X with a·X + X·aᵀ = R for a batch R of shape (..., n, n),
-    through the one n²×n² operator I⊗a + a⊗I, and one step of
-    iterative refinement with the residual in extended precision: a
-    slow mode of a (an overdamped bath far below a fast one) leaves the
-    operator ill-conditioned, and the step takes its error from about
-    ε·cond to ε (peaked (3, 3, 0.1): n1_qp from 1.4e-5 to 2.2e-9 of a
-    50-digit solve).  Where longdouble is double the step does no harm."""
-    n = len(a)
+    """The operators I⊗a + a⊗I of the stack a of n×n drift matrices,
+    shape (B, n², n²), in doubles and in extended precision, for
+    ``_solve``."""
+    n = a.shape[-1]
     eye = np.eye(n)
-    op = (a[:, None, :, None] * eye[None, :, None, :]
-          + eye[:, None, :, None] * a[None, :, None, :]).reshape(n * n, n * n)
-    wide = op.astype(np.longdouble)
+    op = (a[:, :, None, :, None] * eye[:, None, :]
+          + eye[:, None, :, None] * a[:, None, :, None, :]).reshape(
+              -1, n * n, n * n)
+    return op, op.astype(np.longdouble)
 
-    def solve(rhs):
-        b = rhs.reshape(-1, n * n).T
-        x = np.linalg.solve(op, b)
-        x += np.linalg.solve(op, (b - wide @ x).astype(float))
-        return x.T.reshape(rhs.shape)
-    return solve
+
+def _solve(batch, rhs):
+    """X with a·X + X·aᵀ = R for each row's stack R of rhs, shape
+    (B, ..., n, n), through its n²×n² operator and one step of iterative
+    refinement with the residual in extended precision: a slow mode of a
+    (an overdamped bath far below a fast one) leaves the operator
+    ill-conditioned, and the step takes its error from about ε·cond to ε
+    (peaked (3, 3, 0.1): n1_qp from 1.4e-5 to 2.2e-9 of a 50-digit
+    solve).  Where longdouble is double the step does no harm."""
+    op, wide = batch.ops
+    b = rhs.reshape(len(rhs), -1, op.shape[-1]).swapaxes(1, 2)
+    x = np.linalg.solve(op, b)
+    x += np.linalg.solve(op, (b - wide @ x).astype(float))
+    return x.swapaxes(1, 2).reshape(rhs.shape)
 
 
 # the pairs (u, v) of the sides (f, g, r) whose ⟨u, v⟩ enter a distance
 _PAIRS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
 
 
-def _n1_products(a):
-    """2π·⟨u, v⟩ over _PAIRS of f, g, r at qq, qp, pp, shape (6, 3).
+def _n1_products(batch):
+    """2π·⟨u, v⟩ over _PAIRS of f, g, r at qq, qp, pp, shape (B, 6, 3).
 
     By Parseval ⟨u, v⟩ = 2π∫₀^∞ u(t)v(t) dt, and each side is a causal
     response c·e^{A't}·b: f = −i dχ̃/dω of A' = [[A, I], [0, A]],
@@ -277,46 +360,60 @@ def _n1_products(a):
     L(X21) = −X22·Qᵀ and L(X11) = −(P·X21 + X12·Qᵀ), with
     L(X) = A·X + X·Aᵀ; then ⟨u, v⟩ = 2π·C_i·X11·C_iᵀ.  The peaked bath
     has I − M = diag(0, 0, 1, 1), so r carries the coupling explicitly."""
-    n = len(a)
-    solve = _lyapunov(a)
-    e_q, e_p = np.eye(n)[:2]
-    b = np.stack((e_p, -a[:, 1]))                     # B_q, B_p as rows
-    m = np.outer(b[0], e_p) - np.outer(b[1], e_q)     # B·χ₊⁻¹·C
-    blocks = np.stack((np.eye(n), m, np.eye(n) - m))  # f, g, r
-    x22 = solve(-b[:, :, None] * b[:, None, :])
-    y = solve(-np.einsum("sab,jbc->sjac", blocks, x22))  # X12 of each side
+    a = batch.a
+    size = a.shape[-1]
+    eye = np.broadcast_to(np.eye(size), a.shape)
+    e_q, e_p = np.eye(size)[:2]
+    b = np.stack((np.broadcast_to(e_p, a.shape[:2]), -a[:, :, 1]), axis=1)
+    m = b[:, 0, :, None] * e_p - b[:, 1, :, None] * e_q  # B·χ₊⁻¹·C
+    blocks = np.stack((eye, m, eye - m), axis=1)         # f, g, r
+    x22 = _solve(batch, -b[:, :, :, None] * b[:, :, None, :])
+    y = _solve(batch, -np.einsum("zsab,zjbc->zsjac", blocks, x22))  # X12s
     u, v = np.array(_PAIRS).T
-    x11 = solve(-(np.einsum("uab,ujcb->ujac", blocks[u], y[v])
-                  + np.einsum("ujab,ucb->ujac", y[u], blocks[v])))
+    x11 = _solve(batch, -(
+        np.einsum("zuab,zujcb->zujac", blocks[:, u], y[:, v])
+        + np.einsum("zujab,zucb->zujac", y[:, u], blocks[:, v])))
     return 2.0 * math.pi * np.stack(
-        (x11[:, 0, 0, 0], x11[:, 1, 0, 0], x11[:, 1, 1, 1]), axis=1)
+        (x11[:, :, 0, 0, 0], x11[:, :, 1, 0, 0], x11[:, :, 1, 1, 1]),
+        axis=-1)
 
 
-def _n2_products(a, omega0):
+def _static_columns(a, omega0_sq):
+    """−A⁻¹e_p, the static response [1/ω₀², 0, −A_bb⁻¹A_bq/ω₀²] of each
+    drift matrix of the stack a (bath block bb, coupling A_bq)."""
+    bath = np.linalg.solve(a[:, 2:, 2:], a[:, 2:, :1])[..., 0]
+    return np.concatenate(
+        (np.broadcast_to([1.0, 0.0], (len(a), 2)), -bath), axis=1) / \
+        omega0_sq[:, None]
+
+
+def _n2_products(batch, omega0_sq):
     """2π·⟨u, v⟩ over _PAIRS of the classical exact spectrum S, the
-    regression prediction T and R = S − T at qq, qp, pp, shape (6, 3),
-    in units of 1/β².
+    regression prediction T and R = S − T at qq, qp, pp, shape (B, 6, 3),
+    in units of 1/β², with ω₀² of each row in omega0_sq.
 
     S and T are H + H^† with H causal, so ⟨S_ij, T_ij⟩ is the sum of
     the causal products of columns j and i, at outputs i and j.  S has
     the columns Σ·[e_q, e_p]·β = [−A⁻¹e_p, e_p] (the Gibbs state of the
-    embedding), T has [A·e_p/ω₀², e_p]; so R has only a q column.  The
-    static response −A⁻¹e_p is [1/ω₀², 0, −A_bb⁻¹A_bq/ω₀²] (bath block
-    bb, coupling A_bq), and A·e_p = e_q for the peaked bath, so the q
-    and p entries of R's column cancel exactly, leaving the coupling."""
-    e_p = np.eye(len(a))[1]
-    s_q = np.concatenate(([1.0, 0.0],
-                          -np.linalg.solve(a[2:, 2:], a[2:, 0]))) / omega0 ** 2
-    t_q = a[:, 1] / omega0 ** 2
-    cols = np.stack((s_q, t_q, s_q - t_q))           # S, T, R at column q
+    embedding), T has [A·e_p/ω₀², e_p]; so R has only a q column.  A·e_p
+    = e_q for the peaked bath, so the q and p entries of R's column
+    cancel exactly, leaving the coupling."""
+    a = batch.a
+    e_p = np.eye(a.shape[-1])[1]
+    s_q = _static_columns(a, omega0_sq)
+    t_q = a[:, :, 1] / omega0_sq[:, None]
+    cols = np.stack((s_q, t_q, s_q - t_q), axis=1)  # S, T, R at column q
     u, v = np.array(_PAIRS).T
-    x = _lyapunov(a)(np.concatenate((
-        -cols[u][:, :, None] * cols[v][:, None, :], -np.outer(e_p, e_p)[None])))
+    x = _solve(batch, np.concatenate((
+        -cols[:, u, :, None] * cols[:, v, None, :],
+        np.broadcast_to(-np.outer(e_p, e_p), (len(a), 1) + a.shape[1:])),
+        axis=1))
     # column p: S and T share e_p, and R has none
-    xq, xp = x[:-1], x[-1] * ((u < 2) & (v < 2))[:, None, None]
+    xq = x[:, :-1]
+    xp = x[:, -1:] * ((u < 2) & (v < 2))[:, None, None]
     return 2.0 * math.pi * np.stack(
-        (2.0 * xq[:, 0, 0], xp[:, 0, 0] + xq[:, 1, 1], 2.0 * xp[:, 1, 1]),
-        axis=1)
+        (2.0 * xq[:, :, 0, 0], xp[:, :, 0, 0] + xq[:, :, 1, 1],
+         2.0 * xp[:, :, 1, 1]), axis=-1)
 
 
 # A side U = H_ij(s) + H_ji(−s) has two causal halves, each an (output,
@@ -333,12 +430,13 @@ _PRODUCTS = np.array([*zip(_S, _S), *zip(_T, _T), *zip(_S, _T),
                       (_S[2], _T[1])]).reshape(-1, 4).T
 
 
-def _n2_quantum_products(p, a, cov0, terms):
+def _n2_quantum_products(batch, ps, covs, terms):
     """⟨S, T⟩, ‖S‖² and ‖T‖² at qq, qp, pp of the quantum exact spectrum
-    S and the regression prediction T of a bath with the drift matrix a
-    (the peaked 4×4 or the strict Ohmic 2×2 one), shape (3, 3) like a
-    pass's value, from the Matsubara terms (ν_n, ν_{N+1}, ζ) of
-    ``correlations._matsubara_terms``.
+    S and the regression prediction T of each row of the batch (peaked
+    4×4 or strict Ohmic 2×2 drift matrices), shape (B, 3, 3) like a
+    pass's value, from the models ps, the covariances covs and the
+    stacked Matsubara terms (ν_n, ν_{N+1}, ζ) of
+    ``correlations._matsubara_terms``, which share one N.
 
     Entry (i, j) of S is (w_B/2)·U, U = H_ij(s) + H_ji(−s) with
     H = C(s − a)⁻¹[σ_q, σ_p], s = −iω, σ_q = −a⁻¹e_p and σ_p = e_p; T is
@@ -362,141 +460,319 @@ def _n2_quantum_products(p, a, cov0, terms):
     e_o·a(ν − a)⁻², and the tail n > N sums its moments μ_j by Hurwitz ζ
     (μ_1 vanishes: P falls faster than ω⁻²)."""
     nu, top, zeta = terms
-    eye = np.eye(len(a))
-    sigma = np.concatenate(([1.0, 0.0],
-                            -np.linalg.solve(a[2:, 2:], a[2:, 0])))
-    cols = np.stack((sigma / p.omega0 ** 2, eye[1], cov0.c_qq * a[:, 1],
-                     cov0.c_pp * eye[1]))
-    x = _lyapunov(a)(-cols[:, None, :, None] * cols[None, :, None, :])
+    a = batch.a
+    size = a.shape[-1]
+    eye = np.eye(size)
+    count = len(a)
+    c_qq = np.array([c.c_qq for c in covs])[:, None]
+    c_pp = np.array([c.c_pp for c in covs])[:, None]
+    cols = np.stack((
+        _static_columns(a, np.array([p.omega0 ** 2 for p in ps])),
+        np.broadcast_to(eye[1], (count, size)), c_qq * a[:, :, 1],
+        c_pp * eye[1]), axis=1)
+    x = _solve(batch, -cols[:, :, None, :, None] * cols[:, None, :, None, :])
     # the rows e_o·a(ν − a)⁻¹, e_o·a(ν − a)⁻² and e_o·a²(ν − a)⁻² at each ν_n
-    res = np.linalg.inv(nu[:, None, None] * eye - a)
-    z = a[:2] @ res
-    v, w = z @ res, z @ a @ res
+    res = np.linalg.inv(nu[:, :, None, None] * eye - a[:, None])
+    z = a[:, None, :2] @ res
+    v, w = z @ res, z @ a[:, None] @ res
     # the Krylov rows e_o·(a/ν_{N+1})^j, j = 0 … 31, by doubling
-    power, krylov = a / top, eye[:2, None, :]
-    while krylov.shape[1] <= _TAIL_MOMENTS:
-        krylov = np.concatenate((krylov, krylov @ power), axis=1)
+    power = a / top[:, None, None]
+    krylov = np.broadcast_to(eye[:2, None, :], (count, 2, 1, size))
+    while krylov.shape[2] <= _TAIL_MOMENTS:
+        krylov = np.concatenate((krylov, krylov @ power[:, None]), axis=2)
         power = power @ power
-    tail = krylov[:, 2:_TAIL_MOMENTS + 2]           # the orders j = 2 … 31
+    tail = krylov[:, :, 2:_TAIL_MOMENTS + 2]      # the orders j = 2 … 31
     # the cross halves' row functionals: e_o (∫P), the W and csch² sums,
     # each direct part plus its ζ tail, and e_o·a² (μ_2)
-    rows = np.stack((eye[:2], z.sum(axis=0) + zeta @ tail,
-                     w.sum(axis=0) + (_ORDERS - 1.0) * zeta @ tail,
-                     a[:2] @ a))
+    rows = np.stack((
+        np.broadcast_to(eye[:2], (count, 2, size)),
+        z.sum(axis=1) + (zeta[:, None, None] @ tail)[:, :, 0],
+        w.sum(axis=1)
+        + (((_ORDERS - 1.0) * zeta)[:, None, None] @ tail)[:, :, 0],
+        a[:, :2] @ a), axis=1)
     # R_o·X_kl·e_o′ + R_o′·X_lk·e_o over the half-sides (o, k) and (o′, l)
-    g = np.einsum("fod,kldm->fokml", rows, x[..., :2])
-    cross = (g + g.transpose(0, 3, 4, 1, 2)).reshape(4, 8, 8)
+    g = np.einsum("zfod,zkldm->zfokml", rows, x[..., :2])
+    cross = (g + g.transpose(0, 1, 4, 5, 2, 3)).reshape(count, 4, 8, 8)
     # the other halves: νF(ν) = e_o·b_k + e_o·a(ν − a)⁻¹b_k = Σ_j f_j/ν^j
     # with f_j = e_o·a^j·b_k, and its ∂_ν
-    phi = (cols.T[:2] + z @ cols.T).reshape(-1, 8)
-    dphi = -(v @ cols.T).reshape(-1, 8)
-    f = (krylov[:, :_TAIL_MOMENTS + 1] @ cols.T).swapaxes(1, 2).reshape(8, -1)
+    cols_t = cols.swapaxes(1, 2)[:, None]
+    phi = (cols_t[:, :, :2] + z @ cols_t).reshape(count, -1, 8)
+    dphi = -(v @ cols_t).reshape(count, -1, 8)
+    f = (krylov[:, :, :_TAIL_MOMENTS + 1] @ cols_t).swapaxes(2, 3).reshape(
+        count, 8, -1)
+    f_t = f.swapaxes(1, 2)
     # the tail of Σ_j p_j/ν^{j+1}, p the Cauchy product of two f, is a
     # Hankel form: ζ of the order k + l + 1 between f_k and f_l
     k = np.arange(_TAIL_MOMENTS + 1)
     order = k[:, None] + k
-    hankel = np.concatenate(([0.0], zeta, np.zeros(_TAIL_MOMENTS)))[order]
+    hankel = np.concatenate((np.zeros((count, 1)), zeta,
+                             np.zeros((count, _TAIL_MOMENTS))), axis=1)[:, order]
+    top = top[:, None, None]
     prod = np.stack((
-        np.zeros((8, 8)),
-        (phi / nu[:, None]).T @ phi + f @ hankel @ f.T / top,
-        -(dphi.T @ phi + phi.T @ dphi) + f @ (order * hankel) @ f.T / top,
-        (np.outer(f[:, 0], f[:, 1]) + np.outer(f[:, 1], f[:, 0])) * top))
+        np.zeros((count, 8, 8)),
+        (phi / nu[:, :, None]).swapaxes(1, 2) @ phi + f @ hankel @ f_t / top,
+        -(dphi.swapaxes(1, 2) @ phi + phi.swapaxes(1, 2) @ dphi)
+        + f @ (order * hankel) @ f_t / top,
+        (f[:, :, 0, None] * f[:, None, :, 1]
+         + f[:, :, 1, None] * f[:, None, :, 0]) * top), axis=1)
     f1, f2, g1, g2 = _PRODUCTS
-    m0, sw, sc, mu2 = (cross[:, f1, g1] + cross[:, f2, g2]
-                       + prod[:, f1, g2] + prod[:, f2, g1])
+    m0, sw, sc, mu2 = (cross[:, :, f1, g1] + cross[:, :, f2, g2]
+                       + prod[:, :, f1, g2] + prod[:, :, f2, g1]).swapaxes(0, 1)
     m0 = math.pi * m0
-    ss = ((m0[:3] + 2.0 * math.pi * sc[:3]) / p.beta ** 2
-          - 0.5 * math.pi * p.hbar ** 2 * mu2[:3])
-    st = (m0[6:9] - 2.0 * math.pi * sw[6:9]) / p.beta + 0j
-    st[1] += 0.5j * p.hbar * m0[9]
-    return np.stack((st, ss + 0j, m0[3:6] + 0j))
+    beta = np.array([p.beta for p in ps])[:, None]
+    beta_sq = np.array([p.beta ** 2 for p in ps])[:, None]
+    hbar = np.array([p.hbar for p in ps])
+    hbar_sq = np.array([p.hbar ** 2 for p in ps])[:, None]
+    ss = ((m0[:, :3] + 2.0 * math.pi * sc[:, :3]) / beta_sq
+          - 0.5 * math.pi * hbar_sq * mu2[:, :3])
+    st = (m0[:, 6:9] - 2.0 * math.pi * sw[:, 6:9]) / beta + 0j
+    st[:, 1] += 0.5j * hbar * m0[:, 9]
+    return np.stack((st, ss + 0j, m0[:, 3:6] + 0j), axis=1)
 
 
 def _gram_entries(products, prefix):
-    """√(G/(‖f‖²‖g‖²)) per entry from the products over _PAIRS, with G
-    the Gram determinant of the two shortest of f, g and r = f − g,
-    which spans the same area from any two of them; divided through so
-    that no two norms multiply, which could overflow."""
-    for key, column in zip(_KEYS, products.T):
-        if not np.isfinite(column).all():
-            raise NonFinite(f"{prefix}_{key}: an inner product of the "
-                            "closed form is not finite")
-        if not (column[0] > 0.0 and column[1] > 0.0):
-            raise ZeroNorm(f"degenerate {prefix}_{key}: norm not positive")
-    ff, gg, rr, fg, fr, gr = products
-    # ‖r‖² comes from its own realization, so ‖f‖² − 2⟨f,g⟩ + ‖g‖² checks
-    # the solves: an extreme bath (parameters 1e20 apart) breaks it
-    gap = np.abs(ff - 2.0 * fg + gg - rr) / (ff + gg)
-    k = int(np.argmax(gap))
-    if not gap[k] <= _REL_TOL:
-        raise NonConvergence(
-            f"{prefix}_{_KEYS[k]}: the closed form's ‖f − g‖² and ‖r‖² "
-            f"differ by {gap[k]:.3g} of ‖f‖² + ‖g‖², above the "
-            f"{_REL_TOL:.0e} relative tolerance", error_bound=float(gap[k]))
-    longest = np.argmax(products[:3], axis=0)
-    with np.errstate(over="ignore", under="ignore"):
+    """√(G/(‖f‖²‖g‖²)) per entry of each row of products (B, 6, 3), the
+    products over _PAIRS, with G the Gram determinant of the two shortest
+    of f, g and r = f − g, which spans the same area from any two of
+    them; divided through so that no two norms multiply, which could
+    overflow.  Returns the entries and each row's error or None:
+    NonFinite or ZeroNorm for the first entry with an inner product not
+    finite or a norm not positive, else NonConvergence where ‖f‖² −
+    2⟨f,g⟩ + ‖g‖² and ‖r‖², from its own realization, disagree: that
+    checks the solves, which an extreme bath (parameters 1e20 apart)
+    breaks."""
+    ff, gg, rr, fg, fr, gr = products.swapaxes(0, 1)
+    with np.errstate(all="ignore"):
+        gap = np.abs(ff - 2.0 * fg + gg - rr) / (ff + gg)
+        longest = np.argmax(products[:, :3], axis=1)
         ratio = np.where(longest == 2, 1.0 - (fg / ff) * (fg / gg),
                          np.where(longest == 1, (rr - fr * (fr / ff)) / gg,
                                   (rr - gr * (gr / gg)) / ff))
-    return np.sqrt(np.clip(ratio, 0.0, 1.0))
+    finite = np.isfinite(products).all(axis=1)
+    bad = ~(finite & (ff > 0.0) & (gg > 0.0)) | ~(gap <= _REL_TOL)
+    errors = [None] * len(products)
+    for i in np.flatnonzero(bad.any(axis=1)):
+        errors[i] = _gram_error(products[i], gap[i], prefix)
+    return np.sqrt(np.clip(ratio, 0.0, 1.0)), errors
 
 
-def _closed_form(p, a, prefix):
-    """n1 (prefix 'n1') or classical n2 ('n2') of a coupled bath with
-    the drift matrix a, as a (matrix, diagnostics) pair with no pass.
-    An extreme bath whose solves overflow raises NonFinite, one whose
-    Lyapunov operator is singular in doubles DivisionNearZero."""
-    _guard(a, prefix)
-    if len(a) == 2:     # (q, p) alone: the strict Ohmic oscillator
-        values = _ohmic_entries(-a[1, 1] / p.omega0, prefix)
-    else:
+def _gram_error(products, gap, prefix):
+    """The error of one row that ``_gram_entries`` refuses."""
+    for key, column in zip(_KEYS, products.T):
+        if not np.isfinite(column).all():
+            return NonFinite(f"{prefix}_{key}: an inner product of the "
+                             "closed form is not finite")
+        if not (column[0] > 0.0 and column[1] > 0.0):
+            return ZeroNorm(f"degenerate {prefix}_{key}: norm not positive")
+    k = int(np.argmax(gap))
+    return NonConvergence(
+        f"{prefix}_{_KEYS[k]}: the closed form's ‖f − g‖² and ‖r‖² "
+        f"differ by {gap[k]:.3g} of ‖f‖² + ‖g‖², above the "
+        f"{_REL_TOL:.0e} relative tolerance", error_bound=float(gap[k]))
+
+
+def _sum_entries(value):
+    """The distances of each row of the Matsubara sums' value (B, 3, 3),
+    and each row's error or None: NonFinite for the first entry with an
+    inner product not finite, else ZeroNorm as ``_norms`` raises it."""
+    names = [f"n2_{key}" for key in _KEYS]
+    with np.errstate(all="ignore"):
+        norms = np.maximum(value[:, 1:].real, 0.0)
+        ratio = np.abs(value[:, 0]) ** 2 / (norms[:, 0] * norms[:, 1])
+        bad = ~(np.isfinite(value).all(axis=(1, 2))
+                & (np.sqrt(norms) >= 1e-14).all(axis=(1, 2)))
+    errors = [None] * len(value)
+    for i in np.flatnonzero(bad):
+        for key, column in zip(_KEYS, value[i].T):
+            if not np.isfinite(column).all():
+                errors[i] = NonFinite(f"n2_{key}: an inner product of the "
+                                      "Matsubara sums is not finite")
+                break
+        else:
+            try:
+                _norms(value[i], names)
+            except ZeroNorm as exc:
+                errors[i] = exc
+    return np.sqrt(np.clip(1.0 - ratio, 0.0, 1.0)), errors
+
+
+def _solved(kernel, batch, prefix):
+    """The rows of batch that ``_guard`` passes, and kernel of them with
+    floating-point warnings off; the others fail.  Where a solve is
+    singular in double precision the rows run one by one, each singular
+    one fails with DivisionNearZero, and the batch shrinks to the others.
+    (None, None) when no row is left."""
+    for row, error in zip(batch.rows, _guard(batch.a, prefix)):
+        if error is not None:
+            row.put(prefix, error)
+    batch = batch.take([r for r in batch.rows if r.error is None])
+    try:
+        with np.errstate(all="ignore"):
+            return batch, kernel(batch) if batch.rows else None
+    except np.linalg.LinAlgError:
+        pass
+    kept, parts = [], []
+    for row in batch.rows:
         try:
             with np.errstate(all="ignore"):
-                products = (_n1_products(a) if prefix == "n1"
-                            else _n2_products(a, p.omega0))
+                parts.append(kernel(batch.take([row])))
         except np.linalg.LinAlgError as exc:
-            raise DivisionNearZero(
-                f"{prefix}_qq: the Lyapunov operator of the drift matrix "
-                "is singular in double precision") from exc
-        values = _gram_entries(products, prefix)
-    return _matrix(prefix, values)
+            error = DivisionNearZero(
+                f"{prefix}_qq: the Lyapunov operator of the drift matrix is "
+                "singular in double precision")
+            error.__cause__ = exc
+            row.put(prefix, error)
+        else:
+            kept.append(row)
+    return batch.take(kept), np.concatenate(parts) if parts else None
+
+
+def _closed_forms(batch, prefix):
+    """n1 (prefix 'n1') or classical n2 ('n2') of each row of batch, with
+    no pass.  Beside the errors of ``_solved`` a row fails as
+    ``_gram_entries`` says."""
+    if batch.a.shape[-1] == 2:  # (q, p) alone: the strict Ohmic oscillator
+        x = -batch.a[:, 1, 1] / batch.scalars(lambda r: r.p.omega0)
+        values, errors = _ohmic_entries(x, prefix), [None] * len(x)
+    else:
+        kernel = (_n1_products if prefix == "n1" else lambda b: _n2_products(
+            b, b.scalars(lambda r: r.p.omega0 ** 2)))
+        batch, products = _solved(kernel, batch, prefix)
+        if products is None:
+            return
+        values, errors = _gram_entries(products, prefix)
+    for row, value, error in zip(batch.rows, values, errors):
+        row.put(prefix, error or _matrix(prefix, value))
 
 
 def _stiff_ohmic(a):
-    """Whether a is the strict Ohmic 2×2 drift matrix with mode rates |λ|
-    more than _MAX_SPREAD apart (NaN counts as apart), as past
-    D ≈ 31.6ω₀, where its real modes sit near D and ω₀²/D.  A peaked
-    matrix is never so: on stiff ones its pass loses digits too, as on
-    (0.9, 1, 0.0625), a spread of 7.7e5, where at β = 0.3, ħ = 1 the
-    sums read n2 squared 9.5e-12 off 30 digits and the pass 4.7e-12."""
-    if len(a) > 2:
-        return False
+    """Whether each matrix of the stack a is the strict Ohmic 2×2 drift
+    matrix with mode rates |λ| more than _MAX_SPREAD apart (NaN counts as
+    apart), as past D ≈ 31.6ω₀, where its real modes sit near D and
+    ω₀²/D.  A peaked matrix is never so: on stiff ones its pass loses
+    digits too, as on (0.9, 1, 0.0625), a spread of 7.7e5, where at
+    β = 0.3, ħ = 1 the sums read n2 squared 9.5e-12 off 30 digits and the
+    pass 4.7e-12."""
+    if a.shape[-1] > 2:
+        return np.zeros(len(a), dtype=bool)
     rates = np.abs(np.linalg.eigvals(a))
-    return not rates.max() <= _MAX_SPREAD * rates.min()
+    return ~(rates.max(axis=-1) <= _MAX_SPREAD * rates.min(axis=-1))
 
 
-def _quantum_closed_form(p, a, cov0):
-    """Quantum n2 (qq, qp, pp) of a bath with the drift matrix a by
-    ``_n2_quantum_products``, after ``_guard`` as in ``_closed_form``,
-    with its errors; None where ``_matsubara_terms`` has no sum (β = ∞)
-    or past _N2_MAX_TERMS terms, and on a stiff strict Ohmic matrix,
-    whose pass keeps the digits that the sums lose there."""
-    terms = _matsubara_terms(p, a, _N2_MAX_TERMS)
-    if terms is None or _stiff_ohmic(a):
-        return None
-    _guard(a, "n2")
+def _quantum_sums(batch):
+    """Quantum n2 of each row of batch by ``_n2_quantum_products`` over
+    its Matsubara terms (one N); beside the errors of ``_solved`` a row
+    fails as ``_sum_entries`` says."""
+    batch, value = _solved(lambda b: _n2_quantum_products(
+        b, [r.p for r in b.rows], [r.cov0 for r in b.rows],
+        _stacked_terms([r.terms for r in b.rows])), batch, "n2")
+    if value is None:
+        return
+    values, errors = _sum_entries(value)
+    for row, value, error in zip(batch.rows, values, errors):
+        row.put("n2", error or _matrix(
+            "n2", value, cutoff_drift=row.cov0.cutoff_drift))
+
+
+def _by(rows, key):
+    """rows grouped by key(row), each group in the order of rows."""
+    groups: dict = {}
+    for row in rows:
+        groups.setdefault(key(row), []).append(row)
+    return list(groups.values())
+
+
+def _batches(rows):
+    """A _Batch per drift-matrix size among rows, whose Lyapunov
+    operators serve both quantifiers."""
+    batches = {}
+    for group in _by([r for r in rows if r.a is not None], lambda r: len(r.a)):
+        batches[len(group[0].a)] = _Batch(group, np.stack([r.a for r in group]))
+    return batches
+
+
+def _regression(rows, batches):
+    """n2 of each row: the closed form at ħ = 0, Matsubara sums at
+    0 < βħ < ∞ of at most _N2_MAX_TERMS terms on a matrix that is not
+    stiff (``_stiff_ohmic``), the pass otherwise, each row on the
+    covariances of ``covariance0``, which come in the order of rows."""
+    for batch in batches.values():
+        classical = [r for r in batch.rows if r.p.hbar == 0.0]
+        if classical:
+            _closed_forms(batch.take(classical), "n2")
+    others = [r for r in rows if r.a is None or r.p.hbar != 0.0]
+    for row in others:
+        row.terms = (None if row.a is None
+                     else _matsubara_terms(row.p, row.a, _MAX_TERMS))
+    for row, cov0 in zip(others, _covariances(
+            [(r.p, r.sd, r.a, r.terms) for r in others])):
+        row.cov0 = cov0
+        if isinstance(cov0, NumericsError):
+            row.put("n2", cov0)
+    summed = []
+    for batch in batches.values():
+        quantum = [r for r in batch.rows if r.error is None
+                   and r.terms is not None
+                   and len(r.terms[0]) <= _N2_MAX_TERMS]
+        if quantum:
+            stiff = _stiff_ohmic(batch.take(quantum).a)
+            summed += [r for r, s in zip(quantum, stiff) if not s]
+    for group in _by(summed, lambda r: (len(r.a), len(r.terms[0]))):
+        _quantum_sums(batches[len(group[0].a)].take(group))
+    for row in others:
+        if row.error is None and "n2" not in row.matrices:
+            row.put("n2", _pass_matrix(row, "n2", _n2_sides(
+                row.p, row.sd, row.cov0), row.cov0.cutoff_drift))
+
+
+def _pass_matrix(row, prefix, sides, cutoff_drift=0.0):
+    """``_quantifier_matrix`` of row, or the NumericsError it raises."""
     try:
-        with np.errstate(all="ignore"):
-            value = _n2_quantum_products(p, a, cov0, terms)
-    except np.linalg.LinAlgError as exc:
-        raise DivisionNearZero(
-            "n2_qq: the Lyapunov operator of the drift matrix is singular "
-            "in double precision") from exc
-    for key, column in zip(_KEYS, value.T):
-        if not np.isfinite(column).all():
-            raise NonFinite(f"n2_{key}: an inner product of the Matsubara "
-                            "sums is not finite")
-    return _distances(value, [f"n2_{key}" for key in _KEYS])
+        return _quantifier_matrix(row.p, row.sd, prefix, sides,
+                                  cutoff_drift)
+    except NumericsError as exc:
+        return exc
+
+
+# rows per batch: enough to spread numpy's cost per call, few enough
+# that quantum n2 at 2¹⁰ terms holds some tens of MB
+_BATCH = 64
+
+
+def _batch_reports(points, which: str):
+    """The ``quantify`` report of each (p, sd) of points, or the
+    NumericsError that fails it, in order; ``quantify`` is a batch of one.
+
+    Rows whose drift matrices have one size share each closed form's
+    batched solves, and quantum n2 rows that also share their Matsubara
+    term count N share its sums; one Lyapunov operator per row serves n1
+    and n2, and one ``_matsubara_terms`` per row the covariances and the
+    n2 sums.  Tables, decoupled baths and the quantum n2 rows that keep
+    the pass run alone.  Each row keeps its own error: the guard, the
+    norm and consistency checks act row by row, and a batch with a
+    singular operator runs again row by row.  points is a sequence of
+    (p, sd) pairs; they go in batches of at most _BATCH, in order, so a
+    CutoffSensitive warning of a row comes in the order of points, and
+    the working arrays of a batch go before the next is built."""
+    if which not in ("n1", "n2", "both"):
+        raise ValueError(f"unknown quantifier selection {which!r}")
+    reports = []
+    for start in range(0, len(points), _BATCH):
+        rows = [_Row(p, sd) for p, sd in points[start:start + _BATCH]]
+        batches = _batches(rows)
+        if which in ("n1", "both"):
+            for batch in batches.values():
+                _closed_forms(batch, "n1")
+            for row in rows:
+                if row.a is None:
+                    row.put("n1", _pass_matrix(row, "n1", _n1_sides(
+                        row.p, row.sd)))
+        if which in ("n2", "both"):
+            _regression([r for r in rows if r.error is None],
+                        {n: b.take([r for r in b.rows if r.error is None])
+                         for n, b in batches.items()})
+        reports += [r.report() for r in rows]
+    return reports
 
 
 def divisibility_quantifier(p, sd: SpectralDensity):
@@ -508,10 +784,8 @@ def divisibility_quantifier(p, sd: SpectralDensity):
 
     Returns (2×2 real array, diagnostics dict).
     """
-    a = None if sd.decoupled else sd.drift_matrix(p.omega0)
-    if a is not None:
-        return _closed_form(p, a, "n1")
-    return _quantifier_matrix(p, sd, "n1", _n1_sides(p, sd))
+    report = quantify(p, sd, "n1")
+    return report.n1, report.diagnostics
 
 
 def regression_quantifier(p, sd: SpectralDensity):
@@ -527,15 +801,8 @@ def regression_quantifier(p, sd: SpectralDensity):
 
     Returns (2×2 real array, diagnostics dict).
     """
-    a = None if sd.decoupled else sd.drift_matrix(p.omega0)
-    if a is not None and p.hbar == 0.0:
-        return _closed_form(p, a, "n2")
-    cov0 = covariance0(p, sd)
-    values = None if a is None else _quantum_closed_form(p, a, cov0)
-    if values is not None:
-        return _matrix("n2", values, cutoff_drift=cov0.cutoff_drift)
-    return _quantifier_matrix(p, sd, "n2", _n2_sides(p, sd, cov0),
-                              cutoff_drift=cov0.cutoff_drift)
+    report = quantify(p, sd, "n2")
+    return report.n2, report.diagnostics
 
 
 def _pass_quantifiers(p, sd: SpectralDensity):
@@ -552,14 +819,7 @@ def quantify(p, sd: SpectralDensity, which: str = "both") -> QuantifierReport:
 
     which ∈ {'n1', 'n2', 'both'}.
     """
-    if which not in ("n1", "n2", "both"):
-        raise ValueError(f"unknown quantifier selection {which!r}")
-    n1 = n2 = None
-    diagnostics: dict[str, EntryDiagnostics] = {}
-    if which in ("n1", "both"):
-        n1, d = divisibility_quantifier(p, sd)
-        diagnostics.update(d)
-    if which in ("n2", "both"):
-        n2, d = regression_quantifier(p, sd)
-        diagnostics.update(d)
-    return QuantifierReport(n1=n1, n2=n2, diagnostics=diagnostics)
+    (report,) = _batch_reports([(p, sd)], which)
+    if isinstance(report, NumericsError):
+        raise report
+    return report

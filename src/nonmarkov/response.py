@@ -232,6 +232,15 @@ _THETA13 = 4.25
 _MAX_EXPM_NORM = 1e8
 
 
+@functools.cache
+def _ones_and_eye(n: int):
+    """The ones vector and the identity of size n that ``_expm`` reads,
+    built once per size; read only."""
+    ones, eye = np.ones(n), np.eye(n)
+    ones.flags.writeable = eye.flags.writeable = False
+    return ones, eye
+
+
 def _expm(a: np.ndarray) -> np.ndarray:
     """e^a by scaling and squaring with the [13/13] Padé approximant.
 
@@ -244,7 +253,7 @@ def _expm(a: np.ndarray) -> np.ndarray:
     n = len(a)
     # column sums as 1ᵀ·|X|, and in Python from there on: the reductions
     # of numpy cost a 4×4 matrix more than its products
-    ones = np.ones(n)
+    ones, eye = _ones_and_eye(n)
     norm = max(ones.dot(np.abs(a)).tolist())
     if norm > _MAX_EXPM_NORM:
         raise NonConvergence(f"e^(At) needs ‖A·t‖₁ <= {_MAX_EXPM_NORM:.0e} "
@@ -271,7 +280,10 @@ def _expm(a: np.ndarray) -> np.ndarray:
     u_hi, u_lo, v_hi, v_lo = parts.reshape(4, n, n)
     u = a.dot(a6.dot(u_hi) + u_lo)
     v = a6.dot(v_hi) + v_lo
-    r = np.linalg.solve(v - u, v + u)
+    # (V − U)⁻¹(V + U) as I + 2(V − U)⁻¹U, the form of scipy's expm: on
+    # Ohmic D = 20ω₀ at t = 456/ω₀ the twelve squarings left the first
+    # form 1.4e-12 off a 40-digit e^{At}, this one 3.0e-14
+    r = np.linalg.solve(v - u, 2.0 * u) + eye
     for _ in range(squarings):
         r = r.dot(r)
     return r

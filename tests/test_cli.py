@@ -260,14 +260,16 @@ class TestTabulatedSweepReuse:
         assert len(loads) == 1
 
         # every point quantified on a table read afresh
+        batch_reports = cli._batch_reports
         monkeypatch.setattr(
-            cli, "quantify",
-            lambda p, sd, which: quantify(p, TabulatedSD.from_file(table),
-                                          which=which))
+            cli, "_batch_reports",
+            lambda points, which: batch_reports(
+                [(p, TabulatedSD.from_file(table)) for p, _ in points], which))
         fresh = tmp_path / "fresh.csv"
         assert self._sweep(table, fresh) == 0
-        # one n1 for the sweep and one n2 per point, each on its own read
-        assert len(loads) == 1 + 1 + 4
+        # the sweep's own read, one n1 for the sweep and one n2 per point,
+        # each on its own read
+        assert len(loads) == 1 + 1 + 1 + 3
         capsys.readouterr()
         assert reused.read_bytes() == fresh.read_bytes()
 
@@ -304,12 +306,15 @@ class TestSweepSharesN1:
             return out.read_bytes()
 
         calls = []
+        batch_reports = cli._batch_reports
         monkeypatch.setattr(
-            cli, "quantify",
-            lambda p, sd, which: calls.append(which) or quantify(p, sd,
-                                                                 which=which))
+            cli, "_batch_reports",
+            lambda points, which: calls.append((which, len(points)))
+            or batch_reports(points, which))
         shared = sweep(tmp_path / "shared.csv")
-        assert calls == ["n1"] + (["n2"] * 3 if which == "both" else [])
+        # one n1 of the first point, then one batch of every point's n2
+        assert calls == [("n1", 1)] + ([("n2", 3)] if which == "both"
+                                       else [])
 
         monkeypatch.setattr(
             cli, "_sweep_reports",
@@ -336,13 +341,14 @@ class TestSweepSharesN1:
         args = ["--mode", "sweep", *bath, "--param", "beta", "--range",
                 "0.3:5:4:log", "--hbar", "0", "--quantifier", which]
         calls = []
+        batch_reports = cli._batch_reports
         monkeypatch.setattr(
-            cli, "quantify",
-            lambda p, sd, which: calls.append(which) or quantify(p, sd,
-                                                                 which=which))
+            cli, "_batch_reports",
+            lambda points, which: calls.append((which, len(points)))
+            or batch_reports(points, which))
         shared = tmp_path / "shared.csv"
         assert cli.main(args + ["--out", str(shared)]) == 3 * refused
-        assert calls == [which]
+        assert calls == [(which, 1)]
 
         monkeypatch.setattr(
             cli, "_sweep_reports",
@@ -355,6 +361,124 @@ class TestSweepSharesN1:
         errors = {row["error"] for row in read_csv(shared)}
         assert len(read_csv(shared)) == 4 and len(errors) == 1
         assert ("the mode of the drift matrix" in errors.pop()) == refused
+
+
+def per_point_reports(param, which, points):
+    """``cli._sweep_reports`` as one quantify call per grid point."""
+    return lambda v: quantify(*points[v], which=which)
+
+
+class TestBatchedSweeps:
+    """A sweep hands its grid to ``quantifiers._batch_reports`` as one
+    batch; every row keeps its own route, value and failure, so the CSV
+    is the same, byte for byte, as the one built point by point."""
+
+    @staticmethod
+    def _sweeps(args, tmp_path, monkeypatch):
+        """The exit code and rows of the batched sweep, after checking
+        that the per-point sweep exits alike with the same bytes."""
+        batched, per_point = tmp_path / "batched.csv", tmp_path / "point.csv"
+        with warnings.catch_warnings(record=True):
+            code = cli.main(["--mode", "sweep", *args, "--out", str(batched)])
+            with monkeypatch.context() as m:
+                m.setattr(cli, "_sweep_reports", per_point_reports)
+                assert cli.main(["--mode", "sweep", *args,
+                                 "--out", str(per_point)]) == code
+        assert batched.read_bytes() == per_point.read_bytes()
+        return code, read_csv(batched)
+
+    @staticmethod
+    def _panels(p, sd):
+        return quantify(p, sd, "n2").diagnostics["n2_qq"].panels
+
+    def test_guard_refuses_the_first_row_alone(self, tmp_path, monkeypatch,
+                                              capsys):
+        code, rows = self._sweeps(["--sd", "peaked", "--param", "d",
+                                   "--range", "1e-6:1:3"], tmp_path,
+                                  monkeypatch)
+        capsys.readouterr()
+        assert code == 3
+        assert "the mode of the drift matrix" in rows[0]["error"]
+        for row in rows[1:]:
+            assert row["error"] == ""
+            assert 0.0 < float(row["n1_qq"]) < 1.0
+
+    def test_ohmic_sums_and_stiff_passes_in_one_grid(self, tmp_path,
+                                                     monkeypatch, capsys):
+        # D = 20 and 30 take the Matsubara sums, the stiff 40 and 50 the
+        # pass, each on its own Λ-cut covariances, which warn row by row
+        # in grid order
+        points = [(ModelParams(1.0, 1.0, 1.0), OhmicSD(d))
+                  for d in (20.0, 30.0, 40.0, 50.0)]
+        warned = []
+        for run in (lambda: [quantify(*point) for point in points],
+                    lambda: quantifiers._batch_reports(points, "both")):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", CutoffSensitive)
+                run()
+            warned.append([str(w.message) for w in caught])
+        assert len(warned[0]) == 4 and warned[1] == warned[0]
+        with warnings.catch_warnings(record=True):
+            assert [self._panels(*point) > 0 for point in points] == [
+                False, False, True, True]
+        code, rows = self._sweeps(["--sd", "ohmic", "--param", "d",
+                                   "--range", "20:50:4", "--hbar", "1"],
+                                  tmp_path, monkeypatch)
+        capsys.readouterr()
+        assert code == 0 and len(rows) == 4
+        assert all(row["error"] == "" for row in rows)
+
+    def test_beta_grid_across_the_term_cap(self, tmp_path, monkeypatch,
+                                           capsys):
+        # 636 terms at β = 200 take the sums; 1132 and more, the pass
+        routes = [self._panels(ModelParams(1.0, float(beta), 1.0),
+                               PeakedSD(1.0, 0.5, 2.0)) > 0
+                  for beta in np.geomspace(200.0, 2000.0, 5)]
+        assert routes == [False] + [True] * 4
+        code, rows = self._sweeps(["--sd", "peaked", "--param", "beta",
+                                   "--range", "200:2000:5:log", "--hbar", "1"],
+                                  tmp_path, monkeypatch)
+        capsys.readouterr()
+        assert code == 0 and len(rows) == 5
+
+    @staticmethod
+    def _singular(monkeypatch):
+        # the Lyapunov operator of the coupling 0.75 is zero
+        lyapunov = quantifiers._lyapunov
+
+        def singular(a):
+            op, wide = lyapunov(a)
+            hit = a[:, 1, 2] == 0.75
+            op[hit], wide[hit] = 0.0, 0.0
+            return op, wide
+        monkeypatch.setattr(quantifiers, "_lyapunov", singular)
+        return "n1_qq: the Lyapunov operator of the drift matrix is singular"
+
+    @staticmethod
+    def _non_finite(monkeypatch):
+        # the products of the coupling 0.75 overflow
+        products = quantifiers._n1_products
+
+        def overflowing(batch):
+            value = products(batch)
+            value[batch.a[:, 1, 2] == 0.75, 2, 1] = math.inf
+            return value
+        monkeypatch.setattr(quantifiers, "_n1_products", overflowing)
+        return "n1_qp: an inner product of the closed form is not finite"
+
+    @pytest.mark.parametrize("spoil", ["_singular", "_non_finite"])
+    def test_a_failing_row_fails_alone(self, spoil, tmp_path, monkeypatch,
+                                       capsys):
+        message = getattr(self, spoil)(monkeypatch)
+        code, rows = self._sweeps(["--sd", "peaked", "--param", "d",
+                                   "--range", "0.5:1:3"], tmp_path,
+                                  monkeypatch)
+        capsys.readouterr()
+        assert code == 3
+        assert rows[1]["error"].startswith(message)
+        assert rows[1]["n1_qq"] == rows[1]["n2_qq"] == ""
+        for row in (rows[0], rows[2]):
+            assert row["error"] == "" and 0.0 < float(row["n1_qp"]) < 1.0
 
 
 class TestMeansMode:
@@ -688,10 +812,10 @@ class TestOracleCheckMode:
             times, zeros, zeros, ones, ones))
         products = quantifiers._n2_quantum_products
         for bath, size in (("Ohmic", 2), ("peaked", 4)):
-            def off(p, a, cov0, terms, size=size):
-                value = products(p, a, cov0, terms)
-                if len(a) == size:
-                    value[0] *= 0.999
+            def off(batch, ps, covs, terms, size=size):
+                value = products(batch, ps, covs, terms)
+                if batch.a.shape[-1] == size:
+                    value[:, 0] *= 0.999
                 return value
 
             monkeypatch.setattr(quantifiers, "_n2_quantum_products", off)

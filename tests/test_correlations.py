@@ -18,6 +18,7 @@ from nonmarkov.correlations import (
     _bose_weight,
     _covariance0_cached,
     _matsubara_covariance,
+    _matsubara_terms,
     covariance0,
     exact_entries_vec,
     rt_entries_vec,
@@ -36,6 +37,18 @@ PEAKED = PeakedSD(coupling=1.0, width=0.5, resonance=2.0)
 _W = np.linspace(0.0, 40.0, 201)
 PEAKED_TABLE = (_W, 0.5 * _W / ((_W * _W - 4.0) ** 2 + 0.25 * _W * _W))
 FREE_QUANTUM_CQQ = 0.6565176427496657  # (ħ/2ω₀)·coth(βħω₀/2) at ħ=1, β=2, ω₀=1
+
+
+def matsubara_sum(p, a):
+    """``_matsubara_covariance`` of the one drift matrix a, or None
+    where ``_matsubara_terms`` gives it no sum under _MAX_TERMS."""
+    terms = _matsubara_terms(p, a, correlations._MAX_TERMS)
+    if terms is None:
+        return None
+    nu, top, zeta = terms
+    (cov,) = _matsubara_covariance([p], a[None],
+                                   (nu[None], np.array([top]), zeta[None]))
+    return cov
 
 
 class TestCovariance0:
@@ -312,7 +325,7 @@ class TestMatsubaraRoute:
     def test_matches_the_quadrature(self, d, gamma, big, omega0, beta, hbar):
         p = ModelParams(omega0=omega0, beta=beta, hbar=hbar)
         sd = PeakedSD(d, gamma, big)
-        got = _matsubara_covariance(p, sd.drift_matrix(omega0))
+        got = matsubara_sum(p, sd.drift_matrix(omega0))
         want = _covariance0_cached(p, sd)
         assert got.c_qq == pytest.approx(want.c_qq, rel=1e-9)
         assert got.c_pp == pytest.approx(want.c_pp, rel=1e-9)
@@ -328,10 +341,10 @@ class TestMatsubaraRoute:
         for p in (below, above):
             quad = _covariance0_cached(p, sd)
             if p is above:
-                assert _matsubara_covariance(p, a) is None
+                assert matsubara_sum(p, a) is None
                 assert covariance0(p, sd) == quad
                 monkeypatch.setattr(correlations, "_MAX_TERMS", 2 ** 14)
-            c = _matsubara_covariance(p, a)
+            c = matsubara_sum(p, a)
             assert c.c_qq == pytest.approx(quad.c_qq, rel=1e-9)
             assert c.c_pp == pytest.approx(quad.c_pp, rel=1e-9)
 

@@ -370,6 +370,8 @@ class TestDriftRoute:
            st.floats(1e-3, 1e3))
     @example("ohmic", 2.0, 1.0, 1.0, 1.0, 1e3)
     @example("peaked", 9.0, 1.0, 0.0625, 1.0, 5.0)
+    # e^{At} decayed to 1.2e-10: the Padé step was 1.4e-12 of it off
+    @example("ohmic", 20.0, 1.0, 1.0, 1.0, 456.0)
     def test_expm_holds_to_rounding(self, kind, d, width, resonance, omega0,
                                     t):
         sd = (OhmicSD(d) if kind == "ohmic"
