@@ -23,8 +23,8 @@ import numpy as np
 
 from .errors import CutoffSensitive, NumericsError
 from .oracle import LangevinConfig, embedding_response, langevin_means
-from .quantifiers import (_ENTRY, _KEYS, QuantifierReport, _batch_reports,
-                          _pass_quantifiers, quantify)
+from .quantifiers import (_ENTRY, _KEYS, _batch_reports, _pass_quantifiers,
+                          quantify)
 from .response import ModelParams, _chi_time_transform, propagate_means
 from .spectral import OhmicSD, PeakedSD, TabulatedSD
 
@@ -245,10 +245,10 @@ def _write_grid(out: Path, header, grid, row, n_plotted: int,
     header[0] names the grid column and the plot's x axis.  A point
     writes [value] + row(value) + [""]; a NumericsError writes the
     value, empty cells and the message instead.  row may serve values
-    that a batch computed together (a sweep's rows, see
-    ``_sweep_reports``): the rows of a batched group are written and
-    flushed only after the group is computed.  Returns 3 when any point
-    failed (reported on stderr), 0 otherwise.
+    that a batch computed together (a sweep's rows, from one
+    ``quantifiers._batch_reports`` call): then every row is written and
+    flushed only after the whole grid is computed.  Returns 3 when any
+    point failed (reported on stderr), 0 otherwise.
     """
     failures = []
     with open(out, "w", newline="", encoding="utf-8") as fh:
@@ -303,52 +303,22 @@ def _validate_sweep(settings):
     return param, grid, is_log, dict(zip(values, zip(models, sds)))
 
 
-def _sweep_reports(param, which, points):
-    """The report of each grid value as a function of it, which raises
-    the row's NumericsError in its place.  The whole grid goes to
-    ``quantifiers._batch_reports`` in one call, which batches the closed
-    forms and Matsubara sums of rows that share a drift-matrix size (and,
-    for quantum n2, a term count), so the grid is computed before its
-    first row is written.  n1 depends on neither β nor ħ, so a β or ħ
-    sweep computes it once, at the first point, and every row joins it
-    to its own n2.  Classical n2 does not depend on β either, so a β
-    sweep at ħ = 0 computes the whole report once and serves every row
-    from it.  A failed shared report fails every row with its message,
-    as it would point by point."""
-    first = next(iter(points.values()))
-    classical = param == "beta" and first[0].hbar == 0.0
-    if not classical and (param in _SD_KEYS or which == "n2"):
-        reports = _batch_reports(list(points.values()), which)
-    else:
-        shared = which if classical else "n1"
-        (once,) = _batch_reports([first], shared)
-        if shared == which or isinstance(once, NumericsError):
-            reports = [once] * len(points)
-        else:
-            reports = [n2 if isinstance(n2, NumericsError)
-                       else QuantifierReport(
-                           n1=once.n1, n2=n2.n2,
-                           diagnostics={**once.diagnostics, **n2.diagnostics})
-                       for n2 in _batch_reports(list(points.values()), "n2")]
-    by_value = dict(zip(points, reports))
-
-    def report(v):
-        result = by_value[v]
-        if isinstance(result, NumericsError):
-            raise result.with_traceback(None)
-        return result
-    return report
-
-
 def _mode_sweep(settings) -> int:
+    """One CSV row per grid value from one ``quantifiers._batch_reports``
+    call over the whole grid, which decides what the rows share."""
     param, grid, is_log, points = _validate_sweep(settings)
     which = settings["quantifier"]
     cols = _quantifier_columns(which)
     header = [param] + cols + ["cutoff_drift", "error"]
-    report = _sweep_reports(param, which, points)
-    return _write_grid(
-        Path(settings["out"] or "nonmarkov_sweep.csv"), header, grid,
-        lambda v: _csv_cells(*_report_cells(report(v))), len(cols), is_log)
+    reports = dict(zip(points, _batch_reports(list(points.values()), which)))
+
+    def row(v):
+        report = reports[v]
+        if isinstance(report, NumericsError):
+            raise report.with_traceback(None)
+        return _csv_cells(*_report_cells(report))
+    return _write_grid(Path(settings["out"] or "nonmarkov_sweep.csv"),
+                       header, grid, row, len(cols), is_log)
 
 
 def _mode_means(settings) -> int:

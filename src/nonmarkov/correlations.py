@@ -245,11 +245,10 @@ def _covariance0_cached(p: ModelParams,
     # the weight ħω·coth(βħω/2) turns over at ω ≈ 2/(βħ), which may lie
     # far below every feature of the bath
     if 0.0 < p.beta * p.hbar < math.inf:
-        # a hot enough bath (βħ ≲ 1e-302) puts the top decades past the
-        # largest float; they seed nothing
+        # a hot enough bath puts the top decades past the largest float,
+        # and the pass drops every seed past its map's own bound
         with np.errstate(over="ignore"):
-            decades = 10.0 ** np.arange(-1.0, 7.0) / (p.beta * p.hbar)
-        bp += [x for x in decades.tolist() if x < math.inf]
+            bp += (10.0 ** np.arange(-1.0, 7.0) / (p.beta * p.hbar)).tolist()
     # The bath decides which rows converge: all but the quantum c_pp of a
     # white-noise kernel (a_pp ≠ 0, strict Ohmic), whose integrand falls
     # like 1/ω.  Its row stops at Λ, and a third row over (Λ, 2Λ]

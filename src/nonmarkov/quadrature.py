@@ -194,6 +194,12 @@ def _with_breakpoints(a: float, b: float, breakpoints=()) -> np.ndarray:
     return np.array(sorted({a, b, *pts}))
 
 
+# The reciprocal map of ``_half_line`` reaches x − a = s/(2s − v)·s ≈
+# 2.3e15·s one double below v = 2s, so a breakpoint further than _FAR
+# beyond a, where that node would overflow, seeds nothing
+_FAR = 1e290
+
+
 def _half_line(f, a: float, breakpoints=()):
     """One adaptive pass of f over [a, ∞); returns what ``_adaptive`` does.
 
@@ -204,9 +210,11 @@ def _half_line(f, a: float, breakpoints=()):
     Its seed edges v = 2s − s·2⁻ᵏ are x = a + s·2ᵏ, k = 0 … 13.  A
     divergent integral drives nodes to v = 2s, where the mapped
     integrand is infinite; that raises NonConvergence, and a non-finite
-    f elsewhere raises NonFinite at its own x.
+    f elsewhere raises NonFinite at its own x.  A breakpoint more than
+    _FAR beyond a seeds nothing.
     """
-    s = max([1.0, *(x - a for x in breakpoints if x > a)])
+    breakpoints = [x - a for x in breakpoints if 0.0 < x - a <= _FAR]
+    s = max([1.0, *breakpoints])
 
     def stretch(v):
         # dx/dv = stretch², and x = a + s·stretch beyond s: s² may overflow
@@ -218,9 +226,11 @@ def _half_line(f, a: float, breakpoints=()):
 
     def mapped(v):
         with np.errstate(divide="ignore", invalid="ignore"):
-            return f(x_of(v)) * stretch(v) ** 2
-    edges = [0.0, *(x - a for x in breakpoints if x > a),
-             *2.0 * s - s * 0.5 ** np.arange(14), 2.0 * s]
+            y = f(x_of(v))
+        # a value past the largest float is inf, raised as NonFinite
+        with np.errstate(over="ignore", invalid="ignore"):
+            return y * stretch(v) ** 2
+    edges = [0.0, *breakpoints, *2.0 * s - s * 0.5 ** np.arange(14), 2.0 * s]
     try:
         return _adaptive(mapped, np.array(sorted(set(edges))), x_of)
     except NonFinite as exc:
@@ -290,13 +300,15 @@ def inner_product_info(sides, *, breakpoints=()) -> LineIntegral:
     coupling), calling sides once per panel batch on the nodes x and
     their mirrors −x, and each product P integrates as P(x) + P(−x).
     A side that is not square-integrable raises NonConvergence
-    ("... diverges").
+    ("... diverges"), and a product past the largest float NonFinite.
     """
     def folded(x):
         fx, gx = np.asarray(sides(np.concatenate((x, -x))), dtype=complex)
-        prods = np.stack((fx * np.conj(gx), (fx * np.conj(fx)).real,
-                          (gx * np.conj(gx)).real))
-        return prods[..., :x.size] + prods[..., x.size:]
+        # a product past the largest float is inf, raised as NonFinite
+        with np.errstate(over="ignore", invalid="ignore"):
+            prods = np.stack((fx * np.conj(gx), (fx * np.conj(fx)).real,
+                              (gx * np.conj(gx)).real))
+            return prods[..., :x.size] + prods[..., x.size:]
 
     val, _, n = _half_line(folded, 0.0, _decade_edges(_LINE_TOP, breakpoints))
     return LineIntegral(val + 0.0j, int(n))

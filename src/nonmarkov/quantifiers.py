@@ -27,11 +27,15 @@ Tables, β = ∞, longer sums and a stiff Ohmic bath (D ≳ 31.6ω₀, whose
 mode rates span more than 1e3) take one whole-line quadrature pass.
 
 ``quantify`` is one row of ``_batch_reports``, which a CLI sweep hands
-its whole grid.  Rows whose drift matrices share a size share each
-closed form's batched LAPACK calls (one ``eigvals`` for the guard, one
-stack of Lyapunov operators for n1 and n2), and quantum n2 rows that
-also share their Matsubara term count share one batched sum; every row
-keeps its own term count, summation order, result and error.
+its whole grid.  The batch keys each row by (ω₀, sd).  n1 depends on
+nothing else, nor does n2 at ħ = 0, so each is computed once per key
+and shared by the key's rows: a β or ħ sweep computes one n1.  Rows
+whose drift matrices share a size share each closed form's batched
+LAPACK calls (one ``eigvals`` for the guard, one stack of Lyapunov
+operators per quantifier), and quantum n2 rows that also share their
+Matsubara term count share one batched sum; every row keeps its own
+term count, summation order, result and error.  The pass and the sums
+end in one finisher, ``_ratio_entries``.
 """
 from __future__ import annotations
 
@@ -64,6 +68,7 @@ _EPS = np.finfo(float).eps
 _MAX_SPREAD = 1e3
 # the entries computed, and their (row, column) indices; pq mirrors qp
 _KEYS = ("qq", "qp", "pp")
+_NAMES = {q: [f"{q}_{key}" for key in _KEYS] for q in ("n1", "n2")}
 _ENTRY = ((0, 0, 1), (0, 1, 1))
 
 
@@ -96,42 +101,65 @@ class QuantifierReport:
     diagnostics: dict[str, EntryDiagnostics]
 
 
-def _norms(value, names):
-    """‖f‖² and ‖g‖² of each row of a pass's value; raises ZeroNorm,
-    naming the first row (names[r]) with a norm below 1e-14."""
-    norms = np.maximum(value[1:].real, 0.0)
-    degenerate = np.flatnonzero((np.sqrt(norms) < 1e-14).any(axis=0))
-    if degenerate.size:
-        raise ZeroNorm(f"degenerate {names[degenerate[0]]}: norm below 1e-14")
-    return norms
-
-
 def _distance_info(sides, breakpoints=(), names=("argument",)):
     """Normalized distances of the row pairs (f, g) that the callable
     sides returns, from one ``inner_product_info`` pass over the whole
     line, with the panel count of the pass; names[r] names row r.
 
-    Raises ZeroNorm, naming the first such row, when a row has a norm
-    below 1e-14.  A pass that fails raises it as well when its estimate
-    so far shows such a row: that entry has no distance however the
-    other rows would end.
+    Raises what ``_ratio_entries`` finds, naming the first such row.  A
+    pass that fails raises ZeroNorm as well when its estimate so far
+    shows a row with a norm below 1e-14: that entry has no distance
+    however the other rows would end.
     """
     try:
         res = inner_product_info(sides, breakpoints=breakpoints)
     except NonConvergence as exc:
         if exc.estimate is not None:
-            _norms(exc.estimate, names)
+            (error,) = _ratio_entries(exc.estimate[None], names, "pass")[1]
+            if isinstance(error, ZeroNorm):
+                raise error
         raise
-    return _distances(res.value, names), res.panels
+    (values,), (error,) = _ratio_entries(res.value[None], names, "pass")
+    if error is not None:
+        raise error
+    return values, res.panels
 
 
-def _distances(value, names):
-    """√(1 − |⟨f,g⟩|²/(‖f‖²‖g‖²)) of each row of the products value,
-    stacked ⟨f,g⟩, ‖f‖², ‖g‖²; raises ZeroNorm as ``_norms`` does."""
-    nf2, ng2 = _norms(value, names)
-    ratio = np.abs(value[0]) ** 2 / (nf2 * ng2)
-    r = np.clip(1.0 - ratio, 0.0, 1.0)  # rounding can step outside [0, 1]
-    return np.sqrt(r)
+def _ratio_entries(value, names, source):
+    """√(1 − |⟨f,g⟩|²/(‖f‖²‖g‖²)) of each entry of each row of value,
+    shape (B, 3, k): ⟨f,g⟩, ‖f‖² and ‖g‖² of the k entries that names
+    names, from the source ('pass' or 'Matsubara sums').  The ratio is
+    divided through, (|⟨f,g⟩|/‖f‖²)·(|⟨f,g⟩|/‖g‖²), so that no two norms
+    multiply: quantum n2's products grow like 1/β², and at β = 1e-100
+    their squares would overflow.  Returns the entries and each row's
+    error or None, from ``_row_error``: a norm below 1e-14 is
+    degenerate."""
+    with np.errstate(all="ignore"):
+        norms = np.maximum(value[:, 1:].real, 0.0)
+        inner = np.abs(value[:, 0])
+        ratio = (inner / norms[:, 0]) * (inner / norms[:, 1])
+        degenerate = ~(np.sqrt(norms) >= 1e-14).all(axis=1)
+    bad = ~np.isfinite(value).all(axis=(1, 2)) | degenerate.any(axis=1)
+    errors = [None] * len(value)
+    for i in np.flatnonzero(bad):
+        errors[i] = _row_error(value[i], degenerate[i], names, source,
+                               "norm below 1e-14")
+    return np.sqrt(np.clip(1.0 - ratio, 0.0, 1.0)), errors
+
+
+def _row_error(products, degenerate, names, source, why):
+    """The error of one row whose entries, named by names, are the
+    columns of products: NonFinite for the first entry with a product
+    that is not finite, else ZeroNorm (why) for the first degenerate one;
+    None when there is neither."""
+    for name, column in zip(names, products.T):
+        if not np.isfinite(column).all():
+            return NonFinite(f"{name}: an inner product of the {source} "
+                             "is not finite")
+    for name, bad in zip(names, degenerate):
+        if bad:
+            return ZeroNorm(f"degenerate {name}: {why}")
+    return None
 
 
 def distance(f, g, *, breakpoints=()) -> float:
@@ -148,7 +176,7 @@ def distance(f, g, *, breakpoints=()) -> float:
     NonConvergence
         If f or g is not square-integrable.
     """
-    val, _ = _distance_info(lambda w: (f(w), g(w)), breakpoints)
+    (val,), _ = _distance_info(lambda w: ([f(w)], [g(w)]), breakpoints)
     return float(val)
 
 
@@ -191,15 +219,17 @@ def _matrix(prefix, values, panels=0, cutoff_drift=0.0):
 
 
 def _quantifier_matrix(p, sd, prefix, sides, cutoff_drift=0.0):
-    """Entrywise distances from one pass over the three-row sides.
-    Every entry carries cutoff_drift; an entry with a norm below 1e-14
-    raises ZeroNorm, naming it.  A decoupled bath gives the zero matrix
-    and no pass."""
+    """Entrywise distances from one pass over the three-row sides, or
+    the NumericsError that fails it, as ``_distance_info`` names it.
+    Every entry carries cutoff_drift.  A decoupled bath gives the zero
+    matrix and no pass."""
     if sd.decoupled:
         return _matrix(prefix, 0.0, 0, cutoff_drift)
-    values, panels = _distance_info(
-        sides, feature_frequencies(p, sd),
-        [f"{prefix}_{key}" for key in _KEYS])
+    try:
+        values, panels = _distance_info(
+            sides, feature_frequencies(p, sd), _NAMES[prefix])
+    except NumericsError as exc:
+        return exc
     return _matrix(prefix, values, panels, cutoff_drift)
 
 
@@ -225,33 +255,30 @@ def _ohmic_entries(x, prefix):
 
 
 class _Row:
-    """One bath of a batch: its model p, its bath sd and drift matrix a
-    (None for a table or a decoupled bath), and what the batch has of it
-    so far: the matrices with their diagnostics, or the error that ends
-    it; terms and cov0 are the Matsubara terms and covariances of its
-    quantum n2."""
+    """One bath of a batch: its model p, its bath sd, its key (ω₀, sd),
+    its drift matrix a (None for a table or a decoupled bath), and the
+    results the batch has of it so far, each a (matrix, diagnostics)
+    pair or the error that ends the row; terms and cov0 are the
+    Matsubara terms and covariances of its quantum n2."""
 
     def __init__(self, p, sd: SpectralDensity):
         self.p, self.sd = p, sd
+        self.key = (p.omega0, sd)
         self.a = None if sd.decoupled else sd.drift_matrix(p.omega0)
         self.terms = self.cov0 = None
-        self.matrices: dict[str, np.ndarray] = {}
-        self.diagnostics: dict[str, EntryDiagnostics] = {}
+        self.results: dict = {}
         self.error: NumericsError | None = None
 
     def put(self, prefix, result):
         """Record result, a (matrix, diagnostics) pair, or the error."""
+        self.results[prefix] = result
         if isinstance(result, NumericsError):
             self.error = result
-        else:
-            self.matrices[prefix], diagnostics = result
-            self.diagnostics.update(diagnostics)
 
     def report(self):
         """The QuantifierReport of the row, or its error."""
-        return self.error or QuantifierReport(
-            n1=self.matrices.get("n1"), n2=self.matrices.get("n2"),
-            diagnostics=self.diagnostics)
+        n1, n2 = (self.results.get(q, (None, {})) for q in ("n1", "n2"))
+        return self.error or QuantifierReport(n1[0], n2[0], {**n1[1], **n2[1]})
 
 
 class _Batch:
@@ -558,42 +585,15 @@ def _gram_entries(products, prefix):
 
 def _gram_error(products, gap, prefix):
     """The error of one row that ``_gram_entries`` refuses."""
-    for key, column in zip(_KEYS, products.T):
-        if not np.isfinite(column).all():
-            return NonFinite(f"{prefix}_{key}: an inner product of the "
-                             "closed form is not finite")
-        if not (column[0] > 0.0 and column[1] > 0.0):
-            return ZeroNorm(f"degenerate {prefix}_{key}: norm not positive")
+    error = _row_error(products, ~((products[0] > 0.0) & (products[1] > 0.0)),
+                       _NAMES[prefix], "closed form", "norm not positive")
+    if error is not None:
+        return error
     k = int(np.argmax(gap))
     return NonConvergence(
         f"{prefix}_{_KEYS[k]}: the closed form's ‖f − g‖² and ‖r‖² "
         f"differ by {gap[k]:.3g} of ‖f‖² + ‖g‖², above the "
         f"{_REL_TOL:.0e} relative tolerance", error_bound=float(gap[k]))
-
-
-def _sum_entries(value):
-    """The distances of each row of the Matsubara sums' value (B, 3, 3),
-    and each row's error or None: NonFinite for the first entry with an
-    inner product not finite, else ZeroNorm as ``_norms`` raises it."""
-    names = [f"n2_{key}" for key in _KEYS]
-    with np.errstate(all="ignore"):
-        norms = np.maximum(value[:, 1:].real, 0.0)
-        ratio = np.abs(value[:, 0]) ** 2 / (norms[:, 0] * norms[:, 1])
-        bad = ~(np.isfinite(value).all(axis=(1, 2))
-                & (np.sqrt(norms) >= 1e-14).all(axis=(1, 2)))
-    errors = [None] * len(value)
-    for i in np.flatnonzero(bad):
-        for key, column in zip(_KEYS, value[i].T):
-            if not np.isfinite(column).all():
-                errors[i] = NonFinite(f"n2_{key}: an inner product of the "
-                                      "Matsubara sums is not finite")
-                break
-        else:
-            try:
-                _norms(value[i], names)
-            except ZeroNorm as exc:
-                errors[i] = exc
-    return np.sqrt(np.clip(1.0 - ratio, 0.0, 1.0)), errors
 
 
 def _solved(kernel, batch, prefix):
@@ -662,13 +662,13 @@ def _stiff_ohmic(a):
 def _quantum_sums(batch):
     """Quantum n2 of each row of batch by ``_n2_quantum_products`` over
     its Matsubara terms (one N); beside the errors of ``_solved`` a row
-    fails as ``_sum_entries`` says."""
+    fails as ``_ratio_entries`` says."""
     batch, value = _solved(lambda b: _n2_quantum_products(
         b, [r.p for r in b.rows], [r.cov0 for r in b.rows],
         _stacked_terms([r.terms for r in b.rows])), batch, "n2")
     if value is None:
         return
-    values, errors = _sum_entries(value)
+    values, errors = _ratio_entries(value, _NAMES["n2"], "Matsubara sums")
     for row, value, error in zip(batch.rows, values, errors):
         row.put("n2", error or _matrix(
             "n2", value, cutoff_drift=row.cov0.cutoff_drift))
@@ -683,19 +683,30 @@ def _by(rows, key):
 
 
 def _batches(rows):
-    """A _Batch per drift-matrix size among rows, whose Lyapunov
-    operators serve both quantifiers."""
+    """A _Batch per drift-matrix size among rows."""
     batches = {}
     for group in _by([r for r in rows if r.a is not None], lambda r: len(r.a)):
         batches[len(group[0].a)] = _Batch(group, np.stack([r.a for r in group]))
     return batches
 
 
-def _regression(rows, batches):
+def _divisibility(rows):
+    """n1 of each row: the closed form where it has a drift matrix, the
+    pass otherwise."""
+    for batch in _batches(rows).values():
+        _closed_forms(batch, "n1")
+    for row in rows:
+        if row.a is None:
+            row.put("n1", _quantifier_matrix(row.p, row.sd, "n1",
+                                             _n1_sides(row.p, row.sd)))
+
+
+def _regression(rows):
     """n2 of each row: the closed form at ħ = 0, Matsubara sums at
     0 < βħ < ∞ of at most _N2_MAX_TERMS terms on a matrix that is not
     stiff (``_stiff_ohmic``), the pass otherwise, each row on the
     covariances of ``covariance0``, which come in the order of rows."""
+    batches = _batches(rows)
     for batch in batches.values():
         classical = [r for r in batch.rows if r.p.hbar == 0.0]
         if classical:
@@ -720,18 +731,18 @@ def _regression(rows, batches):
     for group in _by(summed, lambda r: (len(r.a), len(r.terms[0]))):
         _quantum_sums(batches[len(group[0].a)].take(group))
     for row in others:
-        if row.error is None and "n2" not in row.matrices:
-            row.put("n2", _pass_matrix(row, "n2", _n2_sides(
-                row.p, row.sd, row.cov0), row.cov0.cutoff_drift))
+        if row.error is None and "n2" not in row.results:
+            row.put("n2", _quantifier_matrix(
+                row.p, row.sd, "n2", _n2_sides(row.p, row.sd, row.cov0),
+                row.cov0.cutoff_drift))
 
 
-def _pass_matrix(row, prefix, sides, cutoff_drift=0.0):
-    """``_quantifier_matrix`` of row, or the NumericsError it raises."""
-    try:
-        return _quantifier_matrix(row.p, row.sd, prefix, sides,
-                                  cutoff_drift)
-    except NumericsError as exc:
-        return exc
+def _shared(row, prefix):
+    """Whether quantifier prefix of row depends on its key alone: n1 is
+    built from χ̃, and n2 at ħ = 0 on the bare Gibbs state that the
+    counter-term leaves (Grabert, Schramm & Ingold, Phys. Rep. 168, 115
+    (1988)), whose scale 1/β no distance sees."""
+    return prefix == "n1" or row.p.hbar == 0.0
 
 
 # rows per batch: enough to spread numpy's cost per call, few enough
@@ -743,36 +754,36 @@ def _batch_reports(points, which: str):
     """The ``quantify`` report of each (p, sd) of points, or the
     NumericsError that fails it, in order; ``quantify`` is a batch of one.
 
-    Rows whose drift matrices have one size share each closed form's
-    batched solves, and quantum n2 rows that also share their Matsubara
-    term count N share its sums; one Lyapunov operator per row serves n1
-    and n2, and one ``_matsubara_terms`` per row the covariances and the
-    n2 sums.  Tables, decoupled baths and the quantum n2 rows that keep
-    the pass run alone.  Each row keeps its own error: the guard, the
-    norm and consistency checks act row by row, and a batch with a
-    singular operator runs again row by row.  points is a sequence of
-    (p, sd) pairs; they go in batches of at most _BATCH, in order, so a
-    CutoffSensitive warning of a row comes in the order of points, and
-    the working arrays of a batch go before the next is built."""
+    A row's key is (ω₀, sd): an analytic bath by value, a table by
+    identity.  n1, and n2 at ħ = 0, depend on the key alone (``_shared``),
+    so the first row of a key computes them and the key's other rows take
+    its matrices and diagnostics, or its error: a β or ħ sweep computes
+    one n1, a classical β sweep one report.  The points go in chunks of
+    at most _BATCH, in order, so a CutoffSensitive warning of a row comes
+    in the order of points, and the working arrays of a chunk go before
+    the next is built.  In a chunk, the rows that compute each quantifier
+    and share a drift-matrix size share its batched solves and Lyapunov
+    operators, and quantum n2 rows that also share their Matsubara term
+    count share its sums.  Tables, decoupled baths and the quantum n2
+    rows that keep the pass run alone.  Each row keeps its own error:
+    the guard and the checks act row by row, and a batch with a singular
+    operator runs again row by row."""
     if which not in ("n1", "n2", "both"):
         raise ValueError(f"unknown quantifier selection {which!r}")
-    reports = []
-    for start in range(0, len(points), _BATCH):
-        rows = [_Row(p, sd) for p, sd in points[start:start + _BATCH]]
-        batches = _batches(rows)
-        if which in ("n1", "both"):
-            for batch in batches.values():
-                _closed_forms(batch, "n1")
-            for row in rows:
-                if row.a is None:
-                    row.put("n1", _pass_matrix(row, "n1", _n1_sides(
-                        row.p, row.sd)))
-        if which in ("n2", "both"):
-            _regression([r for r in rows if r.error is None],
-                        {n: b.take([r for r in b.rows if r.error is None])
-                         for n, b in batches.items()})
-        reports += [r.report() for r in rows]
-    return reports
+    rows = [_Row(p, sd) for p, sd in points]
+    first: dict = {}
+    for start in range(0, len(rows), _BATCH):
+        chunk = rows[start:start + _BATCH]
+        for prefix, stage in (("n1", _divisibility), ("n2", _regression)):
+            if which not in (prefix, "both"):
+                continue
+            live = [r for r in chunk if r.error is None]
+            stage([r for r in live if not _shared(r, prefix)
+                   or first.setdefault((prefix, r.key), r) is r])
+            for row in live:
+                if prefix not in row.results:
+                    row.put(prefix, first[prefix, row.key].results[prefix])
+    return [r.report() for r in rows]
 
 
 def divisibility_quantifier(p, sd: SpectralDensity):
@@ -809,9 +820,13 @@ def _pass_quantifiers(p, sd: SpectralDensity):
     """n1 and n2 by the quadrature pass, whatever the bath: the
     cross-check of the closed forms."""
     cov0 = covariance0(p, sd)
-    return (_quantifier_matrix(p, sd, "n1", _n1_sides(p, sd))[0],
-            _quantifier_matrix(p, sd, "n2", _n2_sides(p, sd, cov0),
-                               cov0.cutoff_drift)[0])
+    results = (_quantifier_matrix(p, sd, "n1", _n1_sides(p, sd)),
+               _quantifier_matrix(p, sd, "n2", _n2_sides(p, sd, cov0),
+                                  cov0.cutoff_drift))
+    for result in results:
+        if isinstance(result, NumericsError):
+            raise result
+    return tuple(matrix for matrix, _ in results)
 
 
 def quantify(p, sd: SpectralDensity, which: str = "both") -> QuantifierReport:

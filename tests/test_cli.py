@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from nonmarkov import cli, quantifiers, response
-from nonmarkov.errors import CutoffSensitive
+from nonmarkov.errors import CutoffSensitive, NumericsError
 from nonmarkov.oracle import LangevinResult
 from nonmarkov.quantifiers import quantify
 from nonmarkov.response import ModelParams, propagate_means
@@ -267,11 +267,42 @@ class TestTabulatedSweepReuse:
                 [(p, TabulatedSD.from_file(table)) for p, _ in points], which))
         fresh = tmp_path / "fresh.csv"
         assert self._sweep(table, fresh) == 0
-        # the sweep's own read, one n1 for the sweep and one n2 per point,
-        # each on its own read
-        assert len(loads) == 1 + 1 + 1 + 3
+        # the sweep's own read, then one read per point: a table is keyed
+        # by its identity, so each point computes its own n1 and n2
+        assert len(loads) == 1 + 1 + 3
         capsys.readouterr()
         assert reused.read_bytes() == fresh.read_bytes()
+
+
+def per_point_reports(points, which):
+    """``quantifiers._batch_reports`` as one quantify call per point."""
+    reports = []
+    for point in points:
+        try:
+            reports.append(quantify(*point, which=which))
+        except NumericsError as exc:
+            reports.append(exc)
+    return reports
+
+
+def spy_rows(monkeypatch):
+    """The list of (quantifier, ħ) of every row that reaches a kernel:
+    the closed forms, the Matsubara sums or the pass."""
+    seen = []
+    closed = quantifiers._closed_forms
+    sums = quantifiers._quantum_sums
+    single = quantifiers._quantifier_matrix
+    monkeypatch.setattr(
+        quantifiers, "_closed_forms", lambda batch, prefix: seen.extend(
+            (prefix, r.p.hbar) for r in batch.rows) or closed(batch, prefix))
+    monkeypatch.setattr(
+        quantifiers, "_quantum_sums", lambda batch: seen.extend(
+            ("n2", r.p.hbar) for r in batch.rows) or sums(batch))
+    monkeypatch.setattr(
+        quantifiers, "_quantifier_matrix",
+        lambda p, sd, prefix, *rest: seen.append((prefix, p.hbar))
+        or single(p, sd, prefix, *rest))
+    return seen
 
 
 class TestSweepSharesN1:
@@ -305,21 +336,16 @@ class TestSweepSharesN1:
                 assert cli.main(args + ["--out", str(out)]) == 0
             return out.read_bytes()
 
-        calls = []
-        batch_reports = cli._batch_reports
-        monkeypatch.setattr(
-            cli, "_batch_reports",
-            lambda points, which: calls.append((which, len(points)))
-            or batch_reports(points, which))
-        shared = sweep(tmp_path / "shared.csv")
-        # one n1 of the first point, then one batch of every point's n2
-        assert calls == [("n1", 1)] + ([("n2", 3)] if which == "both"
-                                       else [])
+        with monkeypatch.context() as m:
+            seen = spy_rows(m)
+            shared = sweep(tmp_path / "shared.csv")
+        # one n1 row for the sweep, and every point's own n2: the ħ grid
+        # starts at ħ = 0, the one classical row
+        hbars = [1.0] * 3 if param == "beta" else [0.0, 0.5, 1.0]
+        assert seen == [("n1", hbars[0])] + (
+            [("n2", h) for h in hbars] if which == "both" else [])
 
-        monkeypatch.setattr(
-            cli, "_sweep_reports",
-            lambda param, which, points: lambda v: quantify(*points[v],
-                                                            which=which))
+        monkeypatch.setattr(cli, "_batch_reports", per_point_reports)
         per_point = sweep(tmp_path / "per_point.csv")
         capsys.readouterr()
         assert shared == per_point
@@ -335,25 +361,21 @@ class TestSweepSharesN1:
     def test_classical_beta_sweep_quantifies_once(self, bath, which,
                                                   tmp_path, monkeypatch,
                                                   capsys):
-        # n1 and classical n2 do not depend on β, so one quantify serves
-        # every row, and a failing one fails every row with its message
+        # n1 and classical n2 do not depend on β, so one row computes
+        # the report of every row, and a failing one fails every row
+        # with its message
         refused = "1e-6" in bath
         args = ["--mode", "sweep", *bath, "--param", "beta", "--range",
                 "0.3:5:4:log", "--hbar", "0", "--quantifier", which]
-        calls = []
-        batch_reports = cli._batch_reports
-        monkeypatch.setattr(
-            cli, "_batch_reports",
-            lambda points, which: calls.append((which, len(points)))
-            or batch_reports(points, which))
         shared = tmp_path / "shared.csv"
-        assert cli.main(args + ["--out", str(shared)]) == 3 * refused
-        assert calls == [(which, 1)]
+        with monkeypatch.context() as m:
+            seen = spy_rows(m)
+            assert cli.main(args + ["--out", str(shared)]) == 3 * refused
+        # a refused n1 leaves n2 uncomputed
+        wanted = [q for q in ("n1", "n2") if which in (q, "both")]
+        assert seen == [(q, 0.0) for q in wanted][:1 if refused else 2]
 
-        monkeypatch.setattr(
-            cli, "_sweep_reports",
-            lambda param, which, points: lambda v: quantify(*points[v],
-                                                            which=which))
+        monkeypatch.setattr(cli, "_batch_reports", per_point_reports)
         per_point = tmp_path / "per_point.csv"
         assert cli.main(args + ["--out", str(per_point)]) == 3 * refused
         capsys.readouterr()
@@ -361,11 +383,6 @@ class TestSweepSharesN1:
         errors = {row["error"] for row in read_csv(shared)}
         assert len(read_csv(shared)) == 4 and len(errors) == 1
         assert ("the mode of the drift matrix" in errors.pop()) == refused
-
-
-def per_point_reports(param, which, points):
-    """``cli._sweep_reports`` as one quantify call per grid point."""
-    return lambda v: quantify(*points[v], which=which)
 
 
 class TestBatchedSweeps:
@@ -381,7 +398,7 @@ class TestBatchedSweeps:
         with warnings.catch_warnings(record=True):
             code = cli.main(["--mode", "sweep", *args, "--out", str(batched)])
             with monkeypatch.context() as m:
-                m.setattr(cli, "_sweep_reports", per_point_reports)
+                m.setattr(cli, "_batch_reports", per_point_reports)
                 assert cli.main(["--mode", "sweep", *args,
                                  "--out", str(per_point)]) == code
         assert batched.read_bytes() == per_point.read_bytes()

@@ -5,6 +5,7 @@ library: high-resolution trapezoid sums, closed-form antiderivatives, or
 series summation, then frozen here as literals.
 """
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -121,6 +122,20 @@ class TestIntegrate:
         assert exc.value.where > 3.0
         with pytest.raises(NonConvergence, match="diverges"):
             integrate(lambda x: 1.0 / (1.0 + x), 0.0, math.inf)
+
+    def test_far_breakpoints_leave_every_node_finite(self):
+        # a seed near the largest float (the thermal decades of a
+        # covariance pass at subnormal βħ) would put the map's edge 2s
+        # past it; such seeds seed nothing, and a divergent integral
+        # still reads as one
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            val = integrate(lambda x: 1.0 / (1.0 + x) / (1.0 + x), 0.0,
+                            math.inf, breakpoints=[9e307])
+            with pytest.raises(NonConvergence, match="diverges"):
+                integrate(lambda x: 1.0 / (1.0 + x), 0.0, math.inf,
+                          breakpoints=[1e290, 9e307])
+        assert val.real == pytest.approx(1.0, rel=1e-9)
 
 
 class TestIntegrateLine:
@@ -306,6 +321,12 @@ class TestInnerProduct:
         assert fg.value[0] == pytest.approx(np.conj(gf.value[0]), abs=1e-12)
         # the norms trade places
         assert fg.value[1:] == pytest.approx(gf.value[[2, 1]], abs=1e-12)
+
+    def test_an_overflowing_product_is_non_finite(self):
+        # each side is finite, and their products pass the largest float
+        with pytest.raises(NonFinite):
+            inner_product_info(pair(lambda x: 1e160 * half_gauss(x),
+                                    lambda x: 1e160 * gauss(x)))
 
 
 ROWS = settings(max_examples=40, deadline=None, database=None)

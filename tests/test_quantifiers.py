@@ -1,11 +1,12 @@
 """Tests for the normalized distance and the two quantifier matrices."""
+import cmath
 import math
 import warnings
 
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -18,7 +19,8 @@ from nonmarkov.correlations import (
     rt_entries_vec,
 )
 from nonmarkov.errors import (CutoffSensitive, DivisionNearZero,
-                             NonConvergence, NumericsError, ZeroNorm)
+                             NonConvergence, NonFinite, NumericsError,
+                             ZeroNorm)
 from nonmarkov.quadrature import inner_product_info
 from nonmarkov.quantifiers import (
     _n1_sides,
@@ -66,6 +68,14 @@ def ohmic_n1(x):
     return (math.sqrt(x2 * (1.0 + x2) / (x2 * (1.0 + x2) + 4.0)),
             math.sqrt(x2 / (2.0 * (x2 + 2.0))),
             math.sqrt(x2 / (x2 + (x2 + 2.0) ** 2)))
+
+
+def raised(result):
+    """result, or the NumericsError that it is raised (the pass returns
+    its error in place of the matrix)."""
+    if isinstance(result, NumericsError):
+        raise result
+    return result
 
 
 # ω₀ = β = 1.  The surds of the D = 1 and D = 2 tests are ohmic_n1 there.
@@ -118,6 +128,21 @@ class TestDistance:
     def test_zero_norm_rejected(self):
         with pytest.raises(ZeroNorm):
             distance(GAUSS, np.zeros_like)
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(*[st.floats(-10.0, 100.0), st.floats(0.0, 2.0 * math.pi)] * 2)
+    @example(100.0, 0.0, 100.0, 1.0)
+    def test_complex_rescaling_is_invisible(self, log_s, arg_s, log_t, arg_t):
+        # |s|, |t| ∈ [1e-10, 1e100]: the ratio is divided through, so
+        # ⟨s·f, t·g⟩ up to 1e200 is never squared past the largest float
+        s = 10.0 ** log_s * cmath.exp(1j * arg_s)
+        t = 10.0 ** log_t * cmath.exp(1j * arg_t)
+
+        def g(x):
+            return np.exp(-((x - 0.3) ** 2))
+
+        assert abs(distance(lambda x: s * GAUSS(x), lambda x: t * g(x))
+                   - distance(GAUSS, g)) <= 1e-12
 
 
 class TestDivisibilityQuantifier:
@@ -306,7 +331,8 @@ class TestQuantify:
         # χ̃_qq's rounding there, eps/(2q), is far above rel_tol
         p = ModelParams(omega0=1.0, beta=1.0, hbar=1.0)
         sd = PeakedSD(1e-6, 0.5, 2.0)
-        for run in (lambda: _quantifier_matrix(p, sd, "n1", _n1_sides(p, sd)),
+        for run in (lambda: raised(_quantifier_matrix(p, sd, "n1",
+                                                      _n1_sides(p, sd))),
                     lambda: _covariance0_cached(p, sd)):
             with pytest.raises(NonConvergence,
                                match="reached the 1e-14 relative split "
@@ -776,6 +802,49 @@ class TestQuantumMatsubara:
             quantify(p, PeakedSD(0.75, 0.63, 1.0), which="n2")
 
 
+class TestHotQuantumN2:
+    """Quantum n2's inner products grow like 1/β²; the sums and the pass
+    divide the ratio through, so their entries stay the hot limit's until
+    a product itself passes the largest float, which is NonFinite."""
+
+    BATHS = [OhmicSD(0.7), PeakedSD(0.75, 0.63, 1.0)]
+
+    @staticmethod
+    def _n2(route, beta, sd):
+        p = ModelParams(1.0, beta, 1.0)
+        if route == "pass":
+            return _pass_quantifiers(p, sd)[1]
+        report = quantify(p, sd, "n2")
+        assert report.diagnostics["n2_qq"].panels == 0
+        return report.n2
+
+    @pytest.mark.parametrize("route", ["sums", "pass"])
+    @pytest.mark.parametrize("sd", BATHS, ids=["ohmic", "peaked"])
+    def test_beta_1e_100_is_the_hot_limit(self, route, sd):
+        hot, warm = (self._n2(route, beta, sd) for beta in (1e-100, 1e-50))
+        np.testing.assert_allclose(hot[0], warm[0], rtol=1e-12, atol=0.0)
+        assert abs(hot[1, 1] - warm[1, 1]) <= 1e-7
+
+    @pytest.mark.parametrize("route", ["sums", "pass"])
+    @pytest.mark.parametrize("sd", BATHS, ids=["ohmic", "peaked"])
+    def test_beta_1e_160_is_non_finite(self, route, sd):
+        with pytest.raises(NonFinite):
+            self._n2(route, 1e-160, sd)
+
+    def test_subnormal_hbar_is_the_classical_limit(self):
+        # βħ = 1.1e-309 puts the Matsubara frequencies past the largest
+        # float, so the peaked bath takes the covariance pass, whose
+        # thermal seeds 10^k/(βħ) reach 9e307; they seed nothing there,
+        # and no node of the pass overflows
+        sd = PeakedSD(1.0, 1.0, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            hot = quantify(ModelParams(1.0, 0.5, 2.2e-309), sd, "n2").n2
+        classical = quantify(ModelParams(1.0, 0.5, 0.0), sd, "n2").n2
+        assert np.all((0.0 <= hot) & (hot <= 1.0))
+        assert np.abs(hot ** 2 - classical ** 2).max() <= 1e-9
+
+
 # the range of each swept parameter: guard refusals (peaked D ≲ 1e-5),
 # stiff Ohmic baths (D ≳ 31.6) and sums past their caps (large β) inside
 SWEPT = {"d": (1e-6, 60.0), "gamma": (0.02, 3.0), "omega-big": (0.1, 4.0),
@@ -816,35 +885,59 @@ class TestBatchReports:
 
     @settings(max_examples=40, deadline=None, database=None)
     @given(sweep_grids(), st.sampled_from(["n1", "n2", "both"]))
+    # a subnormal ħ sends the peaked covariances to their pass, whose
+    # thermal seeds reach the largest float
+    @example([(ModelParams(1.0, 0.5, 2.2e-309), PeakedSD(1.0, 1.0, 1.0)),
+              (ModelParams(1.0, 0.5, 1.0), PeakedSD(1.0, 1.0, 1.0))], "n2")
     def test_rows_match_per_row_quantify(self, points, which):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", CutoffSensitive)
+            self._match_per_row(quantifiers._batch_reports(points, which),
+                                points, which)
+
+    @staticmethod
+    def _match_per_row(batched, points, which, exact=False):
+        for got, point in zip(batched, points):
             try:
-                batched = quantifiers._batch_reports(points, which)
-            except RuntimeWarning as exc:
-                # an overflow, which this suite raises: the peaked
-                # covariance pass at βħ ≲ 3e-305 (CHANGES.md) overflows
-                # alone as well, and no typed failure isolates it
-                alone = set()
-                for point in points:
-                    try:
-                        quantify(*point, which=which)
-                    except (RuntimeWarning, NumericsError) as row_exc:
-                        alone.add(str(row_exc))
-                assert str(exc) in alone
-                return
-            for got, point in zip(batched, points):
-                try:
-                    want = quantify(*point, which=which)
-                except NumericsError as exc:
-                    assert type(got) is type(exc) and str(got) == str(exc)
-                    continue
-                assert got.diagnostics == want.diagnostics
-                for g, w in ((got.n1, want.n1), (got.n2, want.n2)):
-                    assert (g is None) == (w is None)
-                    if w is not None:
-                        assert np.array_equal(g, w) or np.allclose(
-                            g ** 2, w ** 2, rtol=1e-15, atol=0.0)
+                want = quantify(*point, which=which)
+            except NumericsError as exc:
+                assert type(got) is type(exc) and str(got) == str(exc)
+                continue
+            assert got.diagnostics == want.diagnostics
+            for g, w in ((got.n1, want.n1), (got.n2, want.n2)):
+                assert (g is None) == (w is None)
+                if w is not None:
+                    assert np.array_equal(g, w) or not exact and np.allclose(
+                        g ** 2, w ** 2, rtol=1e-15, atol=0.0)
+
+    def test_a_mixed_batch_computes_n1_once_per_key(self, monkeypatch):
+        # two β of one peaked bath, a second peaked bath (an equal copy
+        # of the first at another ω₀ is a key of its own), and Ohmic rows
+        # classical and quantum; n1 and classical n2 are computed once
+        # per (ω₀, bath), and every row is byte-equal to quantify alone
+        peaked = PeakedSD(0.75, 0.63, 1.0)
+        points = [(ModelParams(1.0, 0.5, 1.0), peaked),
+                  (ModelParams(1.0, 2.0, 1.0), PeakedSD(0.75, 0.63, 1.0)),
+                  (ModelParams(1.0, 1.0, 1.0), PeakedSD(1.0, 0.5, 2.0)),
+                  (ModelParams(2.0, 1.0, 1.0), peaked),
+                  (ModelParams(1.0, 0.3, 0.0), OhmicSD(0.7)),
+                  (ModelParams(1.0, 3.0, 0.0), OhmicSD(0.7)),
+                  (ModelParams(1.0, 1.0, 1.0), OhmicSD(0.7))]
+        seen = []
+        closed = quantifiers._closed_forms
+        monkeypatch.setattr(
+            quantifiers, "_closed_forms", lambda batch, prefix: seen.extend(
+                (prefix, r.p.omega0, r.sd, r.p.beta) for r in batch.rows)
+            or closed(batch, prefix))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CutoffSensitive)
+            batched = quantifiers._batch_reports(points, "both")
+            monkeypatch.setattr(quantifiers, "_closed_forms", closed)
+            self._match_per_row(batched, points, "both", exact=True)
+        assert sorted(seen, key=str) == sorted([
+            ("n1", 1.0, peaked, 0.5), ("n1", 1.0, PeakedSD(1.0, 0.5, 2.0), 1.0),
+            ("n1", 2.0, peaked, 1.0), ("n1", 1.0, OhmicSD(0.7), 0.3),
+            ("n2", 1.0, OhmicSD(0.7), 0.3)], key=str)
 
 
 def smooth_table(k, cutoff, scale, n):
@@ -947,7 +1040,7 @@ def test_degenerate_entry_raises_naming_it(which):
     sides = (_n1_sides(P1, sd) if which == "n1"
              else _n2_sides(P1, sd, covariance0(P1, sd)))
     with pytest.raises(ZeroNorm, match=f"^degenerate {which}_qq: norm"):
-        _quantifier_matrix(P1, sd, which, sides)
+        raised(_quantifier_matrix(P1, sd, which, sides))
 
 
 def _assert_hermitian(p, sd, omega):
