@@ -55,6 +55,8 @@ from __future__ import annotations
 
 import functools
 import math
+import os
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -71,6 +73,10 @@ __all__ = [
     "exact_entries_vec",
     "rt_entries_vec",
 ]
+
+# the directory of the package's modules, whose frames a warning skips
+_PACKAGE = os.path.dirname(__file__) + os.sep
+
 
 @dataclass(frozen=True)
 class CovarianceMatrix:
@@ -145,19 +151,19 @@ _EULER_MACLAURIN = np.array([
                            -691 / 2730), start=1)])
 
 
-def _matsubara_terms(p: ModelParams, a: np.ndarray, cap: int):
+def _matsubara_terms(p: ModelParams, a: np.ndarray):
     """The Matsubara frequencies ν_n = 2πn/(βħ), n = 1 … N, that a sum
     over the drift matrix a takes directly, ν_{N+1}, and the tail's
     ζ_k = (N+1)^{k+1}·ζ(k+1, N+1) over the orders k + 1 = 2 … 31, so
     that Σ_{n>N} ν_n^{−s} = ζ_{s−1}/ν_{N+1}^s.  N is the last n with
     ν_{n+1} < 4‖a‖₁, and at least _MIN_TERMS.  None unless 0 < βħ < ∞,
-    and when N would exceed cap; any drift matrix takes them."""
+    and when N would exceed _MAX_TERMS; any drift matrix takes them."""
     if not 0.0 < p.beta * p.hbar < math.inf:
         return None
     nu1 = 2.0 * math.pi / (p.beta * p.hbar)
     terms = 4.0 * float(np.abs(a).sum(axis=0).max()) / nu1
     # ν_n past the largest float (βħ ≲ 1e-304) is left to the quadrature
-    if not (terms <= cap + 1 and nu1 * (cap + 1) < math.inf):
+    if not (terms <= _MAX_TERMS + 1 and nu1 * (_MAX_TERMS + 1) < math.inf):
         return None
     n = max(_MIN_TERMS, math.ceil(terms) - 1)
     zeta = ((n + 1.0) / (_ORDERS - 1.0) + 0.5
@@ -285,13 +291,17 @@ def _covariance0_cached(p: ModelParams,
 
 def _covariance_pass(p: ModelParams, sd: SpectralDensity) -> CovarianceMatrix:
     """The covariances of ``_covariance0_cached``, with a CutoffSensitive
-    warning when their cutoff drift passes 1%."""
+    warning when their cutoff drift passes 1%, attributed to the first
+    caller outside the package, however deep the package's own calls."""
     cov = _covariance0_cached(p, sd)
     if cov.cutoff_drift > 0.01:
+        frame, level = sys._getframe(1), 2
+        while frame.f_code.co_filename.startswith(_PACKAGE) and frame.f_back:
+            frame, level = frame.f_back, level + 1
         warnings.warn(
             f"momentum variance shifts by {100.0 * cov.cutoff_drift:.1f}% "
             f"between the cutoff and twice the cutoff; result is "
-            f"cutoff-limited", CutoffSensitive, stacklevel=4)
+            f"cutoff-limited", CutoffSensitive, stacklevel=level)
     return cov
 
 
@@ -309,7 +319,7 @@ def covariance0(p: ModelParams, sd: SpectralDensity) -> CovarianceMatrix:
     its drift between Λ and 2Λ as ``cutoff_drift``.
     """
     a = None if sd.decoupled else sd.drift_matrix(p.omega0)
-    terms = None if a is None else _matsubara_terms(p, a, _MAX_TERMS)
+    terms = None if a is None else _matsubara_terms(p, a)
     (cov,) = _covariances([(p, sd, a, terms)])
     if isinstance(cov, NumericsError):
         raise cov

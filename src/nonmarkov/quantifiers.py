@@ -31,24 +31,23 @@ its whole grid.  The batch keys each row by (ω₀, sd).  n1 depends on
 nothing else, nor does n2 at ħ = 0, so each is computed once per key
 and shared by the key's rows: a β or ħ sweep computes one n1.  Rows
 whose drift matrices share a size share each closed form's batched
-LAPACK calls (one ``eigvals`` for the guard, one stack of Lyapunov
-operators per quantifier), and quantum n2 rows that also share their
-Matsubara term count share one batched sum; every row keeps its own
-term count, summation order, result and error.  The pass and the sums
-end in one finisher, ``_ratio_entries``.
+LAPACK calls, and quantum n2 rows that also share their Matsubara term
+count share one batched sum; every row keeps its own term count,
+summation order, result and error.  Each row's eigenvalues (for the
+guard) and Lyapunov operators are built once, in one batched call with
+the other rows that lack them, and serve n1 and n2 alike.  The pass
+and the sums end in one finisher, ``_ratio_entries``.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .correlations import (_MAX_TERMS, _N2_MAX_TERMS, _ORDERS,
-                           _TAIL_MOMENTS, _covariances, _exact_rows,
-                           _matsubara_terms, _rt_rows, _stacked_terms,
-                           covariance0)
+from .correlations import (_N2_MAX_TERMS, _ORDERS, _TAIL_MOMENTS,
+                           _covariances, _exact_rows, _matsubara_terms,
+                           _rt_rows, _stacked_terms, covariance0)
 from .errors import (DivisionNearZero, NonConvergence, NonFinite,
                      NumericsError, ZeroNorm)
 from .quadrature import _REL_TOL, inner_product_info
@@ -258,14 +257,16 @@ class _Row:
     """One bath of a batch: its model p, its bath sd, its key (ω₀, sd),
     its drift matrix a (None for a table or a decoupled bath), and the
     results the batch has of it so far, each a (matrix, diagnostics)
-    pair or the error that ends the row; terms and cov0 are the
-    Matsubara terms and covariances of its quantum n2."""
+    pair or the error that ends the row.  What its chunk works out of a
+    stays on it until the chunk ends: lam, the eigenvalues of a, and ops,
+    its ``_lyapunov`` operators (both from ``_built``), and terms, the
+    Matsubara terms of its quantum n2; cov0 holds its covariances."""
 
     def __init__(self, p, sd: SpectralDensity):
         self.p, self.sd = p, sd
         self.key = (p.omega0, sd)
         self.a = None if sd.decoupled else sd.drift_matrix(p.omega0)
-        self.terms = self.cov0 = None
+        self.lam = self.ops = self.terms = self.cov0 = None
         self.results: dict = {}
         self.error: NumericsError | None = None
 
@@ -281,52 +282,40 @@ class _Row:
         return self.error or QuantifierReport(n1[0], n2[0], {**n1[1], **n2[1]})
 
 
-class _Batch:
-    """Rows whose drift matrices have one size, with the stack a of
-    those matrices.  Their Lyapunov operators (``_lyapunov``) are built
-    at the first solve, once for a batch and every batch taken from it."""
-
-    def __init__(self, rows, a, source=None):
-        self.rows, self.a = rows, a
-        self._source = source
-
-    def take(self, rows):
-        """The batch of rows, a subset of this one's."""
-        if rows == self.rows:
-            return self
-        place = {id(r): k for k, r in enumerate(self.rows)}
-        k = [place[id(r)] for r in rows]
-        return _Batch(rows, self.a[k], (self, k))
-
-    @functools.cached_property
-    def ops(self):
-        """The operators (op, wide) of the rows, for ``_solve``."""
-        if self._source is None:
-            return _lyapunov(self.a)
-        batch, k = self._source
-        op, wide = batch.ops
-        return op[k], wide[k]
-
-    def scalars(self, value):
-        """value(row) of each row as one array."""
-        return np.array([value(r) for r in self.rows])
+def _built(rows, name):
+    """The stack of lam (name 'lam') or the stacks (op, wide) of ops
+    ('ops') of rows, whose drift matrices share a size.  One batched
+    ``eigvals`` or ``_lyapunov`` call builds them for the rows that lack
+    them, so each row's are built once for n1 and n2 alike."""
+    missing = [r for r in rows if getattr(r, name) is None]
+    if missing:
+        a = np.stack([r.a for r in missing])
+        built = np.linalg.eigvals(a) if name == "lam" else _lyapunov(a)
+        for row, value in zip(missing, built if name == "lam"
+                              else zip(*built)):
+            setattr(row, name, value)
+        if len(missing) == len(rows):
+            return built
+    if name == "lam":
+        return np.stack([r.lam for r in rows])
+    return tuple(np.stack(ops) for ops in zip(*(r.ops for r in rows)))
 
 
-def _guard(a, prefix):
-    """The NonConvergence of each drift matrix of the stack a, or None:
-    it names the entry and the frequency |Im λ| where the sharpest mode
-    λ, q = |Re λ|/|λ| smallest, leaves χ̃_qq a rounding of ε/(2q) above
+def _guard(rows, prefix):
+    """The NonConvergence of each drift matrix of rows, or None: it names
+    the entry and the frequency |Im λ| where the sharpest mode λ,
+    q = |Re λ|/|λ| smallest, leaves χ̃_qq a rounding of ε/(2q) above
     _REL_TOL; an undamped mode (q = 0, or λ = 0 in doubles) has no bound
-    at all.  One ``eigvals`` serves the stack.
+    at all.
 
     Strict Ohmic 2×2 matrices pass unchecked: their n1 and classical n2
     are rational in D/ω₀, and their quantum n2 sums, where the batch
     takes them, held within 1.8e-14 of the pass on squared entries down
     to D = 1e-10 ω₀, below which the covariance pass fails first."""
-    errors = [None] * len(a)
-    if a.shape[-1] == 2:
+    errors = [None] * len(rows)
+    if len(rows[0].a) == 2:
         return errors
-    lam = np.linalg.eigvals(a)
+    lam = _built(rows, "lam")
     ratio = np.abs(lam.real) / np.maximum(np.abs(lam), _TINY)
     q = ratio.min(axis=-1)
     with np.errstate(divide="ignore"):
@@ -355,15 +344,16 @@ def _lyapunov(a):
     return op, op.astype(np.longdouble)
 
 
-def _solve(batch, rhs):
+def _solve(ops, rhs):
     """X with a·X + X·aᵀ = R for each row's stack R of rhs, shape
-    (B, ..., n, n), through its n²×n² operator and one step of iterative
-    refinement with the residual in extended precision: a slow mode of a
-    (an overdamped bath far below a fast one) leaves the operator
-    ill-conditioned, and the step takes its error from about ε·cond to ε
-    (peaked (3, 3, 0.1): n1_qp from 1.4e-5 to 2.2e-9 of a 50-digit
-    solve).  Where longdouble is double the step does no harm."""
-    op, wide = batch.ops
+    (B, ..., n, n), through its n²×n² operator in ops, the stacks
+    (op, wide) of ``_lyapunov``, and one step of iterative refinement with
+    the residual in extended precision: a slow mode of a (an overdamped
+    bath far below a fast one) leaves the operator ill-conditioned, and
+    the step takes its error from about ε·cond to ε (peaked (3, 3, 0.1):
+    n1_qp from 1.4e-5 to 2.2e-9 of a 50-digit solve).  Where longdouble
+    is double the step does no harm."""
+    op, wide = ops
     b = rhs.reshape(len(rhs), -1, op.shape[-1]).swapaxes(1, 2)
     x = np.linalg.solve(op, b)
     x += np.linalg.solve(op, (b - wide @ x).astype(float))
@@ -374,8 +364,9 @@ def _solve(batch, rhs):
 _PAIRS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
 
 
-def _n1_products(batch):
-    """2π·⟨u, v⟩ over _PAIRS of f, g, r at qq, qp, pp, shape (B, 6, 3).
+def _n1_products(rows, a, ops):
+    """2π·⟨u, v⟩ over _PAIRS of f, g, r at qq, qp, pp, shape (B, 6, 3),
+    of the stack a of the rows' drift matrices, with their operators ops.
 
     By Parseval ⟨u, v⟩ = 2π∫₀^∞ u(t)v(t) dt, and each side is a causal
     response c·e^{A't}·b: f = −i dχ̃/dω of A' = [[A, I], [0, A]],
@@ -387,17 +378,16 @@ def _n1_products(batch):
     L(X21) = −X22·Qᵀ and L(X11) = −(P·X21 + X12·Qᵀ), with
     L(X) = A·X + X·Aᵀ; then ⟨u, v⟩ = 2π·C_i·X11·C_iᵀ.  The peaked bath
     has I − M = diag(0, 0, 1, 1), so r carries the coupling explicitly."""
-    a = batch.a
     size = a.shape[-1]
     eye = np.broadcast_to(np.eye(size), a.shape)
     e_q, e_p = np.eye(size)[:2]
     b = np.stack((np.broadcast_to(e_p, a.shape[:2]), -a[:, :, 1]), axis=1)
     m = b[:, 0, :, None] * e_p - b[:, 1, :, None] * e_q  # B·χ₊⁻¹·C
     blocks = np.stack((eye, m, eye - m), axis=1)         # f, g, r
-    x22 = _solve(batch, -b[:, :, :, None] * b[:, :, None, :])
-    y = _solve(batch, -np.einsum("zsab,zjbc->zsjac", blocks, x22))  # X12s
+    x22 = _solve(ops, -b[:, :, :, None] * b[:, :, None, :])
+    y = _solve(ops, -np.einsum("zsab,zjbc->zsjac", blocks, x22))  # X12s
     u, v = np.array(_PAIRS).T
-    x11 = _solve(batch, -(
+    x11 = _solve(ops, -(
         np.einsum("zuab,zujcb->zujac", blocks[:, u], y[:, v])
         + np.einsum("zujab,zucb->zujac", y[:, u], blocks[:, v])))
     return 2.0 * math.pi * np.stack(
@@ -414,10 +404,10 @@ def _static_columns(a, omega0_sq):
         omega0_sq[:, None]
 
 
-def _n2_products(batch, omega0_sq):
+def _n2_products(rows, a, ops):
     """2π·⟨u, v⟩ over _PAIRS of the classical exact spectrum S, the
     regression prediction T and R = S − T at qq, qp, pp, shape (B, 6, 3),
-    in units of 1/β², with ω₀² of each row in omega0_sq.
+    in units of 1/β², of the rows, as ``_n1_products`` takes them.
 
     S and T are H + H^† with H causal, so ⟨S_ij, T_ij⟩ is the sum of
     the causal products of columns j and i, at outputs i and j.  S has
@@ -425,13 +415,13 @@ def _n2_products(batch, omega0_sq):
     embedding), T has [A·e_p/ω₀², e_p]; so R has only a q column.  A·e_p
     = e_q for the peaked bath, so the q and p entries of R's column
     cancel exactly, leaving the coupling."""
-    a = batch.a
+    omega0_sq = np.array([r.p.omega0 ** 2 for r in rows])
     e_p = np.eye(a.shape[-1])[1]
     s_q = _static_columns(a, omega0_sq)
     t_q = a[:, :, 1] / omega0_sq[:, None]
     cols = np.stack((s_q, t_q, s_q - t_q), axis=1)  # S, T, R at column q
     u, v = np.array(_PAIRS).T
-    x = _solve(batch, np.concatenate((
+    x = _solve(ops, np.concatenate((
         -cols[:, u, :, None] * cols[:, v, None, :],
         np.broadcast_to(-np.outer(e_p, e_p), (len(a), 1) + a.shape[1:])),
         axis=1))
@@ -457,12 +447,12 @@ _PRODUCTS = np.array([*zip(_S, _S), *zip(_T, _T), *zip(_S, _T),
                       (_S[2], _T[1])]).reshape(-1, 4).T
 
 
-def _n2_quantum_products(batch, ps, covs, terms):
+def _n2_quantum_products(rows, a, ops):
     """⟨S, T⟩, ‖S‖² and ‖T‖² at qq, qp, pp of the quantum exact spectrum
-    S and the regression prediction T of each row of the batch (peaked
-    4×4 or strict Ohmic 2×2 drift matrices), shape (B, 3, 3) like a
-    pass's value, from the models ps, the covariances covs and the
-    stacked Matsubara terms (ν_n, ν_{N+1}, ζ) of
+    S and the regression prediction T of each row (peaked 4×4 or strict
+    Ohmic 2×2 drift matrices, taken as ``_n1_products`` takes them),
+    shape (B, 3, 3) like a pass's value, from each row's model p,
+    covariances cov0 and Matsubara terms (ν_n, ν_{N+1}, ζ) of
     ``correlations._matsubara_terms``, which share one N.
 
     Entry (i, j) of S is (w_B/2)·U, U = H_ij(s) + H_ji(−s) with
@@ -486,18 +476,18 @@ def _n2_quantum_products(batch, ps, covs, terms):
     e_o·a(ν − a)⁻¹ and its ∂_ν through e_o·a²(ν − a)⁻² and
     e_o·a(ν − a)⁻², and the tail n > N sums its moments μ_j by Hurwitz ζ
     (μ_1 vanishes: P falls faster than ω⁻²)."""
-    nu, top, zeta = terms
-    a = batch.a
+    nu, top, zeta = _stacked_terms([r.terms for r in rows])
+    ps = [r.p for r in rows]
     size = a.shape[-1]
     eye = np.eye(size)
     count = len(a)
-    c_qq = np.array([c.c_qq for c in covs])[:, None]
-    c_pp = np.array([c.c_pp for c in covs])[:, None]
+    c_qq = np.array([r.cov0.c_qq for r in rows])[:, None]
+    c_pp = np.array([r.cov0.c_pp for r in rows])[:, None]
     cols = np.stack((
         _static_columns(a, np.array([p.omega0 ** 2 for p in ps])),
         np.broadcast_to(eye[1], (count, size)), c_qq * a[:, :, 1],
         c_pp * eye[1]), axis=1)
-    x = _solve(batch, -cols[:, :, None, :, None] * cols[:, None, :, None, :])
+    x = _solve(ops, -cols[:, :, None, :, None] * cols[:, None, :, None, :])
     # the rows e_o·a(ν − a)⁻¹, e_o·a(ν − a)⁻² and e_o·a²(ν − a)⁻² at each ν_n
     res = np.linalg.inv(nu[:, :, None, None] * eye - a[:, None])
     z = a[:, None, :2] @ res
@@ -596,26 +586,32 @@ def _gram_error(products, gap, prefix):
         f"{_REL_TOL:.0e} relative tolerance", error_bound=float(gap[k]))
 
 
-def _solved(kernel, batch, prefix):
-    """The rows of batch that ``_guard`` passes, and kernel of them with
+def _solved(kernel, rows, prefix):
+    """The rows that ``_guard`` passes, and kernel(rows, a, ops) of them,
+    on the stacks of their drift matrices and operators, with
     floating-point warnings off; the others fail.  Where a solve is
     singular in double precision the rows run one by one, each singular
-    one fails with DivisionNearZero, and the batch shrinks to the others.
-    (None, None) when no row is left."""
-    for row, error in zip(batch.rows, _guard(batch.a, prefix)):
+    one fails with DivisionNearZero, and the rows shrink to the others.
+    The products are None when no row is left."""
+    for row, error in zip(rows, _guard(rows, prefix)):
         if error is not None:
             row.put(prefix, error)
-    batch = batch.take([r for r in batch.rows if r.error is None])
+    rows = [r for r in rows if r.error is None]
+    if not rows:
+        return rows, None
+    a = np.stack([r.a for r in rows])
+    op, wide = _built(rows, "ops")
     try:
         with np.errstate(all="ignore"):
-            return batch, kernel(batch) if batch.rows else None
+            return rows, kernel(rows, a, (op, wide))
     except np.linalg.LinAlgError:
         pass
     kept, parts = [], []
-    for row in batch.rows:
+    for k, row in enumerate(rows):
+        one = slice(k, k + 1)
         try:
             with np.errstate(all="ignore"):
-                parts.append(kernel(batch.take([row])))
+                parts.append(kernel([row], a[one], (op[one], wide[one])))
         except np.linalg.LinAlgError as exc:
             error = DivisionNearZero(
                 f"{prefix}_qq: the Lyapunov operator of the drift matrix is "
@@ -624,52 +620,49 @@ def _solved(kernel, batch, prefix):
             row.put(prefix, error)
         else:
             kept.append(row)
-    return batch.take(kept), np.concatenate(parts) if parts else None
+    return kept, np.concatenate(parts) if parts else None
 
 
-def _closed_forms(batch, prefix):
-    """n1 (prefix 'n1') or classical n2 ('n2') of each row of batch, with
-    no pass.  Beside the errors of ``_solved`` a row fails as
-    ``_gram_entries`` says."""
-    if batch.a.shape[-1] == 2:  # (q, p) alone: the strict Ohmic oscillator
-        x = -batch.a[:, 1, 1] / batch.scalars(lambda r: r.p.omega0)
+def _closed_forms(rows, prefix):
+    """n1 (prefix 'n1') or classical n2 ('n2') of each of rows, whose
+    drift matrices share a size, with no pass.  Beside the errors of
+    ``_solved`` a row fails as ``_gram_entries`` says."""
+    if len(rows[0].a) == 2:  # (q, p) alone: the strict Ohmic oscillator
+        x = np.array([-r.a[1, 1] / r.p.omega0 for r in rows])
         values, errors = _ohmic_entries(x, prefix), [None] * len(x)
     else:
-        kernel = (_n1_products if prefix == "n1" else lambda b: _n2_products(
-            b, b.scalars(lambda r: r.p.omega0 ** 2)))
-        batch, products = _solved(kernel, batch, prefix)
+        rows, products = _solved(
+            _n1_products if prefix == "n1" else _n2_products, rows, prefix)
         if products is None:
             return
         values, errors = _gram_entries(products, prefix)
-    for row, value, error in zip(batch.rows, values, errors):
+    for row, value, error in zip(rows, values, errors):
         row.put(prefix, error or _matrix(prefix, value))
 
 
-def _stiff_ohmic(a):
-    """Whether each matrix of the stack a is the strict Ohmic 2×2 drift
-    matrix with mode rates |λ| more than _MAX_SPREAD apart (NaN counts as
-    apart), as past D ≈ 31.6ω₀, where its real modes sit near D and
-    ω₀²/D.  A peaked matrix is never so: on stiff ones its pass loses
-    digits too, as on (0.9, 1, 0.0625), a spread of 7.7e5, where at
-    β = 0.3, ħ = 1 the sums read n2 squared 9.5e-12 off 30 digits and the
-    pass 4.7e-12."""
-    if a.shape[-1] > 2:
-        return np.zeros(len(a), dtype=bool)
-    rates = np.abs(np.linalg.eigvals(a))
+def _stiff_ohmic(rows):
+    """Whether the drift matrix of each of rows, which share a size, is
+    the strict Ohmic 2×2 one with mode rates |λ| more than _MAX_SPREAD
+    apart (NaN counts as apart), as past D ≈ 31.6ω₀, where its real modes
+    sit near D and ω₀²/D.  A peaked matrix is never so: on stiff ones its
+    pass loses digits too, as on (0.9, 1, 0.0625), a spread of 7.7e5,
+    where at β = 0.3, ħ = 1 the sums read n2 squared 9.5e-12 off 30
+    digits and the pass 4.7e-12."""
+    if len(rows[0].a) > 2:
+        return [False] * len(rows)
+    rates = np.abs(_built(rows, "lam"))
     return ~(rates.max(axis=-1) <= _MAX_SPREAD * rates.min(axis=-1))
 
 
-def _quantum_sums(batch):
-    """Quantum n2 of each row of batch by ``_n2_quantum_products`` over
-    its Matsubara terms (one N); beside the errors of ``_solved`` a row
-    fails as ``_ratio_entries`` says."""
-    batch, value = _solved(lambda b: _n2_quantum_products(
-        b, [r.p for r in b.rows], [r.cov0 for r in b.rows],
-        _stacked_terms([r.terms for r in b.rows])), batch, "n2")
+def _quantum_sums(rows):
+    """Quantum n2 of each of rows by ``_n2_quantum_products`` over its
+    Matsubara terms (one N); beside the errors of ``_solved`` a row fails
+    as ``_ratio_entries`` says."""
+    rows, value = _solved(_n2_quantum_products, rows, "n2")
     if value is None:
         return
     values, errors = _ratio_entries(value, _NAMES["n2"], "Matsubara sums")
-    for row, value, error in zip(batch.rows, values, errors):
+    for row, value, error in zip(rows, values, errors):
         row.put("n2", error or _matrix(
             "n2", value, cutoff_drift=row.cov0.cutoff_drift))
 
@@ -682,19 +675,15 @@ def _by(rows, key):
     return list(groups.values())
 
 
-def _batches(rows):
-    """A _Batch per drift-matrix size among rows."""
-    batches = {}
-    for group in _by([r for r in rows if r.a is not None], lambda r: len(r.a)):
-        batches[len(group[0].a)] = _Batch(group, np.stack([r.a for r in group]))
-    return batches
+def _size(row):
+    return len(row.a)
 
 
 def _divisibility(rows):
     """n1 of each row: the closed form where it has a drift matrix, the
     pass otherwise."""
-    for batch in _batches(rows).values():
-        _closed_forms(batch, "n1")
+    for group in _by([r for r in rows if r.a is not None], _size):
+        _closed_forms(group, "n1")
     for row in rows:
         if row.a is None:
             row.put("n1", _quantifier_matrix(row.p, row.sd, "n1",
@@ -706,30 +695,23 @@ def _regression(rows):
     0 < βħ < ∞ of at most _N2_MAX_TERMS terms on a matrix that is not
     stiff (``_stiff_ohmic``), the pass otherwise, each row on the
     covariances of ``covariance0``, which come in the order of rows."""
-    batches = _batches(rows)
-    for batch in batches.values():
-        classical = [r for r in batch.rows if r.p.hbar == 0.0]
-        if classical:
-            _closed_forms(batch.take(classical), "n2")
+    for group in _by([r for r in rows if r.a is not None
+                      and r.p.hbar == 0.0], _size):
+        _closed_forms(group, "n2")
     others = [r for r in rows if r.a is None or r.p.hbar != 0.0]
     for row in others:
-        row.terms = (None if row.a is None
-                     else _matsubara_terms(row.p, row.a, _MAX_TERMS))
+        row.terms = None if row.a is None else _matsubara_terms(row.p, row.a)
     for row, cov0 in zip(others, _covariances(
             [(r.p, r.sd, r.a, r.terms) for r in others])):
         row.cov0 = cov0
         if isinstance(cov0, NumericsError):
             row.put("n2", cov0)
-    summed = []
-    for batch in batches.values():
-        quantum = [r for r in batch.rows if r.error is None
-                   and r.terms is not None
-                   and len(r.terms[0]) <= _N2_MAX_TERMS]
-        if quantum:
-            stiff = _stiff_ohmic(batch.take(quantum).a)
-            summed += [r for r, s in zip(quantum, stiff) if not s]
+    quantum = [r for r in others if r.error is None and r.terms is not None
+               and len(r.terms[0]) <= _N2_MAX_TERMS]
+    summed = [r for group in _by(quantum, _size)
+              for r, stiff in zip(group, _stiff_ohmic(group)) if not stiff]
     for group in _by(summed, lambda r: (len(r.a), len(r.terms[0]))):
-        _quantum_sums(batches[len(group[0].a)].take(group))
+        _quantum_sums(group)
     for row in others:
         if row.error is None and "n2" not in row.results:
             row.put("n2", _quantifier_matrix(
@@ -760,14 +742,16 @@ def _batch_reports(points, which: str):
     its matrices and diagnostics, or its error: a β or ħ sweep computes
     one n1, a classical β sweep one report.  The points go in chunks of
     at most _BATCH, in order, so a CutoffSensitive warning of a row comes
-    in the order of points, and the working arrays of a chunk go before
-    the next is built.  In a chunk, the rows that compute each quantifier
-    and share a drift-matrix size share its batched solves and Lyapunov
-    operators, and quantum n2 rows that also share their Matsubara term
-    count share its sums.  Tables, decoupled baths and the quantum n2
-    rows that keep the pass run alone.  Each row keeps its own error:
-    the guard and the checks act row by row, and a batch with a singular
-    operator runs again row by row."""
+    in the order of points, and a chunk's rows drop their eigenvalues,
+    Lyapunov operators and Matsubara terms before the next chunk is
+    built.  In a chunk, the rows that compute each quantifier and share
+    a drift-matrix size share its batched solves, and quantum n2 rows
+    that also share their Matsubara term count share its sums; each
+    row's operators and eigenvalues are built once for both quantifiers
+    (``_built``).  Tables, decoupled baths and the quantum n2 rows that
+    keep the pass run alone.  Each row keeps its own error: the guard
+    and the checks act row by row, and a batch with a singular operator
+    runs again row by row."""
     if which not in ("n1", "n2", "both"):
         raise ValueError(f"unknown quantifier selection {which!r}")
     rows = [_Row(p, sd) for p, sd in points]
@@ -783,6 +767,8 @@ def _batch_reports(points, which: str):
             for row in live:
                 if prefix not in row.results:
                     row.put(prefix, first[prefix, row.key].results[prefix])
+        for row in chunk:
+            row.lam = row.ops = row.terms = None
     return [r.report() for r in rows]
 
 

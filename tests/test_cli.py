@@ -293,11 +293,11 @@ def spy_rows(monkeypatch):
     sums = quantifiers._quantum_sums
     single = quantifiers._quantifier_matrix
     monkeypatch.setattr(
-        quantifiers, "_closed_forms", lambda batch, prefix: seen.extend(
-            (prefix, r.p.hbar) for r in batch.rows) or closed(batch, prefix))
+        quantifiers, "_closed_forms", lambda rows, prefix: seen.extend(
+            (prefix, r.p.hbar) for r in rows) or closed(rows, prefix))
     monkeypatch.setattr(
-        quantifiers, "_quantum_sums", lambda batch: seen.extend(
-            ("n2", r.p.hbar) for r in batch.rows) or sums(batch))
+        quantifiers, "_quantum_sums", lambda rows: seen.extend(
+            ("n2", r.p.hbar) for r in rows) or sums(rows))
     monkeypatch.setattr(
         quantifiers, "_quantifier_matrix",
         lambda p, sd, prefix, *rest: seen.append((prefix, p.hbar))
@@ -408,6 +408,39 @@ class TestBatchedSweeps:
     def _panels(p, sd):
         return quantify(p, sd, "n2").diagnostics["n2_qq"].panels
 
+    @pytest.mark.parametrize("args", [
+        ["--param", "gamma", "--range", "0.2:2:8", "--hbar", "0"],
+        ["--param", "omega-big", "--range", "1:3:8", "--hbar", "1"]],
+        ids=["gamma", "omega-big"])
+    def test_each_drift_row_is_built_once(self, args, tmp_path, monkeypatch,
+                                          capsys):
+        # n1 and n2 of a row, each guarded and solved, share one build of
+        # its eigenvalues and one of its Lyapunov operators: each of the
+        # 8 drift matrices reaches eigvals and _lyapunov once
+        built = {"ops": [], "lam": []}
+        lyapunov, eigvals = quantifiers._lyapunov, np.linalg.eigvals
+
+        def ops(a):
+            built["ops"] += [m.tobytes() for m in a]
+            return lyapunov(a)
+
+        def lam(a):
+            if a.ndim == 3:  # the batch's stacks, not a lone matrix
+                built["lam"] += [m.tobytes() for m in a]
+            return eigvals(a)
+
+        args = ["--sd", "peaked", *args, "--quantifier", "both"]
+        with monkeypatch.context() as m:
+            m.setattr(quantifiers, "_lyapunov", ops)
+            m.setattr(np.linalg, "eigvals", lam)
+            assert cli.main(["--mode", "sweep", *args, "--out",
+                             str(tmp_path / "spied.csv")]) == 0
+        assert len(built["ops"]) == len(set(built["ops"])) == 8
+        assert sorted(built["lam"]) == sorted(built["ops"])
+        code, rows = self._sweeps(args, tmp_path, monkeypatch)
+        capsys.readouterr()
+        assert code == 0 and len(rows) == 8
+
     def test_guard_refuses_the_first_row_alone(self, tmp_path, monkeypatch,
                                               capsys):
         code, rows = self._sweeps(["--sd", "peaked", "--param", "d",
@@ -476,9 +509,9 @@ class TestBatchedSweeps:
         # the products of the coupling 0.75 overflow
         products = quantifiers._n1_products
 
-        def overflowing(batch):
-            value = products(batch)
-            value[batch.a[:, 1, 2] == 0.75, 2, 1] = math.inf
+        def overflowing(rows, a, ops):
+            value = products(rows, a, ops)
+            value[a[:, 1, 2] == 0.75, 2, 1] = math.inf
             return value
         monkeypatch.setattr(quantifiers, "_n1_products", overflowing)
         return "n1_qp: an inner product of the closed form is not finite"
@@ -829,9 +862,9 @@ class TestOracleCheckMode:
             times, zeros, zeros, ones, ones))
         products = quantifiers._n2_quantum_products
         for bath, size in (("Ohmic", 2), ("peaked", 4)):
-            def off(batch, ps, covs, terms, size=size):
-                value = products(batch, ps, covs, terms)
-                if batch.a.shape[-1] == size:
+            def off(rows, a, ops, size=size):
+                value = products(rows, a, ops)
+                if a.shape[-1] == size:
                     value[:, 0] *= 0.999
                 return value
 

@@ -25,7 +25,7 @@ from nonmarkov.correlations import (
 )
 from nonmarkov.errors import CutoffSensitive, NumericsError
 from nonmarkov.quadrature import integrate
-from nonmarkov.quantifiers import quantify
+from nonmarkov.quantifiers import quantify, regression_quantifier
 from nonmarkov.response import ModelParams, chi_qq_vec
 from nonmarkov.spectral import OhmicSD, PeakedSD, TabulatedSD
 
@@ -42,7 +42,7 @@ FREE_QUANTUM_CQQ = 0.6565176427496657  # (ħ/2ω₀)·coth(βħω₀/2) at ħ=1,
 def matsubara_sum(p, a):
     """``_matsubara_covariance`` of the one drift matrix a, or None
     where ``_matsubara_terms`` gives it no sum under _MAX_TERMS."""
-    terms = _matsubara_terms(p, a, correlations._MAX_TERMS)
+    terms = _matsubara_terms(p, a)
     if terms is None:
         return None
     nu, top, zeta = terms
@@ -84,6 +84,19 @@ class TestCovariance0:
         p = ModelParams(omega0=1.0, beta=2.0, hbar=1.0)
         with pytest.warns(CutoffSensitive):
             covariance0(p, OhmicSD(0.5))
+
+    def test_cutoff_warning_names_the_caller(self):
+        # the warning skips every frame of the package, however deep the
+        # call that reaches the covariances
+        p, sd = ModelParams(omega0=1.0, beta=1.0, hbar=1.0), OhmicSD(1.0)
+        for call in (lambda: quantify(p, sd, "n2"),
+                     lambda: regression_quantifier(p, sd),
+                     lambda: covariance0(p, sd)):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                call()
+            assert [(w.category, w.filename) for w in caught] == [
+                (CutoffSensitive, __file__)]
 
     def test_quantum_peaked_is_cutoff_clean(self):
         p = ModelParams(omega0=1.0, beta=2.0, hbar=1.0)

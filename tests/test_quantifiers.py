@@ -625,7 +625,7 @@ class TestClosedForm:
         assert isinstance(error, NonConvergence)
         assert str(error).startswith("n2_qp: the closed form's ‖f − g‖²")
 
-        def singular(a):
+        def singular(rows, a, ops):
             raise np.linalg.LinAlgError("Singular matrix")
 
         monkeypatch.setattr(quantifiers, "_n1_products", singular)
@@ -926,9 +926,9 @@ class TestBatchReports:
         seen = []
         closed = quantifiers._closed_forms
         monkeypatch.setattr(
-            quantifiers, "_closed_forms", lambda batch, prefix: seen.extend(
-                (prefix, r.p.omega0, r.sd, r.p.beta) for r in batch.rows)
-            or closed(batch, prefix))
+            quantifiers, "_closed_forms", lambda rows, prefix: seen.extend(
+                (prefix, r.p.omega0, r.sd, r.p.beta) for r in rows)
+            or closed(rows, prefix))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", CutoffSensitive)
             batched = quantifiers._batch_reports(points, "both")
@@ -938,6 +938,31 @@ class TestBatchReports:
             ("n1", 1.0, peaked, 0.5), ("n1", 1.0, PeakedSD(1.0, 0.5, 2.0), 1.0),
             ("n1", 2.0, peaked, 1.0), ("n1", 1.0, OhmicSD(0.7), 0.3),
             ("n2", 1.0, OhmicSD(0.7), 0.3)], key=str)
+
+    def test_a_chunk_frees_its_rows_work(self, monkeypatch):
+        # 130 quantum peaked rows fill three chunks; every row holds its
+        # eigenvalues, operators and Matsubara terms through its sums,
+        # and none holds them once its chunk ends
+        made, held = [], []
+
+        class Row(quantifiers._Row):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self)
+
+        sums = quantifiers._quantum_sums
+        monkeypatch.setattr(quantifiers, "_Row", Row)
+        monkeypatch.setattr(quantifiers, "_quantum_sums", lambda rows: sums(
+            rows) or held.extend(r.lam is not None and r.ops is not None
+                                 and r.terms is not None for r in rows))
+        points = [(ModelParams(1.0, beta, 1.0), PeakedSD(0.75, 0.63, 1.0))
+                  for beta in np.linspace(0.5, 5.0, 130)]
+        reports = quantifiers._batch_reports(points, "both")
+        assert all(isinstance(r, quantifiers.QuantifierReport)
+                   for r in reports)
+        assert len(made) == 130 and held == [True] * 130
+        assert all(r.terms is None and r.lam is None and r.ops is None
+                   for r in made)
 
 
 def smooth_table(k, cutoff, scale, n):
