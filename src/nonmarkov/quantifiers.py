@@ -282,23 +282,17 @@ class _Row:
         return self.error or QuantifierReport(n1[0], n2[0], {**n1[1], **n2[1]})
 
 
-def _built(rows, name):
-    """The stack of lam (name 'lam') or the stacks (op, wide) of ops
-    ('ops') of rows, whose drift matrices share a size.  One batched
-    ``eigvals`` or ``_lyapunov`` call builds them for the rows that lack
-    them, so each row's are built once for n1 and n2 alike."""
+def _built(rows, name, build):
+    """Each row's name ('lam' or 'ops') of rows, whose drift matrices
+    share a size.  One call of build (``eigvals``, or the rows of
+    ``_lyapunov``) on the stacked drift matrices of the rows that lack
+    it sets it, so each row's is built once for n1 and n2 alike."""
     missing = [r for r in rows if getattr(r, name) is None]
     if missing:
-        a = np.stack([r.a for r in missing])
-        built = np.linalg.eigvals(a) if name == "lam" else _lyapunov(a)
-        for row, value in zip(missing, built if name == "lam"
-                              else zip(*built)):
+        built = build(np.stack([r.a for r in missing]))
+        for row, value in zip(missing, built):
             setattr(row, name, value)
-        if len(missing) == len(rows):
-            return built
-    if name == "lam":
-        return np.stack([r.lam for r in rows])
-    return tuple(np.stack(ops) for ops in zip(*(r.ops for r in rows)))
+    return [getattr(r, name) for r in rows]
 
 
 def _guard(rows, prefix):
@@ -315,7 +309,7 @@ def _guard(rows, prefix):
     errors = [None] * len(rows)
     if len(rows[0].a) == 2:
         return errors
-    lam = _built(rows, "lam")
+    lam = np.stack(_built(rows, "lam", np.linalg.eigvals))
     ratio = np.abs(lam.real) / np.maximum(np.abs(lam), _TINY)
     q = ratio.min(axis=-1)
     with np.errstate(divide="ignore"):
@@ -600,7 +594,8 @@ def _solved(kernel, rows, prefix):
     if not rows:
         return rows, None
     a = np.stack([r.a for r in rows])
-    op, wide = _built(rows, "ops")
+    op, wide = map(np.stack, zip(*_built(
+        rows, "ops", lambda a: zip(*_lyapunov(a)))))
     try:
         with np.errstate(all="ignore"):
             return rows, kernel(rows, a, (op, wide))
@@ -650,7 +645,7 @@ def _stiff_ohmic(rows):
     digits and the pass 4.7e-12."""
     if len(rows[0].a) > 2:
         return [False] * len(rows)
-    rates = np.abs(_built(rows, "lam"))
+    rates = np.abs(np.stack(_built(rows, "lam", np.linalg.eigvals)))
     return ~(rates.max(axis=-1) <= _MAX_SPREAD * rates.min(axis=-1))
 
 
