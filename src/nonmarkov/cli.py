@@ -177,19 +177,22 @@ def _quantifier_columns(which: str):
             if which in (name, "both") for key in _KEYS]
 
 
-def _report_cells(report):
-    """The requested entries (qq, qp, pp of n1, then of n2) and the
-    largest cutoff drift, both read from the report."""
-    cells = [c for m in (report.n1, report.n2) if m is not None
-             for c in m[_ENTRY]]
+def _report_values(report):
+    """The requested entries (qq, qp, pp of n1, then of n2), then the
+    largest cutoff drift, all read from the report."""
     drift = max((d.cutoff_drift for d in report.diagnostics.values()),
                 default=0.0)
-    return cells, drift
+    return [c for m in (report.n1, report.n2) if m is not None
+            for c in m[_ENTRY]] + [drift]
 
 
-def _csv_cells(cells, drift):
-    """CSV text of what ``_report_cells`` returns."""
-    return [_fmt(c) for c in cells] + [_fmt(drift)]
+def _row_cells(result, width: int):
+    """The width CSV cells of a row after its grid value: the result's
+    numbers and an empty error cell, or, for the NumericsError that
+    failed the row, empty cells and its message."""
+    if isinstance(result, NumericsError):
+        return [""] * (width - 1) + [str(result)]
+    return [_fmt(x) for x in result] + [""]
 
 
 def _write_plot_script(csv_path: Path, n_cols: int, logx: bool,
@@ -219,68 +222,62 @@ def _mode_quantify(settings) -> int:
     cols = _quantifier_columns(which)
     header = cols + ["cutoff_drift", "error"]
     try:
-        report = quantify(p, sd, which=which)
+        result = _report_values(quantify(p, sd, which=which))
     except NumericsError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
-        row, code = [""] * (len(header) - 1) + [str(exc)], 3
+        result = exc
     else:
-        cells, drift = _report_cells(report)
-        for name, value in zip(cols, cells):
+        for name, value in zip(cols, result):
             print(f"{name} = {value:.9f}")
-        print(f"cutoff_drift = {drift:.3e}")
-        row, code = _csv_cells(cells, drift) + [""], 0
+        print(f"cutoff_drift = {result[-1]:.3e}")
     if settings["out"]:
         with open(settings["out"], "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(header)
-            writer.writerow(row)
-    return code
+            writer.writerow(_row_cells(result, len(header)))
+    return 3 if isinstance(result, NumericsError) else 0
 
 
-def _write_grid(out: Path, header, grid, row, n_plotted: int,
+def _write_grid(out: Path, header, results, n_plotted: int,
                 is_log: bool) -> int:
-    """CSV of one row per grid value, flushed as it goes, and its plot
-    script over the first n_plotted value columns.
+    """CSV of one row per (grid value, result) pair of results, each
+    written and flushed as it arrives, and its plot script over the
+    first n_plotted value columns.
 
-    header[0] names the grid column and the plot's x axis.  A point
-    writes [value] + row(value) + [""]; a NumericsError writes the
-    value, empty cells and the message instead.  row may serve values
-    that a batch computed together (a sweep's rows, from one
-    ``quantifiers._batch_reports`` call): then every row is written and
-    flushed only after the whole grid is computed.  Returns 3 when any
-    point failed (reported on stderr), 0 otherwise.
+    header[0] names the grid column and the plot's x axis.  A result is
+    the row's numbers, written as [value] + numbers + [""], or the
+    NumericsError that failed the row, written as the value, empty
+    cells and its message.  Returns 3 when any row failed (reported on
+    stderr), 0 otherwise.
     """
     failures = []
     with open(out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         fh.flush()
-        for value in grid:
-            try:
-                cells = [_fmt(value)] + row(float(value)) + [""]
-            except NumericsError as exc:
-                failures.append((float(value), str(exc)))
-                cells = ([_fmt(value)] + [""] * (len(header) - 2)
-                         + [str(exc)])
-            writer.writerow(cells)
+        for rows, (value, result) in enumerate(results, start=1):
+            if isinstance(result, NumericsError):
+                failures.append((value, str(result)))
+            writer.writerow([_fmt(value)]
+                            + _row_cells(result, len(header) - 1))
             fh.flush()
     _write_plot_script(out, n_plotted, is_log, header[0])
     if failures:
         value, msg = failures[0]
         print(f"numerical failure at {header[0]} = {value:g} "
-              f"({len(failures)} of {len(grid)} grid points): {msg}",
+              f"({len(failures)} of {rows} grid points): {msg}",
               file=sys.stderr)
         return 3
     return 0
 
 
 def _validate_sweep(settings):
-    """The swept parameter, its grid, and every grid point built as a
-    (model, spectral density) pair keyed by its grid value, so a bad
-    value is named by the model's own check before any row runs.  A β
-    or ħ sweep shares the settings' one spectral density, so a table is
-    read once and its kernel memo serves every point; a swept spectral
-    parameter builds one per point."""
+    """The swept parameter, its grid values, is_log, and the list of
+    grid points as (model, spectral density) pairs in grid order, so a
+    bad value is named by the model's own check before any row runs.  A
+    β or ħ sweep shares the settings' one spectral density, so a table
+    is read once and its kernel memo serves every point; a swept
+    spectral parameter builds one per point."""
     param, kind = settings["param"], settings["sd"]
     if param is None:
         raise ConfigError("param", "a sweep requires --param")
@@ -300,39 +297,40 @@ def _validate_sweep(settings):
         sds = [_build_sd(point) for point in points]
     else:
         sds = [_build_sd(settings)] * len(points)
-    return param, grid, is_log, dict(zip(values, zip(models, sds)))
+    return param, values, is_log, list(zip(models, sds))
 
 
 def _mode_sweep(settings) -> int:
-    """One CSV row per grid value from one ``quantifiers._batch_reports``
-    call over the whole grid, which decides what the rows share."""
-    param, grid, is_log, points = _validate_sweep(settings)
+    """One CSV row per grid value, from its point's report or error in
+    one ``quantifiers._batch_reports`` call over the whole grid."""
+    param, values, is_log, points = _validate_sweep(settings)
     which = settings["quantifier"]
     cols = _quantifier_columns(which)
     header = [param] + cols + ["cutoff_drift", "error"]
-    reports = dict(zip(points, _batch_reports(list(points.values()), which)))
-
-    def row(v):
-        report = reports[v]
-        if isinstance(report, NumericsError):
-            raise report.with_traceback(None)
-        return _csv_cells(*_report_cells(report))
+    results = [r if isinstance(r, NumericsError) else _report_values(r)
+               for r in _batch_reports(points, which)]
     return _write_grid(Path(settings["out"] or "nonmarkov_sweep.csv"),
-                       header, grid, row, len(cols), is_log)
+                       header, zip(values, results), len(cols), is_log)
 
 
 def _mode_means(settings) -> int:
+    """One CSV row per time, written before the next time is computed."""
     p = _model(settings)
     sd = _build_sd(settings)
     grid, is_log = _parse_range(settings["range"] or "0:20:201")
     if (grid < 0.0).any():
         raise ConfigError("range", "times must be >= 0")
     aq, ap = settings["aq"], settings["ap"]
-    return _write_grid(
-        Path(settings["out"] or "nonmarkov_means.csv"),
-        ["t", "q_mean", "p_mean", "error"], grid,
-        lambda t: [_fmt(x) for x in propagate_means(p, sd, aq, ap, t)],
-        2, is_log)
+
+    def results():
+        for t in grid.tolist():
+            try:
+                yield t, propagate_means(p, sd, aq, ap, t)
+            except NumericsError as exc:
+                yield t, exc
+    return _write_grid(Path(settings["out"] or "nonmarkov_means.csv"),
+                       ["t", "q_mean", "p_mean", "error"], results(), 2,
+                       is_log)
 
 
 def _langevin_oracle_case(settings):

@@ -211,9 +211,15 @@ def _half_line(f, a: float, breakpoints=()):
     divergent integral drives nodes to v = 2s, where the mapped
     integrand is infinite; that raises NonConvergence, and a non-finite
     f elsewhere raises NonFinite at its own x.  A breakpoint more than
-    _FAR beyond a seeds nothing.
+    _FAR beyond a seeds nothing.  The decades x = a + 10ᵏ, k ≥ 0, that
+    lie a decade or more below the nearest breakpoint are seeded too: a
+    first panel from a to a far breakpoint has no node near the unit
+    scale, and an f that underflows at all its nodes reads as 0.
     """
     breakpoints = [x - a for x in breakpoints if 0.0 < x - a <= _FAR]
+    if breakpoints:
+        breakpoints += (10.0 ** np.arange(
+            math.floor(math.log10(min(breakpoints))))).tolist()
     s = max([1.0, *breakpoints])
 
     def stretch(v):
@@ -438,8 +444,9 @@ def _oscillatory_transform(f, t: float, kinds,
     20/t), with 1 in place of the breakpoint when there is none, and
     doubles until every row's tail bound (``_oscillatory_tail``) is
     within _ABS_TOL.  A window whose panels would exceed _MAX_PANELS
-    raises NonConvergence naming t.  At t = 0 the cosine rows are the
-    half-line integral of f, which must converge.
+    raises NonConvergence naming the window (or the support) and t.  At
+    t = 0 the cosine rows are the half-line integral of f, which must
+    converge.
     """
     if not 0.0 <= t < math.inf:
         # NaN or ∞ would never meet the tail bound below
@@ -473,11 +480,14 @@ def _oscillatory_transform(f, t: float, kinds,
         n = np.maximum(1, np.ceil(np.diff(base) / max_width))
         if n.sum() > _MAX_PANELS:
             row = int(np.argmax(bound))
+            # a support has no tail to blame
+            why = "" if bounded else (f"; row {row} keeps a tail bound of "
+                                      f"{bound.flat[row]:.3g}, above "
+                                      f"{_ABS_TOL:.3g}")
             raise NonConvergence(
-                f"the window [0, {W:.6g}] needs more than "
-                f"{_MAX_PANELS} panels at t = {t:.6g}; row {row} "
-                f"keeps a tail bound of {bound.flat[row]:.3g}, above "
-                f"{_ABS_TOL:.3g}", error_bound=bound)
+                f"the {'support' if bounded else 'window'} [0, {W:.6g}] "
+                f"needs more than {_MAX_PANELS} panels at t = {t:.6g}{why}",
+                error_bound=bound)
         if bounded:
             break
         tail, bound = _oscillatory_tail(f, W, t, sin_rows)

@@ -192,6 +192,16 @@ class TestSweepMode:
             for key in ("n2_qq", "n2_qp", "n2_pp"):
                 assert 0.0 <= float(row[key]) <= 1.0
 
+    def test_repeated_grid_value_writes_every_row(self, tmp_path, capsys):
+        out = tmp_path / "same.csv"
+        rc = cli.main(["--mode", "sweep", "--sd", "peaked", "--param", "beta",
+                       "--range", "1:1:3", "--hbar", "1", "--out", str(out)])
+        capsys.readouterr()
+        assert rc == 0
+        lines = out.read_text(encoding="utf-8").splitlines()
+        assert len(lines) == 4 and lines[1] == lines[2] == lines[3]
+        assert read_csv(out)[0]["error"] == ""
+
     def test_log_sweep_writes_plot_script(self, tmp_path, capsys):
         out = tmp_path / "plotme.csv"
         rc = cli.main(["--mode", "sweep", "--sd", "ohmic", "--param", "d",
@@ -560,8 +570,8 @@ class TestMeansMode:
 
     def test_failing_time_yields_sentinel_row_and_exit_3(self, smooth_table,
                                                          tmp_path, capsys):
-        # a table's χ(t) comes from the transforms of χ̃, and no window
-        # within the panel cap bounds their tail at t = 1e4
+        # a table's χ(t) comes from the transforms of χ̃ over its support,
+        # and at t = 1e4 the support [0, 70] needs more panels than the cap
         out = tmp_path / "m.csv"
         rc = cli.main(["--mode", "means", "--sd", f"tabulated:{smooth_table}",
                        "--range", "0:1e4:2", "--out", str(out)])
@@ -574,6 +584,26 @@ class TestMeansMode:
         assert rows[1]["q_mean"] == rows[1]["p_mean"] == ""
         assert "t = 10000" in rows[1]["error"]
         assert out.with_suffix(".gp").exists()
+
+    def test_each_row_is_on_disk_before_the_next_time(self, tmp_path,
+                                                       monkeypatch, capsys):
+        out = tmp_path / "m.csv"
+        on_disk = []
+
+        def spy(p, sd, aq, ap, t):
+            on_disk.append(len(read_csv(out)))
+            if t == 1.0:
+                raise NumericsError("refused at t = 1")
+            return propagate_means(p, sd, aq, ap, t)
+        monkeypatch.setattr(cli, "propagate_means", spy)
+        rc = cli.main(["--mode", "means", "--sd", "ohmic", "--range", "0:2:5",
+                       "--out", str(out)])
+        capsys.readouterr()
+        assert rc == 3
+        assert on_disk == [0, 1, 2, 3, 4]
+        rows = read_csv(out)
+        assert [row["error"] for row in rows] == [""] * 2 + [
+            "refused at t = 1"] + [""] * 2
 
 
 class TestConfiguration:
@@ -628,6 +658,32 @@ class TestConfiguration:
     def test_bad_flag_value_names_its_key(self, flags, key, capsys):
         assert cli.main(flags) == 2
         assert f"config error: key '{key}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, key", [
+        (["--mode", "quantify", "--config", "."], "config"),
+        (["--mode", "quantify", "--config", "no-such-file.cfg"], "config"),
+        (["--sd", "ohmic"], "mode"),
+        (["--mode", "sweep", "--range", "1:2:3"], "param"),
+        (["--mode", "sweep", "--param", "d", "--range", "1:x:3"], "range"),
+        (["--mode", "sweep", "--param", "d", "--range", "1:2:3:cubic"],
+         "range"),
+        (["--mode", "sweep", "--param", "d", "--range", "1:2:1"], "range"),
+        (["--mode", "means", "--range", "-1:1:3"], "range"),
+    ])
+    def test_bad_input_is_named_before_any_output(self, flags, key, tmp_path,
+                                                  capsys):
+        out = tmp_path / "out.csv"
+        assert cli.main(flags + ["--out", str(out)]) == 2
+        assert f"config error: key '{key}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_line_without_equals_names_the_file(self, tmp_path,
+                                                       capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# a comment\nmode quantify\n", encoding="utf-8")
+        assert cli.main(["--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "config error: key 'config'" in err and "run.cfg:2" in err
 
     def test_bad_sweep_value_is_named_by_the_model(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"

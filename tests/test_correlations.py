@@ -23,7 +23,8 @@ from nonmarkov.correlations import (
     exact_entries_vec,
     rt_entries_vec,
 )
-from nonmarkov.errors import CutoffSensitive, NumericsError
+from nonmarkov.errors import (CutoffSensitive, NonConvergence,
+                             NumericsError)
 from nonmarkov.quadrature import integrate
 from nonmarkov.quantifiers import quantify, regression_quantifier
 from nonmarkov.response import ModelParams, chi_qq_vec
@@ -163,6 +164,19 @@ class TestCovariance0:
         with pytest.warns(CutoffSensitive, match="shifts by"):
             report = quantify(p, OhmicSD(1.0), which="n2")
         assert report.diagnostics["n2_qq"].cutoff_drift > 0.01
+
+    def test_a_failing_pass_raises_its_own_error(self, monkeypatch):
+        # quantum Ohmic covariances have no Matsubara route, so they take
+        # the pass; a β no other test uses keeps the cache out of it
+        failure = NonConvergence("the pass did not converge")
+
+        def failing(*args, **kwargs):
+            raise failure
+        monkeypatch.setattr(correlations, "integrate", failing)
+        with pytest.raises(NonConvergence) as exc:
+            covariance0(ModelParams(omega0=1.0, beta=1.2345, hbar=1.0),
+                        OhmicSD(0.5))
+        assert exc.value is failure
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -39,6 +39,15 @@ class TestLangevinConfig:
         with pytest.raises(ValueError, match=f"^{field} must be"):
             LangevinConfig(**{**args, field: value})
 
+    @pytest.mark.parametrize("field, value", [
+        ("omega0", 0.0), ("omega0", -1.0), ("damping", -0.1),
+        ("t_max", 0.0), ("t_max", -1.0)])
+    def test_out_of_range_field_is_named(self, field, value):
+        args = dict(damping=0.2, omega0=1.0, beta=1.0, dt=0.01, t_max=1.0,
+                    n_traj=1000, seed=0)
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            LangevinConfig(**{**args, field: value})
+
 
 class TestOUStep:
     def test_noise_scale_matches_white_noise_increment(self):

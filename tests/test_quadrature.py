@@ -137,6 +137,15 @@ class TestIntegrate:
                           breakpoints=[1e290, 9e307])
         assert val.real == pytest.approx(1.0, rel=1e-9)
 
+    @pytest.mark.parametrize("s", [1e200, 1e289, 1e290])
+    def test_far_breakpoint_keeps_the_unit_scale(self, s):
+        # f underflows to 0 at every node of a first panel [0, s]; the
+        # decades below s must still find the integral, which is 1
+        with np.errstate(over="ignore"):
+            val = integrate(lambda x: 1.0 / (1.0 + x) ** 2, 0.0, math.inf,
+                            breakpoints=[s])
+        assert abs(val - 1.0) <= 1e-9
+
 
 class TestIntegrateLine:
     """Whole-line integrals, as the norms and inner products of the one
@@ -300,6 +309,15 @@ class TestTransformWindow:
 
         with pytest.raises(NonConvergence, match=r"t = 1\b.*row 0"):
             sine_transform(f, 1.0)
+
+    def test_oversized_support_names_the_support_and_no_tail(self):
+        # f vanishes beyond 40, so only the panel cap can fail: 8 panels
+        # per period on [0, 40] at t = 400 are about 20,400 panels
+        with pytest.raises(NonConvergence) as exc:
+            quadrature._oscillatory_transform(gauss, 400.0, "sin",
+                                              support=40.0)
+        assert str(exc.value) == ("the support [0, 40] needs more than "
+                                  "20000 panels at t = 400")
 
 
 class TestInnerProduct:

@@ -268,6 +268,38 @@ class TestTabulatedValidation:
         with pytest.raises(ValueError):
             TabulatedSD(np.array([0.0, 1.0, 2.0]), np.array([0.0, 1.0, 0.0]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_finite_entries(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            TabulatedSD(np.array([0.0, 1.0, 2.0, 3.0]),
+                        np.array([0.0, bad, 0.5, 0.0]))
+        with pytest.raises(ValueError, match="non-finite"):
+            TabulatedSD(np.array([0.0, 1.0, bad, 3.0]),
+                        np.array([0.0, 1.0, 0.5, 0.0]))
+
+    def test_not_identically_zero(self):
+        with pytest.raises(ValueError, match="identically zero"):
+            TabulatedSD(np.array([0.0, 1.0, 2.0, 3.0]), np.zeros(4))
+
+
+class TestRoughnessGap:
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_short_table_skips_the_check(self, n):
+        # the every-other-knot subtable would have fewer than 4 samples
+        vals = np.zeros(n)
+        vals[1:-1] = 1.0
+        tab = TabulatedSD(np.arange(float(n)), vals)
+        assert tab._roughness_gap() == 0.0
+        assert np.isfinite(tab.gamma_tilde_prime_vec(np.array([0.5])))
+
+    def test_invalid_subtable_reads_as_unstable(self):
+        # the samples at 0, 2, 4 and 5 alone are identically zero
+        tab = TabulatedSD(np.arange(6.0),
+                          np.array([0.0, 1.0, 0.0, 1.0, 0.0, 0.0]))
+        assert tab._roughness_gap() == math.inf
+        with pytest.raises(DerivativeUnstable, match="ω = 0.5"):
+            tab.gamma_tilde_prime_vec(np.array([0.5, 1.0]))
+
 
 class TestFileLoader:
     def test_round_trip(self, tmp_path):
