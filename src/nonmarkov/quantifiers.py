@@ -22,7 +22,7 @@ matrix at 0 < βħ < ∞ is Matsubara sums over the same realizations, up
 to 2¹⁰ terms (Grabert, Schramm & Ingold, Phys. Rep. 168, 115 (1988)):
 the peaked bath's under the same guard, the Ohmic bath's, like its
 closed forms, with none, on the covariances of ``covariance0`` (whose
-momentum variance there is the Λ-cut pass, with its cutoff drift).
+momentum variance there is cut at Λ, with its cutoff drift).
 Tables, β = ∞, longer sums and a stiff Ohmic bath (D ≳ 31.6ω₀, whose
 mode rates span more than 1e3) take one whole-line quadrature pass.
 

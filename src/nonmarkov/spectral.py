@@ -682,15 +682,14 @@ class TabulatedSD(SpectralDensity):
     def _roughness_gap(self) -> float:
         """Median relative gap between dγ̃/dω of this table and of its
         every-other-knot subtable, over probes in [x₁, top/2]; 0 for
-        tables of fewer than six samples, which have no such subtable."""
+        tables of fewer than six samples, which have no such subtable.
+        Raises the ValueError of ``TabulatedSD`` where the even samples
+        alone are no valid table."""
         n = self.frequencies.size
         idx = np.unique(np.append(np.arange(0, n, 2), n - 1))
         if idx.size < 4:
             return 0.0
-        try:
-            coarse = TabulatedSD(self.frequencies[idx], self.values[idx])
-        except ValueError:      # the even samples alone are no valid table
-            return math.inf
+        coarse = TabulatedSD(self.frequencies[idx], self.values[idx])
         probes = np.linspace(self.frequencies[1], 0.5 * self.frequencies[-1],
                              _ROUGHNESS_PROBES)
         fine = self._prime(probes)
@@ -718,13 +717,20 @@ class TabulatedSD(SpectralDensity):
         """
         omega = np.asarray(omega, dtype=float)
         if self._roughness is None:
-            object.__setattr__(self, "_roughness", self._roughness_gap())
-        if self._roughness > _ROUGHNESS_LIMIT and omega.size:
+            # the cause of instability, or "" for a stable table
+            try:
+                gap = self._roughness_gap()
+                cause = (f"differs by a median {gap:.3g} > "
+                         f"{_ROUGHNESS_LIMIT}" if gap > _ROUGHNESS_LIMIT
+                         else "")
+            except ValueError as exc:
+                cause = f"could not be built: {exc}"
+            object.__setattr__(self, "_roughness", cause)
+        if self._roughness and omega.size:
             raise DerivativeUnstable(
                 f"dγ̃/dω of the table is unstable at "
                 f"ω = {omega.flat[0]:.6g} (every-other-knot subtable "
-                f"differs by a median {self._roughness:.3g} > "
-                f"{_ROUGHNESS_LIMIT}); table too coarse or noisy")
+                f"{self._roughness}); table too coarse or noisy")
         return self._prime(omega)
 
     def feature_frequencies(self, omega0: float) -> list[float]:

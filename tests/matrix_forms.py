@@ -10,7 +10,9 @@ diagonalizes the pseudo-mode drift matrix of a peaked bath, from which
 ``inner_product_info`` pass over each half of the real line itself,
 without the fold.
 ``mp_matsubara_covariance`` sums the quantum covariances of a
-drift-matrix bath at 50 digits, ``mp_lyapunov_quantifiers`` solves
+drift-matrix bath at 50 digits, ``mp_ohmic_covariance`` integrates the
+strict-Ohmic ones, with the hard cut of c_pp and its drift, at 30
+digits, ``mp_lyapunov_quantifiers`` solves
 for n1 and classical n2 of an Ohmic or peaked bath at 50 digits, and
 ``mp_quantum_n2`` integrates quantum n2 of an Ohmic or peaked bath over
 the whole line at 30 digits.
@@ -93,6 +95,35 @@ def mp_matsubara_covariance(p: ModelParams, sd: SpectralDensity,
         c_pp = 1 - 2 * sum(am[1, j] * s[j] for j in range(dim))
         return (float((1 / mp.mpf(p.omega0) ** 2 + 2 * s[0]) / p.beta),
                 float(c_pp / p.beta))
+
+
+def mp_ohmic_covariance(d: float, beta: float, cutoff: float,
+                        dps: int = 30):
+    """(c_qq, c_pp, cutoff_drift) of the strict-Ohmic bath D at ω₀ = ħ = 1
+    by tanh-sinh quadrature at dps digits: c_qq = (1/π)∫₀^∞ W·D/P dω and
+    c_pp = (1/π)∫₀^Λ W·D·ω²/P dω, with W = ω·coth(βω/2) and
+    P = (1 − ω²)² + D²ω², and the drift the same integral over [Λ, 2Λ]
+    over c_pp.  The intervals split at the resonance (D wide about
+    ω₀ = 1), the relaxation rates D and 1/D, and Λ."""
+    with mp.workdps(dps):
+        d, beta, cut = mp.mpf(d), mp.mpf(beta), mp.mpf(cutoff)
+
+        def qq(w):
+            weight = w / mp.tanh(beta * w / 2) if w else 2 / beta
+            return weight * d / ((1 - w * w) ** 2 + d * d * w * w)
+
+        def pp(w):
+            return w * w * qq(w)
+
+        edges = {mp.mpf(0), cut, 2 * cut, mp.mpf(1), d, 1 / d}
+        edges |= {1 + s * d * mp.mpf(10) ** k for s in (-1, 1)
+                  for k in range(-1, 9, 3)}
+        edges = sorted(x for x in edges if 0 <= x <= 2 * cut)
+        low = [x for x in edges if x <= cut]
+        high = [x for x in edges if x >= cut]
+        c_pp = mp.quad(pp, low)
+        return (float(mp.quad(qq, edges + [mp.inf]) / mp.pi),
+                float(c_pp / mp.pi), float(mp.quad(pp, high) / c_pp))
 
 
 def _mp_kron(x, y):

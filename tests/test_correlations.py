@@ -17,6 +17,7 @@ from nonmarkov.correlations import (
     CovarianceMatrix,
     _bose_weight,
     _covariance0_cached,
+    _covariances,
     _matsubara_covariance,
     _matsubara_terms,
     covariance0,
@@ -30,8 +31,8 @@ from nonmarkov.quantifiers import quantify, regression_quantifier
 from nonmarkov.response import ModelParams, chi_qq_vec
 from nonmarkov.spectral import OhmicSD, PeakedSD, TabulatedSD
 
-from matrix_forms import (mp_matsubara_covariance, pole_residues,
-                          rt_spectrum_general)
+from matrix_forms import (mp_matsubara_covariance, mp_ohmic_covariance,
+                          pole_residues, rt_spectrum_general)
 
 PEAKED = PeakedSD(coupling=1.0, width=0.5, resonance=2.0)
 # PEAKED sampled on 201 points of [0, 40]
@@ -47,9 +48,9 @@ def matsubara_sum(p, a):
     if terms is None:
         return None
     nu, top, zeta = terms
-    (cov,) = _matsubara_covariance([p], a[None],
-                                   (nu[None], np.array([top]), zeta[None]))
-    return cov
+    (c_qq,), (c_pp,) = _matsubara_covariance(
+        [p], a[None], (nu[None], np.array([top]), zeta[None]))
+    return CovarianceMatrix(c_qq, c_pp)
 
 
 class TestCovariance0:
@@ -166,15 +167,16 @@ class TestCovariance0:
         assert report.diagnostics["n2_qq"].cutoff_drift > 0.01
 
     def test_a_failing_pass_raises_its_own_error(self, monkeypatch):
-        # quantum Ohmic covariances have no Matsubara route, so they take
-        # the pass; a β no other test uses keeps the cache out of it
+        # quantum Ohmic covariances past the closed form's term cap take
+        # the pass: at Λ = 1000 the sum would reach 8Λ in 15718 terms; a
+        # β no other test uses keeps the cache out of it
         failure = NonConvergence("the pass did not converge")
 
         def failing(*args, **kwargs):
             raise failure
         monkeypatch.setattr(correlations, "integrate", failing)
         with pytest.raises(NonConvergence) as exc:
-            covariance0(ModelParams(omega0=1.0, beta=1.2345, hbar=1.0),
+            covariance0(ModelParams(omega0=1.0, beta=12.345, hbar=1.0),
                         OhmicSD(0.5))
         assert exc.value is failure
 
@@ -381,14 +383,101 @@ class TestMatsubaraRoute:
         assert type(c.cutoff_drift) is float
 
     def test_other_quantum_covariances_keep_the_quadrature(self):
-        # the Ohmic bath (A_pp = −D) and β = ∞ have no Matsubara route
-        for p, sd in ((ModelParams(omega0=1.0, beta=2.0, hbar=1.0),
+        # β = ∞ has no Matsubara route, and an Ohmic sum to 8Λ past 2¹³
+        # terms (25,464 at β = 20, Λ = 1000) keeps the pass
+        for p, sd in ((ModelParams(omega0=1.0, beta=20.0, hbar=1.0),
+                       OhmicSD(0.5)),
+                      (ModelParams(omega0=1.0, beta=math.inf, hbar=1.0),
                        OhmicSD(0.5)),
                       (ModelParams(omega0=1.0, beta=math.inf, hbar=1.0),
                        PEAKED)):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", CutoffSensitive)
                 assert covariance0(p, sd) == _covariance0_cached(p, sd)
+
+
+class TestOhmicClosedForm:
+    """The strict-Ohmic quantum covariances at 0 < βħ < ∞ with no pass:
+    c_qq from the Matsubara sums, the Λ-cut c_pp and its drift over
+    [Λ, 2Λ] in arctangents (``correlations._ohmic_momentum``)."""
+
+    @staticmethod
+    def _no_pass(monkeypatch):
+        def failing(*args, **kwargs):
+            raise AssertionError("the covariance pass ran")
+        monkeypatch.setattr(correlations, "integrate", failing)
+
+    # D = 2 is critical damping (a double root), 2 ± 1e-8 its neighbours
+    # on the series, 1e-8 a resonance 1e-8 wide, 31 a stiff bath
+    @pytest.mark.parametrize("beta", [0.3, 5.0])
+    @pytest.mark.parametrize("cutoff", [20.0, 1000.0])
+    @pytest.mark.parametrize("d", [1e-8, 0.05, 2.0, 2.0 - 1e-8, 2.0 + 1e-8,
+                                   20.0, 31.0])
+    def test_matches_30_digit_integrals(self, d, cutoff, beta, monkeypatch):
+        self._no_pass(monkeypatch)
+        p = ModelParams(omega0=1.0, beta=beta, hbar=1.0, cutoff=cutoff)
+        c_qq, c_pp, drift = mp_ohmic_covariance(d, beta, cutoff)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CutoffSensitive)
+            c = covariance0(p, OhmicSD(d))
+        assert c.c_qq == pytest.approx(c_qq, rel=1e-12)
+        assert c.c_pp == pytest.approx(c_pp, rel=1e-12)
+        assert c.cutoff_drift == pytest.approx(drift, rel=1e-12)
+
+    # Λ runs log-uniformly up to 1e4 or to where the sum to 8Λ would pass
+    # 2¹³ terms (Λβħ ≈ 6400) and the row would keep the pass
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(st.floats(1e-6, 31.0), st.floats(0.05, 50.0), st.floats(0.0, 1.0),
+           st.floats(0.5, 2.0), st.floats(0.1, 2.0))
+    def test_matches_the_pass(self, d, beta, span, omega0, hbar):
+        cutoff = 20.0 * (min(1e4, 6400.0 / (beta * hbar)) / 20.0) ** span
+        p = ModelParams(omega0=omega0, beta=beta, hbar=hbar, cutoff=cutoff)
+        sd = OhmicSD(d)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CutoffSensitive)
+            got = covariance0(p, sd)
+        want = _covariance0_cached.__wrapped__(p, sd)
+        assert _matsubara_terms(p, sd.drift_matrix(omega0), 2.0 * cutoff)
+        assert got.c_qq == pytest.approx(want.c_qq, rel=1e-10)
+        assert got.c_pp == pytest.approx(want.c_pp, rel=1e-10)
+        assert got.cutoff_drift == pytest.approx(want.cutoff_drift, rel=1e-10)
+
+    def test_a_matsubara_frequency_on_a_relaxation_rate_keeps_the_pass(self):
+        # D = 2.5 relaxes at rates 0.5 and 2, and ν₁ = 2π/β = 2 at β = π:
+        # the partial fractions divide 0 by 0 there, and 1e-9 away they
+        # lose 6e-10; the rounding bound hands both rows to the pass, and
+        # 1% away the closed form holds
+        sd = OhmicSD(2.5)
+        for beta, closed in ((math.pi, False), (math.pi * (1.0 + 1e-9), False),
+                             (1.01 * math.pi, True)):
+            p = ModelParams(omega0=1.0, beta=beta, hbar=1.0)
+            want = _covariance0_cached(p, sd)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", CutoffSensitive)
+                got = covariance0(p, sd)
+            assert (got != want) is closed
+            assert got.c_pp == pytest.approx(want.c_pp, rel=1e-12)
+
+    def test_warnings_come_in_the_order_of_rows(self):
+        # the closed form, a row past the term cap on the pass and the
+        # closed form again: the drifts warn in that order, as one pass
+        # per row would
+        p = ModelParams(omega0=1.0, beta=1.0, hbar=1.0)
+        cold = ModelParams(omega0=1.0, beta=20.0, hbar=1.0)
+        rows = [(q, OhmicSD(d)) for q, d in ((p, 1.0), (cold, 0.5),
+                                             (p, 0.5))]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            covs = _covariances([(q, sd, sd.drift_matrix(1.0),
+                                  _matsubara_terms(q, sd.drift_matrix(1.0)))
+                                 for q, sd in rows])
+        assert [w.category for w in caught] == [CutoffSensitive] * 3
+        assert [str(w.message) for w in caught] == [
+            f"momentum variance shifts by {100.0 * c.cutoff_drift:.1f}% "
+            "between the cutoff and twice the cutoff; result is "
+            "cutoff-limited" for c in covs]
+        assert covs[1] == _covariance0_cached(cold, OhmicSD(0.5))
+        assert len({f"{c.cutoff_drift:.3f}" for c in covs}) == 3
 
 
 class TestExactSpectrum:

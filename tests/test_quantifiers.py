@@ -386,14 +386,11 @@ class TestOnePass:
     def test_one_inner_product_pass_per_quantifier(self, sd, monkeypatch):
         # n1, and classical n2, of a bath with a drift matrix are closed
         # forms, and its quantum n2 is Matsubara sums; a peaked bath's
-        # quantum covariances are sums too, while the strict Ohmic ones
-        # take their own pass, cached here before the count starts
+        # quantum covariances are sums too, and the strict Ohmic ones,
+        # with their Λ-cut c_pp, closed forms, so nothing is cached first
         passes = self._count_passes(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", CutoffSensitive)
-            if isinstance(sd, OhmicSD):
-                covariance0(ModelParams(1.0, 1.0, 1.0), sd)
-                passes.clear()
             for p, which in ((ModelParams(1.0, 1.0, 1.0), "n1"),
                              (ModelParams(1.0, 1.0, 0.0), "n2"),
                              (ModelParams(1.0, 1.0, 1.0), "n2")):
