@@ -38,11 +38,11 @@ every-other-knot subtable and raises ``DerivativeUnstable``.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.polynomial import polyval
 
 from .errors import DerivativeUnstable
 
@@ -100,15 +100,14 @@ def _scaled_suffix(x: np.ndarray, coef: np.ndarray) -> np.ndarray:
     return out
 
 
-def _horner(coef: np.ndarray, idx: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Σ_m coef[m−1, idx]·y^m over m = 1 … len(coef), by Horner: one
-    elementwise pass per power, so each value depends on its own y only."""
-    acc = np.zeros(idx.size)
-    c = np.empty(idx.size)
-    for row in coef[::-1]:
-        row.take(idx, out=c)
-        acc += c
+def _polyval(coef: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Σ_m coef[m]·y^m by Horner, in the order of numpy's ``polyval``: one
+    elementwise pass per power, so each value depends on its own y only.
+    Each coef[m] is a scalar or an array of y's shape."""
+    acc = coef[-1] + 0.0 * y
+    for row in coef[-2::-1]:
         acc *= y
+        acc += row
     return acc
 
 
@@ -355,11 +354,15 @@ class TabulatedSD(SpectralDensity):
     exact dispersion transform of the interpolant, in closed form from
     its cubic coefficients (``_kernel``: knot sums in three regions of
     ω/x_j below 2·top, see ``_knot_sums``, and a moment series beyond),
-    memoized per instance on |ω|.  The first derivative request compares
-    the table with its every-other-knot subtable; when their dγ̃/dω
-    differ by a median relative gap above ``_ROUGHNESS_LIMIT`` the table
-    is too coarse or noisy to differentiate and every derivative request
-    raises ``DerivativeUnstable``.
+    memoized per instance on |ω|.  A new |ω| costs its near band (the
+    knots within a factor 2 of it) and one Horner pass, a batch some two
+    hundred small numpy calls whatever its size, and the far-field
+    moments are built on the first |ω| ≥ 2·top.  The first derivative
+    request compares the table with its every-other-knot subtable; when
+    their dγ̃/dω differ by a median relative gap above
+    ``_ROUGHNESS_LIMIT`` the table is too coarse or noisy to
+    differentiate and every derivative request raises
+    ``DerivativeUnstable``.
     """
 
     frequencies: np.ndarray
@@ -407,7 +410,7 @@ class TabulatedSD(SpectralDensity):
         p0 = float(vals[-1])
         p1 = float(3.0 * a3[-1] * h[-1] ** 2 + 2.0 * a2[-1] * h[-1] + a1[-1])
         object.__setattr__(self, "_knots",
-                           (x, alpha, beta, c2, 2.0 * beta * x))
+                           np.array([x, alpha, beta, c2, 2.0 * beta * x]))
         object.__setattr__(self, "_ends", (cubic, p0, p1))
         # Series of the knots outside the near band (``_knot_sums``):
         # coefficients A_m of the knots above 2ω and B_n of those below
@@ -432,34 +435,37 @@ class TabulatedSD(SpectralDensity):
             _scaled_suffix(1.0 / x[::-1], below[:, ::-1])[:, ::-1]], axis=1)
         slope = 0.5 * k * series
         slope[:, n + 1:] *= -1.0
+        # (power, column, E or dE/dω): one take gathers a batch's columns
         object.__setattr__(self, "_series", (
             np.append(x, np.inf), np.append(0.0, x), sums,
-            np.concatenate([series, slope], axis=1)))
+            np.stack([series, slope], axis=-1)))
         # finite part of Im γ̃′ at ω = 0, where it diverges like
         # (J″(0)/π)·log|ω| unless J″(0) = 0; callers multiply it by ω
         reg = (2.0 * cubic - p0 / top ** 2 - p1 / top
                + np.sum(c2 * np.log(x) + 3.0 * alpha - 5.0 * beta * x - c2))
         object.__setattr__(self, "_im_prime0", -float(reg) / math.pi)
-        # far field ω ≥ 2·top: E = −2∫J/ν − 2·Σ_{m odd} M_m/ω^{m+1} with
-        # the moments M_m = μ·top^m of J, by 32-point Gauss–Legendre per
-        # segment (exact for these polynomials of degree ≤ 62, and for the
-        # quadratic J/ν on the first segment)
+        object.__setattr__(self, "_memo", (np.empty(0), np.empty((0, 2))))
+
+    @functools.cached_property
+    def _far(self) -> tuple[float, np.ndarray, np.ndarray]:
+        """∫J/ν, μ and 2m·μ_m of the far field ω ≥ 2·top, on first use:
+        E = −2∫J/ν − 2·Σ_{m odd} M_m/ω^{m+1} with the moments M_m = μ·top^m
+        of J, by 32-point Gauss–Legendre per segment (exact for these
+        polynomials of degree ≤ 62, and for J/ν, quadratic on [0, x₁])."""
+        x = self.frequencies
         g0, mu = 0.0, np.zeros(_MOMENTS)
         step = _BLOCK // _GL_NODES.size
-        for lo in range(0, h.size, step):
-            half = 0.5 * h[lo:lo + step, None]
-            nodes = x[lo:lo + step, None] - half * (1.0 - _GL_NODES)
-            jw = interp(nodes) * half * _GL_WEIGHTS
+        for lo in range(0, x.size - 1, step):
+            half = 0.5 * np.diff(x[lo:lo + step + 1])[:, None]
+            nodes = x[lo + 1:lo + step + 1, None] - half * (1.0 - _GL_NODES)
+            jw = self._interp(nodes) * half * _GL_WEIGHTS
             g0 += float(np.sum(jw / nodes))
-            r = nodes / top
+            r = nodes / x[-1]
             term, r2 = jw * r, r * r
             for i in range(_MOMENTS):
                 mu[i] += term.sum()
                 term *= r2
-        object.__setattr__(self, "_far", (g0, mu, 2.0 * np.arange(
-            1, _MOMENTS + 1) * mu))
-        object.__setattr__(self, "_memo", (np.empty(0), np.empty((2, 0))))
-        object.__setattr__(self, "_roughness", None)
+        return g0, mu, 2.0 * np.arange(1, _MOMENTS + 1) * mu
 
     @classmethod
     def from_file(cls, path) -> "TabulatedSD":
@@ -503,12 +509,14 @@ class TabulatedSD(SpectralDensity):
         the moment series at w ≥ 2·top, the knot sums below."""
         top = self.frequencies[-1]
         series = w >= 2.0 * top
+        if not series.any():
+            return self._knot_sums(w)
         out = np.empty((2, w.size))
         g0, mu, dmu = self._far
         r = top / w[series]
         r2 = r * r
-        out[0, series] = -2.0 * g0 - (2.0 / top) * r2 * polyval(r2, mu)
-        out[1, series] = (2.0 / top ** 2) * r * r2 * polyval(r2, dmu)
+        out[0, series] = -2.0 * g0 - (2.0 / top) * r2 * _polyval(mu, r2)
+        out[1, series] = (2.0 / top ** 2) * r * r2 * _polyval(dmu, r2)
         out[:, ~series] = self._knot_sums(w[~series])
         return out
 
@@ -554,13 +562,13 @@ class TabulatedSD(SpectralDensity):
         hi = np.searchsorted(x_hi, 2.0 * w)           # first x_j ≥ 2ω
         lo = np.searchsorted(x_hi, 0.5 * w, "right")  # first x_j > ω/2
         out = self._near_band(w, lo, hi)
-        # columns of ``series``: E coefficients above, below, then the
-        # dE/dω ones in the same order
-        idx = np.concatenate([hi, lo + x_hi.size])
-        y = np.concatenate([(w / x_hi[hi]) ** 2, (x_lo[lo] / w) ** 2])
-        acc = _horner(series, np.concatenate([idx, idx + 2 * x_hi.size]),
-                      np.concatenate([y, y])).reshape(4, w.size)
-        v, d = acc[0::2] + acc[1::2]
+        # the columns of ``series`` above ω, then those below, each an
+        # (E, dE/dω) pair of coefficients of the powers y¹ … y^_TERMS
+        y = np.repeat(np.concatenate([(w / x_hi[hi]) ** 2,
+                                      (x_lo[lo] / w) ** 2]), 2)
+        cols = series.take(np.concatenate([hi, lo + x_hi.size]), axis=1)
+        acc = y * _polyval(cols.reshape(_TERMS, -1), y)
+        v, d = (acc[:2 * w.size] + acc[2 * w.size:]).reshape(-1, 2).T
         sc2, sl2 = sums[:2, hi]
         pc0, pl0, pba, pb0 = sums[2:, lo]
         lw = np.log(w / self.frequencies[-1])
@@ -587,16 +595,18 @@ class TabulatedSD(SpectralDensity):
         arrives in.
         """
         count = hi - lo
-        first = np.cumsum(count) - count
-        cut = np.flatnonzero(np.diff(first // _BLOCK)) + 1
+        cuts = [0, w.size]
+        if count.sum() > _BLOCK:
+            first = np.cumsum(count) - count
+            cuts[1:1] = np.flatnonzero(np.diff(first // _BLOCK)) + 1
         out = np.empty((2, w.size))
-        for r0, r1 in zip(np.append(0, cut), np.append(cut, w.size)):
+        for r0, r1 in zip(cuts, cuts[1:]):
             n = count[r0:r1]
             row = np.repeat(np.arange(r1 - r0), n)
             j = np.arange(n.sum()) + np.repeat(lo[r0:r1] - np.cumsum(n) + n,
                                                n)
-            a, alpha, beta, c2, b2 = (k.take(j) for k in self._knots)
-            wb = w[r0:r1].take(row)
+            a, alpha, beta, c2, b2 = self._knots.take(j, axis=1)
+            wb = np.repeat(w[r0:r1], n)
             x = wb / a
             q = -c2 * wb * wb * np.log(x)
             t = wb - a
@@ -624,16 +634,16 @@ class TabulatedSD(SpectralDensity):
         lm = np.log(np.abs(w - top) / top + edge)      # log|1 − x|, 0 at top
         lp = np.log1p(x)
         ls = lm + lp                                   # log|1 − x²|
-        ls[small] = np.log1p(-xs * xs)
+        ls[small] = ls_small = np.log1p(-xs * xs)
         at = 0.5 * (lp - lm)                           # atanh x or atanh 1/x
-        at[small] = np.arctanh(xs)
+        at[small] = at_small = np.arctanh(xs)
         out = np.zeros((2, w.size))
         if p0:
             pole = np.where(edge, 0.0, 1.0 / np.where(edge, 1.0, top - w))
             out += p0 * np.array([ls, 1.0 / (top + w) - pole])
         if p1:
             slope = (w - top) * lm - (w + top) * lp
-            slope[small] = -(2.0 * w[small] * at[small] + top * ls[small])
+            slope[small] = -(2.0 * w[small] * at_small + top * ls_small)
             out += p1 * np.array([slope, -2.0 * at])
         return out
 
@@ -643,9 +653,10 @@ class TabulatedSD(SpectralDensity):
         w = 1e-150, where ω² and E(ω) leave the normal floats (and ω/top
         can underflow to 0).
 
-        The memo is a pair of sorted arrays that is replaced, never
-        changed in place, and it is cleared when it would outgrow
-        ``_MEMO_CAP``; a value does not depend on what the memo holds.
+        The memo is a pair of arrays, the sorted |ω| and their (E, dE/dω)
+        rows, that is replaced, never changed in place, and it is cleared
+        when it would outgrow ``_MEMO_CAP``; a value does not depend on
+        what the memo holds.
         """
         flat = w.ravel()
         nz = flat >= 1e-150
@@ -658,17 +669,20 @@ class TabulatedSD(SpectralDensity):
             new = np.unique(q[~known])
             if keys.size + new.size > _MEMO_CAP:
                 # start afresh from this batch, hits included
-                keys = np.unique(q)
-                vals = self._kernel(keys)
-            else:
-                at = np.searchsorted(keys, new)
-                keys = np.insert(keys, at, new)
-                vals = np.insert(vals, at, self._kernel(new), axis=1)
+                keys, vals, new = keys[:0], vals[:0], np.unique(q)
+            # a stable sort of two sorted runs is one merge pass
+            keys = np.concatenate([keys, new])
+            vals = np.concatenate([vals, self._kernel(new).T])
+            order = keys.argsort(kind="stable")
+            keys, vals = keys.take(order), vals.take(order, axis=0)
             object.__setattr__(self, "_memo", (keys, vals))
             pos = np.searchsorted(keys, q)
-        out = np.zeros((2, flat.size))
-        out[:, nz] = vals[:, pos]
-        return out.reshape((2,) + w.shape)
+        rows = vals.take(pos, axis=0)
+        if q.size < flat.size:
+            out = np.zeros((flat.size, 2))
+            out[nz] = rows
+            rows = out
+        return rows.T.reshape((2,) + w.shape)
 
     def gamma_tilde_vec(self, omega) -> np.ndarray:
         omega = np.asarray(omega, dtype=float)
@@ -683,8 +697,9 @@ class TabulatedSD(SpectralDensity):
         """Median relative gap between dγ̃/dω of this table and of its
         every-other-knot subtable, over probes in [x₁, top/2]; 0 for
         tables of fewer than six samples, which have no such subtable.
-        Raises the ValueError of ``TabulatedSD`` where the even samples
-        alone are no valid table."""
+        The probes stay below 2·top, so the subtable never builds its
+        far-field moments.  Raises the ValueError of ``TabulatedSD`` where
+        the even samples alone are no valid table."""
         n = self.frequencies.size
         idx = np.unique(np.append(np.arange(0, n, 2), n - 1))
         if idx.size < 4:
@@ -695,6 +710,16 @@ class TabulatedSD(SpectralDensity):
         fine = self._prime(probes)
         gap = np.abs(fine - coarse._prime(probes)) / np.abs(fine)
         return float(np.median(gap))
+
+    @functools.cached_property
+    def _roughness(self) -> str:
+        """The cause of instability of dγ̃/dω, or "" for a stable table."""
+        try:
+            gap = self._roughness_gap()
+        except ValueError as exc:
+            return f"could not be built: {exc}"
+        return (f"differs by a median {gap:.3g} > {_ROUGHNESS_LIMIT}"
+                if gap > _ROUGHNESS_LIMIT else "")
 
     def _prime(self, omega: np.ndarray) -> np.ndarray:
         w = np.abs(omega)
@@ -716,16 +741,6 @@ class TabulatedSD(SpectralDensity):
         on the first call).
         """
         omega = np.asarray(omega, dtype=float)
-        if self._roughness is None:
-            # the cause of instability, or "" for a stable table
-            try:
-                gap = self._roughness_gap()
-                cause = (f"differs by a median {gap:.3g} > "
-                         f"{_ROUGHNESS_LIMIT}" if gap > _ROUGHNESS_LIMIT
-                         else "")
-            except ValueError as exc:
-                cause = f"could not be built: {exc}"
-            object.__setattr__(self, "_roughness", cause)
         if self._roughness and omega.size:
             raise DerivativeUnstable(
                 f"dγ̃/dω of the table is unstable at "

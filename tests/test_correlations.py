@@ -387,6 +387,8 @@ class TestMatsubaraRoute:
         # terms (25,464 at β = 20, Λ = 1000) keeps the pass
         for p, sd in ((ModelParams(omega0=1.0, beta=20.0, hbar=1.0),
                        OhmicSD(0.5)),
+                      (ModelParams(omega0=1.0, beta=20.0, hbar=1.0),
+                       OhmicSD(1e-8)),
                       (ModelParams(omega0=1.0, beta=math.inf, hbar=1.0),
                        OhmicSD(0.5)),
                       (ModelParams(omega0=1.0, beta=math.inf, hbar=1.0),
@@ -457,6 +459,21 @@ class TestOhmicClosedForm:
                 got = covariance0(p, sd)
             assert (got != want) is closed
             assert got.c_pp == pytest.approx(want.c_pp, rel=1e-12)
+
+    @pytest.mark.xfail(raises=AssertionError, strict=True,
+                       reason="the pass reads c_qq and c_pp 2.2e-9 high "
+                              "on a resonance 1e-8 wide")
+    def test_weak_coupling_past_the_term_cap_matches_30_digit_integrals(
+            self):
+        # Λβħ = 2e4 puts the sum to 8Λ past 2¹³ terms, so this row keeps
+        # the pass, whose 1e-9 tolerance lets the error through
+        p = ModelParams(omega0=1.0, beta=20.0, hbar=1.0)
+        c_qq, c_pp, _ = mp_ohmic_covariance(1e-8, 20.0, 1000.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CutoffSensitive)
+            c = covariance0(p, OhmicSD(1e-8))
+        assert c.c_qq == pytest.approx(c_qq, rel=1e-10)
+        assert c.c_pp == pytest.approx(c_pp, rel=1e-10)
 
     def test_warnings_come_in_the_order_of_rows(self):
         # the closed form, a row past the term cap on the pass and the

@@ -962,6 +962,35 @@ class TestBatchReports:
                    for r in made)
 
 
+decoupled_baths = st.one_of(
+    st.just(OhmicSD(0.0)),
+    st.builds(PeakedSD, coupling=st.just(0.0), width=st.floats(0.05, 3.0),
+              resonance=st.floats(0.3, 3.0)))
+quantum = st.floats(0.01, 2.0)
+decoupled_models = st.one_of(
+    st.builds(ModelParams, omega0=st.floats(0.5, 2.0),
+              beta=st.floats(0.05, 50.0),
+              hbar=st.one_of(st.just(0.0), quantum)),
+    st.builds(ModelParams, omega0=st.floats(0.5, 2.0),
+              beta=st.just(math.inf), hbar=quantum))
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(decoupled_models, decoupled_baths)
+def test_a_decoupled_bath_reads_zero_alone_and_in_a_batch(p, sd):
+    # n1 ≡ n2 ≡ 0 with no pass, for quantify and for a row of a batch
+    # whose coupled rows do take their routes
+    points = [(p, PeakedSD(0.75, 0.63, 1.0)), (p, sd), (p, OhmicSD(0.7))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CutoffSensitive)
+        alone = quantify(p, sd, which="both")
+        batched = quantifiers._batch_reports(points, "both")[1]
+    for report in (alone, batched):
+        assert np.array_equal(report.n1, np.zeros((2, 2)))
+        assert np.array_equal(report.n2, np.zeros((2, 2)))
+        assert all(d.panels == 0 for d in report.diagnostics.values())
+
+
 def smooth_table(k, cutoff, scale, n):
     """J = scale·ω·(ω/ωc)^(k−1)·e^(−ω/ωc) on n knots over [0, 25·ωc]."""
     w = np.linspace(0.0, 25.0 * cutoff, n)

@@ -254,6 +254,55 @@ def test_memo_overflow_keeps_the_hits_of_its_batch():
                           _bits(exp_table(41, 48.0).gamma_tilde_vec(batch)))
 
 
+def power_table(k, n):
+    """J = 0.4·ω·(ω/2)^(k−1)·e^(−ω/2) on n knots over [0, 50]."""
+    w = np.linspace(0.0, 50.0, n)
+    return TabulatedSD(w, 0.4 * w * (w / 2.0) ** (k - 1) * np.exp(-w / 2.0))
+
+
+@st.composite
+def table_batches(draw):
+    """(k, n) of a table and up to 64 frequencies from 0, 1e-160, the
+    knots, top, 2·top and its neighbours, and [0, 3·top], each of either
+    sign, in the order drawn."""
+    k, n = draw(st.sampled_from([1, 2, 3])), draw(st.sampled_from(
+        [41, 201, 301]))
+    knots = np.linspace(0.0, 50.0, n)
+    top = knots[-1]
+    marks = [0.0, 1e-160, top, 2.0 * top, np.nextafter(2.0 * top, 0.0),
+             np.nextafter(2.0 * top, np.inf), 2.0 * top * (1.0 - 1e-12),
+             2.0 * top * (1.0 + 1e-12)]
+    points = st.one_of(st.sampled_from(marks), st.sampled_from(list(knots)),
+                       st.floats(0.0, 3.0 * top))
+    omega = draw(st.lists(st.tuples(points, st.sampled_from([1.0, -1.0])),
+                          min_size=1, max_size=64))
+    return k, n, np.array([sign * w for w, sign in omega])
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(table_batches())
+def test_batch_values_are_the_one_by_one_values(case):
+    # a value may not depend on its batch, on its neighbours in it, or on
+    # what the memo held when it came: a fresh table one frequency at a
+    # time, and one whose memo an unrelated batch overflowed, give the
+    # batch's bits
+    k, n, omega = case
+    batch = power_table(k, n)
+    gam, prime = batch.gamma_tilde_vec(omega), batch.gamma_tilde_prime_vec(
+        omega)
+    single = power_table(k, n)
+    assert np.array_equal(_bits(gam), _bits(
+        [single.gamma_tilde_vec(w) for w in omega]))
+    assert np.array_equal(_bits(prime), _bits(
+        [single.gamma_tilde_prime_vec(w) for w in omega]))
+    full = power_table(k, n)
+    full.gamma_tilde_vec(np.linspace(125.0, 200.0, spectral._MEMO_CAP + 1))
+    assert full._memo[0].size > spectral._MEMO_CAP
+    assert np.array_equal(_bits(full.gamma_tilde_vec(omega)), _bits(gam))
+    assert np.array_equal(_bits(full.gamma_tilde_prime_vec(omega)),
+                          _bits(prime))
+
+
 def test_roughness_check_separates_smooth_from_noisy_tables():
     smooth = [peaked_table(201), peaked_table(241), exp_table(301, 48.0),
               exp_table(3001, 70.0)]
